@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
       make_pc_tree(parts, static_cast<std::uint32_t>(std::min<std::size_t>(n, 192)));
 
   std::cout << "bench_kernels: n=" << n << " groups=" << groups.size()
-            << " iters=" << iters << "\n";
+            << " iters=" << iters << " kernel_isa=" << kernel_isa() << "\n";
 
   const KernelBackend backends[] = {KernelBackend::kScalar, KernelBackend::kSimd,
                                     KernelBackend::kSimdFloat};

@@ -800,7 +800,7 @@ void write_step_report_json(const RunInfo& info, std::span<const StepReport> rep
      << ", \"num_particles\": " << info.num_particles << ", \"theta\": " << info.theta
      << ", \"transport\": \"" << info.transport << "\", \"topology\": \"" << info.topology
      << "\", \"cluster\": \"" << info.cluster << "\", \"balance\": \"" << info.balance
-     << "\", \"kernel\": \"" << info.kernel
+     << "\", \"kernel\": \"" << info.kernel << "\", \"kernel_isa\": \"" << kernel_isa()
      << "\", \"async\": " << (info.async ? "true" : "false")
      << ", \"let_cache\": " << (info.let_cache ? "true" : "false")
      << ", \"wire_version\": " << info.wire_version << "},\n \"steps\": [";

@@ -40,6 +40,7 @@
 #include "domain/transport.hpp"
 #include "domain/wire.hpp"
 #include "util/flops.hpp"
+#include "util/heap.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -171,6 +172,9 @@ class Simulation {
                   std::vector<LaneTimeline>& lanes);
   void step_lockstep(StepReport& report, std::vector<TimeBreakdown>& rank_times);
 
+  // First member, so destroyed last: the pages the ranks, LET caches and
+  // lane threads below freed go back to the OS with them (util/heap.hpp).
+  ReleaseHeapOnDestroy release_heap_;
   SimConfig cfg_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::unique_ptr<Executor> executor_;  // created on the first async step

@@ -527,6 +527,7 @@ int main(int argc, char** argv) {
               << " eps=" << cfg.eps << " dt=" << cfg.dt << " steps=" << steps
               << " transport=" << transport
               << " kernel=" << bonsai::kernel_backend_name(cfg.kernel)
+              << " kernel_isa=" << bonsai::kernel_isa()
               << (cfg.async ? " schedule=async" : " schedule=lockstep")
               << (cfg.balance == bonsai::domain::BalanceMode::kCost ? " balance=cost" : "")
               << (cfg.let_cache ? " let-cache=on" : "") << "\n";

@@ -81,8 +81,7 @@ struct JobServer::Job {
   std::string spool_path;
   bool has_checkpoint = false;
   double kinetic = 0.0, potential = 0.0;
-  ParticleSet result;
-  std::vector<domain::StepReport> reports;
+  std::vector<domain::StepReport> reports;  // kept only for the bench file
   std::thread runner;
 };
 
@@ -313,7 +312,11 @@ wire::JobResultMsg JobServer::wait_result(std::int32_t job_id) {
   res.kinetic = job.kinetic;
   res.potential = job.potential;
   res.reason = job.reason;
-  res.parts = job.result;
+  if (res.state == wire::JobState::kCompleted) {
+    const std::string path = job.spool_path;
+    lk.unlock();
+    res.parts = std::move(read_snapshot_file(path).sets.at(0));
+  }
   return res;
 }
 
@@ -332,15 +335,13 @@ wire::SnapshotMsg JobServer::handle_snapshot(std::int32_t job_id) {
     cv_.wait(lk, [&] { return !job.snapshot_requested || job.state != wire::JobState::kRunning; });
     if (!job.snapshot_requested && job.live_snapshot.job_id == job.id) return job.live_snapshot;
   }
-  if (job.state == wire::JobState::kSuspended && job.has_checkpoint) {
+  // A suspended job's spool file is its checkpoint; a completed job's is its
+  // result as one set.
+  if ((job.state == wire::JobState::kSuspended && job.has_checkpoint) ||
+      job.state == wire::JobState::kCompleted) {
     const std::string path = job.spool_path;
     lk.unlock();
     return read_snapshot_file(path);
-  }
-  if (job.state == wire::JobState::kCompleted) {
-    out.next_step = job.steps_done;
-    out.sets.push_back(job.result);
-    return out;
   }
   out.next_step = job.steps_done;
   return out;
@@ -525,17 +526,25 @@ void JobServer::run_job(Job& job) {
           job.live_snapshot.sets = sim.checkpoint_sets();
           job.snapshot_requested = false;
         }
-        job.reports.push_back(std::move(rep));
+        // Only the per-job bench file reads the reports; without one a
+        // finished job would hold them until shutdown.
+        if (!cfg_.bench_dir.empty()) job.reports.push_back(std::move(rep));
         cv_.notify_all();
       }
     }
 
-    ParticleSet result = sim.gather();
+    // The final state goes to the spool file (replacing any checkpoint) as a
+    // one-set snapshot, not into memory: a finished job stays queryable for
+    // the server's lifetime, and resident results would grow without bound.
+    wire::SnapshotMsg result;
+    result.job_id = job.id;
+    result.next_step = job.steps_done;  // written only by this thread
+    result.sets.push_back(sim.gather());
+    write_snapshot_file(job.spool_path, result);
     const double ke = sim.kinetic_energy();
     const double pe = sim.potential_energy();
     if (!cfg_.bench_dir.empty()) write_job_bench(job);
     std::lock_guard<std::mutex> lk(mu_);
-    job.result = std::move(result);
     job.kinetic = ke;
     job.potential = pe;
     free_slots_ += job.ranks;

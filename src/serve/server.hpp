@@ -20,7 +20,9 @@
 //    next step boundary it checkpoints to a spool file (the wire Snapshot
 //    frame on disk) and releases its slots. Jobs run the lockstep schedule
 //    with count balancing, so a resumed job continues bit-for-bit — which is
-//    what lets the queue oversubscribe the pool safely.
+//    what lets the queue oversubscribe the pool safely. A completed job's
+//    result lives in the same spool file (a one-set Snapshot), not in
+//    memory, so finished jobs do not accumulate resident particles.
 //  * Per-job isolation — every step's metrics land in the server registry
 //    under a {job=N} label, and each completed job can write its own
 //    --bench-shaped JSON (bench_dir/job-N.json). Nothing of one job appears

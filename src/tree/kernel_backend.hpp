@@ -11,9 +11,12 @@
 // Backends:
 //   scalar     — replays today's pp_kernel/pc_kernel per staged interaction,
 //                in staged order: the correctness reference.
-//   simd       — dense double-precision SoA inner loops over padded batches
-//                (#pragma omp simd with explicit reductions, so the loops
-//                vectorize under strict FP semantics).
+//   simd       — dense double-precision SoA inner loops over padded batches.
+//                On hosts with AVX-512F one zmm covers a batch's 8 lanes and
+//                1/sqrt is the rsqrt14 estimate plus two Newton steps; other
+//                hosts run the portable #pragma omp simd loops (explicit
+//                reductions, so they vectorize under strict FP semantics).
+//                The variant is picked once per process (KernelIsa).
 //   simd-float — the paper's single-precision device path: float sources and
 //                float batch arithmetic, accumulated into the double target
 //                arrays once per batch.
@@ -27,6 +30,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -49,6 +53,26 @@ std::optional<KernelBackend> kernel_backend_from_name(std::string_view name);
 // Lanes a batch is padded to. 8 doubles = one AVX-512 vector (two AVX2).
 inline constexpr std::size_t kKernelBatchPad = 8;
 
+// Instruction set the double-precision `simd` drain runs on. One binary
+// carries both variants; host_kernel_isa() picks the widest the host supports
+// once per process. The variants differ only in the last bits of the forces,
+// so bitwise-equality guarantees hold between runs on hosts of one ISA.
+enum class KernelIsa : std::uint8_t {
+  kPortable = 0,  // #pragma omp simd loops at the build's baseline ISA
+  kAvx512f = 1,   // AVX-512F intrinsics, rsqrt14 + two Newton steps
+};
+
+// Report names: "portable", "avx512f".
+const char* kernel_isa_name(KernelIsa isa);
+KernelIsa host_kernel_isa();
+// Name of the variant this process dispatches to.
+inline const char* kernel_isa() { return kernel_isa_name(host_kernel_isa()); }
+
+// rinv[k] = 1/sqrt(r2[k]) computed exactly as the AVX-512F drain computes it
+// (rsqrt14 estimate, two Newton steps). Requires host_kernel_isa() ==
+// KernelIsa::kAvx512f and r2.size() == rinv.size().
+void rsqrt_avx512f(std::span<const double> r2, std::span<double> rinv);
+
 // Per-walk parameters shared by every batch of one group walk.
 struct WalkParams {
   double eps2 = 0.0;
@@ -66,12 +90,16 @@ struct WalkParams {
 // when the staged source slots exceed `capacity` the queue flushes — drains
 // every pending batch through the backend and resets the buffers — so the
 // staging memory stays bounded no matter how deep a walk opens the tree.
+//
+// `isa` selects the `simd` backend's drain variant; it defaults to the host's
+// and exists so tests can run both variants in one process. It must be
+// kPortable or host_kernel_isa().
 class InteractionQueue {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 14;
 
-  explicit InteractionQueue(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  explicit InteractionQueue(std::size_t capacity = kDefaultCapacity,
+                            KernelIsa isa = host_kernel_isa());
 
   void begin_walk(const TreeView& src, ParticleSet& targets, const WalkParams& params,
                   KernelBackend backend, std::uint32_t target_begin,
@@ -110,6 +138,7 @@ class InteractionQueue {
   void pad_leaves();
 
   std::size_t capacity_;
+  KernelIsa isa_;
 
   // Walk context (set by begin_walk).
   TreeView src_{};

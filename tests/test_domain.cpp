@@ -475,7 +475,8 @@ TEST(Simulation, AsyncStepReportsScheduleModel) {
   // critical path can never exceed the lockstep stage-sum (see schedule.hpp).
   EXPECT_LE(rep.critical_path, rep.sequential_model * (1.0 + 1e-9));
   EXPECT_LE(rep.gravity_critical, rep.gravity_sequential * (1.0 + 1e-9));
-  EXPECT_GE(rep.overlap_efficiency(), 1.0);
+  // Equal up to summation order when one rank is the slowest in every stage.
+  EXPECT_GE(rep.overlap_efficiency(), 1.0 - 1e-9);
 
   // Lockstep steps don't model a schedule.
   cfg.async = false;
@@ -545,6 +546,8 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   EXPECT_NE(json.find("\"config\": {\"ranks\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"transport\": \"inproc\""), std::string::npos);
   EXPECT_NE(json.find("\"wire_version\": "), std::string::npos);
+  EXPECT_NE(json.find(std::string("\"kernel_isa\": \"") + kernel_isa() + "\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"steps\": ["), std::string::npos);
   EXPECT_NE(json.find("\"step\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"step\": 1"), std::string::npos);

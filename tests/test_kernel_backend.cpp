@@ -1,12 +1,19 @@
 // The batched interaction-list engine: backend name parsing, cross-backend
-// force agreement against the inline reference walk, useful-vs-padded flops
-// accounting, batch edge cases and queue overflow/flush behaviour.
+// force agreement against the inline reference walk, every compiled `simd`
+// drain variant (KernelIsa) against the scalar oracle, the AVX-512F rsqrt,
+// useful-vs-padded flops accounting, batch edge cases and queue
+// overflow/flush behaviour.
 #include "tree/kernel_backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "tree/octree.hpp"
@@ -62,12 +69,13 @@ double max_rel_acc_diff(const ParticleSet& a, const ParticleSet& b) {
 // Forces + stats from the batched walk with one backend (fresh accumulators).
 InteractionStats batched_forces(WalkSetup& s, ParticleSet& out, KernelBackend backend,
                                 const TraversalConfig& base,
-                                std::size_t queue_capacity = InteractionQueue::kDefaultCapacity) {
+                                std::size_t queue_capacity = InteractionQueue::kDefaultCapacity,
+                                KernelIsa isa = host_kernel_isa()) {
   out = s.parts;
   out.zero_forces();
   TraversalConfig cfg = base;
   cfg.backend = backend;
-  InteractionQueue queue(queue_capacity);
+  InteractionQueue queue(queue_capacity, isa);
   return traverse_groups_batched(s.tree.view(out), out, s.groups, cfg, /*self=*/true,
                                  queue);
 }
@@ -301,6 +309,176 @@ TEST(KernelBackend, TinyCapacityFlushesMidWalkAndMatches) {
       EXPECT_LT(max_rel_acc_diff(tiny, roomy), 1e-11);
     }
   }
+}
+
+// Every compiled variant of the double `simd` drain against the scalar
+// oracle, over the agreement cases above. The avx512f instance skips on
+// hosts without AVX-512F; the portable one runs everywhere.
+class SimdDrainIsa : public ::testing::TestWithParam<KernelIsa> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == KernelIsa::kAvx512f && host_kernel_isa() != KernelIsa::kAvx512f)
+      GTEST_SKIP() << "host lacks AVX-512F";
+  }
+
+  // Worst relative acceleration difference between this variant and the
+  // scalar replay over one batched walk of `targets` against `src`.
+  double diff_vs_scalar(const TreeView& src, const ParticleSet& targets,
+                        std::span<const TargetGroup> groups, const TraversalConfig& base,
+                        bool self,
+                        std::size_t capacity = InteractionQueue::kDefaultCapacity) const {
+    ParticleSet ref = targets, got = targets;
+    ref.zero_forces();
+    got.zero_forces();
+    TraversalConfig cfg = base;
+    cfg.backend = KernelBackend::kScalar;
+    InteractionQueue scalar_queue;
+    const InteractionStats ref_stats =
+        traverse_groups_batched(src, ref, groups, cfg, self, scalar_queue);
+    cfg.backend = KernelBackend::kSimd;
+    InteractionQueue simd_queue(capacity, GetParam());
+    const InteractionStats got_stats =
+        traverse_groups_batched(src, got, groups, cfg, self, simd_queue);
+    EXPECT_EQ(got_stats.p2p, ref_stats.p2p);
+    EXPECT_EQ(got_stats.p2c, ref_stats.p2c);
+    return max_rel_acc_diff(got, ref);
+  }
+};
+
+TEST_P(SimdDrainIsa, SelfWalkAgreesWithScalarAtZeroAndFiniteSoftening) {
+  // eps = 0 leaves the masked self lanes only the r2 bias to stay finite.
+  WalkSetup s = make_setup(3000, 61, 0.4);
+  for (const double eps : {0.0, 1e-2}) {
+    TraversalConfig cfg;
+    cfg.theta = 0.4;
+    cfg.eps = eps;
+    EXPECT_LT(diff_vs_scalar(s.tree.view(s.parts), s.parts, s.groups, cfg, /*self=*/true),
+              1e-10)
+        << "eps=" << eps;
+  }
+}
+
+TEST_P(SimdDrainIsa, LoneSelfPairAmongPadLanesIsExactlyZero) {
+  // One self lane plus seven pad lanes, unsoftened: every lane is masked.
+  ParticleSet one;
+  one.add({{0.5, 0.5, 0.5}, {0, 0, 0}, 1.0, 0});
+  sfc::KeySpace space(AABB{{0, 0, 0}, {1, 1, 1}});
+  sort_by_keys(one, space);
+  Octree tree;
+  tree.build(one, 16);
+  tree.compute_properties(one, 0.4);
+  TraversalConfig cfg;
+  cfg.backend = KernelBackend::kSimd;
+  cfg.eps = 0.0;
+  one.zero_forces();
+  InteractionQueue queue(InteractionQueue::kDefaultCapacity, GetParam());
+  const InteractionStats stats =
+      traverse_groups_batched(tree.view(one), one, make_groups(one, 64), cfg, true, queue);
+  EXPECT_EQ(stats.p2p, 0u);
+  EXPECT_EQ(stats.p2p_padded, kKernelBatchPad);
+  EXPECT_EQ(one.ax[0], 0.0);
+  EXPECT_EQ(one.ay[0], 0.0);
+  EXPECT_EQ(one.az[0], 0.0);
+  EXPECT_EQ(one.pot[0], 0.0);
+}
+
+TEST_P(SimdDrainIsa, DisjointWalkWithPadLanesAgrees) {
+  WalkSetup src = make_setup(1200, 71, 0.4);
+  ParticleSet targets = clustered_cloud(500, 72);
+  sfc::KeySpace space(targets.bounds());
+  sort_by_keys(targets, space);
+  TraversalConfig cfg;
+  cfg.eps = 1e-2;
+  EXPECT_LT(diff_vs_scalar(src.tree.view(src.parts), targets, make_groups(targets, 64), cfg,
+                           /*self=*/false),
+            1e-10);
+}
+
+TEST_P(SimdDrainIsa, MonopoleOnlyWalkAgrees) {
+  WalkSetup s = make_setup(1500, 83, 0.5);
+  TraversalConfig cfg;
+  cfg.eps = 1e-2;
+  cfg.quadrupole = false;
+  EXPECT_LT(diff_vs_scalar(s.tree.view(s.parts), s.parts, s.groups, cfg, /*self=*/true),
+            1e-10);
+}
+
+TEST_P(SimdDrainIsa, MultipoleLeafBatchAgrees) {
+  // Two multipole leaves under a never-accepted root: one cell batch of two
+  // useful lanes and six pad lanes per group.
+  ParticleSet targets = clustered_cloud(100, 91);
+  sfc::KeySpace space(targets.bounds());
+  sort_by_keys(targets, space);
+  std::vector<TreeNode> nodes(3);
+  nodes[0].kind = NodeKind::kInternal;
+  nodes[0].part_end = 1;
+  nodes[0].first_child = 1;
+  nodes[0].num_children = 2;
+  nodes[0].rcrit = 1e30;
+  for (int c = 1; c <= 2; ++c) {
+    nodes[c].kind = NodeKind::kMultipoleLeaf;
+    nodes[c].mp.mass = 1.5 * c;
+    nodes[c].mp.com = {3.0 * c, -2.0, 1.0};
+    nodes[c].mp.quad.add_outer({0.1, 0.2, -0.1}, nodes[c].mp.mass);
+  }
+  TraversalConfig cfg;
+  cfg.eps = 1e-2;
+  EXPECT_LT(diff_vs_scalar(TreeView{nodes, {}, {}, {}, {}}, targets, make_groups(targets, 64),
+                           cfg, /*self=*/false),
+            1e-10);
+}
+
+TEST_P(SimdDrainIsa, CapacityFourFlushAgreesWithDefault) {
+  WalkSetup s = make_setup(2000, 103, 0.4);
+  TraversalConfig cfg;
+  cfg.eps = 1e-2;
+  ParticleSet roomy, tiny;
+  const InteractionStats roomy_stats = batched_forces(
+      s, roomy, KernelBackend::kSimd, cfg, InteractionQueue::kDefaultCapacity, GetParam());
+  const InteractionStats tiny_stats =
+      batched_forces(s, tiny, KernelBackend::kSimd, cfg, /*queue_capacity=*/4, GetParam());
+  EXPECT_EQ(tiny_stats.p2p, roomy_stats.p2p);
+  EXPECT_EQ(tiny_stats.p2c, roomy_stats.p2c);
+  EXPECT_GT(tiny_stats.batches(), roomy_stats.batches());
+  EXPECT_LT(max_rel_acc_diff(tiny, roomy), 1e-10);
+  EXPECT_LT(diff_vs_scalar(s.tree.view(s.parts), s.parts, s.groups, cfg, /*self=*/true, 4),
+            1e-10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, SimdDrainIsa,
+                         ::testing::Values(KernelIsa::kPortable, KernelIsa::kAvx512f),
+                         [](const ::testing::TestParamInfo<KernelIsa>& param_info) {
+                           return std::string(kernel_isa_name(param_info.param));
+                         });
+
+TEST(KernelIsa, HostIsaIsReportedByName) {
+  const std::string name = kernel_isa();
+  EXPECT_TRUE(name == "avx512f" || name == "portable") << name;
+  EXPECT_EQ(name, kernel_isa_name(host_kernel_isa()));
+}
+
+TEST(KernelIsa, RsqrtNewtonIsWithinFourUlpOfOneOverSqrt) {
+  if (host_kernel_isa() != KernelIsa::kAvx512f) GTEST_SKIP() << "host lacks AVX-512F";
+  // Log-uniform r2 over [1e-20, 1e31], plus the self-lane bias (1.0) and the
+  // r2 of a pad lane (3 * 1e15^2). A length that is not a multiple of 8
+  // exercises the masked tail.
+  std::vector<double> r2;
+  constexpr int kSamples = 100003;
+  for (int k = 0; k < kSamples; ++k)
+    r2.push_back(std::pow(10.0, -20.0 + 51.0 * k / (kSamples - 1)));
+  r2.push_back(1.0);
+  r2.push_back(3e30);
+  std::vector<double> rinv(r2.size());
+  rsqrt_avx512f(r2, rinv);
+  std::int64_t worst = 0;
+  for (std::size_t k = 0; k < r2.size(); ++k) {
+    const double ref = 1.0 / std::sqrt(r2[k]);
+    std::int64_t got_bits = 0, ref_bits = 0;
+    std::memcpy(&got_bits, &rinv[k], sizeof got_bits);
+    std::memcpy(&ref_bits, &ref, sizeof ref_bits);
+    worst = std::max(worst, std::abs(got_bits - ref_bits));  // both positive
+  }
+  EXPECT_LE(worst, 4) << "worst ulp distance";
 }
 
 TEST(KernelBackend, FlopAccountingInvariants) {

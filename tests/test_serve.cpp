@@ -326,10 +326,13 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
   ASSERT_EQ(ra.state, wire::JobState::kCompleted);
   ASSERT_EQ(rb.state, wire::JobState::kCompleted);
 
-  // A completed job's snapshot is its result as one set.
+  // A completed job's snapshot is its result as one set, and the result is
+  // served from the spool identically on every request.
   const wire::SnapshotMsg snap = serve::fetch_snapshot(kHost, server.port(), ja.job_id);
   ASSERT_EQ(snap.sets.size(), 1u);
+  EXPECT_EQ(snap.next_step, 4);
   expect_same_particles(snap.sets[0], ra.parts);
+  expect_same_particles(serve::wait_job(kHost, server.port(), ja.job_id).parts, ra.parts);
 
   // Metric isolation: each job's gauge carries its own n and nothing else's.
   const auto metrics = serve::fetch_metrics(kHost, server.port());

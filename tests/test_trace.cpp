@@ -279,6 +279,11 @@ TEST(ClusterTrace, MergedSpansCoverEveryRankAndStayCausal) {
   sim.eps = 1e-3;
   sim.dt = 0.0;
   sim.trace = true;
+  // The causality margin checked below is the peer's LET export plus this
+  // rank's remote walk; it must exceed the clock-offset error, which grows
+  // with host load. The scalar kernel keeps the walk long enough for that
+  // whatever the host's drain ISA.
+  sim.kernel = KernelBackend::kScalar;
 
   domain::ClusterConfig cfg;
   cfg.sim = sim;
