@@ -122,9 +122,7 @@ int main(int argc, char** argv) {
   std::cout << "bench_kernels: n=" << n << " groups=" << groups.size()
             << " iters=" << iters << " kernel_isa=" << kernel_isa() << "\n";
 
-  const KernelBackend backends[] = {KernelBackend::kScalar, KernelBackend::kSimd,
-                                    KernelBackend::kSimdFloat};
-  for (const KernelBackend backend : backends) {
+  for (const KernelBackend backend : kKernelBackends) {
     // Fresh accumulators per case so repeated accumulation cannot overflow
     // into NaN comparisons; forces are not inspected here, only timed.
     for (std::size_t i = 0; i < parts.size(); ++i)

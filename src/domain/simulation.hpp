@@ -265,7 +265,7 @@ struct RunInfo {
   std::string topology = "none";     // "none" | "star" | "mesh"
   std::string cluster = "none";      // "none" | "hub" | "spmd"
   std::string balance = "count";     // "count" | "cost"
-  std::string kernel = "simd";       // "scalar" | "simd" | "simd-float"
+  std::string kernel = "simd";       // "scalar" | "simd"
   bool async = true;
   bool let_cache = false;            // incremental LET exchange on?
   int wire_version = wire::kVersion;

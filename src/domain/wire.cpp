@@ -1051,7 +1051,7 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
   cfg.balance = r.u8() != 0 ? BalanceMode::kCost : BalanceMode::kCount;
   cfg.trace = r.u8() != 0;
   const std::uint8_t kernel = r.u8();
-  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimdFloat),
+  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
             "config kernel backend out of range");
   cfg.kernel = static_cast<KernelBackend>(kernel);
   const std::uint8_t let_cache = r.u8();
@@ -1487,7 +1487,7 @@ JobSpec decode_job_submit(std::span<const std::uint8_t> frame) {
   spec.eps = r.f64();
   spec.dt = r.f64();
   const std::uint8_t kernel = r.u8();
-  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimdFloat),
+  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
             "job kernel backend out of range");
   spec.kernel = static_cast<KernelBackend>(kernel);
   ParticleBatch batch = read_particle_payload(r);

@@ -49,8 +49,8 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_switch("no-async", "lockstep stage loop (the PR-1 schedule, for diffing)");
   cli.add_option("balance", "M", "count | cost (feedback on measured gravity time)");
   cli.add_option("kernel", "B",
-                 "scalar | simd | simd-float: force backend draining the "
-                 "batched interaction lists (default simd)");
+                 "scalar | simd: force backend draining the batched "
+                 "interaction lists (default simd)");
   cli.add_option("let-cache", "M",
                  "off | on: incremental LET exchange — per-pair caches and "
                  "delta frames instead of full LETs every step (default off)");
@@ -128,6 +128,17 @@ std::pair<std::string, std::uint16_t> parse_host_port(const std::string& value,
   if (end == port_str.c_str() || *end != '\0' || port_val < 1 || port_val > 65535)
     throw bonsai::CliError(std::string(flag) + ": bad port '" + port_str + "'");
   return {value.substr(0, colon), static_cast<std::uint16_t>(port_val)};
+}
+
+// Parse --kernel (default simd). The error lists every backend by its
+// kernel_backend_name, so it names exactly the values the parser accepts.
+bonsai::KernelBackend parse_kernel(const bonsai::CommandLine& cli) {
+  const std::string name = cli.get("kernel", "simd");
+  if (const auto kernel = bonsai::kernel_backend_from_name(name)) return *kernel;
+  std::string expected;
+  for (const bonsai::KernelBackend b : bonsai::kKernelBackends)
+    expected += (expected.empty() ? "" : " or ") + std::string(bonsai::kernel_backend_name(b));
+  throw bonsai::CliError("--kernel: expected " + expected + ", got '" + name + "'");
 }
 
 // Write the --bench trajectory; returns false (with a message) on I/O error.
@@ -373,12 +384,7 @@ int run_client_mode(const bonsai::CommandLine& cli) {
     spec.theta = cli.get_double("theta", 0.4);
     spec.eps = cli.get_double("eps", 1e-2);
     spec.dt = cli.get_double("dt", 1e-3);
-    const std::string kernel_name = cli.get("kernel", "simd");
-    const auto kernel = bonsai::kernel_backend_from_name(kernel_name);
-    if (!kernel)
-      throw bonsai::CliError("--kernel: expected scalar, simd or simd-float, got '" +
-                             kernel_name + "'");
-    spec.kernel = *kernel;
+    spec.kernel = parse_kernel(cli);
     const std::string snapshot_in = cli.get("snapshot-in", "");
     if (!snapshot_in.empty())
       spec.parts = serve::flatten_snapshot(serve::read_snapshot_file(snapshot_in));
@@ -462,12 +468,7 @@ int main(int argc, char** argv) {
     cfg.async = cli.get_bool("async", true) && !cli.get_bool("no-async", false);
     cfg.balance = cli.get("balance", "count") == "cost" ? bonsai::domain::BalanceMode::kCost
                                                         : bonsai::domain::BalanceMode::kCount;
-    const std::string kernel_name = cli.get("kernel", "simd");
-    const auto kernel = bonsai::kernel_backend_from_name(kernel_name);
-    if (!kernel)
-      throw bonsai::CliError("--kernel: expected scalar, simd or simd-float, got '" +
-                             kernel_name + "'");
-    cfg.kernel = *kernel;
+    cfg.kernel = parse_kernel(cli);
     const std::string let_cache_str = cli.get("let-cache", "off");
     if (let_cache_str != "off" && let_cache_str != "on")
       throw bonsai::CliError("--let-cache: expected off or on, got '" + let_cache_str +

@@ -82,7 +82,6 @@ struct JobServer::Job {
   bool has_checkpoint = false;
   double kinetic = 0.0, potential = 0.0;
   std::vector<domain::StepReport> reports;  // kept only for the bench file
-  std::thread runner;
 };
 
 void JobServer::check_pool_locked() const {
@@ -127,32 +126,43 @@ void JobServer::shutdown() {
   }
   listener_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> runners;
+  std::list<Worker> runners;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto& [id, job] : jobs_)
-      if (job->runner.joinable()) runners.push_back(std::move(job->runner));
-    for (auto& t : retired_)
-      if (t.joinable()) runners.push_back(std::move(t));
-    retired_.clear();
+    runners.swap(runners_);  // no runner starts once shutting_down_ is set
   }
-  for (auto& t : runners) t.join();
+  for (Worker& w : runners)
+    if (w.thread.joinable()) w.thread.join();
   {
     std::lock_guard<std::mutex> g(conn_mu_);
     for (FrameSocket* s : conns_) s->shutdown_rw();
   }
-  for (auto& t : handlers_)
-    if (t.joinable()) t.join();
+  for (Worker& w : handlers_)
+    if (w.thread.joinable()) w.thread.join();
+  handlers_.clear();
+}
+
+void JobServer::reap_exited(std::list<Worker>& workers) {
+  for (auto it = workers.begin(); it != workers.end();) {
+    if (it->exited) {
+      it->thread.join();
+      it = workers.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void JobServer::accept_loop() {
   while (std::optional<FrameSocket> sock = listener_.accept()) {
     std::lock_guard<std::mutex> g(conn_mu_);
-    handlers_.emplace_back(&JobServer::handle_client, this, std::move(*sock));
+    reap_exited(handlers_);
+    Worker& w = handlers_.emplace_back();
+    w.thread = std::thread(&JobServer::handle_client, this, std::move(*sock), std::ref(w));
   }
 }
 
-void JobServer::handle_client(FrameSocket sock) {
+void JobServer::handle_client(FrameSocket sock, Worker& self) {
   {
     std::lock_guard<std::mutex> g(conn_mu_);
     conns_.push_back(&sock);
@@ -228,6 +238,7 @@ void JobServer::handle_client(FrameSocket sock) {
   }
   std::lock_guard<std::mutex> g(conn_mu_);
   conns_.erase(std::remove(conns_.begin(), conns_.end(), &sock), conns_.end());
+  self.exited = true;
 }
 
 wire::JobStatusMsg JobServer::handle_submit(wire::JobSpec spec) {
@@ -396,6 +407,7 @@ int JobServer::size_ranks_locked(const Job& job) const {
 }
 
 void JobServer::schedule_locked() {
+  reap_exited(runners_);
   if (shutting_down_) return;
   while (true) {
     // Best startable job: highest priority, FIFO within a priority.
@@ -413,10 +425,8 @@ void JobServer::schedule_locked() {
     if (best->ranks <= free_slots_) {
       free_slots_ -= best->ranks;
       best->state = wire::JobState::kRunning;
-      // A resumed job's previous runner already exited (or is unwinding its
-      // own schedule_locked call); park the handle for shutdown to join.
-      if (best->runner.joinable()) retired_.push_back(std::move(best->runner));
-      best->runner = std::thread(&JobServer::run_job, this, std::ref(*best));
+      Worker& w = runners_.emplace_back();
+      w.thread = std::thread(&JobServer::run_job, this, std::ref(*best), std::ref(w));
       continue;
     }
     // Not enough slots: preempt the lowest-priority running job, but only
@@ -447,7 +457,13 @@ void JobServer::finish_locked(Job& job, wire::JobState state, const std::string&
   schedule_locked();
 }
 
-void JobServer::run_job(Job& job) {
+void JobServer::run_job(Job& job, Worker& self) {
+  run_job_steps(job);  // the job's Simulation is destroyed in here
+  std::lock_guard<std::mutex> lk(mu_);
+  self.exited = true;
+}
+
+void JobServer::run_job_steps(Job& job) {
   bool slots_held = true;
   try {
     domain::SimConfig cfg;

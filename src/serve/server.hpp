@@ -31,6 +31,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -94,8 +95,23 @@ class JobServer {
  private:
   struct Job;
 
+  // A server thread and its exit mark. The thread sets `exited` (under the
+  // mutex guarding its list) as its very last action, after everything it
+  // owned is torn down, so joining it afterwards never waits on teardown
+  // and never blocks on a lock the joiner holds.
+  struct Worker {
+    Worker() = default;
+    Worker(const Worker&) = delete;  // the thread holds this Worker's address
+    Worker& operator=(const Worker&) = delete;
+    std::thread thread;
+    bool exited = false;
+  };
+  // Join and drop every exited worker in `workers`; the caller holds the
+  // list's mutex.
+  static void reap_exited(std::list<Worker>& workers);
+
   void accept_loop();
-  void handle_client(FrameSocket sock);
+  void handle_client(FrameSocket sock, Worker& self);
   domain::wire::JobStatusMsg handle_submit(domain::wire::JobSpec spec);
   domain::wire::JobStatusMsg handle_cancel(std::int32_t job_id);
   domain::wire::JobResultMsg wait_result(std::int32_t job_id);
@@ -108,8 +124,9 @@ class JobServer {
   int size_ranks_locked(const Job& job) const;
   domain::wire::JobStatusMsg describe_locked(const Job& job) const;
 
-  // Job runner thread body.
-  void run_job(Job& job);
+  // Job runner thread body: run_job_steps, then the exit mark.
+  void run_job(Job& job, Worker& self);
+  void run_job_steps(Job& job);
   void finish_locked(Job& job, domain::wire::JobState state, const std::string& reason);
   void write_job_bench(const Job& job);
 
@@ -129,13 +146,14 @@ class JobServer {
   metrics::Snapshot job_metrics_;
   metrics::Registry registry_;
 
-  // Runner threads whose job was resumed under a fresh thread: the old
-  // handle is parked here for shutdown() to join.
-  std::vector<std::thread> retired_;
+  // Job runner threads (guarded by mu_). A suspended job resumes on a fresh
+  // runner while the old one may still be unwinding, so runners are tracked
+  // per thread, not per job. Exited runners are reaped by schedule_locked().
+  std::list<Worker> runners_;
 
   std::mutex conn_mu_;
   std::vector<FrameSocket*> conns_;  // live client sockets, for shutdown()
-  std::vector<std::thread> handlers_;
+  std::list<Worker> handlers_;       // guarded by conn_mu_; reaped on accept
   std::thread accept_thread_;
 };
 

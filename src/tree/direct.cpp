@@ -9,12 +9,11 @@ InteractionStats direct_forces(ParticleSet& parts, double eps) {
   const double eps2 = eps * eps;
   InteractionStats stats;
   for (std::size_t i = 0; i < n; ++i) {
-    ForceAccum<double> f{};
+    ForceAccum f{};
     const double tx = parts.x[i], ty = parts.y[i], tz = parts.z[i];
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
-      pp_kernel<double>(tx, ty, tz, parts.x[j], parts.y[j], parts.z[j], parts.mass[j],
-                        eps2, f);
+      pp_kernel(tx, ty, tz, parts.x[j], parts.y[j], parts.z[j], parts.mass[j], eps2, f);
     }
     parts.ax[i] = f.ax;
     parts.ay[i] = f.ay;
@@ -31,11 +30,11 @@ InteractionStats direct_forces_between(const ParticleSet& sources, ParticleSet& 
   const double eps2 = eps * eps;
   InteractionStats stats;
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    ForceAccum<double> f{};
+    ForceAccum f{};
     const double tx = targets.x[i], ty = targets.y[i], tz = targets.z[i];
     for (std::size_t j = 0; j < sources.size(); ++j) {
-      pp_kernel<double>(tx, ty, tz, sources.x[j], sources.y[j], sources.z[j],
-                        sources.mass[j], eps2, f);
+      pp_kernel(tx, ty, tz, sources.x[j], sources.y[j], sources.z[j], sources.mass[j],
+                eps2, f);
     }
     targets.ax[i] += f.ax;
     targets.ay[i] += f.ay;
@@ -53,12 +52,11 @@ InteractionStats direct_forces_subset(ParticleSet& parts, double eps,
   const double eps2 = eps * eps;
   InteractionStats stats;
   for (const std::uint32_t i : target_indices) {
-    ForceAccum<double> f{};
+    ForceAccum f{};
     const double tx = parts.x[i], ty = parts.y[i], tz = parts.z[i];
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
-      pp_kernel<double>(tx, ty, tz, parts.x[j], parts.y[j], parts.z[j], parts.mass[j],
-                        eps2, f);
+      pp_kernel(tx, ty, tz, parts.x[j], parts.y[j], parts.z[j], parts.mass[j], eps2, f);
     }
     parts.ax[i] = f.ax;
     parts.ay[i] = f.ay;

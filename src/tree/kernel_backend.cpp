@@ -18,7 +18,7 @@ namespace bonsai {
 namespace {
 
 // Inert padding lane: zero mass at a far-away position, so padded lanes
-// contribute exactly zero without dividing by zero (finite in float too).
+// contribute exactly zero without dividing by zero.
 constexpr double kPadPos = 1e15;
 
 // Source index that never equals a target index: non-self walks and padding
@@ -219,7 +219,6 @@ const char* kernel_backend_name(KernelBackend backend) {
   switch (backend) {
     case KernelBackend::kScalar: return "scalar";
     case KernelBackend::kSimd: return "simd";
-    case KernelBackend::kSimdFloat: return "simd-float";
   }
   return "unknown";
 }
@@ -227,7 +226,6 @@ const char* kernel_backend_name(KernelBackend backend) {
 std::optional<KernelBackend> kernel_backend_from_name(std::string_view name) {
   if (name == "scalar") return KernelBackend::kScalar;
   if (name == "simd") return KernelBackend::kSimd;
-  if (name == "simd-float") return KernelBackend::kSimdFloat;
   return std::nullopt;
 }
 
@@ -253,14 +251,6 @@ void InteractionQueue::push_cell(const TreeNode& node) {
   cz_.push_back(mp.com.z);
   cm_.push_back(mp.mass);
   for (int k = 0; k < 6; ++k) cq_[k].push_back(params_.quadrupole ? mp.quad.q[k] : 0.0);
-  if (backend_ == KernelBackend::kSimdFloat) {
-    fcx_.push_back(static_cast<float>(mp.com.x));
-    fcy_.push_back(static_cast<float>(mp.com.y));
-    fcz_.push_back(static_cast<float>(mp.com.z));
-    fcm_.push_back(static_cast<float>(mp.mass));
-    for (int k = 0; k < 6; ++k)
-      fcq_[k].push_back(params_.quadrupole ? static_cast<float>(mp.quad.q[k]) : 0.0f);
-  }
 }
 
 void InteractionQueue::push_leaf(const TreeNode& leaf) {
@@ -276,12 +266,6 @@ void InteractionQueue::push_leaf(const TreeNode& leaf) {
     sz_.push_back(src_.z[j]);
     sm_.push_back(src_.m[j]);
     sidx_.push_back(params_.self ? j : kInvalidSource);
-    if (backend_ == KernelBackend::kSimdFloat) {
-      fsx_.push_back(static_cast<float>(src_.x[j]));
-      fsy_.push_back(static_cast<float>(src_.y[j]));
-      fsz_.push_back(static_cast<float>(src_.z[j]));
-      fsm_.push_back(static_cast<float>(src_.m[j]));
-    }
   }
 }
 
@@ -293,13 +277,6 @@ void InteractionQueue::pad_cells() {
     cz_.push_back(kPadPos);
     cm_.push_back(0.0);
     for (auto& q : cq_) q.push_back(0.0);
-    if (backend_ == KernelBackend::kSimdFloat) {
-      fcx_.push_back(static_cast<float>(kPadPos));
-      fcy_.push_back(static_cast<float>(kPadPos));
-      fcz_.push_back(static_cast<float>(kPadPos));
-      fcm_.push_back(0.0f);
-      for (auto& q : fcq_) q.push_back(0.0f);
-    }
   }
 }
 
@@ -311,12 +288,6 @@ void InteractionQueue::pad_leaves() {
     sz_.push_back(kPadPos);
     sm_.push_back(0.0);
     sidx_.push_back(kInvalidSource);
-    if (backend_ == KernelBackend::kSimdFloat) {
-      fsx_.push_back(static_cast<float>(kPadPos));
-      fsy_.push_back(static_cast<float>(kPadPos));
-      fsz_.push_back(static_cast<float>(kPadPos));
-      fsm_.push_back(0.0f);
-    }
   }
 }
 
@@ -370,9 +341,9 @@ void InteractionQueue::close_leaf_run() {
   const std::uint64_t useful =
       static_cast<std::uint64_t>(b.end - b.begin) * nt - b.self_pairs;
   stats_.p2p += useful;
-  // The scalar replay skips self-pairs the way the inline walk does; the SIMD
-  // paths evaluate every padded lane and mask, so the pad count includes both
-  // the alignment lanes and the masked self-pairs.
+  // The scalar drain skips self-pairs; the SIMD drain evaluates every padded
+  // lane and masks, so its pad count includes both the alignment lanes and
+  // the masked self-pairs.
   stats_.p2p_padded += backend_ == KernelBackend::kScalar
                            ? useful
                            : static_cast<std::uint64_t>(b.padded_end - b.begin) * nt;
@@ -406,20 +377,11 @@ void InteractionQueue::flush() {
   cz_.clear();
   cm_.clear();
   for (auto& q : cq_) q.clear();
-  fcx_.clear();
-  fcy_.clear();
-  fcz_.clear();
-  fcm_.clear();
-  for (auto& q : fcq_) q.clear();
   sx_.clear();
   sy_.clear();
   sz_.clear();
   sm_.clear();
   sidx_.clear();
-  fsx_.clear();
-  fsy_.clear();
-  fsz_.clear();
-  fsm_.clear();
   cell_run_begin_ = 0;
   leaf_run_begin_ = 0;
 }
@@ -429,15 +391,15 @@ void InteractionQueue::drain_cell_batch(const Batch& b) const {
   const double eps2 = params_.eps2;
 
   if (backend_ == KernelBackend::kScalar) {
-    // Straight replay of the inline walk's kernels, in staged (stack) order:
-    // cell-outer, target-inner, exactly like apply_cell once did.
+    // The reference kernels in staged (stack) order: cell-outer,
+    // target-inner, one pc_kernel call per interaction.
     for (std::uint32_t j = b.begin; j < b.end; ++j) {
       Multipole mp;
       mp.mass = cm_[j];
       mp.com = {cx_[j], cy_[j], cz_[j]};
       for (int k = 0; k < 6; ++k) mp.quad.q[k] = cq_[k][j];
       for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-        ForceAccum<double> f{};
+        ForceAccum f{};
         if (params_.quadrupole) {
           pc_kernel(t.pos(i), mp, eps2, f);
         } else {
@@ -452,102 +414,53 @@ void InteractionQueue::drain_cell_batch(const Batch& b) const {
     return;
   }
 
-  if (backend_ == KernelBackend::kSimd) {
-    const double* const cx = cx_.data();
-    const double* const cy = cy_.data();
-    const double* const cz = cz_.data();
-    const double* const cm = cm_.data();
-    const double* const q0 = cq_[0].data();
-    const double* const q1 = cq_[1].data();
-    const double* const q2 = cq_[2].data();
-    const double* const q3 = cq_[3].data();
-    const double* const q4 = cq_[4].data();
-    const double* const q5 = cq_[5].data();
+  const double* const cx = cx_.data();
+  const double* const cy = cy_.data();
+  const double* const cz = cz_.data();
+  const double* const cm = cm_.data();
+  const double* const q0 = cq_[0].data();
+  const double* const q1 = cq_[1].data();
+  const double* const q2 = cq_[2].data();
+  const double* const q3 = cq_[3].data();
+  const double* const q4 = cq_[4].data();
+  const double* const q5 = cq_[5].data();
 #if BONSAI_KERNEL_AVX512F
-    if (isa_ == KernelIsa::kAvx512f) {
-      BNS_DCHECK((b.padded_end - b.begin) % kKernelBatchPad == 0);
-      const double* const cell[10] = {cx, cy, cz, cm, q0, q1, q2, q3, q4, q5};
-      drain_cells_avx512f(cell, b.begin, b.padded_end, t, b.target_begin, b.target_end, eps2);
-      return;
-    }
-#endif
-    for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-      const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
-      double ax = 0.0, ay = 0.0, az = 0.0, pot = 0.0;
-#pragma omp simd reduction(+ : ax, ay, az, pot)
-      for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-        const double dx = cx[j] - tx;
-        const double dy = cy[j] - ty;
-        const double dz = cz[j] - tz;
-        const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-        const double rinv = 1.0 / std::sqrt(r2);
-        const double rinv2 = rinv * rinv;
-        const double rinv3 = rinv * rinv2;
-        const double rinv5 = rinv3 * rinv2;
-        const double rinv7 = rinv5 * rinv2;
-        const double qx = q0[j] * dx + q1[j] * dy + q2[j] * dz;
-        const double qy = q1[j] * dx + q3[j] * dy + q4[j] * dz;
-        const double qz = q2[j] * dx + q4[j] * dy + q5[j] * dz;
-        const double rqr = dx * qx + dy * qy + dz * qz;
-        const double trq = q0[j] + q3[j] + q5[j];
-        pot += -cm[j] * rinv + 0.5 * trq * rinv3 - 1.5 * rqr * rinv5;
-        const double s = cm[j] * rinv3 - 1.5 * trq * rinv5 + 7.5 * rqr * rinv7;
-        ax += s * dx - 3.0 * rinv5 * qx;
-        ay += s * dy - 3.0 * rinv5 * qy;
-        az += s * dz - 3.0 * rinv5 * qz;
-      }
-      t.ax[i] += ax;
-      t.ay[i] += ay;
-      t.az[i] += az;
-      t.pot[i] += pot;
-    }
+  if (isa_ == KernelIsa::kAvx512f) {
+    BNS_DCHECK((b.padded_end - b.begin) % kKernelBatchPad == 0);
+    const double* const cell[10] = {cx, cy, cz, cm, q0, q1, q2, q3, q4, q5};
+    drain_cells_avx512f(cell, b.begin, b.padded_end, t, b.target_begin, b.target_end, eps2);
     return;
   }
-
-  // kSimdFloat: the paper's single-precision device arithmetic, accumulated
-  // into the double target arrays once per batch.
-  const float feps2 = static_cast<float>(eps2);
-  const float* const cx = fcx_.data();
-  const float* const cy = fcy_.data();
-  const float* const cz = fcz_.data();
-  const float* const cm = fcm_.data();
-  const float* const q0 = fcq_[0].data();
-  const float* const q1 = fcq_[1].data();
-  const float* const q2 = fcq_[2].data();
-  const float* const q3 = fcq_[3].data();
-  const float* const q4 = fcq_[4].data();
-  const float* const q5 = fcq_[5].data();
+#endif
   for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-    const float tx = static_cast<float>(t.x[i]);
-    const float ty = static_cast<float>(t.y[i]);
-    const float tz = static_cast<float>(t.z[i]);
-    float ax = 0.0f, ay = 0.0f, az = 0.0f, pot = 0.0f;
+    const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
+    double ax = 0.0, ay = 0.0, az = 0.0, pot = 0.0;
 #pragma omp simd reduction(+ : ax, ay, az, pot)
     for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-      const float dx = cx[j] - tx;
-      const float dy = cy[j] - ty;
-      const float dz = cz[j] - tz;
-      const float r2 = dx * dx + dy * dy + dz * dz + feps2;
-      const float rinv = 1.0f / std::sqrt(r2);
-      const float rinv2 = rinv * rinv;
-      const float rinv3 = rinv * rinv2;
-      const float rinv5 = rinv3 * rinv2;
-      const float rinv7 = rinv5 * rinv2;
-      const float qx = q0[j] * dx + q1[j] * dy + q2[j] * dz;
-      const float qy = q1[j] * dx + q3[j] * dy + q4[j] * dz;
-      const float qz = q2[j] * dx + q4[j] * dy + q5[j] * dz;
-      const float rqr = dx * qx + dy * qy + dz * qz;
-      const float trq = q0[j] + q3[j] + q5[j];
-      pot += -cm[j] * rinv + 0.5f * trq * rinv3 - 1.5f * rqr * rinv5;
-      const float s = cm[j] * rinv3 - 1.5f * trq * rinv5 + 7.5f * rqr * rinv7;
-      ax += s * dx - 3.0f * rinv5 * qx;
-      ay += s * dy - 3.0f * rinv5 * qy;
-      az += s * dz - 3.0f * rinv5 * qz;
+      const double dx = cx[j] - tx;
+      const double dy = cy[j] - ty;
+      const double dz = cz[j] - tz;
+      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+      const double rinv = 1.0 / std::sqrt(r2);
+      const double rinv2 = rinv * rinv;
+      const double rinv3 = rinv * rinv2;
+      const double rinv5 = rinv3 * rinv2;
+      const double rinv7 = rinv5 * rinv2;
+      const double qx = q0[j] * dx + q1[j] * dy + q2[j] * dz;
+      const double qy = q1[j] * dx + q3[j] * dy + q4[j] * dz;
+      const double qz = q2[j] * dx + q4[j] * dy + q5[j] * dz;
+      const double rqr = dx * qx + dy * qy + dz * qz;
+      const double trq = q0[j] + q3[j] + q5[j];
+      pot += -cm[j] * rinv + 0.5 * trq * rinv3 - 1.5 * rqr * rinv5;
+      const double s = cm[j] * rinv3 - 1.5 * trq * rinv5 + 7.5 * rqr * rinv7;
+      ax += s * dx - 3.0 * rinv5 * qx;
+      ay += s * dy - 3.0 * rinv5 * qy;
+      az += s * dz - 3.0 * rinv5 * qz;
     }
-    t.ax[i] += static_cast<double>(ax);
-    t.ay[i] += static_cast<double>(ay);
-    t.az[i] += static_cast<double>(az);
-    t.pot[i] += static_cast<double>(pot);
+    t.ax[i] += ax;
+    t.ay[i] += ay;
+    t.az[i] += az;
+    t.pot[i] += pot;
   }
 }
 
@@ -558,10 +471,10 @@ void InteractionQueue::drain_leaf_batch(const Batch& b) const {
   if (backend_ == KernelBackend::kScalar) {
     for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
       const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
-      ForceAccum<double> f{};
+      ForceAccum f{};
       for (std::uint32_t j = b.begin; j < b.end; ++j) {
         if (sidx_[j] == i) continue;  // exact self-interaction
-        pp_kernel<double>(tx, ty, tz, sx_[j], sy_[j], sz_[j], sm_[j], eps2, f);
+        pp_kernel(tx, ty, tz, sx_[j], sy_[j], sz_[j], sm_[j], eps2, f);
       }
       t.ax[i] += f.ax;
       t.ay[i] += f.ay;
@@ -572,77 +485,42 @@ void InteractionQueue::drain_leaf_batch(const Batch& b) const {
   }
 
   const std::uint32_t* const sidx = sidx_.data();
-
-  if (backend_ == KernelBackend::kSimd) {
-    const double* const sx = sx_.data();
-    const double* const sy = sy_.data();
-    const double* const sz = sz_.data();
-    const double* const sm = sm_.data();
+  const double* const sx = sx_.data();
+  const double* const sy = sy_.data();
+  const double* const sz = sz_.data();
+  const double* const sm = sm_.data();
 #if BONSAI_KERNEL_AVX512F
-    if (isa_ == KernelIsa::kAvx512f) {
-      BNS_DCHECK((b.padded_end - b.begin) % kKernelBatchPad == 0);
-      drain_leaves_avx512f(sx, sy, sz, sm, sidx, b.begin, b.padded_end, t, b.target_begin,
-                           b.target_end, eps2);
-      return;
-    }
-#endif
-    for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-      const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
-      double ax = 0.0, ay = 0.0, az = 0.0, pot = 0.0;
-#pragma omp simd reduction(+ : ax, ay, az, pot)
-      for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-        // Branch-free self-mask: the self lane gets zero mass and a biased
-        // r2 so the rsqrt stays finite even at eps = 0.
-        const double keep = sidx[j] == i ? 0.0 : 1.0;
-        const double dx = sx[j] - tx;
-        const double dy = sy[j] - ty;
-        const double dz = sz[j] - tz;
-        const double r2 = dx * dx + dy * dy + dz * dz + eps2 + (1.0 - keep);
-        const double rinv = 1.0 / std::sqrt(r2);
-        const double m = sm[j] * keep;
-        const double mr3 = m * rinv * rinv * rinv;
-        ax += mr3 * dx;
-        ay += mr3 * dy;
-        az += mr3 * dz;
-        pot -= m * rinv;
-      }
-      t.ax[i] += ax;
-      t.ay[i] += ay;
-      t.az[i] += az;
-      t.pot[i] += pot;
-    }
+  if (isa_ == KernelIsa::kAvx512f) {
+    BNS_DCHECK((b.padded_end - b.begin) % kKernelBatchPad == 0);
+    drain_leaves_avx512f(sx, sy, sz, sm, sidx, b.begin, b.padded_end, t, b.target_begin,
+                         b.target_end, eps2);
     return;
   }
-
-  const float feps2 = static_cast<float>(eps2);
-  const float* const sx = fsx_.data();
-  const float* const sy = fsy_.data();
-  const float* const sz = fsz_.data();
-  const float* const sm = fsm_.data();
+#endif
   for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-    const float tx = static_cast<float>(t.x[i]);
-    const float ty = static_cast<float>(t.y[i]);
-    const float tz = static_cast<float>(t.z[i]);
-    float ax = 0.0f, ay = 0.0f, az = 0.0f, pot = 0.0f;
+    const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
+    double ax = 0.0, ay = 0.0, az = 0.0, pot = 0.0;
 #pragma omp simd reduction(+ : ax, ay, az, pot)
     for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-      const float keep = sidx[j] == i ? 0.0f : 1.0f;
-      const float dx = sx[j] - tx;
-      const float dy = sy[j] - ty;
-      const float dz = sz[j] - tz;
-      const float r2 = dx * dx + dy * dy + dz * dz + feps2 + (1.0f - keep);
-      const float rinv = 1.0f / std::sqrt(r2);
-      const float m = sm[j] * keep;
-      const float mr3 = m * rinv * rinv * rinv;
+      // Branch-free self-mask: the self lane gets zero mass and a biased
+      // r2 so the rsqrt stays finite even at eps = 0.
+      const double keep = sidx[j] == i ? 0.0 : 1.0;
+      const double dx = sx[j] - tx;
+      const double dy = sy[j] - ty;
+      const double dz = sz[j] - tz;
+      const double r2 = dx * dx + dy * dy + dz * dz + eps2 + (1.0 - keep);
+      const double rinv = 1.0 / std::sqrt(r2);
+      const double m = sm[j] * keep;
+      const double mr3 = m * rinv * rinv * rinv;
       ax += mr3 * dx;
       ay += mr3 * dy;
       az += mr3 * dz;
       pot -= m * rinv;
     }
-    t.ax[i] += static_cast<double>(ax);
-    t.ay[i] += static_cast<double>(ay);
-    t.az[i] += static_cast<double>(az);
-    t.pot[i] += static_cast<double>(pot);
+    t.ax[i] += ax;
+    t.ay[i] += ay;
+    t.az[i] += az;
+    t.pot[i] += pot;
   }
 }
 

@@ -1,7 +1,7 @@
 // Pluggable force-kernel backends draining staged interaction lists.
 //
 // This is the paper's traversal/evaluation split (§III-A, §VI-A): the group
-// walk no longer evaluates forces inline but *emits* interaction lists —
+// walk evaluates no forces itself but *emits* interaction lists —
 // (target-group × accepted-cell) and (target-group × leaf-particle) records —
 // into an InteractionQueue, and a kernel backend burns the staged batches
 // down as wide, regular FLOPs over structure-of-arrays buffers. The same
@@ -9,17 +9,15 @@
 // side of the device interaction buffer, the drain is the kernel launch.
 //
 // Backends:
-//   scalar     — replays today's pp_kernel/pc_kernel per staged interaction,
-//                in staged order: the correctness reference.
+//   scalar     — evaluates pp_kernel/pc_kernel per staged interaction,
+//                without padding: the correctness oracle the simd drains are
+//                tested against.
 //   simd       — dense double-precision SoA inner loops over padded batches.
 //                On hosts with AVX-512F one zmm covers a batch's 8 lanes and
 //                1/sqrt is the rsqrt14 estimate plus two Newton steps; other
 //                hosts run the portable #pragma omp simd loops (explicit
 //                reductions, so they vectorize under strict FP semantics).
 //                The variant is picked once per process (KernelIsa).
-//   simd-float — the paper's single-precision device path: float sources and
-//                float batch arithmetic, accumulated into the double target
-//                arrays once per batch.
 //
 // Batches are padded to the SIMD width with inert lanes (zero mass, far-away
 // position) and self-interactions are masked per lane instead of branched
@@ -43,10 +41,13 @@ namespace bonsai {
 enum class KernelBackend : std::uint8_t {
   kScalar = 0,
   kSimd = 1,
-  kSimdFloat = 2,
 };
 
-// Stable CLI / wire / report names: "scalar", "simd", "simd-float".
+// Every backend, in enum order.
+inline constexpr KernelBackend kKernelBackends[] = {KernelBackend::kScalar,
+                                                    KernelBackend::kSimd};
+
+// Stable CLI / wire / report names: "scalar", "simd".
 const char* kernel_backend_name(KernelBackend backend);
 std::optional<KernelBackend> kernel_backend_from_name(std::string_view name);
 
@@ -152,13 +153,10 @@ class InteractionQueue {
   // (order xx, xy, xz, yy, yz, zz, matching Quadrupole::q).
   std::vector<double> cx_, cy_, cz_, cm_;
   std::vector<double> cq_[6];
-  std::vector<float> fcx_, fcy_, fcz_, fcm_;
-  std::vector<float> fcq_[6];
 
   // Staged leaf-particle SoA. sidx_ holds the source's global particle index
   // for self-masking; kInvalidSource for non-self walks and padding lanes.
   std::vector<double> sx_, sy_, sz_, sm_;
-  std::vector<float> fsx_, fsy_, fsz_, fsm_;
   std::vector<std::uint32_t> sidx_;
 
   std::vector<Batch> cell_batches_, leaf_batches_;

@@ -10,8 +10,9 @@
 //     a_i   =  m r/r^3 - (3/2) tr(Q) r/r^5 - 3 Q r/r^5 + (15/2)(r^T Q r) r/r^7
 // with r = r_j - r_i, counted as 65 flops.
 //
-// Kernels are templated so the performance paths can run in float (the
-// paper's single precision) and verification in double.
+// These are the reference forms, in double precision: the `scalar` backend
+// and direct summation call them per interaction, and the batched `simd`
+// drains (tree/kernel_backend.cpp) are tested against them.
 #pragma once
 
 #include <cmath>
@@ -22,33 +23,30 @@
 namespace bonsai {
 
 // Accumulator for one target particle.
-template <typename T>
 struct ForceAccum {
-  T ax{}, ay{}, az{}, pot{};
+  double ax{}, ay{}, az{}, pot{};
 };
 
 // One p-p interaction: source particle (sx,sy,sz,sm) acting on target at
 // (tx,ty,tz). eps2 is the squared Plummer softening length.
-template <typename T>
-inline void pp_kernel(T tx, T ty, T tz, T sx, T sy, T sz, T sm, T eps2,
-                      ForceAccum<T>& f) {
-  const T dx = sx - tx;  // r_ij = r_j - r_i
-  const T dy = sy - ty;
-  const T dz = sz - tz;
-  const T r2 = dx * dx + dy * dy + dz * dz + eps2;
-  const T rinv = T(1) / std::sqrt(r2);
-  const T rinv3 = rinv * rinv * rinv;
-  const T mr3 = sm * rinv3;
+inline void pp_kernel(double tx, double ty, double tz, double sx, double sy, double sz,
+                      double sm, double eps2, ForceAccum& f) {
+  const double dx = sx - tx;  // r_ij = r_j - r_i
+  const double dy = sy - ty;
+  const double dz = sz - tz;
+  const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+  const double rinv = 1.0 / std::sqrt(r2);
+  const double rinv3 = rinv * rinv * rinv;
+  const double mr3 = sm * rinv3;
   f.ax += mr3 * dx;
   f.ay += mr3 * dy;
   f.az += mr3 * dz;
   f.pot -= sm * rinv;
 }
 
-// One p-c interaction with quadrupole corrections (double precision form used
-// by the traversal; a float mirror exists for the device benchmark kernels).
+// One p-c interaction with quadrupole corrections.
 inline void pc_kernel(const Vec3d& target, const Multipole& cell, double eps2,
-                      ForceAccum<double>& f) {
+                      ForceAccum& f) {
   const Vec3d dr = cell.com - target;  // r = r_j - r_i
   const double r2 = norm2(dr) + eps2;
   const double rinv = 1.0 / std::sqrt(r2);
@@ -73,9 +71,9 @@ inline void pc_kernel(const Vec3d& target, const Multipole& cell, double eps2,
 // Monopole-only p-c form (used to demonstrate the accuracy gain of the
 // quadrupole term in tests and the theta ablation).
 inline void pc_kernel_monopole(const Vec3d& target, const Multipole& cell, double eps2,
-                               ForceAccum<double>& f) {
-  pp_kernel<double>(target.x, target.y, target.z, cell.com.x, cell.com.y, cell.com.z,
-                    cell.mass, eps2, f);
+                               ForceAccum& f) {
+  pp_kernel(target.x, target.y, target.z, cell.com.x, cell.com.y, cell.com.z, cell.mass,
+            eps2, f);
 }
 
 }  // namespace bonsai

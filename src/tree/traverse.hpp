@@ -7,17 +7,10 @@
 // particle-cell interactions; opened leaves contribute particle-particle
 // interactions.
 //
-// Two evaluation modes share the same walk logic (identical MAC decisions,
-// identical useful interaction counts):
-//
-//   * inline (traverse_one_group / traverse_groups): forces are evaluated as
-//     interactions are discovered. Kept as the pre-PR-7 correctness
-//     reference.
-//   * batched (traverse_one_group_batched): the walk emits interaction lists
-//     into an InteractionQueue and a pluggable kernel backend
-//     (tree/kernel_backend.*) drains them in SoA batches — the paper's
-//     traversal/evaluation split (§III-A) that turns the walk's output into
-//     wide, regular FLOPs.
+// The walk evaluates nothing itself: it emits interaction lists into an
+// InteractionQueue and a pluggable kernel backend (tree/kernel_backend.*)
+// drains them in SoA batches — the paper's traversal/evaluation split
+// (§III-A) that turns the walk's output into wide, regular FLOPs.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +29,7 @@ struct TraversalConfig {
   double eps = 0.0;         // Plummer softening length
   int ncrit = 64;           // max particles per target group
   bool quadrupole = true;   // include quadrupole corrections in p-c kernels
-  KernelBackend backend = KernelBackend::kSimd;  // batched-path force backend
+  KernelBackend backend = KernelBackend::kSimd;  // force backend draining the lists
 };
 
 // A contiguous range of target particles walked together.
@@ -52,23 +45,12 @@ struct TargetGroup {
 // contract violation and throws std::logic_error.
 std::vector<TargetGroup> make_groups(const ParticleSet& parts, int ncrit);
 
-// Walk `src` for every group, accumulating accelerations and potentials into
-// the target set. If `self` is true, `src` references the same particle
-// array as `targets` and exact self-interactions (same index) are skipped.
-// Returns the interaction counts for performance accounting.
-InteractionStats traverse_groups(const TreeView& src, ParticleSet& targets,
-                                 std::span<const TargetGroup> groups,
-                                 const TraversalConfig& config, bool self);
-
-// Single-group walk (the unit of work the device scheduler dispatches).
-InteractionStats traverse_one_group(const TreeView& src, ParticleSet& targets,
-                                    const TargetGroup& group,
-                                    const TraversalConfig& config, bool self);
-
-// Single-group walk that emits interaction lists into `queue` instead of
-// evaluating forces inline; `config.backend` drains the staged batches.
-// Makes exactly the inline walk's MAC decisions, so useful interaction
-// counts match traverse_one_group interaction for interaction.
+// Single-group walk (the unit of work the device scheduler dispatches): emits
+// interaction lists into `queue`, and `config.backend` drains the staged
+// batches into the target set's accelerations and potentials. If `self` is
+// true, `src` references the same particle array as `targets` and exact
+// self-interactions (same index) are skipped. Returns the interaction counts
+// for performance accounting.
 InteractionStats traverse_one_group_batched(const TreeView& src, ParticleSet& targets,
                                             const TargetGroup& group,
                                             const TraversalConfig& config, bool self,
@@ -79,11 +61,5 @@ InteractionStats traverse_groups_batched(const TreeView& src, ParticleSet& targe
                                          std::span<const TargetGroup> groups,
                                          const TraversalConfig& config, bool self,
                                          InteractionQueue& queue);
-
-// Reference per-particle (non-grouped) walk; slower but with a per-particle
-// MAC, used in tests to bound the additional error of the group MAC.
-InteractionStats traverse_single(const TreeView& src, ParticleSet& targets,
-                                 std::uint32_t target_index,
-                                 const TraversalConfig& config, bool self);
 
 }  // namespace bonsai

@@ -8,10 +8,9 @@
 // dividing by execution time, as the paper does (force-only flops).
 //
 // Since the batched interaction-list engine (PR 7), counts come in two
-// flavours: *useful* interactions (the physics: what the inline reference
-// walk would have evaluated, self-pairs excluded) and *padded* interactions
-// (every lane the device actually burned, including SIMD padding lanes and
-// masked self-pairs). Gflop/s figures are derived from useful flops so
+// flavours: *useful* interactions (the physics: the pairs the walk emitted,
+// self-pairs excluded) and *padded* interactions (every lane the device
+// actually burned, including SIMD padding lanes and masked self-pairs). Gflop/s figures are derived from useful flops so
 // padding can never inflate the reported rate; the padded count is reported
 // alongside as the batch fill ratio.
 #pragma once
@@ -44,11 +43,11 @@ struct InteractionStats {
   std::uint64_t p2c = 0;  // useful particle-cell (multipole) interactions
 
   // Lanes actually evaluated: useful plus SIMD padding and masked self-pairs.
-  // The inline walk and the scalar backend pad nothing (padded == useful).
+  // The scalar backend and direct summation pad nothing (padded == useful).
   std::uint64_t p2p_padded = 0;
   std::uint64_t p2c_padded = 0;
 
-  // Drained interaction-list batches (zero for the inline reference walk).
+  // Drained interaction-list batches (zero for direct summation).
   std::uint64_t pp_batches = 0;
   std::uint64_t pc_batches = 0;
 

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,11 +32,12 @@ using domain::LetTree;
 using domain::SimConfig;
 using domain::Simulation;
 
-// Reference forces from the single global tree's group walk, returned in
-// particle-id order so they align with Simulation::gather().
+// Reference forces from the single global tree's group walk (drained by the
+// scalar oracle unless `backend` says otherwise), returned in particle-id
+// order so they align with Simulation::gather().
 ParticleSet global_tree_forces(const ParticleSet& global, double theta, double eps,
                                int nleaf = Octree::kDefaultNLeaf, int ncrit = 64,
-                               std::optional<KernelBackend> backend = std::nullopt) {
+                               KernelBackend backend = KernelBackend::kScalar) {
   ParticleSet ref = global;
   sfc::KeySpace space(ref.bounds());
   sort_by_keys(ref, space);
@@ -49,14 +49,10 @@ ParticleSet global_tree_forces(const ParticleSet& global, double theta, double e
   cfg.theta = theta;
   cfg.eps = eps;
   cfg.ncrit = ncrit;
+  cfg.backend = backend;
   ref.zero_forces();
-  if (backend) {
-    cfg.backend = *backend;
-    InteractionQueue queue;
-    traverse_groups_batched(tree.view(ref), ref, groups, cfg, /*self=*/true, queue);
-  } else {
-    traverse_groups(tree.view(ref), ref, groups, cfg, /*self=*/true);
-  }
+  InteractionQueue queue;
+  traverse_groups_batched(tree.view(ref), ref, groups, cfg, /*self=*/true, queue);
 
   std::vector<std::uint32_t> perm(ref.size());
   std::iota(perm.begin(), perm.end(), 0u);
@@ -274,7 +270,8 @@ TEST(Let, DistantDomainPrunesToSingleMultipole) {
   auto groups = make_groups(targets, 64);
   TraversalConfig cfg;
   cfg.theta = 0.4;
-  traverse_groups(forest.view(), targets, groups, cfg, /*self=*/false);
+  InteractionQueue queue;
+  traverse_groups_batched(forest.view(), targets, groups, cfg, /*self=*/false, queue);
 
   ParticleSet ref = targets;
   ref.zero_forces();
@@ -312,7 +309,8 @@ TEST(Let, NearbyDomainExportIsCompressedAndAccurate) {
   TraversalConfig cfg;
   cfg.theta = 0.4;
   cfg.eps = 1e-3;
-  traverse_groups(forest.view(), right, groups, cfg, /*self=*/false);
+  InteractionQueue queue;
+  traverse_groups_batched(forest.view(), right, groups, cfg, /*self=*/false, queue);
 
   ParticleSet ref = right;
   ref.zero_forces();

@@ -1,6 +1,6 @@
-// The batched interaction-list engine: backend name parsing, cross-backend
-// force agreement against the inline reference walk, every compiled `simd`
-// drain variant (KernelIsa) against the scalar oracle, the AVX-512F rsqrt,
+// The batched interaction-list engine: backend name parsing, the `simd`
+// drain (every compiled KernelIsa variant) against the scalar oracle, the
+// explicit-kernel reference for multipole leaves, the AVX-512F rsqrt,
 // useful-vs-padded flops accounting, batch edge cases and queue
 // overflow/flush behaviour.
 #include "tree/kernel_backend.hpp"
@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "tree/kernels.hpp"
 #include "tree/octree.hpp"
 #include "tree/traverse.hpp"
-#include "util/compare.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 
@@ -81,8 +81,7 @@ InteractionStats batched_forces(WalkSetup& s, ParticleSet& out, KernelBackend ba
 }
 
 TEST(KernelBackendNames, RoundTripAndRejects) {
-  for (const KernelBackend b :
-       {KernelBackend::kScalar, KernelBackend::kSimd, KernelBackend::kSimdFloat}) {
+  for (const KernelBackend b : kKernelBackends) {
     const auto parsed = kernel_backend_from_name(kernel_backend_name(b));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, b);
@@ -92,35 +91,25 @@ TEST(KernelBackendNames, RoundTripAndRejects) {
   EXPECT_FALSE(kernel_backend_from_name("SIMD").has_value());
 }
 
-TEST(KernelBackend, AllBackendsAgreeWithInlineWalk) {
+TEST(KernelBackend, AllBackendsAgreeWithScalarOracle) {
   WalkSetup s = make_setup(3000, 61, 0.4);
   TraversalConfig cfg;
   cfg.theta = 0.4;
   cfg.eps = 1e-2;
 
-  ParticleSet inlined = s.parts;
-  inlined.zero_forces();
-  const InteractionStats inline_stats =
-      traverse_groups(s.tree.view(inlined), inlined, s.groups, cfg, /*self=*/true);
-  ASSERT_GT(inline_stats.p2p, 0u);
-  ASSERT_GT(inline_stats.p2c, 0u);
-  EXPECT_EQ(inline_stats.p2p_padded, inline_stats.p2p);  // inline pads nothing
-  EXPECT_EQ(inline_stats.batches(), 0u);
-
-  ParticleSet scalar, simd, simd_float;
+  ParticleSet scalar, simd;
   const InteractionStats scalar_stats =
       batched_forces(s, scalar, KernelBackend::kScalar, cfg);
   const InteractionStats simd_stats = batched_forces(s, simd, KernelBackend::kSimd, cfg);
-  const InteractionStats float_stats =
-      batched_forces(s, simd_float, KernelBackend::kSimdFloat, cfg);
+  ASSERT_GT(scalar_stats.p2p, 0u);
+  ASSERT_GT(scalar_stats.p2c, 0u);
 
-  // Identical useful counts: the emission mirrors the inline MAC decisions.
-  for (const InteractionStats* bs : {&scalar_stats, &simd_stats, &float_stats}) {
-    EXPECT_EQ(bs->p2p, inline_stats.p2p);
-    EXPECT_EQ(bs->p2c, inline_stats.p2c);
-    EXPECT_GT(bs->batches(), 0u);
-  }
-  // Scalar replays without padding; SIMD lanes pad to the batch width.
+  // Identical useful counts: both backends drain the same emitted lists.
+  EXPECT_EQ(simd_stats.p2p, scalar_stats.p2p);
+  EXPECT_EQ(simd_stats.p2c, scalar_stats.p2c);
+  EXPECT_GT(scalar_stats.batches(), 0u);
+  EXPECT_EQ(simd_stats.batches(), scalar_stats.batches());
+  // Scalar evaluates without padding; SIMD lanes pad to the batch width.
   EXPECT_EQ(scalar_stats.padded_flops(), scalar_stats.useful_flops());
   EXPECT_GE(simd_stats.p2p_padded, simd_stats.p2p);
   EXPECT_GE(simd_stats.p2c_padded, simd_stats.p2c);
@@ -128,12 +117,8 @@ TEST(KernelBackend, AllBackendsAgreeWithInlineWalk) {
   EXPECT_LE(simd_stats.fill_ratio(), 1.0);
   EXPECT_GT(simd_stats.fill_ratio(), 0.5);  // ncrit=64 groups keep batches dense
 
-  // Forces: scalar replays the same kernels in near-identical order; the
-  // double SIMD path differs only by summation order; the float path by
-  // single-precision arithmetic.
-  EXPECT_LT(max_rel_acc_diff(scalar, inlined), 1e-12);
-  EXPECT_LT(max_rel_acc_diff(simd, inlined), 1e-10);
-  EXPECT_LT(median_acc_error(simd_float, inlined), 1e-5);
+  // Forces: the SIMD drain differs from the scalar oracle only by summation
+  // order and the last bits of 1/sqrt.
   EXPECT_LT(max_rel_acc_diff(simd, scalar), 1e-10);
 }
 
@@ -147,48 +132,40 @@ TEST(KernelBackend, DisjointSourceTargetWalkAgrees) {
 
   TraversalConfig cfg;
   cfg.eps = 1e-2;
-  ParticleSet inlined = targets;
-  inlined.zero_forces();
-  const InteractionStats inline_stats =
-      traverse_groups(src.tree.view(src.parts), inlined, groups, cfg, /*self=*/false);
-
-  for (const KernelBackend b : {KernelBackend::kScalar, KernelBackend::kSimd}) {
-    ParticleSet got = targets;
-    got.zero_forces();
-    TraversalConfig bcfg = cfg;
-    bcfg.backend = b;
-    InteractionQueue queue;
-    const InteractionStats stats = traverse_groups_batched(
-        src.tree.view(src.parts), got, groups, bcfg, /*self=*/false, queue);
-    EXPECT_EQ(stats.p2p, inline_stats.p2p);
-    EXPECT_EQ(stats.p2c, inline_stats.p2c);
-    EXPECT_LT(max_rel_acc_diff(got, inlined), 1e-10);
-  }
+  ParticleSet ref = targets, got = targets;
+  ref.zero_forces();
+  got.zero_forces();
+  cfg.backend = KernelBackend::kScalar;
+  InteractionQueue queue;
+  const InteractionStats ref_stats = traverse_groups_batched(
+      src.tree.view(src.parts), ref, groups, cfg, /*self=*/false, queue);
+  cfg.backend = KernelBackend::kSimd;
+  const InteractionStats stats = traverse_groups_batched(
+      src.tree.view(src.parts), got, groups, cfg, /*self=*/false, queue);
+  EXPECT_GT(stats.p2p, 0u);
+  EXPECT_EQ(stats.p2p, ref_stats.p2p);
+  EXPECT_EQ(stats.p2c, ref_stats.p2c);
+  EXPECT_LT(max_rel_acc_diff(got, ref), 1e-10);
 }
 
 TEST(KernelBackend, MonopoleOnlyWalkAgrees) {
-  // quadrupole = false: scalar replays pc_kernel_monopole; the SIMD paths run
+  // quadrupole = false: scalar calls pc_kernel_monopole; the SIMD paths run
   // the quadrupole arithmetic with zeroed moments, which is identical math.
   WalkSetup s = make_setup(1500, 83, 0.5);
   TraversalConfig cfg;
   cfg.eps = 1e-2;
   cfg.quadrupole = false;
 
-  ParticleSet inlined = s.parts;
-  inlined.zero_forces();
-  traverse_groups(s.tree.view(inlined), inlined, s.groups, cfg, /*self=*/true);
-
   ParticleSet scalar, simd;
   batched_forces(s, scalar, KernelBackend::kScalar, cfg);
   batched_forces(s, simd, KernelBackend::kSimd, cfg);
-  EXPECT_LT(max_rel_acc_diff(scalar, inlined), 1e-12);
-  EXPECT_LT(max_rel_acc_diff(simd, inlined), 1e-10);
+  EXPECT_LT(max_rel_acc_diff(simd, scalar), 1e-10);
 }
 
 TEST(KernelBackend, MultipoleLeafBatch) {
   // A handcrafted LET-style view: an internal root that the MAC never accepts
   // over two multipole-leaf children. Both must be staged as cell batches and
-  // match the inline walk.
+  // match explicit pc_kernel calls per target.
   const ParticleSet targets = [] {
     ParticleSet t = clustered_cloud(100, 91);
     sfc::KeySpace space(t.bounds());
@@ -214,15 +191,18 @@ TEST(KernelBackend, MultipoleLeafBatch) {
 
   TraversalConfig cfg;
   cfg.eps = 1e-2;
-  ParticleSet inlined = targets;
-  inlined.zero_forces();
-  const InteractionStats inline_stats =
-      traverse_groups(view, inlined, groups, cfg, /*self=*/false);
-  EXPECT_EQ(inline_stats.p2c, 2 * targets.size());
-  EXPECT_EQ(inline_stats.p2p, 0u);
+  ParticleSet ref = targets;
+  ref.zero_forces();
+  for (std::uint32_t i = 0; i < ref.size(); ++i) {
+    ForceAccum f{};
+    for (int c = 1; c <= 2; ++c) pc_kernel(ref.pos(i), nodes[c].mp, cfg.eps * cfg.eps, f);
+    ref.ax[i] = f.ax;
+    ref.ay[i] = f.ay;
+    ref.az[i] = f.az;
+    ref.pot[i] = f.pot;
+  }
 
-  for (const KernelBackend b :
-       {KernelBackend::kScalar, KernelBackend::kSimd, KernelBackend::kSimdFloat}) {
+  for (const KernelBackend b : kKernelBackends) {
     ParticleSet got = targets;
     got.zero_forces();
     TraversalConfig bcfg = cfg;
@@ -230,11 +210,11 @@ TEST(KernelBackend, MultipoleLeafBatch) {
     InteractionQueue queue;
     const InteractionStats stats =
         traverse_groups_batched(view, got, groups, bcfg, /*self=*/false, queue);
-    EXPECT_EQ(stats.p2c, inline_stats.p2c);
+    EXPECT_EQ(stats.p2c, 2 * targets.size());
+    EXPECT_EQ(stats.p2p, 0u);
     EXPECT_EQ(stats.pc_batches, groups.size());
     EXPECT_EQ(stats.pp_batches, 0u);
-    const double tol = b == KernelBackend::kSimdFloat ? 1e-5 : 1e-12;
-    EXPECT_LT(max_rel_acc_diff(got, inlined), tol);
+    EXPECT_LT(max_rel_acc_diff(got, ref), 1e-12) << kernel_backend_name(b);
   }
 }
 
@@ -267,8 +247,7 @@ TEST(KernelBackend, EmptyAndDegenerateWalks) {
   tree.build(one, 16);
   tree.compute_properties(one, 0.4);
   const std::vector<TargetGroup> one_group = make_groups(one, 64);
-  for (const KernelBackend b :
-       {KernelBackend::kScalar, KernelBackend::kSimd, KernelBackend::kSimdFloat}) {
+  for (const KernelBackend b : kKernelBackends) {
     one.zero_forces();
     TraversalConfig bcfg;
     bcfg.backend = b;
@@ -301,7 +280,7 @@ TEST(KernelBackend, TinyCapacityFlushesMidWalkAndMatches) {
     EXPECT_EQ(tiny_stats.p2p, roomy_stats.p2p) << kernel_backend_name(b);
     EXPECT_EQ(tiny_stats.p2c, roomy_stats.p2c);
     EXPECT_GT(tiny_stats.batches(), roomy_stats.batches());  // runs were split
-    // Scalar replay is order-stable under splitting (per-cell and per-target
+    // The scalar drain is order-stable under splitting (per-cell and per-target
     // accumulation is unchanged); SIMD splits change only summation order.
     if (b == KernelBackend::kScalar) {
       EXPECT_LT(max_rel_acc_diff(tiny, roomy), 1e-13);
@@ -322,7 +301,7 @@ class SimdDrainIsa : public ::testing::TestWithParam<KernelIsa> {
   }
 
   // Worst relative acceleration difference between this variant and the
-  // scalar replay over one batched walk of `targets` against `src`.
+  // scalar drain over one batched walk of `targets` against `src`.
   double diff_vs_scalar(const TreeView& src, const ParticleSet& targets,
                         std::span<const TargetGroup> groups, const TraversalConfig& base,
                         bool self,

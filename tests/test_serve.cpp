@@ -90,6 +90,15 @@ void expect_same_particles(const ParticleSet& a, const ParticleSet& b) {
   EXPECT_EQ(a.pot, b.pot);
 }
 
+// VmSize of this process in KiB from /proc/self/status; -1 without procfs.
+long vm_size_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return -1;
+}
+
 // Regression for a TSan finding: server shutdown calls Listener::close()
 // from outside the accept loop's thread, so the descriptor handover must be
 // synchronized — close() must unblock a concurrent blocking accept() (which
@@ -364,6 +373,33 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
               std::string::npos)
         << "cross-job data in bench for job " << id;
   }
+}
+
+// Finished client handlers and job runners are joined while the server runs,
+// not parked until shutdown: an unjoined exited thread keeps its whole stack
+// mapping, so every request and every job used to grow the address space by
+// a thread stack (about 8 MiB each).
+TEST(Serve, FinishedThreadsAreJoinedWhileServing) {
+  if (vm_size_kib() < 0) GTEST_SKIP() << "no /proc/self/status";
+  JobServer server(test_server_config("reap"));
+  const std::uint16_t port = server.port();
+  // Each round: one tiny job waited to completion, then `polls` status
+  // requests on fresh connections.
+  auto run_rounds = [&](int rounds, int polls) {
+    for (int r = 0; r < rounds; ++r) {
+      const wire::JobStatusMsg st = serve::submit_job(kHost, port, small_job(256, 1));
+      ASSERT_NE(st.state, wire::JobState::kRejected) << st.reason;
+      ASSERT_EQ(serve::wait_job(kHost, port, st.job_id).state, wire::JobState::kCompleted);
+      for (int p = 0; p < polls; ++p)
+        ASSERT_EQ(serve::job_status(kHost, port, st.job_id).state,
+                  wire::JobState::kCompleted);
+    }
+  };
+  run_rounds(2, 10);  // warm up allocator arenas and the thread-stack cache
+  const long before_kib = vm_size_kib();
+  run_rounds(20, 20);  // 20 jobs, 400 status requests
+  const long growth_mib = (vm_size_kib() - before_kib) / 1024;
+  EXPECT_LT(growth_mib, 256) << "VmSize grew by " << growth_mib << " MiB";
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Accuracy and accounting of the Barnes-Hut tree walk against the direct
-// O(N^2) reference.
+// O(N^2) reference, per opening angle and per kernel backend.
 #include "tree/traverse.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <span>
 
 #include "tree/direct.hpp"
 #include "tree/kernels.hpp"
@@ -47,6 +49,15 @@ WalkSetup make_setup(std::size_t n, std::uint64_t seed, double theta, int ncrit 
   return s;
 }
 
+// The group walk over `groups` through a fresh queue, drained by
+// `cfg.backend` into `targets`.
+InteractionStats walk(const TreeView& src, ParticleSet& targets,
+                      std::span<const TargetGroup> groups, const TraversalConfig& cfg,
+                      bool self) {
+  InteractionQueue queue;
+  return traverse_groups_batched(src, targets, groups, cfg, self, queue);
+}
+
 TEST(MakeGroups, SizesAndBoxes) {
   WalkSetup s = make_setup(1000, 211, 0.4, 64);
   std::uint32_t covered = 0;
@@ -78,8 +89,8 @@ TEST(MakeGroups, EmptySetYieldsNoGroups) {
 TEST(Traverse, EmptyGroupSpanIsNoOp) {
   WalkSetup s = make_setup(200, 311, 0.4);
   s.parts.zero_forces();
-  const auto stats = traverse_groups(s.tree.view(s.parts), s.parts, {}, TraversalConfig{},
-                                     /*self=*/true);
+  const auto stats = walk(s.tree.view(s.parts), s.parts, {}, TraversalConfig{},
+                          /*self=*/true);
   EXPECT_EQ(stats.p2p + stats.p2c, 0u);
   for (std::size_t i = 0; i < s.parts.size(); ++i)
     EXPECT_DOUBLE_EQ(norm(s.parts.acc(i)), 0.0);
@@ -90,73 +101,90 @@ TEST(Traverse, ZeroWidthGroupIsNoOp) {
   s.parts.zero_forces();
   TargetGroup g;
   g.begin = g.end = 7;  // empty target range, box invalid by construction
-  const auto stats =
-      traverse_one_group(s.tree.view(s.parts), s.parts, g, TraversalConfig{}, true);
+  InteractionQueue queue;
+  const auto stats = traverse_one_group_batched(s.tree.view(s.parts), s.parts, g,
+                                                TraversalConfig{}, true, queue);
   EXPECT_EQ(stats.p2p + stats.p2c, 0u);
 }
 
 TEST(Traverse, TinyThetaReproducesDirectExactly) {
   // With an (effectively) zero opening angle the MAC never accepts, the walk
   // degenerates to all-pairs p-p, and results match direct summation to
-  // floating-point roundoff (identical kernel, different summation order).
+  // floating-point roundoff (same kernel arithmetic, different summation
+  // order), for every backend.
   WalkSetup s = make_setup(500, 223, 1e-9);
-  TraversalConfig cfg;
-  cfg.theta = 1e-9;
-  cfg.eps = 0.01;
-  s.parts.zero_forces();
-  const InteractionStats stats =
-      traverse_groups(s.tree.view(s.parts), s.parts, s.groups, cfg, /*self=*/true);
-  // Multi-particle cells always have a finite box, hence an enormous rcrit at
-  // theta ~ 0, and are always opened. Single-particle cells have rcrit = 0 and
-  // may be accepted, which is *exact* (point mass, Q = 0), so each of the
-  // N(N-1) ordered pairs is evaluated exactly once, as p-p or point p-c.
-  EXPECT_EQ(stats.p2p + stats.p2c, 500u * 499u);
-
   ParticleSet ref = s.parts;
-  direct_forces(ref, cfg.eps);
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_NEAR(norm(s.parts.acc(i) - ref.acc(i)), 0.0, 1e-11 * std::max(1.0, norm(ref.acc(i))));
-    ASSERT_NEAR(s.parts.pot[i], ref.pot[i], 1e-11 * std::abs(ref.pot[i]));
+  direct_forces(ref, 0.01);
+  for (const KernelBackend backend : kKernelBackends) {
+    SCOPED_TRACE(kernel_backend_name(backend));
+    TraversalConfig cfg;
+    cfg.theta = 1e-9;
+    cfg.eps = 0.01;
+    cfg.backend = backend;
+    ParticleSet got = s.parts;
+    got.zero_forces();
+    const InteractionStats stats = walk(s.tree.view(got), got, s.groups, cfg, /*self=*/true);
+    // Multi-particle cells always have a finite box, hence an enormous rcrit
+    // at theta ~ 0, and are always opened. Single-particle cells have
+    // rcrit = 0 and may be accepted, which is *exact* (point mass, Q = 0), so
+    // each of the N(N-1) ordered pairs is evaluated exactly once, as p-p or
+    // point p-c.
+    EXPECT_EQ(stats.p2p + stats.p2c, 500u * 499u);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_NEAR(norm(got.acc(i) - ref.acc(i)), 0.0, 1e-11 * std::max(1.0, norm(ref.acc(i))));
+      ASSERT_NEAR(got.pot[i], ref.pot[i], 1e-11 * std::abs(ref.pot[i]));
+    }
   }
 }
 
 class ThetaAccuracyTest : public ::testing::TestWithParam<double> {};
 
+// The force-error budget per opening angle, held by every backend.
 TEST_P(ThetaAccuracyTest, ForceErrorBounded) {
   const double theta = GetParam();
   WalkSetup s = make_setup(3000, 227, theta);
-  TraversalConfig cfg;
-  cfg.theta = theta;
-  cfg.eps = 1e-3;
-  s.parts.zero_forces();
-  traverse_groups(s.tree.view(s.parts), s.parts, s.groups, cfg, true);
-
   ParticleSet ref = s.parts;
-  direct_forces(ref, cfg.eps);
-  const double med = median_acc_error(s.parts, ref);
+  direct_forces(ref, 1e-3);
   // Empirical Barnes-Hut + quadrupole error envelopes (generous bounds).
   const double bound = theta <= 0.3 ? 2e-5 : theta <= 0.5 ? 2e-4 : 2e-3;
-  EXPECT_LT(med, bound) << "theta=" << theta;
+  for (const KernelBackend backend : kKernelBackends) {
+    TraversalConfig cfg;
+    cfg.theta = theta;
+    cfg.eps = 1e-3;
+    cfg.backend = backend;
+    ParticleSet got = s.parts;
+    got.zero_forces();
+    walk(s.tree.view(got), got, s.groups, cfg, true);
+    EXPECT_LT(median_acc_error(got, ref), bound)
+        << "theta=" << theta << " backend=" << kernel_backend_name(backend);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(OpeningAngles, ThetaAccuracyTest,
                          ::testing::Values(0.2, 0.4, 0.6, 0.8));
 
 TEST(Traverse, ErrorGrowsWithTheta) {
-  std::vector<double> med;
+  std::vector<std::vector<double>> med(std::size(kKernelBackends));  // [backend][theta]
   for (double theta : {0.2, 0.5, 0.9}) {
     WalkSetup s = make_setup(2000, 229, theta);
-    TraversalConfig cfg;
-    cfg.theta = theta;
-    cfg.eps = 1e-3;
-    s.parts.zero_forces();
-    traverse_groups(s.tree.view(s.parts), s.parts, s.groups, cfg, true);
     ParticleSet ref = s.parts;
-    direct_forces(ref, cfg.eps);
-    med.push_back(median_acc_error(s.parts, ref));
+    direct_forces(ref, 1e-3);
+    for (std::size_t b = 0; b < std::size(kKernelBackends); ++b) {
+      TraversalConfig cfg;
+      cfg.theta = theta;
+      cfg.eps = 1e-3;
+      cfg.backend = kKernelBackends[b];
+      ParticleSet got = s.parts;
+      got.zero_forces();
+      walk(s.tree.view(got), got, s.groups, cfg, true);
+      med[b].push_back(median_acc_error(got, ref));
+    }
   }
-  EXPECT_LT(med[0], med[1]);
-  EXPECT_LT(med[1], med[2]);
+  for (std::size_t b = 0; b < std::size(kKernelBackends); ++b) {
+    SCOPED_TRACE(kernel_backend_name(kKernelBackends[b]));
+    EXPECT_LT(med[b][0], med[b][1]);
+    EXPECT_LT(med[b][1], med[b][2]);
+  }
 }
 
 TEST(Traverse, QuadrupoleBeatsMonopole) {
@@ -167,12 +195,12 @@ TEST(Traverse, QuadrupoleBeatsMonopole) {
 
   ParticleSet with_quad = s.parts;
   with_quad.zero_forces();
-  traverse_groups(s.tree.view(with_quad), with_quad, s.groups, cfg, true);
+  walk(s.tree.view(with_quad), with_quad, s.groups, cfg, true);
 
   cfg.quadrupole = false;
   ParticleSet mono = s.parts;
   mono.zero_forces();
-  traverse_groups(s.tree.view(mono), mono, s.groups, cfg, true);
+  walk(s.tree.view(mono), mono, s.groups, cfg, true);
 
   ParticleSet ref = s.parts;
   direct_forces(ref, cfg.eps);
@@ -194,7 +222,7 @@ TEST(Traverse, WorkGrowsAsThetaShrinks) {
     cfg.theta = theta;
     cfg.eps = 1e-3;
     s.parts.zero_forces();
-    const auto stats = traverse_groups(s.tree.view(s.parts), s.parts, s.groups, cfg, true);
+    const auto stats = walk(s.tree.view(s.parts), s.parts, s.groups, cfg, true);
     flops.push_back(stats.flops());
   }
   EXPECT_GT(flops[1], static_cast<std::uint64_t>(1.5 * static_cast<double>(flops[0])));
@@ -204,8 +232,9 @@ TEST(Traverse, WorkGrowsAsThetaShrinks) {
 }
 
 TEST(Traverse, GroupAndSingleWalksAgree) {
-  // The group MAC is more conservative in aggregate but both walks must stay
-  // within the theta error envelope of each other.
+  // One-particle groups make the group MAC a per-particle MAC. The group MAC
+  // is more conservative in aggregate but both walks must stay within the
+  // theta error envelope of each other.
   WalkSetup s = make_setup(1500, 241, 0.4);
   TraversalConfig cfg;
   cfg.theta = 0.4;
@@ -213,12 +242,17 @@ TEST(Traverse, GroupAndSingleWalksAgree) {
 
   ParticleSet grouped = s.parts;
   grouped.zero_forces();
-  traverse_groups(s.tree.view(grouped), grouped, s.groups, cfg, true);
+  walk(s.tree.view(grouped), grouped, s.groups, cfg, true);
 
   ParticleSet single = s.parts;
   single.zero_forces();
-  for (std::uint32_t i = 0; i < single.size(); ++i)
-    traverse_single(s.tree.view(single), single, i, cfg, true);
+  std::vector<TargetGroup> singles(single.size());
+  for (std::uint32_t i = 0; i < single.size(); ++i) {
+    singles[i].begin = i;
+    singles[i].end = i + 1;
+    singles[i].box.expand(single.pos(i));
+  }
+  walk(s.tree.view(single), single, singles, cfg, true);
 
   RunningStats rel;
   for (std::size_t i = 0; i < grouped.size(); ++i) {
@@ -243,7 +277,7 @@ TEST(Traverse, SelfPotentialExcluded) {
   cfg.eps = 0.1;
   parts.zero_forces();
   auto groups = make_groups(parts, 64);
-  traverse_groups(tree.view(parts), parts, groups, cfg, true);
+  walk(tree.view(parts), parts, groups, cfg, true);
   const double expected = -1.0 / std::sqrt(1.0 + 0.01);
   EXPECT_NEAR(parts.pot[0], expected, 1e-12);
   EXPECT_NEAR(parts.pot[1], expected, 1e-12);
@@ -270,7 +304,7 @@ TEST(Traverse, DisjointSourceNeedsNoSelfSkip) {
   cfg.eps = 0.0;
   targets.zero_forces();
   auto groups = make_groups(targets, 64);
-  traverse_groups(tree.view(sources), targets, groups, cfg, /*self=*/false);
+  walk(tree.view(sources), targets, groups, cfg, /*self=*/false);
 
   ParticleSet ref = targets;
   ref.zero_forces();
@@ -289,7 +323,7 @@ TEST(Traverse, EmptySourcesAndTargets) {
   ParticleSet targets = clustered_cloud(10, 263);
   targets.zero_forces();
   auto groups = make_groups(targets, 64);
-  const auto stats = traverse_groups(tree.view(empty), targets, groups, TraversalConfig{}, false);
+  const auto stats = walk(tree.view(empty), targets, groups, TraversalConfig{}, false);
   EXPECT_EQ(stats.p2p + stats.p2c, 0u);
   for (std::size_t i = 0; i < targets.size(); ++i)
     EXPECT_DOUBLE_EQ(norm(targets.acc(i)), 0.0);
@@ -300,23 +334,14 @@ TEST(Traverse, EmptySourcesAndTargets) {
   EXPECT_TRUE(no_groups.empty());
 }
 
-TEST(Traverse, PPKernelFloatAndDoubleAgree) {
-  ForceAccum<double> fd{};
-  ForceAccum<float> ff{};
-  pp_kernel<double>(0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 1.5, 0.01, fd);
-  pp_kernel<float>(0.0f, 0.0f, 0.0f, 1.0f, 2.0f, 3.0f, 1.5f, 0.01f, ff);
-  EXPECT_NEAR(fd.ax, static_cast<double>(ff.ax), 1e-6);
-  EXPECT_NEAR(fd.pot, static_cast<double>(ff.pot), 1e-6);
-}
-
 TEST(Traverse, PCKernelMatchesPointMass) {
   // A cell whose quadrupole vanishes must reduce exactly to the p-p kernel.
   Multipole cell;
   cell.mass = 2.0;
   cell.com = {3.0, -1.0, 2.0};
-  ForceAccum<double> fc{}, fp{};
+  ForceAccum fc{}, fp{};
   pc_kernel({0.5, 0.5, 0.5}, cell, 0.0, fc);
-  pp_kernel<double>(0.5, 0.5, 0.5, 3.0, -1.0, 2.0, 2.0, 0.0, fp);
+  pp_kernel(0.5, 0.5, 0.5, 3.0, -1.0, 2.0, 2.0, 0.0, fp);
   EXPECT_NEAR(fc.ax, fp.ax, 1e-14);
   EXPECT_NEAR(fc.ay, fp.ay, 1e-14);
   EXPECT_NEAR(fc.az, fp.az, 1e-14);
@@ -343,7 +368,7 @@ TEST(Traverse, PCKernelConvergesToDirectSumWithDistance) {
   double prev_err = 1e300;
   for (double dist : {4.0, 8.0, 16.0, 32.0}) {
     const Vec3d target{dist, 0.3, -0.2};
-    ForceAccum<double> approx{};
+    ForceAccum approx{};
     pc_kernel(target, mp, 0.0, approx);
     ParticleSet probe;
     probe.add({target, {0, 0, 0}, 1.0, 0});

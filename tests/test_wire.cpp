@@ -35,6 +35,22 @@ LetTree make_real_let() {
   return domain::build_let(tree.view(parts), remote);
 }
 
+// The kernel byte of a frame: the one byte where its kScalar (0) and kSimd
+// (1) encodings differ.
+std::size_t kernel_byte(const std::vector<std::uint8_t>& scalar_frame,
+                        const std::vector<std::uint8_t>& simd_frame) {
+  EXPECT_EQ(scalar_frame.size(), simd_frame.size());
+  std::size_t at = 0, diffs = 0;
+  for (std::size_t i = 0; i < scalar_frame.size(); ++i)
+    if (scalar_frame[i] != simd_frame[i]) {
+      at = i;
+      ++diffs;
+    }
+  EXPECT_EQ(diffs, 1u);
+  EXPECT_EQ(simd_frame[at], 1u);
+  return at;
+}
+
 void expect_same_let(const LetTree& a, const LetTree& b) {
   ASSERT_EQ(a.nodes.size(), b.nodes.size());
   ASSERT_EQ(a.x, b.x);  // bit-for-bit doubles
@@ -473,6 +489,13 @@ TEST(Wire, ControlFramesRoundTrip) {
   EXPECT_EQ(back.balance, domain::BalanceMode::kCost);
   EXPECT_TRUE(back.trace);
   EXPECT_EQ(back.kernel, KernelBackend::kScalar);
+
+  // Kernel bytes past kSimd name no backend and are rejected.
+  const std::vector<std::uint8_t> scalar_frame = wire::encode_config(cfg);
+  cfg.kernel = KernelBackend::kSimd;
+  std::vector<std::uint8_t> bad = wire::encode_config(cfg);
+  bad[kernel_byte(scalar_frame, bad)] = 2;
+  EXPECT_THROW(wire::decode_config(bad), wire::WireError);
 }
 
 TEST(Wire, StepBeginAndResultRoundTrip) {
@@ -663,6 +686,13 @@ TEST(Wire, JobSubmitRoundTripsBitForBit) {
       wire::encode_job_submit(make_job_spec(/*with_parts=*/false)));
   EXPECT_EQ(gen.parts.size(), 0u);
   EXPECT_EQ(gen.n, 100000u);
+
+  // Kernel bytes past kSimd name no backend and are rejected.
+  wire::JobSpec simd_spec = make_job_spec(/*with_parts=*/true);
+  simd_spec.kernel = KernelBackend::kSimd;
+  std::vector<std::uint8_t> bad = wire::encode_job_submit(simd_spec);
+  bad[kernel_byte(frame, bad)] = 2;
+  EXPECT_THROW(wire::decode_job_submit(bad), wire::WireError);
 }
 
 TEST(Wire, JobStatusRoundTripsBothDirections) {
@@ -840,8 +870,7 @@ TEST(Wire, JobFramesByteFlipsEitherDecodeOrThrow) {
         EXPECT_GE(spec.steps, 0);
         EXPECT_GE(spec.ranks, 0);
         EXPECT_LE(spec.ranks, 255);
-        EXPECT_LE(static_cast<int>(spec.kernel),
-                  static_cast<int>(KernelBackend::kSimdFloat));
+        EXPECT_LE(static_cast<int>(spec.kernel), static_cast<int>(KernelBackend::kSimd));
         EXPECT_LE(spec.name.size(), bad.size());
       } catch (const wire::WireError&) {
       }
