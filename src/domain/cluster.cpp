@@ -120,16 +120,18 @@ void fill_energy(const ParticleSet& parts, wire::StepResult& sr) {
 ClusterSimulation::ClusterSimulation(const ClusterConfig& cfg) : cfg_(cfg) {
   BNS_CHECK(cfg_.sim.nranks >= 1);
   BNS_CHECK(cfg_.sim.nranks <= 255, "LET forests fan out to at most 255 ranks");
+  if (cfg_.topology != SocketTopology::kMesh)
+    throw std::invalid_argument(
+        "ClusterSimulation: socket clusters run on the mesh topology only (a star "
+        "has no worker-to-worker path)");
   sets_.resize(static_cast<std::size_t>(cfg_.sim.nranks));
   decomp_ = Decomposition::uniform(cfg_.sim.nranks);
-  migrate_net_ = std::make_unique<InProcTransport>(cfg_.sim.nranks);
-  migrate_rec_ = std::make_unique<TrafficRecordingTransport>(*migrate_net_);
 
   // Tracing is decided before any worker exists; workers inherit the flag
   // from the Config frame and enable their own process's tracer on receipt.
   if (cfg_.sim.trace) trace::Tracer::instance().set_enabled(true);
 
-  net_ = SocketTransport::listen(cfg_.port, cfg_.sim.nranks, cfg_.topology);
+  net_ = SocketTransport::listen(cfg_.port, cfg_.sim.nranks, SocketTopology::kMesh);
   if (cfg_.on_listen) cfg_.on_listen(net_->port());
   if (cfg_.spawn_workers) {
     spawn_workers();
@@ -168,21 +170,18 @@ void ClusterSimulation::spawn_workers() {
   tcfg.async = true;
   const std::size_t threads = threads_for(tcfg, std::thread::hardware_concurrency());
 
-  const bool mesh = cfg_.topology == SocketTopology::kMesh;
   for (int r = 0; r < cfg_.sim.nranks; ++r) {
     const std::string rank_str = std::to_string(r);
     const std::string coord = "127.0.0.1:" + std::to_string(net_->port());
     const std::string threads_str = std::to_string(threads);
-    std::vector<const char*> argv = {cfg_.program.c_str(), "--transport", "socket",
-                                     "--rank-id",          rank_str.c_str(),
-                                     "--coordinator",      coord.c_str(),
-                                     "--threads",          threads_str.c_str()};
-    if (mesh) {
-      // Spawned mesh workers pick their own ephemeral listen ports; the
-      // coordinator's directory tells the peers where to dial.
-      argv.insert(argv.end(), {"--topology", "mesh", "--listen-port", "0"});
-    }
-    argv.push_back(nullptr);
+    // Spawned workers pick their own ephemeral listen ports; the
+    // coordinator's directory tells the peers where to dial.
+    const std::vector<const char*> argv = {cfg_.program.c_str(), "--transport", "socket",
+                                           "--rank-id",          rank_str.c_str(),
+                                           "--coordinator",      coord.c_str(),
+                                           "--threads",          threads_str.c_str(),
+                                           "--listen-port",      "0",
+                                           nullptr};
     const pid_t pid = ::fork();
     if (pid < 0) throw std::runtime_error("ClusterSimulation: fork failed");
     if (pid == 0) {
@@ -216,31 +215,19 @@ ClusterSimulation::~ClusterSimulation() {
 void ClusterSimulation::init(ParticleSet global) {
   sets_.assign(sets_.size(), ParticleSet{});
   sets_[0] = std::move(global);
-  prev_gravity_seconds_.clear();
-  prev_rank_size_.clear();
   next_step_ = 0;
   spmd_stepped_ = false;
   spmd_particles_ = 0;
   spmd_kinetic_ = spmd_potential_ = 0.0;
+  // The in-process driver's own split, run coordinator-locally (it owns every
+  // set here, so the migration frames never need the sockets): both drivers
+  // start from bitwise-identical slices. The slices stay here until the first
+  // StepBegin ships them out; afterwards the workers own them.
+  InProcTransport local(cfg_.sim.nranks);
   StepReport scratch;
   TimeBreakdown driver;
-  redistribute(scratch, driver);
-  migrate_rec_->take();  // the bootstrap scatter is not step traffic
-  // SPMD: the slices stay here until the first StepBegin ships them out;
-  // afterwards the workers own them for the rest of the run.
-  bootstrap_pending_ = cfg_.mode == ClusterMode::kSpmd;
-}
-
-void ClusterSimulation::redistribute(StepReport& report, TimeBreakdown& driver_times) {
-  DomainUpdate du = redistribute_sets(sets_, cfg_.sim, prev_gravity_seconds_,
-                                      prev_rank_size_, *migrate_rec_, report, driver_times);
-  bounds_ = du.bounds;
-  space_ = du.space;
-  decomp_ = std::move(du.decomp);
-}
-
-StepReport ClusterSimulation::step() {
-  return cfg_.mode == ClusterMode::kSpmd ? step_spmd() : step_hub();
+  decomp_ = redistribute_sets(sets_, cfg_.sim, {}, {}, local, scratch, driver).decomp;
+  bootstrap_pending_ = true;
 }
 
 wire::StepResult ClusterSimulation::recv_step_result(TrafficRecordingTransport& rec,
@@ -298,88 +285,7 @@ wire::StepResult ClusterSimulation::recv_step_result(TrafficRecordingTransport& 
   return sr;
 }
 
-StepReport ClusterSimulation::step_hub() {
-  StepReport report;
-  report.step = next_step_++;
-  report.async = false;  // workers pipeline internally, but no lane model here
-  report.kernel = cfg_.sim.kernel;
-  WallTimer wall;
-
-  const std::size_t nranks = sets_.size();
-  TimeBreakdown driver_times;
-  std::vector<TimeBreakdown> rank_times(nranks);
-  TrafficRecordingTransport rec(*net_);
-
-  redistribute(report, driver_times);
-
-  std::vector<std::uint8_t> active(nranks, 0);
-  std::vector<AABB> boxes(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    active[r] = !sets_[r].empty();
-    if (active[r]) boxes[r] = sets_[r].bounds();
-  }
-
-  // Ship every worker its step inputs. The particle sets move out here and
-  // come back (with forces) in the results, so the coordinator never holds
-  // two copies. Inactive workers get an empty batch to keep the protocol
-  // uniform: every worker answers every step.
-  std::vector<std::int64_t> post_ns(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    wire::StepBegin sb;
-    sb.step = report.step;
-    sb.mode = wire::StepMode::kHub;
-    sb.bounds = bounds_;
-    sb.active = active;
-    sb.boxes = boxes;
-    sb.parts = std::move(sets_[r]);
-    trace::ScopedSpan span("cluster.post.step_begin", kCoordinatorRank, 0, report.step);
-    span.set_peer(static_cast<std::int64_t>(r));
-    WallTimer timer;
-    std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
-    report.part_wire.encode_seconds += timer.elapsed();
-    report.part_wire.frames += 1;
-    report.part_wire.bytes += frame.size();
-    span.set_bytes(static_cast<std::int64_t>(frame.size()));
-    post_ns[r] = now_ns();
-    rec.post(kCoordinatorRank, static_cast<int>(r), std::move(frame));
-  }
-
-  // Collect one result per worker, in arrival order.
-  std::vector<std::uint8_t> seen(nranks, 0);
-  std::vector<trace::Span> worker_spans;
-  for (std::size_t i = 0; i < nranks; ++i) {
-    wire::StepResult sr = recv_step_result(rec, report, seen, post_ns, worker_spans);
-    const auto r = static_cast<std::size_t>(sr.rank);
-    sets_[r] = std::move(sr.parts);
-    rank_times[r] = std::move(sr.times);
-  }
-
-  prev_gravity_seconds_.assign(nranks, 0.0);
-  prev_rank_size_.assign(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    prev_gravity_seconds_[r] =
-        rank_times[r].get("Gravity local") + rank_times[r].get("Gravity remote");
-    prev_rank_size_[r] = sets_[r].size();
-  }
-
-  wire::merge_traffic(report.traffic, rec.take());
-  wire::merge_traffic(report.traffic, migrate_rec_->take());
-  wire::merge_traffic(report.routed, net_->take_routed());
-  fold_stage_times(report, driver_times, rank_times);
-  report.elapsed = wall.elapsed();
-  // drain_thread, not drain_all: in-process test workers drain their own
-  // buffers, which this driver must not steal from.
-  if (trace::Tracer::instance().enabled()) {
-    report.spans = trace::Tracer::instance().drain_thread();
-    report.spans.insert(report.spans.end(),
-                        std::make_move_iterator(worker_spans.begin()),
-                        std::make_move_iterator(worker_spans.end()));
-  }
-  report.metrics = build_step_metrics(report);
-  return report;
-}
-
-StepReport ClusterSimulation::step_spmd() {
+StepReport ClusterSimulation::step() {
   StepReport report;
   report.step = next_step_++;
   report.async = false;
@@ -447,7 +353,6 @@ StepReport ClusterSimulation::step_spmd() {
   spmd_stepped_ = true;
 
   wire::merge_traffic(report.traffic, rec.take());
-  wire::merge_traffic(report.routed, net_->take_routed());
   TimeBreakdown driver_times;
   fold_stage_times(report, driver_times, rank_times);
   report.elapsed = wall.elapsed();
@@ -462,7 +367,7 @@ StepReport ClusterSimulation::step_spmd() {
 }
 
 ParticleSet ClusterSimulation::gather() const {
-  if (cfg_.mode == ClusterMode::kSpmd && spmd_stepped_) {
+  if (spmd_stepped_) {
     // Collect round-trip: each worker replies with its resident particles
     // (forces included); worth O(N) only because gather is rare (validation,
     // snapshots) rather than per-step protocol.
@@ -493,19 +398,19 @@ ParticleSet ClusterSimulation::gather() const {
 }
 
 std::size_t ClusterSimulation::num_particles() const {
-  if (cfg_.mode == ClusterMode::kSpmd && spmd_stepped_) return spmd_particles_;
+  if (spmd_stepped_) return spmd_particles_;
   std::size_t n = 0;
   for (const ParticleSet& p : sets_) n += p.size();
   return n;
 }
 
 double ClusterSimulation::kinetic_energy() const {
-  if (cfg_.mode == ClusterMode::kSpmd && spmd_stepped_) return spmd_kinetic_;
+  if (spmd_stepped_) return spmd_kinetic_;
   return total_kinetic_energy(set_pointers(sets_));
 }
 
 double ClusterSimulation::potential_energy() const {
-  if (cfg_.mode == ClusterMode::kSpmd && spmd_stepped_) return spmd_potential_;
+  if (spmd_stepped_) return spmd_potential_;
   return total_potential_energy(set_pointers(sets_));
 }
 
@@ -532,31 +437,6 @@ void broadcast(Transport& out, int self, int nranks, wire::WireStats& ws,
     ws.bytes += frame.size();
     out.post(self, dst, frame);
   }
-}
-
-// The build + LET exchange + gravity + integration tail both worker modes
-// share, LET statistics copied into the step result — one definition, so the
-// hub and SPMD reports cannot drift.
-void run_let_gravity_phase(Rank& rank, const SimConfig& cfg, const sfc::KeySpace& space,
-                           FrameDemux& demux, Transport& out,
-                           const std::vector<std::uint8_t>& active,
-                           const std::vector<AABB>& boxes, LetChannelState& let_state,
-                           TimeBreakdown& times, wire::StepResult& sr) {
-  rank.build(space, cfg, times);
-  DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
-  LetExchange let_net(let_net_view, active, &let_state);
-  std::size_t next_peer = 1;
-  RankStepStats out_stats =
-      run_rank_step(rank, cfg, let_net, active, boxes, times, /*lane=*/nullptr, next_peer);
-  const int self = rank.id();
-  sr.let_cells = out_stats.let_cells;
-  sr.let_particles = out_stats.let_particles;
-  sr.local_stats = out_stats.local_stats;
-  sr.remote_stats = out_stats.remote_stats;
-  sr.let_sizes = std::move(out_stats.let_sizes);
-  sr.let_wire = let_net.encode_stats(self);
-  sr.let_wire.decode_seconds = let_net.decode_stats(self).decode_seconds;
-  sr.let_delta = let_net.delta_stats(self);
 }
 
 // The decentralized per-step domain update + migration + LET/gravity body of
@@ -731,8 +611,21 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   sr.part_wire = part_ws;
 
   // --- Build + LET exchange + gravity + integration: the exact same step
-  // body as the in-process lanes and the hub workers.
-  run_let_gravity_phase(rank, cfg, space, demux, out, active, boxes, let_state, times, sr);
+  // body as the in-process lanes.
+  rank.build(space, cfg, times);
+  DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
+  LetExchange let_net(let_net_view, active, &let_state);
+  std::size_t next_peer = 1;
+  RankStepStats out_stats =
+      run_rank_step(rank, cfg, let_net, active, boxes, times, /*lane=*/nullptr, next_peer);
+  sr.let_cells = out_stats.let_cells;
+  sr.let_particles = out_stats.let_particles;
+  sr.local_stats = out_stats.local_stats;
+  sr.remote_stats = out_stats.remote_stats;
+  sr.let_sizes = std::move(out_stats.let_sizes);
+  sr.let_wire = let_net.encode_stats(self);
+  sr.let_wire.decode_seconds = let_net.decode_stats(self).decode_seconds;
+  sr.let_delta = let_net.delta_stats(self);
 
   st.prev_gravity_seconds =
       times.get("Gravity local") + times.get("Gravity remote");
@@ -742,14 +635,12 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
 }  // namespace
 
 int run_worker(const std::string& host, std::uint16_t port, int rank_id,
-               std::size_t threads, SocketTopology topology, std::uint16_t listen_port) {
+               std::size_t threads, std::uint16_t listen_port) {
   std::unique_ptr<SocketTransport> net =
-      topology == SocketTopology::kMesh
-          ? SocketTransport::connect_mesh(host, port, rank_id, listen_port)
-          : SocketTransport::connect(host, port, rank_id);
-  // Mesh: the directory is in hand; stand up the pair links before touching
-  // the control stream, so peers' step frames have somewhere to arrive.
-  if (topology == SocketTopology::kMesh) net->mesh_with_peers();
+      SocketTransport::connect_mesh(host, port, rank_id, listen_port);
+  // The directory is in hand; stand up the pair links before touching the
+  // control stream, so peers' step frames have somewhere to arrive.
+  net->mesh_with_peers();
   TrafficRecordingTransport out(*net);
   FrameDemux demux(out, rank_id);
 
@@ -810,28 +701,14 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
     times.add("Wire encode", pending_result_encode_s);
     pending_result_encode_s = 0.0;
 
+    // Resident state, distributed domain update, peer migration; the
+    // particles never leave this worker.
     wire::StepResult sr;
     sr.rank = rank_id;
-    if (sb.mode == wire::StepMode::kHub) {
-      // Hub: the coordinator computed the domain update; this worker runs
-      // the per-rank pipeline on the shipped batch and returns it.
-      BNS_CHECK(sb.active.size() == static_cast<std::size_t>(cfg.nranks));
-      const sfc::KeySpace space(sb.bounds, cfg.curve);
-      rank.parts() = std::move(sb.parts);
-      run_let_gravity_phase(rank, cfg, space, demux, out, sb.active, sb.boxes, let_state,
-                            times, sr);
-      // Energies and balance feedback stay coordinator-side in hub mode (it
-      // owns the returned sets); only the population count rides along.
-      sr.local_count = rank.parts().size();
-      sr.parts = std::move(rank.parts());
-    } else {
-      // SPMD: resident state, distributed domain update, peer migration.
-      if (sb.mode == wire::StepMode::kSpmdBootstrap) rank.parts() = std::move(sb.parts);
-      run_spmd_step(rank, cfg, sb.step, demux, out, st, let_state, times, sr);
-      fill_energy(rank.parts(), sr);
-      sr.local_count = rank.parts().size();
-      // sr.parts stays empty: the particles never leave this worker.
-    }
+    if (sb.mode == wire::StepMode::kSpmdBootstrap) rank.parts() = std::move(sb.parts);
+    run_spmd_step(rank, cfg, sb.step, demux, out, st, let_state, times, sr);
+    fill_energy(rank.parts(), sr);
+    sr.local_count = rank.parts().size();
     sr.times = times;
     sr.traffic = out.take();
     if (cfg.trace) {

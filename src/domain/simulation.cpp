@@ -72,8 +72,7 @@ std::string human_bytes(double b);
 
 // One line per frame type present in the step's traffic matrix, aggregated
 // over peers; the per-(src,dst) cells go to the --bench JSON.
-void print_traffic_by_type(std::span<const wire::PeerTraffic> traffic, std::ostream& os,
-                           const char* label = "traffic by type") {
+void print_traffic_by_type(std::span<const wire::PeerTraffic> traffic, std::ostream& os) {
   if (traffic.empty()) return;
   std::map<std::uint16_t, std::pair<std::uint64_t, std::uint64_t>> by_type;
   for (const wire::PeerTraffic& t : traffic) {
@@ -81,7 +80,7 @@ void print_traffic_by_type(std::span<const wire::PeerTraffic> traffic, std::ostr
     cell.first += t.frames;
     cell.second += t.bytes;
   }
-  os << label << ":";
+  os << "traffic by type:";
   bool first = true;
   for (const auto& [type, cell] : by_type) {
     os << (first ? " " : " | ")
@@ -674,7 +673,6 @@ void print_step_report(const StepReport& report, std::ostream& os) {
        << " invalidation(s)\n";
   }
   print_traffic_by_type(report.traffic, os);
-  print_traffic_by_type(report.routed, os, "routed via coordinator");
   print_let_histogram(report.let_sizes, os);
 
   if (report.async) {
@@ -755,10 +753,6 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
     m.counters[traffic_label("transport.post.frames", t)] = static_cast<double>(t.frames);
     m.counters[traffic_label("transport.post.bytes", t)] = static_cast<double>(t.bytes);
   }
-  for (const wire::PeerTraffic& t : r.routed) {
-    m.counters[traffic_label("transport.routed.frames", t)] = static_cast<double>(t.frames);
-    m.counters[traffic_label("transport.routed.bytes", t)] = static_cast<double>(t.bytes);
-  }
   m.gauges["step.num_particles"] = static_cast<double>(r.num_particles);
   m.gauges["step.elapsed_s"] = r.elapsed;
   if (r.async) {
@@ -796,7 +790,7 @@ void write_step_report_json(const RunInfo& info, std::span<const StepReport> rep
                             std::ostream& os) {
   const auto flags = os.flags();
   const auto precision = os.precision(12);
-  os << "{\"schema\": 1,\n \"config\": {\"ranks\": " << info.ranks
+  os << "{\"schema\": 2,\n \"config\": {\"ranks\": " << info.ranks
      << ", \"num_particles\": " << info.num_particles << ", \"theta\": " << info.theta
      << ", \"transport\": \"" << info.transport << "\", \"topology\": \"" << info.topology
      << "\", \"cluster\": \"" << info.cluster << "\", \"balance\": \"" << info.balance
@@ -844,20 +838,15 @@ void write_step_report_json(const RunInfo& info, std::span<const StepReport> rep
        << ", \"let_delta_bytes_saved\": " << r.let_delta.bytes_saved
        << ", \"let_cache_hits\": " << r.let_delta.cache_hits
        << ", \"let_cache_invalidations\": " << r.let_delta.invalidations << "}";
-    const auto write_matrix = [&os](const char* key,
-                                    std::span<const wire::PeerTraffic> cells) {
-      os << ",\n   \"" << key << "\": [";
-      for (std::size_t t = 0; t < cells.size(); ++t) {
-        const wire::PeerTraffic& pt = cells[t];
-        os << (t == 0 ? "" : ", ") << "{\"src\": " << pt.src << ", \"dst\": " << pt.dst
-           << ", \"type\": \""
-           << wire::frame_type_name(static_cast<wire::FrameType>(pt.type))
-           << "\", \"frames\": " << pt.frames << ", \"bytes\": " << pt.bytes << '}';
-      }
-      os << "]";
-    };
-    write_matrix("traffic", r.traffic);
-    write_matrix("routed", r.routed);
+    os << ",\n   \"traffic\": [";
+    for (std::size_t t = 0; t < r.traffic.size(); ++t) {
+      const wire::PeerTraffic& pt = r.traffic[t];
+      os << (t == 0 ? "" : ", ") << "{\"src\": " << pt.src << ", \"dst\": " << pt.dst
+         << ", \"type\": \""
+         << wire::frame_type_name(static_cast<wire::FrameType>(pt.type))
+         << "\", \"frames\": " << pt.frames << ", \"bytes\": " << pt.bytes << '}';
+    }
+    os << "]";
     const LetSizeSummary ls = summarize_let_sizes(r.let_sizes);
     os << ",\n   \"let_size_bytes\": {\"count\": " << r.let_sizes.size()
        << ", \"min\": " << ls.min_bytes << ", \"median\": " << ls.median_bytes

@@ -74,15 +74,8 @@ struct StepReport {
   wire::LetDeltaStats let_delta;
 
   // Per-(src, dst, frame type) send-side traffic matrix for the step, sorted
-  // by that key (kCoordinatorRank appears as -1). The measurable basis of
-  // hub-vs-SPMD traffic comparisons in CI.
+  // by that key (kCoordinatorRank appears as -1).
   std::vector<wire::PeerTraffic> traffic;
-
-  // Cluster runs only: the worker↔worker frames the *coordinator forwarded*
-  // this step, same shape as `traffic`. The star topology routes every peer
-  // frame here; a steady-state mesh step must leave it empty — the
-  // measurable basis of the star-vs-mesh comparison in CI.
-  std::vector<wire::PeerTraffic> routed;
 
   // Schedule model (async steps only; see schedule.hpp): the pipelined
   // critical path vs the lockstep stage-sum over the rank-concurrent stages,
@@ -94,7 +87,7 @@ struct StepReport {
 
   // The step's metrics-registry view of the aggregates above, built by
   // build_step_metrics() once the report is final — identical numbers to the
-  // legacy wire/traffic/routed/let_sizes fields by construction.
+  // legacy wire/traffic/let_sizes fields by construction.
   metrics::Snapshot metrics;
 
   // Tracing runs only: every span recorded this step, already merged across
@@ -262,8 +255,8 @@ struct RunInfo {
   std::size_t num_particles = 0;
   double theta = 0.0;
   std::string transport = "inproc";  // "inproc" | "socket"
-  std::string topology = "none";     // "none" | "star" | "mesh"
-  std::string cluster = "none";      // "none" | "hub" | "spmd"
+  std::string topology = "none";     // "none" | "mesh"
+  std::string cluster = "none";      // "none" | "spmd" | "serve"
   std::string balance = "count";     // "count" | "cost"
   std::string kernel = "simd";       // "scalar" | "simd"
   bool async = true;
@@ -271,7 +264,7 @@ struct RunInfo {
   int wire_version = wire::kVersion;
 };
 
-// Emit reports as a JSON object {"schema": 1, "config": {...run metadata...},
+// Emit reports as a JSON object {"schema": 2, "config": {...run metadata...},
 // "steps": [...]} (the --bench trajectory format): per-stage max/sum seconds,
 // interaction counts, Gflop/s, the schedule model, and the metrics registry
 // block next to the legacy wire/traffic fields it subsumes.

@@ -329,7 +329,7 @@ void SocketTransport::accept_workers(int timeout_ms,
                                           peers_[static_cast<std::size_t>(r)]->listen_port};
     const std::vector<std::uint8_t> frame = wire::encode_peer_directory(dir);
     for (int r = 0; r < nworkers_; ++r)
-      write_routed(*peers_[static_cast<std::size_t>(r)], kCoordinatorRank, r, frame);
+      write_frame(*peers_[static_cast<std::size_t>(r)], kCoordinatorRank, r, frame);
   }
   for (auto& peer : peers_) start_reader(*peer);
 }
@@ -351,7 +351,7 @@ std::unique_ptr<SocketTransport> SocketTransport::connect(const std::string& hos
                              std::to_string(port));
   set_nodelay(fd);
   Peer& coord = t->add_peer(fd, kCoordinatorRank);
-  t->write_routed(coord, rank, kCoordinatorRank, wire::encode_hello(rank));
+  t->write_frame(coord, rank, kCoordinatorRank, wire::encode_hello(rank));
   t->start_reader(coord);
   return t;
 }
@@ -377,7 +377,7 @@ std::unique_ptr<SocketTransport> SocketTransport::connect_mesh(const std::string
                              std::to_string(port));
   set_nodelay(fd);
   Peer& coord = t->add_peer(fd, kCoordinatorRank);
-  t->write_routed(coord, rank, kCoordinatorRank, wire::encode_hello(rank, t->mesh_port_));
+  t->write_frame(coord, rank, kCoordinatorRank, wire::encode_hello(rank, t->mesh_port_));
 
   // The directory is the first frame back on this link; read it here,
   // synchronously, before the reader thread takes the stream over. The
@@ -413,7 +413,7 @@ void SocketTransport::mesh_with_peers(int timeout_ms) {
                                " at " + ep.host + ":" + std::to_string(ep.port));
     set_nodelay(fd);
     Peer& peer = add_peer(fd, r);
-    write_routed(peer, local_rank_, r, wire::encode_peer_hello(local_rank_));
+    write_frame(peer, local_rank_, r, wire::encode_peer_hello(local_rank_));
     mesh_link_[static_cast<std::size_t>(r)] = &peer;
   }
 
@@ -507,27 +507,8 @@ std::string SocketTransport::close_reason() const {
   return close_reason_;
 }
 
-void SocketTransport::record_routed(int src, int dst, std::uint16_t type,
-                                    std::uint64_t bytes) {
-  std::lock_guard lock(state_mutex_);
-  auto& cell = routed_[{src, dst, type}];
-  cell.first += 1;
-  cell.second += bytes;
-}
-
-std::vector<wire::PeerTraffic> SocketTransport::take_routed() {
-  std::lock_guard lock(state_mutex_);
-  std::vector<wire::PeerTraffic> out;
-  out.reserve(routed_.size());
-  for (const auto& [key, cell] : routed_)
-    out.push_back({std::get<0>(key), std::get<1>(key), std::get<2>(key), cell.first,
-                   cell.second});
-  routed_.clear();
-  return out;
-}
-
-void SocketTransport::write_routed(Peer& peer, int src, int dst,
-                                   std::span<const std::uint8_t> frame) {
+void SocketTransport::write_frame(Peer& peer, int src, int dst,
+                                  std::span<const std::uint8_t> frame) {
   std::uint8_t route[kRouteBytes];
   put_le32(route, static_cast<std::uint32_t>(src));
   put_le32(route + 4, static_cast<std::uint32_t>(dst));
@@ -567,7 +548,6 @@ void SocketTransport::start_reader(Peer& peer) {
                                    " failed: " + std::strerror(err);
           break;
         }
-        const int src = static_cast<std::int32_t>(get_le32(route));
         const int dst = static_cast<std::int32_t>(get_le32(route + 4));
         const std::uint64_t flen = get_le64(route + 8);
         if (flen > kMaxFrameBytes) {
@@ -586,25 +566,12 @@ void SocketTransport::start_reader(Peer& peer) {
         }
 
         const int local = coordinator_ ? kCoordinatorRank : local_rank_;
-        if (dst == local) {
-          inbox_.send(std::move(frame));
-        } else if (coordinator_ && dst >= 0 && dst < nworkers_ &&
-                   peers_[static_cast<std::size_t>(dst)]) {
-          record_routed(src, dst, peek_type(frame), frame.size());
-          try {
-            write_routed(*peers_[static_cast<std::size_t>(dst)], src, dst, frame);
-          } catch (const std::exception&) {
-            // The failure belongs to the *destination* link: write_routed
-            // poisoned it, and its own reader (woken by the shutdown) closes
-            // the coordinator mailbox. This source link is healthy — keep
-            // serving it (coordinator-addressed frames, and the best-effort
-            // Shutdown at teardown) instead of misattributing the error.
-          }
-        } else {
+        if (dst != local) {
           reason = "misrouted frame from " + peer_name(peer.rank) + " for dst " +
                    std::to_string(dst) + " (stream corruption)";
           break;
         }
+        inbox_.send(std::move(frame));
       }
     } catch (const std::exception& e) {
       reason = e.what();
@@ -612,14 +579,14 @@ void SocketTransport::start_reader(Peer& peer) {
       reason = "unknown reader failure on " + peer_name(peer.rank);
     }
     fail_peer(peer, reason);
-    // Losing the star link is fatal to the endpoint: close the mailbox so
-    // blocked receivers fail fast. A worker's *mesh* link dying only poisons
-    // that pair — the next post to it throws by name, and a mid-step loss
-    // still unblinds everyone through the coordinator's cascade (the dead
-    // peer's star link drops, the coordinator fails, and its teardown closes
-    // every worker's star link). Keeping the mailbox open here avoids the
-    // shutdown race where a peer that finished first would otherwise yank a
-    // still-running worker's control stream.
+    // Losing the coordinator link is fatal to the endpoint: close the mailbox
+    // so blocked receivers fail fast. A worker's *mesh* link dying only
+    // poisons that pair — the next post to it throws by name, and a mid-step
+    // loss still unblinds everyone through the coordinator's cascade (the dead
+    // peer's coordinator link drops, the coordinator fails, and its teardown
+    // closes every worker's coordinator link). Keeping the mailbox open here
+    // avoids the shutdown race where a peer that finished first would
+    // otherwise yank a still-running worker's control stream.
     if (coordinator_ || peer.rank == kCoordinatorRank) close_local(reason);
   });
 }
@@ -635,19 +602,17 @@ void SocketTransport::post(int src, int dst, std::vector<std::uint8_t> frame) {
     BNS_CHECK(dst >= 0 && dst < nworkers_);
     peer = peers_[static_cast<std::size_t>(dst)].get();
     BNS_CHECK(peer != nullptr, "post to a worker that never connected");
-  } else if (topology_ == SocketTopology::kMesh && dst != kCoordinatorRank) {
-    // Worker↔worker frames ride the pair's own socket; only coordinator-
-    // addressed frames keep the star link.
-    BNS_CHECK(dst >= 0 && dst < nworkers_, "post to an unknown rank");
-    peer = mesh_link_[static_cast<std::size_t>(dst)];
+  } else if (dst == kCoordinatorRank) {
+    peer = peers_[0].get();
+  } else {
+    // Worker↔worker frames ride the pair's own socket; nobody forwards them.
+    if (dst >= 0 && static_cast<std::size_t>(dst) < mesh_link_.size())
+      peer = mesh_link_[static_cast<std::size_t>(dst)];
     if (peer == nullptr)
       throw std::runtime_error("SocketTransport: no mesh link to " + peer_name(dst) +
-                               " (mesh_with_peers not completed?)");
-  } else {
-    // Star worker: everything leaves through the coordinator, which routes.
-    peer = peers_[0].get();
+                               " (star endpoint, or mesh_with_peers not completed)");
   }
-  write_routed(*peer, src, dst, frame);
+  write_frame(*peer, src, dst, frame);
 }
 
 bool SocketTransport::post_best_effort(int src, int dst,

@@ -11,18 +11,15 @@
 //
 // * InProcTransport — per-endpoint mailboxes inside one process; frames are
 //   moved, not copied, preserving the PR-2 threaded-pipeline performance.
-// * SocketTransport — localhost TCP in one of two topologies:
-//
-//   - star: worker processes each hold one connection to a coordinator,
-//     which routes worker-to-worker frames and terminates control frames
-//     addressed to kCoordinatorRank. Simple, but every worker↔worker byte
-//     crosses the coordinator's socket twice.
-//   - mesh: each worker additionally listens on its own port; the
-//     coordinator's rendezvous hands every worker a PeerDirectory, workers
-//     dial every higher-ranked peer (lower ranks accept, so each pair gets
-//     exactly one connection), and post() writes worker↔worker frames
-//     directly on the pair's socket — the paper's point-to-point MPI_Isend
-//     structure (§III-B). Coordinator-addressed frames keep the star link.
+// * SocketTransport — localhost TCP between a coordinator and its workers.
+//   Every worker holds one control link to the coordinator (Hello, Config,
+//   StepBegin/StepResult, Shutdown, addressed to kCoordinatorRank) and, in a
+//   mesh, one socket per worker pair: each worker listens on its own port,
+//   the coordinator's rendezvous hands every worker a PeerDirectory, workers
+//   dial every higher-ranked peer (lower ranks accept, so each pair gets
+//   exactly one connection), and post() writes worker↔worker frames directly
+//   on the pair's socket — the paper's point-to-point MPI_Isend structure
+//   (§III-B). The coordinator never forwards a frame between workers.
 //
 //   Frames on every socket are preceded by a 16-byte routing header
 //   (src, dst, length); payload bytes are identical to the in-process case.
@@ -116,17 +113,19 @@ class TrafficRecordingTransport final : public Transport {
       cells_;
 };
 
-// How a SocketTransport cluster wires its worker↔worker traffic.
+// Which links a SocketTransport coordinator expects its workers to hold.
 enum class SocketTopology {
-  kStar,  // everything via the coordinator, which routes
-  kMesh,  // direct pair sockets between workers; star link for control only
+  kStar,  // coordinator links only: workers exchange frames with it alone
+  kMesh,  // plus direct pair sockets between workers (a socket cluster)
 };
 
 // Localhost TCP: create with listen() on the coordinator (local endpoint
 // kCoordinatorRank), connect() on a star worker, or connect_mesh() +
 // mesh_with_peers() on a mesh worker (local endpoint = its rank id). A
-// reader thread per socket delivers incoming frames to the local mailbox or,
-// on the coordinator, forwards worker-to-worker frames. Any mid-frame write
+// reader thread per socket delivers incoming frames to the local mailbox; a
+// frame addressed to any other endpoint is stream corruption. Posting to a
+// worker without a pair link to it (a star endpoint, or before
+// mesh_with_peers) throws an error naming that peer. Any mid-frame write
 // failure poisons that peer (the routing header may be partially on the
 // wire, so the stream can never be trusted again): its fd is shut down and
 // every later post to it throws a named error instead of desyncing the
@@ -148,7 +147,8 @@ class SocketTransport final : public Transport {
                                                  SocketTopology topology = SocketTopology::kStar);
   void accept_workers(int timeout_ms = 0, const std::function<bool()>& keep_waiting = {});
 
-  // Worker side, star: connect to the coordinator and announce `rank`.
+  // Worker side, star: connect to the coordinator and announce `rank`. The
+  // endpoint exchanges frames with the coordinator only.
   static std::unique_ptr<SocketTransport> connect(const std::string& host,
                                                   std::uint16_t port, int rank);
 
@@ -183,19 +183,13 @@ class SocketTransport final : public Transport {
   // never-connected peer must not strand the remaining ranks of a broadcast.
   bool post_best_effort(int src, int dst, std::vector<std::uint8_t> frame) noexcept;
 
-  // Coordinator only: drain the matrix of worker↔worker frames this process
-  // *forwarded* (src, dst, type, frames, bytes), sorted by key. The star
-  // topology routes all peer traffic here; in a steady-state mesh run the
-  // matrix must be empty — the measurable point of the topology.
-  std::vector<wire::PeerTraffic> take_routed();
-
  private:
   struct Peer;  // one connected socket + its writer mutex and reader thread
 
   SocketTransport() = default;
   Peer& add_peer(int fd, int rank);
   void start_reader(Peer& peer);
-  void write_routed(Peer& peer, int src, int dst, std::span<const std::uint8_t> frame);
+  void write_frame(Peer& peer, int src, int dst, std::span<const std::uint8_t> frame);
   // Poison a peer whose stream can no longer be trusted: record the first
   // reason, mark it dead and shut the socket down (waking its reader). The
   // fd stays open until the destructor so the reader thread never races a
@@ -204,7 +198,6 @@ class SocketTransport final : public Transport {
   std::string peer_error(const Peer& peer) const;
   // Close the local mailbox, recording the first reason as close_reason().
   void close_local(const std::string& reason);
-  void record_routed(int src, int dst, std::uint16_t type, std::uint64_t bytes);
   std::string peer_name(int rank) const;
 
   bool coordinator_ = false;
@@ -223,10 +216,8 @@ class SocketTransport final : public Transport {
   // Coordinator: one mailbox (control/result frames addressed to it).
   // Worker: one mailbox (all frames addressed to its rank).
   Channel<std::vector<std::uint8_t>> inbox_;
-  mutable std::mutex state_mutex_;  // close_reason_, per-peer errors, routed_
+  mutable std::mutex state_mutex_;  // close_reason_, per-peer errors
   std::string close_reason_;
-  std::map<std::tuple<int, int, std::uint16_t>, std::pair<std::uint64_t, std::uint64_t>>
-      routed_;
 };
 
 }  // namespace bonsai::domain

@@ -1064,14 +1064,9 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
 }
 
 std::vector<std::uint8_t> encode_step_begin(const StepBegin& sb) {
-  BNS_CHECK(sb.active.size() == sb.boxes.size());
   Writer w(FrameType::kStepBegin);
   w.i32(sb.step);
   w.u8(static_cast<std::uint8_t>(sb.mode));
-  w.aabb(sb.bounds);
-  w.u32(static_cast<std::uint32_t>(sb.active.size()));
-  for (const std::uint8_t a : sb.active) w.u8(a != 0 ? 1 : 0);
-  for (const AABB& b : sb.boxes) w.aabb(b);
   put_particle_payload(w, -1, sb.parts, /*with_forces=*/false);
   return w.finish();
 }
@@ -1081,15 +1076,10 @@ StepBegin decode_step_begin(std::span<const std::uint8_t> frame) {
   StepBegin sb;
   sb.step = r.i32();
   const std::uint8_t mode = r.u8();
-  r.require(mode <= static_cast<std::uint8_t>(StepMode::kCollect), "unknown step mode");
+  r.require(mode >= static_cast<std::uint8_t>(StepMode::kSpmdBootstrap) &&
+                mode <= static_cast<std::uint8_t>(StepMode::kCollect),
+            "unknown step mode");
   sb.mode = static_cast<StepMode>(mode);
-  sb.bounds = r.aabb();
-  const std::size_t nranks =
-      r.array_count(r.u32(), 1 + 6 * 8, "rank count exceeds payload");
-  sb.active.resize(nranks);
-  for (std::uint8_t& a : sb.active) a = r.u8();
-  sb.boxes.resize(nranks);
-  for (AABB& b : sb.boxes) b = r.aabb();
   ParticleBatch batch = read_particle_payload(r);
   r.require(!batch.with_forces, "step-begin batch must not carry forces");
   sb.parts = std::move(batch.parts);
@@ -1250,7 +1240,6 @@ std::vector<std::uint8_t> encode_step_result(const StepResult& sr) {
     w.u64(t.frames);
     w.u64(t.bytes);
   }
-  put_particle_payload(w, sr.rank, sr.parts, /*with_forces=*/true);
   return w.finish();
 }
 
@@ -1301,9 +1290,6 @@ StepResult decode_step_result(std::span<const std::uint8_t> frame) {
     t.frames = r.u64();
     t.bytes = r.u64();
   }
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(batch.with_forces, "step-result batch must carry forces");
-  sr.parts = std::move(batch.parts);
   r.done();
   return sr;
 }

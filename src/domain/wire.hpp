@@ -43,18 +43,20 @@ namespace bonsai::domain::wire {
 // (MetricsQuery / MetricsReport). Version 7 adds the incremental LET
 // exchange: the LetDelta frame (a versioned per-pair patch against the LET
 // the peer already holds), the let-cache/churn knobs in Config, and the
-// delta accounting counters in StepResult.
+// delta accounting counters in StepResult. Version 8 drops the coordinator-
+// owned ("hub") step: StepBegin loses its bounds/active/boxes fields and the
+// hub mode byte, and StepResult its particle payload.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 7;
+inline constexpr std::uint16_t kVersion = 8;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
   kLet = 1,        // one rank's LET for one remote rank
-  kParticles = 2,  // particle batch (hub migration cell, gather reply)
+  kParticles = 2,  // particle batch (in-process migration cell, gather reply)
   kHello = 3,      // worker -> coordinator: rank id + mesh listen port
   kConfig = 4,     // coordinator -> worker: simulation parameters
-  kStepBegin = 5,  // coordinator -> worker: step inputs (+ batch in hub mode)
-  kStepResult = 6, // worker -> coordinator: timings, stats (+ batch in hub mode)
+  kStepBegin = 5,  // coordinator -> worker: step trigger (+ bootstrap batch)
+  kStepResult = 6, // worker -> coordinator: timings, stats, energies
   kShutdown = 7,   // coordinator -> worker: exit cleanly; client -> job server:
                    // stop serving
   kBoundaries = 8, // SPMD allgather: one rank's local bounds/population/weight
@@ -114,7 +116,7 @@ struct LetSizeSample {
 // One cell of the per-peer traffic matrix: frames/bytes posted from `src` to
 // `dst` of one frame type. Sent-side accounting only, so summing cells never
 // double-counts a frame; the step report and --bench JSON carry the matrix
-// to make hub-vs-SPMD traffic directly comparable.
+// so per-type traffic is directly measurable.
 struct PeerTraffic {
   int src = 0;
   int dst = 0;
@@ -271,27 +273,20 @@ int decode_peer_hello(std::span<const std::uint8_t> frame);
 std::vector<std::uint8_t> encode_config(const SimConfig& cfg);
 SimConfig decode_config(std::span<const std::uint8_t> frame);
 
-// What a StepBegin asks the worker to do (the hub/SPMD protocol selector).
+// What a StepBegin asks the worker to do. Byte 0 (the old coordinator-owned
+// step) is rejected.
 enum class StepMode : std::uint8_t {
-  kHub = 0,            // batch replaces worker state; bounds/active/boxes given
   kSpmdBootstrap = 1,  // batch seeds the resident state, then run SPMD phases
   kSpmdStep = 2,       // empty batch: step the resident state via SPMD phases
   kCollect = 3,        // no step: reply with the resident particles (+forces)
 };
 
-// Everything a worker needs to run one step. In hub mode the coordinator
-// fills everything: the global key-space bounds (raw, pre-inflation, so
-// KeySpace reconstructs bit-identically), the active set, every rank's
-// domain box, and the worker's particle batch. In SPMD modes the frame is a
-// bare step trigger (plus the bootstrap batch on the first step): workers
-// compute bounds/active/boxes themselves from Boundaries/KeySamples
-// allgathers.
+// A bare step trigger, plus the bootstrap batch on the first step: workers
+// derive the key space, the active set and the domain boxes themselves from
+// the Boundaries/KeySamples allgathers.
 struct StepBegin {
   int step = 0;
-  StepMode mode = StepMode::kHub;
-  AABB bounds;
-  std::vector<std::uint8_t> active;
-  std::vector<AABB> boxes;
+  StepMode mode = StepMode::kSpmdStep;
   ParticleSet parts;
 };
 
@@ -342,11 +337,10 @@ std::vector<std::uint8_t> encode_migration(int src, int step, const ParticleSet&
 MigrationMsg decode_migration(std::span<const std::uint8_t> frame);
 
 // A worker's step output: per-stage timings, interaction/LET statistics,
-// serialization accounting, the local population/energy summary, and — in
-// hub mode only — the particle state with forces (SPMD workers keep their
-// particles resident and ship an empty batch). `boundaries` carries the
-// Decomposition an SPMD worker computed so the coordinator can cross-check
-// that all workers derived the identical partition.
+// serialization accounting and the local population/energy summary — never
+// particles, which stay resident on the worker. `boundaries` carries the
+// Decomposition the worker computed so the coordinator can cross-check that
+// all workers derived the identical partition.
 struct StepResult {
   int rank = -1;
   std::uint64_t let_cells = 0;
@@ -362,7 +356,6 @@ struct StepResult {
   LetDeltaStats let_delta;  // incremental-exchange counters (zero when off)
   std::vector<sfc::Key> boundaries;  // SPMD: computed decomposition bounds
   std::vector<PeerTraffic> traffic;  // frames this worker posted, per peer/type
-  ParticleSet parts;
 };
 
 std::vector<std::uint8_t> encode_step_result(const StepResult& sr);

@@ -67,19 +67,13 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_switch("validate", "compare forces vs 1-rank run and direct summation");
   cli.add_option("transport", "KIND",
                  "inproc | socket: where ranks live (default inproc)");
-  cli.add_option("cluster", "MODE",
-                 "hub | spmd: socket cluster style — coordinator-owned state "
-                 "vs resident particles + peer migration (default hub)");
-  cli.add_option("topology", "T",
-                 "star | mesh: worker frames routed via the coordinator vs "
-                 "direct worker pair sockets (default star)");
   cli.add_option("port", "P", "socket coordinator listen port (default: ephemeral)");
   cli.add_switch("no-spawn",
                  "socket coordinator: wait for externally launched workers");
   cli.add_option("rank-id", "K", "worker mode: serve rank K for a coordinator");
   cli.add_option("coordinator", "HOST:PORT", "worker mode: coordinator address");
   cli.add_option("listen-port", "P",
-                 "worker mode, mesh topology: own listen port (default: ephemeral)");
+                 "worker mode: own listen port for peer links (default: ephemeral)");
   cli.add_option("snapshot-in", "FILE",
                  "read initial particles from a snapshot file instead of "
                  "generating a Plummer model");
@@ -251,9 +245,8 @@ int run_steps(SimT& sim, const bonsai::ParticleSet& initial, int steps,
 }
 
 // Worker mode: --transport socket --rank-id K --coordinator HOST:PORT
-// [--topology mesh --listen-port P].
-int run_worker_mode(const bonsai::CommandLine& cli,
-                    bonsai::domain::SocketTopology topology) {
+// [--listen-port P].
+int run_worker_mode(const bonsai::CommandLine& cli) {
   const auto [host, port] = parse_host_port(cli.get("coordinator", "127.0.0.1:0"),
                                             "--coordinator");
   const int rank_id = static_cast<int>(cli.get_int("rank-id", -1));
@@ -262,7 +255,7 @@ int run_worker_mode(const bonsai::CommandLine& cli,
   if (listen_port < 0 || listen_port > 65535)
     throw bonsai::CliError("--listen-port: expected 0-65535, got '" +
                            std::to_string(listen_port) + "'");
-  return bonsai::domain::run_worker(host, port, rank_id, threads, topology,
+  return bonsai::domain::run_worker(host, port, rank_id, threads,
                                     static_cast<std::uint16_t>(listen_port));
 }
 
@@ -426,30 +419,10 @@ int main(int argc, char** argv) {
                              "'");
     const bool socket_mode = transport == "socket";
 
-    const std::string cluster = cli.get("cluster", "hub");
-    if (cluster != "hub" && cluster != "spmd")
-      throw bonsai::CliError("--cluster: expected hub or spmd, got '" + cluster + "'");
-    if (cli.has("cluster") && !socket_mode)
-      throw bonsai::CliError(
-          "--cluster applies to --transport socket (in-process ranks are "
-          "already resident)");
-
-    const std::string topology_str = cli.get("topology", "star");
-    if (topology_str != "star" && topology_str != "mesh")
-      throw bonsai::CliError("--topology: expected star or mesh, got '" + topology_str +
-                             "'");
-    if (cli.has("topology") && !socket_mode)
-      throw bonsai::CliError(
-          "--topology applies to --transport socket (in-process ranks share "
-          "one address space)");
-    const bonsai::domain::SocketTopology topology =
-        topology_str == "mesh" ? bonsai::domain::SocketTopology::kMesh
-                               : bonsai::domain::SocketTopology::kStar;
-
     if (cli.has("rank-id")) {
       if (!socket_mode)
         throw bonsai::CliError("--rank-id only applies to --transport socket workers");
-      return run_worker_mode(cli, topology);
+      return run_worker_mode(cli);
     }
     if (cli.has("listen-port"))
       throw bonsai::CliError("--listen-port only applies to --rank-id workers");
@@ -463,11 +436,17 @@ int main(int argc, char** argv) {
     cfg.ncrit = static_cast<int>(cli.get_int("ncrit", 64));
     cfg.dt = cli.get_double("dt", 1e-3);
     cfg.threads_per_rank = static_cast<std::size_t>(cli.get_int("threads", 0));
-    cfg.curve = cli.get("curve", "hilbert") == "morton" ? bonsai::sfc::CurveType::kMorton
-                                                        : bonsai::sfc::CurveType::kHilbert;
+    const std::string curve = cli.get("curve", "hilbert");
+    if (curve != "hilbert" && curve != "morton")
+      throw bonsai::CliError("--curve: expected hilbert or morton, got '" + curve + "'");
+    cfg.curve = curve == "morton" ? bonsai::sfc::CurveType::kMorton
+                                  : bonsai::sfc::CurveType::kHilbert;
     cfg.async = cli.get_bool("async", true) && !cli.get_bool("no-async", false);
-    cfg.balance = cli.get("balance", "count") == "cost" ? bonsai::domain::BalanceMode::kCost
-                                                        : bonsai::domain::BalanceMode::kCount;
+    const std::string balance = cli.get("balance", "count");
+    if (balance != "count" && balance != "cost")
+      throw bonsai::CliError("--balance: expected count or cost, got '" + balance + "'");
+    cfg.balance = balance == "cost" ? bonsai::domain::BalanceMode::kCost
+                                    : bonsai::domain::BalanceMode::kCount;
     cfg.kernel = parse_kernel(cli);
     const std::string let_cache_str = cli.get("let-cache", "off");
     if (let_cache_str != "off" && let_cache_str != "on")
@@ -517,9 +496,9 @@ int main(int argc, char** argv) {
     info.num_particles = n;
     info.theta = cfg.theta;
     info.transport = transport;
-    info.topology = socket_mode ? topology_str : "none";
-    info.cluster = socket_mode ? cluster : "none";
-    info.balance = cfg.balance == bonsai::domain::BalanceMode::kCost ? "cost" : "count";
+    info.topology = socket_mode ? "mesh" : "none";
+    info.cluster = socket_mode ? "spmd" : "none";
+    info.balance = balance;
     info.kernel = bonsai::kernel_backend_name(cfg.kernel);
     info.async = cfg.async;
     info.let_cache = cfg.let_cache;
@@ -549,16 +528,12 @@ int main(int argc, char** argv) {
       bonsai::domain::ClusterConfig ccfg;
       ccfg.sim = cfg;
       if (validate) ccfg.sim.dt = 0.0;  // forces-only comparison
-      ccfg.mode = cluster == "spmd" ? bonsai::domain::ClusterMode::kSpmd
-                                    : bonsai::domain::ClusterMode::kHub;
-      ccfg.topology = topology;
       ccfg.port = static_cast<std::uint16_t>(port);
       ccfg.spawn_workers = !cli.get_bool("no-spawn", false);
       ccfg.program = argv[0];
       ccfg.worker_threads = cfg.threads_per_rank;
       bonsai::domain::ClusterSimulation sim(ccfg);
-      std::cout << "cluster: " << cluster << " (" << topology_str
-                << " topology) coordinator on 127.0.0.1:" << sim.port() << " driving "
+      std::cout << "cluster: coordinator on 127.0.0.1:" << sim.port() << " driving "
                 << cfg.nranks << (ccfg.spawn_workers ? " spawned" : " external")
                 << " worker process(es)\n";
       if (validate)

@@ -130,10 +130,7 @@ inline std::vector<SeedFrame> seed_frames() {
   {
     wire::StepBegin sb;
     sb.step = 4;
-    sb.mode = wire::StepMode::kHub;
-    sb.bounds = {{-1, -1, -1}, {1, 1, 1}};
-    sb.active = {1, 1};
-    sb.boxes = {AABB{{-1, -1, -1}, {0, 0, 0}}, AABB{{0, 0, 0}, {1, 1, 1}}};
+    sb.mode = wire::StepMode::kSpmdBootstrap;
     sb.parts = parts;
     add(wire::FrameType::kStepBegin, wire::encode_step_begin(sb));
   }

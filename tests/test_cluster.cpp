@@ -1,8 +1,8 @@
-// Cluster-mode correctness: the hub and SPMD socket drivers against the
-// in-process Simulation. Workers run as in-process threads speaking the real
-// socket protocol (the on_listen seam hands them the coordinator's ephemeral
-// port), so these tests exercise the genuine wire path — demux, allgathers,
-// peer migration, LET routing — without fixed ports or child processes.
+// Socket-cluster correctness: the SPMD mesh driver against the in-process
+// Simulation. Workers run as in-process threads speaking the real socket
+// protocol (the on_listen seam hands them the coordinator's ephemeral port),
+// so these tests exercise the genuine wire path — demux, allgathers, peer
+// migration, LETs on the pair links — without fixed ports or child processes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,7 +24,6 @@ namespace bonsai {
 namespace {
 
 using domain::ClusterConfig;
-using domain::ClusterMode;
 using domain::ClusterSimulation;
 using domain::SimConfig;
 namespace wire = domain::wire;
@@ -37,20 +38,16 @@ struct WorkerPool {
   }
 };
 
-ClusterConfig cluster_config(const SimConfig& sim, ClusterMode mode, WorkerPool& pool,
-                             domain::SocketTopology topology = domain::SocketTopology::kStar) {
+ClusterConfig cluster_config(const SimConfig& sim, WorkerPool& pool) {
   ClusterConfig cfg;
   cfg.sim = sim;
-  cfg.mode = mode;
-  cfg.topology = topology;
   cfg.spawn_workers = false;
   const int nranks = sim.nranks;
-  cfg.on_listen = [&pool, nranks, topology](std::uint16_t port) {
+  cfg.on_listen = [&pool, nranks](std::uint16_t port) {
     for (int r = 0; r < nranks; ++r)
-      pool.threads.emplace_back([port, r, topology] {
+      pool.threads.emplace_back([port, r] {
         try {
-          domain::run_worker("127.0.0.1", port, r, /*threads=*/1, topology,
-                             /*listen_port=*/0);
+          domain::run_worker("127.0.0.1", port, r, /*threads=*/1, /*listen_port=*/0);
         } catch (...) {
           // Teardown races surface as socket errors inside the worker; the
           // coordinator-side assertions are the test.
@@ -83,10 +80,13 @@ std::uint64_t traffic_frames(const domain::StepReport& rep, wire::FrameType type
   return frames;
 }
 
-std::uint64_t routed_frames(const domain::StepReport& rep, wire::FrameType type) {
+// Frames of one type posted worker to worker (neither end the coordinator).
+std::uint64_t peer_frames(const domain::StepReport& rep, wire::FrameType type) {
   std::uint64_t frames = 0;
-  for (const wire::PeerTraffic& t : rep.routed)
-    if (t.type == static_cast<std::uint16_t>(type)) frames += t.frames;
+  for (const wire::PeerTraffic& t : rep.traffic)
+    if (t.type == static_cast<std::uint16_t>(type) && t.src != domain::kCoordinatorRank &&
+        t.dst != domain::kCoordinatorRank)
+      frames += t.frames;
   return frames;
 }
 
@@ -100,7 +100,7 @@ TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {
   const ParticleSet in_got = inproc.gather();
 
   WorkerPool pool;
-  ClusterSimulation spmd(cluster_config(cfg, ClusterMode::kSpmd, pool));
+  ClusterSimulation spmd(cluster_config(cfg, pool));
   spmd.init(global);
   const domain::StepReport sp_rep = spmd.step();
   const ParticleSet sp_got = spmd.gather();
@@ -133,44 +133,31 @@ TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {
 }
 
 TEST(ClusterSpmd, SteadyStateMigrationBytesAreSmallFractionOfHub) {
-  // A drifting Plummer sphere stepped in both cluster modes: after the
-  // bootstrap step, SPMD's Particles-class wire volume (migration cells plus
-  // the now particle-free StepBegin/StepResult frames) must collapse to a
-  // small fraction of hub mode's O(N) per-step batches.
+  // A drifting Plummer sphere: after the bootstrap step, the Particles-class
+  // wire volume (migration cells plus the particle-free StepBegin/StepResult
+  // frames) must stay a small fraction of the full particle set's encoding —
+  // what the deleted coordinator-owned mode shipped out (and back) every step.
   const std::size_t n = 1000;
   const ParticleSet global = make_plummer(n, 5);
   SimConfig cfg = forces_only_config(2);
   cfg.dt = 1e-3;
+  const std::size_t full_set_bytes =
+      wire::encode_particles(0, global, /*with_forces=*/false).size();
 
-  std::vector<domain::StepReport> hub_reps, spmd_reps;
-  {
-    WorkerPool pool;
-    ClusterSimulation hub(cluster_config(cfg, ClusterMode::kHub, pool));
-    hub.init(global);
-    for (int s = 0; s < 3; ++s) hub_reps.push_back(hub.step());
-  }
-  {
-    WorkerPool pool;
-    ClusterSimulation spmd(cluster_config(cfg, ClusterMode::kSpmd, pool));
-    spmd.init(global);
-    for (int s = 0; s < 3; ++s) spmd_reps.push_back(spmd.step());
-  }
+  WorkerPool pool;
+  ClusterSimulation spmd(cluster_config(cfg, pool));
+  spmd.init(global);
+  std::vector<domain::StepReport> reps;
+  for (int s = 0; s < 3; ++s) reps.push_back(spmd.step());
 
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(hub_reps[s].num_particles, n);
-    EXPECT_EQ(spmd_reps[s].num_particles, n);
-  }
-  // Hub ships every particle out and back every step; resident SPMD ships
-  // only boundary crossers once warm. The issue's acceptance bar is < 25%;
-  // in practice the ratio sits around 1%.
-  for (int s = 1; s < 3; ++s) {
-    EXPECT_LT(spmd_reps[s].part_wire.bytes, hub_reps[s].part_wire.bytes / 4)
-        << "step " << s;
-    EXPECT_GT(hub_reps[s].part_wire.bytes, n * 100);  // O(N) both directions
-  }
+  for (int s = 0; s < 3; ++s) EXPECT_EQ(reps[s].num_particles, n);
+  // Resident particles: only boundary crossers travel once warm. The bar is
+  // < 25%; in practice the ratio sits around 1%.
+  for (int s = 1; s < 3; ++s)
+    EXPECT_LT(reps[s].part_wire.bytes, full_set_bytes / 4) << "step " << s;
   // The domain allgathers are the price of decentralization: bounded by
   // samples, not by N.
-  for (int s = 0; s < 3; ++s) EXPECT_GT(spmd_reps[s].dom_wire.frames, 0u);
+  for (int s = 0; s < 3; ++s) EXPECT_GT(reps[s].dom_wire.frames, 0u);
 }
 
 TEST(ClusterSpmd, TrafficMatrixCoversTheProtocol) {
@@ -180,7 +167,7 @@ TEST(ClusterSpmd, TrafficMatrixCoversTheProtocol) {
   const std::uint64_t nranks = 3;
 
   WorkerPool pool;
-  ClusterSimulation spmd(cluster_config(cfg, ClusterMode::kSpmd, pool));
+  ClusterSimulation spmd(cluster_config(cfg, pool));
   spmd.init(global);
   spmd.step();
   const domain::StepReport rep = spmd.step();  // steady state
@@ -197,14 +184,14 @@ TEST(ClusterSpmd, TrafficMatrixCoversTheProtocol) {
   EXPECT_EQ(traffic_frames(rep, wire::FrameType::kParticles), 0u);
   // The matrix and the wire summaries account the same LET volume.
   EXPECT_EQ(traffic_bytes(rep, wire::FrameType::kLet), rep.let_wire.bytes);
-  // Star routing: every peer frame crossed the coordinator — the baseline
-  // the mesh topology eliminates (see ClusterSpmdMesh).
-  EXPECT_EQ(routed_frames(rep, wire::FrameType::kMigration), nranks * (nranks - 1));
-  EXPECT_EQ(routed_frames(rep, wire::FrameType::kBoundaries), 2 * nranks * (nranks - 1));
-  EXPECT_EQ(routed_frames(rep, wire::FrameType::kKeySamples), nranks * (nranks - 1));
-  EXPECT_GT(routed_frames(rep, wire::FrameType::kLet), 0u);
-  EXPECT_EQ(routed_frames(rep, wire::FrameType::kStepBegin), 0u);  // control is terminated,
-  EXPECT_EQ(routed_frames(rep, wire::FrameType::kStepResult), 0u); // not routed
+  // Every domain, migration and LET frame went worker to worker on a pair
+  // link; the control frames were the coordinator's alone.
+  EXPECT_EQ(peer_frames(rep, wire::FrameType::kMigration), nranks * (nranks - 1));
+  EXPECT_EQ(peer_frames(rep, wire::FrameType::kBoundaries), 2 * nranks * (nranks - 1));
+  EXPECT_EQ(peer_frames(rep, wire::FrameType::kKeySamples), nranks * (nranks - 1));
+  EXPECT_GT(peer_frames(rep, wire::FrameType::kLet), 0u);
+  EXPECT_EQ(peer_frames(rep, wire::FrameType::kStepBegin), 0u);
+  EXPECT_EQ(peer_frames(rep, wire::FrameType::kStepResult), 0u);
 }
 
 TEST(ClusterSpmd, MultiStepDriftPreservesPopulationAndForces) {
@@ -214,7 +201,7 @@ TEST(ClusterSpmd, MultiStepDriftPreservesPopulationAndForces) {
   cfg.dt = 2e-3;
 
   WorkerPool pool;
-  ClusterSimulation spmd(cluster_config(cfg, ClusterMode::kSpmd, pool));
+  ClusterSimulation spmd(cluster_config(cfg, pool));
   spmd.init(global);
   std::uint64_t migrated_total = 0;
   for (int s = 0; s < 4; ++s) {
@@ -235,9 +222,9 @@ TEST(ClusterSpmd, MultiStepDriftPreservesPopulationAndForces) {
 }
 
 TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator) {
-  // The mesh tentpole: same physics as the star (and therefore as the
-  // in-process run), with the coordinator's routed-frame matrix empty — all
-  // LET/Boundaries/KeySamples/Migration traffic travels the pair sockets.
+  // Same physics as the in-process run over two steps; the coordinator never
+  // forwards a frame (one addressed to another rank fails its link as
+  // misrouted), so all peer traffic travelled the pair sockets.
   const ParticleSet global = make_plummer(900, 77);
   SimConfig cfg = forces_only_config(3);
   cfg.dt = 1e-3;
@@ -249,10 +236,9 @@ TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator)
   const ParticleSet in_got = inproc.gather();
 
   WorkerPool pool;
-  ClusterSimulation mesh(
-      cluster_config(cfg, ClusterMode::kSpmd, pool, domain::SocketTopology::kMesh));
+  ClusterSimulation mesh(cluster_config(cfg, pool));
   mesh.init(global);
-  const domain::StepReport rep1 = mesh.step();
+  mesh.step();
   const domain::StepReport rep2 = mesh.step();  // steady state
   const ParticleSet mesh_got = mesh.gather();
 
@@ -261,45 +247,17 @@ TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator)
   EXPECT_EQ(rep2.num_particles, in_rep2.num_particles);
   EXPECT_EQ(rep2.migrated, in_rep2.migrated);
 
-  // The send-side matrix still covers the full peer protocol...
+  // The send-side matrix covers the full peer protocol.
   const std::uint64_t nranks = 3;
   EXPECT_EQ(traffic_frames(rep2, wire::FrameType::kMigration), nranks * (nranks - 1));
   EXPECT_EQ(traffic_frames(rep2, wire::FrameType::kBoundaries),
             2 * nranks * (nranks - 1));
   EXPECT_EQ(traffic_frames(rep2, wire::FrameType::kKeySamples), nranks * (nranks - 1));
-  // ...but none of it crossed the coordinator: zero routed frames of any
-  // class, both on the bootstrap step and in steady state.
-  EXPECT_TRUE(rep1.routed.empty());
-  EXPECT_TRUE(rep2.routed.empty());
-}
-
-TEST(ClusterHubMesh, MatchesInProcForces) {
-  // Hub state model over the mesh fabric: only LETs travel peer-to-peer
-  // (migration is coordinator-local in hub mode), and none are routed.
-  const ParticleSet global = make_plummer(700, 3);
-  const SimConfig cfg = forces_only_config(2);
-
-  domain::Simulation inproc(cfg);
-  inproc.init(global);
-  inproc.step();
-  const ParticleSet in_got = inproc.gather();
-
-  WorkerPool pool;
-  ClusterSimulation hub(
-      cluster_config(cfg, ClusterMode::kHub, pool, domain::SocketTopology::kMesh));
-  hub.init(global);
-  const domain::StepReport rep = hub.step();
-  const ParticleSet hub_got = hub.gather();
-
-  ASSERT_EQ(hub_got.size(), in_got.size());
-  EXPECT_LT(median_acc_error(hub_got, in_got), 1e-9);
-  EXPECT_GT(traffic_frames(rep, wire::FrameType::kLet), 0u);  // LETs did flow
-  EXPECT_TRUE(rep.routed.empty());                            // just not through the hub
 }
 
 TEST(ClusterShutdown, DeadWorkerDoesNotStrandTheOthers) {
-  // Shutdown-broadcast race: rank 0 connects, says hello, then drops dead
-  // before serving a single frame. The coordinator's teardown must still
+  // Shutdown-broadcast race: rank 0 connects, says hello, links up with its
+  // peers, then drops dead before serving a single frame. The coordinator's teardown must still
   // deliver Shutdown to ranks 1 and 2 — best-effort per peer — so they exit
   // cleanly instead of blocking forever on a control frame that a mid-loop
   // broadcast failure would have skipped.
@@ -310,14 +268,15 @@ TEST(ClusterShutdown, DeadWorkerDoesNotStrandTheOthers) {
 
   ClusterConfig ccfg;
   ccfg.sim = cfg;
-  ccfg.mode = ClusterMode::kHub;
   ccfg.spawn_workers = false;
   ccfg.on_listen = [&pool, &exit_codes](std::uint16_t port) {
     pool.threads.emplace_back([port, &exit_codes] {
       // The defector: announces rank 0, takes its Config, then drops dead
       // without ever serving a step or waiting for Shutdown.
       try {
-        auto net = domain::SocketTransport::connect("127.0.0.1", port, 0);
+        auto net = domain::SocketTransport::connect_mesh("127.0.0.1", port, 0,
+                                                         /*listen_port=*/0);
+        net->mesh_with_peers();
         (void)net->recv(0);
         exit_codes[0].store(0);
       } catch (...) {
@@ -345,28 +304,19 @@ TEST(ClusterShutdown, DeadWorkerDoesNotStrandTheOthers) {
   EXPECT_EQ(exit_codes[2].load(), 0) << "rank 2 did not see Shutdown";
 }
 
-TEST(ClusterHub, StillMatchesInProcForces) {
-  // Differential guard: the hub driver must keep working unchanged next to
-  // the SPMD path (it shares the worker loop and the report plumbing).
-  const ParticleSet global = make_plummer(900, 3);
-  const SimConfig cfg = forces_only_config(2);
-
-  domain::Simulation inproc(cfg);
-  inproc.init(global);
-  inproc.step();
-  const ParticleSet in_got = inproc.gather();
-
-  WorkerPool pool;
-  ClusterSimulation hub(cluster_config(cfg, ClusterMode::kHub, pool));
-  hub.init(global);
-  const domain::StepReport rep = hub.step();
-  const ParticleSet hub_got = hub.gather();
-
-  ASSERT_EQ(hub_got.size(), in_got.size());
-  EXPECT_LT(median_acc_error(hub_got, in_got), 1e-9);
-  // Hub mode's per-step Particles-class volume stays O(N): the StepBegin /
-  // StepResult frames carry the full population.
-  EXPECT_GT(rep.part_wire.bytes, global.size() * 100);
+TEST(ClusterTopology, StarIsRejectedNamingMesh) {
+  // A star fabric has no worker-to-worker path: the driver refuses it up
+  // front, before listening, instead of failing the first peer post.
+  ClusterConfig ccfg;
+  ccfg.sim = forces_only_config(2);
+  ccfg.topology = domain::SocketTopology::kStar;
+  ccfg.spawn_workers = false;
+  try {
+    ClusterSimulation sim(ccfg);
+    FAIL() << "a star cluster must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("mesh"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

@@ -540,7 +540,8 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json[json.size() - 2], '}');  // trailing newline after the object
-  EXPECT_NE(json.find("\"schema\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": 2"), std::string::npos);
+  EXPECT_EQ(json.find("\"routed\""), std::string::npos);  // dropped in schema 2
   EXPECT_NE(json.find("\"config\": {\"ranks\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"transport\": \"inproc\""), std::string::npos);
   EXPECT_NE(json.find("\"wire_version\": "), std::string::npos);

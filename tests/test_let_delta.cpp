@@ -94,7 +94,8 @@ void expect_walkable(const LetTree& let) {
   }
 }
 
-TEST(LetDelta, WireVersionIsSeven) { EXPECT_EQ(wire::kVersion, 7); }
+// LetDelta frames arrived in wire v7; every later version must carry them.
+TEST(LetDelta, WireVersionIsAtLeastSeven) { EXPECT_GE(wire::kVersion, 7); }
 
 TEST(LetDelta, EvolvingExchangePatchesBitForBit) {
   DriftingExporter source(512, 7);

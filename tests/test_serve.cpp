@@ -90,14 +90,18 @@ void expect_same_particles(const ParticleSet& a, const ParticleSet& b) {
   EXPECT_EQ(a.pot, b.pot);
 }
 
-// VmSize of this process in KiB from /proc/self/status; -1 without procfs.
-long vm_size_kib() {
+// One numeric field ("VmSize:", "Threads:") of /proc/self/status; -1 when
+// absent or without procfs.
+long proc_status_field(const std::string& key) {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line))
-    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+    if (line.rfind(key, 0) == 0) return std::stol(line.substr(key.size()));
   return -1;
 }
+
+// VmSize of this process in KiB.
+long vm_size_kib() { return proc_status_field("VmSize:"); }
 
 // Regression for a TSan finding: server shutdown calls Listener::close()
 // from outside the accept loop's thread, so the descriptor handover must be
@@ -397,9 +401,14 @@ TEST(Serve, FinishedThreadsAreJoinedWhileServing) {
   };
   run_rounds(2, 10);  // warm up allocator arenas and the thread-stack cache
   const long before_kib = vm_size_kib();
+  const long threads_before = proc_status_field("Threads:");
   run_rounds(20, 20);  // 20 jobs, 400 status requests
   const long growth_mib = (vm_size_kib() - before_kib) / 1024;
-  EXPECT_LT(growth_mib, 256) << "VmSize grew by " << growth_mib << " MiB";
+  const long threads_after = proc_status_field("Threads:");
+  // The live thread count tells a leak (threads pile up) from allocator
+  // arenas a loaded host may add (VmSize grows, threads do not).
+  EXPECT_LT(growth_mib, 256) << "VmSize grew by " << growth_mib << " MiB; threads "
+                             << threads_before << " -> " << threads_after;
 }
 
 }  // namespace

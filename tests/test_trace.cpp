@@ -287,15 +287,12 @@ TEST(ClusterTrace, MergedSpansCoverEveryRankAndStayCausal) {
 
   domain::ClusterConfig cfg;
   cfg.sim = sim;
-  cfg.mode = domain::ClusterMode::kSpmd;
-  cfg.topology = domain::SocketTopology::kMesh;
   cfg.spawn_workers = false;
   cfg.on_listen = [&pool](std::uint16_t port) {
     for (int r = 0; r < 2; ++r)
       pool.threads.emplace_back([port, r] {
         try {
-          domain::run_worker("127.0.0.1", port, r, /*threads=*/1,
-                             domain::SocketTopology::kMesh, /*listen_port=*/0);
+          domain::run_worker("127.0.0.1", port, r, /*threads=*/1, /*listen_port=*/0);
         } catch (...) {
           // Teardown races surface as socket errors inside the worker.
         }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -425,10 +427,13 @@ TEST(Wire, StepBeginModeRoundTripsAndRejectsUnknown) {
   const std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
   EXPECT_EQ(wire::decode_step_begin(frame).mode, wire::StepMode::kSpmdStep);
 
-  // The mode byte sits right after the step field in the payload.
-  std::vector<std::uint8_t> bad = frame;
-  bad[wire::kHeaderBytes + 4] = 200;
-  EXPECT_THROW(wire::decode_step_begin(bad), wire::WireError);
+  // The mode byte sits right after the step field in the payload. Byte 0,
+  // the deleted coordinator-owned step, is as unknown as any other.
+  for (const std::uint8_t mode : {std::uint8_t{0}, std::uint8_t{4}, std::uint8_t{200}}) {
+    std::vector<std::uint8_t> bad = frame;
+    bad[wire::kHeaderBytes + 4] = mode;
+    EXPECT_THROW(wire::decode_step_begin(bad), wire::WireError) << int{mode};
+  }
 }
 
 TEST(Wire, StepResultCarriesSpmdAggregates) {
@@ -455,7 +460,6 @@ TEST(Wire, StepResultCarriesSpmdAggregates) {
   EXPECT_EQ(back.traffic[0].dst, 0);
   EXPECT_EQ(back.traffic[0].type, 10);
   EXPECT_EQ(back.traffic[1].bytes, 128u);
-  EXPECT_EQ(back.parts.size(), 0u);  // SPMD results travel particle-free
 }
 
 TEST(Wire, ControlFramesRoundTrip) {
@@ -499,20 +503,19 @@ TEST(Wire, ControlFramesRoundTrip) {
 }
 
 TEST(Wire, StepBeginAndResultRoundTrip) {
+  // StepBegin is step + mode + the (bootstrap) batch, nothing else.
   wire::StepBegin sb;
   sb.step = 4;
-  sb.bounds = {{-2, -2, -2}, {2, 2, 2}};
-  sb.active = {1, 0, 1};
-  sb.boxes.resize(3);
-  sb.boxes[0] = {{-1, -1, -1}, {0, 0, 0}};
-  sb.boxes[2] = {{0, 0, 0}, {1, 1, 1}};
+  sb.mode = wire::StepMode::kSpmdBootstrap;
   sb.parts = make_plummer(32, 5);
-  const wire::StepBegin back = wire::decode_step_begin(wire::encode_step_begin(sb));
+  const std::vector<std::uint8_t> sb_frame = wire::encode_step_begin(sb);
+  EXPECT_EQ(sb_frame.size(),
+            wire::encode_particles(-1, sb.parts, /*with_forces=*/false).size() + 4 + 1);
+  const wire::StepBegin back = wire::decode_step_begin(sb_frame);
   EXPECT_EQ(back.step, 4);
-  EXPECT_EQ(back.active, sb.active);
+  EXPECT_EQ(back.mode, wire::StepMode::kSpmdBootstrap);
   EXPECT_EQ(back.parts.x, sb.parts.x);
-  EXPECT_EQ(back.boxes[2].hi.x, 1.0);
-  EXPECT_FALSE(back.boxes[1].valid());  // inactive rank's default box survives
+  EXPECT_EQ(back.parts.id, sb.parts.id);
 
   wire::StepResult sr;
   sr.rank = 2;
@@ -530,7 +533,6 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
   sr.times.add("Sorting SFC", 0.125);
   sr.let_sizes.push_back({7, 8, 9});
   sr.let_wire = {3, 4096, 0.25, 0.125};
-  sr.parts = make_plummer(8, 1);
   const wire::StepResult rback = wire::decode_step_result(wire::encode_step_result(sr));
   EXPECT_EQ(rback.rank, 2);
   EXPECT_EQ(rback.let_cells, 100u);
@@ -547,7 +549,6 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
   ASSERT_EQ(rback.let_sizes.size(), 1u);
   EXPECT_EQ(rback.let_sizes[0].bytes, 9u);
   EXPECT_EQ(rback.let_wire.bytes, 4096u);
-  EXPECT_EQ(rback.parts.y, sr.parts.y);
 }
 
 wire::TraceFrame make_trace_frame() {
@@ -951,7 +952,7 @@ TEST(InProcTransport, FifoPerDestinationAndClose) {
   EXPECT_FALSE(t.recv(1).has_value());
 }
 
-TEST(SocketTransport, RoutesWorkerToWorkerThroughCoordinator) {
+TEST(SocketTransport, StarLinkCarriesCoordinatorFramesOnly) {
   auto coord = domain::SocketTransport::listen(0, 2);
   ASSERT_GT(coord->port(), 0);
 
@@ -962,12 +963,16 @@ TEST(SocketTransport, RoutesWorkerToWorkerThroughCoordinator) {
   t0.join();
   t1.join();
 
-  // Worker -> worker (routed), worker -> coordinator, coordinator -> worker.
-  w0->post(0, 1, wire::encode_hello(42));
-  auto routed = w1->recv(1);
-  ASSERT_TRUE(routed.has_value());
-  EXPECT_EQ(wire::decode_hello(*routed).rank, 42);
+  // A star endpoint has no path to another worker (nobody forwards): the
+  // post fails by the peer's name instead of vanishing.
+  try {
+    w0->post(0, 1, wire::encode_hello(42));
+    FAIL() << "a star endpoint must not post to another worker";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("peer rank 1"), std::string::npos) << e.what();
+  }
 
+  // Worker -> coordinator, coordinator -> worker.
   w1->post(1, domain::kCoordinatorRank, wire::encode_hello(7));
   auto up = coord->recv(domain::kCoordinatorRank);
   ASSERT_TRUE(up.has_value());
