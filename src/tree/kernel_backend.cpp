@@ -17,10 +17,6 @@ namespace bonsai {
 
 namespace {
 
-// Inert padding lane: zero mass at a far-away position, so padded lanes
-// contribute exactly zero without dividing by zero.
-constexpr double kPadPos = 1e15;
-
 // Source index that never equals a target index: non-self walks and padding
 // lanes use it so the self-mask compare stays uniform and never fires.
 constexpr std::uint32_t kInvalidSource = 0xffffffffu;
@@ -29,16 +25,141 @@ std::size_t pad_to(std::size_t n) {
   return (n + kKernelBatchPad - 1) / kKernelBatchPad * kKernelBatchPad;
 }
 
+// One batch as the float drains see it: `lanes` source lanes (a multiple of
+// kKernelBatchPad) and the targets, all as float offsets from the walk's
+// centre. Target i reads its offset at index i - target_begin and adds its
+// float batch sums to the double accumulators of `t`.
+struct FloatBatch {
+  // x, y, z, m; cell batches add g = 3q (Quadrupole::q order) and h = tr(Q)/2,
+  // the prescaled moments the rearranged p-c kernel takes.
+  const std::vector<float>* src;
+  const std::uint32_t* sidx;      // leaf batches: global source index per lane
+  std::uint32_t lanes;
+  const std::vector<float>* toff;  // target x, y, z offsets
+  std::uint32_t target_begin, target_end;
+  float eps2;
+  ParticleSet* t;
+};
+
+// One float lane of a batch: staged slot x becomes (x - shift) * scale,
+// computed in double and then cast, and pad lanes hold `pad`.
+struct LaneSpec {
+  const double* staged;
+  double shift, scale;
+  float pad;
+};
+
+// Fills lanes[c] from specs[c] with staged slots [begin, end), padded to a
+// multiple of kKernelBatchPad; returns the padded lane count.
+std::uint32_t fill_lanes(std::span<const LaneSpec> specs, std::uint32_t begin,
+                         std::uint32_t end, std::vector<float>* lanes) {
+  const std::uint32_t n = end - begin;
+  const auto padded = static_cast<std::uint32_t>(pad_to(n));
+  for (std::size_t c = 0; c < specs.size(); ++c) {
+    const double* const src = specs[c].staged + begin;
+    const double shift = specs[c].shift, scale = specs[c].scale;
+    lanes[c].resize(padded);
+    float* const dst = lanes[c].data();
+    for (std::uint32_t j = 0; j < n; ++j) dst[j] = static_cast<float>((src[j] - shift) * scale);
+    std::fill(dst + n, dst + padded, specs[c].pad);
+  }
+  return padded;
+}
+
+// The portable variant of the `simd` drains: float loops the compiler
+// vectorizes at the build's baseline ISA.
+void drain_cells_portable(const FloatBatch& b) {
+  const float* const cx = b.src[0].data();
+  const float* const cy = b.src[1].data();
+  const float* const cz = b.src[2].data();
+  const float* const cm = b.src[3].data();
+  const float* const g0 = b.src[4].data();
+  const float* const g1 = b.src[5].data();
+  const float* const g2 = b.src[6].data();
+  const float* const g3 = b.src[7].data();
+  const float* const g4 = b.src[8].data();
+  const float* const g5 = b.src[9].data();
+  const float* const ch = b.src[10].data();
+  const float eps2 = b.eps2;
+  ParticleSet& t = *b.t;
+  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
+    const std::uint32_t k = i - b.target_begin;
+    const float tx = b.toff[0][k], ty = b.toff[1][k], tz = b.toff[2][k];
+    float ax = 0.0f, ay = 0.0f, az = 0.0f, pot = 0.0f;
+#pragma omp simd reduction(+ : ax, ay, az, pot)
+    for (std::uint32_t j = 0; j < b.lanes; ++j) {
+      const float dx = cx[j] - tx;
+      const float dy = cy[j] - ty;
+      const float dz = cz[j] - tz;
+      const float r2 = dx * dx + dy * dy + dz * dz + eps2;
+      const float rinv = 1.0f / std::sqrt(r2);
+      const float u = rinv * rinv;
+      const float rinv3 = rinv * u;
+      const float rinv5 = rinv3 * u;
+      const float gx = g0[j] * dx + g1[j] * dy + g2[j] * dz;
+      const float gy = g1[j] * dx + g3[j] * dy + g4[j] * dz;
+      const float gz = g2[j] * dx + g4[j] * dy + g5[j] * dz;
+      const float y = ch[j] * u;
+      const float x = (dx * gx + dy * gy + dz * gz) * (u * u);
+      pot += rinv * (y - cm[j] - 0.5f * x);
+      const float s = rinv3 * (cm[j] - 3.0f * y + 2.5f * x);
+      ax += s * dx - rinv5 * gx;
+      ay += s * dy - rinv5 * gy;
+      az += s * dz - rinv5 * gz;
+    }
+    t.ax[i] += ax;
+    t.ay[i] += ay;
+    t.az[i] += az;
+    t.pot[i] += pot;
+  }
+}
+
+void drain_leaves_portable(const FloatBatch& b) {
+  const float* const sx = b.src[0].data();
+  const float* const sy = b.src[1].data();
+  const float* const sz = b.src[2].data();
+  const float* const sm = b.src[3].data();
+  const std::uint32_t* const sidx = b.sidx;
+  const float eps2 = b.eps2;
+  ParticleSet& t = *b.t;
+  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
+    const std::uint32_t k = i - b.target_begin;
+    const float tx = b.toff[0][k], ty = b.toff[1][k], tz = b.toff[2][k];
+    float ax = 0.0f, ay = 0.0f, az = 0.0f, pot = 0.0f;
+#pragma omp simd reduction(+ : ax, ay, az, pot)
+    for (std::uint32_t j = 0; j < b.lanes; ++j) {
+      // Branch-free self-mask: the self lane gets zero mass and a biased
+      // r2 so the rsqrt stays finite even at eps = 0.
+      const float keep = sidx[j] == i ? 0.0f : 1.0f;
+      const float dx = sx[j] - tx;
+      const float dy = sy[j] - ty;
+      const float dz = sz[j] - tz;
+      const float r2 = dx * dx + dy * dy + dz * dz + eps2 + (1.0f - keep);
+      const float rinv = 1.0f / std::sqrt(r2);
+      const float m = sm[j] * keep;
+      const float mr3 = m * rinv * rinv * rinv;
+      ax += mr3 * dx;
+      ay += mr3 * dy;
+      az += mr3 * dz;
+      pot -= m * rinv;
+    }
+    t.ax[i] += ax;
+    t.ay[i] += ay;
+    t.az[i] += az;
+    t.pot[i] += pot;
+  }
+}
+
 #if BONSAI_KERNEL_AVX512F
 // The AVX-512F variant of the `simd` drains. Only these functions carry the
 // ISA (target attribute), so the rest of the binary stays baseline x86-64 and
 // host_kernel_isa() decides at run time whether they may be called. They keep
-// the portable loops' batch shape: 8 lanes per zmm, the branch-free keep/r2
-// bias self-mask, inert pad lanes, one horizontal reduce per target.
-static_assert(kKernelBatchPad == 8, "one zmm of doubles per batch step");
+// the portable loops' batch shape: 16 float lanes per zmm, the branch-free
+// keep/r2 bias self-mask, inert pad lanes, one horizontal reduce per target.
+static_assert(kKernelBatchPad == 16, "one zmm of floats per batch step");
 
 // GCC 12's avx512fintrin.h raises false -Wmaybe-uninitialized positives from
-// _mm512_setzero_pd/_mm512_reduce_add_pd once they inline here.
+// _mm512_setzero_ps/_mm512_reduce_add_ps once they inline here.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -46,130 +167,111 @@ static_assert(kKernelBatchPad == 8, "one zmm of doubles per batch step");
 
 #define BONSAI_TARGET_AVX512F __attribute__((target("avx512f")))
 
-// 1/sqrt(r2): the 14-bit hardware estimate, then two Newton steps
-// y += y * (1 - r2 y^2) / 2, each doubling the correct bits (14 -> 28 -> 53).
-BONSAI_TARGET_AVX512F inline __m512d rsqrt_newton(__m512d r2) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d half = _mm512_set1_pd(0.5);
-  __m512d y = _mm512_rsqrt14_pd(r2);
-  for (int step = 0; step < 2; ++step) {
-    const __m512d e = _mm512_fnmadd_pd(_mm512_mul_pd(r2, y), y, one);
-    y = _mm512_fmadd_pd(y, _mm512_mul_pd(e, half), y);
-  }
-  return y;
+// 1/sqrt(r2): the 14-bit hardware estimate, then one Newton step
+// y += y * (1 - r2 y^2) / 2, which doubles the correct bits past float's 24.
+BONSAI_TARGET_AVX512F inline __m512 rsqrt_newton(__m512 r2) {
+  const __m512 y = _mm512_rsqrt14_ps(r2);
+  const __m512 e = _mm512_fnmadd_ps(_mm512_mul_ps(r2, y), y, _mm512_set1_ps(1.0f));
+  return _mm512_fmadd_ps(y, _mm512_mul_ps(e, _mm512_set1_ps(0.5f)), y);
 }
 
-BONSAI_TARGET_AVX512F void drain_cells_avx512f(const double* const cell[10],
-                                               std::uint32_t begin, std::uint32_t end,
-                                               ParticleSet& t, std::uint32_t target_begin,
-                                               std::uint32_t target_end, double eps2) {
-  const __m512d veps2 = _mm512_set1_pd(eps2);
-  const __m512d half = _mm512_set1_pd(0.5);
-  const __m512d three_halves = _mm512_set1_pd(1.5);
-  const __m512d three = _mm512_set1_pd(3.0);
-  const __m512d fifteen_halves = _mm512_set1_pd(7.5);
-  for (std::uint32_t i = target_begin; i < target_end; ++i) {
-    const __m512d tx = _mm512_set1_pd(t.x[i]);
-    const __m512d ty = _mm512_set1_pd(t.y[i]);
-    const __m512d tz = _mm512_set1_pd(t.z[i]);
-    __m512d ax = _mm512_setzero_pd(), ay = ax, az = ax, pot = ax;
-    for (std::uint32_t j = begin; j < end; j += kKernelBatchPad) {
-      const __m512d dx = _mm512_sub_pd(_mm512_loadu_pd(cell[0] + j), tx);
-      const __m512d dy = _mm512_sub_pd(_mm512_loadu_pd(cell[1] + j), ty);
-      const __m512d dz = _mm512_sub_pd(_mm512_loadu_pd(cell[2] + j), tz);
-      const __m512d m = _mm512_loadu_pd(cell[3] + j);
-      const __m512d q0 = _mm512_loadu_pd(cell[4] + j);
-      const __m512d q1 = _mm512_loadu_pd(cell[5] + j);
-      const __m512d q2 = _mm512_loadu_pd(cell[6] + j);
-      const __m512d q3 = _mm512_loadu_pd(cell[7] + j);
-      const __m512d q4 = _mm512_loadu_pd(cell[8] + j);
-      const __m512d q5 = _mm512_loadu_pd(cell[9] + j);
-      const __m512d r2 =
-          _mm512_fmadd_pd(dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_fmadd_pd(dz, dz, veps2)));
-      const __m512d rinv = rsqrt_newton(r2);
-      const __m512d rinv2 = _mm512_mul_pd(rinv, rinv);
-      const __m512d rinv3 = _mm512_mul_pd(rinv, rinv2);
-      const __m512d rinv5 = _mm512_mul_pd(rinv3, rinv2);
-      const __m512d rinv7 = _mm512_mul_pd(rinv5, rinv2);
-      const __m512d qx =
-          _mm512_fmadd_pd(q0, dx, _mm512_fmadd_pd(q1, dy, _mm512_mul_pd(q2, dz)));
-      const __m512d qy =
-          _mm512_fmadd_pd(q1, dx, _mm512_fmadd_pd(q3, dy, _mm512_mul_pd(q4, dz)));
-      const __m512d qz =
-          _mm512_fmadd_pd(q2, dx, _mm512_fmadd_pd(q4, dy, _mm512_mul_pd(q5, dz)));
-      const __m512d rqr =
-          _mm512_fmadd_pd(dx, qx, _mm512_fmadd_pd(dy, qy, _mm512_mul_pd(dz, qz)));
-      const __m512d trq = _mm512_add_pd(_mm512_add_pd(q0, q3), q5);
-      // pot += -m rinv + trq rinv^3 / 2 - 3 rqr rinv^5 / 2
-      __m512d p = _mm512_fmsub_pd(_mm512_mul_pd(half, trq), rinv3, _mm512_mul_pd(m, rinv));
-      p = _mm512_fnmadd_pd(_mm512_mul_pd(three_halves, rqr), rinv5, p);
-      pot = _mm512_add_pd(pot, p);
-      // s = m rinv^3 - 3 trq rinv^5 / 2 + 15 rqr rinv^7 / 2
-      __m512d s = _mm512_mul_pd(m, rinv3);
-      s = _mm512_fnmadd_pd(_mm512_mul_pd(three_halves, trq), rinv5, s);
-      s = _mm512_fmadd_pd(_mm512_mul_pd(fifteen_halves, rqr), rinv7, s);
-      const __m512d q_scale = _mm512_mul_pd(three, rinv5);
-      ax = _mm512_fnmadd_pd(q_scale, qx, _mm512_fmadd_pd(s, dx, ax));
-      ay = _mm512_fnmadd_pd(q_scale, qy, _mm512_fmadd_pd(s, dy, ay));
-      az = _mm512_fnmadd_pd(q_scale, qz, _mm512_fmadd_pd(s, dz, az));
+BONSAI_TARGET_AVX512F void drain_cells_avx512f(const FloatBatch& b) {
+  const __m512 veps2 = _mm512_set1_ps(b.eps2);
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512 three = _mm512_set1_ps(3.0f);
+  const __m512 five_halves = _mm512_set1_ps(2.5f);
+  ParticleSet& t = *b.t;
+  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
+    const std::uint32_t k = i - b.target_begin;
+    const __m512 tx = _mm512_set1_ps(b.toff[0][k]);
+    const __m512 ty = _mm512_set1_ps(b.toff[1][k]);
+    const __m512 tz = _mm512_set1_ps(b.toff[2][k]);
+    __m512 ax = _mm512_setzero_ps(), ay = ax, az = ax, pot = ax;
+    for (std::uint32_t j = 0; j < b.lanes; j += kKernelBatchPad) {
+      const __m512 dx = _mm512_sub_ps(_mm512_loadu_ps(b.src[0].data() + j), tx);
+      const __m512 dy = _mm512_sub_ps(_mm512_loadu_ps(b.src[1].data() + j), ty);
+      const __m512 dz = _mm512_sub_ps(_mm512_loadu_ps(b.src[2].data() + j), tz);
+      const __m512 m = _mm512_loadu_ps(b.src[3].data() + j);
+      const __m512 g0 = _mm512_loadu_ps(b.src[4].data() + j);
+      const __m512 g1 = _mm512_loadu_ps(b.src[5].data() + j);
+      const __m512 g2 = _mm512_loadu_ps(b.src[6].data() + j);
+      const __m512 g3 = _mm512_loadu_ps(b.src[7].data() + j);
+      const __m512 g4 = _mm512_loadu_ps(b.src[8].data() + j);
+      const __m512 g5 = _mm512_loadu_ps(b.src[9].data() + j);
+      const __m512 r2 =
+          _mm512_fmadd_ps(dx, dx, _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dz, dz, veps2)));
+      const __m512 rinv = rsqrt_newton(r2);
+      const __m512 u = _mm512_mul_ps(rinv, rinv);
+      const __m512 rinv3 = _mm512_mul_ps(rinv, u);
+      const __m512 rinv5 = _mm512_mul_ps(rinv3, u);
+      const __m512 gx = _mm512_fmadd_ps(g0, dx, _mm512_fmadd_ps(g1, dy, _mm512_mul_ps(g2, dz)));
+      const __m512 gy = _mm512_fmadd_ps(g1, dx, _mm512_fmadd_ps(g3, dy, _mm512_mul_ps(g4, dz)));
+      const __m512 gz = _mm512_fmadd_ps(g2, dx, _mm512_fmadd_ps(g4, dy, _mm512_mul_ps(g5, dz)));
+      const __m512 dgd = _mm512_fmadd_ps(dx, gx, _mm512_fmadd_ps(dy, gy, _mm512_mul_ps(dz, gz)));
+      const __m512 y = _mm512_mul_ps(_mm512_loadu_ps(b.src[10].data() + j), u);
+      const __m512 x = _mm512_mul_ps(dgd, _mm512_mul_ps(u, u));
+      // pot += rinv (y - m - x/2)
+      pot = _mm512_fmadd_ps(rinv, _mm512_fnmadd_ps(half, x, _mm512_sub_ps(y, m)), pot);
+      // s = rinv^3 (m - 3y + 5x/2); a += s d - rinv^5 g
+      const __m512 s =
+          _mm512_mul_ps(rinv3, _mm512_fmadd_ps(five_halves, x, _mm512_fnmadd_ps(three, y, m)));
+      ax = _mm512_fnmadd_ps(rinv5, gx, _mm512_fmadd_ps(s, dx, ax));
+      ay = _mm512_fnmadd_ps(rinv5, gy, _mm512_fmadd_ps(s, dy, ay));
+      az = _mm512_fnmadd_ps(rinv5, gz, _mm512_fmadd_ps(s, dz, az));
     }
-    t.ax[i] += _mm512_reduce_add_pd(ax);
-    t.ay[i] += _mm512_reduce_add_pd(ay);
-    t.az[i] += _mm512_reduce_add_pd(az);
-    t.pot[i] += _mm512_reduce_add_pd(pot);
+    t.ax[i] += _mm512_reduce_add_ps(ax);
+    t.ay[i] += _mm512_reduce_add_ps(ay);
+    t.az[i] += _mm512_reduce_add_ps(az);
+    t.pot[i] += _mm512_reduce_add_ps(pot);
   }
 }
 
-BONSAI_TARGET_AVX512F void drain_leaves_avx512f(const double* sx, const double* sy,
-                                                const double* sz, const double* sm,
-                                                const std::uint32_t* sidx, std::uint32_t begin,
-                                                std::uint32_t end, ParticleSet& t,
-                                                std::uint32_t target_begin,
-                                                std::uint32_t target_end, double eps2) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d veps2 = _mm512_set1_pd(eps2);
-  for (std::uint32_t i = target_begin; i < target_end; ++i) {
-    const __m512d tx = _mm512_set1_pd(t.x[i]);
-    const __m512d ty = _mm512_set1_pd(t.y[i]);
-    const __m512d tz = _mm512_set1_pd(t.z[i]);
-    const __m512i self = _mm512_set1_epi64(i);
-    __m512d ax = zero, ay = zero, az = zero, pot = zero;
-    for (std::uint32_t j = begin; j < end; j += kKernelBatchPad) {
+BONSAI_TARGET_AVX512F void drain_leaves_avx512f(const FloatBatch& b) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 veps2 = _mm512_set1_ps(b.eps2);
+  ParticleSet& t = *b.t;
+  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
+    const std::uint32_t k = i - b.target_begin;
+    const __m512 tx = _mm512_set1_ps(b.toff[0][k]);
+    const __m512 ty = _mm512_set1_ps(b.toff[1][k]);
+    const __m512 tz = _mm512_set1_ps(b.toff[2][k]);
+    const __m512i self = _mm512_set1_epi32(static_cast<int>(i));
+    __m512 ax = zero, ay = zero, az = zero, pot = zero;
+    for (std::uint32_t j = 0; j < b.lanes; j += kKernelBatchPad) {
       // keep = 0 on the self lane, 1 elsewhere; as in the portable loop the
       // self lane gets zero mass and a +1 r2 bias so rinv stays finite.
-      const __m512i idx = _mm512_cvtepu32_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sidx + j)));
-      const __m512d keep = _mm512_mask_blend_pd(_mm512_cmpeq_epi64_mask(idx, self), one, zero);
-      const __m512d dx = _mm512_sub_pd(_mm512_loadu_pd(sx + j), tx);
-      const __m512d dy = _mm512_sub_pd(_mm512_loadu_pd(sy + j), ty);
-      const __m512d dz = _mm512_sub_pd(_mm512_loadu_pd(sz + j), tz);
-      const __m512d bias = _mm512_add_pd(veps2, _mm512_sub_pd(one, keep));
-      const __m512d r2 =
-          _mm512_fmadd_pd(dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_fmadd_pd(dz, dz, bias)));
-      const __m512d rinv = rsqrt_newton(r2);
-      const __m512d mr = _mm512_mul_pd(_mm512_mul_pd(_mm512_loadu_pd(sm + j), keep), rinv);
-      const __m512d mr3 = _mm512_mul_pd(_mm512_mul_pd(mr, rinv), rinv);
-      ax = _mm512_fmadd_pd(mr3, dx, ax);
-      ay = _mm512_fmadd_pd(mr3, dy, ay);
-      az = _mm512_fmadd_pd(mr3, dz, az);
-      pot = _mm512_sub_pd(pot, mr);
+      const __mmask16 is_self = _mm512_cmpeq_epi32_mask(_mm512_loadu_si512(b.sidx + j), self);
+      const __m512 keep = _mm512_mask_blend_ps(is_self, one, zero);
+      const __m512 dx = _mm512_sub_ps(_mm512_loadu_ps(b.src[0].data() + j), tx);
+      const __m512 dy = _mm512_sub_ps(_mm512_loadu_ps(b.src[1].data() + j), ty);
+      const __m512 dz = _mm512_sub_ps(_mm512_loadu_ps(b.src[2].data() + j), tz);
+      const __m512 bias = _mm512_add_ps(veps2, _mm512_sub_ps(one, keep));
+      const __m512 r2 =
+          _mm512_fmadd_ps(dx, dx, _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dz, dz, bias)));
+      const __m512 rinv = rsqrt_newton(r2);
+      const __m512 mr = _mm512_mul_ps(_mm512_mul_ps(_mm512_loadu_ps(b.src[3].data() + j), keep), rinv);
+      const __m512 mr3 = _mm512_mul_ps(_mm512_mul_ps(mr, rinv), rinv);
+      ax = _mm512_fmadd_ps(mr3, dx, ax);
+      ay = _mm512_fmadd_ps(mr3, dy, ay);
+      az = _mm512_fmadd_ps(mr3, dz, az);
+      pot = _mm512_sub_ps(pot, mr);
     }
-    t.ax[i] += _mm512_reduce_add_pd(ax);
-    t.ay[i] += _mm512_reduce_add_pd(ay);
-    t.az[i] += _mm512_reduce_add_pd(az);
-    t.pot[i] += _mm512_reduce_add_pd(pot);
+    t.ax[i] += _mm512_reduce_add_ps(ax);
+    t.ay[i] += _mm512_reduce_add_ps(ay);
+    t.az[i] += _mm512_reduce_add_ps(az);
+    t.pot[i] += _mm512_reduce_add_ps(pot);
   }
 }
 
-BONSAI_TARGET_AVX512F void rsqrt_avx512f_impl(std::span<const double> r2,
-                                              std::span<double> rinv) {
-  const __m512d one = _mm512_set1_pd(1.0);
+BONSAI_TARGET_AVX512F void rsqrt_avx512f_impl(std::span<const float> r2,
+                                              std::span<float> rinv) {
+  const __m512 one = _mm512_set1_ps(1.0f);
   for (std::size_t k = 0; k < r2.size(); k += kKernelBatchPad) {
     const std::size_t lanes = std::min(kKernelBatchPad, r2.size() - k);
-    const auto mask = static_cast<__mmask8>((1u << lanes) - 1u);
-    _mm512_mask_storeu_pd(rinv.data() + k, mask,
-                          rsqrt_newton(_mm512_mask_loadu_pd(one, mask, r2.data() + k)));
+    const auto mask = static_cast<__mmask16>((1u << lanes) - 1u);
+    _mm512_mask_storeu_ps(rinv.data() + k, mask,
+                          rsqrt_newton(_mm512_mask_loadu_ps(one, mask, r2.data() + k)));
   }
 }
 
@@ -201,7 +303,7 @@ KernelIsa host_kernel_isa() {
 #endif
 }
 
-void rsqrt_avx512f(std::span<const double> r2, std::span<double> rinv) {
+void rsqrt_avx512f(std::span<const float> r2, std::span<float> rinv) {
   BNS_CHECK(host_kernel_isa() == KernelIsa::kAvx512f, "the host lacks AVX-512F");
   BNS_CHECK(r2.size() == rinv.size(), "r2 and rinv must have the same length");
 #if BONSAI_KERNEL_AVX512F
@@ -269,28 +371,6 @@ void InteractionQueue::push_leaf(const TreeNode& leaf) {
   }
 }
 
-void InteractionQueue::pad_cells() {
-  const std::size_t padded = pad_to(cx_.size());
-  while (cx_.size() < padded) {
-    cx_.push_back(kPadPos);
-    cy_.push_back(kPadPos);
-    cz_.push_back(kPadPos);
-    cm_.push_back(0.0);
-    for (auto& q : cq_) q.push_back(0.0);
-  }
-}
-
-void InteractionQueue::pad_leaves() {
-  const std::size_t padded = pad_to(sx_.size());
-  while (sx_.size() < padded) {
-    sx_.push_back(kPadPos);
-    sy_.push_back(kPadPos);
-    sz_.push_back(kPadPos);
-    sm_.push_back(0.0);
-    sidx_.push_back(kInvalidSource);
-  }
-}
-
 void InteractionQueue::close_cell_run() {
   const std::uint32_t end = static_cast<std::uint32_t>(cx_.size());
   if (end == cell_run_begin_) return;
@@ -299,20 +379,15 @@ void InteractionQueue::close_cell_run() {
   b.target_end = target_end_;
   b.begin = cell_run_begin_;
   b.end = end;
-  if (backend_ == KernelBackend::kScalar) {
-    b.padded_end = end;
-  } else {
-    pad_cells();
-    b.padded_end = static_cast<std::uint32_t>(cx_.size());
-  }
   const std::uint64_t nt = b.target_end - b.target_begin;
-  const std::uint64_t useful = static_cast<std::uint64_t>(b.end - b.begin) * nt;
+  const std::uint64_t cells = b.end - b.begin;
+  const std::uint64_t useful = cells * nt;
   stats_.p2c += useful;
-  stats_.p2c_padded += static_cast<std::uint64_t>(b.padded_end - b.begin) * nt;
+  stats_.p2c_padded += (backend_ == KernelBackend::kScalar ? cells : pad_to(cells)) * nt;
   stats_.pc_batches += 1;
   stats_.observe_batch(useful);
   cell_batches_.push_back(b);
-  cell_run_begin_ = static_cast<std::uint32_t>(cx_.size());
+  cell_run_begin_ = end;
 }
 
 void InteractionQueue::close_leaf_run() {
@@ -331,26 +406,18 @@ void InteractionQueue::close_leaf_run() {
           sidx_[s] != kInvalidSource)
         ++b.self_pairs;
   }
-  if (backend_ == KernelBackend::kScalar) {
-    b.padded_end = end;
-  } else {
-    pad_leaves();
-    b.padded_end = static_cast<std::uint32_t>(sx_.size());
-  }
   const std::uint64_t nt = b.target_end - b.target_begin;
-  const std::uint64_t useful =
-      static_cast<std::uint64_t>(b.end - b.begin) * nt - b.self_pairs;
+  const std::uint64_t sources = b.end - b.begin;
+  const std::uint64_t useful = sources * nt - b.self_pairs;
   stats_.p2p += useful;
   // The scalar drain skips self-pairs; the SIMD drain evaluates every padded
   // lane and masks, so its pad count includes both the alignment lanes and
   // the masked self-pairs.
-  stats_.p2p_padded += backend_ == KernelBackend::kScalar
-                           ? useful
-                           : static_cast<std::uint64_t>(b.padded_end - b.begin) * nt;
+  stats_.p2p_padded += backend_ == KernelBackend::kScalar ? useful : pad_to(sources) * nt;
   stats_.pp_batches += 1;
   stats_.observe_batch(useful);
   leaf_batches_.push_back(b);
-  leaf_run_begin_ = static_cast<std::uint32_t>(sx_.size());
+  leaf_run_begin_ = end;
 }
 
 InteractionStats InteractionQueue::finish_walk() {
@@ -368,6 +435,9 @@ void InteractionQueue::flush() {
   if (targets_ == nullptr) return;
   close_cell_run();
   close_leaf_run();
+  if (backend_ != KernelBackend::kScalar &&
+      (!cell_batches_.empty() || !leaf_batches_.empty()))
+    stage_targets();
   for (const Batch& b : cell_batches_) drain_cell_batch(b);
   for (const Batch& b : leaf_batches_) drain_leaf_batch(b);
   cell_batches_.clear();
@@ -386,7 +456,28 @@ void InteractionQueue::flush() {
   leaf_run_begin_ = 0;
 }
 
-void InteractionQueue::drain_cell_batch(const Batch& b) const {
+// The walk's targets as float offsets from its centre, and the pad point: a
+// corner of the box of side 2 (1 + 2 max|offset|) around the centre, at least
+// 1 + max|offset| from every target along every axis. Pad lanes there have a
+// positive r2 at any softening, and every power of rinv the drains form stays
+// a normal float for groups spanning up to ~1e4 length units.
+void InteractionQueue::stage_targets() {
+  const ParticleSet& t = *targets_;
+  const Vec3d& c = params_.centre;
+  const std::uint32_t nt = target_end_ - target_begin_;
+  for (auto& off : target_off_) off.resize(nt);
+  float reach = 0.0f;
+  for (std::uint32_t k = 0; k < nt; ++k) {
+    const std::uint32_t i = target_begin_ + k;
+    target_off_[0][k] = static_cast<float>(t.x[i] - c.x);
+    target_off_[1][k] = static_cast<float>(t.y[i] - c.y);
+    target_off_[2][k] = static_cast<float>(t.z[i] - c.z);
+    for (const auto& off : target_off_) reach = std::max(reach, std::abs(off[k]));
+  }
+  pad_off_ = 1.0f + 2.0f * reach;
+}
+
+void InteractionQueue::drain_cell_batch(const Batch& b) {
   ParticleSet& t = *targets_;
   const double eps2 = params_.eps2;
 
@@ -414,57 +505,29 @@ void InteractionQueue::drain_cell_batch(const Batch& b) const {
     return;
   }
 
-  const double* const cx = cx_.data();
-  const double* const cy = cy_.data();
-  const double* const cz = cz_.data();
-  const double* const cm = cm_.data();
-  const double* const q0 = cq_[0].data();
-  const double* const q1 = cq_[1].data();
-  const double* const q2 = cq_[2].data();
-  const double* const q3 = cq_[3].data();
-  const double* const q4 = cq_[4].data();
-  const double* const q5 = cq_[5].data();
+  // The rearranged p-c kernel takes g = 3q and h = tr(Q)/2.
+  const Vec3d& o = params_.centre;
+  LaneSpec specs[10] = {{cx_.data(), o.x, 1.0, pad_off_},
+                        {cy_.data(), o.y, 1.0, pad_off_},
+                        {cz_.data(), o.z, 1.0, pad_off_},
+                        {cm_.data(), 0.0, 1.0, 0.0f}};
+  for (int k = 0; k < 6; ++k) specs[4 + k] = {cq_[k].data(), 0.0, 3.0, 0.0f};
+  const std::uint32_t lanes = fill_lanes(specs, b.begin, b.end, lane_);
+  lane_[10].resize(lanes);
+  const float* const g0 = lane_[4].data();
+  const float* const g3 = lane_[7].data();
+  const float* const g5 = lane_[9].data();
+  float* const h = lane_[10].data();
+  for (std::uint32_t j = 0; j < lanes; ++j) h[j] = (g0[j] + g3[j] + g5[j]) * (1.0f / 6.0f);
+  const FloatBatch fb{lane_,         nullptr,      lanes,   target_off_,
+                      b.target_begin, b.target_end, static_cast<float>(eps2), &t};
 #if BONSAI_KERNEL_AVX512F
-  if (isa_ == KernelIsa::kAvx512f) {
-    BNS_DCHECK((b.padded_end - b.begin) % kKernelBatchPad == 0);
-    const double* const cell[10] = {cx, cy, cz, cm, q0, q1, q2, q3, q4, q5};
-    drain_cells_avx512f(cell, b.begin, b.padded_end, t, b.target_begin, b.target_end, eps2);
-    return;
-  }
+  if (isa_ == KernelIsa::kAvx512f) return drain_cells_avx512f(fb);
 #endif
-  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-    const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
-    double ax = 0.0, ay = 0.0, az = 0.0, pot = 0.0;
-#pragma omp simd reduction(+ : ax, ay, az, pot)
-    for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-      const double dx = cx[j] - tx;
-      const double dy = cy[j] - ty;
-      const double dz = cz[j] - tz;
-      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-      const double rinv = 1.0 / std::sqrt(r2);
-      const double rinv2 = rinv * rinv;
-      const double rinv3 = rinv * rinv2;
-      const double rinv5 = rinv3 * rinv2;
-      const double rinv7 = rinv5 * rinv2;
-      const double qx = q0[j] * dx + q1[j] * dy + q2[j] * dz;
-      const double qy = q1[j] * dx + q3[j] * dy + q4[j] * dz;
-      const double qz = q2[j] * dx + q4[j] * dy + q5[j] * dz;
-      const double rqr = dx * qx + dy * qy + dz * qz;
-      const double trq = q0[j] + q3[j] + q5[j];
-      pot += -cm[j] * rinv + 0.5 * trq * rinv3 - 1.5 * rqr * rinv5;
-      const double s = cm[j] * rinv3 - 1.5 * trq * rinv5 + 7.5 * rqr * rinv7;
-      ax += s * dx - 3.0 * rinv5 * qx;
-      ay += s * dy - 3.0 * rinv5 * qy;
-      az += s * dz - 3.0 * rinv5 * qz;
-    }
-    t.ax[i] += ax;
-    t.ay[i] += ay;
-    t.az[i] += az;
-    t.pot[i] += pot;
-  }
+  drain_cells_portable(fb);
 }
 
-void InteractionQueue::drain_leaf_batch(const Batch& b) const {
+void InteractionQueue::drain_leaf_batch(const Batch& b) {
   ParticleSet& t = *targets_;
   const double eps2 = params_.eps2;
 
@@ -484,44 +547,21 @@ void InteractionQueue::drain_leaf_batch(const Batch& b) const {
     return;
   }
 
-  const std::uint32_t* const sidx = sidx_.data();
-  const double* const sx = sx_.data();
-  const double* const sy = sy_.data();
-  const double* const sz = sz_.data();
-  const double* const sm = sm_.data();
+  // Pad lanes carry kInvalidSource so the self-mask never fires on them.
+  const Vec3d& o = params_.centre;
+  const LaneSpec specs[4] = {{sx_.data(), o.x, 1.0, pad_off_},
+                             {sy_.data(), o.y, 1.0, pad_off_},
+                             {sz_.data(), o.z, 1.0, pad_off_},
+                             {sm_.data(), 0.0, 1.0, 0.0f}};
+  const std::uint32_t lanes = fill_lanes(specs, b.begin, b.end, lane_);
+  lane_idx_.assign(sidx_.begin() + b.begin, sidx_.begin() + b.end);
+  lane_idx_.resize(lanes, kInvalidSource);
+  const FloatBatch fb{lane_,         lane_idx_.data(), lanes,   target_off_,
+                      b.target_begin, b.target_end, static_cast<float>(eps2), &t};
 #if BONSAI_KERNEL_AVX512F
-  if (isa_ == KernelIsa::kAvx512f) {
-    BNS_DCHECK((b.padded_end - b.begin) % kKernelBatchPad == 0);
-    drain_leaves_avx512f(sx, sy, sz, sm, sidx, b.begin, b.padded_end, t, b.target_begin,
-                         b.target_end, eps2);
-    return;
-  }
+  if (isa_ == KernelIsa::kAvx512f) return drain_leaves_avx512f(fb);
 #endif
-  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-    const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
-    double ax = 0.0, ay = 0.0, az = 0.0, pot = 0.0;
-#pragma omp simd reduction(+ : ax, ay, az, pot)
-    for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-      // Branch-free self-mask: the self lane gets zero mass and a biased
-      // r2 so the rsqrt stays finite even at eps = 0.
-      const double keep = sidx[j] == i ? 0.0 : 1.0;
-      const double dx = sx[j] - tx;
-      const double dy = sy[j] - ty;
-      const double dz = sz[j] - tz;
-      const double r2 = dx * dx + dy * dy + dz * dz + eps2 + (1.0 - keep);
-      const double rinv = 1.0 / std::sqrt(r2);
-      const double m = sm[j] * keep;
-      const double mr3 = m * rinv * rinv * rinv;
-      ax += mr3 * dx;
-      ay += mr3 * dy;
-      az += mr3 * dz;
-      pot -= m * rinv;
-    }
-    t.ax[i] += ax;
-    t.ay[i] += ay;
-    t.az[i] += az;
-    t.pot[i] += pot;
-  }
+  drain_leaves_portable(fb);
 }
 
 }  // namespace bonsai

@@ -12,18 +12,24 @@
 //   scalar     — evaluates pp_kernel/pc_kernel per staged interaction,
 //                without padding: the correctness oracle the simd drains are
 //                tested against.
-//   simd       — dense double-precision SoA inner loops over padded batches.
-//                On hosts with AVX-512F one zmm covers a batch's 8 lanes and
-//                1/sqrt is the rsqrt14 estimate plus two Newton steps; other
-//                hosts run the portable #pragma omp simd loops (explicit
-//                reductions, so they vectorize under strict FP semantics).
-//                The variant is picked once per process (KernelIsa).
+//   simd       — mixed precision, the paper's production kernels (§VI-A): the
+//                walk stages double positions, and each drained batch is
+//                converted to float offsets from the target group's box
+//                centre (subtracted in double, then cast), so float keeps
+//                the digits that matter for near pairs. Arithmetic is float,
+//                16 lanes per batch step; each target sums a batch in float
+//                and adds the sum to its double accumulators. On hosts with
+//                AVX-512F one zmm covers a batch step and 1/sqrt is the
+//                rsqrt14 estimate plus one Newton step; other hosts run the
+//                portable #pragma omp simd float loops (explicit reductions,
+//                so they vectorize under strict FP semantics). The variant
+//                is picked once per process (KernelIsa).
 //
-// Batches are padded to the SIMD width with inert lanes (zero mass, far-away
-// position) and self-interactions are masked per lane instead of branched
-// around, so the inner loops are branch-free. InteractionStats carries both
-// the useful and the padded interaction counts (util/flops.hpp) so the
-// Gflop/s accounting stays honest.
+// `simd` batches are padded to the SIMD width with inert lanes (zero mass and
+// moments at a point no target of the group can reach) and self-interactions
+// are masked per lane instead of branched around, so the inner loops are
+// branch-free. InteractionStats carries both the useful and the padded
+// interaction counts (util/flops.hpp) so the Gflop/s accounting stays honest.
 #pragma once
 
 #include <cstdint>
@@ -51,16 +57,17 @@ inline constexpr KernelBackend kKernelBackends[] = {KernelBackend::kScalar,
 const char* kernel_backend_name(KernelBackend backend);
 std::optional<KernelBackend> kernel_backend_from_name(std::string_view name);
 
-// Lanes a batch is padded to. 8 doubles = one AVX-512 vector (two AVX2).
-inline constexpr std::size_t kKernelBatchPad = 8;
+// Lanes a `simd` batch is padded to: 16 floats = one AVX-512 vector.
+inline constexpr std::size_t kKernelBatchPad = 16;
 
-// Instruction set the double-precision `simd` drain runs on. One binary
-// carries both variants; host_kernel_isa() picks the widest the host supports
-// once per process. The variants differ only in the last bits of the forces,
-// so bitwise-equality guarantees hold between runs on hosts of one ISA.
+// Instruction set the float `simd` drain runs on. One binary carries both
+// variants; host_kernel_isa() picks the widest the host supports once per
+// process. Both compute in float, so precision does not depend on the host;
+// they differ only in the last float bits of 1/sqrt and summation order, so
+// bitwise-equality guarantees hold between runs on hosts of one ISA.
 enum class KernelIsa : std::uint8_t {
-  kPortable = 0,  // #pragma omp simd loops at the build's baseline ISA
-  kAvx512f = 1,   // AVX-512F intrinsics, rsqrt14 + two Newton steps
+  kPortable = 0,  // #pragma omp simd float loops at the build's baseline ISA
+  kAvx512f = 1,   // AVX-512F intrinsics, rsqrt14 + one Newton step
 };
 
 // Report names: "portable", "avx512f".
@@ -70,15 +77,17 @@ KernelIsa host_kernel_isa();
 inline const char* kernel_isa() { return kernel_isa_name(host_kernel_isa()); }
 
 // rinv[k] = 1/sqrt(r2[k]) computed exactly as the AVX-512F drain computes it
-// (rsqrt14 estimate, two Newton steps). Requires host_kernel_isa() ==
+// (rsqrt14 estimate, one Newton step). Requires host_kernel_isa() ==
 // KernelIsa::kAvx512f and r2.size() == rinv.size().
-void rsqrt_avx512f(std::span<const double> r2, std::span<double> rinv);
+void rsqrt_avx512f(std::span<const float> r2, std::span<float> rinv);
 
 // Per-walk parameters shared by every batch of one group walk.
 struct WalkParams {
   double eps2 = 0.0;
   bool quadrupole = true;
   bool self = false;  // targets alias the source particle array
+  Vec3d centre{};     // origin of the `simd` drain's float offsets: the
+                      // target group's box centre
 };
 
 // Staging queue for one worker thread. Usage per target group:
@@ -87,10 +96,11 @@ struct WalkParams {
 //   ... push_cell / push_leaf while walking ...
 //   InteractionStats s = queue.finish_walk();
 //
-// Staged data persists across walks (one drain can cover several groups);
-// when the staged source slots exceed `capacity` the queue flushes — drains
-// every pending batch through the backend and resets the buffers — so the
-// staging memory stays bounded no matter how deep a walk opens the tree.
+// finish_walk drains everything the walk staged, so every drained batch
+// belongs to one walk and shares its float origin (WalkParams::centre). When
+// the staged source slots exceed `capacity` mid-walk the queue flushes early —
+// drains every pending batch through the backend and resets the buffers — so
+// the staging memory stays bounded no matter how deep a walk opens the tree.
 //
 // `isa` selects the `simd` backend's drain variant; it defaults to the host's
 // and exists so tests can run both variants in one process. It must be
@@ -125,18 +135,16 @@ class InteractionQueue {
   struct Batch {
     std::uint32_t target_begin = 0, target_end = 0;
     std::uint32_t begin = 0;         // staged-slot range [begin, end)
-    std::uint32_t end = 0;           // useful slots
-    std::uint32_t padded_end = 0;    // end of the padded range
+    std::uint32_t end = 0;
     std::uint64_t self_pairs = 0;    // masked self-interactions (leaf batches)
   };
 
   void close_cell_run();
   void close_leaf_run();
   void flush();
-  void drain_cell_batch(const Batch& b) const;
-  void drain_leaf_batch(const Batch& b) const;
-  void pad_cells();
-  void pad_leaves();
+  void stage_targets();
+  void drain_cell_batch(const Batch& b);
+  void drain_leaf_batch(const Batch& b);
 
   std::size_t capacity_;
   KernelIsa isa_;
@@ -155,9 +163,18 @@ class InteractionQueue {
   std::vector<double> cq_[6];
 
   // Staged leaf-particle SoA. sidx_ holds the source's global particle index
-  // for self-masking; kInvalidSource for non-self walks and padding lanes.
+  // for self-masking; kInvalidSource for non-self walks.
   std::vector<double> sx_, sy_, sz_, sm_;
   std::vector<std::uint32_t> sidx_;
+
+  // `simd` drain buffers: the walk's targets as float offsets from
+  // params_.centre (refreshed per flush), and the batch being drained as
+  // padded float lanes (x, y, z, m, then 3q0..3q5 and tr(Q)/2 for cells)
+  // plus, for leaf batches, the padded source indices.
+  std::vector<float> target_off_[3];
+  float pad_off_ = 0.0f;  // pad lanes sit at (pad_off_, pad_off_, pad_off_)
+  std::vector<float> lane_[11];
+  std::vector<std::uint32_t> lane_idx_;
 
   std::vector<Batch> cell_batches_, leaf_batches_;
   InteractionStats stats_{};

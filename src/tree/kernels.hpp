@@ -11,8 +11,13 @@
 // with r = r_j - r_i, counted as 65 flops.
 //
 // These are the reference forms, in double precision: the `scalar` backend
-// and direct summation call them per interaction, and the batched `simd`
-// drains (tree/kernel_backend.cpp) are tested against them.
+// and direct summation call them per interaction. The batched `simd` drains
+// (tree/kernel_backend.cpp) evaluate the same forces in float, as the paper's
+// production kernels do, with the p-c form rearranged as
+//     phi_i += rinv (h rinv^2 - m - (g.r) rinv^4 / 2)
+//     a_i   += rinv^3 (m - 3 h rinv^2 + (5/2)(g.r) rinv^4) r - rinv^5 g
+// for g = 3 Q r and h = tr(Q)/2; they are tested against these forms within
+// float bounds.
 #pragma once
 
 #include <cmath>

@@ -41,6 +41,7 @@ InteractionStats traverse_one_group_batched(const TreeView& src, ParticleSet& ta
   params.eps2 = config.eps * config.eps;
   params.quadrupole = config.quadrupole;
   params.self = self;
+  params.centre = group.box.center();
   queue.begin_walk(src, targets, params, config.backend, group.begin, group.end);
 
   std::vector<std::int32_t> stack;

@@ -3,6 +3,13 @@
 // explicit-kernel reference for multipole leaves, the AVX-512F rsqrt,
 // useful-vs-padded flops accounting, batch edge cases and queue
 // overflow/flush behaviour.
+//
+// Precision contract: `simd` computes in float (offsets from the group
+// centre, float sums per batch), `scalar` in double. Every simd-vs-double
+// bound below is a float bound: about 4x the worst value measured over both
+// KernelIsa variants on a 4-vCPU AVX-512 Xeon (quoted at each bound), and
+// still far below what a formula error gives (a dropped quadrupole term is
+// ~1e-3 in MultipoleLeafBatch). scalar-vs-scalar bounds stay double.
 #include "tree/kernel_backend.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +26,7 @@
 #include "tree/kernels.hpp"
 #include "tree/octree.hpp"
 #include "tree/traverse.hpp"
+#include "util/ic.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 
@@ -117,9 +125,8 @@ TEST(KernelBackend, AllBackendsAgreeWithScalarOracle) {
   EXPECT_LE(simd_stats.fill_ratio(), 1.0);
   EXPECT_GT(simd_stats.fill_ratio(), 0.5);  // ncrit=64 groups keep batches dense
 
-  // Forces: the SIMD drain differs from the scalar oracle only by summation
-  // order and the last bits of 1/sqrt.
-  EXPECT_LT(max_rel_acc_diff(simd, scalar), 1e-10);
+  // Forces: float arithmetic vs the double oracle (measured 2.8e-6).
+  EXPECT_LT(max_rel_acc_diff(simd, scalar), 1e-5);
 }
 
 TEST(KernelBackend, DisjointSourceTargetWalkAgrees) {
@@ -145,7 +152,7 @@ TEST(KernelBackend, DisjointSourceTargetWalkAgrees) {
   EXPECT_GT(stats.p2p, 0u);
   EXPECT_EQ(stats.p2p, ref_stats.p2p);
   EXPECT_EQ(stats.p2c, ref_stats.p2c);
-  EXPECT_LT(max_rel_acc_diff(got, ref), 1e-10);
+  EXPECT_LT(max_rel_acc_diff(got, ref), 3e-5);  // measured 6.5e-6
 }
 
 TEST(KernelBackend, MonopoleOnlyWalkAgrees) {
@@ -159,7 +166,7 @@ TEST(KernelBackend, MonopoleOnlyWalkAgrees) {
   ParticleSet scalar, simd;
   batched_forces(s, scalar, KernelBackend::kScalar, cfg);
   batched_forces(s, simd, KernelBackend::kSimd, cfg);
-  EXPECT_LT(max_rel_acc_diff(simd, scalar), 1e-10);
+  EXPECT_LT(max_rel_acc_diff(simd, scalar), 1e-5);  // measured 2.2e-6
 }
 
 TEST(KernelBackend, MultipoleLeafBatch) {
@@ -214,7 +221,9 @@ TEST(KernelBackend, MultipoleLeafBatch) {
     EXPECT_EQ(stats.p2p, 0u);
     EXPECT_EQ(stats.pc_batches, groups.size());
     EXPECT_EQ(stats.pp_batches, 0u);
-    EXPECT_LT(max_rel_acc_diff(got, ref), 1e-12) << kernel_backend_name(b);
+    // Double scalar; float simd (measured 2.5e-7).
+    EXPECT_LT(max_rel_acc_diff(got, ref), b == KernelBackend::kScalar ? 1e-12 : 1e-6)
+        << kernel_backend_name(b);
   }
 }
 
@@ -281,16 +290,17 @@ TEST(KernelBackend, TinyCapacityFlushesMidWalkAndMatches) {
     EXPECT_EQ(tiny_stats.p2c, roomy_stats.p2c);
     EXPECT_GT(tiny_stats.batches(), roomy_stats.batches());  // runs were split
     // The scalar drain is order-stable under splitting (per-cell and per-target
-    // accumulation is unchanged); SIMD splits change only summation order.
+    // accumulation is unchanged); simd splits change the float summation
+    // order (measured 8.8e-7).
     if (b == KernelBackend::kScalar) {
       EXPECT_LT(max_rel_acc_diff(tiny, roomy), 1e-13);
     } else {
-      EXPECT_LT(max_rel_acc_diff(tiny, roomy), 1e-11);
+      EXPECT_LT(max_rel_acc_diff(tiny, roomy), 4e-6);
     }
   }
 }
 
-// Every compiled variant of the double `simd` drain against the scalar
+// Every compiled variant of the float `simd` drain against the scalar
 // oracle, over the agreement cases above. The avx512f instance skips on
 // hosts without AVX-512F; the portable one runs everywhere.
 class SimdDrainIsa : public ::testing::TestWithParam<KernelIsa> {
@@ -326,19 +336,21 @@ class SimdDrainIsa : public ::testing::TestWithParam<KernelIsa> {
 
 TEST_P(SimdDrainIsa, SelfWalkAgreesWithScalarAtZeroAndFiniteSoftening) {
   // eps = 0 leaves the masked self lanes only the r2 bias to stay finite.
+  // Unsoftened near pairs give the largest float error (measured 1.2e-5 at
+  // eps = 0, 2.8e-6 at eps = 1e-2).
   WalkSetup s = make_setup(3000, 61, 0.4);
   for (const double eps : {0.0, 1e-2}) {
     TraversalConfig cfg;
     cfg.theta = 0.4;
     cfg.eps = eps;
     EXPECT_LT(diff_vs_scalar(s.tree.view(s.parts), s.parts, s.groups, cfg, /*self=*/true),
-              1e-10)
+              5e-5)
         << "eps=" << eps;
   }
 }
 
 TEST_P(SimdDrainIsa, LoneSelfPairAmongPadLanesIsExactlyZero) {
-  // One self lane plus seven pad lanes, unsoftened: every lane is masked.
+  // One self lane plus fifteen pad lanes, unsoftened: every lane is masked.
   ParticleSet one;
   one.add({{0.5, 0.5, 0.5}, {0, 0, 0}, 1.0, 0});
   sfc::KeySpace space(AABB{{0, 0, 0}, {1, 1, 1}});
@@ -361,6 +373,64 @@ TEST_P(SimdDrainIsa, LoneSelfPairAmongPadLanesIsExactlyZero) {
   EXPECT_EQ(one.pot[0], 0.0);
 }
 
+TEST_P(SimdDrainIsa, InertBatchesLeaveAccumulatorsExactlyUnchanged) {
+  // Batches whose every lane is inert must add exactly 0.0, unsoftened, to
+  // accumulators that already hold forces:
+  //  - a cell batch of one massless, moment-free multipole leaf plus fifteen
+  //    pad lanes, over targets spread across a wide box, so the pad point
+  //    sits far from the origin;
+  //  - a leaf batch of one masked self lane plus fifteen pad lanes.
+  ParticleSet targets;
+  const Vec3d spots[] = {{-300.0, 2.0, 0.5}, {0.25, -0.5, 0.125}, {700.0, -40.0, 1e3}};
+  for (std::uint64_t i = 0; i < 3; ++i) targets.add({spots[i], {0, 0, 0}, 1.0, i});
+  for (std::uint32_t i = 0; i < targets.size(); ++i) {
+    targets.ax[i] = 0.5 + i;
+    targets.ay[i] = -1.25 * i;
+    targets.az[i] = 3.0e-7;
+    targets.pot[i] = -2.0 - i;
+  }
+  const ParticleSet before = targets;
+  std::vector<TreeNode> nodes(2);
+  nodes[0].kind = NodeKind::kInternal;
+  nodes[0].part_end = 1;
+  nodes[0].first_child = 1;
+  nodes[0].num_children = 1;
+  nodes[0].rcrit = 1e30;
+  nodes[1].kind = NodeKind::kMultipoleLeaf;
+  nodes[1].mp.com = {5.0, 5.0, 5.0};
+  TraversalConfig cfg;
+  cfg.backend = KernelBackend::kSimd;
+  cfg.eps = 0.0;
+  InteractionQueue queue(InteractionQueue::kDefaultCapacity, GetParam());
+  const InteractionStats cells = traverse_groups_batched(
+      TreeView{nodes, {}, {}, {}, {}}, targets, make_groups(targets, 64), cfg, false, queue);
+  EXPECT_EQ(cells.p2c_padded, kKernelBatchPad * targets.size());
+  for (std::uint32_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(targets.ax[i], before.ax[i]) << i;
+    EXPECT_EQ(targets.ay[i], before.ay[i]) << i;
+    EXPECT_EQ(targets.az[i], before.az[i]) << i;
+    EXPECT_EQ(targets.pot[i], before.pot[i]) << i;
+  }
+
+  ParticleSet one;
+  one.add({{1e3, -1e3, 5.0}, {0, 0, 0}, 1.0, 0});
+  sfc::KeySpace space(AABB{{0, -2e3, 0}, {2e3, 0, 10}});
+  sort_by_keys(one, space);
+  Octree tree;
+  tree.build(one, 16);
+  tree.compute_properties(one, 0.4);
+  one.ax[0] = 0.75;
+  one.ay[0] = -0.0;
+  one.az[0] = 1e-30;
+  one.pot[0] = -4.5;
+  const ParticleSet one_before = one;
+  traverse_groups_batched(tree.view(one), one, make_groups(one, 64), cfg, true, queue);
+  EXPECT_EQ(one.ax[0], one_before.ax[0]);
+  EXPECT_EQ(one.az[0], one_before.az[0]);
+  EXPECT_EQ(one.pot[0], one_before.pot[0]);
+  EXPECT_EQ(std::signbit(one.ay[0]), std::signbit(one_before.ay[0] + 0.0));
+}
+
 TEST_P(SimdDrainIsa, DisjointWalkWithPadLanesAgrees) {
   WalkSetup src = make_setup(1200, 71, 0.4);
   ParticleSet targets = clustered_cloud(500, 72);
@@ -370,7 +440,26 @@ TEST_P(SimdDrainIsa, DisjointWalkWithPadLanesAgrees) {
   cfg.eps = 1e-2;
   EXPECT_LT(diff_vs_scalar(src.tree.view(src.parts), targets, make_groups(targets, 64), cfg,
                            /*self=*/false),
-            1e-10);
+            3e-5);  // measured 6.5e-6
+}
+
+TEST_P(SimdDrainIsa, LongLeafBatchAgrees) {
+  // bench_kernels' p-p case: a sorted Plummer sphere under one particle leaf
+  // the MAC never accepts, so each group drains all 4096 sources as one
+  // batch, 256 float steps per AVX-512 lane. Measured 1.6e-5 on both
+  // variants; CI holds bench_kernels' 16384-source batch (measured 7.3e-6
+  // avx512f, 1.2e-5 portable) to the same bound.
+  ParticleSet parts = make_plummer(4096, 42);
+  sfc::KeySpace space(parts.bounds());
+  sort_by_keys(parts, space);
+  std::vector<TreeNode> nodes(1);
+  nodes[0].kind = NodeKind::kParticleLeaf;
+  nodes[0].part_end = static_cast<std::uint32_t>(parts.size());
+  nodes[0].rcrit = 1e30;
+  TraversalConfig cfg;
+  cfg.eps = 1e-2;
+  const TreeView view{nodes, parts.x, parts.y, parts.z, parts.mass};
+  EXPECT_LT(diff_vs_scalar(view, parts, make_groups(parts, 64), cfg, /*self=*/true), 6e-5);
 }
 
 TEST_P(SimdDrainIsa, MonopoleOnlyWalkAgrees) {
@@ -379,12 +468,12 @@ TEST_P(SimdDrainIsa, MonopoleOnlyWalkAgrees) {
   cfg.eps = 1e-2;
   cfg.quadrupole = false;
   EXPECT_LT(diff_vs_scalar(s.tree.view(s.parts), s.parts, s.groups, cfg, /*self=*/true),
-            1e-10);
+            1e-5);  // measured 2.2e-6
 }
 
 TEST_P(SimdDrainIsa, MultipoleLeafBatchAgrees) {
   // Two multipole leaves under a never-accepted root: one cell batch of two
-  // useful lanes and six pad lanes per group.
+  // useful lanes and fourteen pad lanes per group.
   ParticleSet targets = clustered_cloud(100, 91);
   sfc::KeySpace space(targets.bounds());
   sort_by_keys(targets, space);
@@ -404,7 +493,7 @@ TEST_P(SimdDrainIsa, MultipoleLeafBatchAgrees) {
   cfg.eps = 1e-2;
   EXPECT_LT(diff_vs_scalar(TreeView{nodes, {}, {}, {}, {}}, targets, make_groups(targets, 64),
                            cfg, /*self=*/false),
-            1e-10);
+            1e-6);  // measured 2.5e-7
 }
 
 TEST_P(SimdDrainIsa, CapacityFourFlushAgreesWithDefault) {
@@ -419,9 +508,9 @@ TEST_P(SimdDrainIsa, CapacityFourFlushAgreesWithDefault) {
   EXPECT_EQ(tiny_stats.p2p, roomy_stats.p2p);
   EXPECT_EQ(tiny_stats.p2c, roomy_stats.p2c);
   EXPECT_GT(tiny_stats.batches(), roomy_stats.batches());
-  EXPECT_LT(max_rel_acc_diff(tiny, roomy), 1e-10);
+  EXPECT_LT(max_rel_acc_diff(tiny, roomy), 3e-6);  // measured 6.9e-7
   EXPECT_LT(diff_vs_scalar(s.tree.view(s.parts), s.parts, s.groups, cfg, /*self=*/true, 4),
-            1e-10);
+            5e-6);  // measured 1.1e-6
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, SimdDrainIsa,
@@ -438,26 +527,46 @@ TEST(KernelIsa, HostIsaIsReportedByName) {
 
 TEST(KernelIsa, RsqrtNewtonIsWithinFourUlpOfOneOverSqrt) {
   if (host_kernel_isa() != KernelIsa::kAvx512f) GTEST_SKIP() << "host lacks AVX-512F";
-  // Log-uniform r2 over [1e-20, 1e31], plus the self-lane bias (1.0) and the
-  // r2 of a pad lane (3 * 1e15^2). A length that is not a multiple of 8
-  // exercises the masked tail.
-  std::vector<double> r2;
+  // Log-uniform float r2 over [1e-30, 1e30], plus the self-lane bias (1.0).
+  // A length that is not a multiple of 16 exercises the masked tail. The
+  // rsqrt14 estimate alone is off by up to 2^-14 (~1000 float ulp); one
+  // Newton step must bring it within 4 ulp of the correctly rounded value.
+  std::vector<float> r2;
   constexpr int kSamples = 100003;
   for (int k = 0; k < kSamples; ++k)
-    r2.push_back(std::pow(10.0, -20.0 + 51.0 * k / (kSamples - 1)));
-  r2.push_back(1.0);
-  r2.push_back(3e30);
-  std::vector<double> rinv(r2.size());
+    r2.push_back(static_cast<float>(std::pow(10.0, -30.0 + 60.0 * k / (kSamples - 1))));
+  r2.push_back(1.0f);
+  std::vector<float> rinv(r2.size());
   rsqrt_avx512f(r2, rinv);
   std::int64_t worst = 0;
   for (std::size_t k = 0; k < r2.size(); ++k) {
-    const double ref = 1.0 / std::sqrt(r2[k]);
-    std::int64_t got_bits = 0, ref_bits = 0;
+    const auto ref = static_cast<float>(1.0 / std::sqrt(static_cast<double>(r2[k])));
+    std::int32_t got_bits = 0, ref_bits = 0;
     std::memcpy(&got_bits, &rinv[k], sizeof got_bits);
     std::memcpy(&ref_bits, &ref, sizeof ref_bits);
-    worst = std::max(worst, std::abs(got_bits - ref_bits));  // both positive
+    worst = std::max<std::int64_t>(worst, std::abs(got_bits - ref_bits));  // both positive
   }
   EXPECT_LE(worst, 4) << "worst ulp distance";
+}
+
+TEST(KernelIsa, PortableAndAvx512fVariantsAgree) {
+  // Both variants compute in float; they differ only in 1/sqrt (rsqrt14 +
+  // Newton vs a correctly rounded sqrt and divide) and summation order
+  // (16 vs the baseline ISA's lanes). Measured worst: 1.6e-6 at eps = 0,
+  // 1.1e-6 at eps = 1e-2.
+  if (host_kernel_isa() != KernelIsa::kAvx512f) GTEST_SKIP() << "host lacks AVX-512F";
+  WalkSetup s = make_setup(3000, 61, 0.4);
+  for (const double eps : {0.0, 1e-2}) {
+    TraversalConfig cfg;
+    cfg.theta = 0.4;
+    cfg.eps = eps;
+    ParticleSet portable, avx512f;
+    batched_forces(s, portable, KernelBackend::kSimd, cfg, InteractionQueue::kDefaultCapacity,
+                   KernelIsa::kPortable);
+    batched_forces(s, avx512f, KernelBackend::kSimd, cfg, InteractionQueue::kDefaultCapacity,
+                   KernelIsa::kAvx512f);
+    EXPECT_LT(max_rel_acc_diff(portable, avx512f), 7e-6) << "eps=" << eps;
+  }
 }
 
 TEST(KernelBackend, FlopAccountingInvariants) {

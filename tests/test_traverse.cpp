@@ -109,9 +109,10 @@ TEST(Traverse, ZeroWidthGroupIsNoOp) {
 
 TEST(Traverse, TinyThetaReproducesDirectExactly) {
   // With an (effectively) zero opening angle the MAC never accepts, the walk
-  // degenerates to all-pairs p-p, and results match direct summation to
-  // floating-point roundoff (same kernel arithmetic, different summation
-  // order), for every backend.
+  // degenerates to all-pairs p-p, and results match direct summation to the
+  // backend's roundoff: double for scalar (same kernel arithmetic, different
+  // summation order), float for simd (measured 7.6e-6 on accelerations,
+  // 3.8e-7 on potentials).
   WalkSetup s = make_setup(500, 223, 1e-9);
   ParticleSet ref = s.parts;
   direct_forces(ref, 0.01);
@@ -130,9 +131,12 @@ TEST(Traverse, TinyThetaReproducesDirectExactly) {
     // each of the N(N-1) ordered pairs is evaluated exactly once, as p-p or
     // point p-c.
     EXPECT_EQ(stats.p2p + stats.p2c, 500u * 499u);
+    const bool dbl = backend == KernelBackend::kScalar;
+    const double acc_tol = dbl ? 1e-11 : 3e-5;
+    const double pot_tol = dbl ? 1e-11 : 1.5e-6;
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_NEAR(norm(got.acc(i) - ref.acc(i)), 0.0, 1e-11 * std::max(1.0, norm(ref.acc(i))));
-      ASSERT_NEAR(got.pot[i], ref.pot[i], 1e-11 * std::abs(ref.pot[i]));
+      ASSERT_NEAR(norm(got.acc(i) - ref.acc(i)), 0.0, acc_tol * std::max(1.0, norm(ref.acc(i))));
+      ASSERT_NEAR(got.pot[i], ref.pot[i], pot_tol * std::abs(ref.pot[i]));
     }
   }
 }
@@ -272,15 +276,21 @@ TEST(Traverse, SelfPotentialExcluded) {
   Octree tree;
   tree.build(parts);
   tree.compute_properties(parts, 0.4);
-  TraversalConfig cfg;
-  cfg.theta = 0.4;
-  cfg.eps = 0.1;
-  parts.zero_forces();
-  auto groups = make_groups(parts, 64);
-  walk(tree.view(parts), parts, groups, cfg, true);
+  const auto groups = make_groups(parts, 64);
   const double expected = -1.0 / std::sqrt(1.0 + 0.01);
-  EXPECT_NEAR(parts.pot[0], expected, 1e-12);
-  EXPECT_NEAR(parts.pot[1], expected, 1e-12);
+  for (const KernelBackend backend : kKernelBackends) {
+    SCOPED_TRACE(kernel_backend_name(backend));
+    TraversalConfig cfg;
+    cfg.theta = 0.4;
+    cfg.eps = 0.1;
+    cfg.backend = backend;
+    parts.zero_forces();
+    walk(tree.view(parts), parts, groups, cfg, true);
+    // Double for scalar, float for simd (measured 5.2e-8).
+    const double tol = backend == KernelBackend::kScalar ? 1e-12 : 2e-7;
+    EXPECT_NEAR(parts.pot[0], expected, tol);
+    EXPECT_NEAR(parts.pot[1], expected, tol);
+  }
 }
 
 TEST(Traverse, DisjointSourceNeedsNoSelfSkip) {
