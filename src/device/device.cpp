@@ -5,9 +5,15 @@
 #include <mutex>
 #include <numeric>
 
+#include "util/check.hpp"
 #include "util/trace.hpp"
 
 namespace bonsai {
+
+Device::Device(std::size_t num_threads) {
+  BNS_CHECK(num_threads >= 1);
+  pool_ = std::make_unique<ThreadPool>(num_threads - 1);
+}
 
 void Device::sort_particles(ParticleSet& parts, const sfc::KeySpace& space) {
   const std::size_t n = parts.size();
@@ -24,7 +30,7 @@ void Device::sort_particles(ParticleSet& parts, const sfc::KeySpace& space) {
            (parts.key[a] == parts.key[b] && parts.id[a] < parts.id[b]);
   };
 
-  const std::size_t chunks = std::max<std::size_t>(1, pool_->num_threads());
+  const std::size_t chunks = num_threads();
   const std::size_t chunk_len = (n + chunks - 1) / chunks;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
   for (std::size_t b = 0; b < n; b += chunk_len)

@@ -29,12 +29,12 @@ inline constexpr int kWarpSize = 32;
 
 class Device {
  public:
-  // `num_threads == 0` uses all hardware threads.
-  explicit Device(std::size_t num_threads = 0)
-      : pool_(std::make_unique<ThreadPool>(num_threads)) {}
+  // `num_threads` counts the thread that calls the stages: it runs parallel
+  // loops together with num_threads - 1 pool workers, so a one-thread device
+  // has no workers and computes on its caller.
+  explicit Device(std::size_t num_threads);
 
-  std::size_t num_threads() const { return pool_->num_threads(); }
-  ThreadPool& pool() { return *pool_; }
+  std::size_t num_threads() const { return pool_->num_threads() + 1; }
 
   // Rank id stamped onto this device's trace spans (-1 = untagged).
   void set_trace_rank(int rank) { trace_rank_ = rank; }

@@ -15,7 +15,6 @@ thread_local const ThreadPool* tls_worker_pool = nullptr;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) num_threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(num_threads);
   for (std::size_t t = 0; t < num_threads; ++t)
     workers_.emplace_back([this] { worker_loop(); });
@@ -59,22 +58,30 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  // The caller works alongside the workers, so it counts as one more thread.
+  const std::size_t threads = num_threads() + 1;
   if (chunk == 0) {
-    // ~4 chunks per worker balances load without excessive queue churn.
-    chunk = std::max<std::size_t>(1, n / (4 * num_threads() + 1));
+    // ~4 chunks per thread balances load without excessive queue churn.
+    chunk = std::max<std::size_t>(1, n / (4 * threads + 1));
   }
-  // Shared cursor: each worker grabs the next chunk until exhausted.
+  // Shared cursor: each thread grabs the next chunk until exhausted.
   auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  const std::size_t num_tasks = std::min(num_threads(), (n + chunk - 1) / chunk);
-  for (std::size_t t = 0; t < num_tasks; ++t) {
-    submit([cursor, n, chunk, &fn] {
-      for (;;) {
-        const std::size_t begin = cursor->fetch_add(chunk);
-        if (begin >= n) return;
-        const std::size_t end = std::min(n, begin + chunk);
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-      }
-    });
+  const auto drain = [cursor, n, chunk, &fn] {
+    for (;;) {
+      const std::size_t begin = cursor->fetch_add(chunk);
+      if (begin >= n) return;
+      const std::size_t end = std::min(n, begin + chunk);
+      for (std::size_t i = begin; i < end; ++i) fn(i);
+    }
+  };
+  const std::size_t num_tasks = std::min(threads, (n + chunk - 1) / chunk) - 1;
+  for (std::size_t t = 0; t < num_tasks; ++t) submit(drain);
+  try {
+    drain();
+  } catch (...) {
+    cursor->store(n);
+    wait_idle();
+    throw;
   }
   wait_idle();
 }

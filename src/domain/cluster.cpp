@@ -119,7 +119,9 @@ void fill_energy(const ParticleSet& parts, wire::StepResult& sr) {
 
 ClusterSimulation::ClusterSimulation(const ClusterConfig& cfg) : cfg_(cfg) {
   BNS_CHECK(cfg_.sim.nranks >= 1);
-  BNS_CHECK(cfg_.sim.nranks <= 255, "LET forests fan out to at most 255 ranks");
+  BNS_CHECK(cfg_.sim.nranks <= 255,
+            "at most 255 ranks: the wire Config, PeerDirectory and Snapshot "
+            "decoders reject larger rank counts");
   if (cfg_.topology != SocketTopology::kMesh)
     throw std::invalid_argument(
         "ClusterSimulation: socket clusters run on the mesh topology only (a star "
@@ -167,7 +169,6 @@ void ClusterSimulation::spawn_workers() {
   // Workers on this host partition it like in-process rank pipelines do.
   SimConfig tcfg = cfg_.sim;
   tcfg.threads_per_rank = cfg_.worker_threads;
-  tcfg.async = true;
   const std::size_t threads = threads_for(tcfg, std::thread::hardware_concurrency());
 
   for (int r = 0; r < cfg_.sim.nranks; ++r) {
@@ -656,7 +657,6 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
   BNS_CHECK(rank_id >= 0 && rank_id < cfg.nranks,
                    "worker rank id outside the configured rank count");
   cfg.threads_per_rank = threads;
-  cfg.async = true;
   if (cfg.trace) trace::Tracer::instance().set_enabled(true);
   Rank rank(rank_id, threads_for(cfg, std::thread::hardware_concurrency()));
   SpmdState st;

@@ -3,9 +3,10 @@
 // rank's whole step pipeline — sort → build → LET export → local gravity →
 // per-arrival remote gravity — so ranks proceed independently and only meet
 // at the step boundary, where the Simulation collects the lanes' completion
-// futures. Lanes are single-thread ThreadPools: the heavy stage work still
-// runs on each rank's own Device pool, the lane thread just drives it (and
-// blocks in the LET mailbox while other ranks compute).
+// futures. Lanes are single-thread ThreadPools, and each lane thread is one
+// of its rank's Device threads: it computes the stages itself, with the
+// Device's workers joining its parallel loops (a one-thread rank has none),
+// and blocks in the LET mailbox while other ranks compute.
 #pragma once
 
 #include <cstddef>

@@ -62,74 +62,4 @@ LetTree build_let(const TreeView& local, const AABB& remote_box) {
   return let;
 }
 
-LetTree graft_lets(std::span<const LetTree> lets, double theta) {
-  BNS_CHECK(theta > 0.0);
-  std::vector<const LetTree*> live;
-  for (const LetTree& l : lets)
-    if (!l.empty()) live.push_back(&l);
-
-  LetTree out;
-  if (live.empty()) return out;
-  const std::size_t n = live.size();
-  BNS_CHECK(n <= 255, "grafted root fans out to at most 255 LETs");
-
-  std::size_t total_nodes = 1, total_parts = 0;
-  for (const LetTree* l : live) {
-    total_nodes += l->nodes.size();
-    total_parts += l->num_particles();
-  }
-  out.nodes.resize(total_nodes);
-  out.x.reserve(total_parts);
-  out.y.reserve(total_parts);
-  out.z.reserve(total_parts);
-  out.m.reserve(total_parts);
-
-  // Layout: [0] synthetic root, [1, n] the LET roots (contiguous, as the
-  // traversal requires of siblings), then each LET's remaining nodes in
-  // order. Non-root node j of LET k moves to base_k + j - 1.
-  std::size_t base = 1 + n;
-  for (std::size_t k = 0; k < n; ++k) {
-    const LetTree& l = *live[k];
-    const auto part_offset = static_cast<std::uint32_t>(out.x.size());
-    const auto remap = [&](std::int32_t old) {
-      return old == 0 ? static_cast<std::int32_t>(1 + k)
-                      : static_cast<std::int32_t>(base + static_cast<std::size_t>(old) - 1);
-    };
-    for (std::size_t j = 0; j < l.nodes.size(); ++j) {
-      TreeNode nd = l.nodes[j];
-      if (nd.num_children > 0) nd.first_child = remap(nd.first_child);
-      nd.part_begin += part_offset;
-      nd.part_end += part_offset;
-      out.nodes[static_cast<std::size_t>(remap(static_cast<std::int32_t>(j)))] = nd;
-    }
-    out.x.insert(out.x.end(), l.x.begin(), l.x.end());
-    out.y.insert(out.y.end(), l.y.begin(), l.y.end());
-    out.z.insert(out.z.end(), l.z.begin(), l.z.end());
-    out.m.insert(out.m.end(), l.m.begin(), l.m.end());
-    base += l.nodes.size() - 1;
-  }
-
-  TreeNode root;
-  root.key_begin = 0;
-  root.key_end = sfc::kKeyEnd;
-  root.part_begin = 0;
-  root.part_end = static_cast<std::uint32_t>(total_parts);
-  root.first_child = 1;
-  root.num_children = static_cast<std::uint8_t>(n);
-  root.level = 0;
-  root.kind = NodeKind::kInternal;
-  // Two-pass multipole combine, exactly as Octree::compute_properties.
-  for (std::size_t k = 0; k < n; ++k) {
-    const TreeNode& ch = out.nodes[1 + k];
-    root.box.expand(ch.box);
-    root.mp.mass += ch.mp.mass;
-    root.mp.com += ch.mp.mass * ch.mp.com;
-  }
-  if (root.mp.mass > 0.0) root.mp.com /= root.mp.mass;
-  for (std::size_t k = 0; k < n; ++k) root.mp.add_shifted(out.nodes[1 + k].mp);
-  root.rcrit = root.box.max_side() / theta + norm(root.mp.com - root.box.center());
-  out.nodes[0] = root;
-  return out;
-}
-
 }  // namespace bonsai::domain

@@ -4,13 +4,12 @@
 // part of its local octree: walking the local tree against the remote
 // domain's bounding box with the MAC, branches the remote rank is guaranteed
 // to accept are pruned to bare multipoles (kMultipoleLeaf), and leaves that
-// may be opened ship their particles. The receiver grafts all imported LETs
-// under one synthetic root and runs the *same* group tree-walk used for the
-// local tree — remote forces need no special-case traversal code.
+// may be opened ship their particles. The receiver walks each imported LET
+// with the *same* group tree-walk used for the local tree — remote forces need
+// no special-case traversal code.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "tree/octree.hpp"
@@ -46,10 +45,5 @@ struct LetTree {
 // inside it — the receiver's group MAC can only re-accept, never wrongly
 // open, a pruned branch.
 LetTree build_let(const TreeView& local, const AABB& remote_box);
-
-// Graft imported LETs into one traversable forest: a synthetic internal root
-// whose children are the LET roots (empty LETs are dropped). `theta` sets the
-// grafted root's MAC radius. Returns an empty LetTree when nothing survives.
-LetTree graft_lets(std::span<const LetTree> lets, double theta);
 
 }  // namespace bonsai::domain

@@ -32,11 +32,11 @@ InteractionStats Rank::gravity_local(const SimConfig& cfg, TimeBreakdown& times)
                                 /*self=*/true);
 }
 
-InteractionStats Rank::gravity_remote(const TreeView& forest, const SimConfig& cfg,
+InteractionStats Rank::gravity_remote(const TreeView& let, const SimConfig& cfg,
                                       TimeBreakdown& times) {
   ScopedTimer t(times, "Gravity remote");
-  if (parts_.empty() || forest.empty()) return {};
-  return device_.compute_forces(forest, parts_, groups_, cfg.traversal(),
+  if (parts_.empty() || let.empty()) return {};
+  return device_.compute_forces(let, parts_, groups_, cfg.traversal(),
                                 /*self=*/false);
 }
 

@@ -39,8 +39,7 @@ struct SimConfig {
   std::size_t samples_per_rank = 4096;        // boundary-key samples per rank
   int snap_level = 8;                         // boundary snap (0 = off)
   std::size_t threads_per_rank = 0;           // 0: hardware threads / nranks
-  bool async = true;                          // overlapped per-rank pipeline;
-                                              // false = lockstep stage loop
+  bool async = true;                          // bench/ remnant; src/ ignores it
   BalanceMode balance = BalanceMode::kCount;  // feedback balancing needs a
                                               // previous step's gravity times
   bool trace = false;                         // record spans (--trace); shipped
@@ -94,8 +93,8 @@ class Rank {
   // Forces from the rank's own tree (exact self-interactions skipped).
   InteractionStats gravity_local(const SimConfig& cfg, TimeBreakdown& times);
 
-  // Forces from the grafted forest of imported LETs.
-  InteractionStats gravity_remote(const TreeView& forest, const SimConfig& cfg,
+  // Forces from one imported LET (any self-contained tree view).
+  InteractionStats gravity_remote(const TreeView& let, const SimConfig& cfg,
                                   TimeBreakdown& times);
 
   // Symplectic-Euler kick-drift using the freshly computed accelerations.

@@ -134,12 +134,14 @@ std::size_t threads_for(const SimConfig& cfg, std::size_t hardware_threads) {
   const std::size_t share =
       std::max<std::size_t>(1, hw / static_cast<std::size_t>(std::max(cfg.nranks, 1)));
   if (cfg.threads_per_rank == 0) return share;
-  return std::min(cfg.threads_per_rank, cfg.async ? share : hw);
+  return std::min(cfg.threads_per_rank, share);
 }
 
 Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
   BNS_CHECK(cfg_.nranks >= 1);
-  BNS_CHECK(cfg_.nranks <= 255, "grafted LET forests fan out to at most 255 ranks");
+  BNS_CHECK(cfg_.nranks <= 255,
+            "at most 255 ranks: the wire Config, PeerDirectory and Snapshot "
+            "decoders reject larger rank counts");
   const std::size_t threads = threads_for(cfg_, std::thread::hardware_concurrency());
   ranks_.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r)
@@ -148,6 +150,7 @@ Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
   transport_ = std::make_unique<TrafficRecordingTransport>(*inproc_);
   decomp_ = Decomposition::uniform(cfg_.nranks);
   let_state_.init(cfg_.nranks, cfg_.let_cache, cfg_.let_churn);
+  executor_ = std::make_unique<Executor>(ranks_.size());
 }
 
 void Simulation::init(ParticleSet global) {
@@ -310,7 +313,7 @@ void Simulation::redistribute(StepReport& report, TimeBreakdown& driver_times) {
 StepReport Simulation::step() {
   StepReport report;
   report.step = next_step_++;
-  report.async = cfg_.async;
+  report.async = true;
   report.kernel = cfg_.kernel;
   WallTimer wall;
 
@@ -323,21 +326,15 @@ StepReport Simulation::step() {
   const std::size_t nranks = ranks_.size();
   TimeBreakdown driver_times;
   std::vector<TimeBreakdown> rank_times(nranks);
-  std::vector<LaneTimeline> lanes;
+  std::vector<LaneTimeline> lanes(nranks);
 
   redistribute(report, driver_times);
-
-  if (cfg_.async) {
-    lanes.resize(nranks);
-    step_async(report, rank_times, lanes);
-    const ScheduleModel model = model_schedule(lanes);
-    report.critical_path = model.critical_path;
-    report.sequential_model = model.sequential;
-    report.gravity_critical = model.gravity_critical;
-    report.gravity_sequential = model.gravity_sequential;
-  } else {
-    step_lockstep(report, rank_times);
-  }
+  run_lanes(report, rank_times, lanes);
+  const ScheduleModel model = model_schedule(lanes);
+  report.critical_path = model.critical_path;
+  report.sequential_model = model.sequential;
+  report.gravity_critical = model.gravity_critical;
+  report.gravity_sequential = model.gravity_sequential;
 
   // Feed measured gravity cost back into the next domain update.
   prev_gravity_seconds_.assign(nranks, 0.0);
@@ -376,8 +373,8 @@ void fold_stage_times(StepReport& report, const TimeBreakdown& driver_times,
   }
 }
 
-void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank_times,
-                            std::vector<LaneTimeline>& lanes) {
+void Simulation::run_lanes(StepReport& report, std::vector<TimeBreakdown>& rank_times,
+                           std::vector<LaneTimeline>& lanes) {
   const std::size_t nranks = ranks_.size();
 
   // The active set (senders and receivers of LETs) and every rank's domain
@@ -391,7 +388,6 @@ void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank
   }
 
   LetExchange net(*transport_, active, &let_state_);
-  if (!executor_) executor_ = std::make_unique<Executor>(nranks);
 
   std::vector<std::uint64_t> let_cells(nranks, 0), let_parts(nranks, 0);
   std::vector<InteractionStats> local_stats(nranks), remote_stats(nranks);
@@ -478,61 +474,6 @@ void Simulation::step_async(StepReport& report, std::vector<TimeBreakdown>& rank
     report.let_delta += net.delta_stats(static_cast<int>(r));
     report.let_sizes.insert(report.let_sizes.end(), sizes[r].begin(), sizes[r].end());
   }
-}
-
-void Simulation::step_lockstep(StepReport& report, std::vector<TimeBreakdown>& rank_times) {
-  const std::size_t nranks = ranks_.size();
-
-  for (std::size_t r = 0; r < nranks; ++r)
-    ranks_[r]->build(space_, cfg_, rank_times[r]);
-
-  // LET exchange through the same frame protocol as the async schedule:
-  // extraction is sender-side work, decoding + grafting receiver-side.
-  std::vector<std::uint8_t> active(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) active[r] = !ranks_[r]->parts().empty();
-  LetExchange net(*transport_, active, &let_state_);
-  for (std::size_t src = 0; src < nranks; ++src) {
-    if (!active[src]) continue;
-    for (std::size_t dst = 0; dst < nranks; ++dst) {
-      if (dst == src || !active[dst]) continue;
-      WallTimer timer;
-      LetTree let = ranks_[src]->export_let(ranks_[dst]->domain_box());
-      rank_times[src].add("Exchange LET", timer.elapsed());
-      report.let_cells += let.num_cells();
-      report.let_particles += let.num_particles();
-      net.post(static_cast<int>(src), static_cast<int>(dst), let, 0.0);
-    }
-  }
-  std::vector<LetTree> forests(nranks);
-  for (std::size_t dst = 0; dst < nranks; ++dst) {
-    std::vector<LetTree> imported;
-    while (std::optional<wire::LetMessage> msg = net.recv(static_cast<int>(dst))) {
-      report.let_sizes.push_back(
-          {msg->let.num_cells(), msg->let.num_particles(), msg->wire_bytes});
-      imported.push_back(std::move(msg->let));
-    }
-    if (imported.empty()) continue;
-    ScopedTimer t(rank_times[dst], "Exchange LET");
-    forests[dst] = graft_lets(imported, cfg_.theta);
-  }
-  for (std::size_t r = 0; r < nranks; ++r) {
-    rank_times[r].add("Wire encode", net.encode_stats(static_cast<int>(r)).encode_seconds);
-    rank_times[r].add("Wire decode", net.decode_stats(static_cast<int>(r)).decode_seconds);
-    report.let_wire += net.encode_stats(static_cast<int>(r));
-    report.let_wire.decode_seconds += net.decode_stats(static_cast<int>(r)).decode_seconds;
-    report.let_delta += net.delta_stats(static_cast<int>(r));
-  }
-
-  for (std::size_t r = 0; r < nranks; ++r) {
-    ranks_[r]->parts().zero_forces();
-    report.local_stats += ranks_[r]->gravity_local(cfg_, rank_times[r]);
-    report.remote_stats +=
-        ranks_[r]->gravity_remote(forests[r].view(), cfg_, rank_times[r]);
-  }
-
-  if (cfg_.dt != 0.0)
-    for (std::size_t r = 0; r < nranks; ++r)
-      ranks_[r]->integrate(cfg_.dt, rank_times[r]);
 }
 
 ParticleSet gather_sorted(std::span<const ParticleSet* const> sets) {

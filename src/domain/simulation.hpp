@@ -7,22 +7,16 @@
 //   -> gravity: local tree walk + imported-LET walks
 //   -> integration
 //
-// Two schedules drive the ranks (SimConfig::async):
+// One schedule drives the ranks (§III-B3): one Executor lane per rank runs
+// the whole pipeline independently; LETs travel as serialized wire frames
+// through the byte Transport, and a rank starts remote gravity on each
+// imported LET as soon as it arrives — local gravity is not a barrier, and
+// there is no global graft step. The step report carries the modeled critical
+// path vs the lockstep stage-sum (overlap efficiency).
 //
-// * async (default, §III-B3): one Executor lane per rank runs the whole
-//   pipeline independently; LETs travel as serialized wire frames through
-//   the byte Transport, and a rank starts remote gravity on each imported
-//   LET as soon
-//   as it arrives — local gravity is not a barrier, and there is no global
-//   graft step. The step report carries the modeled critical path vs the
-//   lockstep stage-sum (overlap efficiency).
-// * lockstep (--no-async): every stage completes on all ranks before the
-//   next begins, with imported LETs grafted into one forest — the PR-1
-//   schedule, kept for differential testing.
-//
-// Per-stage timings are recorded per rank either way, so the report can show
-// the parallel-model wall-clock (max over ranks) and total device-seconds
-// (sum), the way Table II reports per-process times.
+// Per-stage timings are recorded per rank, so the report can show the
+// parallel-model wall-clock (max over ranks) and total device-seconds (sum),
+// the way Table II reports per-process times.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +43,8 @@ namespace bonsai::domain {
 // Everything one step produces, for printing and for tests.
 struct StepReport {
   int step = 0;
-  bool async = false;  // which schedule produced this report
+  bool async = false;  // lane-pipeline step with a schedule model (socket
+                       // cluster steps have none)
   KernelBackend kernel = KernelBackend::kSimd;  // force backend of this step
   std::size_t num_particles = 0;
   std::uint64_t migrated = 0;       // particles that changed rank this step
@@ -103,17 +98,12 @@ struct StepReport {
   }
 };
 
-// Thread-budget policy for per-rank device pools: R rank pipelines partition
-// the host's `hardware_threads`, each receiving floor(hw/R) workers (minimum
-// 1 — hosts with fewer cores than ranks run oversubscribed but correct; a
-// 1-core host gives every rank exactly one worker). The default is the same
-// share in *both* schedules, even though lockstep ranks compute one at a
-// time: equal device sizes keep recorded device-seconds comparable between
-// the schedules (the differential-testing point of --no-async), and avoid
-// spawning R*hw mostly-idle workers at high rank counts. An explicit
-// cfg.threads_per_rank is clamped to the per-rank share in async mode
-// (concurrent pipelines must not oversubscribe each other) but only to hw in
-// lockstep mode, where widening a rank's pool to the whole host is safe.
+// Thread-budget policy for per-rank devices: R concurrent rank pipelines
+// partition the host's `hardware_threads`, each receiving floor(hw/R) threads,
+// its lane included (minimum 1 — hosts with fewer cores than ranks run
+// oversubscribed but correct; a 1-core host gives every rank just its lane).
+// An explicit cfg.threads_per_rank is clamped to that share, so the
+// pipelines never oversubscribe each other.
 std::size_t threads_for(const SimConfig& cfg, std::size_t hardware_threads);
 
 class Simulation {
@@ -158,19 +148,18 @@ class Simulation {
   // Domain update + particle exchange; records driver-level timings/counts.
   void redistribute(StepReport& report, TimeBreakdown& driver_times);
 
-  // The two step schedules; both leave valid forces on every rank and fill
-  // per-rank stage times. The async schedule also fills `lanes` for the
-  // pipeline model.
-  void step_async(StepReport& report, std::vector<TimeBreakdown>& rank_times,
-                  std::vector<LaneTimeline>& lanes);
-  void step_lockstep(StepReport& report, std::vector<TimeBreakdown>& rank_times);
+  // Run every rank's pipeline on its executor lane; leaves valid forces on
+  // every rank and fills per-rank stage times and the lanes' timelines for
+  // the schedule model.
+  void run_lanes(StepReport& report, std::vector<TimeBreakdown>& rank_times,
+                 std::vector<LaneTimeline>& lanes);
 
   // First member, so destroyed last: the pages the ranks, LET caches and
   // lane threads below freed go back to the OS with them (util/heap.hpp).
   ReleaseHeapOnDestroy release_heap_;
   SimConfig cfg_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  std::unique_ptr<Executor> executor_;  // created on the first async step
+  std::unique_ptr<Executor> executor_;  // one lane per rank
   // All inter-rank traffic (LET frames, particle batches) flows through the
   // recorder wrapped around this byte transport; swapping the backend for a
   // socket/MPI one changes no pipeline code (the out-of-process driver in

@@ -45,8 +45,6 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_option("curve", "NAME", "hilbert | morton (default hilbert)");
   cli.add_option("threads", "T", "threads per rank (default: hardware/ranks)");
   cli.add_option("seed", "S", "RNG seed (default 42)");
-  cli.add_switch("async", "overlapped per-rank pipeline (default)");
-  cli.add_switch("no-async", "lockstep stage loop (the PR-1 schedule, for diffing)");
   cli.add_option("balance", "M", "count | cost (feedback on measured gravity time)");
   cli.add_option("kernel", "B",
                  "scalar | simd: force backend draining the batched "
@@ -441,7 +439,6 @@ int main(int argc, char** argv) {
       throw bonsai::CliError("--curve: expected hilbert or morton, got '" + curve + "'");
     cfg.curve = curve == "morton" ? bonsai::sfc::CurveType::kMorton
                                   : bonsai::sfc::CurveType::kHilbert;
-    cfg.async = cli.get_bool("async", true) && !cli.get_bool("no-async", false);
     const std::string balance = cli.get("balance", "count");
     if (balance != "count" && balance != "cost")
       throw bonsai::CliError("--balance: expected count or cost, got '" + balance + "'");
@@ -500,7 +497,6 @@ int main(int argc, char** argv) {
     info.cluster = socket_mode ? "spmd" : "none";
     info.balance = balance;
     info.kernel = bonsai::kernel_backend_name(cfg.kernel);
-    info.async = cfg.async;
     info.let_cache = cfg.let_cache;
 
     std::cout << "bonsai_sim: n=" << n << " ranks=" << cfg.nranks << " theta=" << cfg.theta
@@ -508,15 +504,10 @@ int main(int argc, char** argv) {
               << " transport=" << transport
               << " kernel=" << bonsai::kernel_backend_name(cfg.kernel)
               << " kernel_isa=" << bonsai::kernel_isa()
-              << (cfg.async ? " schedule=async" : " schedule=lockstep")
               << (cfg.balance == bonsai::domain::BalanceMode::kCost ? " balance=cost" : "")
               << (cfg.let_cache ? " let-cache=on" : "") << "\n";
 
     if (socket_mode) {
-      if (!cfg.async)
-        throw bonsai::CliError(
-            "--no-async is in-process only: socket workers always run the "
-            "per-arrival async pipeline");
       const std::int64_t port = cli.get_int("port", 0);
       if (port < 0 || port > 65535)
         throw bonsai::CliError("--port: expected 0-65535, got '" +

@@ -472,12 +472,12 @@ void JobServer::run_job_steps(Job& job) {
     cfg.eps = job.spec.eps;
     cfg.dt = job.spec.dt;
     cfg.kernel = job.spec.kernel;
-    // Lockstep with one thread per rank and count balancing is the
-    // deterministic schedule: a job preempted to disk and restored into a
-    // fresh Simulation with this same config continues bit-for-bit (async
-    // grafts remote forces in arrival order; wider device pools change
-    // batch boundaries; cost cuts depend on non-replayable timings).
-    cfg.async = false;
+    // One thread per rank and count balancing make a job deterministic: a
+    // job preempted to disk and restored into a fresh Simulation with this
+    // same config continues bit-for-bit. Remote walks already run in fixed
+    // source order; one thread per rank keeps the InteractionQueue flush
+    // points fixed; cost cuts use wall-time weights, which cannot be
+    // replayed.
     cfg.threads_per_rank = 1;
     cfg.balance = domain::BalanceMode::kCount;
     domain::Simulation sim(cfg);
@@ -583,7 +583,6 @@ void JobServer::write_job_bench(const Job& job) {
   info.cluster = "serve";
   info.balance = "count";
   info.kernel = kernel_backend_name(job.spec.kernel);
-  info.async = false;
   const std::string path = cfg_.bench_dir + "/job-" + std::to_string(job.id) + ".json";
   std::ofstream out(path);
   if (!out) {

@@ -8,8 +8,8 @@
 //    limit) when the resident job count would exceed max_concurrent_jobs or
 //    the resident particle total would exceed max_resident_particles.
 //  * Rank-pool scheduler — the server owns `pool_slots` rank slots; each job
-//    runs an in-process lockstep Simulation on its assigned slice (1 thread
-//    per rank). Explicit `ranks` requests are honored (clamped to the pool);
+//    runs an in-process Simulation on its assigned slice (1 thread per
+//    rank). Explicit `ranks` requests are honored (clamped to the pool);
 //    auto-sized jobs reuse the cost-balance machinery: every resident job
 //    weighs in with its particle count, apply_cost_floor() keeps small jobs
 //    from collapsing to zero, and the job's share of the pool is its share
@@ -18,7 +18,7 @@
 //  * Preemption — when the best waiting job cannot fit and a strictly
 //    lower-priority job is running, the victim is asked to suspend: at its
 //    next step boundary it checkpoints to a spool file (the wire Snapshot
-//    frame on disk) and releases its slots. Jobs run the lockstep schedule
+//    frame on disk) and releases its slots. Jobs run one thread per rank
 //    with count balancing, so a resumed job continues bit-for-bit — which is
 //    what lets the queue oversubscribe the pool safely. A completed job's
 //    result lives in the same spool file (a one-set Snapshot), not in

@@ -17,6 +17,7 @@
 
 #include "domain/cluster.hpp"
 #include "domain/simulation.hpp"
+#include "util/check.hpp"
 #include "util/compare.hpp"
 #include "util/ic.hpp"
 
@@ -302,6 +303,20 @@ TEST(ClusterShutdown, DeadWorkerDoesNotStrandTheOthers) {
   for (std::thread& t : pool.threads) t.join();
   EXPECT_EQ(exit_codes[1].load(), 0) << "rank 1 did not see Shutdown";
   EXPECT_EQ(exit_codes[2].load(), 0) << "rank 2 did not see Shutdown";
+}
+
+TEST(ClusterSpmd, RankCountAboveWireCapIsRejected) {
+  ClusterConfig ccfg;
+  ccfg.sim = forces_only_config(256);
+  ccfg.spawn_workers = false;
+  try {
+    ClusterSimulation sim(ccfg);
+    FAIL() << "256 ranks must be rejected";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at most 255 ranks"), std::string::npos) << what;
+    EXPECT_NE(what.find("wire Config, PeerDirectory and Snapshot"), std::string::npos) << what;
+  }
 }
 
 TEST(ClusterTopology, StarIsRejectedNamingMesh) {

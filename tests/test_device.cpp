@@ -1,13 +1,16 @@
 // Execution substrate: thread-pool completion signaling, deadlock safety of
-// nested parallel_for (the 1-core-host case), the per-rank executor lanes,
+// nested parallel_for (the 1-core-host case), caller participation in
+// parallel_for, the per-rank executor lanes,
 // the LET channel layer, and the thread-budget policy.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "device/device.hpp"
 #include "device/thread_pool.hpp"
 #include "domain/channel.hpp"
 #include "domain/executor.hpp"
@@ -45,6 +48,44 @@ TEST(ThreadPool, NestedParallelForFromSubmittedTask) {
   });
   done.get();
   EXPECT_EQ(count.load(), 16);
+}
+
+// A one-thread rank has a Device without workers: its lane computes every
+// stage itself instead of handing each loop to a second thread.
+TEST(ThreadPool, ZeroWorkersRunParallelForOnTheCaller) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.num_threads(), 0u);
+  EXPECT_EQ(Device(1).num_threads(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  int count = 0, off_caller = 0;
+  pool.parallel_for(100, [&](std::size_t) {
+    ++count;
+    if (std::this_thread::get_id() != caller) ++off_caller;
+  });
+  EXPECT_EQ(count, 100);
+  EXPECT_EQ(off_caller, 0);
+}
+
+// The caller takes chunks alongside the workers; when its chunk throws, the
+// workers stop taking new ones and parallel_for returns only after they
+// finish, so fn's captures stay alive for as long as anyone calls it.
+TEST(ThreadPool, ExceptionOnTheCallerWaitsForWorkers) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> running{0}, calls{0};
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](std::size_t) {
+                                   ++calls;
+                                   if (std::this_thread::get_id() == caller)
+                                     throw std::runtime_error("caller chunk");
+                                   ++running;
+                                   std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                                   --running;
+                                 },
+                                 /*chunk=*/1),
+               std::runtime_error);
+  EXPECT_EQ(running.load(), 0);
+  EXPECT_LT(calls.load(), 64);  // the workers stopped early
 }
 
 TEST(ThreadPool, ParallelForFromAnotherPoolsWorkerStillDispatches) {
@@ -171,12 +212,8 @@ TEST(ThreadsFor, ExplicitRequestClampedToConcurrencyBudget) {
   domain::SimConfig cfg;
   cfg.nranks = 4;
   cfg.threads_per_rank = 16;
-  cfg.async = true;
   EXPECT_EQ(domain::threads_for(cfg, 8), 2u);  // concurrent ranks: per-rank share
-  cfg.async = false;
-  EXPECT_EQ(domain::threads_for(cfg, 8), 8u);  // lockstep: one rank at a time
   cfg.threads_per_rank = 1;
-  cfg.async = true;
   EXPECT_EQ(domain::threads_for(cfg, 8), 1u);  // under-asking is honored
 }
 

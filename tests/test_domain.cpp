@@ -20,6 +20,7 @@
 #include "tree/direct.hpp"
 #include "tree/octree.hpp"
 #include "tree/traverse.hpp"
+#include "util/check.hpp"
 #include "util/compare.hpp"
 #include "util/ic.hpp"
 #include "util/stats.hpp"
@@ -258,9 +259,7 @@ TEST(Let, DistantDomainPrunesToSingleMultipole) {
   EXPECT_EQ(let.num_particles(), 0u);
   EXPECT_FALSE(let.empty());  // a bare multipole still exerts force
 
-  // The grafted single-multipole forest reproduces the far field.
-  std::vector<LetTree> lets{let};
-  const LetTree forest = domain::graft_lets(lets, 0.4);
+  // The single-multipole LET reproduces the far field.
   ParticleSet targets;
   Xoshiro256 rng(33);
   for (int i = 0; i < 100; ++i)
@@ -271,7 +270,7 @@ TEST(Let, DistantDomainPrunesToSingleMultipole) {
   TraversalConfig cfg;
   cfg.theta = 0.4;
   InteractionQueue queue;
-  traverse_groups_batched(forest.view(), targets, groups, cfg, /*self=*/false, queue);
+  traverse_groups_batched(let.view(), targets, groups, cfg, /*self=*/false, queue);
 
   ParticleSet ref = targets;
   ref.zero_forces();
@@ -302,15 +301,13 @@ TEST(Let, NearbyDomainExportIsCompressedAndAccurate) {
   EXPECT_LT(let.num_particles(), left.size());
   EXPECT_LT(let.num_cells(), tree.nodes().size());
 
-  std::vector<LetTree> lets{let};
-  const LetTree forest = domain::graft_lets(lets, 0.4);
   right.zero_forces();
   auto groups = make_groups(right, 64);
   TraversalConfig cfg;
   cfg.theta = 0.4;
   cfg.eps = 1e-3;
   InteractionQueue queue;
-  traverse_groups_batched(forest.view(), right, groups, cfg, /*self=*/false, queue);
+  traverse_groups_batched(let.view(), right, groups, cfg, /*self=*/false, queue);
 
   ParticleSet ref = right;
   ref.zero_forces();
@@ -318,19 +315,38 @@ TEST(Let, NearbyDomainExportIsCompressedAndAccurate) {
   EXPECT_LT(median_acc_error(right, ref), 1e-3);
 }
 
-TEST(Let, GraftOfEmptyLetsIsEmpty) {
-  EXPECT_TRUE(domain::graft_lets({}, 0.4).empty());
-  std::vector<LetTree> lets(3);  // default LetTrees have no nodes
-  EXPECT_TRUE(domain::graft_lets(lets, 0.4).empty());
-  EXPECT_TRUE(domain::graft_lets(lets, 0.4).view().empty());
+// A failing lane pays the LETs it owes its peers as default LetTrees; the
+// receiver walks them like any other import, so they must add nothing.
+TEST(Let, DefaultLetIsEmptyAndExertsNoForce) {
+  const LetTree none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.view().empty());
+
+  ParticleSet targets = make_plummer(200, 37);
+  targets.zero_forces();
+  auto groups = make_groups(targets, 64);
+  TraversalConfig cfg;
+  cfg.theta = 0.4;
+  InteractionQueue queue;
+  const InteractionStats stats =
+      traverse_groups_batched(none.view(), targets, groups, cfg, /*self=*/false, queue);
+  EXPECT_EQ(stats.p2p, 0u);
+  EXPECT_EQ(stats.p2c, 0u);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(targets.ax[i], 0.0);
+    EXPECT_EQ(targets.ay[i], 0.0);
+    EXPECT_EQ(targets.az[i], 0.0);
+    EXPECT_EQ(targets.pot[i], 0.0);
+  }
 }
 
-// Both schedules must reproduce the global batched group walk (same kernel
+// The pipeline must reproduce the global batched group walk (same kernel
 // backend as the Simulation default) bit-for-bit on one rank: no LETs exist,
-// so async adds only the executor lane around the same stage calls (the
+// so it adds only the executor lane around the same stage calls (the
 // "single-rank case under the async path" contract). Batches drain in group
 // walk order regardless of which pool thread runs the group, so the serial
-// reference walk is bitwise comparable.
+// reference walk is bitwise comparable. The parameter is the expected
+// StepReport::async; the async pipeline is the only schedule.
 class OneRankExactness : public ::testing::TestWithParam<bool> {};
 
 TEST_P(OneRankExactness, MatchesGlobalGroupWalkExactly) {
@@ -340,11 +356,10 @@ TEST_P(OneRankExactness, MatchesGlobalGroupWalkExactly) {
   cfg.theta = 0.4;
   cfg.eps = 1e-3;
   cfg.dt = 0.0;
-  cfg.async = GetParam();
   Simulation sim(cfg);
   sim.init(global);
   const domain::StepReport rep = sim.step();
-  EXPECT_EQ(rep.async, cfg.async);
+  EXPECT_EQ(rep.async, GetParam());
   EXPECT_EQ(rep.let_cells, 0u);  // nothing to exchange with yourself
   const ParticleSet got = sim.gather();
 
@@ -360,10 +375,24 @@ TEST_P(OneRankExactness, MatchesGlobalGroupWalkExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Schedules, OneRankExactness, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& pinfo) {
-                           return pinfo.param ? "Async" : "Lockstep";
-                         });
+INSTANTIATE_TEST_SUITE_P(Schedules, OneRankExactness, ::testing::Values(true),
+                         [](const ::testing::TestParamInfo<bool>&) { return "Async"; });
+
+// The rank cap comes from the wire: the Config, PeerDirectory and Snapshot
+// decoders reject rank counts above 255, so a run with more ranks could never
+// be shipped to workers or checkpointed. The error must say so.
+TEST(Simulation, RankCountAboveWireCapIsRejected) {
+  SimConfig cfg;
+  cfg.nranks = 256;
+  try {
+    Simulation sim(cfg);
+    FAIL() << "256 ranks must be rejected";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at most 255 ranks"), std::string::npos) << what;
+    EXPECT_NE(what.find("wire Config, PeerDirectory and Snapshot"), std::string::npos) << what;
+  }
+}
 
 TEST(Simulation, MultiRankForcesMatchSingleTreeAndDirect) {
   const ParticleSet global = make_plummer(3000, 19);
@@ -421,47 +450,12 @@ TEST(Simulation, DegenerateDistributionLeavesRanksEmpty) {
     EXPECT_NEAR(norm(got.acc(i) - ref.acc(i)), 0.0, 1e-6 * std::max(1.0, norm(ref.acc(i))));
 }
 
-TEST(Simulation, AsyncAndLockstepSchedulesAgree) {
-  // Differential test of the two step drivers on the same IC. The schedules
-  // are not bit-identical by design — async walks each imported LET
-  // separately while lockstep walks the grafted forest, whose synthetic root
-  // carries its own MAC — but both must sit on the same single-rank answer.
-  const ParticleSet global = make_plummer(3000, 67);
-  SimConfig cfg;
-  cfg.nranks = 4;
-  cfg.theta = 0.4;
-  cfg.eps = 1e-3;
-  cfg.dt = 0.0;
-
-  cfg.async = true;
-  Simulation async_sim(cfg);
-  async_sim.init(global);
-  const domain::StepReport async_rep = async_sim.step();
-  const ParticleSet async_got = async_sim.gather();
-
-  cfg.async = false;
-  Simulation lock_sim(cfg);
-  lock_sim.init(global);
-  const domain::StepReport lock_rep = lock_sim.step();
-  const ParticleSet lock_got = lock_sim.gather();
-
-  // Same decomposition, same LET traffic on both schedules.
-  EXPECT_EQ(async_rep.let_cells, lock_rep.let_cells);
-  EXPECT_EQ(async_rep.let_particles, lock_rep.let_particles);
-  EXPECT_LT(median_acc_error(async_got, lock_got), 1e-6);
-
-  const ParticleSet tree_ref = global_tree_forces(global, cfg.theta, cfg.eps);
-  EXPECT_LT(median_acc_error(async_got, tree_ref), 5e-4);
-  EXPECT_LT(median_acc_error(lock_got, tree_ref), 5e-4);
-}
-
 TEST(Simulation, AsyncStepReportsScheduleModel) {
   SimConfig cfg;
   cfg.nranks = 4;
   cfg.theta = 0.4;
   cfg.eps = 1e-2;
   cfg.dt = 0.0;
-  cfg.async = true;
   Simulation sim(cfg);
   sim.init(make_plummer(2000, 3));
   const domain::StepReport rep = sim.step();
@@ -475,14 +469,6 @@ TEST(Simulation, AsyncStepReportsScheduleModel) {
   EXPECT_LE(rep.gravity_critical, rep.gravity_sequential * (1.0 + 1e-9));
   // Equal up to summation order when one rank is the slowest in every stage.
   EXPECT_GE(rep.overlap_efficiency(), 1.0 - 1e-9);
-
-  // Lockstep steps don't model a schedule.
-  cfg.async = false;
-  Simulation lock(cfg);
-  lock.init(make_plummer(2000, 3));
-  const domain::StepReport lock_rep = lock.step();
-  EXPECT_FALSE(lock_rep.async);
-  EXPECT_EQ(lock_rep.critical_path, 0.0);
 }
 
 TEST(Simulation, AsyncLaneFailurePropagatesInsteadOfHanging) {
@@ -494,7 +480,6 @@ TEST(Simulation, AsyncLaneFailurePropagatesInsteadOfHanging) {
   cfg.nranks = 4;
   cfg.ncrit = 0;
   cfg.dt = 0.0;
-  cfg.async = true;
   Simulation sim(cfg);
   sim.init(make_plummer(200, 9));
   EXPECT_THROW(sim.step(), std::exception);
@@ -505,7 +490,6 @@ TEST(Simulation, ZeroParticlesUnderAsyncPath) {
   cfg.nranks = 4;
   cfg.theta = 0.4;
   cfg.dt = 1e-3;
-  cfg.async = true;
   Simulation sim(cfg);
   sim.init(ParticleSet{});
   for (int s = 0; s < 2; ++s) {

@@ -43,17 +43,15 @@ TEST(Energy, PlummerDriftBoundedAsync) {
   cfg.theta = 0.4;
   cfg.eps = 0.05;
   cfg.dt = 1e-3;
-  cfg.async = true;
   EXPECT_LT(max_energy_drift(cfg, 24), 0.01);
 }
 
-TEST(Energy, PlummerDriftBoundedLockstepWithCostBalance) {
+TEST(Energy, PlummerDriftBoundedWithCostBalance) {
   SimConfig cfg;
   cfg.nranks = 3;
   cfg.theta = 0.4;
   cfg.eps = 0.05;
   cfg.dt = 1e-3;
-  cfg.async = false;
   cfg.balance = domain::BalanceMode::kCost;
   EXPECT_LT(max_energy_drift(cfg, 24), 0.01);
 }

@@ -32,8 +32,8 @@ using serve::ServerConfig;
 
 constexpr const char* kHost = "127.0.0.1";
 
-// The deterministic job config the server runs: lockstep, one thread per
-// rank, count balancing (the bit-for-bit resume contract).
+// The deterministic job config the server runs: the async pipeline with one
+// thread per rank and count balancing (the bit-for-bit resume contract).
 domain::SimConfig job_sim_config(int ranks, const wire::JobSpec& spec) {
   domain::SimConfig cfg;
   cfg.nranks = ranks;
@@ -41,7 +41,6 @@ domain::SimConfig job_sim_config(int ranks, const wire::JobSpec& spec) {
   cfg.eps = spec.eps;
   cfg.dt = spec.dt;
   cfg.kernel = spec.kernel;
-  cfg.async = false;
   cfg.threads_per_rank = 1;
   cfg.balance = domain::BalanceMode::kCount;
   return cfg;
@@ -126,7 +125,6 @@ TEST(Listener, CloseFromAnotherThreadUnblocksAccept) {
 TEST(Snapshot, FileRoundTripsCheckpointBitForBit) {
   domain::SimConfig cfg;
   cfg.nranks = 3;
-  cfg.async = false;
   cfg.threads_per_rank = 1;
   cfg.dt = 1e-3;
   domain::Simulation sim(cfg);
@@ -151,7 +149,7 @@ TEST(Snapshot, FileRoundTripsCheckpointBitForBit) {
   }
 
   // Restoring the file into a fresh Simulation continues bit-for-bit with
-  // the original (same config, lockstep/1-thread/count).
+  // the original (same config, async/1-thread/count).
   domain::Simulation restored(cfg);
   restored.restore(back.sets, back.next_step);
   sim.step();
@@ -368,6 +366,8 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
   }
 
   // Bench isolation: each job's JSON names its own config, 4 steps each.
+  // Jobs run the async pipeline, so every step also carries the schedule
+  // model's overlap figure.
   const std::vector<std::pair<int, int>> expect = {{ja.job_id, 1024}, {jb.job_id, 2048}};
   for (const auto& [id, n] : expect) {
     std::ifstream in(cfg.bench_dir + "/job-" + std::to_string(id) + ".json");
@@ -377,6 +377,9 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
     const std::string body = ss.str();
     EXPECT_NE(body.find("\"num_particles\": " + std::to_string(n)), std::string::npos);
     EXPECT_NE(body.find("\"transport\": \"serve\""), std::string::npos);
+    const std::string config = body.substr(0, body.find("\"steps\""));
+    EXPECT_NE(config.find("\"async\": true"), std::string::npos) << config;
+    EXPECT_NE(body.find("\"schedule.overlap_efficiency\""), std::string::npos);
     EXPECT_EQ(body.find("\"num_particles\": " + std::to_string(n == 1024 ? 2048 : 1024)),
               std::string::npos)
         << "cross-job data in bench for job " << id;
