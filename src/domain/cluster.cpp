@@ -3,10 +3,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <array>
-#include <deque>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -18,89 +14,6 @@
 namespace bonsai::domain {
 
 namespace {
-
-// Demultiplexes a worker's single socket inbox by frame class. Control
-// frames from the coordinator, LETs, SPMD domain frames and migration
-// batches all race on the one connection (peers advance at their own pace
-// inside a step, and a fast peer's next-step frames can arrive before this
-// worker's own StepBegin), so each protocol phase pulls from its own queue
-// and frames it is not yet ready for wait in theirs — the generalization of
-// PR 3's LET stash. Single-consumer: only the worker's driver thread calls
-// recv(). Once the underlying endpoint closes, queued frames stay
-// receivable, then recv() returns nullopt (fail fast, never hang).
-class FrameDemux {
- public:
-  enum class Class : std::size_t {
-    kControl = 0,  // StepBegin / Shutdown / Config
-    kLet,
-    kBoundaries,
-    kKeySamples,
-    kMigration,
-  };
-  static constexpr std::size_t kNumClasses = 5;
-
-  FrameDemux(Transport& inner, int rank) : inner_(inner), rank_(rank) {}
-
-  std::optional<std::vector<std::uint8_t>> recv(Class cls) {
-    auto& queue = queues_[static_cast<std::size_t>(cls)];
-    while (queue.empty()) {
-      if (closed_) return std::nullopt;
-      std::optional<std::vector<std::uint8_t>> frame = inner_.recv(rank_);
-      if (!frame) {
-        closed_ = true;
-        return std::nullopt;
-      }
-      const Class got = classify(wire::frame_type(*frame));
-      queues_[static_cast<std::size_t>(got)].push_back(std::move(*frame));
-    }
-    std::vector<std::uint8_t> out = std::move(queue.front());
-    queue.pop_front();
-    return out;
-  }
-
- private:
-  static Class classify(wire::FrameType type) {
-    switch (type) {
-      case wire::FrameType::kLet: return Class::kLet;
-      case wire::FrameType::kLetDelta: return Class::kLet;
-      case wire::FrameType::kBoundaries: return Class::kBoundaries;
-      case wire::FrameType::kKeySamples: return Class::kKeySamples;
-      case wire::FrameType::kMigration: return Class::kMigration;
-      default: return Class::kControl;
-    }
-  }
-
-  Transport& inner_;
-  int rank_;
-  std::array<std::deque<std::vector<std::uint8_t>>, kNumClasses> queues_;
-  bool closed_ = false;
-};
-
-// Transport view handing one demux class to a protocol written against the
-// plain Transport interface (LetExchange, MigrationExchange): post() goes
-// out through the recorded socket, recv() pulls only this class's frames.
-class DemuxTransport final : public Transport {
- public:
-  DemuxTransport(FrameDemux& demux, Transport& out, FrameDemux::Class cls)
-      : demux_(demux), out_(out), cls_(cls) {}
-
-  void post(int src, int dst, std::vector<std::uint8_t> frame) override {
-    out_.post(src, dst, std::move(frame));
-  }
-
-  std::optional<std::vector<std::uint8_t>> recv(int dst) override {
-    (void)dst;
-    return demux_.recv(cls_);
-  }
-
-  void close(int dst) override { out_.close(dst); }
-  std::string close_reason() const override { return out_.close_reason(); }
-
- private:
-  FrameDemux& demux_;
-  Transport& out_;
-  FrameDemux::Class cls_;
-};
 
 std::vector<const ParticleSet*> set_pointers(const std::vector<ParticleSet>& sets) {
   std::vector<const ParticleSet*> out;
@@ -214,20 +127,16 @@ ClusterSimulation::~ClusterSimulation() {
 }
 
 void ClusterSimulation::init(ParticleSet global) {
+  // The whole initial set rides to rank 0 with the first StepBegin; the
+  // workers scatter it with the rank program's redistribute phase, exactly as
+  // the in-process lanes do, so both drivers start from bitwise-identical
+  // slices.
   sets_.assign(sets_.size(), ParticleSet{});
   sets_[0] = std::move(global);
   next_step_ = 0;
   spmd_stepped_ = false;
   spmd_particles_ = 0;
   spmd_kinetic_ = spmd_potential_ = 0.0;
-  // The in-process driver's own split, run coordinator-locally (it owns every
-  // set here, so the migration frames never need the sockets): both drivers
-  // start from bitwise-identical slices. The slices stay here until the first
-  // StepBegin ships them out; afterwards the workers own them.
-  InProcTransport local(cfg_.sim.nranks);
-  StepReport scratch;
-  TimeBreakdown driver;
-  decomp_ = redistribute_sets(sets_, cfg_.sim, {}, {}, local, scratch, driver).decomp;
   bootstrap_pending_ = true;
 }
 
@@ -235,7 +144,9 @@ wire::StepResult ClusterSimulation::recv_step_result(TrafficRecordingTransport& 
                                                      StepReport& report,
                                                      std::vector<std::uint8_t>& seen,
                                                      std::span<const std::int64_t> post_ns,
-                                                     std::vector<trace::Span>& spans) {
+                                                     std::vector<trace::Span>& spans,
+                                                     std::span<TimeBreakdown> rank_times,
+                                                     std::vector<sfc::Key>& agreed_bounds) {
   std::optional<std::vector<std::uint8_t>> frame;
   for (;;) {
     {
@@ -272,17 +183,7 @@ wire::StepResult ClusterSimulation::recv_step_result(TrafficRecordingTransport& 
   seen[static_cast<std::size_t>(sr.rank)] = 1;
   rec.record(sr.rank, kCoordinatorRank,
              static_cast<std::uint16_t>(wire::FrameType::kStepResult), frame->size());
-  report.let_cells += sr.let_cells;
-  report.let_particles += sr.let_particles;
-  report.local_stats += sr.local_stats;
-  report.remote_stats += sr.remote_stats;
-  report.let_wire += sr.let_wire;
-  report.part_wire += sr.part_wire;
-  report.dom_wire += sr.dom_wire;
-  report.let_delta += sr.let_delta;
-  report.let_sizes.insert(report.let_sizes.end(), sr.let_sizes.begin(),
-                          sr.let_sizes.end());
-  wire::merge_traffic(report.traffic, sr.traffic);
+  fold_step_result(report, sr, rank_times, agreed_bounds);
   return sr;
 }
 
@@ -296,10 +197,10 @@ StepReport ClusterSimulation::step() {
   const std::size_t nranks = sets_.size();
   TrafficRecordingTransport rec(*net_);
 
-  // A bare step trigger — plus, on the first step, the bootstrap slices the
-  // init() redistribute computed. From then on the coordinator holds no
-  // particle state: the workers sample, decompose and migrate among
-  // themselves and report only aggregates.
+  // A bare step trigger — plus, on the first step, the initial set for rank
+  // 0 to scatter. From then on the coordinator holds no particle state: the
+  // workers sample, decompose and migrate among themselves and report only
+  // aggregates.
   const bool bootstrap = bootstrap_pending_;
   bootstrap_pending_ = false;
   std::vector<std::int64_t> post_ns(nranks, 0);
@@ -324,38 +225,21 @@ StepReport ClusterSimulation::step() {
   std::vector<std::uint8_t> seen(nranks, 0);
   std::vector<trace::Span> worker_spans;
   std::vector<sfc::Key> agreed_bounds;
-  std::size_t total = 0;
-  std::uint64_t migrated = 0;
   double kinetic = 0.0, potential = 0.0;
   for (std::size_t i = 0; i < nranks; ++i) {
-    wire::StepResult sr = recv_step_result(rec, report, seen, post_ns, worker_spans);
-    rank_times[static_cast<std::size_t>(sr.rank)] = std::move(sr.times);
-    total += sr.local_count;
-    migrated += sr.migrated;
+    const wire::StepResult sr =
+        recv_step_result(rec, report, seen, post_ns, worker_spans, rank_times, agreed_bounds);
     kinetic += sr.kinetic;
     potential += sr.potential;
-    // Decentralized decomposition cross-check: every worker must have cut
-    // the identical partition, or the LET/migration protocols are exchanging
-    // against different domains — fail fast, never average.
-    BNS_CHECK(!sr.boundaries.empty(), "SPMD step result without boundaries");
-    if (agreed_bounds.empty()) {
-      agreed_bounds = std::move(sr.boundaries);
-    } else {
-      BNS_CHECK(agreed_bounds == sr.boundaries,
-                       "workers computed diverging decompositions");
-    }
   }
-  report.num_particles = total;
-  report.migrated = migrated;
   decomp_ = Decomposition::from_boundaries(std::move(agreed_bounds));
-  spmd_particles_ = total;
+  spmd_particles_ = report.num_particles;
   spmd_kinetic_ = kinetic;
   spmd_potential_ = potential;
   spmd_stepped_ = true;
 
   wire::merge_traffic(report.traffic, rec.take());
-  TimeBreakdown driver_times;
-  fold_stage_times(report, driver_times, rank_times);
+  fold_stage_times(report, rank_times);
   report.elapsed = wall.elapsed();
   if (trace::Tracer::instance().enabled()) {
     report.spans = trace::Tracer::instance().drain_thread();
@@ -414,226 +298,6 @@ double ClusterSimulation::potential_energy() const {
   if (spmd_stepped_) return spmd_potential_;
   return total_potential_energy(set_pointers(sets_));
 }
-
-namespace {
-
-// Per-worker state the SPMD protocol carries across steps (the feedback for
-// cost balancing; everything else lives in the resident ParticleSet).
-struct SpmdState {
-  double prev_gravity_seconds = 0.0;
-  std::size_t prev_size = 0;
-};
-
-// Broadcast one encoded frame to every peer, accounting encode time once and
-// frames/bytes per post (each peer receives its own copy of the bytes).
-template <typename EncodeFn>
-void broadcast(Transport& out, int self, int nranks, wire::WireStats& ws,
-               EncodeFn&& encode) {
-  WallTimer timer;
-  const std::vector<std::uint8_t> frame = encode();
-  ws.encode_seconds += timer.elapsed();
-  for (int dst = 0; dst < nranks; ++dst) {
-    if (dst == self) continue;
-    ws.frames += 1;
-    ws.bytes += frame.size();
-    out.post(self, dst, frame);
-  }
-}
-
-// The decentralized per-step domain update + migration + LET/gravity body of
-// one SPMD worker. Fills sr's statistics (times excepted: the caller owns
-// the breakdown) and leaves the stepped particles resident in `rank`.
-void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
-                   Transport& out, SpmdState& st, LetChannelState& let_state,
-                   TimeBreakdown& times, wire::StepResult& sr) {
-  const int nranks = cfg.nranks;
-  const int self = rank.id();
-  ParticleSet& parts = rank.parts();
-  wire::WireStats dom_ws;
-
-  // Compose a disconnect error with the transport's recorded cause, so "a
-  // peer vanished" distinguishes an orderly peer close from a socket errno.
-  const auto vanished = [&out](const char* during) {
-    const std::string why = out.close_reason();
-    return std::runtime_error(std::string("worker: a peer vanished during ") + during +
-                              (why.empty() ? "" : " (" + why + ")"));
-  };
-
-  // Phase spans cannot be RAII here (scopes span declarations the tail
-  // needs), so they are emitted manually at each phase boundary.
-  auto emit_phase = [&](const char* name, std::int64_t begin_ns) {
-    if (!trace::Tracer::instance().enabled()) return;
-    trace::RawSpan span;
-    span.name = name;
-    span.begin_ns = begin_ns;
-    span.end_ns = now_ns();
-    span.rank = self;
-    span.lane = self;
-    span.step = step;
-    trace::Tracer::instance().emit(span);
-  };
-
-  // --- Phase 1: pre-migration allgather of bounds/population/cost weight ---
-  // After it, every rank holds the identical inputs the centralized
-  // update_domain() consumes, so the KeySpace, stride and weight vector are
-  // bitwise-identical on all ranks.
-  const std::int64_t phase_domain_ns = now_ns();
-  WallTimer domain_timer;
-  wire::Boundaries pre;
-  pre.src = self;
-  pre.step = step;
-  pre.count = parts.size();
-  if (!parts.empty()) pre.box = parts.bounds();
-  if (cfg.balance == BalanceMode::kCost && step > 0 && st.prev_size > 0)
-    pre.weight = st.prev_gravity_seconds / static_cast<double>(st.prev_size);
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_boundaries(pre); });
-
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(nranks), 0);
-  std::vector<double> weights(static_cast<std::size_t>(nranks), 0.0);
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(nranks), 0);
-  AABB bounds;
-  counts[static_cast<std::size_t>(self)] = pre.count;
-  weights[static_cast<std::size_t>(self)] = pre.weight;
-  seen[static_cast<std::size_t>(self)] = 1;
-  if (pre.count > 0) bounds.expand(pre.box);
-  for (int k = 0; k + 1 < nranks; ++k) {
-    std::optional<std::vector<std::uint8_t>> frame =
-        demux.recv(FrameDemux::Class::kBoundaries);
-    if (!frame) throw vanished("the domain allgather");
-    WallTimer timer;
-    const wire::Boundaries b = wire::decode_boundaries(*frame);
-    dom_ws.decode_seconds += timer.elapsed();
-    BNS_CHECK(b.src >= 0 && b.src < nranks && !seen[static_cast<std::size_t>(b.src)],
-                     "boundaries from an impossible or duplicate rank");
-    BNS_CHECK(b.step == step && !b.post_migration,
-                     "boundaries from the wrong step or phase");
-    seen[static_cast<std::size_t>(b.src)] = 1;
-    counts[static_cast<std::size_t>(b.src)] = b.count;
-    weights[static_cast<std::size_t>(b.src)] = b.weight;
-    if (b.count > 0) bounds.expand(b.box);
-  }
-  bounds = domain_bounds_or_default(bounds);
-  const sfc::KeySpace space(bounds, cfg.curve);
-  std::size_t total = 0;
-  for (const std::uint64_t c : counts) total += static_cast<std::size_t>(c);
-  const std::size_t stride = sample_stride(total, nranks, cfg.samples_per_rank);
-  const bool use_weights = cfg.balance == BalanceMode::kCost && step > 0;
-  if (use_weights) apply_cost_floor(weights);
-
-  // --- Phase 2: sampled-key allgather -> identical Decomposition ------------
-  wire::KeySamples mine;
-  mine.src = self;
-  mine.step = step;
-  mine.keys = sample_keys(parts, space, stride);
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_key_samples(mine); });
-
-  std::vector<std::vector<sfc::Key>> samples(static_cast<std::size_t>(nranks));
-  samples[static_cast<std::size_t>(self)] = std::move(mine.keys);
-  seen.assign(static_cast<std::size_t>(nranks), 0);
-  seen[static_cast<std::size_t>(self)] = 1;
-  for (int k = 0; k + 1 < nranks; ++k) {
-    std::optional<std::vector<std::uint8_t>> frame =
-        demux.recv(FrameDemux::Class::kKeySamples);
-    if (!frame) throw vanished("the sample allgather");
-    WallTimer timer;
-    wire::KeySamples ks = wire::decode_key_samples(*frame);
-    dom_ws.decode_seconds += timer.elapsed();
-    BNS_CHECK(
-        ks.src >= 0 && ks.src < nranks && !seen[static_cast<std::size_t>(ks.src)],
-        "key samples from an impossible or duplicate rank");
-    BNS_CHECK(ks.step == step, "key samples from the wrong step");
-    seen[static_cast<std::size_t>(ks.src)] = 1;
-    samples[static_cast<std::size_t>(ks.src)] = std::move(ks.keys);
-  }
-  // Pool in rank order — the exact concatenation update_domain() builds — so
-  // every rank cuts the identical boundaries.
-  std::vector<Decomposition::WeightedKey> pooled;
-  for (std::size_t r = 0; r < samples.size(); ++r) {
-    const double w = use_weights ? weights[r] : 1.0;
-    for (const sfc::Key key : samples[r]) pooled.push_back({key, w});
-  }
-  const Decomposition decomp =
-      Decomposition::from_weighted_samples(std::move(pooled), nranks, cfg.snap_level);
-  sr.boundaries.assign(decomp.boundaries().begin(), decomp.boundaries().end());
-  const double dom_wire_pre = dom_ws.encode_seconds + dom_ws.decode_seconds;
-  times.add("Domain update", std::max(0.0, domain_timer.elapsed() - dom_wire_pre));
-  emit_phase("domain.update", phase_domain_ns);
-
-  // --- Phase 3: peer-to-peer migration (the alltoallv, boundary crossers
-  // only), then phase 4: post-migration allgather of the active set and the
-  // tight domain boxes peers build LETs against. Phase 3's recv loop is the
-  // migration barrier: no rank proceeds before owning its full new slice.
-  const std::int64_t phase_migrate_ns = now_ns();
-  WallTimer exchange_timer;
-  DemuxTransport mig_net(demux, out, FrameDemux::Class::kMigration);
-  MigrationExchange mex(mig_net, nranks);
-  const ExchangeStats ex = exchange_resident(parts, self, space, decomp, mex, step);
-  sr.migrated = ex.migrated;
-  wire::WireStats part_ws = mex.encode_stats(self);
-  part_ws.decode_seconds = mex.decode_stats(self).decode_seconds;
-
-  wire::Boundaries post;
-  post.src = self;
-  post.step = step;
-  post.post_migration = true;
-  post.count = parts.size();
-  if (!parts.empty()) post.box = parts.bounds();
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_boundaries(post); });
-
-  std::vector<std::uint8_t> active(static_cast<std::size_t>(nranks), 0);
-  std::vector<AABB> boxes(static_cast<std::size_t>(nranks));
-  active[static_cast<std::size_t>(self)] = post.count > 0;
-  if (post.count > 0) boxes[static_cast<std::size_t>(self)] = post.box;
-  seen.assign(static_cast<std::size_t>(nranks), 0);
-  seen[static_cast<std::size_t>(self)] = 1;
-  for (int k = 0; k + 1 < nranks; ++k) {
-    std::optional<std::vector<std::uint8_t>> frame =
-        demux.recv(FrameDemux::Class::kBoundaries);
-    if (!frame) throw vanished("the box allgather");
-    WallTimer timer;
-    const wire::Boundaries b = wire::decode_boundaries(*frame);
-    dom_ws.decode_seconds += timer.elapsed();
-    BNS_CHECK(b.src >= 0 && b.src < nranks && !seen[static_cast<std::size_t>(b.src)],
-                     "post boxes from an impossible or duplicate rank");
-    BNS_CHECK(b.step == step && b.post_migration,
-                     "post boxes from the wrong step or phase");
-    seen[static_cast<std::size_t>(b.src)] = 1;
-    active[static_cast<std::size_t>(b.src)] = b.count > 0;
-    if (b.count > 0) boxes[static_cast<std::size_t>(b.src)] = b.box;
-  }
-  const double exchange_wire = (dom_ws.encode_seconds + dom_ws.decode_seconds -
-                                dom_wire_pre) +
-                               part_ws.encode_seconds + part_ws.decode_seconds;
-  times.add("Exchange particles", std::max(0.0, exchange_timer.elapsed() - exchange_wire));
-  times.add("Wire encode", dom_ws.encode_seconds + part_ws.encode_seconds);
-  times.add("Wire decode", dom_ws.decode_seconds + part_ws.decode_seconds);
-  emit_phase("decomposition.migrate", phase_migrate_ns);
-  sr.dom_wire = dom_ws;
-  sr.part_wire = part_ws;
-
-  // --- Build + LET exchange + gravity + integration: the exact same step
-  // body as the in-process lanes.
-  rank.build(space, cfg, times);
-  DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
-  LetExchange let_net(let_net_view, active, &let_state);
-  std::size_t next_peer = 1;
-  RankStepStats out_stats =
-      run_rank_step(rank, cfg, let_net, active, boxes, times, /*lane=*/nullptr, next_peer);
-  sr.let_cells = out_stats.let_cells;
-  sr.let_particles = out_stats.let_particles;
-  sr.local_stats = out_stats.local_stats;
-  sr.remote_stats = out_stats.remote_stats;
-  sr.let_sizes = std::move(out_stats.let_sizes);
-  sr.let_wire = let_net.encode_stats(self);
-  sr.let_wire.decode_seconds = let_net.decode_stats(self).decode_seconds;
-  sr.let_delta = let_net.delta_stats(self);
-
-  st.prev_gravity_seconds =
-      times.get("Gravity local") + times.get("Gravity remote");
-  st.prev_size = parts.size();
-}
-
-}  // namespace
 
 int run_worker(const std::string& host, std::uint16_t port, int rank_id,
                std::size_t threads, std::uint16_t listen_port) {
@@ -696,20 +360,25 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
       continue;
     }
 
-    TimeBreakdown times;
-    times.add("Wire decode", sb_decode_s);
-    times.add("Wire encode", pending_result_encode_s);
-    pending_result_encode_s = 0.0;
+    if (sb.mode == wire::StepMode::kSpmdBootstrap) {
+      // The initial set (all on rank 0) is scattered by the redistribute
+      // phase first, as the in-process init() does; like there, it is not
+      // step traffic, and the cost feedback starts afresh.
+      rank.parts() = std::move(sb.parts);
+      st = SpmdState{};
+      wire::StepResult scratch;
+      run_spmd_redistribute(rank, cfg, sb.step, demux, out, st, scratch);
+      out.take();
+    }
 
     // Resident state, distributed domain update, peer migration; the
     // particles never leave this worker.
     wire::StepResult sr;
-    sr.rank = rank_id;
-    if (sb.mode == wire::StepMode::kSpmdBootstrap) rank.parts() = std::move(sb.parts);
-    run_spmd_step(rank, cfg, sb.step, demux, out, st, let_state, times, sr);
+    sr.times.add("Wire decode", sb_decode_s);
+    sr.times.add("Wire encode", pending_result_encode_s);
+    pending_result_encode_s = 0.0;
+    run_spmd_step(rank, cfg, sb.step, demux, out, st, let_state, sr);
     fill_energy(rank.parts(), sr);
-    sr.local_count = rank.parts().size();
-    sr.times = times;
     sr.traffic = out.take();
     if (cfg.trace) {
       // The step's spans ship just ahead of the StepResult. The overall step

@@ -3,8 +3,9 @@
 // The paper's ranks are separate MPI processes that keep their own particles
 // and trade LETs and migrating particles point to point (§III-B1); this
 // module reproduces that over the SocketTransport. Workers keep their
-// particle slice *resident across steps* and run the domain update among
-// themselves — per step, after a bare StepBegin trigger:
+// particle slice *resident across steps* and run the rank program of
+// domain/simulation.hpp (run_spmd_step) among themselves — per step, after a
+// bare StepBegin trigger:
 //
 //   phase 1  Boundaries allgather: local bounds, population, cost weight
 //            -> every worker derives the identical global KeySpace/stride
@@ -13,23 +14,22 @@
 //            (the migration barrier: a worker proceeds only after all n-1
 //            inbound batches arrived)
 //   phase 4  Boundaries allgather (post-migration active set + boxes)
-//   then     LET exchange + gravity + integration, exactly as in-process
+//   then     LET exchange + gravity + integration
 //   finally  StepResult: timings/stats/energies only — no particles
 //
 // The fabric is a mesh (see transport.hpp): each worker pair holds its own
 // TCP connection (rendezvous via the coordinator's PeerDirectory), so
 // LET/Boundaries/KeySamples/Migration frames never touch the coordinator.
 // The coordinator is rendezvous, step trigger and report aggregator only:
-// it ships the bootstrap slices with the first StepBegin, cross-checks the
-// Decomposition every worker reports and fails fast on divergence, and any
-// worker death closes its sockets so every blocked recv() unblinds instead
-// of hanging.
+// it ships the whole initial set to rank 0 with the first StepBegin (the
+// workers scatter it with phases 1-3 before that step's own round), folds
+// the results with fold_step_result — which cross-checks the Decomposition
+// every worker reports and fails fast on divergence — and any worker death
+// closes its sockets so every blocked recv() unblinds instead of hanging.
 //
-// The physics is the in-process Simulation's: the same bootstrap split
-// (redistribute_sets), the same decomposition arithmetic (shared via
-// domain/decomposition.hpp helpers), the same Rank code, the same
-// run_rank_step body and the same LET protocol — so socket and in-process
-// forces agree bitwise.
+// The in-process Simulation's lanes run the same rank program over the
+// in-process transport, bootstrap included, so socket and in-process runs
+// agree bitwise.
 #pragma once
 
 #include <cstdint>
@@ -74,43 +74,46 @@ class ClusterSimulation {
   explicit ClusterSimulation(const ClusterConfig& cfg);
   ~ClusterSimulation();
 
-  // Splits `global` into the bootstrap slices the first step() ships out.
+  // Holds `global` for rank 0; the first step() ships it out and the workers
+  // scatter it.
   void init(ParticleSet global);
   StepReport step();
   // A collect round-trip pulls every worker's resident particles (with
-  // forces); before the first step, the coordinator's bootstrap slices.
+  // forces); before the first step, the initial set.
   ParticleSet gather() const;
 
   std::size_t num_particles() const;
   const SimConfig& config() const { return cfg_.sim; }
   // The partition every worker reported (and the coordinator verified
-  // identical) last step; before the first step, the bootstrap split.
+  // identical) at the last step; the uniform one before any step.
   const Decomposition& decomposition() const { return decomp_; }
   std::uint16_t port() const { return net_->port(); }
 
   // The per-worker partial sums aggregated from the last step's results;
-  // before the first step, summed over the bootstrap slices.
+  // before the first step, summed over the initial set.
   double kinetic_energy() const;
   double potential_energy() const;
 
  private:
   void spawn_workers();
   void broadcast_shutdown() noexcept;
-  // The next worker's decoded, deduplicated StepResult, with the aggregates
-  // (wire volumes, LET statistics, traffic) already folded into `report`. Trace
+  // The next worker's decoded, deduplicated StepResult, already folded into
+  // `report`, `rank_times` and `agreed_bounds` by fold_step_result. Trace
   // frames interleaved with the results are absorbed on the way: their spans
   // are clock-shifted onto the coordinator's clock (post_ns holds the
   // per-rank StepBegin post times of this step) and appended to `spans`.
   wire::StepResult recv_step_result(TrafficRecordingTransport& rec, StepReport& report,
                                     std::vector<std::uint8_t>& seen,
                                     std::span<const std::int64_t> post_ns,
-                                    std::vector<trace::Span>& spans);
+                                    std::vector<trace::Span>& spans,
+                                    std::span<TimeBreakdown> rank_times,
+                                    std::vector<sfc::Key>& agreed_bounds);
 
   ClusterConfig cfg_;
   std::unique_ptr<SocketTransport> net_;
-  // The bootstrap slices, shipped with the first StepBegin; afterwards the
-  // coordinator holds no particles and serves population/energy queries from
-  // the aggregated step results.
+  // The initial set (all in rank 0's entry), shipped with the first
+  // StepBegin; afterwards the coordinator holds no particles and serves
+  // population/energy queries from the aggregated step results.
   std::vector<ParticleSet> sets_;
   Decomposition decomp_;
   int next_step_ = 0;

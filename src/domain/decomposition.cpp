@@ -259,12 +259,6 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
   return stats;
 }
 
-ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
-                       const Decomposition& decomp) {
-  InProcTransport scratch(decomp.num_ranks());
-  return exchange(rank_parts, space, decomp, scratch, nullptr);
-}
-
 ExchangeStats exchange_resident(ParticleSet& mine, int self, const sfc::KeySpace& space,
                                 const Decomposition& decomp, MigrationExchange& mex,
                                 int step) {

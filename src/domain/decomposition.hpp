@@ -92,10 +92,10 @@ class Decomposition {
 std::vector<sfc::Key> sample_keys(const ParticleSet& parts, const sfc::KeySpace& space,
                                   std::size_t stride);
 
-// The pieces of the per-step domain update, exposed separately so the
-// centralized update_domain() below and the decentralized SPMD workers run
-// the *same arithmetic* on the same inputs and therefore derive the
-// identical KeySpace, stride and Decomposition:
+// The pieces of the per-step domain update, exposed separately so the rank
+// program (run_spmd_step, domain/simulation.hpp) and the centralized
+// update_domain() below run the *same arithmetic* on the same inputs and
+// therefore derive the identical KeySpace, stride and Decomposition:
 
 // Fallback when no particle exists anywhere (keeps KeySpace constructible).
 inline AABB domain_bounds_or_default(AABB bounds) {
@@ -110,20 +110,22 @@ std::size_t sample_stride(std::size_t total, int nranks, std::size_t samples_per
 // timings underflowed from collapsing its region to nothing.
 void apply_cost_floor(std::span<double> weights);
 
-// Result of one "Domain update" stage: the raw global particle bounds (kept
-// so a remote worker can reconstruct the KeySpace bit-identically), the key
-// space built from them, and the new partition.
+// Result of one centralized "Domain update": the raw global particle bounds,
+// the key space built from them, and the new partition.
 struct DomainUpdate {
   AABB bounds;
   sfc::KeySpace space;
   Decomposition decomp;
 };
 
-// The per-step domain update shared by the in-process Simulation and the
-// cluster coordinator: global bounds -> KeySpace, pooled stride-sampling of
-// every rank's keys (one global stride, so pooled samples stay uniformly
-// weighted per particle), and a weighted quantile cut. `weights` gives each
-// rank's per-sample cost weight (empty = uniform; see BalanceMode::kCost).
+// Centralized domain update over every rank's set at once: global bounds ->
+// KeySpace, pooled stride-sampling of every rank's keys (one global stride,
+// so pooled samples stay uniformly weighted per particle), and a weighted
+// quantile cut. `weights` gives each rank's per-sample cost weight (empty =
+// uniform; see BalanceMode::kCost). No driver runs it: it and exchange()
+// below are the test oracle the rank program's allgathers and
+// exchange_resident() are checked against, and the stage-by-stage replay of
+// bench/bonsai_bench.cpp still calls both.
 DomainUpdate update_domain(std::span<const ParticleSet* const> rank_parts, int nranks,
                            sfc::CurveType curve, std::size_t samples_per_rank,
                            int snap_level, std::span<const double> weights);
@@ -142,16 +144,14 @@ struct ExchangeStats {
 // Positions, velocities, masses and ids travel bit-for-bit, forces are reset
 // (they are recomputed each step), and each particle's `key` field is left
 // holding its freshly computed SFC key. Serialization cost/volume is
-// accumulated into `wire_stats` when given.
+// accumulated into `wire_stats` when given. Like update_domain(): the test
+// oracle and the bench replay's path, not a driver stage.
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
                        const Decomposition& decomp, Transport& transport,
                        wire::WireStats* wire_stats = nullptr);
 
-// Convenience overload routing through a scratch in-process transport.
-ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
-                       const Decomposition& decomp);
-
-// The decentralized alltoallv cell of one resident rank (the SPMD path):
+// The decentralized alltoallv cell of one resident rank (the rank program's
+// phase 3, in every mode):
 // compute each local particle's key and owner, post one Migration frame per
 // peer through `mex` (possibly empty — peers count on exactly nranks-1
 // arrivals), receive the inbound batches, and splice them around the local

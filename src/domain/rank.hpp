@@ -19,7 +19,7 @@
 
 namespace bonsai::domain {
 
-// How redistribute() places the domain boundaries.
+// How the rank program's domain update places the boundaries.
 enum class BalanceMode {
   kCount,  // equalize sampled particle counts (quantile cuts)
   kCost,   // weight samples by the owner rank's measured gravity s/particle

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <thread>
 
 #include "domain/channel.hpp"
@@ -146,97 +148,139 @@ Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
   ranks_.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r)
     ranks_.push_back(std::make_unique<Rank>(r, threads));
-  inproc_ = std::make_unique<InProcTransport>(cfg_.nranks);
-  transport_ = std::make_unique<TrafficRecordingTransport>(*inproc_);
+  spmd_.resize(ranks_.size());
   decomp_ = Decomposition::uniform(cfg_.nranks);
   let_state_.init(cfg_.nranks, cfg_.let_cache, cfg_.let_churn);
   executor_ = std::make_unique<Executor>(ranks_.size());
 }
 
-void Simulation::init(ParticleSet global) {
-  ranks_[0]->parts() = std::move(global);
-  for (std::size_t r = 1; r < ranks_.size(); ++r) ranks_[r]->parts().clear();
-  prev_gravity_seconds_.clear();
-  prev_rank_size_.clear();
-  StepReport scratch;
-  TimeBreakdown driver;
-  redistribute(scratch, driver);
-  transport_->take();  // the bootstrap scatter is not step traffic
+std::optional<std::vector<std::uint8_t>> FrameDemux::recv(Class cls) {
+  auto& queue = queues_[static_cast<std::size_t>(cls)];
+  while (queue.empty()) {
+    if (closed_) return std::nullopt;
+    std::optional<std::vector<std::uint8_t>> frame = inner_.recv(rank_);
+    if (!frame) {
+      closed_ = true;
+      return std::nullopt;
+    }
+    Class got = Class::kControl;
+    switch (wire::frame_type(*frame)) {
+      case wire::FrameType::kLet:
+      case wire::FrameType::kLetDelta: got = Class::kLet; break;
+      case wire::FrameType::kBoundaries: got = Class::kBoundaries; break;
+      case wire::FrameType::kKeySamples: got = Class::kKeySamples; break;
+      case wire::FrameType::kMigration: got = Class::kMigration; break;
+      default: break;
+    }
+    queues_[static_cast<std::size_t>(got)].push_back(std::move(*frame));
+  }
+  std::vector<std::uint8_t> out = std::move(queue.front());
+  queue.pop_front();
+  return out;
 }
 
 namespace {
 
-// Feedback-balancing weights: rank r's samples are weighted by its measured
-// gravity seconds per particle from the previous step, so expensive regions
-// shrink. The floor keeps a region whose timings underflowed from collapsing
-// to nothing; before any step has been timed (or outside cost mode) the
-// returned vector is empty and the cut degrades to equal-count quantiles.
-std::vector<double> cost_weights(const SimConfig& cfg,
-                                 std::span<const double> prev_gravity_seconds,
-                                 std::span<const std::size_t> prev_rank_size) {
-  std::vector<double> weight;
-  if (cfg.balance != BalanceMode::kCost ||
-      prev_gravity_seconds.size() != static_cast<std::size_t>(cfg.nranks))
-    return weight;
-  weight.resize(prev_gravity_seconds.size());
-  for (std::size_t r = 0; r < weight.size(); ++r) {
-    weight[r] = prev_rank_size[r] > 0
-                    ? prev_gravity_seconds[r] / static_cast<double>(prev_rank_size[r])
-                    : 0.0;
+// Transport view handing one demux class to a protocol written against the
+// plain Transport interface (LetExchange, MigrationExchange): post() goes
+// out through `out`, recv() pulls only this class's frames.
+class DemuxTransport final : public Transport {
+ public:
+  DemuxTransport(FrameDemux& demux, Transport& out, FrameDemux::Class cls)
+      : demux_(demux), out_(out), cls_(cls) {}
+
+  void post(int src, int dst, std::vector<std::uint8_t> frame) override {
+    out_.post(src, dst, std::move(frame));
   }
-  apply_cost_floor(weight);
-  return weight;
+  std::optional<std::vector<std::uint8_t>> recv(int /*dst*/) override {
+    return demux_.recv(cls_);
+  }
+  void close(int dst) override { out_.close(dst); }
+  std::string close_reason() const override { return out_.close_reason(); }
+
+ private:
+  FrameDemux& demux_;
+  Transport& out_;
+  FrameDemux::Class cls_;
+};
+
+// Broadcast one encoded frame to every peer, accounting encode time once and
+// frames/bytes per post (each peer receives its own copy of the bytes).
+template <typename EncodeFn>
+void broadcast(Transport& out, int self, int nranks, wire::WireStats& ws,
+               EncodeFn&& encode) {
+  WallTimer timer;
+  const std::vector<std::uint8_t> frame = encode();
+  ws.encode_seconds += timer.elapsed();
+  for (int dst = 0; dst < nranks; ++dst) {
+    if (dst == self) continue;
+    ws.frames += 1;
+    ws.bytes += frame.size();
+    out.post(self, dst, frame);
+  }
 }
 
-}  // namespace
+// A receive of the rank program found its endpoint closed: name the phase
+// and the transport's recorded cause, so "a peer vanished" distinguishes an
+// orderly peer close from a socket errno.
+std::runtime_error vanished(const Transport& out, int self, const std::string& during) {
+  const std::string why = out.close_reason();
+  return std::runtime_error("rank " + std::to_string(self) + ": a peer vanished during the " +
+                            during + (why.empty() ? "" : " (" + why + ")"));
+}
 
-DomainUpdate redistribute_sets(std::vector<ParticleSet>& sets, const SimConfig& cfg,
-                               std::span<const double> prev_gravity_seconds,
-                               std::span<const std::size_t> prev_rank_size,
-                               Transport& transport, StepReport& report,
-                               TimeBreakdown& driver_times) {
-  DomainUpdate du;
-  {
-    trace::ScopedSpan span("decomposition.update");
-    ScopedTimer t(driver_times, "Domain update");
-    const std::vector<double> weight =
-        cost_weights(cfg, prev_gravity_seconds, prev_rank_size);
-    std::vector<const ParticleSet*> ptrs;
-    ptrs.reserve(sets.size());
-    for (const ParticleSet& s : sets) ptrs.push_back(&s);
-    du = update_domain(ptrs, cfg.nranks, cfg.curve, cfg.samples_per_rank, cfg.snap_level,
-                       weight);
-  }
-  {
-    // Manual timing so the serialization cost of the migration batches lands
-    // in the wire rows instead of double-counting inside the exchange row.
-    trace::ScopedSpan span("decomposition.exchange");
+// Receive the nranks-1 Boundaries frames of one allgather round and hand
+// each decoded frame to `use`, after checking its source, step and phase.
+template <typename UseFn>
+void gather_boundaries(FrameDemux& demux, const Transport& out, int self, int nranks,
+                       int step, bool post_migration, wire::WireStats& ws, UseFn&& use) {
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(nranks), 0);
+  seen[static_cast<std::size_t>(self)] = 1;
+  for (int k = 0; k + 1 < nranks; ++k) {
+    std::optional<std::vector<std::uint8_t>> frame =
+        demux.recv(FrameDemux::Class::kBoundaries);
+    if (!frame)
+      throw vanished(out, self, post_migration ? "box allgather" : "domain allgather");
     WallTimer timer;
-    wire::WireStats ws;
-    const ExchangeStats ex = exchange(sets, du.space, du.decomp, transport, &ws);
-    report.migrated = ex.migrated;
-    report.num_particles = ex.total;
-    report.part_wire += ws;
-    driver_times.add("Exchange particles",
-                     std::max(0.0, timer.elapsed() - ws.encode_seconds - ws.decode_seconds));
-    driver_times.add("Wire encode", ws.encode_seconds);
-    driver_times.add("Wire decode", ws.decode_seconds);
+    const wire::Boundaries b = wire::decode_boundaries(*frame);
+    ws.decode_seconds += timer.elapsed();
+    BNS_CHECK(b.src >= 0 && b.src < nranks && !seen[static_cast<std::size_t>(b.src)],
+              "boundaries from an impossible or duplicate rank");
+    BNS_CHECK(b.step == step && b.post_migration == post_migration,
+              "boundaries from the wrong step or phase");
+    seen[static_cast<std::size_t>(b.src)] = 1;
+    use(b);
   }
-  return du;
 }
 
-RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
-                            std::span<const std::uint8_t> active,
-                            std::span<const AABB> boxes, TimeBreakdown& times,
-                            LaneTimeline* lane, std::size_t& next_peer) {
-  RankStepStats out;
+// Phase spans cannot be RAII in the rank program (its phases share locals),
+// so they are emitted manually at each phase boundary.
+void emit_phase(const char* name, std::int64_t begin_ns, int rank, int step) {
+  if (!trace::Tracer::instance().enabled()) return;
+  trace::RawSpan span;
+  span.name = name;
+  span.begin_ns = begin_ns;
+  span.end_ns = now_ns();
+  span.rank = rank;
+  span.lane = rank;
+  span.step = step;
+  trace::Tracer::instance().emit(span);
+}
+
+// The rank program after tree build: round-robin LET exports starting at
+// self+1, local gravity, remote gravity per arrived LET, integration, and
+// the wire-stage accounting.
+void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
+                   std::span<const std::uint8_t> active, std::span<const AABB> boxes,
+                   wire::StepResult& sr, LaneTimeline* lane) {
+  TimeBreakdown& times = sr.times;
   const auto r = static_cast<std::size_t>(rank.id());
   const std::size_t nranks = active.size();
   if (active[r]) {
     // Peers receive LETs round-robin from r+1 so senders spread across
     // receivers instead of all extracting for rank 0 first.
-    for (; next_peer < nranks; ++next_peer) {
-      const std::size_t dst = (r + next_peer) % nranks;
+    for (std::size_t k = 1; k < nranks; ++k) {
+      const std::size_t dst = (r + k) % nranks;
       if (!active[dst]) continue;
       trace::ScopedSpan span("let.export", rank.id(), rank.id());
       span.set_peer(static_cast<std::int64_t>(dst));
@@ -245,18 +289,18 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
       const double secs = timer.elapsed();
       times.add("Exchange LET", secs);
       if (lane) lane->exports.emplace_back(static_cast<int>(dst), secs);
-      out.let_cells += let.num_cells();
-      out.let_particles += let.num_particles();
+      sr.let_cells += let.num_cells();
+      sr.let_particles += let.num_particles();
       span.set_bytes(static_cast<std::int64_t>(
           net.post(static_cast<int>(r), static_cast<int>(dst), let, secs)));
     }
 
     rank.parts().zero_forces();
-    out.local_stats = rank.gravity_local(cfg, times);
+    sr.local_stats = rank.gravity_local(cfg, times);
     if (lane) lane->local = times.get("Gravity local");
 
     // Remote gravity per imported LET, in deterministic peer order. Arrivals
-    // race (socket peers advance at their own pace), and floating-point
+    // race (peers advance at their own pace), and floating-point
     // accumulation is order-sensitive, so an out-of-order LET waits in
     // `pending` and every walk happens in (r+1, r+2, ...) source order: the
     // final forces are bitwise reproducible across runs, transports, and the
@@ -271,12 +315,12 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
         if (!active[src]) continue;
         if (!pending[src]) break;
         wire::LetMessage& m = *pending[src];
-        out.let_sizes.push_back({m.let.num_cells(), m.let.num_particles(), m.wire_bytes});
+        sr.let_sizes.push_back({m.let.num_cells(), m.let.num_particles(), m.wire_bytes});
         trace::ScopedSpan span("gravity.remote", rank.id(), rank.id());
         span.set_peer(m.src);
         span.set_bytes(static_cast<std::int64_t>(m.wire_bytes));
         const double before = times.get("Gravity remote");
-        out.remote_stats += rank.gravity_remote(m.let.view(), cfg, times);
+        sr.remote_stats += rank.gravity_remote(m.let.view(), cfg, times);
         if (lane) lane->remotes.emplace_back(m.src, times.get("Gravity remote") - before);
         pending[src].reset();
       }
@@ -284,7 +328,7 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
     while (std::optional<wire::LetMessage> msg = net.recv(static_cast<int>(r))) {
       const auto src = static_cast<std::size_t>(msg->src);
       BNS_CHECK(src < nranks && src != r && active[src] && !pending[src],
-                       "LET from an invalid, inactive or duplicate source rank");
+                "LET from an invalid, inactive or duplicate source rank");
       pending[src] = std::move(*msg);
       walk_ready();
     }
@@ -297,17 +341,246 @@ RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
   if (lane) lane->integrate = times.get("Integration");
   times.add("Wire encode", net.encode_stats(static_cast<int>(r)).encode_seconds);
   times.add("Wire decode", net.decode_stats(static_cast<int>(r)).decode_seconds);
-  return out;
 }
 
-void Simulation::redistribute(StepReport& report, TimeBreakdown& driver_times) {
-  std::vector<ParticleSet> sets(ranks_.size());
-  for (std::size_t r = 0; r < ranks_.size(); ++r) sets[r] = std::move(ranks_[r]->parts());
-  DomainUpdate du = redistribute_sets(sets, cfg_, prev_gravity_seconds_, prev_rank_size_,
-                                      *transport_, report, driver_times);
-  for (std::size_t r = 0; r < ranks_.size(); ++r) ranks_[r]->parts() = std::move(sets[r]);
-  space_ = du.space;
-  decomp_ = std::move(du.decomp);
+}  // namespace
+
+sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
+                                    FrameDemux& demux, Transport& out, const SpmdState& st,
+                                    wire::StepResult& sr) {
+  const int nranks = cfg.nranks;
+  const int self = rank.id();
+  ParticleSet& parts = rank.parts();
+  wire::WireStats dom_ws;
+  sr.rank = self;
+
+  // --- Phase 1: allgather of bounds/population/cost weight -----------------
+  // After it, every rank holds the identical inputs, so the KeySpace, stride
+  // and weight vector are bitwise-identical on all ranks.
+  const std::int64_t phase_domain_ns = now_ns();
+  WallTimer domain_timer;
+  wire::Boundaries pre;
+  pre.src = self;
+  pre.step = step;
+  pre.count = parts.size();
+  if (!parts.empty()) pre.box = parts.bounds();
+  if (cfg.balance == BalanceMode::kCost && st.prev_size > 0)
+    pre.weight = st.prev_gravity_seconds / static_cast<double>(st.prev_size);
+  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_boundaries(pre); });
+
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(nranks), 0);
+  std::vector<double> weights(static_cast<std::size_t>(nranks), 0.0);
+  AABB bounds;
+  counts[static_cast<std::size_t>(self)] = pre.count;
+  weights[static_cast<std::size_t>(self)] = pre.weight;
+  if (pre.count > 0) bounds.expand(pre.box);
+  gather_boundaries(demux, out, self, nranks, step, /*post_migration=*/false, dom_ws,
+                    [&](const wire::Boundaries& b) {
+                      counts[static_cast<std::size_t>(b.src)] = b.count;
+                      weights[static_cast<std::size_t>(b.src)] = b.weight;
+                      if (b.count > 0) bounds.expand(b.box);
+                    });
+  bounds = domain_bounds_or_default(bounds);
+  const sfc::KeySpace space(bounds, cfg.curve);
+  std::size_t total = 0;
+  for (const std::uint64_t c : counts) total += static_cast<std::size_t>(c);
+  const std::size_t stride = sample_stride(total, nranks, cfg.samples_per_rank);
+  // Weights apply only once some rank reported one: before any rank has
+  // timed a step (the first step, or the first after a restore) the cut is
+  // the unit-weight one count balancing makes.
+  const bool use_weights = std::any_of(weights.begin(), weights.end(),
+                                       [](double w) { return w > 0.0; });
+  if (use_weights) apply_cost_floor(weights);
+
+  // --- Phase 2: sampled-key allgather -> identical Decomposition ------------
+  wire::KeySamples mine;
+  mine.src = self;
+  mine.step = step;
+  mine.keys = sample_keys(parts, space, stride);
+  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_key_samples(mine); });
+
+  std::vector<std::vector<sfc::Key>> samples(static_cast<std::size_t>(nranks));
+  samples[static_cast<std::size_t>(self)] = std::move(mine.keys);
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(nranks), 0);
+  seen[static_cast<std::size_t>(self)] = 1;
+  for (int k = 0; k + 1 < nranks; ++k) {
+    std::optional<std::vector<std::uint8_t>> frame =
+        demux.recv(FrameDemux::Class::kKeySamples);
+    if (!frame) throw vanished(out, self, "sample allgather");
+    WallTimer timer;
+    wire::KeySamples ks = wire::decode_key_samples(*frame);
+    dom_ws.decode_seconds += timer.elapsed();
+    BNS_CHECK(ks.src >= 0 && ks.src < nranks && !seen[static_cast<std::size_t>(ks.src)],
+              "key samples from an impossible or duplicate rank");
+    BNS_CHECK(ks.step == step, "key samples from the wrong step");
+    seen[static_cast<std::size_t>(ks.src)] = 1;
+    samples[static_cast<std::size_t>(ks.src)] = std::move(ks.keys);
+  }
+  // Pool in rank order, so every rank cuts the identical boundaries.
+  std::vector<Decomposition::WeightedKey> pooled;
+  for (std::size_t r = 0; r < samples.size(); ++r) {
+    const double w = use_weights ? weights[r] : 1.0;
+    for (const sfc::Key key : samples[r]) pooled.push_back({key, w});
+  }
+  const Decomposition decomp =
+      Decomposition::from_weighted_samples(std::move(pooled), nranks, cfg.snap_level);
+  if constexpr (kDcheckEnabled) decomp.check_invariants(nranks);
+  sr.boundaries.assign(decomp.boundaries().begin(), decomp.boundaries().end());
+  sr.times.add("Domain update", std::max(0.0, domain_timer.elapsed() - dom_ws.encode_seconds -
+                                                  dom_ws.decode_seconds));
+  emit_phase("domain.update", phase_domain_ns, self, step);
+
+  // --- Phase 3: peer-to-peer migration (the alltoallv, boundary crossers
+  // only). Its receive loop is the migration barrier: no rank proceeds
+  // before owning its full new slice.
+  const std::int64_t phase_migrate_ns = now_ns();
+  WallTimer exchange_timer;
+  DemuxTransport mig_net(demux, out, FrameDemux::Class::kMigration);
+  MigrationExchange mex(mig_net, nranks);
+  sr.migrated += exchange_resident(parts, self, space, decomp, mex, step).migrated;
+  wire::WireStats part_ws = mex.encode_stats(self);
+  part_ws.decode_seconds = mex.decode_stats(self).decode_seconds;
+  const double part_wire_s = part_ws.encode_seconds + part_ws.decode_seconds;
+  sr.times.add("Exchange particles", std::max(0.0, exchange_timer.elapsed() - part_wire_s));
+  sr.times.add("Wire encode", dom_ws.encode_seconds + part_ws.encode_seconds);
+  sr.times.add("Wire decode", dom_ws.decode_seconds + part_ws.decode_seconds);
+  emit_phase("decomposition.migrate", phase_migrate_ns, self, step);
+  sr.dom_wire += dom_ws;
+  sr.part_wire += part_ws;
+  return space;
+}
+
+void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
+                   Transport& out, SpmdState& st, LetChannelState& let_state,
+                   wire::StepResult& sr, LaneTimeline* lane) {
+  const int nranks = cfg.nranks;
+  const int self = rank.id();
+  const sfc::KeySpace space = run_spmd_redistribute(rank, cfg, step, demux, out, st, sr);
+  const ParticleSet& parts = rank.parts();
+
+  // --- Phase 4: post-migration allgather of the active set and the tight
+  // domain boxes peers build LETs against (the tree root box equals the
+  // tight particle bounds, so receivers' boxes need not wait for builds).
+  const std::int64_t phase_boxes_ns = now_ns();
+  WallTimer boxes_timer;
+  wire::WireStats dom_ws;
+  wire::Boundaries post;
+  post.src = self;
+  post.step = step;
+  post.post_migration = true;
+  post.count = parts.size();
+  if (!parts.empty()) post.box = parts.bounds();
+  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_boundaries(post); });
+
+  std::vector<std::uint8_t> active(static_cast<std::size_t>(nranks), 0);
+  std::vector<AABB> boxes(static_cast<std::size_t>(nranks));
+  active[static_cast<std::size_t>(self)] = post.count > 0;
+  if (post.count > 0) boxes[static_cast<std::size_t>(self)] = post.box;
+  gather_boundaries(demux, out, self, nranks, step, /*post_migration=*/true, dom_ws,
+                    [&](const wire::Boundaries& b) {
+                      active[static_cast<std::size_t>(b.src)] = b.count > 0;
+                      if (b.count > 0) boxes[static_cast<std::size_t>(b.src)] = b.box;
+                    });
+  sr.times.add("Exchange particles",
+               std::max(0.0, boxes_timer.elapsed() - dom_ws.encode_seconds -
+                                 dom_ws.decode_seconds));
+  sr.times.add("Wire encode", dom_ws.encode_seconds);
+  sr.times.add("Wire decode", dom_ws.decode_seconds);
+  emit_phase("decomposition.boxes", phase_boxes_ns, self, step);
+  sr.dom_wire += dom_ws;
+
+  // --- Build + LET exchange + gravity + integration.
+  rank.build(space, cfg, sr.times);
+  if (lane) {
+    lane->sort = sr.times.get("Sorting SFC");
+    lane->build = sr.times.get("Tree-construction");
+    lane->props = sr.times.get("Tree-properties");
+  }
+  DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
+  LetExchange let_net(let_net_view, active, &let_state);
+  run_rank_step(rank, cfg, let_net, active, boxes, sr, lane);
+  sr.let_wire = let_net.encode_stats(self);
+  sr.let_wire.decode_seconds = let_net.decode_stats(self).decode_seconds;
+  sr.let_delta = let_net.delta_stats(self);
+  sr.local_count = parts.size();
+
+  st.prev_gravity_seconds = sr.times.get("Gravity local") + sr.times.get("Gravity remote");
+  st.prev_size = parts.size();
+}
+
+void fold_step_result(StepReport& report, wire::StepResult& sr,
+                      std::span<TimeBreakdown> rank_times,
+                      std::vector<sfc::Key>& agreed_bounds) {
+  report.num_particles += sr.local_count;
+  report.migrated += sr.migrated;
+  report.let_cells += sr.let_cells;
+  report.let_particles += sr.let_particles;
+  report.local_stats += sr.local_stats;
+  report.remote_stats += sr.remote_stats;
+  report.let_wire += sr.let_wire;
+  report.part_wire += sr.part_wire;
+  report.dom_wire += sr.dom_wire;
+  report.let_delta += sr.let_delta;
+  report.let_sizes.insert(report.let_sizes.end(), sr.let_sizes.begin(),
+                          sr.let_sizes.end());
+  wire::merge_traffic(report.traffic, sr.traffic);
+  rank_times[static_cast<std::size_t>(sr.rank)] = std::move(sr.times);
+  BNS_CHECK(!sr.boundaries.empty(), "step result without boundaries");
+  if (agreed_bounds.empty()) {
+    agreed_bounds = std::move(sr.boundaries);
+  } else {
+    BNS_CHECK(agreed_bounds == sr.boundaries, "ranks computed diverging decompositions");
+  }
+}
+
+void Simulation::on_lanes(const std::function<void(std::size_t)>& job) {
+  // Fresh endpoints every round: a failed round may leave undrained frames
+  // (or closed mailboxes) behind, and those must not leak into the next.
+  inproc_ = std::make_unique<InProcTransport>(cfg_.nranks);
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto fail = [&](std::exception_ptr e) {
+    {
+      std::lock_guard lock(error_mutex);
+      if (!first_error) first_error = std::move(e);
+    }
+    for (int d = 0; d < cfg_.nranks; ++d) inproc_->close(d);
+  };
+  std::vector<std::future<void>> done;
+  done.reserve(ranks_.size());
+  try {
+    for (std::size_t r = 0; r < ranks_.size(); ++r)
+      done.push_back(executor_->run(r, [&, r] {
+        try {
+          job(r);
+        } catch (...) {
+          fail(std::current_exception());
+        }
+      }));
+  } catch (...) {
+    fail(std::current_exception());  // a submission itself threw
+  }
+  // Lanes trap their own exceptions, so these waits always complete; only
+  // then is it safe to unwind the endpoints the lanes reference.
+  for (std::future<void>& f : done) f.wait();
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+void Simulation::init(ParticleSet global) {
+  ranks_[0]->parts() = std::move(global);
+  for (std::size_t r = 1; r < ranks_.size(); ++r) ranks_[r]->parts().clear();
+  spmd_.assign(ranks_.size(), SpmdState{});
+  std::vector<wire::StepResult> results(ranks_.size());
+  on_lanes([&](std::size_t r) {
+    FrameDemux demux(*inproc_, static_cast<int>(r));
+    run_spmd_redistribute(*ranks_[r], cfg_, next_step_, demux, *inproc_, spmd_[r],
+                          results[r]);
+  });
+  StepReport scratch;  // the bootstrap scatter is not a step
+  std::vector<TimeBreakdown> times(ranks_.size());
+  std::vector<sfc::Key> bounds;
+  for (wire::StepResult& sr : results) fold_step_result(scratch, sr, times, bounds);
+  decomp_ = Decomposition::from_boundaries(std::move(bounds));
 }
 
 StepReport Simulation::step() {
@@ -317,36 +590,30 @@ StepReport Simulation::step() {
   report.kernel = cfg_.kernel;
   WallTimer wall;
 
-  // Fresh endpoints every step: a failed step may leave undrained LET
-  // frames (or a closed mailbox from the failure path) behind, and those
-  // must not leak into the next step's exchanges.
-  inproc_ = std::make_unique<InProcTransport>(cfg_.nranks);
-  transport_ = std::make_unique<TrafficRecordingTransport>(*inproc_);
-
   const std::size_t nranks = ranks_.size();
-  TimeBreakdown driver_times;
-  std::vector<TimeBreakdown> rank_times(nranks);
+  std::vector<wire::StepResult> results(nranks);
   std::vector<LaneTimeline> lanes(nranks);
+  on_lanes([&](std::size_t r) {
+    trace::ScopedSpan lane_span("lane.step", static_cast<std::int32_t>(r),
+                                static_cast<std::int32_t>(r), report.step);
+    TrafficRecordingTransport out(*inproc_);
+    FrameDemux demux(out, static_cast<int>(r));
+    run_spmd_step(*ranks_[r], cfg_, report.step, demux, out, spmd_[r], let_state_,
+                  results[r], &lanes[r]);
+    results[r].traffic = out.take();
+  });
 
-  redistribute(report, driver_times);
-  run_lanes(report, rank_times, lanes);
+  std::vector<TimeBreakdown> rank_times(nranks);
+  std::vector<sfc::Key> bounds;
+  for (wire::StepResult& sr : results) fold_step_result(report, sr, rank_times, bounds);
+  decomp_ = Decomposition::from_boundaries(std::move(bounds));
   const ScheduleModel model = model_schedule(lanes);
   report.critical_path = model.critical_path;
   report.sequential_model = model.sequential;
   report.gravity_critical = model.gravity_critical;
   report.gravity_sequential = model.gravity_sequential;
 
-  // Feed measured gravity cost back into the next domain update.
-  prev_gravity_seconds_.assign(nranks, 0.0);
-  prev_rank_size_.assign(nranks, 0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    prev_gravity_seconds_[r] =
-        rank_times[r].get("Gravity local") + rank_times[r].get("Gravity remote");
-    prev_rank_size_[r] = ranks_[r]->parts().size();
-  }
-
-  fold_stage_times(report, driver_times, rank_times);
-  report.traffic = transport_->take();
+  fold_stage_times(report, rank_times);
   report.elapsed = wall.elapsed();
   // Lane threads write their own ring buffers, so the in-process driver must
   // drain every thread (cluster drivers drain only their own: drain_thread).
@@ -356,11 +623,9 @@ StepReport Simulation::step() {
   return report;
 }
 
-void fold_stage_times(StepReport& report, const TimeBreakdown& driver_times,
-                      std::span<const TimeBreakdown> rank_times) {
+void fold_stage_times(StepReport& report, std::span<const TimeBreakdown> rank_times) {
   for (const char* stage : kStageOrder) {
-    const double drv = driver_times.get(stage);
-    double mx = drv, sum = drv;
+    double mx = 0.0, sum = 0.0;
     for (const TimeBreakdown& t : rank_times) {
       const double v = t.get(stage);
       mx = std::max(mx, v);
@@ -370,109 +635,6 @@ void fold_stage_times(StepReport& report, const TimeBreakdown& driver_times,
       report.max_times.add(stage, mx);
       report.sum_times.add(stage, sum);
     }
-  }
-}
-
-void Simulation::run_lanes(StepReport& report, std::vector<TimeBreakdown>& rank_times,
-                           std::vector<LaneTimeline>& lanes) {
-  const std::size_t nranks = ranks_.size();
-
-  // The active set (senders and receivers of LETs) and every rank's domain
-  // box are fixed before the lanes start: the tree root box equals the tight
-  // particle bounds, so receivers' boxes need not wait for their builds.
-  std::vector<std::uint8_t> active(nranks, 0);
-  std::vector<AABB> boxes(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    active[r] = !ranks_[r]->parts().empty();
-    if (active[r]) boxes[r] = ranks_[r]->parts().bounds();
-  }
-
-  LetExchange net(*transport_, active, &let_state_);
-
-  std::vector<std::uint64_t> let_cells(nranks, 0), let_parts(nranks, 0);
-  std::vector<InteractionStats> local_stats(nranks), remote_stats(nranks);
-  std::vector<std::vector<wire::LetSizeSample>> sizes(nranks);
-  std::vector<std::exception_ptr> errors(nranks);
-
-  std::vector<std::future<void>> done;
-  done.reserve(nranks);
-
-  // Failure path: a lane that cannot run (or finish) its export loop still
-  // owes LETs to peers that will block in recv() for them. Deliver the owed
-  // messages as empties (they exert no force) starting at round-robin offset
-  // `first_peer`; if even a compensation post fails, close the peer's
-  // mailbox — allocation-free — so its recv() fails fast instead of hanging.
-  auto post_owed = [&](std::size_t src, std::size_t first_peer) {
-    for (std::size_t k = first_peer; k < nranks; ++k) {
-      const std::size_t dst = (src + k) % nranks;
-      if (!active[dst]) continue;
-      try {
-        net.post(static_cast<int>(src), static_cast<int>(dst), LetTree{}, 0.0);
-      } catch (...) {
-        net.close(static_cast<int>(dst));
-      }
-    }
-  };
-
-  auto submit_lane = [&](std::size_t r) {
-    done.push_back(executor_->run(r, [&, r] {
-      // Export progress is tracked outside the try so the failure path
-      // knows which posts are still owed.
-      std::size_t next_peer = 1;
-      try {
-        trace::ScopedSpan lane_span("lane.step", static_cast<std::int32_t>(r),
-                                    static_cast<std::int32_t>(r), report.step);
-        Rank& rank = *ranks_[r];
-        TimeBreakdown& times = rank_times[r];
-        LaneTimeline& lane = lanes[r];
-
-        rank.build(space_, cfg_, times);
-        lane.sort = times.get("Sorting SFC");
-        lane.build = times.get("Tree-construction");
-        lane.props = times.get("Tree-properties");
-
-        RankStepStats out =
-            run_rank_step(rank, cfg_, net, active, boxes, times, &lane, next_peer);
-        let_cells[r] = out.let_cells;
-        let_parts[r] = out.let_particles;
-        local_stats[r] = out.local_stats;
-        remote_stats[r] = out.remote_stats;
-        sizes[r] = std::move(out.let_sizes);
-      } catch (...) {
-        errors[r] = std::current_exception();
-        // Every lane must return before the driver can rethrow (it owns the
-        // state the lanes reference), so unblock the peers first.
-        if (active[r]) post_owed(r, next_peer);
-      }
-    }));
-  };
-  std::size_t submitted = 0;
-  std::exception_ptr submit_error;
-  try {
-    for (; submitted < nranks; ++submitted) submit_lane(submitted);
-  } catch (...) {
-    // A submission itself threw (allocation of the task): lanes never
-    // submitted owe their whole complement of LETs.
-    submit_error = std::current_exception();
-    for (std::size_t s = submitted; s < nranks; ++s)
-      if (active[s]) post_owed(s, 1);
-  }
-  // Lanes trap their own exceptions, so these waits always complete; only
-  // then is it safe to unwind the mailboxes/timelines the lanes reference.
-  for (std::future<void>& f : done) f.wait();
-  if (submit_error) std::rethrow_exception(submit_error);
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-
-  for (std::size_t r = 0; r < nranks; ++r) {
-    report.let_cells += let_cells[r];
-    report.let_particles += let_parts[r];
-    report.local_stats += local_stats[r];
-    report.remote_stats += remote_stats[r];
-    report.let_wire += net.encode_stats(static_cast<int>(r));
-    report.let_wire.decode_seconds += net.decode_stats(static_cast<int>(r)).decode_seconds;
-    report.let_delta += net.delta_stats(static_cast<int>(r));
-    report.let_sizes.insert(report.let_sizes.end(), sizes[r].begin(), sizes[r].end());
   }
 }
 
@@ -544,8 +706,7 @@ void Simulation::restore(std::vector<ParticleSet> sets, int next_step) {
   for (std::size_t r = 0; r < ranks_.size(); ++r)
     ranks_[r]->parts() = std::move(sets[r]);
   next_step_ = next_step;
-  prev_gravity_seconds_.clear();
-  prev_rank_size_.clear();
+  spmd_.assign(ranks_.size(), SpmdState{});
 }
 
 std::size_t Simulation::num_particles() const {

@@ -1,27 +1,33 @@
 // Multi-rank driver: the in-process analogue of the paper's full per-step
-// pipeline (§III-B, Table II):
+// pipeline (§III-B, Table II). Every rank runs one program, the same in
+// every mode (run_spmd_step below):
 //
-//   domain update (sampled boundary keys)  ->  particle exchange
-//   -> per-rank sort / tree build / properties
+//   domain update: Boundaries + KeySamples allgathers -> identical cut
+//   -> peer-to-peer particle migration -> post-migration box allgather
+//   -> sort / tree build / properties
 //   -> LET exchange (sender-side extraction, receiver-side walk)
 //   -> gravity: local tree walk + imported-LET walks
 //   -> integration
 //
-// One schedule drives the ranks (§III-B3): one Executor lane per rank runs
-// the whole pipeline independently; LETs travel as serialized wire frames
-// through the byte Transport, and a rank starts remote gravity on each
-// imported LET as soon as it arrives — local gravity is not a barrier, and
-// there is no global graft step. The step report carries the modeled critical
-// path vs the lockstep stage-sum (overlap efficiency).
+// One Executor lane per rank runs that program over the in-process byte
+// Transport, each lane with its own frame demux; socket workers
+// (domain/cluster.hpp) run it over their mesh links. A rank starts remote
+// gravity on each imported LET as soon as it arrives — local gravity is not
+// a barrier, and there is no global graft step. The step report carries the
+// modeled critical path vs the lockstep stage-sum (overlap efficiency).
 //
 // Per-stage timings are recorded per rank, so the report can show the
 // parallel-model wall-clock (max over ranks) and total device-seconds (sum),
 // the way Table II reports per-process times.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <deque>
+#include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -106,12 +112,87 @@ struct StepReport {
 // pipelines never oversubscribe each other.
 std::size_t threads_for(const SimConfig& cfg, std::size_t hardware_threads);
 
+// Per-rank state the rank program carries across steps: the feedback for
+// BalanceMode::kCost (everything else lives in the resident ParticleSet).
+// A fresh state reports no weight; while no rank reports one, the cut is
+// count balancing's.
+struct SpmdState {
+  double prev_gravity_seconds = 0.0;
+  std::size_t prev_size = 0;
+};
+
+// Demultiplexes one rank's inbox by frame class. Control frames from the
+// coordinator, LETs, domain frames and migration batches all race on the one
+// endpoint (peers advance at their own pace inside a step, and a fast peer's
+// next-phase frames can arrive before this rank is done with the current
+// one), so each protocol phase pulls from its own queue and frames it is not
+// yet ready for wait in theirs. Single-consumer: only the rank's own driver
+// thread calls recv(). Once the underlying endpoint closes, queued frames
+// stay receivable, then recv() returns nullopt (fail fast, never hang).
+class FrameDemux {
+ public:
+  enum class Class : std::size_t {
+    kControl = 0,  // StepBegin / Shutdown / Config
+    kLet,
+    kBoundaries,
+    kKeySamples,
+    kMigration,
+  };
+  static constexpr std::size_t kNumClasses = 5;
+
+  FrameDemux(Transport& inner, int rank) : inner_(inner), rank_(rank) {}
+
+  std::optional<std::vector<std::uint8_t>> recv(Class cls);
+
+ private:
+  Transport& inner_;
+  int rank_;
+  std::array<std::deque<std::vector<std::uint8_t>>, kNumClasses> queues_;
+  bool closed_ = false;
+};
+
+// The rank program's redistribute phase (phases 1-3 of run_spmd_step): the
+// Boundaries allgather (local bounds, population, cost weight from `st`) ->
+// identical global KeySpace and sample stride on every rank; the KeySamples
+// allgather pooled in rank order -> identical Decomposition; then the
+// peer-to-peer migration, after which `rank` holds its new slice, keyed
+// through the returned KeySpace. Cost weights apply only when some rank
+// reported a positive one. Records "Domain update" and the migration share
+// of "Exchange particles" in sr.times, plus sr.rank, sr.boundaries,
+// sr.migrated and the domain/particle wire stats. Bootstrapping from one rank holding the
+// whole initial set is this phase alone.
+sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
+                                    FrameDemux& demux, Transport& out, const SpmdState& st,
+                                    wire::StepResult& sr);
+
+// One rank's whole step, the same body in-process and in a socket worker:
+// the redistribute phase, phase 4 (post-migration allgather of the active
+// set and the tight domain boxes peers build LETs against), sort/build,
+// round-robin LET exports from self+1, local gravity, remote gravity per
+// imported LET in source order, integration. Fills sr's statistics, stage
+// times (sr.times), boundaries and local population; leaves the stepped
+// particles resident in `rank` and the cost feedback in `st`. `lane`, when
+// given, records the timeline for the schedule model.
+void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
+                   Transport& out, SpmdState& st, LetChannelState& let_state,
+                   wire::StepResult& sr, LaneTimeline* lane = nullptr);
+
+// Fold one rank's StepResult into the report (counts, wire/LET statistics,
+// traffic matrix), move its stage times to rank_times[sr.rank], and
+// cross-check its boundaries against the ranks folded before: every rank
+// must have cut the identical partition, or the LET and migration protocols
+// exchanged against different domains — fail fast, never average. Both
+// drivers fold their ranks' results with this.
+void fold_step_result(StepReport& report, wire::StepResult& sr,
+                      std::span<TimeBreakdown> rank_times,
+                      std::vector<sfc::Key>& agreed_bounds);
+
 class Simulation {
  public:
   explicit Simulation(const SimConfig& cfg);
 
-  // Scatter an initial particle set across the ranks (samples an initial
-  // decomposition and runs one exchange).
+  // Put an initial particle set on rank 0 and let the lanes run the
+  // redistribute phase, which scatters it across the ranks.
   void init(ParticleSet global);
 
   // One full pipeline step; forces are valid for every particle afterwards.
@@ -123,7 +204,6 @@ class Simulation {
   std::size_t num_particles() const;
   const SimConfig& config() const { return cfg_; }
   const Decomposition& decomposition() const { return decomp_; }
-  const sfc::KeySpace& key_space() const { return space_; }
   Rank& rank(int r) { return *ranks_[static_cast<std::size_t>(r)]; }
   const Rank& rank(int r) const { return *ranks_[static_cast<std::size_t>(r)]; }
 
@@ -138,81 +218,37 @@ class Simulation {
   // the decomposition and key space from the sets before anything else.
   // Restoring a checkpoint into a fresh Simulation with the same config
   // therefore continues bit-for-bit where the checkpointed run left off
-  // (cost balancing resumes too, but falls back to the equal-count cut on
-  // its first step: measured gravity seconds are not replayable).
+  // (cost balancing resumes too, but its first step cuts with unit weights:
+  // measured gravity seconds are not replayable).
   std::vector<ParticleSet> checkpoint_sets() const;
   void restore(std::vector<ParticleSet> sets, int next_step);
   int next_step() const { return next_step_; }
 
  private:
-  // Domain update + particle exchange; records driver-level timings/counts.
-  void redistribute(StepReport& report, TimeBreakdown& driver_times);
-
-  // Run every rank's pipeline on its executor lane; leaves valid forces on
-  // every rank and fills per-rank stage times and the lanes' timelines for
-  // the schedule model.
-  void run_lanes(StepReport& report, std::vector<TimeBreakdown>& rank_times,
-                 std::vector<LaneTimeline>& lanes);
+  // Run job(r) on every rank's lane over fresh endpoints and wait for all of
+  // them. A lane that throws closes every endpoint, so peers blocked in a
+  // receive fail fast instead of hanging; the error of the lane that failed
+  // first is rethrown once every lane has returned.
+  void on_lanes(const std::function<void(std::size_t)>& job);
 
   // First member, so destroyed last: the pages the ranks, LET caches and
   // lane threads below freed go back to the OS with them (util/heap.hpp).
   ReleaseHeapOnDestroy release_heap_;
   SimConfig cfg_;
   std::vector<std::unique_ptr<Rank>> ranks_;
+  std::vector<SpmdState> spmd_;         // per rank
   std::unique_ptr<Executor> executor_;  // one lane per rank
-  // All inter-rank traffic (LET frames, particle batches) flows through the
-  // recorder wrapped around this byte transport; swapping the backend for a
-  // socket/MPI one changes no pipeline code (the out-of-process driver in
-  // domain/cluster.hpp does exactly that). The recorder feeds the step
-  // report's per-peer traffic matrix.
+  // All inter-rank traffic (domain frames, particle batches, LETs) flows
+  // through this byte transport, exactly as socket workers' flows through
+  // their mesh links; each lane records its own posts for the traffic matrix.
   std::unique_ptr<InProcTransport> inproc_;
-  std::unique_ptr<TrafficRecordingTransport> transport_;
   Decomposition decomp_;
-  sfc::KeySpace space_;
   int next_step_ = 0;
 
   // Incremental LET exchange: per-pair caches and encode scratch, persisting
   // across the per-step LetExchange instances (--let-cache).
   LetChannelState let_state_;
-
-  // Feedback for BalanceMode::kCost: last step's per-rank gravity seconds
-  // and populations (empty before the first step).
-  std::vector<double> prev_gravity_seconds_;
-  std::vector<std::size_t> prev_rank_size_;
 };
-
-// The shared "Domain update" + "Exchange particles" driver stages (used by
-// the in-process Simulation and the cluster coordinator so their reports
-// cannot drift apart): sample a new decomposition from the per-rank sets —
-// cost-weighted by the previous step's gravity seconds per particle when
-// BalanceMode::kCost and a step has been timed — then migrate particles
-// through `transport`, recording counts, stage timings (serialization cost
-// broken out into the wire rows) and wire stats. Returns the domain update
-// so callers keep the bounds/space/partition.
-DomainUpdate redistribute_sets(std::vector<ParticleSet>& sets, const SimConfig& cfg,
-                               std::span<const double> prev_gravity_seconds,
-                               std::span<const std::size_t> prev_rank_size,
-                               Transport& transport, StepReport& report,
-                               TimeBreakdown& driver_times);
-
-// Everything one rank's LET/gravity phase produces.
-struct RankStepStats {
-  std::uint64_t let_cells = 0, let_particles = 0;
-  InteractionStats local_stats, remote_stats;
-  std::vector<wire::LetSizeSample> let_sizes;
-};
-
-// One rank's step body after tree build — the phase the in-process async
-// lanes and the socket workers must run identically for out-of-process runs
-// to reproduce in-process forces: round-robin LET exports starting at
-// self+1, local gravity, remote gravity per arrived LET, integration, and
-// the wire-stage accounting. `next_peer` advances past each successfully
-// posted peer so a caller's failure path knows which posts are still owed.
-// `lane`, when given, records the timeline for the schedule model.
-RankStepStats run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
-                            std::span<const std::uint8_t> active,
-                            std::span<const AABB> boxes, TimeBreakdown& times,
-                            LaneTimeline* lane, std::size_t& next_peer);
 
 // Concatenate per-rank populations into one set sorted by particle id,
 // forces/potentials/keys preserved — the gather() both drivers expose — and
@@ -222,10 +258,9 @@ ParticleSet gather_sorted(std::span<const ParticleSet* const> sets);
 double total_kinetic_energy(std::span<const ParticleSet* const> sets);
 double total_potential_energy(std::span<const ParticleSet* const> sets);
 
-// Fold driver-level and per-rank stage times into the report's max/sum
-// aggregate views, in canonical Table II stage order.
-void fold_stage_times(StepReport& report, const TimeBreakdown& driver_times,
-                      std::span<const TimeBreakdown> rank_times);
+// Fold per-rank stage times into the report's max/sum aggregate views, in
+// canonical Table II stage order.
+void fold_stage_times(StepReport& report, std::span<const TimeBreakdown> rank_times);
 
 // Render a StepReport as the per-stage timing table (Table II layout), plus
 // the pipeline/overlap lines for async steps.

@@ -122,6 +122,17 @@ std::pair<std::string, std::uint16_t> parse_host_port(const std::string& value,
   return {value.substr(0, colon), static_cast<std::uint16_t>(port_val)};
 }
 
+// A count flag (--n, --steps): a negative value is a usage error naming the
+// flag, not a fatal allocation failure or a silent no-op run.
+std::int64_t get_count(const bonsai::CommandLine& cli, const std::string& flag,
+                       std::int64_t fallback) {
+  const std::int64_t value = cli.get_int(flag, fallback);
+  if (value < 0)
+    throw bonsai::CliError("--" + flag + ": expected a count >= 0, got '" +
+                           std::to_string(value) + "'");
+  return value;
+}
+
 // Parse --kernel (default simd). The error lists every backend by its
 // kernel_backend_name, so it names exactly the values the parser accepts.
 bonsai::KernelBackend parse_kernel(const bonsai::CommandLine& cli) {
@@ -221,11 +232,14 @@ int run_validation(SimT& multi, const bonsai::domain::SimConfig& force_cfg,
   return ok ? 0 : 1;
 }
 
-// The plain step loop with per-step reports and energy diagnostics.
+// The plain step loop with per-step reports and energy diagnostics. With
+// `snapshot_out`, gather() writes the final state (forces included) as one
+// id-sorted set, so two runs that agree bitwise on the physics write
+// byte-identical files whatever their transport — `cmp`-able by CI.
 template <typename SimT>
 int run_steps(SimT& sim, const bonsai::ParticleSet& initial, int steps,
               const bonsai::domain::RunInfo& info, const std::string& bench_path,
-              const std::string& trace_path) {
+              const std::string& trace_path, const std::string& snapshot_out) {
   sim.init(initial);
   std::vector<bonsai::domain::StepReport> reports;
   reports.reserve(static_cast<std::size_t>(std::max(steps, 0)));
@@ -239,7 +253,17 @@ int run_steps(SimT& sim, const bonsai::ParticleSet& initial, int steps,
               << " E=" << bonsai::TextTable::num(ke + pe, 6) << "\n\n";
   }
   if (!write_bench(bench_path, info, reports)) return 2;
-  return write_trace(trace_path, reports) ? 0 : 2;
+  if (!write_trace(trace_path, reports)) return 2;
+  if (!snapshot_out.empty()) {
+    bonsai::domain::wire::SnapshotMsg snap;
+    snap.job_id = -1;
+    snap.next_step = steps;
+    snap.sets.push_back(sim.gather());
+    bonsai::serve::write_snapshot_file(snapshot_out, snap);
+    std::cout << "snapshot: wrote " << snap.sets[0].size() << " particle(s) to "
+              << snapshot_out << "\n";
+  }
+  return 0;
 }
 
 // Worker mode: --transport socket --rank-id K --coordinator HOST:PORT
@@ -367,9 +391,9 @@ int run_client_mode(const bonsai::CommandLine& cli) {
   if (cli.get_bool("submit", false)) {
     wire::JobSpec spec;
     spec.name = cli.get("job-name", "");
-    spec.n = static_cast<std::uint64_t>(cli.get_int("n", 16384));
+    spec.n = static_cast<std::uint64_t>(get_count(cli, "n", 16384));
     spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-    spec.steps = static_cast<std::int32_t>(cli.get_int("steps", 4));
+    spec.steps = static_cast<std::int32_t>(get_count(cli, "steps", 4));
     spec.ranks = static_cast<std::int32_t>(cli.get_int("job-ranks", 0));
     spec.priority = static_cast<std::int32_t>(cli.get_int("priority", 0));
     spec.theta = cli.get_double("theta", 0.4);
@@ -426,7 +450,7 @@ int main(int argc, char** argv) {
       throw bonsai::CliError("--listen-port only applies to --rank-id workers");
 
     bonsai::domain::SimConfig cfg;
-    auto n = static_cast<std::size_t>(cli.get_int("n", 16384));
+    auto n = static_cast<std::size_t>(get_count(cli, "n", 16384));
     cfg.nranks = static_cast<int>(cli.get_int("ranks", 4));
     cfg.theta = cli.get_double("theta", 0.4);
     cfg.eps = cli.get_double("eps", 1e-2);
@@ -456,7 +480,7 @@ int main(int argc, char** argv) {
     const std::string bench_path = cli.get("bench", "");
     const std::string trace_path = cli.get("trace", "");
     cfg.trace = !trace_path.empty();
-    const auto steps = static_cast<int>(cli.get_int("steps", 4));
+    const auto steps = static_cast<int>(get_count(cli, "steps", 4));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
     const bool validate = cli.get_bool("validate", false);
 
@@ -529,20 +553,7 @@ int main(int argc, char** argv) {
                 << " worker process(es)\n";
       if (validate)
         return run_validation(sim, ccfg.sim, initial, info, bench_path, trace_path);
-      const int rc = run_steps(sim, initial, steps, info, bench_path, trace_path);
-      if (rc == 0 && !snapshot_out.empty()) {
-        // Cluster snapshot: gather() collects the final state (forces
-        // included) into one id-sorted set, so two runs that agree bitwise on
-        // the physics write byte-identical files — `cmp`-able by CI.
-        bonsai::domain::wire::SnapshotMsg snap;
-        snap.job_id = -1;
-        snap.next_step = steps;
-        snap.sets.push_back(sim.gather());
-        bonsai::serve::write_snapshot_file(snapshot_out, snap);
-        std::cout << "snapshot: wrote " << snap.sets[0].size() << " particle(s) to "
-                  << snapshot_out << "\n";
-      }
-      return rc;
+      return run_steps(sim, initial, steps, info, bench_path, trace_path, snapshot_out);
     }
 
     // In-process ranks share this process's tracer (the cluster coordinator
@@ -555,17 +566,7 @@ int main(int argc, char** argv) {
       return run_validation(sim, force_cfg, initial, info, bench_path, trace_path);
     }
     bonsai::domain::Simulation sim(cfg);
-    const int rc = run_steps(sim, initial, steps, info, bench_path, trace_path);
-    if (rc == 0 && !snapshot_out.empty()) {
-      bonsai::domain::wire::SnapshotMsg snap;
-      snap.job_id = -1;
-      snap.next_step = sim.next_step();
-      snap.sets = sim.checkpoint_sets();
-      bonsai::serve::write_snapshot_file(snapshot_out, snap);
-      std::cout << "snapshot: wrote " << sim.num_particles() << " particle(s) to "
-                << snapshot_out << "\n";
-    }
-    return rc;
+    return run_steps(sim, initial, steps, info, bench_path, trace_path, snapshot_out);
   } catch (const bonsai::CliError& e) {
     std::cerr << "bonsai_sim: " << e.what() << "\n";
     return 2;

@@ -59,7 +59,8 @@ std::string with_job_label(std::string name, int job_id) {
 
 metrics::Snapshot label_job_metrics(const metrics::Snapshot& m, int job_id) {
   metrics::Snapshot out;
-  for (const auto& [name, v] : m.counters) out.counters[with_job_label(name, job_id)] = v;
+  for (const auto& [name, v] : m.counters)
+    if (name.rfind("transport.post.", 0) != 0) out.counters[with_job_label(name, job_id)] = v;
   for (const auto& [name, v] : m.gauges) out.gauges[with_job_label(name, job_id)] = v;
   for (const auto& [name, h] : m.histograms) out.histograms[with_job_label(name, job_id)] = h;
   return out;

@@ -72,7 +72,11 @@ struct ServerConfig {
 // server registry.
 std::string with_job_label(std::string name, int job_id);
 
-// Label every metric in `m` with {job=N}.
+// Label every metric in `m` with {job=N}, except the per-(src, dst, frame
+// type) traffic cells (transport.post.*): the server keeps each job's
+// metrics for its own lifetime, and the cells, O(ranks^2 x frame types) per
+// job, would dominate that. The wire.* counters keep each job's volume per
+// frame class; the job's --serve-bench JSON keeps the full matrix.
 metrics::Snapshot label_job_metrics(const metrics::Snapshot& m, int job_id);
 
 // The resident server. Construction binds the listener and starts serving;

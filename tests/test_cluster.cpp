@@ -18,7 +18,6 @@
 #include "domain/cluster.hpp"
 #include "domain/simulation.hpp"
 #include "util/check.hpp"
-#include "util/compare.hpp"
 #include "util/ic.hpp"
 
 namespace bonsai {
@@ -65,6 +64,23 @@ SimConfig forces_only_config(int nranks) {
   cfg.eps = 1e-3;
   cfg.dt = 0.0;
   return cfg;
+}
+
+// Gathered final states must agree bit for bit: positions, velocities,
+// accelerations and potentials (gather() sorts both by particle id).
+void expect_bitwise_equal(const ParticleSet& got, const ParticleSet& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.y, want.y);
+  EXPECT_EQ(got.z, want.z);
+  EXPECT_EQ(got.vx, want.vx);
+  EXPECT_EQ(got.vy, want.vy);
+  EXPECT_EQ(got.vz, want.vz);
+  EXPECT_EQ(got.ax, want.ax);
+  EXPECT_EQ(got.ay, want.ay);
+  EXPECT_EQ(got.az, want.az);
+  EXPECT_EQ(got.pot, want.pot);
 }
 
 std::uint64_t traffic_bytes(const domain::StepReport& rep, wire::FrameType type) {
@@ -120,11 +136,9 @@ TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {
   EXPECT_EQ(sp_rep.let_cells, in_rep.let_cells);
   EXPECT_EQ(sp_rep.let_particles, in_rep.let_particles);
 
-  // Identical decomposition + identical per-rank walks; only the remote-LET
-  // accumulation order (arrival order) may differ, which perturbs forces at
-  // rounding level — far below the ~1e-6 rank-boundary MAC error.
-  ASSERT_EQ(sp_got.size(), in_got.size());
-  EXPECT_LT(median_acc_error(sp_got, in_got), 1e-9);
+  // One rank program in both drivers: identical decomposition, migration,
+  // walks and source-ordered remote accumulation, so identical bits.
+  expect_bitwise_equal(sp_got, in_got);
 
   // Aggregated worker energy partials agree with the in-process sums.
   EXPECT_NEAR(spmd.kinetic_energy(), inproc.kinetic_energy(),
@@ -223,9 +237,10 @@ TEST(ClusterSpmd, MultiStepDriftPreservesPopulationAndForces) {
 }
 
 TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator) {
-  // Same physics as the in-process run over two steps; the coordinator never
-  // forwards a frame (one addressed to another rank fails its link as
-  // misrouted), so all peer traffic travelled the pair sockets.
+  // The same drifting physics as the in-process run over three steps, bit
+  // for bit; the coordinator never forwards a frame (one addressed to
+  // another rank fails its link as misrouted), so all peer traffic
+  // travelled the pair sockets.
   const ParticleSet global = make_plummer(900, 77);
   SimConfig cfg = forces_only_config(3);
   cfg.dt = 1e-3;
@@ -233,27 +248,84 @@ TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator)
   domain::Simulation inproc(cfg);
   inproc.init(global);
   inproc.step();
-  const domain::StepReport in_rep2 = inproc.step();
+  inproc.step();
+  const domain::StepReport in_rep = inproc.step();
   const ParticleSet in_got = inproc.gather();
 
   WorkerPool pool;
   ClusterSimulation mesh(cluster_config(cfg, pool));
   mesh.init(global);
   mesh.step();
-  const domain::StepReport rep2 = mesh.step();  // steady state
+  mesh.step();
+  const domain::StepReport rep = mesh.step();  // steady state
   const ParticleSet mesh_got = mesh.gather();
 
-  ASSERT_EQ(mesh_got.size(), in_got.size());
-  EXPECT_LT(median_acc_error(mesh_got, in_got), 1e-9);
-  EXPECT_EQ(rep2.num_particles, in_rep2.num_particles);
-  EXPECT_EQ(rep2.migrated, in_rep2.migrated);
+  expect_bitwise_equal(mesh_got, in_got);
+  EXPECT_EQ(rep.num_particles, in_rep.num_particles);
+  EXPECT_EQ(rep.migrated, in_rep.migrated);
 
   // The send-side matrix covers the full peer protocol.
   const std::uint64_t nranks = 3;
-  EXPECT_EQ(traffic_frames(rep2, wire::FrameType::kMigration), nranks * (nranks - 1));
-  EXPECT_EQ(traffic_frames(rep2, wire::FrameType::kBoundaries),
-            2 * nranks * (nranks - 1));
-  EXPECT_EQ(traffic_frames(rep2, wire::FrameType::kKeySamples), nranks * (nranks - 1));
+  EXPECT_EQ(traffic_frames(rep, wire::FrameType::kMigration), nranks * (nranks - 1));
+  EXPECT_EQ(traffic_frames(rep, wire::FrameType::kBoundaries), 2 * nranks * (nranks - 1));
+  EXPECT_EQ(traffic_frames(rep, wire::FrameType::kKeySamples), nranks * (nranks - 1));
+}
+
+// Both drivers run one rank program, so the in-process traffic matrix is the
+// socket run's worker-to-worker part, cell for cell — frames and bytes — and
+// its sums are the report's wire rows: LET and LetDelta frames are let_wire,
+// Migration frames part_wire, Boundaries and KeySamples frames dom_wire.
+TEST(Simulation, TrafficMatrixMatchesWireSummaries) {
+  const ParticleSet global = make_plummer(900, 37);
+  SimConfig cfg = forces_only_config(3);
+  cfg.dt = 1e-3;
+  cfg.let_cache = true;  // delta frames from the second step on
+
+  domain::Simulation inproc(cfg);
+  inproc.init(global);
+  WorkerPool pool;
+  ClusterSimulation mesh(cluster_config(cfg, pool));
+  mesh.init(global);
+  for (int s = 0; s < 2; ++s) {
+    const domain::StepReport in_rep = inproc.step();
+    const domain::StepReport sock_rep = mesh.step();
+
+    std::vector<wire::PeerTraffic> peers;
+    for (const wire::PeerTraffic& t : sock_rep.traffic)
+      if (t.src != domain::kCoordinatorRank && t.dst != domain::kCoordinatorRank)
+        peers.push_back(t);
+    ASSERT_EQ(in_rep.traffic.size(), peers.size()) << "step " << s;
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      const wire::PeerTraffic& a = in_rep.traffic[i];
+      const wire::PeerTraffic& b = peers[i];
+      EXPECT_TRUE(a.src == b.src && a.dst == b.dst && a.type == b.type &&
+                  a.frames == b.frames && a.bytes == b.bytes)
+          << "step " << s << " cell " << i << ": " << a.src << "->" << a.dst << " "
+          << wire::frame_type_name(static_cast<wire::FrameType>(a.type));
+    }
+
+    wire::WireStats let, part, dom;
+    for (const wire::PeerTraffic& t : in_rep.traffic) {
+      EXPECT_NE(t.src, t.dst);
+      switch (static_cast<wire::FrameType>(t.type)) {
+        case wire::FrameType::kLet:
+        case wire::FrameType::kLetDelta: let.frames += t.frames; let.bytes += t.bytes; break;
+        case wire::FrameType::kMigration: part.frames += t.frames; part.bytes += t.bytes; break;
+        case wire::FrameType::kBoundaries:
+        case wire::FrameType::kKeySamples: dom.frames += t.frames; dom.bytes += t.bytes; break;
+        default: ADD_FAILURE() << "unexpected in-process frame type " << t.type;
+      }
+    }
+    EXPECT_EQ(let.frames, in_rep.let_wire.frames);
+    EXPECT_EQ(let.bytes, in_rep.let_wire.bytes);
+    EXPECT_EQ(part.frames, in_rep.part_wire.frames);
+    EXPECT_EQ(part.bytes, in_rep.part_wire.bytes);
+    EXPECT_EQ(dom.frames, in_rep.dom_wire.frames);
+    EXPECT_EQ(dom.bytes, in_rep.dom_wire.bytes);
+    if (s == 1) {
+      EXPECT_GT(in_rep.let_delta.delta_frames, 0u);
+    }
+  }
 }
 
 TEST(ClusterShutdown, DeadWorkerDoesNotStrandTheOthers) {

@@ -123,7 +123,8 @@ TEST(Exchange, OwnershipAndBitForBitConservation) {
     samples.insert(samples.end(), sk.begin(), sk.end());
   }
   const Decomposition d = Decomposition::from_samples(samples, nranks);
-  const auto stats = domain::exchange(sets, space, d);
+  domain::InProcTransport transport(nranks);
+  const auto stats = domain::exchange(sets, space, d, transport);
   EXPECT_EQ(stats.total, n);
   EXPECT_GT(stats.migrated, 0u);
 
@@ -186,7 +187,8 @@ TEST(Exchange, ResidentPathMatchesCentralizedExchangeBitForBit) {
   }
   const Decomposition d = Decomposition::from_samples(samples, nranks);
 
-  const domain::ExchangeStats central_stats = domain::exchange(central, space, d);
+  domain::InProcTransport central_net(nranks);
+  const domain::ExchangeStats central_stats = domain::exchange(central, space, d, central_net);
 
   domain::InProcTransport transport(nranks);
   domain::MigrationExchange mex(transport, nranks);
@@ -212,36 +214,6 @@ TEST(Exchange, ResidentPathMatchesCentralizedExchangeBitForBit) {
   }
   EXPECT_EQ(migrated, central_stats.migrated);
   EXPECT_EQ(total, central_stats.total);
-}
-
-TEST(Simulation, TrafficMatrixMatchesWireSummaries) {
-  SimConfig cfg;
-  cfg.nranks = 3;
-  cfg.theta = 0.4;
-  cfg.dt = 1e-3;
-  Simulation sim(cfg);
-  sim.init(make_plummer(900, 37));
-  const domain::StepReport rep = sim.step();
-
-  ASSERT_FALSE(rep.traffic.empty());
-  std::uint64_t let_bytes = 0, let_frames = 0, part_bytes = 0;
-  for (const auto& t : rep.traffic) {
-    EXPECT_GT(t.frames, 0u);
-    if (t.type == static_cast<std::uint16_t>(domain::wire::FrameType::kLet)) {
-      let_bytes += t.bytes;
-      let_frames += t.frames;
-      EXPECT_NE(t.src, t.dst);  // no self-LETs
-    } else if (t.type == static_cast<std::uint16_t>(domain::wire::FrameType::kParticles)) {
-      part_bytes += t.bytes;
-    } else {
-      ADD_FAILURE() << "unexpected in-process frame type " << t.type;
-    }
-  }
-  // Send-side accounting: the matrix and the wire summary rows are two views
-  // of the same posts, so their totals must agree exactly.
-  EXPECT_EQ(let_bytes, rep.let_wire.bytes);
-  EXPECT_EQ(let_frames, rep.let_wire.frames);
-  EXPECT_EQ(part_bytes, rep.part_wire.bytes);
 }
 
 TEST(Let, DistantDomainPrunesToSingleMultipole) {
@@ -473,8 +445,8 @@ TEST(Simulation, AsyncStepReportsScheduleModel) {
 
 TEST(Simulation, AsyncLaneFailurePropagatesInsteadOfHanging) {
   // ncrit = 0 makes make_groups throw inside every lane's build stage. The
-  // driver must surface the error: lanes that fail still owe their LETs to
-  // peers blocked in recv(), so without the failure path this test hangs
+  // driver must surface the error: a failing lane closes every endpoint, so
+  // peers blocked in a receive fail fast — without that this test hangs
   // (and trips the ctest timeout) instead of throwing.
   SimConfig cfg;
   cfg.nranks = 4;
@@ -483,6 +455,46 @@ TEST(Simulation, AsyncLaneFailurePropagatesInsteadOfHanging) {
   Simulation sim(cfg);
   sim.init(make_plummer(200, 9));
   EXPECT_THROW(sim.step(), std::exception);
+}
+
+TEST(Simulation, DomainPhaseFailureSurfacesInsteadOfHanging) {
+  // An out-of-range snap level makes every lane's cut throw inside the
+  // redistribute phase, after the allgathers: the first error surfaces as
+  // the CheckError it is, and no lane is left blocked on a peer's frame.
+  SimConfig cfg;
+  cfg.nranks = 4;
+  cfg.snap_level = sfc::kMaxLevel + 1;
+  Simulation sim(cfg);
+  EXPECT_THROW(sim.init(make_plummer(200, 9)), CheckError);
+}
+
+TEST(Simulation, RestoredCostBalanceFirstCutsWithUnitWeights) {
+  // Measured gravity seconds are not replayable, so a restored cost-mode
+  // run's first step cuts with unit weights: the same boundaries a
+  // count-mode run restored from the same checkpoint cuts. Snapping is off
+  // so the cut is sample-exact (the equal-count fallback of an all-zero
+  // weight vector would land one sample off).
+  SimConfig cfg;
+  cfg.nranks = 4;
+  cfg.dt = 1e-3;
+  cfg.snap_level = 0;
+  cfg.balance = domain::BalanceMode::kCost;
+  Simulation run(cfg);
+  run.init(make_plummer(3000, 61));
+  for (int s = 0; s < 2; ++s) run.step();
+  const std::vector<ParticleSet> ckpt = run.checkpoint_sets();
+
+  Simulation cost(cfg);
+  cost.restore(ckpt, run.next_step());
+  cost.step();
+  SimConfig count_cfg = cfg;
+  count_cfg.balance = domain::BalanceMode::kCount;
+  Simulation count(count_cfg);
+  count.restore(ckpt, run.next_step());
+  count.step();
+  const auto a = cost.decomposition().boundaries();
+  const auto b = count.decomposition().boundaries();
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
 TEST(Simulation, ZeroParticlesUnderAsyncPath) {

@@ -180,6 +180,17 @@ TEST(Serve, WithJobLabelExtendsExistingLabelSets) {
             "wire.let.bytes{rank=2,job=14}");
 }
 
+TEST(Serve, JobMetricsKeepWireAggregatesNotTrafficCells) {
+  metrics::Snapshot step;
+  step.counters["wire.dom.bytes"] = 96.0;
+  step.counters["transport.post.bytes{src=0,dst=1,type=Boundaries}"] = 48.0;
+  step.gauges["step.elapsed_s"] = 0.5;
+  const metrics::Snapshot job = serve::label_job_metrics(step, 7);
+  EXPECT_EQ(job.counters.size(), 1u);
+  EXPECT_EQ(job.counters.at("wire.dom.bytes{job=7}"), 96.0);
+  EXPECT_EQ(job.gauges.at("step.elapsed_s{job=7}"), 0.5);
+}
+
 TEST(Serve, ServerRunsTwoJobsConcurrently) {
   ServerConfig cfg = test_server_config("concurrent");
   cfg.limits.pool_slots = 2;
