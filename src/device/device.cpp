@@ -67,8 +67,8 @@ void Device::compute_properties(const ParticleSet& parts, Octree& tree, double t
 InteractionStats Device::compute_forces(const TreeView& src, ParticleSet& targets,
                                         std::span<const TargetGroup> groups,
                                         const TraversalConfig& config, bool self) {
-  // Span on the calling (lane/driver) thread: cluster workers only drain the
-  // driver thread's ring, so pool-thread spans would be invisible there.
+  // Span on the calling (lane) thread, the one with the rank's log bound;
+  // pool threads record nothing.
   trace::ScopedSpan span("gravity.eval", trace_rank_);
 
   // Each group writes a disjoint particle range, so workers need no locking

@@ -4,7 +4,6 @@
 
 #include "domain/transport.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace bonsai::domain {
@@ -21,7 +20,6 @@ LetExchange::LetExchange(Transport& transport, const std::vector<std::uint8_t>& 
   for (std::size_t r = 0; r < nranks; ++r)
     remaining_.push_back(active[r] && num_active > 0 ? num_active - 1 : 0);
   encode_.resize(nranks);
-  decode_.resize(nranks);
   delta_.resize(nranks);
 }
 
@@ -31,34 +29,34 @@ std::size_t LetExchange::remaining(int dst) const {
 
 std::size_t LetExchange::post(int src, int dst, const LetTree& let, double export_seconds) {
   BNS_CHECK(src != dst);
-  trace::ScopedSpan span("wire.encode.let", src, src);
-  span.set_peer(dst);
-  WallTimer timer;
   std::vector<std::uint8_t> frame;
-  if (state_ != nullptr && state_->enabled) {
-    wire::LetEncodeResult res = wire::encode_let_cached(
-        {src, let, export_seconds, /*wire_bytes=*/0}, state_->send_entry(src, dst),
-        state_->churn_ratio, &state_->scratch[static_cast<std::size_t>(src)]);
-    frame = std::move(res.frame);
-    wire::LetDeltaStats& ds = delta_[static_cast<std::size_t>(src)];
-    if (res.is_delta) {
-      ds.delta_frames += 1;
-      ds.bytes_saved += res.full_bytes - frame.size();
+  {
+    trace::ScopedSpan span("wire.encode.let", src, src);
+    span.set_peer(dst);
+    if (state_ != nullptr && state_->enabled) {
+      wire::LetEncodeResult res = wire::encode_let_cached(
+          {src, let, export_seconds, /*wire_bytes=*/0}, state_->send_entry(src, dst),
+          state_->churn_ratio, &state_->scratch[static_cast<std::size_t>(src)]);
+      frame = std::move(res.frame);
+      wire::LetDeltaStats& ds = delta_[static_cast<std::size_t>(src)];
+      if (res.is_delta) {
+        ds.delta_frames += 1;
+        ds.bytes_saved += res.full_bytes - frame.size();
+      } else {
+        ds.full_frames += 1;
+      }
+    } else if (state_ != nullptr) {
+      frame = wire::encode_let_scratch({src, let, export_seconds, /*wire_bytes=*/0},
+                                       state_->scratch[static_cast<std::size_t>(src)]);
     } else {
-      ds.full_frames += 1;
+      frame = wire::encode_let({src, let, export_seconds, /*wire_bytes=*/0});
     }
-  } else if (state_ != nullptr) {
-    frame = wire::encode_let_scratch({src, let, export_seconds, /*wire_bytes=*/0},
-                                     state_->scratch[static_cast<std::size_t>(src)]);
-  } else {
-    frame = wire::encode_let({src, let, export_seconds, /*wire_bytes=*/0});
+    span.set_bytes(static_cast<std::int64_t>(frame.size()));
   }
   const std::size_t bytes = frame.size();
-  span.set_bytes(static_cast<std::int64_t>(bytes));
   wire::WireStats& ws = encode_[static_cast<std::size_t>(src)];
   ws.frames += 1;
   ws.bytes += bytes;
-  ws.encode_seconds += timer.elapsed();
   transport_.post(src, dst, std::move(frame));
   return bytes;
 }
@@ -74,7 +72,6 @@ std::optional<wire::LetMessage> LetExchange::recv(int dst) {
   BNS_CHECK(frame.has_value(), "LET endpoint closed before all expected arrivals");
   trace::ScopedSpan span("wire.decode.let", dst, dst);
   span.set_bytes(static_cast<std::int64_t>(frame->size()));
-  WallTimer timer;
   wire::LetMessage msg;
   if (state_ != nullptr && state_->enabled) {
     const int src = wire::peek_let_src(*frame);
@@ -93,7 +90,6 @@ std::optional<wire::LetMessage> LetExchange::recv(int dst) {
     msg = wire::decode_let(*frame);
   }
   span.set_peer(msg.src);
-  decode_[static_cast<std::size_t>(dst)].decode_seconds += timer.elapsed();
   --remaining;
   return msg;
 }
@@ -102,10 +98,6 @@ void LetExchange::close(int dst) { transport_.close(dst); }
 
 const wire::WireStats& LetExchange::encode_stats(int r) const {
   return encode_[static_cast<std::size_t>(r)];
-}
-
-const wire::WireStats& LetExchange::decode_stats(int r) const {
-  return decode_[static_cast<std::size_t>(r)];
 }
 
 const wire::LetDeltaStats& LetExchange::delta_stats(int r) const {
@@ -118,7 +110,6 @@ MigrationExchange::MigrationExchange(Transport& transport, int nranks)
   remaining_.assign(static_cast<std::size_t>(nranks),
                     static_cast<std::size_t>(nranks - 1));
   encode_.resize(static_cast<std::size_t>(nranks));
-  decode_.resize(static_cast<std::size_t>(nranks));
 }
 
 std::size_t MigrationExchange::remaining(int dst) const {
@@ -127,16 +118,17 @@ std::size_t MigrationExchange::remaining(int dst) const {
 
 std::size_t MigrationExchange::post(int src, int dst, const ParticleSet& parts, int step) {
   BNS_CHECK(src != dst);
-  trace::ScopedSpan span("wire.encode.migration", src, src, step);
-  span.set_peer(dst);
-  WallTimer timer;
-  std::vector<std::uint8_t> frame = wire::encode_migration(src, step, parts);
+  std::vector<std::uint8_t> frame;
+  {
+    trace::ScopedSpan span("wire.encode.migration", src, src, step);
+    span.set_peer(dst);
+    frame = wire::encode_migration(src, step, parts);
+    span.set_bytes(static_cast<std::int64_t>(frame.size()));
+  }
   const std::size_t bytes = frame.size();
-  span.set_bytes(static_cast<std::int64_t>(bytes));
   wire::WireStats& ws = encode_[static_cast<std::size_t>(src)];
   ws.frames += 1;
   ws.bytes += bytes;
-  ws.encode_seconds += timer.elapsed();
   transport_.post(src, dst, std::move(frame));
   return bytes;
 }
@@ -151,12 +143,13 @@ std::optional<wire::MigrationMsg> MigrationExchange::recv(int dst, int step) {
   }
   BNS_CHECK(frame.has_value(),
                    "migration endpoint closed before all expected batches");
-  trace::ScopedSpan span("wire.decode.migration", dst, dst, step);
-  span.set_bytes(static_cast<std::int64_t>(frame->size()));
-  WallTimer timer;
-  wire::MigrationMsg msg = wire::decode_migration(*frame);
-  span.set_peer(msg.src);
-  decode_[static_cast<std::size_t>(dst)].decode_seconds += timer.elapsed();
+  wire::MigrationMsg msg;
+  {
+    trace::ScopedSpan span("wire.decode.migration", dst, dst, step);
+    span.set_bytes(static_cast<std::int64_t>(frame->size()));
+    msg = wire::decode_migration(*frame);
+    span.set_peer(msg.src);
+  }
   BNS_CHECK(msg.step == step, "migration batch from a different step");
   --remaining;
   return msg;
@@ -164,10 +157,6 @@ std::optional<wire::MigrationMsg> MigrationExchange::recv(int dst, int step) {
 
 const wire::WireStats& MigrationExchange::encode_stats(int r) const {
   return encode_[static_cast<std::size_t>(r)];
-}
-
-const wire::WireStats& MigrationExchange::decode_stats(int r) const {
-  return decode_[static_cast<std::size_t>(r)];
 }
 
 }  // namespace bonsai::domain

@@ -145,13 +145,14 @@ class LetExchange {
   std::size_t remaining(int dst) const;
 
   // Nonblocking post of src's LET for dst (called from src's driver thread):
-  // encodes the frame, hands the bytes to the transport, and accounts the
-  // encode under src. Returns the encoded frame size.
+  // encodes the frame (span wire.encode.let), hands the bytes to the
+  // transport, and accounts the frame under src. Returns the encoded frame
+  // size.
   std::size_t post(int src, int dst, const LetTree& let, double export_seconds);
 
   // Blocking receive of dst's next LET, in arrival order; nullopt once every
-  // expected LET has been delivered. Decodes + validates the frame and
-  // accounts the decode under dst. Must only be called from dst's driver
+  // expected LET has been delivered. Decodes + validates the frame (spans
+  // let.recv.wait, wire.decode.let). Must only be called from dst's driver
   // thread (the single consumer of dst's endpoint). Throws if the endpoint
   // was close()d before all expected arrivals (fail fast, never hang).
   std::optional<wire::LetMessage> recv(int dst);
@@ -161,11 +162,9 @@ class LetExchange {
   // forever. Works even when an empty compensation frame cannot be built.
   void close(int dst);
 
-  // Serialization accounting, per rank: encodes posted by r (frames/bytes
-  // out + encode seconds) and decodes consumed by r (decode seconds). Each
-  // entry is touched only by its own rank's driver thread.
+  // Frames and bytes posted by r. Each entry is touched only by its own
+  // rank's driver thread; encode/decode seconds come from the spans.
   const wire::WireStats& encode_stats(int r) const;
-  const wire::WireStats& decode_stats(int r) const;
 
   // Incremental-exchange accounting: full/delta frames and bytes saved
   // posted by r, plus deltas applied (cache_hits) and cache resets
@@ -178,7 +177,6 @@ class LetExchange {
   LetChannelState* state_;               // nullptr: always-full legacy path
   std::vector<std::size_t> remaining_;  // per-dst, touched only by its consumer
   std::vector<wire::WireStats> encode_;  // per-src
-  std::vector<wire::WireStats> decode_;  // per-dst
   std::vector<wire::LetDeltaStats> delta_;  // exporter side per-src, importer per-dst
 };
 
@@ -198,9 +196,9 @@ class MigrationExchange {
   // Batches dst still has to receive; starts at nranks - 1.
   std::size_t remaining(int dst) const;
 
-  // Nonblocking post of src's emigrants bound for dst: encodes the frame,
-  // hands the bytes to the transport, accounts the encode under src. Returns
-  // the encoded frame size.
+  // Nonblocking post of src's emigrants bound for dst: encodes the frame
+  // (span wire.encode.migration), hands the bytes to the transport, accounts
+  // the frame under src. Returns the encoded frame size.
   std::size_t post(int src, int dst, const ParticleSet& parts, int step);
 
   // Blocking receive of dst's next inbound batch, in arrival order; nullopt
@@ -208,15 +206,13 @@ class MigrationExchange {
   // (fail fast, never hang) or a frame belongs to a different step.
   std::optional<wire::MigrationMsg> recv(int dst, int step);
 
-  // Serialization accounting, mirroring LetExchange.
+  // Frames and bytes posted by r, mirroring LetExchange.
   const wire::WireStats& encode_stats(int r) const;
-  const wire::WireStats& decode_stats(int r) const;
 
  private:
   Transport& transport_;
   std::vector<std::size_t> remaining_;
   std::vector<wire::WireStats> encode_;
-  std::vector<wire::WireStats> decode_;
 };
 
 }  // namespace bonsai::domain

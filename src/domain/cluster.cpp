@@ -42,10 +42,6 @@ ClusterSimulation::ClusterSimulation(const ClusterConfig& cfg) : cfg_(cfg) {
   sets_.resize(static_cast<std::size_t>(cfg_.sim.nranks));
   decomp_ = Decomposition::uniform(cfg_.sim.nranks);
 
-  // Tracing is decided before any worker exists; workers inherit the flag
-  // from the Config frame and enable their own process's tracer on receipt.
-  if (cfg_.sim.trace) trace::Tracer::instance().set_enabled(true);
-
   net_ = SocketTransport::listen(cfg_.port, cfg_.sim.nranks, SocketTopology::kMesh);
   if (cfg_.on_listen) cfg_.on_listen(net_->port());
   if (cfg_.spawn_workers) {
@@ -140,59 +136,12 @@ void ClusterSimulation::init(ParticleSet global) {
   bootstrap_pending_ = true;
 }
 
-wire::StepResult ClusterSimulation::recv_step_result(TrafficRecordingTransport& rec,
-                                                     StepReport& report,
-                                                     std::vector<std::uint8_t>& seen,
-                                                     std::span<const std::int64_t> post_ns,
-                                                     std::vector<trace::Span>& spans,
-                                                     std::span<TimeBreakdown> rank_times,
-                                                     std::vector<sfc::Key>& agreed_bounds) {
-  std::optional<std::vector<std::uint8_t>> frame;
-  for (;;) {
-    {
-      trace::ScopedSpan wait("cluster.recv.result", kCoordinatorRank);
-      frame = net_->recv(kCoordinatorRank);
-    }
-    BNS_CHECK(frame.has_value(), "a worker disconnected before its step result (" +
-                                            net_->close_reason() + ")");
-    if (wire::frame_type(*frame) != wire::FrameType::kTrace) break;
-    // A worker's observability sidecar, sent just ahead of its StepResult:
-    // estimate the worker's clock offset from the StepBegin/Trace round-trip
-    // and merge its spans onto the coordinator's clock.
-    const std::int64_t arrive_ns = now_ns();
-    wire::TraceFrame tf = wire::decode_trace(*frame);
-    BNS_CHECK(tf.src >= 0 && tf.src < static_cast<int>(post_ns.size()),
-                     "trace frame from an impossible rank");
-    trace::ClockSync sync;
-    sync.coord_post_ns = post_ns[static_cast<std::size_t>(tf.src)];
-    sync.coord_arrive_ns = arrive_ns;
-    sync.worker_recv_ns = tf.recv_ns;
-    sync.worker_send_ns = tf.send_ns;
-    trace::shift_spans(tf.spans, trace::estimate_clock_offset(sync));
-    spans.insert(spans.end(), std::make_move_iterator(tf.spans.begin()),
-                 std::make_move_iterator(tf.spans.end()));
-  }
-  WallTimer timer;
-  wire::StepResult sr = wire::decode_step_result(*frame);
-  report.part_wire.decode_seconds += timer.elapsed();
-  report.part_wire.frames += 1;
-  report.part_wire.bytes += frame->size();
-  BNS_CHECK(sr.rank >= 0 && sr.rank < static_cast<int>(seen.size()) &&
-                       !seen[static_cast<std::size_t>(sr.rank)],
-                   "duplicate or out-of-range step result");
-  seen[static_cast<std::size_t>(sr.rank)] = 1;
-  rec.record(sr.rank, kCoordinatorRank,
-             static_cast<std::uint16_t>(wire::FrameType::kStepResult), frame->size());
-  fold_step_result(report, sr, rank_times, agreed_bounds);
-  return sr;
-}
-
 StepReport ClusterSimulation::step() {
   StepReport report;
   report.step = next_step_++;
-  report.async = false;
   report.kernel = cfg_.sim.kernel;
   WallTimer wall;
+  trace::BindLog log(report.spans);
 
   const std::size_t nranks = sets_.size();
   TrafficRecordingTransport rec(*net_);
@@ -211,9 +160,7 @@ StepReport ClusterSimulation::step() {
     if (bootstrap) sb.parts = std::move(sets_[r]);
     trace::ScopedSpan span("cluster.post.step_begin", kCoordinatorRank, 0, report.step);
     span.set_peer(static_cast<std::int64_t>(r));
-    WallTimer timer;
     std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
-    report.part_wire.encode_seconds += timer.elapsed();
     report.part_wire.frames += 1;
     report.part_wire.bytes += frame.size();
     span.set_bytes(static_cast<std::int64_t>(frame.size()));
@@ -221,32 +168,49 @@ StepReport ClusterSimulation::step() {
     rec.post(kCoordinatorRank, static_cast<int>(r), std::move(frame));
   }
 
-  std::vector<TimeBreakdown> rank_times(nranks);
-  std::vector<std::uint8_t> seen(nranks, 0);
-  std::vector<trace::Span> worker_spans;
-  std::vector<sfc::Key> agreed_bounds;
-  double kinetic = 0.0, potential = 0.0;
+  // Take every result off the wire first, stamping its arrival, so the
+  // clock-offset estimates do not absorb the folding of earlier results.
+  std::vector<std::pair<std::vector<std::uint8_t>, std::int64_t>> arrived;
   for (std::size_t i = 0; i < nranks; ++i) {
-    const wire::StepResult sr =
-        recv_step_result(rec, report, seen, post_ns, worker_spans, rank_times, agreed_bounds);
+    std::optional<std::vector<std::uint8_t>> frame;
+    {
+      trace::ScopedSpan wait("cluster.recv.result", kCoordinatorRank);
+      frame = net_->recv(kCoordinatorRank);
+    }
+    BNS_CHECK(frame.has_value(), "a worker disconnected before its step result (" +
+                                     net_->close_reason() + ")");
+    arrived.emplace_back(std::move(*frame), now_ns());
+  }
+
+  StepFold fold(nranks);
+  std::vector<std::uint8_t> seen(nranks, 0);
+  double kinetic = 0.0, potential = 0.0;
+  for (const auto& [frame, arrive_ns] : arrived) {
+    wire::StepResult sr = wire::decode_step_result(frame);
+    report.part_wire.frames += 1;
+    report.part_wire.bytes += frame.size();
+    BNS_CHECK(sr.rank >= 0 && sr.rank < static_cast<int>(nranks) &&
+                  !seen[static_cast<std::size_t>(sr.rank)],
+              "duplicate or out-of-range step result");
+    seen[static_cast<std::size_t>(sr.rank)] = 1;
+    rec.record(sr.rank, kCoordinatorRank,
+               static_cast<std::uint16_t>(wire::FrameType::kStepResult), frame.size());
+    // The worker's spans onto the coordinator's clock.
+    const trace::ClockSync sync{post_ns[static_cast<std::size_t>(sr.rank)], arrive_ns,
+                                sr.recv_ns, sr.send_ns};
+    trace::shift_spans(sr.spans, trace::estimate_clock_offset(sync));
     kinetic += sr.kinetic;
     potential += sr.potential;
+    fold_step_result(report, sr, fold);
   }
-  decomp_ = Decomposition::from_boundaries(std::move(agreed_bounds));
+  decomp_ = finish_step(report, fold);
   spmd_particles_ = report.num_particles;
   spmd_kinetic_ = kinetic;
   spmd_potential_ = potential;
   spmd_stepped_ = true;
 
   wire::merge_traffic(report.traffic, rec.take());
-  fold_stage_times(report, rank_times);
   report.elapsed = wall.elapsed();
-  if (trace::Tracer::instance().enabled()) {
-    report.spans = trace::Tracer::instance().drain_thread();
-    report.spans.insert(report.spans.end(),
-                        std::make_move_iterator(worker_spans.begin()),
-                        std::make_move_iterator(worker_spans.end()));
-  }
   report.metrics = build_step_metrics(report);
   return report;
 }
@@ -321,7 +285,6 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
   BNS_CHECK(rank_id >= 0 && rank_id < cfg.nranks,
                    "worker rank id outside the configured rank count");
   cfg.threads_per_rank = threads;
-  if (cfg.trace) trace::Tracer::instance().set_enabled(true);
   Rank rank(rank_id, threads_for(cfg, std::thread::hardware_concurrency()));
   SpmdState st;
   // Incremental-LET caches live here, beside the resident Rank: they persist
@@ -330,10 +293,10 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
   LetChannelState let_state;
   let_state.init(cfg.nranks, cfg.let_cache, cfg.let_churn);
 
-  // The previous step's StepResult encode time: it cannot ride in the frame
-  // it measures (the timings are part of the payload), so it is reported one
-  // step late — per-step rows shift slightly, trajectory totals stay honest.
-  double pending_result_encode_s = 0.0;
+  // The previous step's StepResult encode span: it cannot ride in the frame
+  // it measures, so it is booked one step late — per-step rows shift
+  // slightly, trajectory totals stay honest.
+  std::vector<trace::Span> result_encode;
 
   for (;;) {
     frame = demux.recv(FrameDemux::Class::kControl);
@@ -343,12 +306,17 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
     if (type != wire::FrameType::kStepBegin)
       throw std::runtime_error("worker: unexpected frame type from coordinator");
 
-    WallTimer decode_timer;
-    wire::StepBegin sb = wire::decode_step_begin(*frame);
-    const double sb_decode_s = decode_timer.elapsed();
+    wire::StepResult sr;
+    wire::StepBegin sb;
+    {
+      trace::BindLog log(sr.spans);
+      trace::ScopedSpan span("wire.decode.step_begin", rank_id, rank_id);
+      span.set_bytes(static_cast<std::int64_t>(frame->size()));
+      sb = wire::decode_step_begin(*frame);
+    }
     // Worker-local clock sample for the coordinator's offset estimate: as
     // close as possible to the moment the StepBegin was in hand.
-    const std::int64_t recv_ns = now_ns();
+    sr.recv_ns = now_ns();
 
     if (sb.mode == wire::StepMode::kCollect) {
       // Snapshot request: ship the resident particles (forces included)
@@ -373,57 +341,19 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
 
     // Resident state, distributed domain update, peer migration; the
     // particles never leave this worker.
-    wire::StepResult sr;
-    sr.times.add("Wire decode", sb_decode_s);
-    sr.times.add("Wire encode", pending_result_encode_s);
-    pending_result_encode_s = 0.0;
+    sr.spans.insert(sr.spans.end(), result_encode.begin(), result_encode.end());
+    result_encode.clear();
     run_spmd_step(rank, cfg, sb.step, demux, out, st, let_state, sr);
     fill_energy(rank.parts(), sr);
     sr.traffic = out.take();
-    if (cfg.trace) {
-      // The step's spans ship just ahead of the StepResult. The overall step
-      // span is emitted manually (its natural scope would outlive the drain),
-      // then the whole buffer is drained — only this thread's: concurrent
-      // in-process workers must not steal each other's spans. The worker's
-      // own metric deltas ride along for the wire tests and per-rank tooling;
-      // the coordinator's bench metrics are rebuilt from the aggregated
-      // report, not from these.
-      trace::RawSpan step_span;
-      step_span.name = "worker.step";
-      step_span.begin_ns = recv_ns;
-      step_span.end_ns = now_ns();
-      step_span.rank = rank_id;
-      step_span.lane = rank_id;
-      step_span.step = sb.step;
-      trace::Tracer::instance().emit(step_span);
-      wire::TraceFrame tf;
-      tf.src = rank_id;
-      tf.step = sb.step;
-      tf.recv_ns = recv_ns;
-      tf.spans = trace::Tracer::instance().drain_thread();
-      StepReport wr;
-      wr.step = sb.step;
-      wr.num_particles = sr.local_count;
-      wr.migrated = sr.migrated;
-      wr.let_cells = sr.let_cells;
-      wr.let_particles = sr.let_particles;
-      wr.local_stats = sr.local_stats;
-      wr.remote_stats = sr.remote_stats;
-      wr.let_wire = sr.let_wire;
-      wr.part_wire = sr.part_wire;
-      wr.dom_wire = sr.dom_wire;
-      wr.let_delta = sr.let_delta;
-      wr.let_sizes = sr.let_sizes;
-      wr.traffic = sr.traffic;
-      tf.metrics = build_step_metrics(wr);
-      tf.send_ns = now_ns();
-      // Like the collect reply, the sidecar bypasses the traffic recorder:
-      // observability must not perturb the step's own traffic matrix.
-      net->post(rank_id, kCoordinatorRank, wire::encode_trace(tf));
+    sr.send_ns = now_ns();
+    std::vector<std::uint8_t> result;
+    {
+      trace::BindLog log(result_encode);
+      trace::ScopedSpan span("wire.encode.step_result", rank_id, rank_id);
+      result = wire::encode_step_result(sr);
+      span.set_bytes(static_cast<std::int64_t>(result.size()));
     }
-    WallTimer encode_timer;
-    std::vector<std::uint8_t> result = wire::encode_step_result(sr);
-    pending_result_encode_s = encode_timer.elapsed();
     net->post(rank_id, kCoordinatorRank, std::move(result));
   }
 }

@@ -15,17 +15,21 @@
 //            inbound batches arrived)
 //   phase 4  Boundaries allgather (post-migration active set + boxes)
 //   then     LET exchange + gravity + integration
-//   finally  StepResult: timings/stats/energies only — no particles
+//   finally  StepResult: span log/stats/energies only — no particles
 //
 // The fabric is a mesh (see transport.hpp): each worker pair holds its own
 // TCP connection (rendezvous via the coordinator's PeerDirectory), so
 // LET/Boundaries/KeySamples/Migration frames never touch the coordinator.
 // The coordinator is rendezvous, step trigger and report aggregator only:
 // it ships the whole initial set to rank 0 with the first StepBegin (the
-// workers scatter it with phases 1-3 before that step's own round), folds
-// the results with fold_step_result — which cross-checks the Decomposition
-// every worker reports and fails fast on divergence — and any worker death
-// closes its sockets so every blocked recv() unblinds instead of hanging.
+// workers scatter it with phases 1-3 before that step's own round), shifts
+// each worker's spans onto its own clock (the StepBegin post / StepResult
+// arrival times against the worker's two clock samples in the result),
+// folds the results with fold_step_result — which derives every stage row
+// and the schedule model from those spans and cross-checks the
+// Decomposition every worker reports, failing fast on divergence — and any
+// worker death closes its sockets so every blocked recv() unblinds instead
+// of hanging.
 //
 // The in-process Simulation's lanes run the same rank program over the
 // in-process transport, bootstrap included, so socket and in-process runs
@@ -97,17 +101,6 @@ class ClusterSimulation {
  private:
   void spawn_workers();
   void broadcast_shutdown() noexcept;
-  // The next worker's decoded, deduplicated StepResult, already folded into
-  // `report`, `rank_times` and `agreed_bounds` by fold_step_result. Trace
-  // frames interleaved with the results are absorbed on the way: their spans
-  // are clock-shifted onto the coordinator's clock (post_ns holds the
-  // per-rank StepBegin post times of this step) and appended to `spans`.
-  wire::StepResult recv_step_result(TrafficRecordingTransport& rec, StepReport& report,
-                                    std::vector<std::uint8_t>& seen,
-                                    std::span<const std::int64_t> post_ns,
-                                    std::vector<trace::Span>& spans,
-                                    std::span<TimeBreakdown> rank_times,
-                                    std::vector<sfc::Key>& agreed_bounds);
 
   ClusterConfig cfg_;
   std::unique_ptr<SocketTransport> net_;

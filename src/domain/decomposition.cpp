@@ -5,7 +5,6 @@
 #include "domain/channel.hpp"
 #include "domain/transport.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace bonsai::domain {
 
@@ -209,10 +208,8 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
     }
     for (std::size_t d = 0; d < nranks; ++d) {
       if (d == r) continue;
-      WallTimer timer;
       std::vector<std::uint8_t> frame =
           wire::encode_particles(static_cast<int>(r), batches[d], /*with_forces=*/false);
-      ws.encode_seconds += timer.elapsed();
       ws.frames += 1;
       ws.bytes += frame.size();
       transport.post(static_cast<int>(r), static_cast<int>(d), std::move(frame));
@@ -230,9 +227,7 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
       std::optional<std::vector<std::uint8_t>> frame = transport.recv(static_cast<int>(d));
       BNS_CHECK(frame.has_value(),
                        "particle endpoint closed before all expected batches");
-      WallTimer timer;
       wire::ParticleBatch batch = wire::decode_particles(*frame);
-      ws.decode_seconds += timer.elapsed();
       BNS_CHECK(batch.src >= 0 && batch.src < static_cast<int>(nranks) &&
                            batch.src != static_cast<int>(d),
                        "particle batch from an impossible source rank");

@@ -5,8 +5,8 @@
 // The registry subsumes the ad-hoc accounting the codebase grew (stage Timer
 // rows, wire::PeerTraffic matrices, LET size histograms): drivers fold their
 // per-step aggregates into a Registry, snapshot it, and the Snapshot is what
-// crosses the wire (inside a Trace frame), lands in --bench JSON, and merges
-// across ranks. Kept deliberately free of wire/simulation includes so every
+// a job server's MetricsReport carries, lands in --bench JSON, and merges
+// across jobs. Kept deliberately free of wire/simulation includes so every
 // layer can depend on it.
 #pragma once
 

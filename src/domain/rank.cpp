@@ -4,45 +4,38 @@
 
 namespace bonsai::domain {
 
-void Rank::build(const sfc::KeySpace& space, const SimConfig& cfg, TimeBreakdown& times) {
+void Rank::build(const sfc::KeySpace& space, const SimConfig& cfg) {
   {
     trace::ScopedSpan span("rank.sort", id_, id_);
-    ScopedTimer t(times, "Sorting SFC");
     device_.sort_particles(parts_, space);
   }
   {
     trace::ScopedSpan span("rank.build", id_, id_);
-    ScopedTimer t(times, "Tree-construction");
     device_.build_tree(parts_, tree_, cfg.nleaf);
   }
   {
     trace::ScopedSpan span("rank.properties", id_, id_);
-    ScopedTimer t(times, "Tree-properties");
     device_.compute_properties(parts_, tree_, cfg.theta);
     groups_ = make_groups(parts_, cfg.ncrit);
   }
   box_ = parts_.empty() ? AABB{} : tree_.root().box;
 }
 
-InteractionStats Rank::gravity_local(const SimConfig& cfg, TimeBreakdown& times) {
+InteractionStats Rank::gravity_local(const SimConfig& cfg) {
   trace::ScopedSpan span("gravity.local", id_, id_);
-  ScopedTimer t(times, "Gravity local");
   if (parts_.empty()) return {};
   return device_.compute_forces(tree_.view(parts_), parts_, groups_, cfg.traversal(),
                                 /*self=*/true);
 }
 
-InteractionStats Rank::gravity_remote(const TreeView& let, const SimConfig& cfg,
-                                      TimeBreakdown& times) {
-  ScopedTimer t(times, "Gravity remote");
+InteractionStats Rank::gravity_remote(const TreeView& let, const SimConfig& cfg) {
   if (parts_.empty() || let.empty()) return {};
   return device_.compute_forces(let, parts_, groups_, cfg.traversal(),
                                 /*self=*/false);
 }
 
-void Rank::integrate(double dt, TimeBreakdown& times) {
+void Rank::integrate(double dt, TimeBreakdown&) {
   trace::ScopedSpan span("rank.integrate", id_, id_);
-  ScopedTimer t(times, "Integration");
   ParticleSet& p = parts_;
   device_.parallel_for(p.size(), [&](std::size_t i) {
     p.vx[i] += p.ax[i] * dt;

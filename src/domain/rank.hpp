@@ -1,6 +1,8 @@
 // One in-process "rank": the unit of the paper's parallelization. A rank
 // owns a particle slice (a contiguous Hilbert-key interval), its own Device,
-// its own octree and target groups, and per-stage timings. The multi-rank
+// and its own octree and target groups; each stage closes one span on the
+// calling thread's bound log (util/trace.hpp), which is where the per-stage
+// timings come from. The multi-rank
 // Simulation orchestrates ranks the way the paper's MPI layer orchestrates
 // processes; swapping this emulation for real MPI/GPU backends changes the
 // transport, not the dataflow.
@@ -42,8 +44,6 @@ struct SimConfig {
   bool async = true;                          // bench/ remnant; src/ ignores it
   BalanceMode balance = BalanceMode::kCount;  // feedback balancing needs a
                                               // previous step's gravity times
-  bool trace = false;                         // record spans (--trace); shipped
-                                              // to workers in the Config frame
   KernelBackend kernel = KernelBackend::kSimd;  // batched force backend
                                                 // (--kernel); shipped to
                                                 // workers in the Config frame
@@ -81,24 +81,26 @@ class Rank {
   const AABB& domain_box() const { return box_; }
 
   // Sort by SFC key, build the octree, compute multipoles/MAC radii and
-  // target groups. Stage timings accumulate into `times` under the Table II
-  // row names.
-  void build(const sfc::KeySpace& space, const SimConfig& cfg, TimeBreakdown& times);
+  // target groups (spans rank.sort, rank.build, rank.properties).
+  void build(const sfc::KeySpace& space, const SimConfig& cfg);
 
   // Extract this rank's LET for a remote domain box (sender-side work).
   LetTree export_let(const AABB& remote_box) const {
     return build_let(tree_.view(parts_), remote_box);
   }
 
-  // Forces from the rank's own tree (exact self-interactions skipped).
-  InteractionStats gravity_local(const SimConfig& cfg, TimeBreakdown& times);
+  // Forces from the rank's own tree (exact self-interactions skipped; span
+  // gravity.local).
+  InteractionStats gravity_local(const SimConfig& cfg);
 
-  // Forces from one imported LET (any self-contained tree view).
-  InteractionStats gravity_remote(const TreeView& let, const SimConfig& cfg,
-                                  TimeBreakdown& times);
+  // Forces from one imported LET (any self-contained tree view). The caller
+  // spans it (gravity.remote), naming the peer.
+  InteractionStats gravity_remote(const TreeView& let, const SimConfig& cfg);
 
-  // Symplectic-Euler kick-drift using the freshly computed accelerations.
-  void integrate(double dt, TimeBreakdown& times);
+  // Symplectic-Euler kick-drift using the freshly computed accelerations
+  // (span rank.integrate). The TimeBreakdown is unused; the traced bench
+  // replay still passes one.
+  void integrate(double dt, TimeBreakdown&);
 
  private:
   int id_;

@@ -17,7 +17,8 @@
 
 namespace bonsai::domain {
 
-// Measured durations (seconds) of one rank's pipeline for one step.
+// Measured durations (seconds) of one rank's pipeline for one step, taken
+// from the rank's spans when its result is folded (fold_step_result).
 struct LaneTimeline {
   double sort = 0.0;       // "Sorting SFC"
   double build = 0.0;      // "Tree-construction"

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "domain/channel.hpp"
@@ -204,14 +206,17 @@ class DemuxTransport final : public Transport {
   FrameDemux::Class cls_;
 };
 
-// Broadcast one encoded frame to every peer, accounting encode time once and
-// frames/bytes per post (each peer receives its own copy of the bytes).
+// Broadcast one encoded frame to every peer: one wire.encode.domain span for
+// the encode, frames/bytes per post (each peer receives its own copy).
 template <typename EncodeFn>
 void broadcast(Transport& out, int self, int nranks, wire::WireStats& ws,
                EncodeFn&& encode) {
-  WallTimer timer;
-  const std::vector<std::uint8_t> frame = encode();
-  ws.encode_seconds += timer.elapsed();
+  std::vector<std::uint8_t> frame;
+  {
+    trace::ScopedSpan span("wire.encode.domain", self, self);
+    frame = encode();
+    span.set_bytes(static_cast<std::int64_t>(frame.size()));
+  }
   for (int dst = 0; dst < nranks; ++dst) {
     if (dst == self) continue;
     ws.frames += 1;
@@ -233,7 +238,7 @@ std::runtime_error vanished(const Transport& out, int self, const std::string& d
 // each decoded frame to `use`, after checking its source, step and phase.
 template <typename UseFn>
 void gather_boundaries(FrameDemux& demux, const Transport& out, int self, int nranks,
-                       int step, bool post_migration, wire::WireStats& ws, UseFn&& use) {
+                       int step, bool post_migration, UseFn&& use) {
   std::vector<std::uint8_t> seen(static_cast<std::size_t>(nranks), 0);
   seen[static_cast<std::size_t>(self)] = 1;
   for (int k = 0; k + 1 < nranks; ++k) {
@@ -241,9 +246,13 @@ void gather_boundaries(FrameDemux& demux, const Transport& out, int self, int nr
         demux.recv(FrameDemux::Class::kBoundaries);
     if (!frame)
       throw vanished(out, self, post_migration ? "box allgather" : "domain allgather");
-    WallTimer timer;
-    const wire::Boundaries b = wire::decode_boundaries(*frame);
-    ws.decode_seconds += timer.elapsed();
+    wire::Boundaries b;
+    {
+      trace::ScopedSpan span("wire.decode.domain", self, self);
+      span.set_bytes(static_cast<std::int64_t>(frame->size()));
+      b = wire::decode_boundaries(*frame);
+      span.set_peer(b.src);
+    }
     BNS_CHECK(b.src >= 0 && b.src < nranks && !seen[static_cast<std::size_t>(b.src)],
               "boundaries from an impossible or duplicate rank");
     BNS_CHECK(b.step == step && b.post_migration == post_migration,
@@ -253,27 +262,11 @@ void gather_boundaries(FrameDemux& demux, const Transport& out, int self, int nr
   }
 }
 
-// Phase spans cannot be RAII in the rank program (its phases share locals),
-// so they are emitted manually at each phase boundary.
-void emit_phase(const char* name, std::int64_t begin_ns, int rank, int step) {
-  if (!trace::Tracer::instance().enabled()) return;
-  trace::RawSpan span;
-  span.name = name;
-  span.begin_ns = begin_ns;
-  span.end_ns = now_ns();
-  span.rank = rank;
-  span.lane = rank;
-  span.step = step;
-  trace::Tracer::instance().emit(span);
-}
-
 // The rank program after tree build: round-robin LET exports starting at
-// self+1, local gravity, remote gravity per arrived LET, integration, and
-// the wire-stage accounting.
+// self+1, local gravity, remote gravity per arrived LET, integration.
 void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
                    std::span<const std::uint8_t> active, std::span<const AABB> boxes,
-                   wire::StepResult& sr, LaneTimeline* lane) {
-  TimeBreakdown& times = sr.times;
+                   wire::StepResult& sr) {
   const auto r = static_cast<std::size_t>(rank.id());
   const std::size_t nranks = active.size();
   if (active[r]) {
@@ -284,20 +277,15 @@ void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
       if (!active[dst]) continue;
       trace::ScopedSpan span("let.export", rank.id(), rank.id());
       span.set_peer(static_cast<std::int64_t>(dst));
-      WallTimer timer;
-      LetTree let = rank.export_let(boxes[dst]);
-      const double secs = timer.elapsed();
-      times.add("Exchange LET", secs);
-      if (lane) lane->exports.emplace_back(static_cast<int>(dst), secs);
+      const LetTree let = rank.export_let(boxes[dst]);
+      const double export_seconds = span.close();
       sr.let_cells += let.num_cells();
       sr.let_particles += let.num_particles();
-      span.set_bytes(static_cast<std::int64_t>(
-          net.post(static_cast<int>(r), static_cast<int>(dst), let, secs)));
+      net.post(static_cast<int>(r), static_cast<int>(dst), let, export_seconds);
     }
 
     rank.parts().zero_forces();
-    sr.local_stats = rank.gravity_local(cfg, times);
-    if (lane) lane->local = times.get("Gravity local");
+    sr.local_stats = rank.gravity_local(cfg);
 
     // Remote gravity per imported LET, in deterministic peer order. Arrivals
     // race (peers advance at their own pace), and floating-point
@@ -319,9 +307,7 @@ void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
         trace::ScopedSpan span("gravity.remote", rank.id(), rank.id());
         span.set_peer(m.src);
         span.set_bytes(static_cast<std::int64_t>(m.wire_bytes));
-        const double before = times.get("Gravity remote");
-        sr.remote_stats += rank.gravity_remote(m.let.view(), cfg, times);
-        if (lane) lane->remotes.emplace_back(m.src, times.get("Gravity remote") - before);
+        sr.remote_stats += rank.gravity_remote(m.let.view(), cfg);
         pending[src].reset();
       }
     };
@@ -337,10 +323,10 @@ void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
     rank.parts().zero_forces();
   }
 
-  if (cfg.dt != 0.0) rank.integrate(cfg.dt, times);
-  if (lane) lane->integrate = times.get("Integration");
-  times.add("Wire encode", net.encode_stats(static_cast<int>(r)).encode_seconds);
-  times.add("Wire decode", net.decode_stats(static_cast<int>(r)).decode_seconds);
+  if (cfg.dt != 0.0) {
+    TimeBreakdown unused;  // Rank::integrate keeps the bench replay's signature
+    rank.integrate(cfg.dt, unused);
+  }
 }
 
 }  // namespace
@@ -348,17 +334,16 @@ void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
 sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
                                     FrameDemux& demux, Transport& out, const SpmdState& st,
                                     wire::StepResult& sr) {
+  trace::BindLog log(sr.spans);
   const int nranks = cfg.nranks;
   const int self = rank.id();
   ParticleSet& parts = rank.parts();
-  wire::WireStats dom_ws;
   sr.rank = self;
 
   // --- Phase 1: allgather of bounds/population/cost weight -----------------
   // After it, every rank holds the identical inputs, so the KeySpace, stride
   // and weight vector are bitwise-identical on all ranks.
-  const std::int64_t phase_domain_ns = now_ns();
-  WallTimer domain_timer;
+  trace::ScopedSpan domain_span("domain.update", self, self, step);
   wire::Boundaries pre;
   pre.src = self;
   pre.step = step;
@@ -366,7 +351,7 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
   if (!parts.empty()) pre.box = parts.bounds();
   if (cfg.balance == BalanceMode::kCost && st.prev_size > 0)
     pre.weight = st.prev_gravity_seconds / static_cast<double>(st.prev_size);
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_boundaries(pre); });
+  broadcast(out, self, nranks, sr.dom_wire, [&] { return wire::encode_boundaries(pre); });
 
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(nranks), 0);
   std::vector<double> weights(static_cast<std::size_t>(nranks), 0.0);
@@ -374,7 +359,7 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
   counts[static_cast<std::size_t>(self)] = pre.count;
   weights[static_cast<std::size_t>(self)] = pre.weight;
   if (pre.count > 0) bounds.expand(pre.box);
-  gather_boundaries(demux, out, self, nranks, step, /*post_migration=*/false, dom_ws,
+  gather_boundaries(demux, out, self, nranks, step, /*post_migration=*/false,
                     [&](const wire::Boundaries& b) {
                       counts[static_cast<std::size_t>(b.src)] = b.count;
                       weights[static_cast<std::size_t>(b.src)] = b.weight;
@@ -397,7 +382,7 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
   mine.src = self;
   mine.step = step;
   mine.keys = sample_keys(parts, space, stride);
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_key_samples(mine); });
+  broadcast(out, self, nranks, sr.dom_wire, [&] { return wire::encode_key_samples(mine); });
 
   std::vector<std::vector<sfc::Key>> samples(static_cast<std::size_t>(nranks));
   samples[static_cast<std::size_t>(self)] = std::move(mine.keys);
@@ -407,9 +392,13 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
     std::optional<std::vector<std::uint8_t>> frame =
         demux.recv(FrameDemux::Class::kKeySamples);
     if (!frame) throw vanished(out, self, "sample allgather");
-    WallTimer timer;
-    wire::KeySamples ks = wire::decode_key_samples(*frame);
-    dom_ws.decode_seconds += timer.elapsed();
+    wire::KeySamples ks;
+    {
+      trace::ScopedSpan span("wire.decode.domain", self, self);
+      span.set_bytes(static_cast<std::int64_t>(frame->size()));
+      ks = wire::decode_key_samples(*frame);
+      span.set_peer(ks.src);
+    }
     BNS_CHECK(ks.src >= 0 && ks.src < nranks && !seen[static_cast<std::size_t>(ks.src)],
               "key samples from an impossible or duplicate rank");
     BNS_CHECK(ks.step == step, "key samples from the wrong step");
@@ -426,91 +415,202 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
       Decomposition::from_weighted_samples(std::move(pooled), nranks, cfg.snap_level);
   if constexpr (kDcheckEnabled) decomp.check_invariants(nranks);
   sr.boundaries.assign(decomp.boundaries().begin(), decomp.boundaries().end());
-  sr.times.add("Domain update", std::max(0.0, domain_timer.elapsed() - dom_ws.encode_seconds -
-                                                  dom_ws.decode_seconds));
-  emit_phase("domain.update", phase_domain_ns, self, step);
+  domain_span.close();
 
   // --- Phase 3: peer-to-peer migration (the alltoallv, boundary crossers
   // only). Its receive loop is the migration barrier: no rank proceeds
   // before owning its full new slice.
-  const std::int64_t phase_migrate_ns = now_ns();
-  WallTimer exchange_timer;
+  trace::ScopedSpan migrate_span("decomposition.migrate", self, self, step);
   DemuxTransport mig_net(demux, out, FrameDemux::Class::kMigration);
   MigrationExchange mex(mig_net, nranks);
   sr.migrated += exchange_resident(parts, self, space, decomp, mex, step).migrated;
-  wire::WireStats part_ws = mex.encode_stats(self);
-  part_ws.decode_seconds = mex.decode_stats(self).decode_seconds;
-  const double part_wire_s = part_ws.encode_seconds + part_ws.decode_seconds;
-  sr.times.add("Exchange particles", std::max(0.0, exchange_timer.elapsed() - part_wire_s));
-  sr.times.add("Wire encode", dom_ws.encode_seconds + part_ws.encode_seconds);
-  sr.times.add("Wire decode", dom_ws.decode_seconds + part_ws.decode_seconds);
-  emit_phase("decomposition.migrate", phase_migrate_ns, self, step);
-  sr.dom_wire += dom_ws;
-  sr.part_wire += part_ws;
+  migrate_span.close();
+  sr.part_wire += mex.encode_stats(self);
   return space;
 }
 
 void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
                    Transport& out, SpmdState& st, LetChannelState& let_state,
-                   wire::StepResult& sr, LaneTimeline* lane) {
+                   wire::StepResult& sr) {
+  trace::BindLog log(sr.spans);
   const int nranks = cfg.nranks;
   const int self = rank.id();
+  trace::ScopedSpan step_span("rank.step", self, self, step);
   const sfc::KeySpace space = run_spmd_redistribute(rank, cfg, step, demux, out, st, sr);
   const ParticleSet& parts = rank.parts();
 
   // --- Phase 4: post-migration allgather of the active set and the tight
   // domain boxes peers build LETs against (the tree root box equals the
   // tight particle bounds, so receivers' boxes need not wait for builds).
-  const std::int64_t phase_boxes_ns = now_ns();
-  WallTimer boxes_timer;
-  wire::WireStats dom_ws;
+  trace::ScopedSpan boxes_span("decomposition.boxes", self, self, step);
   wire::Boundaries post;
   post.src = self;
   post.step = step;
   post.post_migration = true;
   post.count = parts.size();
   if (!parts.empty()) post.box = parts.bounds();
-  broadcast(out, self, nranks, dom_ws, [&] { return wire::encode_boundaries(post); });
+  broadcast(out, self, nranks, sr.dom_wire, [&] { return wire::encode_boundaries(post); });
 
   std::vector<std::uint8_t> active(static_cast<std::size_t>(nranks), 0);
   std::vector<AABB> boxes(static_cast<std::size_t>(nranks));
   active[static_cast<std::size_t>(self)] = post.count > 0;
   if (post.count > 0) boxes[static_cast<std::size_t>(self)] = post.box;
-  gather_boundaries(demux, out, self, nranks, step, /*post_migration=*/true, dom_ws,
+  gather_boundaries(demux, out, self, nranks, step, /*post_migration=*/true,
                     [&](const wire::Boundaries& b) {
                       active[static_cast<std::size_t>(b.src)] = b.count > 0;
                       if (b.count > 0) boxes[static_cast<std::size_t>(b.src)] = b.box;
                     });
-  sr.times.add("Exchange particles",
-               std::max(0.0, boxes_timer.elapsed() - dom_ws.encode_seconds -
-                                 dom_ws.decode_seconds));
-  sr.times.add("Wire encode", dom_ws.encode_seconds);
-  sr.times.add("Wire decode", dom_ws.decode_seconds);
-  emit_phase("decomposition.boxes", phase_boxes_ns, self, step);
-  sr.dom_wire += dom_ws;
+  boxes_span.close();
 
   // --- Build + LET exchange + gravity + integration.
-  rank.build(space, cfg, sr.times);
-  if (lane) {
-    lane->sort = sr.times.get("Sorting SFC");
-    lane->build = sr.times.get("Tree-construction");
-    lane->props = sr.times.get("Tree-properties");
-  }
+  rank.build(space, cfg);
   DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
   LetExchange let_net(let_net_view, active, &let_state);
-  run_rank_step(rank, cfg, let_net, active, boxes, sr, lane);
-  sr.let_wire = let_net.encode_stats(self);
-  sr.let_wire.decode_seconds = let_net.decode_stats(self).decode_seconds;
+  run_rank_step(rank, cfg, let_net, active, boxes, sr);
+  sr.let_wire += let_net.encode_stats(self);
   sr.let_delta = let_net.delta_stats(self);
   sr.local_count = parts.size();
 
-  st.prev_gravity_seconds = sr.times.get("Gravity local") + sr.times.get("Gravity remote");
+  // Cost-balance feedback: the same gravity rows the report shows.
+  const TimeBreakdown rows = stage_rows(sr.spans);
+  st.prev_gravity_seconds = rows.get("Gravity local") + rows.get("Gravity remote");
   st.prev_size = parts.size();
 }
 
-void fold_step_result(StepReport& report, wire::StepResult& sr,
-                      std::span<TimeBreakdown> rank_times,
-                      std::vector<sfc::Key>& agreed_bounds) {
+namespace {
+
+bool starts_with(const std::string& s, std::string_view prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+constexpr std::string_view kEncodePrefix = "wire.encode.";
+constexpr std::string_view kDecodePrefix = "wire.decode.";
+
+bool is_wire_span(const trace::Span& s) {
+  return starts_with(s.name, kEncodePrefix) || starts_with(s.name, kDecodePrefix);
+}
+
+double seconds_of(const trace::Span& s) {
+  return static_cast<double>(s.end_ns - s.begin_ns) * 1e-9;
+}
+
+// The Table II row a rank span books into, as an index into kStageOrder, or
+// -1 for spans no row counts (waits, transport posts, step envelopes).
+int stage_of(const trace::Span& s) {
+  static constexpr std::pair<std::string_view, std::string_view> kRowSpans[] = {
+      {"domain.update", "Domain update"},
+      {"decomposition.migrate", "Exchange particles"},
+      {"decomposition.boxes", "Exchange particles"},
+      {"rank.sort", "Sorting SFC"},
+      {"rank.build", "Tree-construction"},
+      {"rank.properties", "Tree-properties"},
+      {"let.export", "Exchange LET"},
+      {"gravity.local", "Gravity local"},
+      {"gravity.remote", "Gravity remote"},
+      {"rank.integrate", "Integration"},
+  };
+  std::string_view stage;
+  if (starts_with(s.name, kEncodePrefix)) {
+    stage = "Wire encode";
+  } else if (starts_with(s.name, kDecodePrefix)) {
+    stage = "Wire decode";
+  } else {
+    for (const auto& [name, row] : kRowSpans)
+      if (s.name == name) stage = row;
+  }
+  for (std::size_t i = 0; i < std::size(kStageOrder); ++i)
+    if (stage == kStageOrder[i]) return static_cast<int>(i);
+  return -1;
+}
+
+// The WireStats of the frame class a wire.encode.* / wire.decode.* span
+// belongs to: LETs, domain frames (Boundaries/KeySamples), and particles
+// (Migration plus the StepBegin/StepResult control frames).
+wire::WireStats& wire_class(const trace::Span& s, wire::StepResult& sr) {
+  // Both prefixes are "wire.<verb>." of the same length.
+  const std::string_view kind = std::string_view(s.name).substr(kEncodePrefix.size());
+  if (kind == "let") return sr.let_wire;
+  if (kind == "domain") return sr.dom_wire;
+  return sr.part_wire;
+}
+
+// The rank's pipeline for the schedule model: its build rows, its LET
+// exports and remote walks in span (= execution) order, local gravity and
+// integration.
+LaneTimeline lane_timeline(std::span<const trace::Span> spans, const TimeBreakdown& rows) {
+  LaneTimeline lane;
+  lane.sort = rows.get("Sorting SFC");
+  lane.build = rows.get("Tree-construction");
+  lane.props = rows.get("Tree-properties");
+  lane.local = rows.get("Gravity local");
+  lane.integrate = rows.get("Integration");
+  for (const trace::Span& s : spans) {
+    if (s.rank < 0) continue;
+    if (s.name == "let.export")
+      lane.exports.emplace_back(static_cast<int>(s.peer), seconds_of(s));
+    else if (s.name == "gravity.remote")
+      lane.remotes.emplace_back(static_cast<int>(s.peer), seconds_of(s));
+  }
+  return lane;
+}
+
+// Fold per-rank rows into the report's max/sum aggregate views, in
+// canonical Table II stage order.
+void fold_stage_times(StepReport& report, std::span<const TimeBreakdown> rank_rows) {
+  for (const char* stage : kStageOrder) {
+    double mx = 0.0, sum = 0.0;
+    for (const TimeBreakdown& t : rank_rows) {
+      const double v = t.get(stage);
+      mx = std::max(mx, v);
+      sum += v;
+    }
+    if (mx > 0.0 || sum > 0.0) {
+      report.max_times.add(stage, mx);
+      report.sum_times.add(stage, sum);
+    }
+  }
+}
+
+}  // namespace
+
+TimeBreakdown stage_rows(std::span<const trace::Span> spans) {
+  constexpr std::size_t kStages = std::size(kStageOrder);
+  std::array<double, kStages> seconds{};
+  std::array<bool, kStages> seen{};
+  for (const trace::Span& s : spans) {
+    const int stage = s.rank < 0 ? -1 : stage_of(s);
+    if (stage < 0) continue;
+    double secs = seconds_of(s);
+    if (!is_wire_span(s)) {
+      for (const trace::Span& w : spans)
+        if (w.rank == s.rank && is_wire_span(w) && w.begin_ns >= s.begin_ns &&
+            w.end_ns <= s.end_ns)
+          secs -= seconds_of(w);
+    }
+    seconds[static_cast<std::size_t>(stage)] += secs;
+    seen[static_cast<std::size_t>(stage)] = true;
+  }
+  TimeBreakdown rows;
+  for (std::size_t i = 0; i < kStages; ++i)
+    if (seen[i]) rows.add(kStageOrder[i], seconds[i]);
+  return rows;
+}
+
+void fold_step_result(StepReport& report, wire::StepResult& sr, StepFold& fold) {
+  BNS_CHECK(sr.rank >= 0 && static_cast<std::size_t>(sr.rank) < fold.rows.size(),
+            "step result from an impossible rank");
+  for (trace::Span& s : sr.spans) {
+    if (s.rank < 0) continue;
+    if (s.step < 0) s.step = report.step;
+    if (!is_wire_span(s)) continue;
+    wire::WireStats& ws = wire_class(s, sr);
+    (starts_with(s.name, kEncodePrefix) ? ws.encode_seconds : ws.decode_seconds) +=
+        seconds_of(s);
+  }
+  const auto r = static_cast<std::size_t>(sr.rank);
+  fold.rows[r] = stage_rows(sr.spans);
+  fold.lanes[r] = lane_timeline(sr.spans, fold.rows[r]);
+
   report.num_particles += sr.local_count;
   report.migrated += sr.migrated;
   report.let_cells += sr.let_cells;
@@ -524,13 +624,24 @@ void fold_step_result(StepReport& report, wire::StepResult& sr,
   report.let_sizes.insert(report.let_sizes.end(), sr.let_sizes.begin(),
                           sr.let_sizes.end());
   wire::merge_traffic(report.traffic, sr.traffic);
-  rank_times[static_cast<std::size_t>(sr.rank)] = std::move(sr.times);
+  report.spans.insert(report.spans.end(), std::make_move_iterator(sr.spans.begin()),
+                      std::make_move_iterator(sr.spans.end()));
   BNS_CHECK(!sr.boundaries.empty(), "step result without boundaries");
-  if (agreed_bounds.empty()) {
-    agreed_bounds = std::move(sr.boundaries);
+  if (fold.bounds.empty()) {
+    fold.bounds = std::move(sr.boundaries);
   } else {
-    BNS_CHECK(agreed_bounds == sr.boundaries, "ranks computed diverging decompositions");
+    BNS_CHECK(fold.bounds == sr.boundaries, "ranks computed diverging decompositions");
   }
+}
+
+Decomposition finish_step(StepReport& report, StepFold& fold) {
+  fold_stage_times(report, fold.rows);
+  const ScheduleModel model = model_schedule(fold.lanes);
+  report.critical_path = model.critical_path;
+  report.sequential_model = model.sequential;
+  report.gravity_critical = model.gravity_critical;
+  report.gravity_sequential = model.gravity_sequential;
+  return Decomposition::from_boundaries(std::move(fold.bounds));
 }
 
 void Simulation::on_lanes(const std::function<void(std::size_t)>& job) {
@@ -577,65 +688,33 @@ void Simulation::init(ParticleSet global) {
                           results[r]);
   });
   StepReport scratch;  // the bootstrap scatter is not a step
-  std::vector<TimeBreakdown> times(ranks_.size());
-  std::vector<sfc::Key> bounds;
-  for (wire::StepResult& sr : results) fold_step_result(scratch, sr, times, bounds);
-  decomp_ = Decomposition::from_boundaries(std::move(bounds));
+  StepFold fold(ranks_.size());
+  for (wire::StepResult& sr : results) fold_step_result(scratch, sr, fold);
+  decomp_ = finish_step(scratch, fold);
 }
 
 StepReport Simulation::step() {
   StepReport report;
   report.step = next_step_++;
-  report.async = true;
   report.kernel = cfg_.kernel;
   WallTimer wall;
 
   const std::size_t nranks = ranks_.size();
   std::vector<wire::StepResult> results(nranks);
-  std::vector<LaneTimeline> lanes(nranks);
   on_lanes([&](std::size_t r) {
-    trace::ScopedSpan lane_span("lane.step", static_cast<std::int32_t>(r),
-                                static_cast<std::int32_t>(r), report.step);
     TrafficRecordingTransport out(*inproc_);
     FrameDemux demux(out, static_cast<int>(r));
     run_spmd_step(*ranks_[r], cfg_, report.step, demux, out, spmd_[r], let_state_,
-                  results[r], &lanes[r]);
+                  results[r]);
     results[r].traffic = out.take();
   });
 
-  std::vector<TimeBreakdown> rank_times(nranks);
-  std::vector<sfc::Key> bounds;
-  for (wire::StepResult& sr : results) fold_step_result(report, sr, rank_times, bounds);
-  decomp_ = Decomposition::from_boundaries(std::move(bounds));
-  const ScheduleModel model = model_schedule(lanes);
-  report.critical_path = model.critical_path;
-  report.sequential_model = model.sequential;
-  report.gravity_critical = model.gravity_critical;
-  report.gravity_sequential = model.gravity_sequential;
-
-  fold_stage_times(report, rank_times);
+  StepFold fold(nranks);
+  for (wire::StepResult& sr : results) fold_step_result(report, sr, fold);
+  decomp_ = finish_step(report, fold);
   report.elapsed = wall.elapsed();
-  // Lane threads write their own ring buffers, so the in-process driver must
-  // drain every thread (cluster drivers drain only their own: drain_thread).
-  if (trace::Tracer::instance().enabled())
-    report.spans = trace::Tracer::instance().drain_all();
   report.metrics = build_step_metrics(report);
   return report;
-}
-
-void fold_stage_times(StepReport& report, std::span<const TimeBreakdown> rank_times) {
-  for (const char* stage : kStageOrder) {
-    double mx = 0.0, sum = 0.0;
-    for (const TimeBreakdown& t : rank_times) {
-      const double v = t.get(stage);
-      mx = std::max(mx, v);
-      sum += v;
-    }
-    if (mx > 0.0 || sum > 0.0) {
-      report.max_times.add(stage, mx);
-      report.sum_times.add(stage, sum);
-    }
-  }
 }
 
 ParticleSet gather_sorted(std::span<const ParticleSet* const> sets) {
@@ -777,15 +856,13 @@ void print_step_report(const StepReport& report, std::ostream& os) {
   print_traffic_by_type(report.traffic, os);
   print_let_histogram(report.let_sizes, os);
 
-  if (report.async) {
-    os << "pipeline: critical path " << TextTable::num(report.critical_path * 1e3)
-       << " ms vs " << TextTable::num(report.sequential_model * 1e3)
-       << " ms lockstep stage-sum -> overlap efficiency "
-       << TextTable::num(report.overlap_efficiency(), 2) << "x\n"
-       << "  gravity+LET: " << TextTable::num(report.gravity_critical * 1e3)
-       << " ms pipelined vs " << TextTable::num(report.gravity_sequential * 1e3)
-       << " ms sequential max-sum (Exchange LET + Gravity local + Gravity remote)\n";
-  }
+  os << "pipeline: critical path " << TextTable::num(report.critical_path * 1e3)
+     << " ms vs " << TextTable::num(report.sequential_model * 1e3)
+     << " ms lockstep stage-sum -> overlap efficiency "
+     << TextTable::num(report.overlap_efficiency(), 2) << "x\n"
+     << "  gravity+LET: " << TextTable::num(report.gravity_critical * 1e3)
+     << " ms pipelined vs " << TextTable::num(report.gravity_sequential * 1e3)
+     << " ms sequential max-sum (Exchange LET + Gravity local + Gravity remote)\n";
 }
 
 namespace {
@@ -857,13 +934,11 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
   }
   m.gauges["step.num_particles"] = static_cast<double>(r.num_particles);
   m.gauges["step.elapsed_s"] = r.elapsed;
-  if (r.async) {
-    m.gauges["schedule.critical_path_s"] = r.critical_path;
-    m.gauges["schedule.sequential_model_s"] = r.sequential_model;
-    m.gauges["schedule.gravity_critical_s"] = r.gravity_critical;
-    m.gauges["schedule.gravity_sequential_s"] = r.gravity_sequential;
-    m.gauges["schedule.overlap_efficiency"] = r.overlap_efficiency();
-  }
+  m.gauges["schedule.critical_path_s"] = r.critical_path;
+  m.gauges["schedule.sequential_model_s"] = r.sequential_model;
+  m.gauges["schedule.gravity_critical_s"] = r.gravity_critical;
+  m.gauges["schedule.gravity_sequential_s"] = r.gravity_sequential;
+  m.gauges["schedule.overlap_efficiency"] = r.overlap_efficiency();
   for (const auto& e : r.max_times.entries())
     m.gauges["stage.max_s{stage=" + e.name + "}"] = e.seconds;
   for (const auto& e : r.sum_times.entries())
@@ -892,21 +967,19 @@ void write_step_report_json(const RunInfo& info, std::span<const StepReport> rep
                             std::ostream& os) {
   const auto flags = os.flags();
   const auto precision = os.precision(12);
-  os << "{\"schema\": 2,\n \"config\": {\"ranks\": " << info.ranks
+  os << "{\"schema\": 3,\n \"config\": {\"ranks\": " << info.ranks
      << ", \"num_particles\": " << info.num_particles << ", \"theta\": " << info.theta
      << ", \"transport\": \"" << info.transport << "\", \"topology\": \"" << info.topology
      << "\", \"cluster\": \"" << info.cluster << "\", \"balance\": \"" << info.balance
      << "\", \"kernel\": \"" << info.kernel << "\", \"kernel_isa\": \"" << kernel_isa()
-     << "\", \"async\": " << (info.async ? "true" : "false")
-     << ", \"let_cache\": " << (info.let_cache ? "true" : "false")
+     << "\", \"let_cache\": " << (info.let_cache ? "true" : "false")
      << ", \"wire_version\": " << info.wire_version << "},\n \"steps\": [";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const StepReport& r = reports[i];
     const InteractionStats stats = r.stats();
     const GravityRates rates = gravity_rates(r);
     os << (i == 0 ? "\n" : ",\n")
-       << "  {\"step\": " << r.step << ", \"async\": " << (r.async ? "true" : "false")
-       << ", \"num_particles\": " << r.num_particles << ", \"migrated\": " << r.migrated
+       << "  {\"step\": " << r.step << ", \"num_particles\": " << r.num_particles << ", \"migrated\": " << r.migrated
        << ", \"let_cells\": " << r.let_cells << ", \"let_particles\": " << r.let_particles
        << ",\n   \"elapsed_s\": " << r.elapsed
        << ", \"critical_path_s\": " << r.critical_path

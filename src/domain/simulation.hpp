@@ -13,12 +13,15 @@
 // Transport, each lane with its own frame demux; socket workers
 // (domain/cluster.hpp) run it over their mesh links. A rank starts remote
 // gravity on each imported LET as soon as it arrives — local gravity is not
-// a barrier, and there is no global graft step. The step report carries the
-// modeled critical path vs the lockstep stage-sum (overlap efficiency).
+// a barrier, and there is no global graft step.
 //
-// Per-stage timings are recorded per rank, so the report can show the
+// Timing has one source in every mode: each rank binds its StepResult's span
+// list for the whole step (util/trace.hpp), and folding the result derives
+// the rank's Table II rows (stage_rows), its pipeline timeline for the
+// schedule model and the wire seconds from those spans. The report shows the
 // parallel-model wall-clock (max over ranks) and total device-seconds (sum),
-// the way Table II reports per-process times.
+// the way Table II reports per-process times, plus the modeled critical path
+// vs the lockstep stage-sum (overlap efficiency).
 #pragma once
 
 #include <array>
@@ -49,8 +52,6 @@ namespace bonsai::domain {
 // Everything one step produces, for printing and for tests.
 struct StepReport {
   int step = 0;
-  bool async = false;  // lane-pipeline step with a schedule model (socket
-                       // cluster steps have none)
   KernelBackend kernel = KernelBackend::kSimd;  // force backend of this step
   std::size_t num_particles = 0;
   std::uint64_t migrated = 0;       // particles that changed rank this step
@@ -78,7 +79,7 @@ struct StepReport {
   // by that key (kCoordinatorRank appears as -1).
   std::vector<wire::PeerTraffic> traffic;
 
-  // Schedule model (async steps only; see schedule.hpp): the pipelined
+  // Schedule model (see schedule.hpp), from the ranks' spans: the pipelined
   // critical path vs the lockstep stage-sum over the rank-concurrent stages,
   // and the same pair restricted to Exchange LET + Gravity local + remote.
   double critical_path = 0.0;
@@ -91,8 +92,9 @@ struct StepReport {
   // legacy wire/traffic/let_sizes fields by construction.
   metrics::Snapshot metrics;
 
-  // Tracing runs only: every span recorded this step, already merged across
-  // ranks (and, in cluster runs, clock-shifted onto the coordinator's clock).
+  // Every span of the step: the driver's own and each rank's log (a socket
+  // worker's clock-shifted onto the coordinator's clock), the source of
+  // every timing above.
   std::vector<trace::Span> spans;
 
   InteractionStats stats() const { return local_stats + remote_stats; }
@@ -157,10 +159,11 @@ class FrameDemux {
 // allgather pooled in rank order -> identical Decomposition; then the
 // peer-to-peer migration, after which `rank` holds its new slice, keyed
 // through the returned KeySpace. Cost weights apply only when some rank
-// reported a positive one. Records "Domain update" and the migration share
-// of "Exchange particles" in sr.times, plus sr.rank, sr.boundaries,
-// sr.migrated and the domain/particle wire stats. Bootstrapping from one rank holding the
-// whole initial set is this phase alone.
+// reported a positive one. Records the domain.update and
+// decomposition.migrate spans in sr.spans (bound for the call), plus
+// sr.rank, sr.boundaries, sr.migrated and the domain/particle frame counts.
+// Bootstrapping from one rank holding the whole initial set is this phase
+// alone.
 sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
                                     FrameDemux& demux, Transport& out, const SpmdState& st,
                                     wire::StepResult& sr);
@@ -169,23 +172,48 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
 // the redistribute phase, phase 4 (post-migration allgather of the active
 // set and the tight domain boxes peers build LETs against), sort/build,
 // round-robin LET exports from self+1, local gravity, remote gravity per
-// imported LET in source order, integration. Fills sr's statistics, stage
-// times (sr.times), boundaries and local population; leaves the stepped
-// particles resident in `rank` and the cost feedback in `st`. `lane`, when
-// given, records the timeline for the schedule model.
+// imported LET in source order, integration. Binds sr.spans for the call and
+// records the step's spans there, enclosed in one rank.step span; fills sr's
+// statistics, boundaries and local population; leaves the stepped particles
+// resident in `rank` and the cost feedback (its gravity rows) in `st`.
 void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
                    Transport& out, SpmdState& st, LetChannelState& let_state,
-                   wire::StepResult& sr, LaneTimeline* lane = nullptr);
+                   wire::StepResult& sr);
 
-// Fold one rank's StepResult into the report (counts, wire/LET statistics,
-// traffic matrix), move its stage times to rank_times[sr.rank], and
-// cross-check its boundaries against the ranks folded before: every rank
-// must have cut the identical partition, or the LET and migration protocols
-// exchanged against different domains — fail fast, never average. Both
-// drivers fold their ranks' results with this.
-void fold_step_result(StepReport& report, wire::StepResult& sr,
-                      std::span<TimeBreakdown> rank_times,
-                      std::vector<sfc::Key>& agreed_bounds);
+// One rank's Table II rows from its span log. A row is the summed duration
+// of its spans minus the wire.encode.* / wire.decode.* spans nested inside
+// them; Wire encode and Wire decode sum those wire spans. Waits and
+// transport posts stay in the row that encloses them. Row spans: Domain
+// update = domain.update; Exchange particles = decomposition.migrate +
+// decomposition.boxes; Sorting SFC = rank.sort; Tree-construction =
+// rank.build; Tree-properties = rank.properties; Exchange LET = let.export;
+// Gravity local/remote = gravity.local/remote; Integration = rank.integrate.
+// Coordinator spans (rank < 0) are ignored. Rows appear in Table II order,
+// only when some span books into them.
+TimeBreakdown stage_rows(std::span<const trace::Span> spans);
+
+// The per-step accumulator fold_step_result fills: each rank's rows and
+// pipeline timeline, and the partition the ranks agreed on.
+struct StepFold {
+  explicit StepFold(std::size_t nranks) : rows(nranks), lanes(nranks) {}
+  std::vector<TimeBreakdown> rows;
+  std::vector<LaneTimeline> lanes;
+  std::vector<sfc::Key> bounds;
+};
+
+// Fold one rank's StepResult into the report: counts, wire/LET statistics,
+// traffic matrix, and its spans — which yield the rank's rows and timeline
+// in `fold` and the per-class wire seconds, and move into report.spans, each
+// span without a step stamped with the report's. Cross-checks the rank's
+// boundaries against the ranks folded before: every rank must have cut the
+// identical partition, or the LET and migration protocols exchanged against
+// different domains — fail fast, never average. Both drivers fold their
+// ranks' results with this.
+void fold_step_result(StepReport& report, wire::StepResult& sr, StepFold& fold);
+
+// Once every rank is folded: the report's max/sum stage rows and its schedule
+// model. Returns the agreed partition.
+Decomposition finish_step(StepReport& report, StepFold& fold);
 
 class Simulation {
  public:
@@ -258,12 +286,8 @@ ParticleSet gather_sorted(std::span<const ParticleSet* const> sets);
 double total_kinetic_energy(std::span<const ParticleSet* const> sets);
 double total_potential_energy(std::span<const ParticleSet* const> sets);
 
-// Fold per-rank stage times into the report's max/sum aggregate views, in
-// canonical Table II stage order.
-void fold_stage_times(StepReport& report, std::span<const TimeBreakdown> rank_times);
-
 // Render a StepReport as the per-stage timing table (Table II layout), plus
-// the pipeline/overlap lines for async steps.
+// the pipeline/overlap lines.
 void print_step_report(const StepReport& report, std::ostream& os);
 
 // Rebuild a report's aggregates as a metrics Snapshot (stable dotted names,
@@ -283,12 +307,11 @@ struct RunInfo {
   std::string cluster = "none";      // "none" | "spmd" | "serve"
   std::string balance = "count";     // "count" | "cost"
   std::string kernel = "simd";       // "scalar" | "simd"
-  bool async = true;
   bool let_cache = false;            // incremental LET exchange on?
   int wire_version = wire::kVersion;
 };
 
-// Emit reports as a JSON object {"schema": 2, "config": {...run metadata...},
+// Emit reports as a JSON object {"schema": 3, "config": {...run metadata...},
 // "steps": [...]} (the --bench trajectory format): per-stage max/sum seconds,
 // interaction counts, Gflop/s, the schedule model, and the metrics registry
 // block next to the legacy wire/traffic fields it subsumes.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <tuple>
@@ -313,7 +314,6 @@ const char* frame_type_name(FrameType type) {
     case FrameType::kMigration: return "Migration";
     case FrameType::kPeerDirectory: return "PeerDirectory";
     case FrameType::kPeerHello: return "PeerHello";
-    case FrameType::kTrace: return "Trace";
     case FrameType::kJobSubmit: return "JobSubmit";
     case FrameType::kJobStatus: return "JobStatus";
     case FrameType::kJobResult: return "JobResult";
@@ -1028,7 +1028,6 @@ std::vector<std::uint8_t> encode_config(const SimConfig& cfg) {
   w.u64(cfg.samples_per_rank);
   w.i32(cfg.snap_level);
   w.u8(cfg.balance == BalanceMode::kCost ? 1 : 0);
-  w.u8(cfg.trace ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(cfg.kernel));
   w.u8(cfg.let_cache ? 1 : 0);
   w.f64(cfg.let_churn);
@@ -1049,7 +1048,6 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
   cfg.samples_per_rank = r.u64();
   cfg.snap_level = r.i32();
   cfg.balance = r.u8() != 0 ? BalanceMode::kCost : BalanceMode::kCount;
-  cfg.trace = r.u8() != 0;
   const std::uint8_t kernel = r.u8();
   r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
             "config kernel backend out of range");
@@ -1155,25 +1153,61 @@ MigrationMsg decode_migration(std::span<const std::uint8_t> frame) {
 
 namespace {
 
+// Frames and bytes only: the seconds are derived from the span log.
 void put_wire_stats(Writer& w, const WireStats& ws) {
   w.u64(ws.frames);
   w.u64(ws.bytes);
-  w.f64(ws.encode_seconds);
-  w.f64(ws.decode_seconds);
 }
 
 WireStats read_wire_stats(Reader& r) {
   WireStats ws;
   ws.frames = r.u64();
   ws.bytes = r.u64();
-  ws.encode_seconds = r.f64();
-  ws.decode_seconds = r.f64();
   return ws;
 }
 
-}  // namespace
+void put_string(Writer& w, const std::string& s) {
+  w.u32(static_cast<std::uint32_t>(s.size()));
+  for (const char c : s) w.u8(static_cast<std::uint8_t>(c));
+}
 
-namespace {
+std::string read_string(Reader& r, const char* what) {
+  const std::size_t len = r.array_count(r.u32(), 1, what);
+  std::string s(len, '\0');
+  for (char& c : s) c = static_cast<char>(r.u8());
+  return s;
+}
+
+void put_i64(Writer& w, std::int64_t v) { w.u64(static_cast<std::uint64_t>(v)); }
+std::int64_t read_i64(Reader& r) { return static_cast<std::int64_t>(r.u64()); }
+
+// Minimum wire footprint of one span: name length prefix + the fixed fields.
+constexpr std::size_t kSpanMinBytes = 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8;
+
+void put_span(Writer& w, const trace::Span& s) {
+  put_string(w, s.name);
+  put_i64(w, s.begin_ns);
+  put_i64(w, s.end_ns);
+  w.i32(s.rank);
+  w.i32(s.lane);
+  put_i64(w, s.step);
+  put_i64(w, s.peer);
+  put_i64(w, s.bytes);
+}
+
+trace::Span read_span(Reader& r) {
+  trace::Span s;
+  s.name = read_string(r, "span name exceeds payload");
+  s.begin_ns = read_i64(r);
+  s.end_ns = read_i64(r);
+  s.rank = r.i32();
+  s.lane = r.i32();
+  s.step = read_i64(r);
+  s.peer = read_i64(r);
+  s.bytes = read_i64(r);
+  r.require(s.end_ns >= s.begin_ns, "span ends before it begins");
+  return s;
+}
 
 void put_interaction_stats(Writer& w, const InteractionStats& s) {
   w.u64(s.p2p);
@@ -1210,12 +1244,6 @@ std::vector<std::uint8_t> encode_step_result(const StepResult& sr) {
   w.u64(sr.local_count);
   w.f64(sr.kinetic);
   w.f64(sr.potential);
-  w.u32(static_cast<std::uint32_t>(sr.times.entries().size()));
-  for (const auto& e : sr.times.entries()) {
-    w.u32(static_cast<std::uint32_t>(e.name.size()));
-    for (const char c : e.name) w.u8(static_cast<std::uint8_t>(c));
-    w.f64(e.seconds);
-  }
   w.u32(static_cast<std::uint32_t>(sr.let_sizes.size()));
   for (const LetSizeSample& s : sr.let_sizes) {
     w.u64(s.cells);
@@ -1240,6 +1268,10 @@ std::vector<std::uint8_t> encode_step_result(const StepResult& sr) {
     w.u64(t.frames);
     w.u64(t.bytes);
   }
+  put_i64(w, sr.recv_ns);
+  put_i64(w, sr.send_ns);
+  w.u32(static_cast<std::uint32_t>(sr.spans.size()));
+  for (const trace::Span& span : sr.spans) put_span(w, span);
   return w.finish();
 }
 
@@ -1255,13 +1287,6 @@ StepResult decode_step_result(std::span<const std::uint8_t> frame) {
   sr.local_count = r.u64();
   sr.kinetic = r.f64();
   sr.potential = r.f64();
-  const std::size_t ntimes = r.array_count(r.u32(), 4 + 8, "timing count exceeds payload");
-  for (std::size_t i = 0; i < ntimes; ++i) {
-    const std::size_t len = r.array_count(r.u32(), 1, "timing name exceeds payload");
-    std::string name(len, '\0');
-    for (char& c : name) c = static_cast<char>(r.u8());
-    sr.times.add(name, r.f64());
-  }
   const std::size_t nsizes = r.array_count(r.u32(), 3 * 8, "LET size count exceeds payload");
   sr.let_sizes.resize(nsizes);
   for (LetSizeSample& s : sr.let_sizes) {
@@ -1290,29 +1315,17 @@ StepResult decode_step_result(std::span<const std::uint8_t> frame) {
     t.frames = r.u64();
     t.bytes = r.u64();
   }
+  sr.recv_ns = read_i64(r);
+  sr.send_ns = read_i64(r);
+  const std::size_t nspans =
+      r.array_count(r.u32(), kSpanMinBytes, "span count exceeds payload");
+  sr.spans.reserve(nspans);
+  for (std::size_t i = 0; i < nspans; ++i) sr.spans.push_back(read_span(r));
   r.done();
   return sr;
 }
 
 namespace {
-
-void put_string(Writer& w, const std::string& s) {
-  w.u32(static_cast<std::uint32_t>(s.size()));
-  for (const char c : s) w.u8(static_cast<std::uint8_t>(c));
-}
-
-std::string read_string(Reader& r, const char* what) {
-  const std::size_t len = r.array_count(r.u32(), 1, what);
-  std::string s(len, '\0');
-  for (char& c : s) c = static_cast<char>(r.u8());
-  return s;
-}
-
-void put_i64(Writer& w, std::int64_t v) { w.u64(static_cast<std::uint64_t>(v)); }
-std::int64_t read_i64(Reader& r) { return static_cast<std::int64_t>(r.u64()); }
-
-// Minimum wire footprint of one span: name length prefix + the fixed fields.
-constexpr std::size_t kSpanMinBytes = 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8;
 
 void put_metrics(Writer& w, const metrics::Snapshot& m) {
   w.u32(static_cast<std::uint32_t>(m.counters.size()));
@@ -1370,53 +1383,6 @@ metrics::Snapshot read_metrics(Reader& r) {
 }
 
 }  // namespace
-
-std::vector<std::uint8_t> encode_trace(const TraceFrame& tf) {
-  Writer w(FrameType::kTrace);
-  w.i32(tf.src);
-  w.i32(tf.step);
-  put_i64(w, tf.recv_ns);
-  put_i64(w, tf.send_ns);
-  w.u32(static_cast<std::uint32_t>(tf.spans.size()));
-  for (const trace::Span& s : tf.spans) {
-    put_string(w, s.name);
-    put_i64(w, s.begin_ns);
-    put_i64(w, s.end_ns);
-    w.i32(s.rank);
-    w.i32(s.lane);
-    put_i64(w, s.step);
-    put_i64(w, s.peer);
-    put_i64(w, s.bytes);
-  }
-  put_metrics(w, tf.metrics);
-  return w.finish();
-}
-
-TraceFrame decode_trace(std::span<const std::uint8_t> frame) {
-  Reader r = open_frame(frame, FrameType::kTrace);
-  TraceFrame tf;
-  tf.src = r.i32();
-  tf.step = r.i32();
-  tf.recv_ns = read_i64(r);
-  tf.send_ns = read_i64(r);
-  const std::size_t nspans =
-      r.array_count(r.u32(), kSpanMinBytes, "span count exceeds payload");
-  tf.spans.resize(nspans);
-  for (trace::Span& s : tf.spans) {
-    s.name = read_string(r, "span name exceeds payload");
-    s.begin_ns = read_i64(r);
-    s.end_ns = read_i64(r);
-    s.rank = r.i32();
-    s.lane = r.i32();
-    s.step = read_i64(r);
-    s.peer = read_i64(r);
-    s.bytes = read_i64(r);
-    r.require(s.end_ns >= s.begin_ns, "span ends before it begins");
-  }
-  tf.metrics = read_metrics(r);
-  r.done();
-  return tf;
-}
 
 std::vector<std::uint8_t> encode_shutdown() { return Writer(FrameType::kShutdown).finish(); }
 
@@ -1482,6 +1448,8 @@ JobSpec decode_job_submit(std::span<const std::uint8_t> frame) {
   r.done();
   r.require(spec.steps >= 0, "job step count negative");
   r.require(spec.ranks >= 0 && spec.ranks <= 255, "job rank request out of range");
+  r.require(std::isfinite(spec.theta) && spec.theta > 0.0, "job theta must be finite and > 0");
+  r.require(std::isfinite(spec.eps) && spec.eps >= 0.0, "job eps must be finite and >= 0");
   return spec;
 }
 

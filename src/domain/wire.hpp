@@ -26,7 +26,6 @@
 #include "domain/rank.hpp"
 #include "tree/particle.hpp"
 #include "util/flops.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace bonsai::domain::wire {
@@ -45,9 +44,12 @@ namespace bonsai::domain::wire {
 // the peer already holds), the let-cache/churn knobs in Config, and the
 // delta accounting counters in StepResult. Version 8 drops the coordinator-
 // owned ("hub") step: StepBegin loses its bounds/active/boxes fields and the
-// hub mode byte, and StepResult its particle payload.
+// hub mode byte, and StepResult its particle payload. Version 9 makes spans
+// the only timing source: StepResult carries the rank's span log and the two
+// worker clock samples instead of named stage times and wire seconds, the
+// Trace frame (type 13, never reused) and the trace byte of Config are gone.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 8;
+inline constexpr std::uint16_t kVersion = 9;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
@@ -64,7 +66,7 @@ enum class FrameType : std::uint16_t {
   kMigration = 10, // SPMD peer-to-peer: owner-changing particles (alltoallv cell)
   kPeerDirectory = 11,  // coordinator -> worker: every worker's mesh endpoint
   kPeerHello = 12,      // worker -> worker: dialing rank's id on a fresh mesh link
-  kTrace = 13,          // worker -> coordinator: step spans + metric deltas
+                        // 13: the retired Trace frame (wire v4-v8)
   kJobSubmit = 14,      // client -> job server: job spec (+ optional explicit IC)
   kJobStatus = 15,      // client <-> job server: status request / description
   kJobResult = 16,      // job server -> client: terminal state + final particles
@@ -91,6 +93,8 @@ FrameType frame_type(std::span<const std::uint8_t> frame);
 
 // Serialization accounting: frames/bytes moved plus the seconds spent
 // encoding and decoding them, reported per step next to the compute stages.
+// Only frames and bytes cross the wire; the seconds are summed from the
+// ranks' wire.encode.* / wire.decode.* spans when a step is folded.
 struct WireStats {
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;
@@ -336,11 +340,15 @@ struct MigrationMsg {
 std::vector<std::uint8_t> encode_migration(int src, int step, const ParticleSet& parts);
 MigrationMsg decode_migration(std::span<const std::uint8_t> frame);
 
-// A worker's step output: per-stage timings, interaction/LET statistics,
+// A rank's step output: its span log, interaction/LET statistics,
 // serialization accounting and the local population/energy summary — never
 // particles, which stay resident on the worker. `boundaries` carries the
-// Decomposition the worker computed so the coordinator can cross-check that
-// all workers derived the identical partition.
+// Decomposition the rank computed so the driver can cross-check that all
+// ranks derived the identical partition. Every stage row, the schedule model
+// and the wire seconds are derived from `spans` when the result is folded.
+// A socket worker also samples its clock when the StepBegin is in hand
+// (`recv_ns`) and just before encoding this frame (`send_ns`), for the
+// coordinator's clock-offset estimate.
 struct StepResult {
   int rank = -1;
   std::uint64_t let_cells = 0;
@@ -350,33 +358,18 @@ struct StepResult {
   std::uint64_t local_count = 0;  // resident population after the step
   double kinetic = 0.0;           // local kinetic-energy partial sum
   double potential = 0.0;         // local potential-energy partial sum
-  TimeBreakdown times;
   std::vector<LetSizeSample> let_sizes;
   WireStats let_wire, part_wire, dom_wire;
   LetDeltaStats let_delta;  // incremental-exchange counters (zero when off)
   std::vector<sfc::Key> boundaries;  // SPMD: computed decomposition bounds
   std::vector<PeerTraffic> traffic;  // frames this worker posted, per peer/type
+  std::int64_t recv_ns = 0;          // worker clock: StepBegin decoded
+  std::int64_t send_ns = 0;          // worker clock: this frame about to encode
+  std::vector<trace::Span> spans;    // the rank's span log of the step
 };
 
 std::vector<std::uint8_t> encode_step_result(const StepResult& sr);
 StepResult decode_step_result(std::span<const std::uint8_t> frame);
-
-// A worker's observability sidecar for one step, posted just before the
-// StepResult when tracing is on: the spans its driver thread recorded, its
-// metric deltas, and the two worker-local clock samples the coordinator needs
-// for the NTP-style offset estimate (recv_ns: StepBegin decoded, send_ns:
-// Trace frame encoded — both on the worker's steady clock).
-struct TraceFrame {
-  int src = -1;
-  int step = 0;
-  std::int64_t recv_ns = 0;
-  std::int64_t send_ns = 0;
-  std::vector<trace::Span> spans;
-  metrics::Snapshot metrics;
-};
-
-std::vector<std::uint8_t> encode_trace(const TraceFrame& tf);
-TraceFrame decode_trace(std::span<const std::uint8_t> frame);
 
 std::vector<std::uint8_t> encode_shutdown();
 

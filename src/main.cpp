@@ -60,7 +60,7 @@ void register_flags(bonsai::CommandLine& cli) {
                  "conditions (a drifting cloud; default 0)");
   cli.add_option("bench", "FILE", "write per-step reports as JSON to FILE");
   cli.add_option("trace", "FILE",
-                 "record spans and write a merged Chrome trace-event JSON "
+                 "write every step's merged spans as Chrome trace-event JSON "
                  "(open in Perfetto) to FILE");
   cli.add_switch("validate", "compare forces vs 1-rank run and direct summation");
   cli.add_option("transport", "KIND",
@@ -131,6 +131,24 @@ std::int64_t get_count(const bonsai::CommandLine& cli, const std::string& flag,
     throw bonsai::CliError("--" + flag + ": expected a count >= 0, got '" +
                            std::to_string(value) + "'");
   return value;
+}
+
+// --theta: the opening angle, finite and > 0 (the walk's MAC divides by it).
+double get_theta(const bonsai::CommandLine& cli) {
+  const double theta = cli.get_double("theta", 0.4);
+  if (!(std::isfinite(theta) && theta > 0.0))
+    throw bonsai::CliError("--theta: expected a finite angle > 0, got '" +
+                           cli.get("theta", "") + "'");
+  return theta;
+}
+
+// --eps: the Plummer softening, finite and >= 0.
+double get_eps(const bonsai::CommandLine& cli) {
+  const double eps = cli.get_double("eps", 1e-2);
+  if (!(std::isfinite(eps) && eps >= 0.0))
+    throw bonsai::CliError("--eps: expected a finite softening >= 0, got '" +
+                           cli.get("eps", "") + "'");
+  return eps;
 }
 
 // Parse --kernel (default simd). The error lists every backend by its
@@ -245,6 +263,8 @@ int run_steps(SimT& sim, const bonsai::ParticleSet& initial, int steps,
   reports.reserve(static_cast<std::size_t>(std::max(steps, 0)));
   for (int s = 0; s < steps; ++s) {
     reports.push_back(sim.step());
+    // Only --trace reads the spans; a long run would otherwise hold them all.
+    if (trace_path.empty()) reports.back().spans = {};
     print_step_report(reports.back(), std::cout);
     const double ke = sim.kinetic_energy();
     const double pe = sim.potential_energy();
@@ -272,7 +292,7 @@ int run_worker_mode(const bonsai::CommandLine& cli) {
   const auto [host, port] = parse_host_port(cli.get("coordinator", "127.0.0.1:0"),
                                             "--coordinator");
   const int rank_id = static_cast<int>(cli.get_int("rank-id", -1));
-  const auto threads = static_cast<std::size_t>(cli.get_int("threads", 0));
+  const auto threads = static_cast<std::size_t>(get_count(cli, "threads", 0));
   const std::int64_t listen_port = cli.get_int("listen-port", 0);
   if (listen_port < 0 || listen_port > 65535)
     throw bonsai::CliError("--listen-port: expected 0-65535, got '" +
@@ -396,8 +416,8 @@ int run_client_mode(const bonsai::CommandLine& cli) {
     spec.steps = static_cast<std::int32_t>(get_count(cli, "steps", 4));
     spec.ranks = static_cast<std::int32_t>(cli.get_int("job-ranks", 0));
     spec.priority = static_cast<std::int32_t>(cli.get_int("priority", 0));
-    spec.theta = cli.get_double("theta", 0.4);
-    spec.eps = cli.get_double("eps", 1e-2);
+    spec.theta = get_theta(cli);
+    spec.eps = get_eps(cli);
     spec.dt = cli.get_double("dt", 1e-3);
     spec.kernel = parse_kernel(cli);
     const std::string snapshot_in = cli.get("snapshot-in", "");
@@ -451,13 +471,17 @@ int main(int argc, char** argv) {
 
     bonsai::domain::SimConfig cfg;
     auto n = static_cast<std::size_t>(get_count(cli, "n", 16384));
-    cfg.nranks = static_cast<int>(cli.get_int("ranks", 4));
-    cfg.theta = cli.get_double("theta", 0.4);
-    cfg.eps = cli.get_double("eps", 1e-2);
+    const std::int64_t ranks = cli.get_int("ranks", 4);
+    // The wire Config, PeerDirectory and Snapshot decoders cap ranks at 255.
+    if (ranks < 1 || ranks > 255)
+      throw bonsai::CliError("--ranks: expected 1-255, got '" + std::to_string(ranks) + "'");
+    cfg.nranks = static_cast<int>(ranks);
+    cfg.theta = get_theta(cli);
+    cfg.eps = get_eps(cli);
     cfg.nleaf = static_cast<int>(cli.get_int("nleaf", bonsai::Octree::kDefaultNLeaf));
     cfg.ncrit = static_cast<int>(cli.get_int("ncrit", 64));
     cfg.dt = cli.get_double("dt", 1e-3);
-    cfg.threads_per_rank = static_cast<std::size_t>(cli.get_int("threads", 0));
+    cfg.threads_per_rank = static_cast<std::size_t>(get_count(cli, "threads", 0));
     const std::string curve = cli.get("curve", "hilbert");
     if (curve != "hilbert" && curve != "morton")
       throw bonsai::CliError("--curve: expected hilbert or morton, got '" + curve + "'");
@@ -479,7 +503,6 @@ int main(int argc, char** argv) {
       throw bonsai::CliError("--let-churn: expected a ratio in (0, 1]");
     const std::string bench_path = cli.get("bench", "");
     const std::string trace_path = cli.get("trace", "");
-    cfg.trace = !trace_path.empty();
     const auto steps = static_cast<int>(get_count(cli, "steps", 4));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
     const bool validate = cli.get_bool("validate", false);
@@ -556,9 +579,6 @@ int main(int argc, char** argv) {
       return run_steps(sim, initial, steps, info, bench_path, trace_path, snapshot_out);
     }
 
-    // In-process ranks share this process's tracer (the cluster coordinator
-    // enables its own, and ships the flag to workers in the Config frame).
-    if (cfg.trace) bonsai::trace::Tracer::instance().set_enabled(true);
     if (validate) {
       bonsai::domain::SimConfig force_cfg = cfg;
       force_cfg.dt = 0.0;

@@ -179,9 +179,18 @@ void JobServer::handle_client(FrameSocket sock, Worker& self) {
     std::vector<std::uint8_t> reply;
     try {
       switch (wire::frame_type(*frame)) {
-        case wire::FrameType::kJobSubmit:
-          reply = wire::encode_job_status(handle_submit(wire::decode_job_submit(*frame)));
+        case wire::FrameType::kJobSubmit: {
+          wire::JobSpec spec;
+          try {
+            spec = wire::decode_job_submit(*frame);
+          } catch (const wire::WireError&) {
+            // Malformed or out-of-range specs are rejected submissions too.
+            registry_.add_counter("server.jobs.rejected", 1);
+            throw;
+          }
+          reply = wire::encode_job_status(handle_submit(std::move(spec)));
           break;
+        }
         case wire::FrameType::kJobStatus: {
           const wire::JobStatusMsg req = wire::decode_job_status(*frame);
           if (req.wait) {
@@ -544,8 +553,12 @@ void JobServer::run_job_steps(Job& job) {
           job.snapshot_requested = false;
         }
         // Only the per-job bench file reads the reports; without one a
-        // finished job would hold them until shutdown.
-        if (!cfg_.bench_dir.empty()) job.reports.push_back(std::move(rep));
+        // finished job would hold them until shutdown. The file carries no
+        // spans, so a kept report drops them.
+        if (!cfg_.bench_dir.empty()) {
+          rep.spans = {};
+          job.reports.push_back(std::move(rep));
+        }
         cv_.notify_all();
       }
     }

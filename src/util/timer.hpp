@@ -1,5 +1,6 @@
-// Wall-clock timing helpers and the named time-breakdown accumulator used to
-// reproduce the per-operation rows of Table II.
+// Wall-clock timing helpers and the ordered row container of the per-stage
+// reports (Table II). The rows themselves are derived from span logs
+// (util/trace.hpp, domain::stage_rows).
 #pragma once
 
 #include <chrono>
@@ -10,9 +11,8 @@
 
 namespace bonsai {
 
-// Monotonic clock sample in nanoseconds. The single time source shared by the
-// stage timers and the span tracer, so stage rows and trace spans are always
-// on the same clock and directly comparable.
+// Monotonic clock sample in nanoseconds: the clock every span is stamped
+// with.
 inline std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -35,7 +35,7 @@ class WallTimer {
   std::int64_t start_ns_;
 };
 
-// Accumulates named timing buckets: breakdown.add("Tree-construction", dt).
+// Named timing rows: breakdown.add("Tree-construction", dt).
 // Insertion order is preserved so tables print in pipeline order.
 class TimeBreakdown {
  public:
@@ -85,22 +85,6 @@ class TimeBreakdown {
  private:
   std::vector<Entry> entries_;
   std::map<std::string, std::size_t> index_;
-};
-
-// RAII guard adding elapsed time into a breakdown bucket on destruction.
-class ScopedTimer {
- public:
-  ScopedTimer(TimeBreakdown& breakdown, std::string name)
-      : breakdown_(breakdown), name_(std::move(name)) {}
-  ~ScopedTimer() { breakdown_.add(name_, timer_.elapsed()); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimeBreakdown& breakdown_;
-  std::string name_;
-  WallTimer timer_;
 };
 
 }  // namespace bonsai

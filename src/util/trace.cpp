@@ -5,98 +5,17 @@
 
 namespace bonsai::trace {
 
-// Fixed-capacity ring owned by one recording thread but kept alive by the
-// registry (shared_ptr) so spans survive the thread's exit until drained.
-struct Tracer::ThreadBuffer {
-  std::mutex mutex;
-  std::vector<RawSpan> ring;
-  std::size_t head = 0;        // next overwrite position once full
-  std::uint64_t dropped = 0;   // overwrites since last drain
+namespace {
 
-  void push(const RawSpan& s) {
-    std::lock_guard lock(mutex);
-    if (ring.size() < Tracer::kRingCapacity) {
-      ring.push_back(s);
-    } else {
-      ring[head] = s;
-      head = (head + 1) % ring.size();
-      ++dropped;
-    }
-  }
+thread_local std::vector<Span>* t_bound = nullptr;
 
-  // Moves out the recorded spans in recording order and resets the ring.
-  void drain_into(std::vector<Span>& out) {
-    std::lock_guard lock(mutex);
-    const std::size_t n = ring.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const RawSpan& r = ring[(head + i) % n];
-      Span s;
-      s.name = r.name;
-      s.begin_ns = r.begin_ns;
-      s.end_ns = r.end_ns;
-      s.rank = r.rank;
-      s.lane = r.lane;
-      s.step = r.step;
-      s.peer = r.peer;
-      s.bytes = r.bytes;
-      out.push_back(std::move(s));
-    }
-    ring.clear();
-    head = 0;
-  }
-};
+}  // namespace
 
-Tracer& Tracer::instance() {
-  static Tracer tracer;
-  return tracer;
-}
+std::vector<Span>* bound_log() { return t_bound; }
 
-std::shared_ptr<Tracer::ThreadBuffer> Tracer::this_thread_buffer() {
-  // One slot per (thread, Tracer) pair; the registry keeps the buffer alive
-  // after the thread exits so late drains still see its spans.
-  thread_local std::shared_ptr<ThreadBuffer> buffer;
-  if (!buffer) {
-    buffer = std::make_shared<ThreadBuffer>();
-    buffer->ring.reserve(256);
-    std::lock_guard lock(registry_mutex_);
-    buffers_.push_back(buffer);
-  }
-  return buffer;
-}
+BindLog::BindLog(std::vector<Span>& log) : prev_(t_bound) { t_bound = &log; }
 
-void Tracer::emit(const RawSpan& s) { this_thread_buffer()->push(s); }
-
-std::vector<Span> Tracer::drain_all() {
-  std::vector<std::shared_ptr<ThreadBuffer>> bufs;
-  {
-    std::lock_guard lock(registry_mutex_);
-    bufs = buffers_;
-  }
-  std::vector<Span> out;
-  for (auto& b : bufs) b->drain_into(out);
-  return out;
-}
-
-std::vector<Span> Tracer::drain_thread() {
-  std::vector<Span> out;
-  this_thread_buffer()->drain_into(out);
-  return out;
-}
-
-std::uint64_t Tracer::dropped() {
-  std::vector<std::shared_ptr<ThreadBuffer>> bufs;
-  {
-    std::lock_guard lock(registry_mutex_);
-    bufs = buffers_;
-  }
-  std::uint64_t total = 0;
-  for (auto& b : bufs) {
-    std::lock_guard lock(b->mutex);
-    total += b->dropped;
-    b->dropped = 0;
-  }
-  return total;
-}
+BindLog::~BindLog() { t_bound = prev_; }
 
 std::int64_t estimate_clock_offset(const ClockSync& s) {
   // Classic NTP midpoint: the worker's (recv+send)/2 should coincide with the

@@ -1,24 +1,24 @@
-// Low-overhead span tracer producing Chrome trace-event / Perfetto output.
+// Span logs: the one timing instrument of the rank program, producing the
+// Table II rows, the schedule model and Chrome trace-event / Perfetto output.
 //
-// Each instrumented thread appends fixed-size RawSpan records into its own
-// ring buffer; a global registry keeps every thread's buffer reachable so a
-// driver can drain them after the step. When tracing is disabled (the
-// default) ScopedSpan reduces to one relaxed atomic load per scope, so the
-// instrumentation can stay compiled in everywhere.
+// A thread records spans only while a log is bound to it (BindLog). Each
+// rank binds its step result's span list for its whole step, so a rank's
+// log holds exactly the spans its own thread closed, in end order; the
+// coordinator binds its report's list. ScopedSpan appends to the calling
+// thread's bound log and does nothing on a thread without one (a
+// device-pool worker, a bench harness), so the instrumentation stays
+// compiled in everywhere and always on where a log is bound.
 //
 // Spans carry the ids the async pipeline is organised around: rank, lane
-// (thread of execution inside a process), step, peer and byte count. The
-// cluster layer serializes drained spans into a Trace wire frame and the
-// coordinator merges all ranks into one trace file, shifting worker
-// timestamps by an NTP-style clock-offset estimate (estimate_clock_offset).
+// (thread of execution inside a process), step, peer and byte count. Socket
+// workers ship their spans in the StepResult frame; the coordinator shifts
+// them onto its own clock with an NTP-style offset estimate
+// (estimate_clock_offset) before merging all ranks into one report.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,8 +26,8 @@
 
 namespace bonsai::trace {
 
-// Owned form of a span: what drains, crosses the wire and gets merged.
-// Unset argument fields are -1 (they are omitted from the trace JSON).
+// One closed span. Unset argument fields are -1 (they are omitted from the
+// trace JSON).
 struct Span {
   std::string name;
   std::int64_t begin_ns = 0;
@@ -39,89 +39,65 @@ struct Span {
   std::int64_t bytes = -1;
 };
 
-// In-buffer form: the name must be a string literal (or otherwise outlive the
-// drain), so recording a span never allocates.
-struct RawSpan {
-  const char* name = nullptr;
-  std::int64_t begin_ns = 0;
-  std::int64_t end_ns = 0;
-  std::int32_t rank = -1;
-  std::int32_t lane = -1;
-  std::int64_t step = -1;
-  std::int64_t peer = -2;
-  std::int64_t bytes = -1;
-};
+// The calling thread's bound log, or nullptr.
+std::vector<Span>* bound_log();
 
-// Process-wide tracer: an enabled flag, plus the registry of per-thread ring
-// buffers. All methods are thread-safe.
-class Tracer {
+// Binds `log` to the calling thread for the guard's lifetime: every span the
+// thread closes meanwhile is appended to it. Bindings nest; the previous one
+// is restored on destruction.
+class BindLog {
  public:
-  static Tracer& instance();
+  explicit BindLog(std::vector<Span>& log);
+  ~BindLog();
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
-  // Appends into the calling thread's ring buffer; when the ring is full the
-  // oldest span is overwritten and the drop is counted.
-  void emit(const RawSpan& s);
-
-  // Removes and returns the recorded spans of every thread (including
-  // threads that have since exited), in per-thread recording order.
-  std::vector<Span> drain_all();
-
-  // Removes and returns only the calling thread's recorded spans. Used by
-  // cluster workers and the coordinator, whose spans are all emitted from
-  // the driver thread, so concurrent in-process peers cannot steal them.
-  std::vector<Span> drain_thread();
-
-  // Spans overwritten since the last drain (all threads).
-  std::uint64_t dropped();
-
-  // Ring capacity per thread.
-  static constexpr std::size_t kRingCapacity = 1 << 15;
+  BindLog(const BindLog&) = delete;
+  BindLog& operator=(const BindLog&) = delete;
 
  private:
-  Tracer() = default;
-  struct ThreadBuffer;
-  std::shared_ptr<ThreadBuffer> this_thread_buffer();
-
-  std::atomic<bool> enabled_{false};
-  std::mutex registry_mutex_;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
+  std::vector<Span>* prev_;
 };
 
-// RAII span: samples now_ns() at construction and emits on destruction when
-// tracing is enabled. `name` must be a string literal. Argument fields can be
-// filled in any time before destruction.
+// RAII span: samples now_ns() at construction and appends to the log bound
+// at construction when it closes (on destruction, or earlier with close()).
+// `name` must be a string literal. Argument fields can be filled in any time
+// before the span closes.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, std::int32_t rank = -1,
-                      std::int32_t lane = -1, std::int64_t step = -1)
-      : armed_(Tracer::instance().enabled()) {
-    if (!armed_) return;
-    raw_.name = name;
-    raw_.rank = rank;
-    raw_.lane = lane;
-    raw_.step = step;
-    raw_.begin_ns = now_ns();
-  }
+  explicit ScopedSpan(const char* name, std::int32_t rank = -1, std::int32_t lane = -1,
+                      std::int64_t step = -1)
+      : log_(bound_log()),
+        name_(name),
+        begin_ns_(log_ != nullptr ? now_ns() : 0),
+        rank_(rank),
+        lane_(lane),
+        step_(step) {}
 
-  ~ScopedSpan() {
-    if (!armed_) return;
-    raw_.end_ns = now_ns();
-    Tracer::instance().emit(raw_);
-  }
+  ~ScopedSpan() { close(); }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  void set_peer(std::int64_t peer) { raw_.peer = peer; }
-  void set_bytes(std::int64_t bytes) { raw_.bytes = bytes; }
-  void set_step(std::int64_t step) { raw_.step = step; }
+  void set_peer(std::int64_t peer) { peer_ = peer; }
+  void set_bytes(std::int64_t bytes) { bytes_ = bytes; }
+
+  // Ends the span now and returns its duration in seconds (0 when no log is
+  // bound); later calls, and the destructor, record nothing.
+  double close() {
+    if (log_ == nullptr) return 0.0;
+    const std::int64_t end_ns = now_ns();
+    log_->push_back({name_, begin_ns_, end_ns, rank_, lane_, step_, peer_, bytes_});
+    log_ = nullptr;
+    return static_cast<double>(end_ns - begin_ns_) * 1e-9;
+  }
 
  private:
-  bool armed_;
-  RawSpan raw_;
+  std::vector<Span>* log_;
+  const char* name_;
+  std::int64_t begin_ns_;
+  std::int32_t rank_, lane_;
+  std::int64_t step_;
+  std::int64_t peer_ = -2;
+  std::int64_t bytes_ = -1;
 };
 
 // One worker's clock handshake for a step: the coordinator's send/receive
@@ -129,9 +105,9 @@ class ScopedSpan {
 // machine's own steady clock.
 struct ClockSync {
   std::int64_t coord_post_ns = 0;    // coordinator: StepBegin posted
-  std::int64_t coord_arrive_ns = 0;  // coordinator: Trace frame arrived
+  std::int64_t coord_arrive_ns = 0;  // coordinator: StepResult arrived
   std::int64_t worker_recv_ns = 0;   // worker: StepBegin decoded
-  std::int64_t worker_send_ns = 0;   // worker: Trace frame encoded
+  std::int64_t worker_send_ns = 0;   // worker: StepResult about to be encoded
 };
 
 // NTP-style offset estimate: add the result to a worker-local timestamp to

@@ -123,7 +123,6 @@ inline std::vector<SeedFrame> seed_frames() {
   {
     domain::SimConfig cfg;
     cfg.nranks = 2;
-    cfg.trace = true;
     cfg.let_cache = true;
     add(wire::FrameType::kConfig, wire::encode_config(cfg));
   }
@@ -145,6 +144,9 @@ inline std::vector<SeedFrame> seed_frames() {
     sr.let_sizes = {{5, 9, 128}};
     sr.boundaries = {0, sfc::kKeyEnd / 2, sfc::kKeyEnd};
     sr.traffic = {{0, 1, 1, 3, 512}};
+    sr.recv_ns = 100;
+    sr.send_ns = 250;
+    sr.spans.push_back({"gravity.remote", 110, 240, 1, 1, 2, 0, 64});
     add(wire::FrameType::kStepResult, wire::encode_step_result(sr));
   }
   add(wire::FrameType::kShutdown, wire::encode_shutdown());
@@ -156,18 +158,6 @@ inline std::vector<SeedFrame> seed_frames() {
       wire::encode_peer_directory(std::vector<wire::PeerEndpoint>{
           {"127.0.0.1", 4001}, {"127.0.0.1", 4002}}));
   add(wire::FrameType::kPeerHello, wire::encode_peer_hello(1));
-  {
-    wire::TraceFrame tf;
-    tf.src = 1;
-    tf.step = 2;
-    tf.recv_ns = 100;
-    tf.send_ns = 250;
-    tf.spans.push_back({"step.gravity", 110, 240, 1, 0, 2, -2, 64});
-    tf.metrics.counters["wire.frames"] = 3.0;
-    tf.metrics.gauges["pool.free"] = 1.0;
-    tf.metrics.histograms["batch"] = {{1.0, 2.0}, {0, 2, 1}, 3, 4.5};
-    add(wire::FrameType::kTrace, wire::encode_trace(tf));
-  }
   {
     wire::JobSpec spec;
     spec.name = "fuzz";
@@ -243,7 +233,6 @@ inline void decode_any(std::span<const std::uint8_t> frame,
     case wire::FrameType::kMigration: wire::decode_migration(frame); break;
     case wire::FrameType::kPeerDirectory: wire::decode_peer_directory(frame); break;
     case wire::FrameType::kPeerHello: wire::decode_peer_hello(frame); break;
-    case wire::FrameType::kTrace: wire::decode_trace(frame); break;
     case wire::FrameType::kJobSubmit: wire::decode_job_submit(frame); break;
     case wire::FrameType::kJobStatus: wire::decode_job_status(frame); break;
     case wire::FrameType::kJobResult: wire::decode_job_result(frame); break;

@@ -406,5 +406,85 @@ TEST(ClusterTopology, StarIsRejectedNamingMesh) {
   }
 }
 
+// ---- One timing source -------------------------------------------------
+// Every figure of a report comes from the ranks' spans, in both modes.
+
+double span_seconds(const trace::Span& s) {
+  return static_cast<double>(s.end_ns - s.begin_ns) * 1e-9;
+}
+
+// The invariants a folded step keeps whatever the transport:
+// - per rank, the rows count no time twice: they sum to at most the rank's
+//   rank.step envelope, plus the wire spans the rows book outside it (a
+//   socket worker's StepBegin decode and its previous StepResult encode,
+//   which run before and after the envelope); in process there are none;
+// - the Wire encode / Wire decode rows are the let+part+dom wire seconds;
+// - the schedule model is there and never exceeds the lockstep stage-sum.
+void expect_one_timing_source(const domain::StepReport& rep, int nranks, bool socket) {
+  for (int r = 0; r < nranks; ++r) {
+    std::vector<trace::Span> mine;
+    for (const trace::Span& s : rep.spans)
+      if (s.rank == r) mine.push_back(s);
+    const auto step = std::find_if(mine.begin(), mine.end(), [](const trace::Span& s) {
+      return s.name == "rank.step";
+    });
+    ASSERT_NE(step, mine.end()) << "rank " << r;
+    EXPECT_EQ(std::count_if(mine.begin(), mine.end(),
+                            [](const trace::Span& s) { return s.name == "rank.step"; }),
+              1);
+    double outside = 0.0;
+    for (const trace::Span& s : mine) {
+      EXPECT_EQ(s.step, rep.step) << s.name;
+      if (s.begin_ns < step->begin_ns || s.end_ns > step->end_ns) {
+        EXPECT_EQ(s.name.rfind("wire.", 0), 0u) << s.name << " outside rank.step";
+        outside += span_seconds(s);
+      }
+    }
+    if (!socket) {
+      EXPECT_EQ(outside, 0.0) << "rank " << r;
+    }
+    EXPECT_LE(domain::stage_rows(mine).total(), span_seconds(*step) + outside + 1e-12)
+        << "rank " << r;
+  }
+  const double encode = rep.let_wire.encode_seconds + rep.part_wire.encode_seconds +
+                        rep.dom_wire.encode_seconds;
+  const double decode = rep.let_wire.decode_seconds + rep.part_wire.decode_seconds +
+                        rep.dom_wire.decode_seconds;
+  EXPECT_NEAR(rep.sum_times.get("Wire encode"), encode, 1e-12);
+  EXPECT_NEAR(rep.sum_times.get("Wire decode"), decode, 1e-12);
+  EXPECT_GT(encode, 0.0);
+  EXPECT_GT(decode, 0.0);
+  EXPECT_GT(rep.critical_path, 0.0);
+  EXPECT_LE(rep.critical_path, rep.sequential_model * (1.0 + 1e-9));
+  EXPECT_LE(rep.gravity_critical, rep.gravity_sequential * (1.0 + 1e-9));
+  ASSERT_TRUE(rep.metrics.gauges.count("schedule.overlap_efficiency"));
+  EXPECT_GE(rep.metrics.gauges.at("schedule.overlap_efficiency"), 1.0 - 1e-9);
+}
+
+TEST(OneTimingSource, InProcessStepRowsComeFromSpans) {
+  SimConfig cfg = forces_only_config(3);
+  cfg.dt = 1e-3;
+  domain::Simulation sim(cfg);
+  sim.init(make_plummer(1200, 41));
+  for (int s = 0; s < 2; ++s) expect_one_timing_source(sim.step(), 3, /*socket=*/false);
+}
+
+TEST(OneTimingSource, SocketStepRowsAndScheduleComeFromSpans) {
+  SimConfig cfg = forces_only_config(3);
+  cfg.dt = 1e-3;
+  WorkerPool pool;
+  ClusterSimulation spmd(cluster_config(cfg, pool));
+  spmd.init(make_plummer(1200, 41));
+  // The second step books the first step's StepResult encode.
+  for (int s = 0; s < 2; ++s) {
+    const domain::StepReport rep = spmd.step();
+    expect_one_timing_source(rep, 3, /*socket=*/true);
+    const auto booked_late = std::count_if(
+        rep.spans.begin(), rep.spans.end(),
+        [](const trace::Span& sp) { return sp.name == "wire.encode.step_result"; });
+    EXPECT_EQ(booked_late, s == 0 ? 0 : 3) << "step " << s;
+  }
+}
+
 }  // namespace
 }  // namespace bonsai

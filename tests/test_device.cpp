@@ -4,8 +4,10 @@
 // the LET channel layer, and the thread-budget policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "domain/executor.hpp"
 #include "domain/simulation.hpp"
 #include "domain/transport.hpp"
+#include "util/trace.hpp"
 
 namespace bonsai {
 namespace {
@@ -190,10 +193,21 @@ TEST(LetExchange, AccountsWireBytesAndFrames) {
   EXPECT_GT(bytes, 0u);  // even an empty LET carries a frame header
   EXPECT_EQ(net.encode_stats(0).frames, 1u);
   EXPECT_EQ(net.encode_stats(0).bytes, bytes);
-  const auto msg = net.recv(1);
+  // The decode is timed by a wire.decode.let span on the receiver's log.
+  std::vector<trace::Span> log;
+  std::optional<domain::wire::LetMessage> msg;
+  {
+    trace::BindLog bind(log);
+    msg = net.recv(1);
+  }
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->wire_bytes, bytes);
-  EXPECT_GE(net.decode_stats(1).decode_seconds, 0.0);
+  const auto decode = std::find_if(log.begin(), log.end(), [](const trace::Span& s) {
+    return s.name == "wire.decode.let";
+  });
+  ASSERT_NE(decode, log.end());
+  EXPECT_EQ(decode->bytes, static_cast<std::int64_t>(bytes));
+  EXPECT_EQ(decode->peer, 0);
 }
 
 TEST(ThreadsFor, DefaultPartitionsHostAcrossRanks) {

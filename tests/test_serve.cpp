@@ -262,6 +262,32 @@ TEST(Serve, AdmissionRejectsNamingTheViolatedLimit) {
   }
 }
 
+TEST(Serve, OutOfRangePhysicsIsRejectedAtSubmit) {
+  // theta 0 used to be admitted, hold its slots and fail in the walk's
+  // check; eps -1 ran with the wrong softening. Both are rejected where the
+  // spec is decoded, naming the field, and count as rejected submissions.
+  ServerConfig cfg = test_server_config("admit-physics");
+  cfg.limits.pool_slots = 1;
+  JobServer server(cfg);
+  wire::JobSpec theta0 = small_job(512, 1);
+  theta0.theta = 0.0;
+  const auto r1 = serve::submit_job(kHost, server.port(), theta0);
+  EXPECT_EQ(r1.state, wire::JobState::kRejected);
+  EXPECT_NE(r1.reason.find("theta"), std::string::npos) << r1.reason;
+  wire::JobSpec eps_neg = small_job(512, 1);
+  eps_neg.eps = -1.0;
+  const auto r2 = serve::submit_job(kHost, server.port(), eps_neg);
+  EXPECT_EQ(r2.state, wire::JobState::kRejected);
+  EXPECT_NE(r2.reason.find("eps"), std::string::npos) << r2.reason;
+  EXPECT_EQ(serve::fetch_metrics(kHost, server.port()).counters.at("server.jobs.rejected"),
+            2.0);
+  // Neither holds the one slot: a valid job runs to completion.
+  const auto ok = serve::submit_job(kHost, server.port(), small_job(512, 1));
+  ASSERT_NE(ok.state, wire::JobState::kRejected) << ok.reason;
+  EXPECT_EQ(serve::wait_job(kHost, server.port(), ok.job_id).state,
+            wire::JobState::kCompleted);
+}
+
 TEST(Serve, CancelQueuedAndRunningJobs) {
   ServerConfig cfg = test_server_config("cancel");
   cfg.limits.pool_slots = 1;
@@ -377,8 +403,8 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
   }
 
   // Bench isolation: each job's JSON names its own config, 4 steps each.
-  // Jobs run the async pipeline, so every step also carries the schedule
-  // model's overlap figure.
+  // Every step carries the schedule model's overlap figure (schema 3 has no
+  // async key: the pipeline is the only schedule).
   const std::vector<std::pair<int, int>> expect = {{ja.job_id, 1024}, {jb.job_id, 2048}};
   for (const auto& [id, n] : expect) {
     std::ifstream in(cfg.bench_dir + "/job-" + std::to_string(id) + ".json");
@@ -389,7 +415,8 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
     EXPECT_NE(body.find("\"num_particles\": " + std::to_string(n)), std::string::npos);
     EXPECT_NE(body.find("\"transport\": \"serve\""), std::string::npos);
     const std::string config = body.substr(0, body.find("\"steps\""));
-    EXPECT_NE(config.find("\"async\": true"), std::string::npos) << config;
+    EXPECT_NE(config.find("\"schema\": 3"), std::string::npos) << config;
+    EXPECT_EQ(body.find("\"async\""), std::string::npos) << config;
     EXPECT_NE(body.find("\"schedule.overlap_efficiency\""), std::string::npos);
     EXPECT_EQ(body.find("\"num_particles\": " + std::to_string(n == 1024 ? 2048 : 1024)),
               std::string::npos)

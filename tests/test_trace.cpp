@@ -1,7 +1,8 @@
-// The observability layer: span tracer (ring buffers, drain semantics,
-// Chrome trace output, clock-offset merge) and the metrics registry
-// (histogram bucket edges, snapshot merge), plus an end-to-end cluster run
-// asserting the coordinator merges causally ordered worker spans.
+// The observability layer: span logs (thread binding, end order, per-lane
+// isolation), Chrome trace output, the clock-offset merge and the metrics
+// registry (histogram bucket edges, snapshot merge), plus an end-to-end
+// cluster run asserting the coordinator merges causally ordered worker
+// spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "domain/cluster.hpp"
 #include "domain/metrics.hpp"
 #include "domain/simulation.hpp"
+#include "util/timer.hpp"
 #include "util/ic.hpp"
 #include "util/trace.hpp"
 
@@ -23,61 +25,72 @@ namespace {
 namespace metrics = bonsai::metrics;
 namespace trace = bonsai::trace;
 
-// The tracer is a process-wide singleton shared by every test in this binary:
-// leave it disabled and empty on the way out.
-struct TracerGuard {
-  TracerGuard() {
-    trace::Tracer::instance().set_enabled(true);
-    trace::Tracer::instance().drain_all();
-    trace::Tracer::instance().dropped();
-  }
-  ~TracerGuard() {
-    trace::Tracer::instance().set_enabled(false);
-    trace::Tracer::instance().drain_all();
-    trace::Tracer::instance().dropped();
-  }
-};
-
+// A thread without a bound log (a device-pool worker, a bench harness)
+// records nothing, and a span opened there stays unrecorded even if a log is
+// bound before it closes.
 TEST(Tracer, DisabledScopesEmitNothing) {
-  trace::Tracer::instance().set_enabled(false);
-  trace::Tracer::instance().drain_all();
+  ASSERT_EQ(trace::bound_log(), nullptr);
+  std::vector<trace::Span> log;
   {
     trace::ScopedSpan span("never.recorded", 0, 0, 1);
     span.set_bytes(128);
+    EXPECT_EQ(span.close(), 0.0);
   }
-  EXPECT_TRUE(trace::Tracer::instance().drain_all().empty());
+  {
+    trace::ScopedSpan early("opened.unbound");
+    trace::BindLog bind(log);
+    early.close();
+  }
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(trace::bound_log(), nullptr);
 }
 
 TEST(Tracer, NestedScopesRecordInEndOrderAndNest) {
-  TracerGuard guard;
+  std::vector<trace::Span> log, inner_log;
   {
+    trace::BindLog bind(log);
     trace::ScopedSpan outer("outer", 1, 1, 3);
-    trace::ScopedSpan inner("inner", 1, 1, 3);
-    inner.set_peer(0);
-    inner.set_bytes(64);
+    {
+      trace::ScopedSpan inner("inner", 1, 1, 3);
+      inner.set_peer(0);
+      inner.set_bytes(64);
+    }
+    {
+      // Bindings nest: the inner one takes the spans opened under it and
+      // gives the thread back to the outer log.
+      trace::BindLog nested(inner_log);
+      trace::ScopedSpan other("other.log");
+    }
+    trace::ScopedSpan closed("closed.early", 1);
+    EXPECT_GE(closed.close(), 0.0);
   }
-  const std::vector<trace::Span> spans = trace::Tracer::instance().drain_thread();
-  ASSERT_EQ(spans.size(), 2u);
-  // Destruction order: inner ends (and records) first.
-  EXPECT_EQ(spans[0].name, "inner");
-  EXPECT_EQ(spans[1].name, "outer");
-  EXPECT_GE(spans[0].begin_ns, spans[1].begin_ns);  // inner nests in outer
-  EXPECT_LE(spans[0].end_ns, spans[1].end_ns);
-  EXPECT_EQ(spans[0].peer, 0);
-  EXPECT_EQ(spans[0].bytes, 64);
-  EXPECT_EQ(spans[1].peer, -2);  // untouched sentinel
-  EXPECT_EQ(spans[1].bytes, -1);
-  EXPECT_EQ(spans[1].rank, 1);
-  EXPECT_EQ(spans[1].step, 3);
+  ASSERT_EQ(inner_log.size(), 1u);
+  EXPECT_EQ(inner_log[0].name, "other.log");
+  ASSERT_EQ(log.size(), 3u);
+  // Spans record when they end: inner first, the closed one next (its
+  // destructor records nothing more), the outer last.
+  EXPECT_EQ(log[0].name, "inner");
+  EXPECT_EQ(log[1].name, "closed.early");
+  EXPECT_EQ(log[2].name, "outer");
+  EXPECT_GE(log[0].begin_ns, log[2].begin_ns);  // inner nests in outer
+  EXPECT_LE(log[0].end_ns, log[2].end_ns);
+  EXPECT_EQ(log[0].peer, 0);
+  EXPECT_EQ(log[0].bytes, 64);
+  EXPECT_EQ(log[2].peer, -2);  // untouched sentinel
+  EXPECT_EQ(log[2].bytes, -1);
+  EXPECT_EQ(log[2].rank, 1);
+  EXPECT_EQ(log[2].step, 3);
+  EXPECT_EQ(trace::bound_log(), nullptr);
 }
 
 TEST(Tracer, ConcurrentLanesKeepPerLaneOrderAndLoseNothing) {
-  TracerGuard guard;
   constexpr int kLanes = 8;
   constexpr int kPerLane = 500;
+  std::vector<std::vector<trace::Span>> logs(kLanes);
   std::vector<std::thread> lanes;
   for (int lane = 0; lane < kLanes; ++lane)
-    lanes.emplace_back([lane] {
+    lanes.emplace_back([lane, &logs] {
+      trace::BindLog bind(logs[static_cast<std::size_t>(lane)]);
       for (int i = 0; i < kPerLane; ++i) {
         trace::ScopedSpan span("lane.unit", lane, lane, i);
         (void)span;
@@ -85,38 +98,86 @@ TEST(Tracer, ConcurrentLanesKeepPerLaneOrderAndLoseNothing) {
     });
   for (std::thread& t : lanes) t.join();
 
-  const std::vector<trace::Span> spans = trace::Tracer::instance().drain_all();
-  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kLanes * kPerLane));
-  EXPECT_EQ(trace::Tracer::instance().dropped(), 0u);
-  // Per lane: all steps present, in recording order, with begin <= end.
+  // Each lane's log holds exactly its own spans, all of them, in order.
   for (int lane = 0; lane < kLanes; ++lane) {
+    const std::vector<trace::Span>& log = logs[static_cast<std::size_t>(lane)];
+    ASSERT_EQ(log.size(), static_cast<std::size_t>(kPerLane));
     std::int64_t expect_step = 0;
-    for (const trace::Span& s : spans) {
-      if (s.lane != lane) continue;
+    for (const trace::Span& s : log) {
+      EXPECT_EQ(s.lane, lane);
       EXPECT_EQ(s.step, expect_step++);
       EXPECT_LE(s.begin_ns, s.end_ns);
     }
-    EXPECT_EQ(expect_step, kPerLane);
   }
 }
 
-TEST(Tracer, RingOverflowDropsOldestAndCounts) {
-  TracerGuard guard;
-  constexpr std::uint64_t kExtra = 100;
-  const std::size_t total = trace::Tracer::kRingCapacity + kExtra;
-  trace::RawSpan raw;
-  raw.name = "overflow.unit";
-  for (std::size_t i = 0; i < total; ++i) {
-    raw.step = static_cast<std::int64_t>(i);
-    trace::Tracer::instance().emit(raw);
-  }
-  const std::vector<trace::Span> spans = trace::Tracer::instance().drain_thread();
-  ASSERT_EQ(spans.size(), trace::Tracer::kRingCapacity);
-  // Oldest kExtra spans were overwritten; order is preserved.
-  EXPECT_EQ(spans.front().step, static_cast<std::int64_t>(kExtra));
-  EXPECT_EQ(spans.back().step, static_cast<std::int64_t>(total - 1));
-  EXPECT_EQ(trace::Tracer::instance().dropped(), kExtra);
-  EXPECT_EQ(trace::Tracer::instance().dropped(), 0u);  // counter resets
+trace::Span make_span(const char* name, std::int64_t begin_us, std::int64_t end_us,
+                      std::int32_t rank = 0) {
+  trace::Span s;
+  s.name = name;
+  s.begin_ns = begin_us * 1000;
+  s.end_ns = end_us * 1000;
+  s.rank = rank;
+  return s;
+}
+
+// The row function on a synthetic rank log (times in microseconds).
+TEST(Trace, StageRowsSubtractNestedWireSpansAndKeepWaits) {
+  const std::vector<trace::Span> log = {
+      // Domain update [0, 100) encloses a 10 us encode, a post and a wait
+      // (which stay in the row) and a 5 us decode.
+      make_span("wire.encode.domain", 10, 20),
+      make_span("transport.post", 20, 22),
+      make_span("wire.decode.domain", 60, 65),
+      make_span("domain.update", 0, 100),
+      // Exchange particles: the migration phase with its own wire spans, and
+      // the box allgather with a wait inside.
+      make_span("wire.encode.migration", 110, 114),
+      make_span("migration.recv.wait", 114, 140),
+      make_span("wire.decode.migration", 140, 143),
+      make_span("decomposition.migrate", 100, 150),
+      make_span("decomposition.boxes", 150, 170),
+      make_span("rank.sort", 170, 180),
+      make_span("rank.build", 180, 185),
+      make_span("rank.properties", 185, 190),
+      // Exchange LET is the extraction only; its encode follows, outside.
+      make_span("let.export", 190, 200, 0),
+      make_span("wire.encode.let", 200, 230),
+      make_span("gravity.eval", 230, 300),
+      make_span("gravity.local", 230, 300),
+      // A wait between remote walks is in no row.
+      make_span("let.recv.wait", 300, 320),
+      make_span("wire.decode.let", 320, 330),
+      make_span("gravity.remote", 330, 400),
+      make_span("rank.integrate", 400, 402),
+      make_span("rank.step", 0, 402),
+      // Coordinator spans are no rank's rows, even with a row's name.
+      make_span("wire.encode.step_begin", 0, 50, -1),
+      make_span("gravity.remote", 0, 1000, -1),
+  };
+  const TimeBreakdown rows = domain::stage_rows(log);
+  const auto us = [&](const char* row) { return rows.get(row) * 1e6; };
+  EXPECT_NEAR(us("Domain update"), 100 - 10 - 5, 1e-9);
+  EXPECT_NEAR(us("Exchange particles"), (50 - 4 - 3) + 20, 1e-9);
+  EXPECT_NEAR(us("Sorting SFC"), 10, 1e-9);
+  EXPECT_NEAR(us("Tree-construction"), 5, 1e-9);
+  EXPECT_NEAR(us("Tree-properties"), 5, 1e-9);
+  EXPECT_NEAR(us("Exchange LET"), 10, 1e-9);
+  EXPECT_NEAR(us("Wire encode"), 10 + 4 + 30, 1e-9);
+  EXPECT_NEAR(us("Wire decode"), 5 + 3 + 10, 1e-9);
+  EXPECT_NEAR(us("Gravity local"), 70, 1e-9);
+  EXPECT_NEAR(us("Gravity remote"), 70, 1e-9);
+  EXPECT_NEAR(us("Integration"), 2, 1e-9);
+  // Table II order, every row once.
+  const std::vector<std::string> order = {
+      "Domain update", "Exchange particles", "Sorting SFC",   "Tree-construction",
+      "Tree-properties", "Exchange LET",     "Wire encode",   "Wire decode",
+      "Gravity local", "Gravity remote",     "Integration"};
+  ASSERT_EQ(rows.entries().size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(rows.entries()[i].name, order[i]);
+  // The rows tile the rank's 402 us step except the wait between remote
+  // walks, which no row encloses.
+  EXPECT_NEAR(rows.total() * 1e6, 402 - 20, 1e-9);
 }
 
 TEST(Metrics, HistogramBucketBoundaries) {
@@ -278,7 +339,6 @@ TEST(ClusterTrace, MergedSpansCoverEveryRankAndStayCausal) {
   sim.theta = 0.4;
   sim.eps = 1e-3;
   sim.dt = 0.0;
-  sim.trace = true;
   // The causality margin checked below is the peer's LET export plus this
   // rank's remote walk; it must exceed the clock-offset error, which grows
   // with host load. The scalar kernel keeps the walk long enough for that
@@ -305,8 +365,6 @@ TEST(ClusterTrace, MergedSpansCoverEveryRankAndStayCausal) {
     cluster.init(make_plummer(1024, 17));
     rep = cluster.step();
   }
-  trace::Tracer::instance().set_enabled(false);
-  trace::Tracer::instance().drain_all();
 
   ASSERT_FALSE(rep.spans.empty());
   for (int r = 0; r < 2; ++r) {
@@ -327,7 +385,7 @@ TEST(ClusterTrace, MergedSpansCoverEveryRankAndStayCausal) {
     // And both workers' step envelopes made it into the merge.
     EXPECT_NE(std::find_if(rep.spans.begin(), rep.spans.end(),
                            [&](const trace::Span& s) {
-                             return s.name == "worker.step" && s.rank == r;
+                             return s.name == "rank.step" && s.rank == r;
                            }),
               rep.spans.end());
   }

@@ -479,7 +479,6 @@ TEST(Wire, ControlFramesRoundTrip) {
   cfg.dt = 0.5e-3;
   cfg.curve = sfc::CurveType::kMorton;
   cfg.balance = domain::BalanceMode::kCost;
-  cfg.trace = true;
   cfg.kernel = KernelBackend::kScalar;
   const domain::SimConfig back = wire::decode_config(wire::encode_config(cfg));
   EXPECT_EQ(back.nranks, 6);
@@ -491,7 +490,6 @@ TEST(Wire, ControlFramesRoundTrip) {
   EXPECT_DOUBLE_EQ(back.dt, 0.5e-3);
   EXPECT_EQ(back.curve, sfc::CurveType::kMorton);
   EXPECT_EQ(back.balance, domain::BalanceMode::kCost);
-  EXPECT_TRUE(back.trace);
   EXPECT_EQ(back.kernel, KernelBackend::kScalar);
 
   // Kernel bytes past kSimd name no backend and are rejected.
@@ -529,8 +527,6 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
   sr.local_stats.batch_hist[0] = 1;
   sr.local_stats.batch_hist[kBatchHistBuckets - 1] = 4;
   sr.remote_stats = {30, 40};
-  sr.times.add("Gravity local", 0.5);
-  sr.times.add("Sorting SFC", 0.125);
   sr.let_sizes.push_back({7, 8, 9});
   sr.let_wire = {3, 4096, 0.25, 0.125};
   const wire::StepResult rback = wire::decode_step_result(wire::encode_step_result(sr));
@@ -544,21 +540,26 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
   EXPECT_EQ(rback.local_stats.batch_hist, sr.local_stats.batch_hist);
   EXPECT_EQ(rback.remote_stats.p2c, 40u);
   EXPECT_EQ(rback.remote_stats.pp_batches, 0u);
-  EXPECT_DOUBLE_EQ(rback.times.get("Gravity local"), 0.5);
-  EXPECT_EQ(rback.times.entries()[1].name, "Sorting SFC");
   ASSERT_EQ(rback.let_sizes.size(), 1u);
   EXPECT_EQ(rback.let_sizes[0].bytes, 9u);
+  EXPECT_EQ(rback.let_wire.frames, 3u);
   EXPECT_EQ(rback.let_wire.bytes, 4096u);
+  // Wire seconds stay off the wire: the fold derives them from the spans.
+  EXPECT_EQ(rback.let_wire.encode_seconds, 0.0);
+  EXPECT_EQ(rback.let_wire.decode_seconds, 0.0);
 }
 
-wire::TraceFrame make_trace_frame() {
-  wire::TraceFrame tf;
-  tf.src = 2;
-  tf.step = 7;
-  tf.recv_ns = 1'000'000'000;
-  tf.send_ns = 1'004'200'000;
+// A worker's StepResult with its span log: the rank.step envelope, a remote
+// walk naming its peer, a coordinator-peer post (peer -1, a real id) and the
+// clock samples the coordinator's offset estimate needs.
+wire::StepResult make_result_with_spans() {
+  wire::StepResult sr;
+  sr.rank = 2;
+  sr.boundaries = {0, sfc::kKeyEnd};
+  sr.recv_ns = 1'000'000'000;
+  sr.send_ns = 1'004'200'000;
   trace::Span a;
-  a.name = "worker.step";
+  a.name = "rank.step";
   a.begin_ns = 1'000'000'000;
   a.end_ns = 1'004'000'000;
   a.rank = 2;
@@ -570,78 +571,86 @@ wire::TraceFrame make_trace_frame() {
   b.end_ns = 1'003'500'000;
   b.rank = 2;
   b.lane = 2;
-  b.step = 7;
   b.peer = 0;
   b.bytes = 4096;
-  tf.spans = {a, b};
-  tf.metrics.counters["gravity.remote.p2p"] = 12345.0;
-  tf.metrics.counters["wire.let.bytes"] = 8192.0;
-  tf.metrics.gauges["step.elapsed_s"] = 0.004;
+  trace::Span c;
+  c.name = "transport.post";
+  c.begin_ns = 1'003'600'000;
+  c.end_ns = 1'003'600'500;
+  c.rank = 2;
+  c.peer = -1;
+  sr.spans = {a, b, c};
+  return sr;
+}
+
+TEST(Wire, StepResultRoundTripsSpansAndClockSamples) {
+  const wire::StepResult sr = make_result_with_spans();
+  const wire::StepResult back = wire::decode_step_result(wire::encode_step_result(sr));
+  EXPECT_EQ(back.recv_ns, sr.recv_ns);
+  EXPECT_EQ(back.send_ns, sr.send_ns);
+  ASSERT_EQ(back.spans.size(), 3u);
+  EXPECT_EQ(back.spans[0].name, "rank.step");
+  EXPECT_EQ(back.spans[0].begin_ns, sr.spans[0].begin_ns);
+  EXPECT_EQ(back.spans[0].end_ns, sr.spans[0].end_ns);
+  EXPECT_EQ(back.spans[0].step, 7);
+  EXPECT_EQ(back.spans[0].peer, -2);  // unset sentinel survives
+  EXPECT_EQ(back.spans[0].bytes, -1);
+  EXPECT_EQ(back.spans[1].name, "gravity.remote");
+  EXPECT_EQ(back.spans[1].step, -1);  // stamped when the result is folded
+  EXPECT_EQ(back.spans[1].peer, 0);
+  EXPECT_EQ(back.spans[1].bytes, 4096);
+  EXPECT_EQ(back.spans[2].peer, -1);  // the coordinator is a real peer id
+  EXPECT_EQ(back.spans[2].lane, -1);
+
+  // A span that ends before it begins is malformed.
+  wire::StepResult bad = sr;
+  bad.spans[1].end_ns = bad.spans[1].begin_ns - 1;
+  EXPECT_THROW(wire::decode_step_result(wire::encode_step_result(bad)), wire::WireError);
+}
+
+TEST(Wire, StepResultRejectsTruncationAtEveryLength) {
+  const std::vector<std::uint8_t> frame = wire::encode_step_result(make_result_with_spans());
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    const std::vector<std::uint8_t> cut(frame.begin(),
+                                        frame.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(wire::decode_step_result(cut), wire::WireError) << "length " << len;
+  }
+}
+
+TEST(Wire, StepResultByteFlipsEitherDecodeOrThrow) {
+  // Exhaustive single-byte corruption: decode must never crash, hang or read
+  // out of bounds — it throws WireError or yields a structurally valid result
+  // (spans never end before they begin, counts bounded by the frame).
+  const std::vector<std::uint8_t> frame = wire::encode_step_result(make_result_with_spans());
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    std::vector<std::uint8_t> bad = frame;
+    bad[i] ^= 0xA5;
+    try {
+      const wire::StepResult sr = wire::decode_step_result(bad);
+      EXPECT_LE(sr.spans.size(), bad.size());
+      for (const trace::Span& s : sr.spans) {
+        EXPECT_GE(s.end_ns, s.begin_ns);
+        EXPECT_LE(s.name.size(), bad.size());
+      }
+    } catch (const wire::WireError&) {
+      // Rejected: fine.
+    }
+  }
+}
+
+// A metrics snapshot with every kind of entry, for the MetricsReport frame.
+metrics::Snapshot make_metrics_snapshot() {
+  metrics::Snapshot m;
+  m.counters["gravity.remote.p2p"] = 12345.0;
+  m.counters["wire.let.bytes"] = 8192.0;
+  m.gauges["step.elapsed_s"] = 0.004;
   metrics::HistogramData h;
   h.bounds = {16.0, 32.0, 64.0};
   h.counts = {1, 0, 2, 0};
   h.count = 3;
   h.sum = 150.0;
-  tf.metrics.histograms["let.size.bytes"] = h;
-  return tf;
-}
-
-TEST(Wire, TraceFrameRoundTripsSpansAndMetrics) {
-  const wire::TraceFrame tf = make_trace_frame();
-  const std::vector<std::uint8_t> frame = wire::encode_trace(tf);
-  EXPECT_EQ(wire::frame_type(frame), wire::FrameType::kTrace);
-  const wire::TraceFrame back = wire::decode_trace(frame);
-  EXPECT_EQ(back.src, 2);
-  EXPECT_EQ(back.step, 7);
-  EXPECT_EQ(back.recv_ns, tf.recv_ns);
-  EXPECT_EQ(back.send_ns, tf.send_ns);
-  ASSERT_EQ(back.spans.size(), 2u);
-  EXPECT_EQ(back.spans[0].name, "worker.step");
-  EXPECT_EQ(back.spans[0].begin_ns, tf.spans[0].begin_ns);
-  EXPECT_EQ(back.spans[0].peer, -2);  // unset sentinel survives
-  EXPECT_EQ(back.spans[1].name, "gravity.remote");
-  EXPECT_EQ(back.spans[1].peer, 0);
-  EXPECT_EQ(back.spans[1].bytes, 4096);
-  EXPECT_EQ(back.metrics.counters, tf.metrics.counters);
-  EXPECT_EQ(back.metrics.gauges.at("step.elapsed_s"), 0.004);
-  const metrics::HistogramData& h = back.metrics.histograms.at("let.size.bytes");
-  EXPECT_EQ(h.bounds, tf.metrics.histograms.at("let.size.bytes").bounds);
-  EXPECT_EQ(h.counts, tf.metrics.histograms.at("let.size.bytes").counts);
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_EQ(h.sum, 150.0);
-}
-
-TEST(Wire, TraceFrameRejectsTruncationAtEveryLength) {
-  const std::vector<std::uint8_t> frame = wire::encode_trace(make_trace_frame());
-  for (std::size_t len = 0; len < frame.size(); ++len) {
-    const std::vector<std::uint8_t> cut(frame.begin(),
-                                        frame.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW(wire::decode_trace(cut), wire::WireError) << "length " << len;
-  }
-}
-
-TEST(Wire, TraceFrameByteFlipsEitherDecodeOrThrow) {
-  // Exhaustive single-byte corruption: decode must never crash, hang or read
-  // out of bounds — it throws WireError or yields a structurally valid frame
-  // (spans never end before they begin, histogram counts stay sized to their
-  // bounds).
-  const std::vector<std::uint8_t> frame = wire::encode_trace(make_trace_frame());
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    std::vector<std::uint8_t> bad = frame;
-    bad[i] ^= 0xA5;
-    try {
-      const wire::TraceFrame tf = wire::decode_trace(bad);
-      EXPECT_LE(tf.spans.size(), bad.size());
-      for (const trace::Span& s : tf.spans) {
-        EXPECT_GE(s.end_ns, s.begin_ns);
-        EXPECT_LE(s.name.size(), bad.size());
-      }
-      for (const auto& [name, h] : tf.metrics.histograms)
-        EXPECT_EQ(h.counts.size(), h.bounds.size() + 1);
-    } catch (const wire::WireError&) {
-      // Rejected: fine.
-    }
-  }
+  m.histograms["let.size.bytes"] = h;
+  return m;
 }
 
 // ---- Job-server frames (wire v6) -------------------------------------------
@@ -798,7 +807,7 @@ TEST(Wire, MetricsQueryAndReportRoundTrip) {
   EXPECT_EQ(wire::frame_type(wire::encode_metrics_query()),
             wire::FrameType::kMetricsQuery);
 
-  metrics::Snapshot snap = make_trace_frame().metrics;
+  metrics::Snapshot snap = make_metrics_snapshot();
   snap.counters["server.jobs.completed"] = 21.0;
   snap.gauges["job.num_particles{job=3}"] = 65536.0;
   const std::vector<std::uint8_t> frame = wire::encode_metrics_report(snap);
@@ -825,7 +834,7 @@ TEST(Wire, JobFramesRejectTruncationAtEveryLength) {
       wire::encode_job_result(res),
       wire::encode_job_cancel(2),
       wire::encode_snapshot(snap),
-      wire::encode_metrics_report(make_trace_frame().metrics),
+      wire::encode_metrics_report(make_metrics_snapshot()),
   };
   for (const auto& frame : frames) {
     for (std::size_t len = 0; len < frame.size(); ++len) {
@@ -928,7 +937,7 @@ TEST(Wire, JobFramesByteFlipsEitherDecodeOrThrow) {
   }
   {
     const std::vector<std::uint8_t> frame =
-        wire::encode_metrics_report(make_trace_frame().metrics);
+        wire::encode_metrics_report(make_metrics_snapshot());
     for (std::size_t i = 0; i < frame.size(); ++i) {
       std::vector<std::uint8_t> bad = frame;
       bad[i] ^= 0xA5;
