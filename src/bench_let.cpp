@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
     WallTimer delta_timer;
     const wire::LetEncodeResult enc =
-        wire::encode_let_cached({0, let, 0.0, 0}, send, /*churn_ratio=*/0.75, &scratch);
+        wire::encode_let_cached({0, let, 0.0, 0}, send, wire::kLetChurnRatio, &scratch);
     const double t_delta = delta_timer.elapsed();
 
     WallTimer patch_timer;

@@ -36,7 +36,7 @@ std::size_t LetExchange::post(int src, int dst, const LetTree& let, double expor
     if (state_ != nullptr && state_->enabled) {
       wire::LetEncodeResult res = wire::encode_let_cached(
           {src, let, export_seconds, /*wire_bytes=*/0}, state_->send_entry(src, dst),
-          state_->churn_ratio, &state_->scratch[static_cast<std::size_t>(src)]);
+          wire::kLetChurnRatio, &state_->scratch[static_cast<std::size_t>(src)]);
       frame = std::move(res.frame);
       wire::LetDeltaStats& ds = delta_[static_cast<std::size_t>(src)];
       if (res.is_delta) {

@@ -291,7 +291,7 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
   // across steps and die with the worker (a reconnect starts from version 0,
   // so the first frames after it are full — the protocol is self-healing).
   LetChannelState let_state;
-  let_state.init(cfg.nranks, cfg.let_cache, cfg.let_churn);
+  let_state.init(cfg.nranks, cfg.let_cache);
 
   // The previous step's StepResult encode span: it cannot ride in the frame
   // it measures, so it is booked one step late — per-step rows shift

@@ -1,10 +1,19 @@
 #include "domain/metrics.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
 
 namespace bonsai::metrics {
+
+void HistogramData::add(double value) {
+  std::size_t b = 0;
+  while (b < bounds.size() && value > bounds[b]) ++b;
+  ++counts[b];
+  ++count;
+  sum += value;
+}
 
 void merge(Snapshot& into, const Snapshot& from) {
   for (const auto& [name, v] : from.counters) into.counters[name] += v;
@@ -62,10 +71,18 @@ void write_map(std::ostream& os, const Map& map, WriteValue write_value) {
 
 }  // namespace
 
+void write_number(std::ostream& os, double v) {
+  if (!std::isfinite(v)) {
+    os << "null";
+    return;
+  }
+  char buf[32];
+  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, v);
+  os.write(buf, res.ptr - buf);
+}
+
 void to_json(std::ostream& os, const Snapshot& snapshot) {
-  auto number = [&os](double v) {
-    if (std::isfinite(v)) os << v; else os << "null";
-  };
+  auto number = [&os](double v) { write_number(os, v); };
   os << "{\"counters\":";
   write_map(os, snapshot.counters, number);
   os << ",\"gauges\":";
@@ -106,39 +123,9 @@ void Registry::set_gauge(const std::string& name, double value) {
   data_.gauges[name] = value;
 }
 
-void Registry::observe(const std::string& name,
-                       const std::vector<double>& bounds, double value) {
-  std::lock_guard lock(mutex_);
-  auto it = data_.histograms.find(name);
-  if (it == data_.histograms.end()) {
-    HistogramData h;
-    h.bounds = bounds;
-    h.counts.assign(bounds.size() + 1, 0);
-    it = data_.histograms.emplace(name, std::move(h)).first;
-  }
-  HistogramData& h = it->second;
-  std::size_t b = 0;
-  while (b < h.bounds.size() && value > h.bounds[b]) ++b;
-  ++h.counts[b];
-  ++h.count;
-  h.sum += value;
-}
-
 Snapshot Registry::snapshot() const {
   std::lock_guard lock(mutex_);
   return data_;
-}
-
-Snapshot Registry::take() {
-  std::lock_guard lock(mutex_);
-  Snapshot out = std::move(data_);
-  data_ = Snapshot{};
-  return out;
-}
-
-void Registry::clear() {
-  std::lock_guard lock(mutex_);
-  data_ = Snapshot{};
 }
 
 }  // namespace bonsai::metrics

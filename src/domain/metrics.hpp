@@ -2,10 +2,9 @@
 // a stable dotted naming scheme (e.g. "wire.let.bytes{rank=2}",
 // "transport.post.bytes{src=0,dst=3,type=Let}", "let.size.bytes").
 //
-// The registry subsumes the ad-hoc accounting the codebase grew (stage Timer
-// rows, wire::PeerTraffic matrices, LET size histograms): drivers fold their
-// per-step aggregates into a Registry, snapshot it, and the Snapshot is what
-// a job server's MetricsReport carries, lands in --bench JSON, and merges
+// A step's aggregates (stage rows, wire::PeerTraffic matrices, LET sizes)
+// become one Snapshot (domain::build_step_metrics). The Snapshot is a
+// --bench step, what a job server's MetricsReport carries, and what merges
 // across jobs. Kept deliberately free of wire/simulation includes so every
 // layer can depend on it.
 #pragma once
@@ -26,6 +25,10 @@ struct HistogramData {
   std::vector<std::uint64_t> counts;  // bounds.size() + 1 entries
   std::uint64_t count = 0;
   double sum = 0.0;
+
+  // Counts `value` in the first bucket whose bound it does not exceed: the
+  // buckets are (bounds[i-1], bounds[i]].
+  void add(double value);
 };
 
 // Plain-data form of a registry: what gets serialized, merged and reported.
@@ -45,7 +48,12 @@ void merge(Snapshot& into, const Snapshot& from);
 
 // Renders a Snapshot as a JSON object {"counters":{...},"gauges":{...},
 // "histograms":{name:{"bounds":[...],"counts":[...],"count":n,"sum":s}}}.
+// Numbers are written with write_number, whatever the stream's precision.
 void to_json(std::ostream& os, const Snapshot& snapshot);
+
+// Writes `v` as a JSON number in its shortest round-trip form (null when not
+// finite), independent of the stream's precision and format flags.
+void write_number(std::ostream& os, double v);
 
 // Power-of-two bucket bounds [2^lo_exp, 2^hi_exp], the scheme used for LET
 // frame sizes.
@@ -57,15 +65,7 @@ class Registry {
  public:
   void add_counter(const std::string& name, double delta);
   void set_gauge(const std::string& name, double value);
-  // Observes into a histogram created on first use with `bounds` (ignored on
-  // later calls for the same name).
-  void observe(const std::string& name, const std::vector<double>& bounds,
-               double value);
-
   Snapshot snapshot() const;
-  // snapshot() + clear, for per-step delta reporting.
-  Snapshot take();
-  void clear();
 
  private:
   mutable std::mutex mutex_;

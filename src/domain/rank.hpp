@@ -49,8 +49,7 @@ struct SimConfig {
                                                 // workers in the Config frame
   bool let_cache = false;   // incremental LET exchange (--let-cache); shipped
                             // to workers in the Config frame
-  double let_churn = 0.75;  // churn threshold: ship a full Let when the delta
-                            // is not below this fraction of the full encoding
+  double let_churn = 0.75;  // bench/ remnant; src/ ignores it
 
   TraversalConfig traversal() const {
     TraversalConfig t;

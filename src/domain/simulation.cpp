@@ -32,8 +32,8 @@ const char* const kStageOrder[] = {
     "Gravity local", "Gravity remote", "Integration",
 };
 
-// Gravity performance figures shared by the text table and the JSON report,
-// derived once so the two renderers cannot drift apart.
+// Gravity performance figures shared by the text table and the step metrics,
+// derived once so the two cannot drift apart.
 struct GravityRates {
   double gflops_device;    // flops / summed gravity device-seconds
   double gflops_parallel;  // flops / max-over-ranks gravity seconds
@@ -46,30 +46,6 @@ GravityRates gravity_rates(const StepReport& report) {
   const double grav_max =
       report.max_times.get("Gravity local") + report.max_times.get("Gravity remote");
   return {gflops_rate(flops, grav_sum), gflops_rate(flops, grav_max)};
-}
-
-// Per-imported-LET byte percentiles shared by the text report and the JSON.
-struct LetSizeSummary {
-  double min_bytes = 0.0, median_bytes = 0.0, max_bytes = 0.0;
-  double median_cells = 0.0, median_particles = 0.0;
-};
-
-LetSizeSummary summarize_let_sizes(std::span<const wire::LetSizeSample> sizes) {
-  LetSizeSummary s;
-  if (sizes.empty()) return s;
-  std::vector<double> bytes, cells, parts;
-  bytes.reserve(sizes.size());
-  for (const wire::LetSizeSample& l : sizes) {
-    bytes.push_back(static_cast<double>(l.bytes));
-    cells.push_back(static_cast<double>(l.cells));
-    parts.push_back(static_cast<double>(l.particles));
-  }
-  s.min_bytes = percentile(bytes, 0.0);
-  s.median_bytes = percentile(bytes, 0.5);
-  s.max_bytes = percentile(bytes, 1.0);
-  s.median_cells = percentile(cells, 0.5);
-  s.median_particles = percentile(parts, 0.5);
-  return s;
 }
 
 std::string human_bytes(double b);
@@ -110,14 +86,21 @@ std::string human_bytes(double b) {
 // in from its peers, and how skewed the pull is.
 void print_let_histogram(std::span<const wire::LetSizeSample> sizes, std::ostream& os) {
   if (sizes.empty()) return;
-  const LetSizeSummary s = summarize_let_sizes(sizes);
-  os << "imported LETs: " << sizes.size() << " | bytes med " << human_bytes(s.median_bytes)
-     << " [min " << human_bytes(s.min_bytes) << ", max " << human_bytes(s.max_bytes)
-     << "] | cells med " << TextTable::num(s.median_cells, 0) << " | particles med "
-     << TextTable::num(s.median_particles, 0) << "\n";
+  std::vector<double> bytes, cells, parts;
+  for (const wire::LetSizeSample& l : sizes) {
+    bytes.push_back(static_cast<double>(l.bytes));
+    cells.push_back(static_cast<double>(l.cells));
+    parts.push_back(static_cast<double>(l.particles));
+  }
+  const double min_bytes = percentile(bytes, 0.0);
+  const double max_bytes = percentile(bytes, 1.0);
+  os << "imported LETs: " << sizes.size() << " | bytes med "
+     << human_bytes(percentile(bytes, 0.5)) << " [min " << human_bytes(min_bytes) << ", max "
+     << human_bytes(max_bytes) << "] | cells med " << TextTable::num(percentile(cells, 0.5), 0)
+     << " | particles med " << TextTable::num(percentile(parts, 0.5), 0) << "\n";
 
-  const double lo = std::floor(std::log2(std::max(s.min_bytes, 1.0)));
-  const double hi = std::floor(std::log2(std::max(s.max_bytes, 1.0))) + 1.0;
+  const double lo = std::floor(std::log2(std::max(min_bytes, 1.0)));
+  const double hi = std::floor(std::log2(std::max(max_bytes, 1.0))) + 1.0;
   Histogram1D h(lo, hi, static_cast<std::size_t>(hi - lo));
   for (const wire::LetSizeSample& l : sizes)
     h.add(std::log2(std::max(static_cast<double>(l.bytes), 1.0)));
@@ -152,7 +135,7 @@ Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
     ranks_.push_back(std::make_unique<Rank>(r, threads));
   spmd_.resize(ranks_.size());
   decomp_ = Decomposition::uniform(cfg_.nranks);
-  let_state_.init(cfg_.nranks, cfg_.let_cache, cfg_.let_churn);
+  let_state_.init(cfg_.nranks, cfg_.let_cache);
   executor_ = std::make_unique<Executor>(ranks_.size());
 }
 
@@ -894,6 +877,11 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
   m.counters["gravity.remote.p2p"] = static_cast<double>(r.remote_stats.p2p);
   m.counters["gravity.remote.p2c"] = static_cast<double>(r.remote_stats.p2c);
   const InteractionStats stats = r.stats();
+  const GravityRates rates = gravity_rates(r);
+  m.counters["kernel.flops.useful"] = static_cast<double>(stats.useful_flops());
+  m.counters["kernel.flops.padded"] = static_cast<double>(stats.padded_flops());
+  m.gauges["gravity.gflops_device"] = rates.gflops_device;
+  m.gauges["gravity.gflops_parallel"] = rates.gflops_parallel;
   if (stats.batches() > 0) {
     m.counters["kernel.batch.count{kind=pp}"] = static_cast<double>(stats.pp_batches);
     m.counters["kernel.batch.count{kind=pc}"] = static_cast<double>(stats.pc_batches);
@@ -950,14 +938,7 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
     metrics::HistogramData h;
     h.bounds = bounds;
     h.counts.assign(bounds.size() + 1, 0);
-    for (const wire::LetSizeSample& s : r.let_sizes) {
-      const auto v = static_cast<double>(s.bytes);
-      std::size_t b = 0;
-      while (b < h.bounds.size() && v > h.bounds[b]) ++b;
-      ++h.counts[b];
-      ++h.count;
-      h.sum += v;
-    }
+    for (const wire::LetSizeSample& s : r.let_sizes) h.add(static_cast<double>(s.bytes));
     m.histograms["let.size.bytes"] = std::move(h);
   }
   return m;
@@ -965,82 +946,19 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
 
 void write_step_report_json(const RunInfo& info, std::span<const StepReport> reports,
                             std::ostream& os) {
-  const auto flags = os.flags();
-  const auto precision = os.precision(12);
-  os << "{\"schema\": 3,\n \"config\": {\"ranks\": " << info.ranks
-     << ", \"num_particles\": " << info.num_particles << ", \"theta\": " << info.theta
-     << ", \"transport\": \"" << info.transport << "\", \"topology\": \"" << info.topology
-     << "\", \"cluster\": \"" << info.cluster << "\", \"balance\": \"" << info.balance
+  os << "{\"schema\": 4,\n \"config\": {\"ranks\": " << info.ranks
+     << ", \"num_particles\": " << info.num_particles << ", \"theta\": ";
+  metrics::write_number(os, info.theta);
+  os << ", \"transport\": \"" << info.transport << "\", \"balance\": \"" << info.balance
      << "\", \"kernel\": \"" << info.kernel << "\", \"kernel_isa\": \"" << kernel_isa()
      << "\", \"let_cache\": " << (info.let_cache ? "true" : "false")
-     << ", \"wire_version\": " << info.wire_version << "},\n \"steps\": [";
+     << ", \"wire_version\": " << wire::kVersion << "},\n \"steps\": [";
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    const StepReport& r = reports[i];
-    const InteractionStats stats = r.stats();
-    const GravityRates rates = gravity_rates(r);
-    os << (i == 0 ? "\n" : ",\n")
-       << "  {\"step\": " << r.step << ", \"num_particles\": " << r.num_particles << ", \"migrated\": " << r.migrated
-       << ", \"let_cells\": " << r.let_cells << ", \"let_particles\": " << r.let_particles
-       << ",\n   \"elapsed_s\": " << r.elapsed
-       << ", \"critical_path_s\": " << r.critical_path
-       << ", \"sequential_model_s\": " << r.sequential_model
-       << ", \"gravity_critical_s\": " << r.gravity_critical
-       << ", \"gravity_sequential_s\": " << r.gravity_sequential
-       << ", \"overlap_efficiency\": " << r.overlap_efficiency()
-       << ",\n   \"p2p\": " << stats.p2p << ", \"p2c\": " << stats.p2c
-       << ", \"flops\": " << stats.flops()
-       << ", \"useful_flops\": " << stats.useful_flops()
-       << ", \"padded_flops\": " << stats.padded_flops()
-       << ", \"pp_batches\": " << stats.pp_batches
-       << ", \"pc_batches\": " << stats.pc_batches
-       << ", \"fill_ratio\": " << stats.fill_ratio()
-       << ", \"gflops_device\": " << rates.gflops_device
-       << ", \"gflops_parallel\": " << rates.gflops_parallel
-       << ",\n   \"wire\": {\"let_bytes\": " << r.let_wire.bytes
-       << ", \"let_frames\": " << r.let_wire.frames
-       << ", \"let_encode_s\": " << r.let_wire.encode_seconds
-       << ", \"let_decode_s\": " << r.let_wire.decode_seconds
-       << ", \"part_bytes\": " << r.part_wire.bytes
-       << ", \"part_frames\": " << r.part_wire.frames
-       << ", \"part_encode_s\": " << r.part_wire.encode_seconds
-       << ", \"part_decode_s\": " << r.part_wire.decode_seconds
-       << ", \"dom_bytes\": " << r.dom_wire.bytes
-       << ", \"dom_frames\": " << r.dom_wire.frames
-       << ", \"dom_encode_s\": " << r.dom_wire.encode_seconds
-       << ", \"dom_decode_s\": " << r.dom_wire.decode_seconds
-       << ", \"let_full_frames\": " << r.let_delta.full_frames
-       << ", \"let_delta_frames\": " << r.let_delta.delta_frames
-       << ", \"let_delta_bytes_saved\": " << r.let_delta.bytes_saved
-       << ", \"let_cache_hits\": " << r.let_delta.cache_hits
-       << ", \"let_cache_invalidations\": " << r.let_delta.invalidations << "}";
-    os << ",\n   \"traffic\": [";
-    for (std::size_t t = 0; t < r.traffic.size(); ++t) {
-      const wire::PeerTraffic& pt = r.traffic[t];
-      os << (t == 0 ? "" : ", ") << "{\"src\": " << pt.src << ", \"dst\": " << pt.dst
-         << ", \"type\": \""
-         << wire::frame_type_name(static_cast<wire::FrameType>(pt.type))
-         << "\", \"frames\": " << pt.frames << ", \"bytes\": " << pt.bytes << '}';
-    }
-    os << "]";
-    const LetSizeSummary ls = summarize_let_sizes(r.let_sizes);
-    os << ",\n   \"let_size_bytes\": {\"count\": " << r.let_sizes.size()
-       << ", \"min\": " << ls.min_bytes << ", \"median\": " << ls.median_bytes
-       << ", \"max\": " << ls.max_bytes << "}"
-       << ",\n   \"stages\": {";
-    const auto& entries = r.max_times.entries();
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      os << (e == 0 ? "" : ", ") << '"' << entries[e].name << "\": {\"max_s\": "
-         << entries[e].seconds << ", \"sum_s\": " << r.sum_times.get(entries[e].name)
-         << '}';
-    }
-    os << "}";
-    os << ",\n   \"metrics\": ";
-    metrics::to_json(os, r.metrics);
+    os << (i == 0 ? "\n" : ",\n") << "  {\"step\": " << reports[i].step << ", \"metrics\": ";
+    metrics::to_json(os, reports[i].metrics);
     os << "}";
   }
   os << "\n]}\n";
-  os.precision(precision);
-  os.flags(flags);
 }
 
 }  // namespace bonsai::domain

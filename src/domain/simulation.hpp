@@ -88,8 +88,7 @@ struct StepReport {
   double gravity_sequential = 0.0;
 
   // The step's metrics-registry view of the aggregates above, built by
-  // build_step_metrics() once the report is final — identical numbers to the
-  // legacy wire/traffic/let_sizes fields by construction.
+  // build_step_metrics() once the report is final: what --bench writes.
   metrics::Snapshot metrics;
 
   // Every span of the step: the driver's own and each rank's log (a socket
@@ -292,29 +291,27 @@ void print_step_report(const StepReport& report, std::ostream& os);
 
 // Rebuild a report's aggregates as a metrics Snapshot (stable dotted names,
 // per-peer traffic as labeled counters, LET sizes as a pow-2 histogram). A
-// pure function of the final report, so the registry view can never drift
-// from the legacy fields. Every driver assigns the result to report.metrics.
+// pure function of the final report and the only writer of a --bench step.
+// Every driver assigns the result to report.metrics.
 metrics::Snapshot build_step_metrics(const StepReport& report);
 
 // Run-level metadata for the --bench JSON header, so trajectory tooling can
-// tell configurations apart without parsing command lines.
+// tell configurations apart without parsing command lines. The transport
+// names the cluster shape too: socket ranks are SPMD workers on a mesh, and
+// serve is a job-server job.
 struct RunInfo {
   int ranks = 0;
   std::size_t num_particles = 0;
   double theta = 0.0;
-  std::string transport = "inproc";  // "inproc" | "socket"
-  std::string topology = "none";     // "none" | "mesh"
-  std::string cluster = "none";      // "none" | "spmd" | "serve"
+  std::string transport = "inproc";  // "inproc" | "socket" | "serve"
   std::string balance = "count";     // "count" | "cost"
   std::string kernel = "simd";       // "scalar" | "simd"
   bool let_cache = false;            // incremental LET exchange on?
-  int wire_version = wire::kVersion;
 };
 
-// Emit reports as a JSON object {"schema": 3, "config": {...run metadata...},
-// "steps": [...]} (the --bench trajectory format): per-stage max/sum seconds,
-// interaction counts, Gflop/s, the schedule model, and the metrics registry
-// block next to the legacy wire/traffic fields it subsumes.
+// Emit reports as a JSON object {"schema": 4, "config": {...run metadata,
+// wire version...}, "steps": [{"step": N, "metrics": {...}}, ...]} (the
+// --bench trajectory format): each step is its metrics block.
 void write_step_report_json(const RunInfo& info, std::span<const StepReport> reports,
                             std::ostream& os);
 

@@ -1030,7 +1030,6 @@ std::vector<std::uint8_t> encode_config(const SimConfig& cfg) {
   w.u8(cfg.balance == BalanceMode::kCost ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(cfg.kernel));
   w.u8(cfg.let_cache ? 1 : 0);
-  w.f64(cfg.let_churn);
   return w.finish();
 }
 
@@ -1055,7 +1054,6 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
   const std::uint8_t let_cache = r.u8();
   r.require(let_cache <= 1, "unknown config let-cache flag");
   cfg.let_cache = let_cache != 0;
-  cfg.let_churn = r.f64();
   r.done();
   r.require(cfg.nranks >= 1 && cfg.nranks <= 255, "config rank count out of range");
   return cfg;

@@ -48,8 +48,10 @@ namespace bonsai::domain::wire {
 // the only timing source: StepResult carries the rank's span log and the two
 // worker clock samples instead of named stage times and wire seconds, the
 // Trace frame (type 13, never reused) and the trace byte of Config are gone.
+// Version 10 drops the churn ratio from Config: it is the constant
+// kLetChurnRatio.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 9;
+inline constexpr std::uint16_t kVersion = 10;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
@@ -199,6 +201,10 @@ struct LetEncodeResult {
   bool is_delta = false;
   std::uint64_t full_bytes = 0;  // what a full Let frame would have cost
 };
+
+// The churn threshold every exporter passes to encode_let_cached: a delta
+// must come in below this fraction of the full encoding.
+inline constexpr double kLetChurnRatio = 0.75;
 
 // Exporter side of the incremental exchange: encode `msg.let` for a peer
 // whose mirrored state is `cache`. Ships a kLetDelta patch when it comes

@@ -52,9 +52,6 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_option("let-cache", "M",
                  "off | on: incremental LET exchange — per-pair caches and "
                  "delta frames instead of full LETs every step (default off)");
-  cli.add_option("let-churn", "R",
-                 "let-cache: ship a full LET when the delta frame is not "
-                 "below R x the full encoding (default 0.75)");
   cli.add_option("drift", "V",
                  "add a uniform bulk velocity of magnitude V to the initial "
                  "conditions (a drifting cloud; default 0)");
@@ -498,9 +495,6 @@ int main(int argc, char** argv) {
       throw bonsai::CliError("--let-cache: expected off or on, got '" + let_cache_str +
                              "'");
     cfg.let_cache = let_cache_str == "on";
-    cfg.let_churn = cli.get_double("let-churn", 0.75);
-    if (!(cfg.let_churn > 0.0 && cfg.let_churn <= 1.0))
-      throw bonsai::CliError("--let-churn: expected a ratio in (0, 1]");
     const std::string bench_path = cli.get("bench", "");
     const std::string trace_path = cli.get("trace", "");
     const auto steps = static_cast<int>(get_count(cli, "steps", 4));
@@ -540,8 +534,6 @@ int main(int argc, char** argv) {
     info.num_particles = n;
     info.theta = cfg.theta;
     info.transport = transport;
-    info.topology = socket_mode ? "mesh" : "none";
-    info.cluster = socket_mode ? "spmd" : "none";
     info.balance = balance;
     info.kernel = bonsai::kernel_backend_name(cfg.kernel);
     info.let_cache = cfg.let_cache;

@@ -83,6 +83,7 @@ struct JobServer::Job {
   bool has_checkpoint = false;
   double kinetic = 0.0, potential = 0.0;
   std::vector<domain::StepReport> reports;  // kept only for the bench file
+  metrics::Snapshot metrics;  // step metrics under {job=N}; dropped when finished
 };
 
 void JobServer::check_pool_locked() const {
@@ -371,10 +372,12 @@ wire::SnapshotMsg JobServer::handle_snapshot(std::int32_t job_id) {
 metrics::Snapshot JobServer::scrape_metrics() {
   std::lock_guard<std::mutex> lk(mu_);
   metrics::Snapshot out = registry_.snapshot();
-  metrics::merge(out, job_metrics_);
   int resident_jobs = 0;
-  for (const auto& [id, job] : jobs_)
-    if (resident(job->state)) ++resident_jobs;
+  for (const auto& [id, job] : jobs_) {
+    if (!resident(job->state)) continue;
+    ++resident_jobs;
+    metrics::merge(out, job->metrics);
+  }
   out.gauges["server.pool.slots_total"] = pool_slots_;
   out.gauges["server.pool.slots_free"] = free_slots_;
   out.gauges["server.jobs.resident"] = resident_jobs;
@@ -457,6 +460,7 @@ void JobServer::schedule_locked() {
 void JobServer::finish_locked(Job& job, wire::JobState state, const std::string& reason) {
   job.state = state;
   if (!reason.empty()) job.reason = reason;
+  job.metrics = {};
   switch (state) {
     case wire::JobState::kCompleted: registry_.add_counter("server.jobs.completed", 1); break;
     case wire::JobState::kCancelled: registry_.add_counter("server.jobs.cancelled", 1); break;
@@ -542,7 +546,7 @@ void JobServer::run_job_steps(Job& job) {
       {
         std::lock_guard<std::mutex> lk(mu_);
         job.steps_done = s + 1;
-        metrics::merge(job_metrics_, label_job_metrics(rep.metrics, job.id));
+        metrics::merge(job.metrics, label_job_metrics(rep.metrics, job.id));
         registry_.set_gauge(with_job_label("job.num_particles", job.id),
                             static_cast<double>(rep.num_particles));
         registry_.set_gauge(with_job_label("job.steps_done", job.id), job.steps_done);
@@ -593,8 +597,6 @@ void JobServer::write_job_bench(const Job& job) {
   info.num_particles = static_cast<std::size_t>(job.n_particles);
   info.theta = job.spec.theta;
   info.transport = "serve";
-  info.topology = "none";
-  info.cluster = "serve";
   info.balance = "count";
   info.kernel = kernel_backend_name(job.spec.kernel);
   const std::string path = cfg_.bench_dir + "/job-" + std::to_string(job.id) + ".json";

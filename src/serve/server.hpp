@@ -23,10 +23,11 @@
 //    what lets the queue oversubscribe the pool safely. A completed job's
 //    result lives in the same spool file (a one-set Snapshot), not in
 //    memory, so finished jobs do not accumulate resident particles.
-//  * Per-job isolation — every step's metrics land in the server registry
-//    under a {job=N} label, and each completed job can write its own
-//    --bench-shaped JSON (bench_dir/job-N.json). Nothing of one job appears
-//    under another's label.
+//  * Per-job isolation — while a job is resident, its step metrics appear in
+//    every scrape under a {job=N} label; a finished job keeps only its
+//    job.* gauges there. Each completed job can write its own --bench-shaped
+//    JSON (bench_dir/job-N.json). Nothing of one job appears under another's
+//    label.
 #pragma once
 
 #include <condition_variable>
@@ -73,10 +74,10 @@ struct ServerConfig {
 std::string with_job_label(std::string name, int job_id);
 
 // Label every metric in `m` with {job=N}, except the per-(src, dst, frame
-// type) traffic cells (transport.post.*): the server keeps each job's
-// metrics for its own lifetime, and the cells, O(ranks^2 x frame types) per
-// job, would dominate that. The wire.* counters keep each job's volume per
-// frame class; the job's --serve-bench JSON keeps the full matrix.
+// type) traffic cells (transport.post.*): the server keeps a running job's
+// metrics, and the cells, O(ranks^2 x frame types) per job, would dominate
+// them. The wire.* counters keep each job's volume per frame class; the
+// job's --serve-bench JSON keeps the full matrix.
 metrics::Snapshot label_job_metrics(const metrics::Snapshot& m, int job_id);
 
 // The resident server. Construction binds the listener and starts serving;
@@ -145,9 +146,8 @@ class JobServer {
   int free_slots_ = 0;
   bool shutting_down_ = false;
   bool shutdown_requested_ = false;
-  // Per-job step metrics, merged under {job=N} labels; server-level counters
-  // live in registry_. A scrape merges both.
-  metrics::Snapshot job_metrics_;
+  // Server-level counters and the job.* gauges. A scrape merges the resident
+  // jobs' own labeled step metrics into it.
   metrics::Registry registry_;
 
   // Job runner threads (guarded by mu_). A suspended job resumes on a fresh

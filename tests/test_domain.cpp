@@ -517,6 +517,32 @@ TEST(Simulation, ZeroParticlesUnderAsyncPath) {
   EXPECT_EQ(sim.kinetic_energy(), 0.0);
 }
 
+// Keys of every JSON object opened at nesting depth `depth` (the outermost
+// value is depth 1), one list per object in document order. Enough JSON for
+// the --bench writer, whose names carry no escaped quotes.
+std::vector<std::vector<std::string>> keys_at_depth(const std::string& json,
+                                                    std::size_t depth) {
+  std::vector<std::vector<std::string>> out;
+  std::vector<char> open;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      const std::size_t end = json.find('"', i + 1);
+      const std::size_t next = json.find_first_not_of(' ', end + 1);
+      if (next != std::string::npos && json[next] == ':' && open.size() == depth &&
+          open.back() == '{')
+        out.back().push_back(json.substr(i + 1, end - i - 1));
+      i = end;
+    } else if (c == '{' || c == '[') {
+      open.push_back(c);
+      if (c == '{' && open.size() == depth) out.emplace_back();
+    } else if (c == '}' || c == ']') {
+      open.pop_back();
+    }
+  }
+  return out;
+}
+
 TEST(Simulation, BenchJsonIsWellFormed) {
   SimConfig cfg;
   cfg.nranks = 2;
@@ -536,23 +562,140 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json[json.size() - 2], '}');  // trailing newline after the object
-  EXPECT_NE(json.find("\"schema\": 3"), std::string::npos);
-  EXPECT_EQ(json.find("\"routed\""), std::string::npos);  // dropped in schema 2
-  EXPECT_EQ(json.find("\"async\""), std::string::npos);   // dropped in schema 3
+  EXPECT_NE(json.find("\"schema\": 4"), std::string::npos);
+  // Schema 4: the document is schema/config/steps, a step is its number and
+  // its metrics block, and the config names no topology or cluster (the
+  // transport determines both).
+  const std::vector<std::vector<std::string>> top = {{"schema", "config", "steps"}};
+  EXPECT_EQ(keys_at_depth(json, 1), top);
+  const std::vector<std::vector<std::string>> config = {
+      {"ranks", "num_particles", "theta", "transport", "balance", "kernel", "kernel_isa",
+       "let_cache", "wire_version"}};
+  EXPECT_EQ(keys_at_depth(json, 2), config);
+  const std::vector<std::string> step = {"step", "metrics"};
+  const std::vector<std::vector<std::string>> steps = keys_at_depth(json, 3);
+  ASSERT_EQ(steps.size(), 2u);
+  for (const auto& keys : steps) EXPECT_EQ(keys, step);
   EXPECT_NE(json.find("\"config\": {\"ranks\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"transport\": \"inproc\""), std::string::npos);
-  EXPECT_NE(json.find("\"wire_version\": "), std::string::npos);
+  EXPECT_NE(json.find("\"wire_version\": " + std::to_string(domain::wire::kVersion)),
+            std::string::npos);
   EXPECT_NE(json.find(std::string("\"kernel_isa\": \"") + kernel_isa() + "\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"steps\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"step\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"step\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"overlap_efficiency\""), std::string::npos);
-  EXPECT_NE(json.find("\"Gravity local\""), std::string::npos);
-  EXPECT_NE(json.find("\"metrics\": {\"counters\""), std::string::npos);
+  EXPECT_NE(json.find("{\"step\": 0, \"metrics\": {\"counters\""), std::string::npos);
+  EXPECT_NE(json.find("{\"step\": 1, \"metrics\": {\"counters\""), std::string::npos);
+  EXPECT_NE(json.find("\"schedule.overlap_efficiency\""), std::string::npos);
+  EXPECT_NE(json.find("\"stage.sum_s{stage=Gravity local}\""), std::string::npos);
   EXPECT_NE(json.find("\"wire.let.bytes\""), std::string::npos);
+  EXPECT_NE(json.find("\"kernel.flops.useful\""), std::string::npos);
+  EXPECT_NE(json.find("\"gravity.gflops_device\""), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos);
   EXPECT_EQ(json.find("inf"), std::string::npos);
+}
+
+// The metrics block is the whole --bench step, so it must hold every value
+// the schema-3 step fields printed from the StepReport.
+TEST(Simulation, StepMetricsHoldEveryReportValue) {
+  SimConfig cfg;
+  cfg.nranks = 2;
+  cfg.theta = 0.4;
+  cfg.dt = 1e-3;
+  cfg.let_cache = true;
+  Simulation sim(cfg);
+  sim.init(make_plummer(2000, 23));
+  for (int s = 0; s < 2; ++s) {
+    const domain::StepReport rep = sim.step();
+    const metrics::Snapshot& m = rep.metrics;
+    const auto counter = [&](const std::string& name) {
+      const auto it = m.counters.find(name);
+      EXPECT_NE(it, m.counters.end()) << "no counter " << name;
+      return it == m.counters.end() ? -1.0 : it->second;
+    };
+    const auto gauge = [&](const std::string& name) {
+      const auto it = m.gauges.find(name);
+      EXPECT_NE(it, m.gauges.end()) << "no gauge " << name;
+      return it == m.gauges.end() ? -1.0 : it->second;
+    };
+    const auto num = [](std::uint64_t v) { return static_cast<double>(v); };
+
+    EXPECT_EQ(gauge("step.num_particles"), num(rep.num_particles));
+    EXPECT_EQ(counter("step.migrated"), num(rep.migrated));
+    EXPECT_EQ(counter("step.let_cells"), num(rep.let_cells));
+    EXPECT_EQ(counter("step.let_particles"), num(rep.let_particles));
+    EXPECT_EQ(gauge("step.elapsed_s"), rep.elapsed);
+
+    // Per-class wire frames, bytes and encode/decode seconds.
+    const std::pair<std::string, const domain::wire::WireStats*> classes[] = {
+        {"let", &rep.let_wire}, {"part", &rep.part_wire}, {"dom", &rep.dom_wire}};
+    for (const auto& [kind, ws] : classes) {
+      const std::string base = "wire." + kind;
+      EXPECT_EQ(counter(base + ".frames"), num(ws->frames));
+      EXPECT_EQ(counter(base + ".bytes"), num(ws->bytes));
+      EXPECT_EQ(counter(base + ".encode_s"), ws->encode_seconds);
+      EXPECT_EQ(counter(base + ".decode_s"), ws->decode_seconds);
+    }
+    EXPECT_GT(rep.let_wire.frames, 0u);
+
+    // Interactions, flops, batches and the rates the text report prints.
+    EXPECT_EQ(counter("gravity.local.p2p"), num(rep.local_stats.p2p));
+    EXPECT_EQ(counter("gravity.local.p2c"), num(rep.local_stats.p2c));
+    EXPECT_EQ(counter("gravity.remote.p2p"), num(rep.remote_stats.p2p));
+    EXPECT_EQ(counter("gravity.remote.p2c"), num(rep.remote_stats.p2c));
+    const InteractionStats stats = rep.stats();
+    ASSERT_GT(stats.batches(), 0u);
+    EXPECT_EQ(counter("kernel.flops.useful"), num(stats.useful_flops()));
+    EXPECT_EQ(counter("kernel.flops.padded"), num(stats.padded_flops()));
+    EXPECT_EQ(counter("kernel.batch.count{kind=pp}"), num(stats.pp_batches));
+    EXPECT_EQ(counter("kernel.batch.count{kind=pc}"), num(stats.pc_batches));
+    EXPECT_EQ(gauge("kernel.batch.fill_ratio"), stats.fill_ratio());
+    const double grav_sum =
+        rep.sum_times.get("Gravity local") + rep.sum_times.get("Gravity remote");
+    const double grav_max =
+        rep.max_times.get("Gravity local") + rep.max_times.get("Gravity remote");
+    EXPECT_EQ(gauge("gravity.gflops_device"), gflops_rate(stats.flops(), grav_sum));
+    EXPECT_EQ(gauge("gravity.gflops_parallel"), gflops_rate(stats.flops(), grav_max));
+
+    // Every stage row, max and sum.
+    ASSERT_FALSE(rep.max_times.entries().empty());
+    for (const auto& e : rep.max_times.entries())
+      EXPECT_EQ(gauge("stage.max_s{stage=" + e.name + "}"), e.seconds);
+    for (const auto& e : rep.sum_times.entries())
+      EXPECT_EQ(gauge("stage.sum_s{stage=" + e.name + "}"), e.seconds);
+
+    // The schedule model.
+    EXPECT_EQ(gauge("schedule.critical_path_s"), rep.critical_path);
+    EXPECT_EQ(gauge("schedule.sequential_model_s"), rep.sequential_model);
+    EXPECT_EQ(gauge("schedule.gravity_critical_s"), rep.gravity_critical);
+    EXPECT_EQ(gauge("schedule.gravity_sequential_s"), rep.gravity_sequential);
+    EXPECT_EQ(gauge("schedule.overlap_efficiency"), rep.overlap_efficiency());
+
+    // The LET cache accounting.
+    ASSERT_GT(rep.let_delta.full_frames + rep.let_delta.delta_frames, 0u);
+    EXPECT_EQ(counter("let.delta.frames{kind=full}"), num(rep.let_delta.full_frames));
+    EXPECT_EQ(counter("let.delta.frames{kind=delta}"), num(rep.let_delta.delta_frames));
+    EXPECT_EQ(counter("let.delta.bytes_saved"), num(rep.let_delta.bytes_saved));
+    EXPECT_EQ(counter("let.delta.cache_hits"), num(rep.let_delta.cache_hits));
+    EXPECT_EQ(counter("let.delta.invalidations"), num(rep.let_delta.invalidations));
+
+    // Every traffic cell, and no other.
+    ASSERT_FALSE(rep.traffic.empty());
+    for (const domain::wire::PeerTraffic& t : rep.traffic) {
+      const std::string cell =
+          "{src=" + std::to_string(t.src) + ",dst=" + std::to_string(t.dst) + ",type=" +
+          domain::wire::frame_type_name(static_cast<domain::wire::FrameType>(t.type)) + "}";
+      EXPECT_EQ(counter("transport.post.frames" + cell), num(t.frames));
+      EXPECT_EQ(counter("transport.post.bytes" + cell), num(t.bytes));
+    }
+    const auto cells = std::count_if(m.counters.begin(), m.counters.end(), [](const auto& c) {
+      return c.first.rfind("transport.post.bytes{", 0) == 0;
+    });
+    EXPECT_EQ(static_cast<std::size_t>(cells), rep.traffic.size());
+
+    // One LET size sample per imported LET.
+    ASSERT_FALSE(rep.let_sizes.empty());
+    ASSERT_TRUE(m.histograms.count("let.size.bytes"));
+    EXPECT_EQ(m.histograms.at("let.size.bytes").count, rep.let_sizes.size());
+  }
 }
 
 TEST(Decomposition, WeightedSamplesShiftBoundariesTowardCheapRegions) {

@@ -104,7 +104,7 @@ TEST(LetDelta, EvolvingExchangePatchesBitForBit) {
   for (int step = 0; step < 6; ++step) {
     const LetTree fresh = source.step_export();
     const wire::LetEncodeResult enc = wire::encode_let_cached({1, fresh, 0.0, 0}, send,
-                                                              /*churn_ratio=*/0.75);
+                                                              wire::kLetChurnRatio);
     if (step == 0) {
       EXPECT_FALSE(enc.is_delta) << "first contact must ship a full frame";
     }
@@ -273,10 +273,9 @@ TEST(LetDelta, ConfigCarriesLetCacheKnobs) {
   domain::SimConfig cfg;
   cfg.nranks = 3;
   cfg.let_cache = true;
-  cfg.let_churn = 0.375;
-  const domain::SimConfig got = wire::decode_config(wire::encode_config(cfg));
-  EXPECT_TRUE(got.let_cache);
-  EXPECT_EQ(got.let_churn, 0.375);
+  EXPECT_TRUE(wire::decode_config(wire::encode_config(cfg)).let_cache);
+  cfg.let_cache = false;
+  EXPECT_FALSE(wire::decode_config(wire::encode_config(cfg)).let_cache);
 }
 
 TEST(LetDelta, StepResultCarriesDeltaStats) {

@@ -360,11 +360,62 @@ TEST(Serve, PreemptedJobResumesBitForBitWithUninterruptedRun) {
   expect_same_particles(r1.parts, ref.gather());
 }
 
+// True when some metric of `m` labeled with job `id` is one of its step
+// metrics (step.*, wire.*, stage.*, ...): anything but the job.* gauges.
+bool has_step_metrics(const metrics::Snapshot& m, std::int32_t id) {
+  // with_job_label appends the job label last.
+  const std::string label = "job=" + std::to_string(id) + "}";
+  const auto names_job = [&](const std::string& name) {
+    return name.rfind("job.", 0) != 0 && name.ends_with(label);
+  };
+  for (const auto& [name, v] : m.counters)
+    if (names_job(name)) return true;
+  for (const auto& [name, v] : m.gauges)
+    if (names_job(name)) return true;
+  for (const auto& [name, h] : m.histograms)
+    if (names_job(name)) return true;
+  return false;
+}
+
 TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
   ServerConfig cfg = test_server_config("isolate");
   cfg.limits.pool_slots = 2;
   cfg.bench_dir = testing::TempDir() + "bonsai-serve-isolate-bench";
   JobServer server(cfg);
+
+  // Two live jobs: each one's step metrics carry its own label and its own
+  // particle count. They run until cancelled, so the scrape sees both live.
+  {
+    wire::JobSpec a = small_job(1024, 1000000);
+    wire::JobSpec b = small_job(2048, 1000000);
+    a.ranks = 1;
+    b.ranks = 1;
+    const std::int32_t ids[] = {serve::submit_job(kHost, server.port(), a).job_id,
+                                serve::submit_job(kHost, server.port(), b).job_id};
+    for (const std::int32_t id : ids)
+      ASSERT_GE(poll_until(server.port(), id, [](const wire::JobStatusMsg& s) {
+                  return s.steps_done >= 1;
+                }).steps_done, 1);
+    const auto live = serve::fetch_metrics(kHost, server.port());
+    EXPECT_EQ(live.gauges.at(serve::with_job_label("step.num_particles", ids[0])), 1024.0);
+    EXPECT_EQ(live.gauges.at(serve::with_job_label("step.num_particles", ids[1])), 2048.0);
+    EXPECT_TRUE(live.counters.count(serve::with_job_label("wire.let.bytes", ids[0])));
+    EXPECT_TRUE(live.counters.count(serve::with_job_label("wire.let.bytes", ids[1])));
+    const std::string la = "job=" + std::to_string(ids[0]);
+    const std::string lb = "job=" + std::to_string(ids[1]);
+    for (const auto& [name, v] : live.counters) {
+      if (name.rfind("server.", 0) == 0) continue;  // server-level counters
+      EXPECT_TRUE(name.find(la) != std::string::npos || name.find(lb) != std::string::npos)
+          << "unlabeled job metric leaked: " << name;
+    }
+    for (const std::int32_t id : ids) serve::cancel_job(kHost, server.port(), id);
+    for (const std::int32_t id : ids)
+      EXPECT_EQ(serve::wait_job(kHost, server.port(), id).state, wire::JobState::kCancelled);
+    // A finished job drops its step metrics.
+    const auto after = serve::fetch_metrics(kHost, server.port());
+    for (const std::int32_t id : ids)
+      EXPECT_FALSE(has_step_metrics(after, id)) << "cancelled job " << id;
+  }
 
   wire::JobSpec a = small_job(1024, 4);
   wire::JobSpec b = small_job(2048, 4);
@@ -386,7 +437,8 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
   expect_same_particles(snap.sets[0], ra.parts);
   expect_same_particles(serve::wait_job(kHost, server.port(), ja.job_id).parts, ra.parts);
 
-  // Metric isolation: each job's gauge carries its own n and nothing else's.
+  // A completed job keeps only its job.* gauges in the registry, each with
+  // its own n; its step metrics are gone.
   const auto metrics = serve::fetch_metrics(kHost, server.port());
   const std::string ga = serve::with_job_label("job.num_particles", ja.job_id);
   const std::string gb = serve::with_job_label("job.num_particles", jb.job_id);
@@ -394,17 +446,12 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
   ASSERT_TRUE(metrics.gauges.count(gb));
   EXPECT_EQ(metrics.gauges.at(ga), 1024.0);
   EXPECT_EQ(metrics.gauges.at(gb), 2048.0);
-  const std::string la = "job=" + std::to_string(ja.job_id);
-  const std::string lb = "job=" + std::to_string(jb.job_id);
-  for (const auto& [name, v] : metrics.counters) {
-    if (name.rfind("server.", 0) == 0) continue;  // server-level counters
-    EXPECT_TRUE(name.find(la) != std::string::npos || name.find(lb) != std::string::npos)
-        << "unlabeled job metric leaked: " << name;
-  }
+  EXPECT_EQ(metrics.gauges.at(serve::with_job_label("job.steps_done", ja.job_id)), 4.0);
+  EXPECT_FALSE(has_step_metrics(metrics, ja.job_id));
+  EXPECT_FALSE(has_step_metrics(metrics, jb.job_id));
 
-  // Bench isolation: each job's JSON names its own config, 4 steps each.
-  // Every step carries the schedule model's overlap figure (schema 3 has no
-  // async key: the pipeline is the only schedule).
+  // Bench isolation: each job's JSON names its own config, 4 steps each,
+  // every step its metrics block (schema 4).
   const std::vector<std::pair<int, int>> expect = {{ja.job_id, 1024}, {jb.job_id, 2048}};
   for (const auto& [id, n] : expect) {
     std::ifstream in(cfg.bench_dir + "/job-" + std::to_string(id) + ".json");
@@ -412,14 +459,23 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
     std::stringstream ss;
     ss << in.rdbuf();
     const std::string body = ss.str();
-    EXPECT_NE(body.find("\"num_particles\": " + std::to_string(n)), std::string::npos);
-    EXPECT_NE(body.find("\"transport\": \"serve\""), std::string::npos);
     const std::string config = body.substr(0, body.find("\"steps\""));
-    EXPECT_NE(config.find("\"schema\": 3"), std::string::npos) << config;
-    EXPECT_EQ(body.find("\"async\""), std::string::npos) << config;
+    EXPECT_NE(config.find("\"schema\": 4"), std::string::npos) << config;
+    EXPECT_NE(config.find("\"num_particles\": " + std::to_string(n)), std::string::npos);
+    EXPECT_NE(config.find("\"transport\": \"serve\""), std::string::npos);
+    EXPECT_EQ(config.find("\"cluster\""), std::string::npos) << config;
+    for (int step = 0; step < 4; ++step)
+      EXPECT_NE(body.find("{\"step\": " + std::to_string(step) + ", \"metrics\": "),
+                std::string::npos);
     EXPECT_NE(body.find("\"schedule.overlap_efficiency\""), std::string::npos);
-    EXPECT_EQ(body.find("\"num_particles\": " + std::to_string(n == 1024 ? 2048 : 1024)),
-              std::string::npos)
+    const auto count = [&](const std::string& needle) {
+      std::size_t k = 0;
+      for (auto at = body.find(needle); at != std::string::npos; at = body.find(needle, at + 1))
+        ++k;
+      return k;
+    };
+    EXPECT_EQ(count("\"step.num_particles\":" + std::to_string(n)), 4u);
+    EXPECT_EQ(count("\"step.num_particles\":" + std::to_string(n == 1024 ? 2048 : 1024)), 0u)
         << "cross-job data in bench for job " << id;
   }
 }

@@ -181,18 +181,11 @@ TEST(Trace, StageRowsSubtractNestedWireSpansAndKeepWaits) {
 }
 
 TEST(Metrics, HistogramBucketBoundaries) {
-  metrics::Registry reg;
   const std::vector<double> bounds = {1.0, 2.0, 4.0};
+  metrics::HistogramData h{bounds, std::vector<std::uint64_t>(bounds.size() + 1, 0)};
   // counts[i] counts value <= bounds[i]; a value exactly on a bound lands in
   // that bucket, anything past the last bound overflows.
-  reg.observe("h", bounds, 1.0);
-  reg.observe("h", bounds, 1.5);
-  reg.observe("h", bounds, 2.0);
-  reg.observe("h", bounds, 4.0);
-  reg.observe("h", bounds, 4.0001);
-  reg.observe("h", bounds, 0.0);
-  const metrics::Snapshot snap = reg.snapshot();
-  const metrics::HistogramData& h = snap.histograms.at("h");
+  for (const double v : {1.0, 1.5, 2.0, 4.0, 4.0001, 0.0}) h.add(v);
   ASSERT_EQ(h.bounds, bounds);
   ASSERT_EQ(h.counts.size(), 4u);
   EXPECT_EQ(h.counts[0], 2u);  // 0.0, 1.0
@@ -201,6 +194,31 @@ TEST(Metrics, HistogramBucketBoundaries) {
   EXPECT_EQ(h.counts[3], 1u);  // 4.0001 overflow
   EXPECT_EQ(h.count, 6u);
   EXPECT_DOUBLE_EQ(h.sum, 1.0 + 1.5 + 2.0 + 4.0 + 4.0001 + 0.0);
+}
+
+// A scrape goes to std::cout at the default 6 digits, where a 12-digit byte
+// counter would print as 1.23457e+11; every number must read back exactly.
+TEST(Metrics, JsonNumbersRoundTripAtDefaultPrecision) {
+  metrics::Snapshot snap;
+  snap.counters["c"] = 123456789012.0;
+  snap.gauges["g"] = 0.1;
+  snap.gauges["third"] = 1.0 / 3.0;
+  std::ostringstream os;
+  ASSERT_EQ(os.precision(), 6);
+  metrics::to_json(os, snap);
+  const std::string json = os.str();
+  const auto value = [&](const std::string& key) {
+    const std::size_t at = json.find("\"" + key + "\":");
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no " << key << " in " << json;
+      return 0.0;
+    }
+    return std::stod(json.substr(at + key.size() + 3));
+  };
+  EXPECT_NE(json.find("\"c\":123456789012"), std::string::npos) << json;
+  EXPECT_EQ(value("c"), 123456789012.0);
+  EXPECT_EQ(value("g"), 0.1);
+  EXPECT_EQ(value("third"), 1.0 / 3.0);
 }
 
 TEST(Metrics, Pow2BoundsSpanTheRequestedExponents) {
