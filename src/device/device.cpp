@@ -71,7 +71,8 @@ InteractionStats Device::compute_forces(const TreeView& src, ParticleSet& target
   // pool threads record nothing.
   trace::ScopedSpan span("gravity.eval", trace_rank_);
 
-  // Each group writes a disjoint particle range, so workers need no locking
+  // Each group writes a disjoint particle range (forces, and its useful flops
+  // spread evenly over its particles into `work`), so workers need no locking
   // on the outputs; stats merge under a mutex at the end of each chunk. Each
   // pool thread keeps one staging queue alive across groups (and calls) so
   // the SoA buffers are allocated once per thread, not once per group.
@@ -81,6 +82,10 @@ InteractionStats Device::compute_forces(const TreeView& src, ParticleSet& target
     thread_local InteractionQueue queue;
     const InteractionStats s =
         traverse_one_group_batched(src, targets, groups[g], config, self, queue);
+    const TargetGroup& group = groups[g];
+    const double size = group.end - group.begin;
+    for (std::uint32_t i = group.begin; i < group.end; ++i)
+      targets.work[i] += static_cast<double>(s.useful_flops()) / size;
     std::lock_guard lock(stats_mutex);
     total += s;
   });

@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 
@@ -128,6 +129,7 @@ void ClusterSimulation::init(ParticleSet global) {
   // the in-process lanes do, so both drivers start from bitwise-identical
   // slices.
   sets_.assign(sets_.size(), ParticleSet{});
+  std::ranges::fill(global.work, 0.0);
   sets_[0] = std::move(global);
   next_step_ = 0;
   spmd_stepped_ = false;
@@ -286,7 +288,6 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
                    "worker rank id outside the configured rank count");
   cfg.threads_per_rank = threads;
   Rank rank(rank_id, threads_for(cfg, std::thread::hardware_concurrency()));
-  SpmdState st;
   // Incremental-LET caches live here, beside the resident Rank: they persist
   // across steps and die with the worker (a reconnect starts from version 0,
   // so the first frames after it are full — the protocol is self-healing).
@@ -331,11 +332,10 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
     if (sb.mode == wire::StepMode::kSpmdBootstrap) {
       // The initial set (all on rank 0) is scattered by the redistribute
       // phase first, as the in-process init() does; like there, it is not
-      // step traffic, and the cost feedback starts afresh.
+      // step traffic, and it cuts with unit weights (the batch is force-free).
       rank.parts() = std::move(sb.parts);
-      st = SpmdState{};
       wire::StepResult scratch;
-      run_spmd_redistribute(rank, cfg, sb.step, demux, out, st, scratch);
+      run_spmd_redistribute(rank, cfg, sb.step, demux, out, scratch);
       out.take();
     }
 
@@ -343,7 +343,7 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
     // particles never leave this worker.
     sr.spans.insert(sr.spans.end(), result_encode.begin(), result_encode.end());
     result_encode.clear();
-    run_spmd_step(rank, cfg, sb.step, demux, out, st, let_state, sr);
+    run_spmd_step(rank, cfg, sb.step, demux, out, let_state, sr);
     fill_energy(rank.parts(), sr);
     sr.traffic = out.take();
     sr.send_ns = now_ns();

@@ -49,18 +49,18 @@ class Decomposition {
   static Decomposition from_samples(std::vector<sfc::Key> samples, int nranks,
                                     int snap_level = kDefaultSnapLevel);
 
-  // A sampled key together with the relative cost it represents (e.g. the
-  // owner rank's measured gravity seconds per particle).
+  // A sampled key together with the relative cost it represents (the
+  // owner rank's counted walk flops per particle).
   struct WeightedKey {
     sfc::Key key;
     double weight;
   };
 
-  // Cost-weighted boundaries (the paper balances domains on measured
-  // tree-walk cost, §III-B1): cut the sorted samples at equal cumulative
-  // *weight* rather than equal count, so regions that were expensive last
-  // step shrink. Non-positive weights count as zero; if no weight survives,
-  // falls back to the equal-count cut over the same keys.
+  // Cost-weighted boundaries (the paper balances domains on tree-walk cost,
+  // §III-B1): cut the sorted samples at equal cumulative *weight* rather
+  // than equal count, so regions that were expensive last step shrink.
+  // Non-positive weights count as zero; if no weight survives, falls back to
+  // the equal-count cut over the same keys.
   static Decomposition from_weighted_samples(std::vector<WeightedKey> samples, int nranks,
                                              int snap_level = kDefaultSnapLevel);
 
@@ -106,8 +106,8 @@ inline AABB domain_bounds_or_default(AABB bounds) {
 // The global sample stride for a population of `total` particles.
 std::size_t sample_stride(std::size_t total, int nranks, std::size_t samples_per_rank);
 
-// Feedback-balancing floor: w = max(w, 1e-3 * max(w)) keeps a rank whose
-// timings underflowed from collapsing its region to nothing.
+// Cost-balancing floor: w = max(w, 1e-3 * max(w)) keeps a rank whose weight
+// is (nearly) zero from collapsing its region to nothing.
 void apply_cost_floor(std::span<double> weights);
 
 // Result of one centralized "Domain update": the raw global particle bounds,
@@ -122,10 +122,9 @@ struct DomainUpdate {
 // KeySpace, pooled stride-sampling of every rank's keys (one global stride,
 // so pooled samples stay uniformly weighted per particle), and a weighted
 // quantile cut. `weights` gives each rank's per-sample cost weight (empty =
-// uniform; see BalanceMode::kCost). No driver runs it: it and exchange()
-// below are the test oracle the rank program's allgathers and
-// exchange_resident() are checked against, and the stage-by-stage replay of
-// bench/bonsai_bench.cpp still calls both.
+// uniform). No driver runs it: it and exchange() below are the test oracle
+// the rank program's allgathers and exchange_resident() are checked against,
+// and the stage-by-stage replay of bench/bonsai_bench.cpp still calls both.
 DomainUpdate update_domain(std::span<const ParticleSet* const> rank_parts, int nranks,
                            sfc::CurveType curve, std::size_t samples_per_rank,
                            int snap_level, std::span<const double> weights);

@@ -21,11 +21,9 @@
 
 namespace bonsai::domain {
 
-// How the rank program's domain update places the boundaries.
-enum class BalanceMode {
-  kCount,  // equalize sampled particle counts (quantile cuts)
-  kCost,   // weight samples by the owner rank's measured gravity s/particle
-};
+// bench/ remnant; src/ ignores it (the domain update always weighs counted
+// walk work, see run_spmd_redistribute).
+enum class BalanceMode { kCount };
 
 // Per-step knobs shared by every rank (the Simulation owns the authoritative
 // copy; ranks receive it by const reference each stage).
@@ -37,13 +35,12 @@ struct SimConfig {
   int ncrit = 64;  // target-group size
   bool quadrupole = true;
   double dt = 0.0;  // 0 disables integration (forces-only steps)
-  sfc::CurveType curve = sfc::CurveType::kHilbert;
+  sfc::CurveType curve = sfc::CurveType::kHilbert;  // bench/ remnant; src/ ignores it
   std::size_t samples_per_rank = 4096;        // boundary-key samples per rank
   int snap_level = 8;                         // boundary snap (0 = off)
   std::size_t threads_per_rank = 0;           // 0: hardware threads / nranks
   bool async = true;                          // bench/ remnant; src/ ignores it
-  BalanceMode balance = BalanceMode::kCount;  // feedback balancing needs a
-                                              // previous step's gravity times
+  BalanceMode balance = BalanceMode::kCount;  // bench/ remnant; src/ ignores it
   KernelBackend kernel = KernelBackend::kSimd;  // batched force backend
                                                 // (--kernel); shipped to
                                                 // workers in the Config frame

@@ -133,7 +133,6 @@ Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
   ranks_.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r)
     ranks_.push_back(std::make_unique<Rank>(r, threads));
-  spmd_.resize(ranks_.size());
   decomp_ = Decomposition::uniform(cfg_.nranks);
   let_state_.init(cfg_.nranks, cfg_.let_cache);
   executor_ = std::make_unique<Executor>(ranks_.size());
@@ -315,8 +314,7 @@ void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
 }  // namespace
 
 sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
-                                    FrameDemux& demux, Transport& out, const SpmdState& st,
-                                    wire::StepResult& sr) {
+                                    FrameDemux& demux, Transport& out, wire::StepResult& sr) {
   trace::BindLog log(sr.spans);
   const int nranks = cfg.nranks;
   const int self = rank.id();
@@ -331,9 +329,11 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
   pre.src = self;
   pre.step = step;
   pre.count = parts.size();
-  if (!parts.empty()) pre.box = parts.bounds();
-  if (cfg.balance == BalanceMode::kCost && st.prev_size > 0)
-    pre.weight = st.prev_gravity_seconds / static_cast<double>(st.prev_size);
+  if (!parts.empty()) {
+    pre.box = parts.bounds();
+    pre.weight = std::accumulate(parts.work.begin(), parts.work.end(), 0.0) /
+                 static_cast<double>(parts.size());
+  }
   broadcast(out, self, nranks, sr.dom_wire, [&] { return wire::encode_boundaries(pre); });
 
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(nranks), 0);
@@ -349,13 +349,12 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
                       if (b.count > 0) bounds.expand(b.box);
                     });
   bounds = domain_bounds_or_default(bounds);
-  const sfc::KeySpace space(bounds, cfg.curve);
+  const sfc::KeySpace space(bounds);
   std::size_t total = 0;
   for (const std::uint64_t c : counts) total += static_cast<std::size_t>(c);
   const std::size_t stride = sample_stride(total, nranks, cfg.samples_per_rank);
-  // Weights apply only once some rank reported one: before any rank has
-  // timed a step (the first step, or the first after a restore) the cut is
-  // the unit-weight one count balancing makes.
+  // Weights apply only once some rank reported one: before the first force
+  // pass every particle's work is 0, and the cut is the unit-weight one.
   const bool use_weights = std::any_of(weights.begin(), weights.end(),
                                        [](double w) { return w > 0.0; });
   if (use_weights) apply_cost_floor(weights);
@@ -413,13 +412,12 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
 }
 
 void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
-                   Transport& out, SpmdState& st, LetChannelState& let_state,
-                   wire::StepResult& sr) {
+                   Transport& out, LetChannelState& let_state, wire::StepResult& sr) {
   trace::BindLog log(sr.spans);
   const int nranks = cfg.nranks;
   const int self = rank.id();
   trace::ScopedSpan step_span("rank.step", self, self, step);
-  const sfc::KeySpace space = run_spmd_redistribute(rank, cfg, step, demux, out, st, sr);
+  const sfc::KeySpace space = run_spmd_redistribute(rank, cfg, step, demux, out, sr);
   const ParticleSet& parts = rank.parts();
 
   // --- Phase 4: post-migration allgather of the active set and the tight
@@ -453,11 +451,6 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   sr.let_wire += let_net.encode_stats(self);
   sr.let_delta = let_net.delta_stats(self);
   sr.local_count = parts.size();
-
-  // Cost-balance feedback: the same gravity rows the report shows.
-  const TimeBreakdown rows = stage_rows(sr.spans);
-  st.prev_gravity_seconds = rows.get("Gravity local") + rows.get("Gravity remote");
-  st.prev_size = parts.size();
 }
 
 namespace {
@@ -661,14 +654,13 @@ void Simulation::on_lanes(const std::function<void(std::size_t)>& job) {
 }
 
 void Simulation::init(ParticleSet global) {
+  std::ranges::fill(global.work, 0.0);
   ranks_[0]->parts() = std::move(global);
   for (std::size_t r = 1; r < ranks_.size(); ++r) ranks_[r]->parts().clear();
-  spmd_.assign(ranks_.size(), SpmdState{});
   std::vector<wire::StepResult> results(ranks_.size());
   on_lanes([&](std::size_t r) {
     FrameDemux demux(*inproc_, static_cast<int>(r));
-    run_spmd_redistribute(*ranks_[r], cfg_, next_step_, demux, *inproc_, spmd_[r],
-                          results[r]);
+    run_spmd_redistribute(*ranks_[r], cfg_, next_step_, demux, *inproc_, results[r]);
   });
   StepReport scratch;  // the bootstrap scatter is not a step
   StepFold fold(ranks_.size());
@@ -687,8 +679,7 @@ StepReport Simulation::step() {
   on_lanes([&](std::size_t r) {
     TrafficRecordingTransport out(*inproc_);
     FrameDemux demux(out, static_cast<int>(r));
-    run_spmd_step(*ranks_[r], cfg_, report.step, demux, out, spmd_[r], let_state_,
-                  results[r]);
+    run_spmd_step(*ranks_[r], cfg_, report.step, demux, out, let_state_, results[r]);
     results[r].traffic = out.take();
   });
 
@@ -705,17 +696,7 @@ ParticleSet gather_sorted(std::span<const ParticleSet* const> sets) {
   std::size_t total = 0;
   for (const ParticleSet* p : sets) total += p->size();
   out.reserve(total);
-  for (const ParticleSet* set : sets) {
-    const ParticleSet& p = *set;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      out.add(p.get(i));
-      out.ax.back() = p.ax[i];
-      out.ay.back() = p.ay[i];
-      out.az.back() = p.az[i];
-      out.pot.back() = p.pot[i];
-      out.key.back() = p.key[i];
-    }
-  }
+  for (const ParticleSet* p : sets) out.append(*p);
   std::vector<std::uint32_t> perm(out.size());
   std::iota(perm.begin(), perm.end(), 0u);
   std::sort(perm.begin(), perm.end(),
@@ -768,7 +749,6 @@ void Simulation::restore(std::vector<ParticleSet> sets, int next_step) {
   for (std::size_t r = 0; r < ranks_.size(); ++r)
     ranks_[r]->parts() = std::move(sets[r]);
   next_step_ = next_step;
-  spmd_.assign(ranks_.size(), SpmdState{});
 }
 
 std::size_t Simulation::num_particles() const {
@@ -946,12 +926,11 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
 
 void write_step_report_json(const RunInfo& info, std::span<const StepReport> reports,
                             std::ostream& os) {
-  os << "{\"schema\": 4,\n \"config\": {\"ranks\": " << info.ranks
+  os << "{\"schema\": 5,\n \"config\": {\"ranks\": " << info.ranks
      << ", \"num_particles\": " << info.num_particles << ", \"theta\": ";
   metrics::write_number(os, info.theta);
-  os << ", \"transport\": \"" << info.transport << "\", \"balance\": \"" << info.balance
-     << "\", \"kernel\": \"" << info.kernel << "\", \"kernel_isa\": \"" << kernel_isa()
-     << "\", \"let_cache\": " << (info.let_cache ? "true" : "false")
+  os << ", \"transport\": \"" << info.transport << "\", \"kernel\": \"" << info.kernel
+     << "\", \"kernel_isa\": \"" << kernel_isa() << "\", \"let_cache\": " << (info.let_cache ? "true" : "false")
      << ", \"wire_version\": " << wire::kVersion << "},\n \"steps\": [";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "  {\"step\": " << reports[i].step << ", \"metrics\": ";

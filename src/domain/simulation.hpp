@@ -113,15 +113,6 @@ struct StepReport {
 // pipelines never oversubscribe each other.
 std::size_t threads_for(const SimConfig& cfg, std::size_t hardware_threads);
 
-// Per-rank state the rank program carries across steps: the feedback for
-// BalanceMode::kCost (everything else lives in the resident ParticleSet).
-// A fresh state reports no weight; while no rank reports one, the cut is
-// count balancing's.
-struct SpmdState {
-  double prev_gravity_seconds = 0.0;
-  std::size_t prev_size = 0;
-};
-
 // Demultiplexes one rank's inbox by frame class. Control frames from the
 // coordinator, LETs, domain frames and migration batches all race on the one
 // endpoint (peers advance at their own pace inside a step, and a fast peer's
@@ -153,19 +144,21 @@ class FrameDemux {
 };
 
 // The rank program's redistribute phase (phases 1-3 of run_spmd_step): the
-// Boundaries allgather (local bounds, population, cost weight from `st`) ->
-// identical global KeySpace and sample stride on every rank; the KeySamples
-// allgather pooled in rank order -> identical Decomposition; then the
-// peer-to-peer migration, after which `rank` holds its new slice, keyed
-// through the returned KeySpace. Cost weights apply only when some rank
-// reported a positive one. Records the domain.update and
-// decomposition.migrate spans in sr.spans (bound for the call), plus
-// sr.rank, sr.boundaries, sr.migrated and the domain/particle frame counts.
-// Bootstrapping from one rank holding the whole initial set is this phase
-// alone.
+// Boundaries allgather (local bounds, population, and as cost weight the
+// mean `work` of the resident particles, i.e. the last force pass's counted
+// walk flops per particle) -> identical global Hilbert KeySpace, sample
+// stride and weights on every rank; the KeySamples allgather pooled in rank
+// order -> identical Decomposition; then the peer-to-peer migration, after
+// which `rank` holds its new slice, keyed through the returned KeySpace.
+// Cost weights apply only when some rank reported a positive one (not
+// before the first force pass), and are a pure function of the resident
+// particles: the cut replays across runs, transports and checkpoints.
+// Records the domain.update and decomposition.migrate spans in sr.spans
+// (bound for the call), plus sr.rank, sr.boundaries, sr.migrated and the
+// domain/particle frame counts. Bootstrapping from one rank holding the
+// whole initial set is this phase alone.
 sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
-                                    FrameDemux& demux, Transport& out, const SpmdState& st,
-                                    wire::StepResult& sr);
+                                    FrameDemux& demux, Transport& out, wire::StepResult& sr);
 
 // One rank's whole step, the same body in-process and in a socket worker:
 // the redistribute phase, phase 4 (post-migration allgather of the active
@@ -174,10 +167,9 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
 // imported LET in source order, integration. Binds sr.spans for the call and
 // records the step's spans there, enclosed in one rank.step span; fills sr's
 // statistics, boundaries and local population; leaves the stepped particles
-// resident in `rank` and the cost feedback (its gravity rows) in `st`.
+// (with their walk work) resident in `rank`.
 void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
-                   Transport& out, SpmdState& st, LetChannelState& let_state,
-                   wire::StepResult& sr);
+                   Transport& out, LetChannelState& let_state, wire::StepResult& sr);
 
 // One rank's Table II rows from its span log. A row is the summed duration
 // of its spans minus the wire.encode.* / wire.decode.* spans nested inside
@@ -218,8 +210,9 @@ class Simulation {
  public:
   explicit Simulation(const SimConfig& cfg);
 
-  // Put an initial particle set on rank 0 and let the lanes run the
-  // redistribute phase, which scatters it across the ranks.
+  // Put an initial particle set on rank 0 (its `work` zeroed, so the
+  // scatter cuts with unit weights as a socket bootstrap does) and let the
+  // lanes run the redistribute phase, which scatters it across the ranks.
   void init(ParticleSet global);
 
   // One full pipeline step; forces are valid for every particle afterwards.
@@ -240,13 +233,12 @@ class Simulation {
   double potential_energy() const;
 
   // Checkpoint/restore seam (the job server's preemption primitive): the
-  // per-rank populations in array order plus the step counter are, under
-  // count balancing, the complete input of the next step — step() resamples
-  // the decomposition and key space from the sets before anything else.
-  // Restoring a checkpoint into a fresh Simulation with the same config
-  // therefore continues bit-for-bit where the checkpointed run left off
-  // (cost balancing resumes too, but its first step cuts with unit weights:
-  // measured gravity seconds are not replayable).
+  // per-rank populations in array order plus the step counter are the
+  // complete input of the next step — step() resamples the decomposition
+  // and key space from the sets, weighing the carried `work`, before
+  // anything else. Restoring a checkpoint into a fresh Simulation with the
+  // same config therefore continues bit-for-bit where the checkpointed run
+  // left off.
   std::vector<ParticleSet> checkpoint_sets() const;
   void restore(std::vector<ParticleSet> sets, int next_step);
   int next_step() const { return next_step_; }
@@ -263,7 +255,6 @@ class Simulation {
   ReleaseHeapOnDestroy release_heap_;
   SimConfig cfg_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  std::vector<SpmdState> spmd_;         // per rank
   std::unique_ptr<Executor> executor_;  // one lane per rank
   // All inter-rank traffic (domain frames, particle batches, LETs) flows
   // through this byte transport, exactly as socket workers' flows through
@@ -278,8 +269,8 @@ class Simulation {
 };
 
 // Concatenate per-rank populations into one set sorted by particle id,
-// forces/potentials/keys preserved — the gather() both drivers expose — and
-// the energy diagnostics over the same populations (KE from velocities, PE
+// forces/potentials/work/keys preserved — the gather() both drivers expose —
+// and the energy diagnostics over the same populations (KE from velocities, PE
 // from the per-particle potentials of the last force pass).
 ParticleSet gather_sorted(std::span<const ParticleSet* const> sets);
 double total_kinetic_energy(std::span<const ParticleSet* const> sets);
@@ -304,12 +295,11 @@ struct RunInfo {
   std::size_t num_particles = 0;
   double theta = 0.0;
   std::string transport = "inproc";  // "inproc" | "socket" | "serve"
-  std::string balance = "count";     // "count" | "cost"
   std::string kernel = "simd";       // "scalar" | "simd"
   bool let_cache = false;            // incremental LET exchange on?
 };
 
-// Emit reports as a JSON object {"schema": 4, "config": {...run metadata,
+// Emit reports as a JSON object {"schema": 5, "config": {...run metadata,
 // wire version...}, "steps": [{"step": N, "metrics": {...}}, ...]} (the
 // --bench trajectory format): each step is its metrics block.
 void write_step_report_json(const RunInfo& info, std::span<const StepReport> reports,

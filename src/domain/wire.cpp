@@ -22,7 +22,7 @@ constexpr std::size_t kNodeBytes = 167;
 
 // Per-particle footprint without / with the force block.
 constexpr std::size_t kParticleBytes = 9 * 8;
-constexpr std::size_t kParticleForceBytes = 13 * 8;
+constexpr std::size_t kParticleForceBytes = 14 * 8;
 
 // --- Flat little-endian writer ----------------------------------------------
 class Writer {
@@ -266,6 +266,7 @@ void put_particle_payload(Writer& w, int src, const ParticleSet& p, bool with_fo
     w.f64_span(p.ay);
     w.f64_span(p.az);
     w.f64_span(p.pot);
+    w.f64_span(p.work);
   }
 }
 
@@ -294,6 +295,7 @@ ParticleBatch read_particle_payload(Reader& r) {
     r.f64_span(p.ay);
     r.f64_span(p.az);
     r.f64_span(p.pot);
+    r.f64_span(p.work);
   }
   return batch;
 }
@@ -1024,10 +1026,8 @@ std::vector<std::uint8_t> encode_config(const SimConfig& cfg) {
   w.i32(cfg.ncrit);
   w.u8(cfg.quadrupole ? 1 : 0);
   w.f64(cfg.dt);
-  w.u8(cfg.curve == sfc::CurveType::kMorton ? 1 : 0);
   w.u64(cfg.samples_per_rank);
   w.i32(cfg.snap_level);
-  w.u8(cfg.balance == BalanceMode::kCost ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(cfg.kernel));
   w.u8(cfg.let_cache ? 1 : 0);
   return w.finish();
@@ -1043,10 +1043,8 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
   cfg.ncrit = r.i32();
   cfg.quadrupole = r.u8() != 0;
   cfg.dt = r.f64();
-  cfg.curve = r.u8() != 0 ? sfc::CurveType::kMorton : sfc::CurveType::kHilbert;
   cfg.samples_per_rank = r.u64();
   cfg.snap_level = r.i32();
-  cfg.balance = r.u8() != 0 ? BalanceMode::kCost : BalanceMode::kCount;
   const std::uint8_t kernel = r.u8();
   r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
             "config kernel backend out of range");
@@ -1448,6 +1446,7 @@ JobSpec decode_job_submit(std::span<const std::uint8_t> frame) {
   r.require(spec.ranks >= 0 && spec.ranks <= 255, "job rank request out of range");
   r.require(std::isfinite(spec.theta) && spec.theta > 0.0, "job theta must be finite and > 0");
   r.require(std::isfinite(spec.eps) && spec.eps >= 0.0, "job eps must be finite and >= 0");
+  r.require(std::isfinite(spec.dt), "job dt must be finite");
   return spec;
 }
 

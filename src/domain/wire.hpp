@@ -49,9 +49,11 @@ namespace bonsai::domain::wire {
 // worker clock samples instead of named stage times and wire seconds, the
 // Trace frame (type 13, never reused) and the trace byte of Config are gone.
 // Version 10 drops the churn ratio from Config: it is the constant
-// kLetChurnRatio.
+// kLetChurnRatio. Version 11 drops the curve and balance bytes from Config
+// (keys are Hilbert, cuts weigh counted walk work) and adds the per-particle
+// work column to the Particles force block.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 10;
+inline constexpr std::uint16_t kVersion = 11;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
@@ -237,8 +239,8 @@ std::vector<std::uint8_t> encode_let_scratch(const LetMessage& msg,
 int peek_let_src(std::span<const std::uint8_t> frame);
 
 // --- Particle-migration batches ----------------------------------------------
-// A batch owns full particle state; forces/potential ride along only when
-// `with_forces` (the worker -> coordinator result direction). Migration
+// A batch owns full particle state; forces/potential/work ride along only
+// when `with_forces` (the worker -> coordinator result direction). Migration
 // batches travel force-free — forces are recomputed every step.
 struct ParticleBatch {
   int src = -1;
@@ -306,8 +308,8 @@ StepBegin decode_step_begin(std::span<const std::uint8_t> frame);
 // --- SPMD domain frames ------------------------------------------------------
 // One rank's contribution to the distributed domain update, posted to every
 // peer. Pre-migration (phase 1) it carries the local particle bounds, the
-// population and the rank's cost weight (measured gravity seconds per
-// particle last step; 0 outside cost balancing) — enough for every rank to
+// population and the rank's cost weight (the mean counted walk work of its
+// particles' last force pass; 0 before the first) — enough for every rank to
 // build the identical global KeySpace, sample stride and weight vector.
 // Post-migration (phase 4) the same frame re-announces the rank's new
 // population and tight box, which is what peers build LETs against.
@@ -456,13 +458,13 @@ JobResultMsg decode_job_result(std::span<const std::uint8_t> frame);
 std::vector<std::uint8_t> encode_job_cancel(std::int32_t job_id);
 std::int32_t decode_job_cancel(std::span<const std::uint8_t> frame);
 
-// A checkpoint/snapshot: the per-rank populations in array order (forces
-// included) plus the step counter. Under count balancing these are the
-// complete input of the next step, so restoring them into a fresh Simulation
-// with the same config resumes bit-for-bit — this frame is the job server's
-// preemption checkpoint, the --snapshot-out/--snapshot-in file format, and
-// the reply to a client's snapshot request (an empty-`sets` Snapshot frame
-// carrying the job id).
+// A checkpoint/snapshot: the per-rank populations in array order (forces and
+// walk work included) plus the step counter. These are the complete input of
+// the next step (its cut weighs the carried work), so restoring them into a
+// fresh Simulation with the same config resumes bit-for-bit — this frame is
+// the job server's preemption checkpoint, the --snapshot-out/--snapshot-in
+// file format, and the reply to a client's snapshot request (an empty-`sets`
+// Snapshot frame carrying the job id).
 struct SnapshotMsg {
   std::int32_t job_id = -1;  // -1: standalone file outside the server
   std::int32_t next_step = 0;

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -42,10 +43,8 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_option("eps", "E", "Plummer softening (default 1e-2)");
   cli.add_option("nleaf", "L", "leaf capacity (default 16)");
   cli.add_option("ncrit", "C", "target-group size (default 64)");
-  cli.add_option("curve", "NAME", "hilbert | morton (default hilbert)");
   cli.add_option("threads", "T", "threads per rank (default: hardware/ranks)");
   cli.add_option("seed", "S", "RNG seed (default 42)");
-  cli.add_option("balance", "M", "count | cost (feedback on measured gravity time)");
   cli.add_option("kernel", "B",
                  "scalar | simd: force backend draining the batched "
                  "interaction lists (default simd)");
@@ -146,6 +145,23 @@ double get_eps(const bonsai::CommandLine& cli) {
     throw bonsai::CliError("--eps: expected a finite softening >= 0, got '" +
                            cli.get("eps", "") + "'");
   return eps;
+}
+
+// --dt: the timestep, finite (0 = forces only; integration multiplies by it).
+double get_dt(const bonsai::CommandLine& cli) {
+  const double dt = cli.get_double("dt", 1e-3);
+  if (!std::isfinite(dt))
+    throw bonsai::CliError("--dt: expected a finite timestep, got '" + cli.get("dt", "") + "'");
+  return dt;
+}
+
+// --nleaf / --ncrit: a leaf capacity or target-group size, at least 1.
+int get_size(const bonsai::CommandLine& cli, const std::string& flag, int fallback) {
+  const std::int64_t value = cli.get_int(flag, fallback);
+  if (value < 1 || value > std::numeric_limits<int>::max())
+    throw bonsai::CliError("--" + flag + ": expected a size >= 1, got '" +
+                           std::to_string(value) + "'");
+  return static_cast<int>(value);
 }
 
 // Parse --kernel (default simd). The error lists every backend by its
@@ -415,7 +431,7 @@ int run_client_mode(const bonsai::CommandLine& cli) {
     spec.priority = static_cast<std::int32_t>(cli.get_int("priority", 0));
     spec.theta = get_theta(cli);
     spec.eps = get_eps(cli);
-    spec.dt = cli.get_double("dt", 1e-3);
+    spec.dt = get_dt(cli);
     spec.kernel = parse_kernel(cli);
     const std::string snapshot_in = cli.get("snapshot-in", "");
     if (!snapshot_in.empty())
@@ -475,20 +491,10 @@ int main(int argc, char** argv) {
     cfg.nranks = static_cast<int>(ranks);
     cfg.theta = get_theta(cli);
     cfg.eps = get_eps(cli);
-    cfg.nleaf = static_cast<int>(cli.get_int("nleaf", bonsai::Octree::kDefaultNLeaf));
-    cfg.ncrit = static_cast<int>(cli.get_int("ncrit", 64));
-    cfg.dt = cli.get_double("dt", 1e-3);
+    cfg.nleaf = get_size(cli, "nleaf", bonsai::Octree::kDefaultNLeaf);
+    cfg.ncrit = get_size(cli, "ncrit", 64);
+    cfg.dt = get_dt(cli);
     cfg.threads_per_rank = static_cast<std::size_t>(get_count(cli, "threads", 0));
-    const std::string curve = cli.get("curve", "hilbert");
-    if (curve != "hilbert" && curve != "morton")
-      throw bonsai::CliError("--curve: expected hilbert or morton, got '" + curve + "'");
-    cfg.curve = curve == "morton" ? bonsai::sfc::CurveType::kMorton
-                                  : bonsai::sfc::CurveType::kHilbert;
-    const std::string balance = cli.get("balance", "count");
-    if (balance != "count" && balance != "cost")
-      throw bonsai::CliError("--balance: expected count or cost, got '" + balance + "'");
-    cfg.balance = balance == "cost" ? bonsai::domain::BalanceMode::kCost
-                                    : bonsai::domain::BalanceMode::kCount;
     cfg.kernel = parse_kernel(cli);
     const std::string let_cache_str = cli.get("let-cache", "off");
     if (let_cache_str != "off" && let_cache_str != "on")
@@ -534,7 +540,6 @@ int main(int argc, char** argv) {
     info.num_particles = n;
     info.theta = cfg.theta;
     info.transport = transport;
-    info.balance = balance;
     info.kernel = bonsai::kernel_backend_name(cfg.kernel);
     info.let_cache = cfg.let_cache;
 
@@ -543,7 +548,6 @@ int main(int argc, char** argv) {
               << " transport=" << transport
               << " kernel=" << bonsai::kernel_backend_name(cfg.kernel)
               << " kernel_isa=" << bonsai::kernel_isa()
-              << (cfg.balance == bonsai::domain::BalanceMode::kCost ? " balance=cost" : "")
               << (cfg.let_cache ? " let-cache=on" : "") << "\n";
 
     if (socket_mode) {

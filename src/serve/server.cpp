@@ -486,14 +486,12 @@ void JobServer::run_job_steps(Job& job) {
     cfg.eps = job.spec.eps;
     cfg.dt = job.spec.dt;
     cfg.kernel = job.spec.kernel;
-    // One thread per rank and count balancing make a job deterministic: a
-    // job preempted to disk and restored into a fresh Simulation with this
-    // same config continues bit-for-bit. Remote walks already run in fixed
-    // source order; one thread per rank keeps the InteractionQueue flush
-    // points fixed; cost cuts use wall-time weights, which cannot be
-    // replayed.
+    // One thread per rank makes a job deterministic: a job preempted to disk
+    // and restored into a fresh Simulation with this same config continues
+    // bit-for-bit. Remote walks already run in fixed source order, the cut
+    // weighs the checkpointed walk work, and one thread per rank keeps the
+    // InteractionQueue flush points fixed.
     cfg.threads_per_rank = 1;
-    cfg.balance = domain::BalanceMode::kCount;
     domain::Simulation sim(cfg);
 
     bool resumed;
@@ -597,7 +595,6 @@ void JobServer::write_job_bench(const Job& job) {
   info.num_particles = static_cast<std::size_t>(job.n_particles);
   info.theta = job.spec.theta;
   info.transport = "serve";
-  info.balance = "count";
   info.kernel = kernel_backend_name(job.spec.kernel);
   const std::string path = cfg_.bench_dir + "/job-" + std::to_string(job.id) + ".json";
   std::ofstream out(path);

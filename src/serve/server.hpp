@@ -18,8 +18,9 @@
 //  * Preemption — when the best waiting job cannot fit and a strictly
 //    lower-priority job is running, the victim is asked to suspend: at its
 //    next step boundary it checkpoints to a spool file (the wire Snapshot
-//    frame on disk) and releases its slots. Jobs run one thread per rank
-//    with count balancing, so a resumed job continues bit-for-bit — which is
+//    frame on disk) and releases its slots. Jobs run one thread per rank and
+//    the checkpoint carries the walk work the next cut weighs, so a resumed
+//    job continues bit-for-bit — which is
 //    what lets the queue oversubscribe the pool safely. A completed job's
 //    result lives in the same spool file (a one-set Snapshot), not in
 //    memory, so finished jobs do not accumulate resident particles.

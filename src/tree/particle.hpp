@@ -27,8 +27,8 @@ struct Particle {
   std::uint64_t id = 0;
 };
 
-// SoA particle container with per-particle force/potential outputs and SFC
-// keys. All arrays always have identical length.
+// SoA particle container with per-particle force/potential/work outputs and
+// SFC keys. All arrays always have identical length.
 class ParticleSet {
  public:
   ParticleSet() = default;
@@ -38,35 +38,19 @@ class ParticleSet {
   bool empty() const { return x.empty(); }
 
   void resize(std::size_t n) {
-    x.resize(n);
-    y.resize(n);
-    z.resize(n);
-    vx.resize(n);
-    vy.resize(n);
-    vz.resize(n);
-    ax.resize(n);
-    ay.resize(n);
-    az.resize(n);
-    pot.resize(n);
-    mass.resize(n);
-    id.resize(n);
-    key.resize(n);
+    each_column([&](auto col) { (this->*col).resize(n); });
   }
 
   void reserve(std::size_t n) {
-    x.reserve(n);
-    y.reserve(n);
-    z.reserve(n);
-    vx.reserve(n);
-    vy.reserve(n);
-    vz.reserve(n);
-    ax.reserve(n);
-    ay.reserve(n);
-    az.reserve(n);
-    pot.reserve(n);
-    mass.reserve(n);
-    id.reserve(n);
-    key.reserve(n);
+    each_column([&](auto col) { (this->*col).reserve(n); });
+  }
+
+  // Append every column of `o` (forces, work and keys included).
+  void append(const ParticleSet& o) {
+    each_column([&](auto col) {
+      auto& to = this->*col;
+      to.insert(to.end(), (o.*col).begin(), (o.*col).end());
+    });
   }
 
   void clear() { resize(0); }
@@ -82,6 +66,7 @@ class ParticleSet {
     ay.push_back(0.0);
     az.push_back(0.0);
     pot.push_back(0.0);
+    work.push_back(0.0);
     mass.push_back(p.mass);
     id.push_back(p.id);
     key.push_back(0);
@@ -116,19 +101,7 @@ class ParticleSet {
   // Reorder all arrays so that entry i comes from old index perm[i].
   void apply_permutation(std::span<const std::uint32_t> perm) {
     BNS_CHECK(perm.size() == size());
-    permute(x, perm);
-    permute(y, perm);
-    permute(z, perm);
-    permute(vx, perm);
-    permute(vy, perm);
-    permute(vz, perm);
-    permute(ax, perm);
-    permute(ay, perm);
-    permute(az, perm);
-    permute(pot, perm);
-    permute(mass, perm);
-    permute(id, perm);
-    permute(key, perm);
+    each_column([&](auto col) { permute(this->*col, perm); });
   }
 
   void zero_forces() {
@@ -136,16 +109,40 @@ class ParticleSet {
     std::fill(ay.begin(), ay.end(), 0.0);
     std::fill(az.begin(), az.end(), 0.0);
     std::fill(pot.begin(), pot.end(), 0.0);
+    std::fill(work.begin(), work.end(), 0.0);
   }
 
   std::vector<double> x, y, z;
   std::vector<double> vx, vy, vz;
   std::vector<double> ax, ay, az, pot;
+  // Counted walk work of the last force pass: each target group's useful
+  // flops spread evenly over its particles, summed over the local and every
+  // remote walk. The domain update cuts on it (domain/simulation.hpp).
+  std::vector<double> work;
   std::vector<double> mass;
   std::vector<std::uint64_t> id;
   std::vector<sfc::Key> key;
 
  private:
+  // Call fn with a pointer to each column member, in declaration order.
+  template <typename Fn>
+  static void each_column(Fn&& fn) {
+    fn(&ParticleSet::x);
+    fn(&ParticleSet::y);
+    fn(&ParticleSet::z);
+    fn(&ParticleSet::vx);
+    fn(&ParticleSet::vy);
+    fn(&ParticleSet::vz);
+    fn(&ParticleSet::ax);
+    fn(&ParticleSet::ay);
+    fn(&ParticleSet::az);
+    fn(&ParticleSet::pot);
+    fn(&ParticleSet::work);
+    fn(&ParticleSet::mass);
+    fn(&ParticleSet::id);
+    fn(&ParticleSet::key);
+  }
+
   template <typename T>
   static void permute(std::vector<T>& v, std::span<const std::uint32_t> perm) {
     std::vector<T> out(v.size());

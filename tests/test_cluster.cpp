@@ -67,7 +67,7 @@ SimConfig forces_only_config(int nranks) {
 }
 
 // Gathered final states must agree bit for bit: positions, velocities,
-// accelerations and potentials (gather() sorts both by particle id).
+// accelerations, potentials and walk work (gather() sorts both by id).
 void expect_bitwise_equal(const ParticleSet& got, const ParticleSet& want) {
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(got.id, want.id);
@@ -81,6 +81,7 @@ void expect_bitwise_equal(const ParticleSet& got, const ParticleSet& want) {
   EXPECT_EQ(got.ay, want.ay);
   EXPECT_EQ(got.az, want.az);
   EXPECT_EQ(got.pot, want.pot);
+  EXPECT_EQ(got.work, want.work);
 }
 
 std::uint64_t traffic_bytes(const domain::StepReport& rep, wire::FrameType type) {
@@ -113,28 +114,31 @@ TEST(ClusterSpmd, ReproducesInProcDecompositionAndForces) {
 
   domain::Simulation inproc(cfg);
   inproc.init(global);
-  const domain::StepReport in_rep = inproc.step();
-  const ParticleSet in_got = inproc.gather();
-
   WorkerPool pool;
   ClusterSimulation spmd(cluster_config(cfg, pool));
   spmd.init(global);
-  const domain::StepReport sp_rep = spmd.step();
+
+  // Step 0 cuts with unit weights, step 1 on the walk work step 0 counted.
+  for (int s = 0; s < 2; ++s) {
+    const domain::StepReport in_rep = inproc.step();
+    const domain::StepReport sp_rep = spmd.step();
+
+    // The distributed sampling must cut the *identical* partition in both
+    // drivers (same pooled samples and weights, same arithmetic), and the
+    // coordinator's cross-check must have accepted it from every worker.
+    const auto in_bounds = inproc.decomposition().boundaries();
+    const auto sp_bounds = spmd.decomposition().boundaries();
+    ASSERT_EQ(in_bounds.size(), sp_bounds.size());
+    for (std::size_t i = 0; i < in_bounds.size(); ++i)
+      EXPECT_EQ(in_bounds[i], sp_bounds[i]) << "step " << s << " boundary " << i;
+
+    EXPECT_EQ(sp_rep.num_particles, in_rep.num_particles);
+    EXPECT_EQ(sp_rep.migrated, in_rep.migrated);
+    EXPECT_EQ(sp_rep.let_cells, in_rep.let_cells);
+    EXPECT_EQ(sp_rep.let_particles, in_rep.let_particles);
+  }
+  const ParticleSet in_got = inproc.gather();
   const ParticleSet sp_got = spmd.gather();
-
-  // The distributed sampling must cut the *identical* partition the
-  // centralized update computes (same pooled samples, same arithmetic), and
-  // the coordinator's cross-check must have accepted it from every worker.
-  const auto in_bounds = inproc.decomposition().boundaries();
-  const auto sp_bounds = spmd.decomposition().boundaries();
-  ASSERT_EQ(in_bounds.size(), sp_bounds.size());
-  for (std::size_t i = 0; i < in_bounds.size(); ++i)
-    EXPECT_EQ(in_bounds[i], sp_bounds[i]) << "boundary " << i;
-
-  EXPECT_EQ(sp_rep.num_particles, in_rep.num_particles);
-  EXPECT_EQ(sp_rep.migrated, in_rep.migrated);
-  EXPECT_EQ(sp_rep.let_cells, in_rep.let_cells);
-  EXPECT_EQ(sp_rep.let_particles, in_rep.let_particles);
 
   // One rank program in both drivers: identical decomposition, migration,
   // walks and source-ordered remote accumulation, so identical bits.

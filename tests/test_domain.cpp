@@ -468,33 +468,84 @@ TEST(Simulation, DomainPhaseFailureSurfacesInsteadOfHanging) {
   EXPECT_THROW(sim.init(make_plummer(200, 9)), CheckError);
 }
 
-TEST(Simulation, RestoredCostBalanceFirstCutsWithUnitWeights) {
-  // Measured gravity seconds are not replayable, so a restored cost-mode
-  // run's first step cuts with unit weights: the same boundaries a
-  // count-mode run restored from the same checkpoint cuts. Snapping is off
-  // so the cut is sample-exact (the equal-count fallback of an all-zero
-  // weight vector would land one sample off).
+TEST(Simulation, RestoredRunCutsOnCarriedWorkLikeUninterruptedRun) {
+  // The cut weighs the walk work each particle carries from the last force
+  // pass, and a checkpoint carries that column: the restored run's next step
+  // cuts the same boundaries and computes the same particles as the run that
+  // never stopped. Snapping is off so the cut is sample-exact; the
+  // unit-weight cut of the same sets differs, so the weights are in play.
   SimConfig cfg;
   cfg.nranks = 4;
   cfg.dt = 1e-3;
   cfg.snap_level = 0;
-  cfg.balance = domain::BalanceMode::kCost;
+  cfg.threads_per_rank = 1;
   Simulation run(cfg);
   run.init(make_plummer(3000, 61));
   for (int s = 0; s < 2; ++s) run.step();
   const std::vector<ParticleSet> ckpt = run.checkpoint_sets();
 
-  Simulation cost(cfg);
-  cost.restore(ckpt, run.next_step());
-  cost.step();
-  SimConfig count_cfg = cfg;
-  count_cfg.balance = domain::BalanceMode::kCount;
-  Simulation count(count_cfg);
-  count.restore(ckpt, run.next_step());
-  count.step();
-  const auto a = cost.decomposition().boundaries();
-  const auto b = count.decomposition().boundaries();
+  Simulation restored(cfg);
+  restored.restore(ckpt, run.next_step());
+  restored.step();
+  run.step();
+  const auto a = run.decomposition().boundaries();
+  const auto b = restored.decomposition().boundaries();
   EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  const ParticleSet want = run.gather();
+  const ParticleSet got = restored.gather();
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.vx, want.vx);
+  EXPECT_EQ(got.ax, want.ax);
+  EXPECT_EQ(got.pot, want.pot);
+  EXPECT_EQ(got.work, want.work);
+
+  std::vector<const ParticleSet*> sets;
+  for (const ParticleSet& s : ckpt) sets.push_back(&s);
+  const domain::DomainUpdate unit =
+      domain::update_domain(sets, cfg.nranks, sfc::CurveType::kHilbert, cfg.samples_per_rank,
+                            cfg.snap_level, {});
+  const auto u = unit.decomp.boundaries();
+  EXPECT_FALSE(std::equal(a.begin(), a.end(), u.begin(), u.end()));
+}
+
+TEST(Simulation, SummedWorkEqualsUsefulFlops) {
+  // Every force pass spreads each group's useful flops over its particles,
+  // so the work column sums to the step's kernel.flops.useful counter.
+  SimConfig cfg;
+  cfg.nranks = 4;
+  cfg.dt = 1e-3;
+  Simulation sim(cfg);
+  sim.init(make_plummer(3000, 62));
+  for (int s = 0; s < 2; ++s) {
+    const domain::StepReport rep = sim.step();
+    const double useful = rep.metrics.counters.at("kernel.flops.useful");
+    ASSERT_GT(useful, 0.0);
+    const ParticleSet got = sim.gather();
+    const double work = std::accumulate(got.work.begin(), got.work.end(), 0.0);
+    EXPECT_NEAR(work, useful, 1e-12 * useful);
+  }
+}
+
+TEST(Simulation, WorkColumnIsIndependentOfThreadCount) {
+  // Useful interaction counts do not depend on how the staging queues flush,
+  // so the work column (and with it every later cut) is the same whatever
+  // the device thread count.
+  for (const int nranks : {1, 2}) {
+    std::vector<ParticleSet> runs;
+    for (const std::size_t threads : {1, 3}) {
+      SimConfig cfg;
+      cfg.nranks = nranks;
+      cfg.dt = 1e-3;
+      cfg.threads_per_rank = threads;
+      Simulation sim(cfg);
+      sim.init(make_plummer(3000, 63));
+      sim.step();
+      runs.push_back(sim.gather());
+    }
+    EXPECT_EQ(runs[0].id, runs[1].id);
+    EXPECT_EQ(runs[0].work, runs[1].work) << nranks << " rank(s)";
+  }
 }
 
 TEST(Simulation, ZeroParticlesUnderAsyncPath) {
@@ -562,15 +613,15 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json[json.size() - 2], '}');  // trailing newline after the object
-  EXPECT_NE(json.find("\"schema\": 4"), std::string::npos);
-  // Schema 4: the document is schema/config/steps, a step is its number and
+  EXPECT_NE(json.find("\"schema\": 5"), std::string::npos);
+  // Schema 5: the document is schema/config/steps, a step is its number and
   // its metrics block, and the config names no topology or cluster (the
-  // transport determines both).
+  // transport determines both) and no balance (there is one mode).
   const std::vector<std::vector<std::string>> top = {{"schema", "config", "steps"}};
   EXPECT_EQ(keys_at_depth(json, 1), top);
   const std::vector<std::vector<std::string>> config = {
-      {"ranks", "num_particles", "theta", "transport", "balance", "kernel", "kernel_isa",
-       "let_cache", "wire_version"}};
+      {"ranks", "num_particles", "theta", "transport", "kernel", "kernel_isa", "let_cache",
+       "wire_version"}};
   EXPECT_EQ(keys_at_depth(json, 2), config);
   const std::vector<std::string> step = {"step", "metrics"};
   const std::vector<std::vector<std::string>> steps = keys_at_depth(json, 3);
@@ -740,7 +791,6 @@ TEST(Simulation, CostBalanceConvergesWithoutLosingParticles) {
   cfg.theta = 0.4;
   cfg.eps = 1e-2;
   cfg.dt = 1e-3;
-  cfg.balance = domain::BalanceMode::kCost;
   Simulation sim(cfg);
   sim.init(make_plummer(n, 47));
   for (int s = 0; s < 4; ++s) {

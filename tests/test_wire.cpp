@@ -131,6 +131,7 @@ TEST(Wire, ParticleBatchRoundTripsBitForBitWithForces) {
   for (std::size_t i = 0; i < parts.size(); ++i) {
     parts.ax[i] = 0.1 * static_cast<double>(i);
     parts.pot[i] = -1.0 / (1.0 + static_cast<double>(i));
+    parts.work[i] = 23.0 * static_cast<double>(i) / 3.0;
     parts.key[i] = 77 * i;
   }
   const wire::ParticleBatch batch =
@@ -143,16 +144,18 @@ TEST(Wire, ParticleBatchRoundTripsBitForBitWithForces) {
   EXPECT_EQ(batch.parts.key, parts.key);
   EXPECT_EQ(batch.parts.ax, parts.ax);
   EXPECT_EQ(batch.parts.pot, parts.pot);
+  EXPECT_EQ(batch.parts.work, parts.work);
 }
 
 TEST(Wire, ForceFreeBatchDecodesWithZeroForces) {
   ParticleSet parts = make_plummer(16, 3);
-  for (std::size_t i = 0; i < parts.size(); ++i) parts.ax[i] = 9.0;  // must not travel
-  const wire::ParticleBatch batch =
+  for (std::size_t i = 0; i < parts.size(); ++i) parts.ax[i] = parts.work[i] = 9.0;
+  const wire::ParticleBatch batch =  // forces and work must not travel
       wire::decode_particles(wire::encode_particles(0, parts, /*with_forces=*/false));
   for (std::size_t i = 0; i < batch.parts.size(); ++i) {
     EXPECT_EQ(batch.parts.ax[i], 0.0);
     EXPECT_EQ(batch.parts.pot[i], 0.0);
+    EXPECT_EQ(batch.parts.work[i], 0.0);
   }
 }
 
@@ -477,8 +480,6 @@ TEST(Wire, ControlFramesRoundTrip) {
   cfg.ncrit = 96;
   cfg.quadrupole = false;
   cfg.dt = 0.5e-3;
-  cfg.curve = sfc::CurveType::kMorton;
-  cfg.balance = domain::BalanceMode::kCost;
   cfg.kernel = KernelBackend::kScalar;
   const domain::SimConfig back = wire::decode_config(wire::encode_config(cfg));
   EXPECT_EQ(back.nranks, 6);
@@ -488,8 +489,6 @@ TEST(Wire, ControlFramesRoundTrip) {
   EXPECT_EQ(back.ncrit, 96);
   EXPECT_FALSE(back.quadrupole);
   EXPECT_DOUBLE_EQ(back.dt, 0.5e-3);
-  EXPECT_EQ(back.curve, sfc::CurveType::kMorton);
-  EXPECT_EQ(back.balance, domain::BalanceMode::kCost);
   EXPECT_EQ(back.kernel, KernelBackend::kScalar);
 
   // Kernel bytes past kSimd name no backend and are rejected.
