@@ -1,10 +1,8 @@
 #include "device/device.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <mutex>
-#include <numeric>
 
+#include "sfc/radix_sort.hpp"
 #include "util/check.hpp"
 #include "util/trace.hpp"
 
@@ -15,45 +13,18 @@ Device::Device(std::size_t num_threads) {
   pool_ = std::make_unique<ThreadPool>(num_threads - 1);
 }
 
+void Device::compute_keys(ParticleSet& parts, const sfc::KeySpace& space) {
+  pool_->parallel_for(parts.size(), [&](std::size_t i) { parts.key[i] = space.key(parts.pos(i)); });
+}
+
 void Device::sort_particles(ParticleSet& parts, const sfc::KeySpace& space) {
-  const std::size_t n = parts.size();
-  if (n == 0) return;
-
-  // Key generation is embarrassingly parallel.
-  pool_->parallel_for(n, [&](std::size_t i) { parts.key[i] = space.key(parts.pos(i)); });
-
-  // Parallel chunk sort + serial multiway merge of the permutation.
-  std::vector<std::uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  auto cmp = [&](std::uint32_t a, std::uint32_t b) {
-    return parts.key[a] < parts.key[b] ||
-           (parts.key[a] == parts.key[b] && parts.id[a] < parts.id[b]);
-  };
-
-  const std::size_t chunks = num_threads();
-  const std::size_t chunk_len = (n + chunks - 1) / chunks;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  for (std::size_t b = 0; b < n; b += chunk_len)
-    ranges.emplace_back(b, std::min(n, b + chunk_len));
-
-  pool_->parallel_for(ranges.size(), [&](std::size_t r) {
-    std::sort(perm.begin() + static_cast<std::ptrdiff_t>(ranges[r].first),
-              perm.begin() + static_cast<std::ptrdiff_t>(ranges[r].second), cmp);
-  });
-
-  // Iterative pairwise in-place merges (log2(chunks) passes).
-  for (std::size_t step = 1; step < ranges.size(); step *= 2) {
-    for (std::size_t r = 0; r + step < ranges.size(); r += 2 * step) {
-      const auto begin = perm.begin() + static_cast<std::ptrdiff_t>(ranges[r].first);
-      const auto mid = perm.begin() + static_cast<std::ptrdiff_t>(ranges[r + step].first);
-      const auto end =
-          perm.begin() +
-          static_cast<std::ptrdiff_t>(ranges[std::min(r + 2 * step, ranges.size()) - 1].second);
-      std::inplace_merge(begin, mid, end, cmp);
-    }
-  }
-
-  parts.apply_permutation(perm);
+  if constexpr (kDcheckEnabled)
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      BNS_CHECK(parts.key[i] == space.key(parts.pos(i)), "particle ", i,
+                " reached the sort with a key of another KeySpace");
+  const std::vector<std::uint32_t> perm = sfc::sort_order(parts.key, parts.id, pool_.get());
+  pool_->parallel_for(
+      ParticleSet::kColumns, [&](std::size_t c) { parts.permute_column(c, perm); }, 1);
 }
 
 void Device::build_tree(const ParticleSet& parts, Octree& tree, int nleaf) {

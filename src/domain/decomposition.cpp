@@ -158,18 +158,6 @@ DomainUpdate update_domain(std::span<const ParticleSet* const> rank_parts, int n
   return out;
 }
 
-namespace {
-
-// Append `from`'s particles to `to`, preserving the wire-carried SFC keys.
-void append_particles(ParticleSet& to, const ParticleSet& from) {
-  for (std::size_t i = 0; i < from.size(); ++i) {
-    to.add(from.get(i));
-    to.key.back() = from.key[i];
-  }
-}
-
-}  // namespace
-
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
                        const Decomposition& decomp, Transport& transport,
                        wire::WireStats* wire_stats) {
@@ -244,7 +232,7 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
           incoming[d].key.back() = own.key[i];
         }
       } else {
-        append_particles(incoming[d], arrived[src]);
+        incoming[d].append(arrived[src]);
       }
     }
   }
@@ -254,64 +242,55 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
   return stats;
 }
 
-ExchangeStats exchange_resident(ParticleSet& mine, int self, const sfc::KeySpace& space,
-                                const Decomposition& decomp, MigrationExchange& mex,
-                                int step) {
+ExchangeStats exchange_resident(ParticleSet& mine, int self, const Decomposition& decomp,
+                                MigrationExchange& mex, int step) {
   const auto nranks = static_cast<std::size_t>(decomp.num_ranks());
   const auto r = static_cast<std::size_t>(self);
   BNS_CHECK(r < nranks);
 
-  // Key + owner per local particle, exactly as the centralized pre-pass does.
+  // Local rows per owner rank, in local order, read off the step's keys.
+  std::vector<std::vector<std::uint32_t>> rows(nranks);
+  for (std::size_t i = 0; i < mine.size(); ++i)
+    rows[static_cast<std::size_t>(decomp.rank_of(mine.key[i]))].push_back(
+        static_cast<std::uint32_t>(i));
   ExchangeStats stats;
-  std::vector<int> dest(mine.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    mine.key[i] = space.key(mine.pos(i));
-    dest[i] = decomp.rank_of(mine.key[i]);
-    if (dest[i] != self) ++stats.migrated;
-  }
+  stats.migrated = mine.size() - rows[r].size();
 
   // Send side: one emigrant batch per peer, empty batches included (peers
   // count on exactly nranks-1 arrivals).
-  std::vector<ParticleSet> batches(nranks);
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    const auto d = static_cast<std::size_t>(dest[i]);
-    if (d == r) continue;
-    batches[d].add(mine.get(i));
-    batches[d].key.back() = mine.key[i];
-  }
   for (std::size_t d = 0; d < nranks; ++d) {
     if (d == r) continue;
-    mex.post(self, static_cast<int>(d), batches[d], step);
+    ParticleSet batch;
+    batch.append(mine, rows[d]);
+    mex.post(self, static_cast<int>(d), batch, step);
   }
 
   // Receive side: collect the nranks-1 inbound batches (any arrival order),
   // then splice them around the local stayers in source-rank order — the
-  // ordering exchange() produces for this rank.
+  // ordering exchange() produces for this rank. When nothing left and
+  // nothing arrived, the set is already that order.
   std::vector<ParticleSet> arrived(nranks);
   std::vector<std::uint8_t> seen(nranks, 0);
+  std::size_t arrivals = 0;
   while (std::optional<wire::MigrationMsg> msg = mex.recv(self, step)) {
     BNS_CHECK(msg->src >= 0 && msg->src < static_cast<int>(nranks) &&
                          msg->src != self && !seen[static_cast<std::size_t>(msg->src)],
                      "migration batch from an impossible or duplicate source rank");
     seen[static_cast<std::size_t>(msg->src)] = 1;
+    arrivals += msg->parts.size();
     arrived[static_cast<std::size_t>(msg->src)] = std::move(msg->parts);
   }
-  ParticleSet out;
-  std::size_t stayers = mine.size() - static_cast<std::size_t>(stats.migrated);
-  for (const ParticleSet& a : arrived) stayers += a.size();
-  out.reserve(stayers);
-  for (std::size_t src = 0; src < nranks; ++src) {
-    if (src == r) {
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        if (static_cast<std::size_t>(dest[i]) != r) continue;
-        out.add(mine.get(i));
-        out.key.back() = mine.key[i];
-      }
-    } else {
-      append_particles(out, arrived[src]);
+  if (stats.migrated > 0 || arrivals > 0) {
+    ParticleSet out;
+    out.reserve(rows[r].size() + arrivals);
+    for (std::size_t src = 0; src < nranks; ++src) {
+      if (src == r)
+        out.append(mine, rows[r]);
+      else
+        out.append(arrived[src]);
     }
+    mine = std::move(out);
   }
-  mine = std::move(out);
   stats.total = mine.size();
   return stats;
 }

@@ -150,16 +150,18 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
                        wire::WireStats* wire_stats = nullptr);
 
 // The decentralized alltoallv cell of one resident rank (the rank program's
-// phase 3, in every mode):
-// compute each local particle's key and owner, post one Migration frame per
-// peer through `mex` (possibly empty — peers count on exactly nranks-1
-// arrivals), receive the inbound batches, and splice them around the local
-// stayers in source-rank order — reproducing bit-for-bit the population and
-// ordering exchange() gives rank `self` when run over all ranks at once.
+// phase 3, in every mode): read each local particle's owner off its `key`
+// (the step's key pass filled them; arrivals carry theirs on the wire),
+// post one Migration frame per peer through `mex` (possibly empty — peers
+// count on exactly nranks-1 arrivals), receive the inbound batches, and
+// splice them around the local stayers in source-rank order — reproducing
+// bit-for-bit the population, ordering and keys exchange() gives rank
+// `self` when run over all ranks at once. When no particle leaves and none
+// arrives, `mine` is left untouched. Stayers keep their force and work
+// columns (the next force pass zeroes them); arrivals come force-free.
 // Returns {total = resident population afterwards, migrated = emigrants
 // posted}; summed over all ranks these match the centralized stats.
-ExchangeStats exchange_resident(ParticleSet& mine, int self, const sfc::KeySpace& space,
-                                const Decomposition& decomp, MigrationExchange& mex,
-                                int step);
+ExchangeStats exchange_resident(ParticleSet& mine, int self, const Decomposition& decomp,
+                                MigrationExchange& mex, int step);
 
 }  // namespace bonsai::domain

@@ -350,6 +350,8 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
                     });
   bounds = domain_bounds_or_default(bounds);
   const sfc::KeySpace space(bounds);
+  // The step's one key pass: sampling, migration and the sort all read it.
+  rank.device().compute_keys(parts, space);
   std::size_t total = 0;
   for (const std::uint64_t c : counts) total += static_cast<std::size_t>(c);
   const std::size_t stride = sample_stride(total, nranks, cfg.samples_per_rank);
@@ -363,7 +365,8 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
   wire::KeySamples mine;
   mine.src = self;
   mine.step = step;
-  mine.keys = sample_keys(parts, space, stride);
+  for (std::size_t i = 0; i < parts.size(); i += stride) mine.keys.push_back(parts.key[i]);
+  BNS_DCHECK(mine.keys == sample_keys(parts, space, stride));
   broadcast(out, self, nranks, sr.dom_wire, [&] { return wire::encode_key_samples(mine); });
 
   std::vector<std::vector<sfc::Key>> samples(static_cast<std::size_t>(nranks));
@@ -405,7 +408,7 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
   trace::ScopedSpan migrate_span("decomposition.migrate", self, self, step);
   DemuxTransport mig_net(demux, out, FrameDemux::Class::kMigration);
   MigrationExchange mex(mig_net, nranks);
-  sr.migrated += exchange_resident(parts, self, space, decomp, mex, step).migrated;
+  sr.migrated += exchange_resident(parts, self, decomp, mex, step).migrated;
   migrate_span.close();
   sr.part_wire += mex.encode_stats(self);
   return space;
@@ -654,7 +657,7 @@ void Simulation::on_lanes(const std::function<void(std::size_t)>& job) {
 }
 
 void Simulation::init(ParticleSet global) {
-  std::ranges::fill(global.work, 0.0);
+  global.zero_forces();
   ranks_[0]->parts() = std::move(global);
   for (std::size_t r = 1; r < ranks_.size(); ++r) ranks_[r]->parts().clear();
   std::vector<wire::StepResult> results(ranks_.size());

@@ -147,9 +147,11 @@ class FrameDemux {
 // Boundaries allgather (local bounds, population, and as cost weight the
 // mean `work` of the resident particles, i.e. the last force pass's counted
 // walk flops per particle) -> identical global Hilbert KeySpace, sample
-// stride and weights on every rank; the KeySamples allgather pooled in rank
-// order -> identical Decomposition; then the peer-to-peer migration, after
-// which `rank` holds its new slice, keyed through the returned KeySpace.
+// stride and weights on every rank; the step's one key pass over the
+// resident particles on the rank's device; the KeySamples allgather (every
+// stride-th key) pooled in rank order -> identical Decomposition; then the
+// peer-to-peer migration, after which `rank` holds its new slice, keyed
+// through the returned KeySpace.
 // Cost weights apply only when some rank reported a positive one (not
 // before the first force pass), and are a pure function of the resident
 // particles: the cut replays across runs, transports and checkpoints.
@@ -210,7 +212,7 @@ class Simulation {
  public:
   explicit Simulation(const SimConfig& cfg);
 
-  // Put an initial particle set on rank 0 (its `work` zeroed, so the
+  // Put an initial particle set on rank 0 (forces and `work` zeroed, so the
   // scatter cuts with unit weights as a socket bootstrap does) and let the
   // lanes run the redistribute phase, which scatters it across the ranks.
   void init(ParticleSet global);

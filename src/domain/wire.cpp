@@ -81,8 +81,14 @@ class Writer {
 
   template <typename T>
   void raw(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    if constexpr (kHostLittle) {
+      const std::size_t at = buf_.size();
+      buf_.resize(at + sizeof(T));
+      std::memcpy(buf_.data() + at, &v, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
   }
 
   template <typename T>
@@ -150,8 +156,12 @@ class Reader {
   T raw() {
     const auto s = take(sizeof(T));
     T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      v = static_cast<T>(v | (static_cast<T>(s[i]) << (8 * i)));
+    if constexpr (kHostLittle) {
+      std::memcpy(&v, s.data(), sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        v = static_cast<T>(v | (static_cast<T>(s[i]) << (8 * i)));
+    }
     return v;
   }
 

@@ -523,6 +523,9 @@ int main(int argc, char** argv) {
       initial = bonsai::make_plummer(n, seed);
     }
     const double drift = cli.get_double("drift", 0.0);
+    if (!std::isfinite(drift))
+      throw bonsai::CliError("--drift: expected a finite velocity, got '" + cli.get("drift", "") +
+                             "'");
     if (drift != 0.0) {
       // A bulk velocity keeps the cloud coherent while its bounding boxes and
       // tree geometry translate every step — the steady churn the incremental

@@ -5,8 +5,11 @@
 // curve's locality keeps each piece geometrically compact and guarantees that
 // sub-domain boundaries are branches of a hypothetical global octree.
 //
-// Implementation: Skilling's transpose algorithm ("Programming the Hilbert
-// curve", AIP Conf. Proc. 707, 2004), specialised for n = 3 dimensions.
+// Implementation: the curve of Skilling's transpose algorithm ("Programming
+// the Hilbert curve", AIP Conf. Proc. 707, 2004) at 21 bits per axis, walked
+// top-down as a state machine over the orientations of its sub-cubes, two
+// levels per table lookup. The keys are bit-identical to Skilling's; the
+// tests hold the tables to that algorithm.
 #pragma once
 
 #include <cstdint>

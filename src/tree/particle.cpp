@@ -1,19 +1,12 @@
 #include "tree/particle.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include "sfc/radix_sort.hpp"
 
 namespace bonsai {
 
 std::vector<std::uint32_t> sort_by_keys(ParticleSet& parts, const sfc::KeySpace& space) {
-  const std::size_t n = parts.size();
-  for (std::size_t i = 0; i < n; ++i) parts.key[i] = space.key(parts.pos(i));
-
-  std::vector<std::uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::sort(perm.begin(), perm.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return parts.key[a] < parts.key[b] || (parts.key[a] == parts.key[b] && parts.id[a] < parts.id[b]);
-  });
+  for (std::size_t i = 0; i < parts.size(); ++i) parts.key[i] = space.key(parts.pos(i));
+  std::vector<std::uint32_t> perm = sfc::sort_order(parts.key, parts.id);
   parts.apply_permutation(perm);
   return perm;
 }

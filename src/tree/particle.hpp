@@ -53,6 +53,15 @@ class ParticleSet {
     });
   }
 
+  // Append rows `rows` of `o`, in that order, every column included.
+  void append(const ParticleSet& o, std::span<const std::uint32_t> rows) {
+    each_column([&](auto col) {
+      auto& to = this->*col;
+      const auto& from = o.*col;
+      for (const std::uint32_t i : rows) to.push_back(from[i]);
+    });
+  }
+
   void clear() { resize(0); }
 
   void add(const Particle& p) {
@@ -104,6 +113,19 @@ class ParticleSet {
     each_column([&](auto col) { permute(this->*col, perm); });
   }
 
+  // The columns, in declaration order, are independent arrays: callers may
+  // permute different ones concurrently.
+  static constexpr std::size_t kColumns = 14;
+
+  // apply_permutation for column c alone.
+  void permute_column(std::size_t c, std::span<const std::uint32_t> perm) {
+    BNS_CHECK(c < kColumns && perm.size() == size());
+    std::size_t k = 0;
+    each_column([&](auto col) {
+      if (k++ == c) permute(this->*col, perm);
+    });
+  }
+
   void zero_forces() {
     std::fill(ax.begin(), ax.end(), 0.0);
     std::fill(ay.begin(), ay.end(), 0.0);
@@ -123,7 +145,6 @@ class ParticleSet {
   std::vector<std::uint64_t> id;
   std::vector<sfc::Key> key;
 
- private:
   // Call fn with a pointer to each column member, in declaration order.
   template <typename Fn>
   static void each_column(Fn&& fn) {
@@ -143,6 +164,7 @@ class ParticleSet {
     fn(&ParticleSet::key);
   }
 
+ private:
   template <typename T>
   static void permute(std::vector<T>& v, std::span<const std::uint32_t> perm) {
     std::vector<T> out(v.size());
@@ -151,9 +173,10 @@ class ParticleSet {
   }
 };
 
-// Compute SFC keys for all particles and sort the set by key. Returns the
-// permutation applied (new index -> old index). This is the "Sorting SFC"
-// stage of Table II.
+// Compute SFC keys for all particles and sort the set by (key, id) on the
+// calling thread. Returns the permutation applied (new index -> old index).
+// Device::sort_particles is the parallel "Sorting SFC" stage of Table II
+// over the same sort (sfc/radix_sort.hpp).
 std::vector<std::uint32_t> sort_by_keys(ParticleSet& parts, const sfc::KeySpace& space);
 
 }  // namespace bonsai

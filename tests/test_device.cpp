@@ -1,6 +1,6 @@
 // Execution substrate: thread-pool completion signaling, deadlock safety of
 // nested parallel_for (the 1-core-host case), caller participation in
-// parallel_for, the per-rank executor lanes,
+// parallel_for, the per-rank executor lanes, the device's key pass and sort,
 // the LET channel layer, and the thread-budget policy.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <chrono>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "domain/executor.hpp"
 #include "domain/simulation.hpp"
 #include "domain/transport.hpp"
+#include "same_columns.hpp"
+#include "util/ic.hpp"
 #include "util/trace.hpp"
 
 namespace bonsai {
@@ -208,6 +211,35 @@ TEST(LetExchange, AccountsWireBytesAndFrames) {
   ASSERT_NE(decode, log.end());
   EXPECT_EQ(decode->bytes, static_cast<std::int64_t>(bytes));
   EXPECT_EQ(decode->peer, 0);
+}
+
+TEST(Device, SortParticlesEqualsSerialSortOnEveryColumn) {
+  // Distinct force and work values per particle, so a column the parallel
+  // permutation skipped or mixed up would show.
+  ParticleSet parts = make_plummer(20000, 71);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const auto v = static_cast<double>(i);
+    parts.ax[i] = v + 0.125;
+    parts.ay[i] = v + 0.25;
+    parts.az[i] = v + 0.375;
+    parts.pot[i] = v + 0.5;
+    parts.work[i] = v + 0.625;
+  }
+  const sfc::KeySpace space(parts.bounds());
+  for (std::size_t i = 0; i < parts.size(); ++i) parts.key[i] = space.key(parts.pos(i));
+  ParticleSet serial = parts;
+  const std::vector<std::uint32_t> perm = sort_by_keys(serial, space);
+  ParticleSet::each_column([&](auto col) {
+    for (std::size_t i = 0; i < perm.size(); ++i)
+      ASSERT_EQ((serial.*col)[i], (parts.*col)[perm[i]]);
+  });
+  for (const std::size_t threads : {1, 4}) {
+    ParticleSet sorted = parts;
+    Device device(threads);
+    device.compute_keys(sorted, space);
+    device.sort_particles(sorted, space);
+    expect_same_columns(sorted, serial, std::to_string(threads) + " device thread(s)");
+  }
 }
 
 TEST(ThreadsFor, DefaultPartitionsHostAcrossRanks) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "domain/let.hpp"
 #include "domain/simulation.hpp"
 #include "domain/transport.hpp"
+#include "same_columns.hpp"
 #include "tree/direct.hpp"
 #include "tree/octree.hpp"
 #include "tree/traverse.hpp"
@@ -190,6 +192,9 @@ TEST(Exchange, ResidentPathMatchesCentralizedExchangeBitForBit) {
   domain::InProcTransport central_net(nranks);
   const domain::ExchangeStats central_stats = domain::exchange(central, space, d, central_net);
 
+  // The rank program's key pass precedes the migration.
+  for (ParticleSet& s : resident)
+    for (std::size_t i = 0; i < s.size(); ++i) s.key[i] = space.key(s.pos(i));
   domain::InProcTransport transport(nranks);
   domain::MigrationExchange mex(transport, nranks);
   std::vector<domain::ExchangeStats> stats(nranks);
@@ -197,7 +202,7 @@ TEST(Exchange, ResidentPathMatchesCentralizedExchangeBitForBit) {
   for (int r = 0; r < nranks; ++r)
     ranks.emplace_back([&, r] {
       stats[static_cast<std::size_t>(r)] = domain::exchange_resident(
-          resident[static_cast<std::size_t>(r)], r, space, d, mex, /*step=*/7);
+          resident[static_cast<std::size_t>(r)], r, d, mex, /*step=*/7);
     });
   for (std::thread& t : ranks) t.join();
 
@@ -214,6 +219,49 @@ TEST(Exchange, ResidentPathMatchesCentralizedExchangeBitForBit) {
   }
   EXPECT_EQ(migrated, central_stats.migrated);
   EXPECT_EQ(total, central_stats.total);
+}
+
+TEST(Exchange, NothingMovesLeavesEveryColumnUnchanged) {
+  // Two ranks already holding their slices of a cut: no particle leaves,
+  // none arrives, and the resident sets keep every column bit for bit
+  // (forces and work included), on one rank and on two.
+  ParticleSet global = make_plummer(3000, 67);
+  const sfc::KeySpace space(global.bounds());
+  sort_by_keys(global, space);
+  for (std::size_t i = 0; i < global.size(); ++i) {
+    global.ax[i] = 1.0 + static_cast<double>(i);
+    global.work[i] = 2.0 + static_cast<double>(i);
+  }
+  const std::size_t half = global.size() / 2;
+  std::vector<ParticleSet> sets(2);
+  std::vector<std::uint32_t> rows(global.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  sets[0].append(global, std::span(rows).first(half));
+  sets[1].append(global, std::span(rows).subspan(half));
+  const Decomposition cut = Decomposition::from_boundaries({0, global.key[half], sfc::kKeyEnd});
+
+  for (const int nranks : {1, 2}) {
+    std::vector<ParticleSet> resident =
+        nranks == 1 ? std::vector<ParticleSet>{global} : sets;
+    const Decomposition d = nranks == 1 ? Decomposition() : cut;
+    domain::InProcTransport transport(nranks);
+    domain::MigrationExchange mex(transport, nranks);
+    std::vector<domain::ExchangeStats> stats(static_cast<std::size_t>(nranks));
+    std::vector<std::thread> ranks;
+    for (int r = 0; r < nranks; ++r)
+      ranks.emplace_back([&, r] {
+        stats[static_cast<std::size_t>(r)] = domain::exchange_resident(
+            resident[static_cast<std::size_t>(r)], r, d, mex, /*step=*/3);
+      });
+    for (std::thread& t : ranks) t.join();
+    for (int r = 0; r < nranks; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      EXPECT_EQ(stats[ur].migrated, 0u);
+      EXPECT_EQ(stats[ur].total, resident[ur].size());
+      expect_same_columns(resident[ur], nranks == 1 ? global : sets[ur],
+                          std::to_string(nranks) + " rank(s), rank " + std::to_string(r));
+    }
+  }
 }
 
 TEST(Let, DistantDomainPrunesToSingleMultipole) {
@@ -530,21 +578,24 @@ TEST(Simulation, SummedWorkEqualsUsefulFlops) {
 TEST(Simulation, WorkColumnIsIndependentOfThreadCount) {
   // Useful interaction counts do not depend on how the staging queues flush,
   // so the work column (and with it every later cut) is the same whatever
-  // the device thread count.
+  // the device thread count. So is every other column: the key pass, the
+  // radix sort and the column permutation split their work across a rank's
+  // device threads without changing any result. After 3 steps the whole
+  // state is bitwise the same at 1 and at 4 threads per rank (threads_for
+  // caps the 4 at the host's share).
   for (const int nranks : {1, 2}) {
     std::vector<ParticleSet> runs;
-    for (const std::size_t threads : {1, 3}) {
+    for (const std::size_t threads : {1, 4}) {
       SimConfig cfg;
       cfg.nranks = nranks;
       cfg.dt = 1e-3;
       cfg.threads_per_rank = threads;
       Simulation sim(cfg);
       sim.init(make_plummer(3000, 63));
-      sim.step();
+      for (int s = 0; s < 3; ++s) sim.step();
       runs.push_back(sim.gather());
     }
-    EXPECT_EQ(runs[0].id, runs[1].id);
-    EXPECT_EQ(runs[0].work, runs[1].work) << nranks << " rank(s)";
+    expect_same_columns(runs[0], runs[1], std::to_string(nranks) + " rank(s)");
   }
 }
 

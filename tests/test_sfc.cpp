@@ -6,14 +6,22 @@
 //      octree cell iff their keys share the top 3L bits;
 //   3. the Hilbert curve is continuous: consecutive keys map to
 //      grid-adjacent cells (this is what gives domains compact shapes).
+// The table-driven Hilbert encoder is held bit for bit to Skilling's
+// algorithm (hilbert_oracle.hpp), and the radix sort to std::sort.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <numeric>
+#include <vector>
 
+#include "device/thread_pool.hpp"
+#include "hilbert_oracle.hpp"
 #include "sfc/hilbert.hpp"
 #include "sfc/keys.hpp"
 #include "sfc/morton.hpp"
+#include "sfc/radix_sort.hpp"
 #include "util/random.hpp"
 
 namespace bonsai::sfc {
@@ -71,6 +79,44 @@ TEST(Hilbert, CornersRoundTrip) {
         EXPECT_EQ(c.y, y);
         EXPECT_EQ(c.z, z);
       }
+}
+
+// Encode and decode one point through the tables and through Skilling's
+// algorithm; both directions must agree bit for bit.
+void expect_matches_oracle(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+  const std::uint64_t key = oracle::hilbert_encode(x, y, z);
+  ASSERT_EQ(hilbert_encode(x, y, z), key) << "(" << x << ", " << y << ", " << z << ")";
+  ASSERT_EQ(hilbert_decode(key), oracle::hilbert_decode(key)) << "key " << key;
+}
+
+TEST(Hilbert, MatchesSkillingOnEveryPointOfGrids) {
+  // The 32^3 grid at the origin (the finest five levels under one coarse
+  // path) and a 32^3 grid spread over the whole key space (every state
+  // transition of the coarse levels, with varied low bits).
+  const std::uint32_t spread = kCoordRange / 32;
+  for (std::uint32_t i = 0; i < 32; ++i)
+    for (std::uint32_t j = 0; j < 32; ++j)
+      for (std::uint32_t k = 0; k < 32; ++k) {
+        expect_matches_oracle(i, j, k);
+        expect_matches_oracle(i * spread + (j ^ k), j * spread + (k ^ i), k * spread + (i ^ j));
+      }
+}
+
+TEST(Hilbert, MatchesSkillingAtTheCorners) {
+  const std::uint32_t m = kCoordRange - 1;
+  for (std::uint32_t x : {0u, 1u, m - 1, m})
+    for (std::uint32_t y : {0u, 1u, m - 1, m})
+      for (std::uint32_t z : {0u, 1u, m - 1, m}) expect_matches_oracle(x, y, z);
+}
+
+TEST(Hilbert, MatchesSkillingOnRandomCoordinates) {
+  Xoshiro256 rng(47);
+  for (int i = 0; i < (1 << 20); ++i) {
+    const auto x = static_cast<std::uint32_t>(rng() % kCoordRange);
+    const auto y = static_cast<std::uint32_t>(rng() % kCoordRange);
+    const auto z = static_cast<std::uint32_t>(rng() % kCoordRange);
+    expect_matches_oracle(x, y, z);
+  }
 }
 
 TEST(Hilbert, KeysAreDense) {
@@ -225,6 +271,76 @@ TEST(Keys, MortonAndHilbertSpacesAreDistinctButConsistent) {
   const Vec3d p{0.3, 0.7, 0.2};
   // Decode(encode(p)) lands on the same grid coordinates for both curves.
   EXPECT_EQ(h.decode(h.key(p)), m.decode(m.key(p)));
+}
+
+// The reference order: (key, id) ascending by comparison sort.
+std::vector<std::uint32_t> reference_order(const std::vector<Key>& keys,
+                                           const std::vector<std::uint64_t>& ids) {
+  std::vector<std::uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return keys[a] < keys[b] || (keys[a] == keys[b] && ids[a] < ids[b]);
+  });
+  return order;
+}
+
+// n keys drawn from `distinct` random 63-bit values (0 = all distinct) with
+// the ids 0..n-1 shuffled.
+void random_keys(std::size_t n, std::size_t distinct, std::uint64_t seed, std::vector<Key>& keys,
+                 std::vector<std::uint64_t>& ids) {
+  Xoshiro256 rng(seed);
+  std::vector<Key> values(distinct);
+  for (Key& v : values) v = rng() % kKeyEnd;
+  keys.resize(n);
+  for (Key& k : keys) k = distinct == 0 ? rng() % kKeyEnd : values[rng() % distinct];
+  ids.resize(n);
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+  for (std::size_t i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng() % i]);
+}
+
+TEST(RadixSort, MatchesComparisonSortWithHeavyDuplication) {
+  std::vector<Key> keys;
+  std::vector<std::uint64_t> ids;
+  for (const std::size_t distinct : {std::size_t{64}, std::size_t{0}}) {
+    random_keys(50000, distinct, 53 + distinct, keys, ids);
+    EXPECT_EQ(sort_order(keys, ids), reference_order(keys, ids)) << distinct << " values";
+  }
+}
+
+TEST(RadixSort, TinyInputs) {
+  EXPECT_TRUE(sort_order({}, {}).empty());
+  const std::vector<Key> one{42};
+  const std::vector<std::uint64_t> one_id{7};
+  EXPECT_EQ(sort_order(one, one_id), std::vector<std::uint32_t>{0});
+  const std::vector<Key> two{9, 3};
+  const std::vector<std::uint64_t> two_ids{0, 1};
+  EXPECT_EQ(sort_order(two, two_ids), (std::vector<std::uint32_t>{1, 0}));
+  const std::vector<Key> tied{5, 5};
+  const std::vector<std::uint64_t> tied_ids{8, 2};
+  EXPECT_EQ(sort_order(tied, tied_ids), (std::vector<std::uint32_t>{1, 0}));
+}
+
+TEST(RadixSort, SkipsDigitsSharedByEveryKey) {
+  // Keys inside one level-4 cell share their top 12 bits, and keys on a
+  // level-17 grid their bottom 12: the passes over those digits change
+  // nothing, whether they run or not.
+  std::vector<Key> keys;
+  std::vector<std::uint64_t> ids;
+  random_keys(20000, 0, 59, keys, ids);
+  for (Key& k : keys) k = cell_first_key(cell_key_span(4) * 5 + (k >> 12), 17);
+  EXPECT_EQ(sort_order(keys, ids), reference_order(keys, ids));
+}
+
+TEST(RadixSort, SamePermutationAtEveryThreadCount) {
+  std::vector<Key> keys;
+  std::vector<std::uint64_t> ids;
+  random_keys(70000, 64, 61, keys, ids);
+  const std::vector<std::uint32_t> serial = sort_order(keys, ids);
+  EXPECT_EQ(serial, reference_order(keys, ids));
+  for (const std::size_t workers : {1, 3}) {  // 2 and 4 threads with the caller
+    ThreadPool pool(workers);
+    EXPECT_EQ(sort_order(keys, ids, &pool), serial) << workers + 1 << " threads";
+  }
 }
 
 }  // namespace
