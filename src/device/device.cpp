@@ -22,9 +22,7 @@ void Device::sort_particles(ParticleSet& parts, const sfc::KeySpace& space) {
     for (std::size_t i = 0; i < parts.size(); ++i)
       BNS_CHECK(parts.key[i] == space.key(parts.pos(i)), "particle ", i,
                 " reached the sort with a key of another KeySpace");
-  const std::vector<std::uint32_t> perm = sfc::sort_order(parts.key, parts.id, pool_.get());
-  pool_->parallel_for(
-      ParticleSet::kColumns, [&](std::size_t c) { parts.permute_column(c, perm); }, 1);
+  parts.apply_permutation(sfc::sort_order(parts.key, parts.id));
 }
 
 void Device::build_tree(const ParticleSet& parts, Octree& tree, int nleaf) {

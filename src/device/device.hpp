@@ -45,9 +45,9 @@ class Device {
   // program's one key pass per step; see run_spmd_redistribute).
   void compute_keys(ParticleSet& parts, const sfc::KeySpace& space);
 
-  // "Sorting SFC": order the particle arrays by (key, id) with the parallel
-  // radix sort, permuting the columns in parallel. The keys must already be
-  // those of `space` (checked in Debug and sanitizer builds).
+  // "Sorting SFC": order the particle arrays by (key, id) with the radix
+  // sort. The keys must already be those of `space` (checked in Debug and
+  // sanitizer builds).
   void sort_particles(ParticleSet& parts, const sfc::KeySpace& space);
 
   // "Tree-construction": build the octree over the sorted particles.

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <limits>
+#include <utility>
 
-#include "device/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace bonsai::sfc {
@@ -14,87 +13,40 @@ namespace {
 constexpr int kDigitBits = 8;
 constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
 constexpr int kPasses = (3 * kMaxLevel + kDigitBits - 1) / kDigitBits;
-// Keys per slice at least: a slice's share of one bucket then averages 64
-// keys (a kilobyte of items), so threads scattering into neighbouring
-// shares of a bucket rarely write the same cache line.
-constexpr std::size_t kMinSlice = 64 * kBuckets;
 
 struct Item {
   Key key;
   std::uint32_t index;
 };
 
-using Histogram = std::array<std::uint32_t, kBuckets>;
-
 }  // namespace
 
 std::vector<std::uint32_t> sort_order(std::span<const Key> keys,
-                                      std::span<const std::uint64_t> ids, ThreadPool* pool) {
+                                      std::span<const std::uint64_t> ids) {
   const std::size_t n = keys.size();
   BNS_CHECK(ids.size() == n);
   BNS_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
 
-  const std::size_t workers = pool ? pool->num_threads() + 1 : 1;
-  const std::size_t slices = std::clamp<std::size_t>(n / kMinSlice, 1, workers);
-  const auto slice_begin = [&](std::size_t t) { return t * n / slices; };
-  const auto for_slices = [&](const std::function<void(std::size_t)>& fn) {
-    if (pool && slices > 1)
-      pool->parallel_for(slices, fn, 1);
-    else
-      for (std::size_t t = 0; t < slices; ++t) fn(t);
-  };
-
-  // Load (key, index) pairs and histogram every pass's digit per slice in
-  // the same sweep. A scatter reorders the items, so after one a slice's
-  // histograms describe other items; their sum over slices still holds.
+  // Load (key, index) pairs and histogram every pass's digit in the same
+  // sweep: a stable scatter keeps each digit's count.
   std::vector<Item> items(n), scratch(n);
-  std::vector<std::array<Histogram, kPasses>> counts(slices);
+  std::array<std::array<std::uint32_t, kBuckets>, kPasses> counts{};
   const auto digit = [](Key k, int pass) {
     return static_cast<std::size_t>(k >> (pass * kDigitBits)) & (kBuckets - 1);
   };
-  for_slices([&](std::size_t t) {
-    for (Histogram& h : counts[t]) h.fill(0);
-    const std::size_t end = slice_begin(t + 1);
-    for (std::size_t i = slice_begin(t); i < end; ++i) {
-      items[i] = {keys[i], static_cast<std::uint32_t>(i)};
-      for (int pass = 0; pass < kPasses; ++pass) ++counts[t][pass][digit(keys[i], pass)];
-    }
-  });
+  for (std::size_t i = 0; i < n; ++i) {
+    items[i] = {keys[i], static_cast<std::uint32_t>(i)};
+    for (int pass = 0; pass < kPasses; ++pass) ++counts[pass][digit(keys[i], pass)];
+  }
 
-  bool scattered = false;
   for (int pass = 0; pass < kPasses; ++pass) {
+    auto& next = counts[pass];
     // A digit shared by every key leaves the order as it is.
-    bool shared = false;
-    for (std::size_t d = 0; d < kBuckets && !shared; ++d) {
-      std::size_t total = 0;
-      for (const auto& c : counts) total += c[pass][d];
-      shared = total == n;
-    }
-    if (shared) continue;
-    if (scattered && slices > 1)
-      for_slices([&](std::size_t t) {
-        Histogram& h = counts[t][pass];
-        h.fill(0);
-        const std::size_t end = slice_begin(t + 1);
-        for (std::size_t i = slice_begin(t); i < end; ++i) ++h[digit(items[i].key, pass)];
-      });
-    // Exclusive prefix over (digit, slice): slice t's keys of digit d land
-    // after every smaller digit and after slices < t of the same digit.
+    if (std::find(next.begin(), next.end(), n) != next.end()) continue;
     std::uint32_t offset = 0;
-    for (std::size_t d = 0; d < kBuckets; ++d)
-      for (auto& c : counts) {
-        const std::uint32_t count = c[pass][d];
-        c[pass][d] = offset;
-        offset += count;
-      }
-    for_slices([&](std::size_t t) {
-      Histogram& next = counts[t][pass];
-      const std::size_t end = slice_begin(t + 1);
-      for (std::size_t i = slice_begin(t); i < end; ++i)
-        scratch[next[digit(items[i].key, pass)]++] = items[i];
-    });
+    for (std::uint32_t& c : next) offset += std::exchange(c, offset);
+    for (const Item& item : items) scratch[next[digit(item.key, pass)]++] = item;
     items.swap(scratch);
-    scattered = true;
   }
 
   // Equal keys sit in their input order; order each run of them by id.

@@ -1,5 +1,5 @@
-// The key sort of the "Sorting SFC" stage (Table II): a parallel LSD radix
-// sort of 63-bit SFC keys, the sort Bonsai runs on the GPU (Bédorf, Gaburov &
+// The key sort of the "Sorting SFC" stage (Table II): an LSD radix sort of
+// 63-bit SFC keys, the sort Bonsai runs on the GPU (Bédorf, Gaburov &
 // Portegies Zwart 2012, arXiv:1204.2280).
 #pragma once
 
@@ -9,22 +9,13 @@
 
 #include "sfc/keys.hpp"
 
-namespace bonsai {
-class ThreadPool;
-}
-
 namespace bonsai::sfc {
 
 // The permutation that orders particles by (key, id): entry i is the old
-// index of the i-th smallest pair. Stable 8-bit LSD passes over the keys
-// (a pass whose digit is the same for every key is skipped), then each run
-// of equal keys is ordered by id. The keys are split into one contiguous
-// slice per thread of `pool` plus the caller; each slice keeps its own
-// digit histograms and scatters its keys behind the earlier slices' keys of
-// the same digit. A stable sort has one answer, so the result does not
-// depend on the thread count. A null pool sorts on the caller.
+// index of the i-th smallest pair. Stable 8-bit LSD passes over the keys,
+// with every digit histogrammed in one sweep (a pass whose digit is the same
+// for every key is skipped), then each run of equal keys is ordered by id.
 std::vector<std::uint32_t> sort_order(std::span<const Key> keys,
-                                      std::span<const std::uint64_t> ids,
-                                      ThreadPool* pool = nullptr);
+                                      std::span<const std::uint64_t> ids);
 
 }  // namespace bonsai::sfc

@@ -113,19 +113,6 @@ class ParticleSet {
     each_column([&](auto col) { permute(this->*col, perm); });
   }
 
-  // The columns, in declaration order, are independent arrays: callers may
-  // permute different ones concurrently.
-  static constexpr std::size_t kColumns = 14;
-
-  // apply_permutation for column c alone.
-  void permute_column(std::size_t c, std::span<const std::uint32_t> perm) {
-    BNS_CHECK(c < kColumns && perm.size() == size());
-    std::size_t k = 0;
-    each_column([&](auto col) {
-      if (k++ == c) permute(this->*col, perm);
-    });
-  }
-
   void zero_forces() {
     std::fill(ax.begin(), ax.end(), 0.0);
     std::fill(ay.begin(), ay.end(), 0.0);
@@ -173,10 +160,10 @@ class ParticleSet {
   }
 };
 
-// Compute SFC keys for all particles and sort the set by (key, id) on the
-// calling thread. Returns the permutation applied (new index -> old index).
-// Device::sort_particles is the parallel "Sorting SFC" stage of Table II
-// over the same sort (sfc/radix_sort.hpp).
+// Compute SFC keys for all particles and sort the set by (key, id). Returns
+// the permutation applied (new index -> old index). Device::sort_particles
+// is the "Sorting SFC" stage of Table II: the same sort (sfc/radix_sort.hpp)
+// over keys the rank's key pass already filled.
 std::vector<std::uint32_t> sort_by_keys(ParticleSet& parts, const sfc::KeySpace& space);
 
 }  // namespace bonsai

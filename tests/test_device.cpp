@@ -214,8 +214,9 @@ TEST(LetExchange, AccountsWireBytesAndFrames) {
 }
 
 TEST(Device, SortParticlesEqualsSerialSortOnEveryColumn) {
-  // Distinct force and work values per particle, so a column the parallel
-  // permutation skipped or mixed up would show.
+  // Distinct force and work values per particle, so a column the
+  // permutation skipped or mixed up would show. The device fills the keys
+  // itself, in parallel at 4 threads.
   ParticleSet parts = make_plummer(20000, 71);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const auto v = static_cast<double>(i);

@@ -578,9 +578,9 @@ TEST(Simulation, SummedWorkEqualsUsefulFlops) {
 TEST(Simulation, WorkColumnIsIndependentOfThreadCount) {
   // Useful interaction counts do not depend on how the staging queues flush,
   // so the work column (and with it every later cut) is the same whatever
-  // the device thread count. So is every other column: the key pass, the
-  // radix sort and the column permutation split their work across a rank's
-  // device threads without changing any result. After 3 steps the whole
+  // the device thread count. So is every other column: the key pass and the
+  // group walk split their work across a rank's device threads without
+  // changing any result. After 3 steps the whole
   // state is bitwise the same at 1 and at 4 threads per rank (threads_for
   // caps the 4 at the host's share).
   for (const int nranks : {1, 2}) {

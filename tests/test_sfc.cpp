@@ -16,7 +16,6 @@
 #include <numeric>
 #include <vector>
 
-#include "device/thread_pool.hpp"
 #include "hilbert_oracle.hpp"
 #include "sfc/hilbert.hpp"
 #include "sfc/keys.hpp"
@@ -329,18 +328,6 @@ TEST(RadixSort, SkipsDigitsSharedByEveryKey) {
   random_keys(20000, 0, 59, keys, ids);
   for (Key& k : keys) k = cell_first_key(cell_key_span(4) * 5 + (k >> 12), 17);
   EXPECT_EQ(sort_order(keys, ids), reference_order(keys, ids));
-}
-
-TEST(RadixSort, SamePermutationAtEveryThreadCount) {
-  std::vector<Key> keys;
-  std::vector<std::uint64_t> ids;
-  random_keys(70000, 64, 61, keys, ids);
-  const std::vector<std::uint32_t> serial = sort_order(keys, ids);
-  EXPECT_EQ(serial, reference_order(keys, ids));
-  for (const std::size_t workers : {1, 3}) {  // 2 and 4 threads with the caller
-    ThreadPool pool(workers);
-    EXPECT_EQ(sort_order(keys, ids, &pool), serial) << workers + 1 << " threads";
-  }
 }
 
 }  // namespace
