@@ -41,29 +41,10 @@ struct FloatBatch {
   ParticleSet* t;
 };
 
-// One float lane of a batch: staged slot x becomes (x - shift) * scale,
-// computed in double and then cast, and pad lanes hold `pad`.
-struct LaneSpec {
-  const double* staged;
-  double shift, scale;
-  float pad;
-};
-
-// Fills lanes[c] from specs[c] with staged slots [begin, end), padded to a
-// multiple of kKernelBatchPad; returns the padded lane count.
-std::uint32_t fill_lanes(std::span<const LaneSpec> specs, std::uint32_t begin,
-                         std::uint32_t end, std::vector<float>* lanes) {
-  const std::uint32_t n = end - begin;
-  const auto padded = static_cast<std::uint32_t>(pad_to(n));
-  for (std::size_t c = 0; c < specs.size(); ++c) {
-    const double* const src = specs[c].staged + begin;
-    const double shift = specs[c].shift, scale = specs[c].scale;
-    lanes[c].resize(padded);
-    float* const dst = lanes[c].data();
-    for (std::uint32_t j = 0; j < n; ++j) dst[j] = static_cast<float>((src[j] - shift) * scale);
-    std::fill(dst + n, dst + padded, specs[c].pad);
-  }
-  return padded;
+// One float lane value: the double `value` becomes (value - shift) * scale,
+// computed in double and then cast.
+inline float to_lane(double value, double shift, double scale) {
+  return static_cast<float>((value - shift) * scale);
 }
 
 // The portable variant of the `simd` drains: float loops the compiler
@@ -159,10 +140,13 @@ void drain_leaves_portable(const FloatBatch& b) {
 static_assert(kKernelBatchPad == 16, "one zmm of floats per batch step");
 
 // GCC 12's avx512fintrin.h raises false -Wmaybe-uninitialized positives from
-// _mm512_setzero_ps/_mm512_reduce_add_ps once they inline here.
+// _mm512_setzero_ps/_mm512_reduce_add_ps once they inline here, and
+// -Wuninitialized ones once the target blocks' accumulator arrays are
+// unrolled into registers.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
 #define BONSAI_TARGET_AVX512F __attribute__((target("avx512f")))
@@ -175,29 +159,41 @@ BONSAI_TARGET_AVX512F inline __m512 rsqrt_newton(__m512 r2) {
   return _mm512_fmadd_ps(y, _mm512_mul_ps(e, _mm512_set1_ps(0.5f)), y);
 }
 
-BONSAI_TARGET_AVX512F void drain_cells_avx512f(const FloatBatch& b) {
+// Targets [i0, i0 + NT) against every lane of a cell batch. Each source
+// vector is loaded once for the block; each target runs the one-target
+// arithmetic on its own accumulators, so a target's sums do not depend on
+// the block it falls in.
+template <int NT>
+BONSAI_TARGET_AVX512F inline void drain_cells_block_avx512f(const FloatBatch& b,
+                                                            std::uint32_t i0) {
   const __m512 veps2 = _mm512_set1_ps(b.eps2);
   const __m512 half = _mm512_set1_ps(0.5f);
   const __m512 three = _mm512_set1_ps(3.0f);
   const __m512 five_halves = _mm512_set1_ps(2.5f);
-  ParticleSet& t = *b.t;
-  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-    const std::uint32_t k = i - b.target_begin;
-    const __m512 tx = _mm512_set1_ps(b.toff[0][k]);
-    const __m512 ty = _mm512_set1_ps(b.toff[1][k]);
-    const __m512 tz = _mm512_set1_ps(b.toff[2][k]);
-    __m512 ax = _mm512_setzero_ps(), ay = ax, az = ax, pot = ax;
-    for (std::uint32_t j = 0; j < b.lanes; j += kKernelBatchPad) {
-      const __m512 dx = _mm512_sub_ps(_mm512_loadu_ps(b.src[0].data() + j), tx);
-      const __m512 dy = _mm512_sub_ps(_mm512_loadu_ps(b.src[1].data() + j), ty);
-      const __m512 dz = _mm512_sub_ps(_mm512_loadu_ps(b.src[2].data() + j), tz);
-      const __m512 m = _mm512_loadu_ps(b.src[3].data() + j);
-      const __m512 g0 = _mm512_loadu_ps(b.src[4].data() + j);
-      const __m512 g1 = _mm512_loadu_ps(b.src[5].data() + j);
-      const __m512 g2 = _mm512_loadu_ps(b.src[6].data() + j);
-      const __m512 g3 = _mm512_loadu_ps(b.src[7].data() + j);
-      const __m512 g4 = _mm512_loadu_ps(b.src[8].data() + j);
-      const __m512 g5 = _mm512_loadu_ps(b.src[9].data() + j);
+  const std::uint32_t k0 = i0 - b.target_begin;
+  __m512 tx[NT], ty[NT], tz[NT], ax[NT], ay[NT], az[NT], pot[NT];
+  for (int t = 0; t < NT; ++t) {
+    tx[t] = _mm512_set1_ps(b.toff[0][k0 + t]);
+    ty[t] = _mm512_set1_ps(b.toff[1][k0 + t]);
+    tz[t] = _mm512_set1_ps(b.toff[2][k0 + t]);
+    ax[t] = ay[t] = az[t] = pot[t] = _mm512_setzero_ps();
+  }
+  for (std::uint32_t j = 0; j < b.lanes; j += kKernelBatchPad) {
+    const __m512 cx = _mm512_loadu_ps(b.src[0].data() + j);
+    const __m512 cy = _mm512_loadu_ps(b.src[1].data() + j);
+    const __m512 cz = _mm512_loadu_ps(b.src[2].data() + j);
+    const __m512 m = _mm512_loadu_ps(b.src[3].data() + j);
+    const __m512 g0 = _mm512_loadu_ps(b.src[4].data() + j);
+    const __m512 g1 = _mm512_loadu_ps(b.src[5].data() + j);
+    const __m512 g2 = _mm512_loadu_ps(b.src[6].data() + j);
+    const __m512 g3 = _mm512_loadu_ps(b.src[7].data() + j);
+    const __m512 g4 = _mm512_loadu_ps(b.src[8].data() + j);
+    const __m512 g5 = _mm512_loadu_ps(b.src[9].data() + j);
+    const __m512 h = _mm512_loadu_ps(b.src[10].data() + j);
+    for (int t = 0; t < NT; ++t) {
+      const __m512 dx = _mm512_sub_ps(cx, tx[t]);
+      const __m512 dy = _mm512_sub_ps(cy, ty[t]);
+      const __m512 dz = _mm512_sub_ps(cz, tz[t]);
       const __m512 r2 =
           _mm512_fmadd_ps(dx, dx, _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dz, dz, veps2)));
       const __m512 rinv = rsqrt_newton(r2);
@@ -208,60 +204,96 @@ BONSAI_TARGET_AVX512F void drain_cells_avx512f(const FloatBatch& b) {
       const __m512 gy = _mm512_fmadd_ps(g1, dx, _mm512_fmadd_ps(g3, dy, _mm512_mul_ps(g4, dz)));
       const __m512 gz = _mm512_fmadd_ps(g2, dx, _mm512_fmadd_ps(g4, dy, _mm512_mul_ps(g5, dz)));
       const __m512 dgd = _mm512_fmadd_ps(dx, gx, _mm512_fmadd_ps(dy, gy, _mm512_mul_ps(dz, gz)));
-      const __m512 y = _mm512_mul_ps(_mm512_loadu_ps(b.src[10].data() + j), u);
+      const __m512 y = _mm512_mul_ps(h, u);
       const __m512 x = _mm512_mul_ps(dgd, _mm512_mul_ps(u, u));
       // pot += rinv (y - m - x/2)
-      pot = _mm512_fmadd_ps(rinv, _mm512_fnmadd_ps(half, x, _mm512_sub_ps(y, m)), pot);
+      pot[t] = _mm512_fmadd_ps(rinv, _mm512_fnmadd_ps(half, x, _mm512_sub_ps(y, m)), pot[t]);
       // s = rinv^3 (m - 3y + 5x/2); a += s d - rinv^5 g
       const __m512 s =
           _mm512_mul_ps(rinv3, _mm512_fmadd_ps(five_halves, x, _mm512_fnmadd_ps(three, y, m)));
-      ax = _mm512_fnmadd_ps(rinv5, gx, _mm512_fmadd_ps(s, dx, ax));
-      ay = _mm512_fnmadd_ps(rinv5, gy, _mm512_fmadd_ps(s, dy, ay));
-      az = _mm512_fnmadd_ps(rinv5, gz, _mm512_fmadd_ps(s, dz, az));
+      ax[t] = _mm512_fnmadd_ps(rinv5, gx, _mm512_fmadd_ps(s, dx, ax[t]));
+      ay[t] = _mm512_fnmadd_ps(rinv5, gy, _mm512_fmadd_ps(s, dy, ay[t]));
+      az[t] = _mm512_fnmadd_ps(rinv5, gz, _mm512_fmadd_ps(s, dz, az[t]));
     }
-    t.ax[i] += _mm512_reduce_add_ps(ax);
-    t.ay[i] += _mm512_reduce_add_ps(ay);
-    t.az[i] += _mm512_reduce_add_ps(az);
-    t.pot[i] += _mm512_reduce_add_ps(pot);
+  }
+  ParticleSet& out = *b.t;
+  for (int t = 0; t < NT; ++t) {
+    out.ax[i0 + t] += _mm512_reduce_add_ps(ax[t]);
+    out.ay[i0 + t] += _mm512_reduce_add_ps(ay[t]);
+    out.az[i0 + t] += _mm512_reduce_add_ps(az[t]);
+    out.pot[i0 + t] += _mm512_reduce_add_ps(pot[t]);
   }
 }
 
-BONSAI_TARGET_AVX512F void drain_leaves_avx512f(const FloatBatch& b) {
+// The leaf-batch block: as drain_cells_block_avx512f, with the self-mask
+// compare per target.
+template <int NT>
+BONSAI_TARGET_AVX512F inline void drain_leaves_block_avx512f(const FloatBatch& b,
+                                                             std::uint32_t i0) {
   const __m512 one = _mm512_set1_ps(1.0f);
   const __m512 zero = _mm512_setzero_ps();
   const __m512 veps2 = _mm512_set1_ps(b.eps2);
-  ParticleSet& t = *b.t;
-  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-    const std::uint32_t k = i - b.target_begin;
-    const __m512 tx = _mm512_set1_ps(b.toff[0][k]);
-    const __m512 ty = _mm512_set1_ps(b.toff[1][k]);
-    const __m512 tz = _mm512_set1_ps(b.toff[2][k]);
-    const __m512i self = _mm512_set1_epi32(static_cast<int>(i));
-    __m512 ax = zero, ay = zero, az = zero, pot = zero;
-    for (std::uint32_t j = 0; j < b.lanes; j += kKernelBatchPad) {
+  const std::uint32_t k0 = i0 - b.target_begin;
+  __m512 tx[NT], ty[NT], tz[NT], ax[NT], ay[NT], az[NT], pot[NT];
+  __m512i self[NT];
+  for (int t = 0; t < NT; ++t) {
+    tx[t] = _mm512_set1_ps(b.toff[0][k0 + t]);
+    ty[t] = _mm512_set1_ps(b.toff[1][k0 + t]);
+    tz[t] = _mm512_set1_ps(b.toff[2][k0 + t]);
+    self[t] = _mm512_set1_epi32(static_cast<int>(i0 + static_cast<std::uint32_t>(t)));
+    ax[t] = ay[t] = az[t] = pot[t] = zero;
+  }
+  for (std::uint32_t j = 0; j < b.lanes; j += kKernelBatchPad) {
+    const __m512i sidx = _mm512_loadu_si512(b.sidx + j);
+    const __m512 sx = _mm512_loadu_ps(b.src[0].data() + j);
+    const __m512 sy = _mm512_loadu_ps(b.src[1].data() + j);
+    const __m512 sz = _mm512_loadu_ps(b.src[2].data() + j);
+    const __m512 sm = _mm512_loadu_ps(b.src[3].data() + j);
+    for (int t = 0; t < NT; ++t) {
       // keep = 0 on the self lane, 1 elsewhere; as in the portable loop the
       // self lane gets zero mass and a +1 r2 bias so rinv stays finite.
-      const __mmask16 is_self = _mm512_cmpeq_epi32_mask(_mm512_loadu_si512(b.sidx + j), self);
+      const __mmask16 is_self = _mm512_cmpeq_epi32_mask(sidx, self[t]);
       const __m512 keep = _mm512_mask_blend_ps(is_self, one, zero);
-      const __m512 dx = _mm512_sub_ps(_mm512_loadu_ps(b.src[0].data() + j), tx);
-      const __m512 dy = _mm512_sub_ps(_mm512_loadu_ps(b.src[1].data() + j), ty);
-      const __m512 dz = _mm512_sub_ps(_mm512_loadu_ps(b.src[2].data() + j), tz);
+      const __m512 dx = _mm512_sub_ps(sx, tx[t]);
+      const __m512 dy = _mm512_sub_ps(sy, ty[t]);
+      const __m512 dz = _mm512_sub_ps(sz, tz[t]);
       const __m512 bias = _mm512_add_ps(veps2, _mm512_sub_ps(one, keep));
       const __m512 r2 =
           _mm512_fmadd_ps(dx, dx, _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dz, dz, bias)));
       const __m512 rinv = rsqrt_newton(r2);
-      const __m512 mr = _mm512_mul_ps(_mm512_mul_ps(_mm512_loadu_ps(b.src[3].data() + j), keep), rinv);
+      const __m512 mr = _mm512_mul_ps(_mm512_mul_ps(sm, keep), rinv);
       const __m512 mr3 = _mm512_mul_ps(_mm512_mul_ps(mr, rinv), rinv);
-      ax = _mm512_fmadd_ps(mr3, dx, ax);
-      ay = _mm512_fmadd_ps(mr3, dy, ay);
-      az = _mm512_fmadd_ps(mr3, dz, az);
-      pot = _mm512_sub_ps(pot, mr);
+      ax[t] = _mm512_fmadd_ps(mr3, dx, ax[t]);
+      ay[t] = _mm512_fmadd_ps(mr3, dy, ay[t]);
+      az[t] = _mm512_fmadd_ps(mr3, dz, az[t]);
+      pot[t] = _mm512_sub_ps(pot[t], mr);
     }
-    t.ax[i] += _mm512_reduce_add_ps(ax);
-    t.ay[i] += _mm512_reduce_add_ps(ay);
-    t.az[i] += _mm512_reduce_add_ps(az);
-    t.pot[i] += _mm512_reduce_add_ps(pot);
   }
+  ParticleSet& out = *b.t;
+  for (int t = 0; t < NT; ++t) {
+    out.ax[i0 + t] += _mm512_reduce_add_ps(ax[t]);
+    out.ay[i0 + t] += _mm512_reduce_add_ps(ay[t]);
+    out.az[i0 + t] += _mm512_reduce_add_ps(az[t]);
+    out.pot[i0 + t] += _mm512_reduce_add_ps(pot[t]);
+  }
+}
+
+// Targets per block of the AVX-512F drains; the last targets of a batch run
+// one at a time through the same template.
+constexpr std::uint32_t kTargetBlock = 4;
+
+BONSAI_TARGET_AVX512F void drain_cells_avx512f(const FloatBatch& b) {
+  std::uint32_t i = b.target_begin;
+  for (; i + kTargetBlock <= b.target_end; i += kTargetBlock)
+    drain_cells_block_avx512f<kTargetBlock>(b, i);
+  for (; i < b.target_end; ++i) drain_cells_block_avx512f<1>(b, i);
+}
+
+BONSAI_TARGET_AVX512F void drain_leaves_avx512f(const FloatBatch& b) {
+  std::uint32_t i = b.target_begin;
+  for (; i + kTargetBlock <= b.target_end; i += kTargetBlock)
+    drain_leaves_block_avx512f<kTargetBlock>(b, i);
+  for (; i < b.target_end; ++i) drain_leaves_block_avx512f<1>(b, i);
 }
 
 BONSAI_TARGET_AVX512F void rsqrt_avx512f_impl(std::span<const float> r2,
@@ -341,38 +373,31 @@ void InteractionQueue::begin_walk(const TreeView& src, ParticleSet& targets,
   backend_ = backend;
   target_begin_ = target_begin;
   target_end_ = target_end;
-  cell_run_begin_ = static_cast<std::uint32_t>(cx_.size());
-  leaf_run_begin_ = static_cast<std::uint32_t>(sx_.size());
+  cell_run_begin_ = static_cast<std::uint32_t>(cells_.size());
+  leaf_run_begin_ = static_cast<std::uint32_t>(leaves_.size());
 }
 
 void InteractionQueue::push_cell(const TreeNode& node) {
-  if (cx_.size() + sx_.size() >= capacity_) flush();
-  const Multipole& mp = node.mp;
-  cx_.push_back(mp.com.x);
-  cy_.push_back(mp.com.y);
-  cz_.push_back(mp.com.z);
-  cm_.push_back(mp.mass);
-  for (int k = 0; k < 6; ++k) cq_[k].push_back(params_.quadrupole ? mp.quad.q[k] : 0.0);
+  if (cells_.size() + leaf_sources_ >= capacity_) flush();
+  const auto index = static_cast<std::size_t>(&node - src_.nodes.data());
+  BNS_DCHECK(index < src_.nodes.size(), "push_cell() takes a node of the walk's view");
+  cells_.push_back(static_cast<std::uint32_t>(index));
 }
 
 void InteractionQueue::push_leaf(const TreeNode& leaf) {
   const std::size_t count = leaf.part_end - leaf.part_begin;
   if (count == 0) return;
-  if (cx_.size() + sx_.size() + count >= capacity_ &&
-      (sx_.size() > leaf_run_begin_ || cx_.size() > cell_run_begin_ ||
+  BNS_DCHECK(leaf.part_end <= src_.x.size(), "leaf range past the view's particles");
+  if (cells_.size() + leaf_sources_ + count >= capacity_ &&
+      (leaves_.size() > leaf_run_begin_ || cells_.size() > cell_run_begin_ ||
        !cell_batches_.empty() || !leaf_batches_.empty()))
     flush();
-  for (std::uint32_t j = leaf.part_begin; j < leaf.part_end; ++j) {
-    sx_.push_back(src_.x[j]);
-    sy_.push_back(src_.y[j]);
-    sz_.push_back(src_.z[j]);
-    sm_.push_back(src_.m[j]);
-    sidx_.push_back(params_.self ? j : kInvalidSource);
-  }
+  leaves_.push_back({leaf.part_begin, leaf.part_end});
+  leaf_sources_ += count;
 }
 
 void InteractionQueue::close_cell_run() {
-  const std::uint32_t end = static_cast<std::uint32_t>(cx_.size());
+  const std::uint32_t end = static_cast<std::uint32_t>(cells_.size());
   if (end == cell_run_begin_) return;
   Batch b;
   b.target_begin = target_begin_;
@@ -391,23 +416,26 @@ void InteractionQueue::close_cell_run() {
 }
 
 void InteractionQueue::close_leaf_run() {
-  const std::uint32_t end = static_cast<std::uint32_t>(sx_.size());
+  const std::uint32_t end = static_cast<std::uint32_t>(leaves_.size());
   if (end == leaf_run_begin_) return;
   Batch b;
   b.target_begin = target_begin_;
   b.target_end = target_end_;
   b.begin = leaf_run_begin_;
   b.end = end;
-  if (params_.self) {
-    // Self-pairs in this run: staged sources whose global index falls inside
-    // the target range. They are masked lanes, not useful interactions.
-    for (std::uint32_t s = b.begin; s < b.end; ++s)
-      if (sidx_[s] >= target_begin_ && sidx_[s] < target_end_ &&
-          sidx_[s] != kInvalidSource)
-        ++b.self_pairs;
+  for (std::uint32_t r = b.begin; r < b.end; ++r) {
+    const LeafRange& leaf = leaves_[r];
+    b.sources += leaf.end - leaf.begin;
+    // Self-pairs: sources whose index falls inside the target range. They
+    // are masked lanes, not useful interactions.
+    if (params_.self) {
+      const std::uint32_t lo = std::max(leaf.begin, target_begin_);
+      const std::uint32_t hi = std::min(leaf.end, target_end_);
+      if (hi > lo) b.self_pairs += hi - lo;
+    }
   }
   const std::uint64_t nt = b.target_end - b.target_begin;
-  const std::uint64_t sources = b.end - b.begin;
+  const std::uint64_t sources = b.sources;
   const std::uint64_t useful = sources * nt - b.self_pairs;
   stats_.p2p += useful;
   // The scalar drain skips self-pairs; the SIMD drain evaluates every padded
@@ -442,16 +470,9 @@ void InteractionQueue::flush() {
   for (const Batch& b : leaf_batches_) drain_leaf_batch(b);
   cell_batches_.clear();
   leaf_batches_.clear();
-  cx_.clear();
-  cy_.clear();
-  cz_.clear();
-  cm_.clear();
-  for (auto& q : cq_) q.clear();
-  sx_.clear();
-  sy_.clear();
-  sz_.clear();
-  sm_.clear();
-  sidx_.clear();
+  cells_.clear();
+  leaves_.clear();
+  leaf_sources_ = 0;
   cell_run_begin_ = 0;
   leaf_run_begin_ = 0;
 }
@@ -477,6 +498,59 @@ void InteractionQueue::stage_targets() {
   pad_off_ = 1.0f + 2.0f * reach;
 }
 
+// Gathers a cell batch's padded float lanes from the staged node indices:
+// offsets of the COM from the walk's centre, the mass, g = 3q (Quadrupole::q
+// order, zero without quadrupoles) and h = tr(Q)/2, the prescaled moments
+// the rearranged p-c kernel takes. Returns the padded lane count.
+std::uint32_t InteractionQueue::gather_cells(const Batch& b) {
+  const std::uint32_t n = b.end - b.begin;
+  const auto lanes = static_cast<std::uint32_t>(pad_to(n));
+  for (auto& lane : lane_) lane.resize(lanes);
+  const Vec3d& o = params_.centre;
+  for (std::uint32_t j = 0; j < n; ++j) {
+    const Multipole& mp = src_.nodes[cells_[b.begin + j]].mp;
+    lane_[0][j] = to_lane(mp.com.x, o.x, 1.0);
+    lane_[1][j] = to_lane(mp.com.y, o.y, 1.0);
+    lane_[2][j] = to_lane(mp.com.z, o.z, 1.0);
+    lane_[3][j] = to_lane(mp.mass, 0.0, 1.0);
+    for (int k = 0; k < 6; ++k)
+      lane_[4 + k][j] = to_lane(params_.quadrupole ? mp.quad.q[k] : 0.0, 0.0, 3.0);
+  }
+  for (int c = 0; c < 10; ++c)
+    std::fill(lane_[c].begin() + n, lane_[c].end(), c < 3 ? pad_off_ : 0.0f);
+  const float* const g0 = lane_[4].data();
+  const float* const g3 = lane_[7].data();
+  const float* const g5 = lane_[9].data();
+  float* const h = lane_[10].data();
+  for (std::uint32_t j = 0; j < lanes; ++j) h[j] = (g0[j] + g3[j] + g5[j]) * (1.0f / 6.0f);
+  return lanes;
+}
+
+// Gathers a leaf batch's padded float lanes (offsets from the walk's centre
+// and mass) from the staged particle ranges, with each lane's source index
+// for the self-mask. Pad lanes carry kInvalidSource so the mask never fires
+// on them. Returns the padded lane count.
+std::uint32_t InteractionQueue::gather_leaves(const Batch& b) {
+  const auto lanes = static_cast<std::uint32_t>(pad_to(b.sources));
+  for (int c = 0; c < 4; ++c) lane_[c].resize(lanes);
+  lane_idx_.resize(lanes);
+  const Vec3d& o = params_.centre;
+  std::uint32_t j = 0;
+  for (std::uint32_t r = b.begin; r < b.end; ++r) {
+    for (std::uint32_t s = leaves_[r].begin; s < leaves_[r].end; ++s, ++j) {
+      lane_[0][j] = to_lane(src_.x[s], o.x, 1.0);
+      lane_[1][j] = to_lane(src_.y[s], o.y, 1.0);
+      lane_[2][j] = to_lane(src_.z[s], o.z, 1.0);
+      lane_[3][j] = to_lane(src_.m[s], 0.0, 1.0);
+      lane_idx_[j] = params_.self ? s : kInvalidSource;
+    }
+  }
+  for (int c = 0; c < 4; ++c)
+    std::fill(lane_[c].begin() + j, lane_[c].end(), c < 3 ? pad_off_ : 0.0f);
+  std::fill(lane_idx_.begin() + j, lane_idx_.end(), kInvalidSource);
+  return lanes;
+}
+
 void InteractionQueue::drain_cell_batch(const Batch& b) {
   ParticleSet& t = *targets_;
   const double eps2 = params_.eps2;
@@ -485,10 +559,7 @@ void InteractionQueue::drain_cell_batch(const Batch& b) {
     // The reference kernels in staged (stack) order: cell-outer,
     // target-inner, one pc_kernel call per interaction.
     for (std::uint32_t j = b.begin; j < b.end; ++j) {
-      Multipole mp;
-      mp.mass = cm_[j];
-      mp.com = {cx_[j], cy_[j], cz_[j]};
-      for (int k = 0; k < 6; ++k) mp.quad.q[k] = cq_[k][j];
+      const Multipole& mp = src_.nodes[cells_[j]].mp;
       for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
         ForceAccum f{};
         if (params_.quadrupole) {
@@ -505,20 +576,7 @@ void InteractionQueue::drain_cell_batch(const Batch& b) {
     return;
   }
 
-  // The rearranged p-c kernel takes g = 3q and h = tr(Q)/2.
-  const Vec3d& o = params_.centre;
-  LaneSpec specs[10] = {{cx_.data(), o.x, 1.0, pad_off_},
-                        {cy_.data(), o.y, 1.0, pad_off_},
-                        {cz_.data(), o.z, 1.0, pad_off_},
-                        {cm_.data(), 0.0, 1.0, 0.0f}};
-  for (int k = 0; k < 6; ++k) specs[4 + k] = {cq_[k].data(), 0.0, 3.0, 0.0f};
-  const std::uint32_t lanes = fill_lanes(specs, b.begin, b.end, lane_);
-  lane_[10].resize(lanes);
-  const float* const g0 = lane_[4].data();
-  const float* const g3 = lane_[7].data();
-  const float* const g5 = lane_[9].data();
-  float* const h = lane_[10].data();
-  for (std::uint32_t j = 0; j < lanes; ++j) h[j] = (g0[j] + g3[j] + g5[j]) * (1.0f / 6.0f);
+  const std::uint32_t lanes = gather_cells(b);
   const FloatBatch fb{lane_,         nullptr,      lanes,   target_off_,
                       b.target_begin, b.target_end, static_cast<float>(eps2), &t};
 #if BONSAI_KERNEL_AVX512F
@@ -535,9 +593,11 @@ void InteractionQueue::drain_leaf_batch(const Batch& b) {
     for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
       const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
       ForceAccum f{};
-      for (std::uint32_t j = b.begin; j < b.end; ++j) {
-        if (sidx_[j] == i) continue;  // exact self-interaction
-        pp_kernel(tx, ty, tz, sx_[j], sy_[j], sz_[j], sm_[j], eps2, f);
+      for (std::uint32_t r = b.begin; r < b.end; ++r) {
+        for (std::uint32_t s = leaves_[r].begin; s < leaves_[r].end; ++s) {
+          if (params_.self && s == i) continue;  // exact self-interaction
+          pp_kernel(tx, ty, tz, src_.x[s], src_.y[s], src_.z[s], src_.m[s], eps2, f);
+        }
       }
       t.ax[i] += f.ax;
       t.ay[i] += f.ay;
@@ -547,15 +607,7 @@ void InteractionQueue::drain_leaf_batch(const Batch& b) {
     return;
   }
 
-  // Pad lanes carry kInvalidSource so the self-mask never fires on them.
-  const Vec3d& o = params_.centre;
-  const LaneSpec specs[4] = {{sx_.data(), o.x, 1.0, pad_off_},
-                             {sy_.data(), o.y, 1.0, pad_off_},
-                             {sz_.data(), o.z, 1.0, pad_off_},
-                             {sm_.data(), 0.0, 1.0, 0.0f}};
-  const std::uint32_t lanes = fill_lanes(specs, b.begin, b.end, lane_);
-  lane_idx_.assign(sidx_.begin() + b.begin, sidx_.begin() + b.end);
-  lane_idx_.resize(lanes, kInvalidSource);
+  const std::uint32_t lanes = gather_leaves(b);
   const FloatBatch fb{lane_,         lane_idx_.data(), lanes,   target_off_,
                       b.target_begin, b.target_end, static_cast<float>(eps2), &t};
 #if BONSAI_KERNEL_AVX512F

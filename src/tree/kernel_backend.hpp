@@ -8,22 +8,30 @@
 // seam is where a CUDA/SYCL backend drops in later: the queue is the host
 // side of the device interaction buffer, the drain is the kernel launch.
 //
+// The lists hold indices, as Bonsai's do: an accepted cell is staged as its
+// node index and an opened leaf as its particle range [part_begin,
+// part_end). Each drain gathers what it needs straight from the walk's
+// TreeView, so staging costs the walk one store per cell or leaf.
+//
 // Backends:
 //   scalar     — evaluates pp_kernel/pc_kernel per staged interaction,
 //                without padding: the correctness oracle the simd drains are
 //                tested against.
-//   simd       — mixed precision, the paper's production kernels (§VI-A): the
-//                walk stages double positions, and each drained batch is
-//                converted to float offsets from the target group's box
-//                centre (subtracted in double, then cast), so float keeps
-//                the digits that matter for near pairs. Arithmetic is float,
-//                16 lanes per batch step; each target sums a batch in float
-//                and adds the sum to its double accumulators. On hosts with
-//                AVX-512F one zmm covers a batch step and 1/sqrt is the
-//                rsqrt14 estimate plus one Newton step; other hosts run the
-//                portable #pragma omp simd float loops (explicit reductions,
-//                so they vectorize under strict FP semantics). The variant
-//                is picked once per process (KernelIsa).
+//   simd       — mixed precision, the paper's production kernels (§VI-A):
+//                each drained batch gathers its sources as float offsets
+//                from the target group's box centre (subtracted in double,
+//                then cast), so float keeps the digits that matter for near
+//                pairs. Arithmetic is float, 16 lanes per batch step; each
+//                target sums a batch in float and adds the sum to its double
+//                accumulators. On hosts with AVX-512F one zmm covers a batch
+//                step and 1/sqrt is the rsqrt14 estimate plus one Newton
+//                step; targets run in blocks of four, so each source vector
+//                is loaded once per block (the CPU analogue of a warp
+//                sharing one source tile), and each target keeps its own
+//                accumulators, so blocking never changes a bit. Other hosts
+//                run the portable #pragma omp simd float loops (explicit
+//                reductions, so they vectorize under strict FP semantics).
+//                The variant is picked once per process (KernelIsa).
 //
 // `simd` batches are padded to the SIMD width with inert lanes (zero mass and
 // moments at a point no target of the group can reach) and self-interactions
@@ -98,9 +106,11 @@ struct WalkParams {
 //
 // finish_walk drains everything the walk staged, so every drained batch
 // belongs to one walk and shares its float origin (WalkParams::centre). When
-// the staged source slots exceed `capacity` mid-walk the queue flushes early —
-// drains every pending batch through the backend and resets the buffers — so
-// the staging memory stays bounded no matter how deep a walk opens the tree.
+// the staged sources (cells plus leaf particles) exceed `capacity` mid-walk
+// the queue flushes early — drains every pending batch through the backend
+// and resets the lists — so each batch, and the float lanes gathered for it,
+// stay bounded no matter how deep a walk opens the tree. The flush points fix
+// the batch bounds, and with them every float sum.
 //
 // `isa` selects the `simd` backend's drain variant; it defaults to the host's
 // and exists so tests can run both variants in one process. It must be
@@ -116,12 +126,13 @@ class InteractionQueue {
                   KernelBackend backend, std::uint32_t target_begin,
                   std::uint32_t target_end);
 
-  // Stage one MAC-accepted cell (internal node or multipole leaf) against the
-  // current walk's target range.
+  // Stage one MAC-accepted cell (internal node or multipole leaf) of the
+  // walk's TreeView against the current walk's target range: the queue keeps
+  // its node index, so `node` must be an element of that view's nodes.
   void push_cell(const TreeNode& node);
 
-  // Stage an opened particle leaf's source particles against the current
-  // walk's target range.
+  // Stage an opened particle leaf's source particle range against the
+  // current walk's target range.
   void push_leaf(const TreeNode& leaf);
 
   // Close the current walk's batches, drain everything still staged and
@@ -132,10 +143,16 @@ class InteractionQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
+  // An opened leaf's source particles [begin, end) in the walk's TreeView.
+  struct LeafRange {
+    std::uint32_t begin = 0, end = 0;
+  };
+
   struct Batch {
     std::uint32_t target_begin = 0, target_end = 0;
-    std::uint32_t begin = 0;         // staged-slot range [begin, end)
-    std::uint32_t end = 0;
+    std::uint32_t begin = 0;         // staged-entry range [begin, end) of
+    std::uint32_t end = 0;           // cells_ or leaves_
+    std::uint32_t sources = 0;       // leaf batches: particles in the ranges
     std::uint64_t self_pairs = 0;    // masked self-interactions (leaf batches)
   };
 
@@ -143,6 +160,8 @@ class InteractionQueue {
   void close_leaf_run();
   void flush();
   void stage_targets();
+  std::uint32_t gather_cells(const Batch& b);
+  std::uint32_t gather_leaves(const Batch& b);
   void drain_cell_batch(const Batch& b);
   void drain_leaf_batch(const Batch& b);
 
@@ -157,20 +176,16 @@ class InteractionQueue {
   std::uint32_t target_begin_ = 0, target_end_ = 0;
   std::uint32_t cell_run_begin_ = 0, leaf_run_begin_ = 0;
 
-  // Staged cell SoA: COM, mass and the six unique quadrupole entries
-  // (order xx, xy, xz, yy, yz, zz, matching Quadrupole::q).
-  std::vector<double> cx_, cy_, cz_, cm_;
-  std::vector<double> cq_[6];
-
-  // Staged leaf-particle SoA. sidx_ holds the source's global particle index
-  // for self-masking; kInvalidSource for non-self walks.
-  std::vector<double> sx_, sy_, sz_, sm_;
-  std::vector<std::uint32_t> sidx_;
+  // The staged lists: accepted cells as indices into src_.nodes, opened
+  // leaves as particle ranges, and the particles those ranges hold.
+  std::vector<std::uint32_t> cells_;
+  std::vector<LeafRange> leaves_;
+  std::size_t leaf_sources_ = 0;
 
   // `simd` drain buffers: the walk's targets as float offsets from
   // params_.centre (refreshed per flush), and the batch being drained as
-  // padded float lanes (x, y, z, m, then 3q0..3q5 and tr(Q)/2 for cells)
-  // plus, for leaf batches, the padded source indices.
+  // padded float lanes gathered from src_ (x, y, z, m, then 3q0..3q5 and
+  // tr(Q)/2 for cells) plus, for leaf batches, the padded source indices.
   std::vector<float> target_off_[3];
   float pad_off_ = 0.0f;  // pad lanes sit at (pad_off_, pad_off_, pad_off_)
   std::vector<float> lane_[11];

@@ -44,8 +44,9 @@ InteractionStats traverse_one_group_batched(const TreeView& src, ParticleSet& ta
   params.centre = group.box.center();
   queue.begin_walk(src, targets, params, config.backend, group.begin, group.end);
 
-  std::vector<std::int32_t> stack;
-  stack.push_back(0);
+  // One node stack per thread, reused by every group it walks.
+  thread_local std::vector<std::int32_t> stack;
+  stack.assign(1, 0);
   while (!stack.empty()) {
     const TreeNode& node = src.nodes[static_cast<std::size_t>(stack.back())];
     stack.pop_back();

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tree/kernels.hpp"
@@ -513,6 +514,78 @@ TEST_P(SimdDrainIsa, CapacityFourFlushAgreesWithDefault) {
             5e-6);  // measured 1.1e-6
 }
 
+TEST_P(SimdDrainIsa, TargetBlockingIsBitwiseInvisible) {
+  // The AVX-512F drains run targets in blocks of four and the rest one at a
+  // time. A target's sums must not depend on the block it falls in: for every
+  // nt from 1 to 9 (full blocks and every tail), each target of a drained
+  // cell batch and leaf batch, self and non-self, must equal a walk over that
+  // target alone with the same centre and sources, bit for bit.
+  ParticleSet sources = clustered_cloud(37, 131);  // 37 lanes: three padded
+  std::vector<TreeNode> nodes;
+  Xoshiro256 rng(132);
+  for (int c = 0; c < 21; ++c) {
+    TreeNode cell;
+    cell.kind = NodeKind::kMultipoleLeaf;
+    cell.mp.mass = 0.5 + rng.uniform();
+    cell.mp.com = rng.unit_sphere() * (2.0 + rng.uniform());
+    cell.mp.quad.add_outer(rng.unit_sphere() * 0.3, cell.mp.mass);
+    nodes.push_back(cell);
+  }
+  TreeNode leaf;
+  leaf.kind = NodeKind::kParticleLeaf;
+  leaf.part_end = static_cast<std::uint32_t>(sources.size());
+  nodes.push_back(leaf);
+
+  const auto view_of = [&](const ParticleSet& p) {
+    return TreeView{nodes, p.x, p.y, p.z, p.mass};
+  };
+  WalkParams params;
+  params.eps2 = 1e-4;
+  params.centre = {0.125, -0.25, 0.0625};
+  // Drains targets [begin, end) of `targets` against every cell, or against
+  // the leaf, of `view`.
+  const auto drain = [&](const TreeView& view, ParticleSet& targets, bool self, bool cells,
+                         std::uint32_t begin, std::uint32_t end) {
+    WalkParams p = params;
+    p.self = self;
+    InteractionQueue queue(InteractionQueue::kDefaultCapacity, GetParam());
+    queue.begin_walk(view, targets, p, KernelBackend::kSimd, begin, end);
+    if (cells) {
+      for (std::size_t c = 0; c + 1 < view.nodes.size(); ++c) queue.push_cell(view.nodes[c]);
+    } else {
+      queue.push_leaf(view.nodes.back());
+    }
+    queue.finish_walk();
+  };
+
+  for (const bool self : {false, true}) {
+    for (const bool cells : {true, false}) {
+      for (std::uint32_t nt = 1; nt <= 9; ++nt) {
+        // Self walks target a range inside the leaf; others a separate cloud.
+        ParticleSet targets = self ? sources : clustered_cloud(nt + 2, 133 + nt);
+        const std::uint32_t begin = self ? 5 : 1;
+        const TreeView view = view_of(self ? targets : sources);
+        ParticleSet block = targets;
+        block.zero_forces();
+        drain(view, block, self, cells, begin, begin + nt);
+        for (std::uint32_t i = begin; i < begin + nt; ++i) {
+          ParticleSet alone = targets;
+          alone.zero_forces();
+          drain(view_of(self ? alone : sources), alone, self, cells, i, i + 1);
+          const std::string where = std::string(self ? "self " : "disjoint ") +
+                                    (cells ? "cells" : "leaf") + " nt=" + std::to_string(nt) +
+                                    " i=" + std::to_string(i);
+          EXPECT_NE(block.ax[i], 0.0) << where;
+          EXPECT_EQ(block.ax[i], alone.ax[i]) << where;
+          EXPECT_EQ(block.ay[i], alone.ay[i]) << where;
+          EXPECT_EQ(block.az[i], alone.az[i]) << where;
+          EXPECT_EQ(block.pot[i], alone.pot[i]) << where;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Variants, SimdDrainIsa,
                          ::testing::Values(KernelIsa::kPortable, KernelIsa::kAvx512f),
                          [](const ::testing::TestParamInfo<KernelIsa>& param_info) {
@@ -566,6 +639,66 @@ TEST(KernelIsa, PortableAndAvx512fVariantsAgree) {
     batched_forces(s, avx512f, KernelBackend::kSimd, cfg, InteractionQueue::kDefaultCapacity,
                    KernelIsa::kAvx512f);
     EXPECT_LT(max_rel_acc_diff(portable, avx512f), 7e-6) << "eps=" << eps;
+  }
+}
+
+TEST(KernelBackend, SelfPairsCountRangeOverlap) {
+  // A self walk stages leaves as particle ranges and counts its masked
+  // self-pairs as the overlap of each range with the target range. Leaves
+  // disjoint from, partly over and wholly inside or around the targets
+  // [10, 30) must give the brute-force pair counts on both backends, also
+  // when a capacity-4 queue flushes between them and splits the leaves over
+  // several batches.
+  const ParticleSet parts = clustered_cloud(64, 141);
+  const std::pair<std::uint32_t, std::uint32_t> ranges[] = {
+      {0, 8}, {5, 15}, {12, 20}, {25, 40}, {0, 64}, {30, 31}};
+  std::vector<TreeNode> nodes;
+  for (const auto& [begin, end] : ranges) {
+    TreeNode leaf;
+    leaf.kind = NodeKind::kParticleLeaf;
+    leaf.part_begin = begin;
+    leaf.part_end = end;
+    nodes.push_back(leaf);
+  }
+  constexpr std::uint32_t kTb = 10, kTe = 30;
+  const std::uint64_t nt = kTe - kTb;
+
+  for (const std::size_t capacity : {InteractionQueue::kDefaultCapacity, std::size_t{4}}) {
+    // Brute force, batch by batch: the roomy queue stages every leaf in one
+    // batch; capacity 4 flushes before each leaf after the first, as each
+    // holds at least one particle and the staged ones already fill it.
+    std::uint64_t p2p = 0, simd_padded = 0, batch_sources = 0, batches = 0;
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      for (std::uint32_t s = ranges[k].first; s < ranges[k].second; ++s)
+        for (std::uint32_t i = kTb; i < kTe; ++i) p2p += s != i ? 1 : 0;
+      batch_sources += ranges[k].second - ranges[k].first;
+      const bool last_in_batch = capacity != InteractionQueue::kDefaultCapacity ||
+                                 k + 1 == nodes.size();
+      if (last_in_batch) {
+        simd_padded += (batch_sources + kKernelBatchPad - 1) / kKernelBatchPad *
+                       kKernelBatchPad * nt;
+        batch_sources = 0;
+        ++batches;
+      }
+    }
+    for (const KernelBackend b : kKernelBackends) {
+      ParticleSet targets = parts;
+      targets.zero_forces();
+      WalkParams params;
+      params.self = true;
+      params.eps2 = 1e-4;
+      InteractionQueue queue(capacity);
+      queue.begin_walk(TreeView{nodes, targets.x, targets.y, targets.z, targets.mass}, targets,
+                       params, b, kTb, kTe);
+      for (const TreeNode& leaf : nodes) queue.push_leaf(leaf);
+      const InteractionStats stats = queue.finish_walk();
+      const std::string where =
+          std::string(kernel_backend_name(b)) + " capacity=" + std::to_string(capacity);
+      EXPECT_EQ(stats.p2p, p2p) << where;
+      EXPECT_EQ(stats.p2p_padded, b == KernelBackend::kScalar ? p2p : simd_padded) << where;
+      EXPECT_EQ(stats.pp_batches, batches) << where;
+      EXPECT_EQ(stats.p2c, 0u) << where;
+    }
   }
 }
 
