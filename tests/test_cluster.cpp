@@ -275,10 +275,57 @@ TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator)
   EXPECT_EQ(traffic_frames(rep, wire::FrameType::kKeySamples), nranks * (nranks - 1));
 }
 
+// A report's wire rows are the sums of its traffic matrix: LET and LetDelta
+// frames are let_wire; Migration frames, plus over sockets the StepBegin and
+// StepResult control frames, part_wire; Boundaries and KeySamples frames
+// dom_wire. Its LET totals are the sums of the importers' size records.
+void expect_report_matches_records(const domain::StepReport& rep, bool socket) {
+  wire::WireStats let, part, dom;
+  for (const wire::PeerTraffic& t : rep.traffic) {
+    EXPECT_NE(t.src, t.dst);
+    wire::WireStats* row = nullptr;
+    switch (static_cast<wire::FrameType>(t.type)) {
+      case wire::FrameType::kLet:
+      case wire::FrameType::kLetDelta: row = &let; break;
+      case wire::FrameType::kMigration: row = &part; break;
+      case wire::FrameType::kStepBegin:
+      case wire::FrameType::kStepResult: row = socket ? &part : nullptr; break;
+      case wire::FrameType::kBoundaries:
+      case wire::FrameType::kKeySamples: row = &dom; break;
+      default: break;
+    }
+    if (row == nullptr) {
+      ADD_FAILURE() << "unexpected frame type " << t.type;
+      continue;
+    }
+    row->frames += t.frames;
+    row->bytes += t.bytes;
+  }
+  EXPECT_EQ(let.frames, rep.let_wire.frames);
+  EXPECT_EQ(let.bytes, rep.let_wire.bytes);
+  EXPECT_EQ(part.frames, rep.part_wire.frames);
+  EXPECT_EQ(part.bytes, rep.part_wire.bytes);
+  EXPECT_EQ(dom.frames, rep.dom_wire.frames);
+  EXPECT_EQ(dom.bytes, rep.dom_wire.bytes);
+  if (socket) {
+    EXPECT_GT(traffic_frames(rep, wire::FrameType::kStepResult), 0u);
+  }
+
+  std::uint64_t cells = 0, particles = 0, bytes = 0;
+  for (const wire::LetSizeSample& l : rep.let_sizes) {
+    cells += l.cells;
+    particles += l.particles;
+    bytes += l.bytes;
+  }
+  EXPECT_GT(rep.let_cells, 0u);
+  EXPECT_EQ(cells, rep.let_cells);
+  EXPECT_EQ(particles, rep.let_particles);
+  EXPECT_EQ(bytes, rep.let_wire.bytes);
+}
+
 // Both drivers run one rank program, so the in-process traffic matrix is the
 // socket run's worker-to-worker part, cell for cell — frames and bytes — and
-// its sums are the report's wire rows: LET and LetDelta frames are let_wire,
-// Migration frames part_wire, Boundaries and KeySamples frames dom_wire.
+// in both the report's wire rows and LET totals match its records.
 TEST(Simulation, TrafficMatrixMatchesWireSummaries) {
   const ParticleSet global = make_plummer(900, 37);
   SimConfig cfg = forces_only_config(3);
@@ -308,24 +355,14 @@ TEST(Simulation, TrafficMatrixMatchesWireSummaries) {
           << wire::frame_type_name(static_cast<wire::FrameType>(a.type));
     }
 
-    wire::WireStats let, part, dom;
-    for (const wire::PeerTraffic& t : in_rep.traffic) {
-      EXPECT_NE(t.src, t.dst);
-      switch (static_cast<wire::FrameType>(t.type)) {
-        case wire::FrameType::kLet:
-        case wire::FrameType::kLetDelta: let.frames += t.frames; let.bytes += t.bytes; break;
-        case wire::FrameType::kMigration: part.frames += t.frames; part.bytes += t.bytes; break;
-        case wire::FrameType::kBoundaries:
-        case wire::FrameType::kKeySamples: dom.frames += t.frames; dom.bytes += t.bytes; break;
-        default: ADD_FAILURE() << "unexpected in-process frame type " << t.type;
-      }
+    {
+      SCOPED_TRACE("in-process step " + std::to_string(s));
+      expect_report_matches_records(in_rep, /*socket=*/false);
     }
-    EXPECT_EQ(let.frames, in_rep.let_wire.frames);
-    EXPECT_EQ(let.bytes, in_rep.let_wire.bytes);
-    EXPECT_EQ(part.frames, in_rep.part_wire.frames);
-    EXPECT_EQ(part.bytes, in_rep.part_wire.bytes);
-    EXPECT_EQ(dom.frames, in_rep.dom_wire.frames);
-    EXPECT_EQ(dom.bytes, in_rep.dom_wire.bytes);
+    {
+      SCOPED_TRACE("socket step " + std::to_string(s));
+      expect_report_matches_records(sock_rep, /*socket=*/true);
+    }
     if (s == 1) {
       EXPECT_GT(in_rep.let_delta.delta_frames, 0u);
     }

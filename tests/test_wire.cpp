@@ -1003,17 +1003,22 @@ TEST(ExchangeOverTransport, AccountsWireTraffic) {
   const sfc::KeySpace space(sets[0].bounds());
   const domain::Decomposition decomp = domain::Decomposition::uniform(2);
 
-  domain::InProcTransport transport(2);
-  wire::WireStats ws;
-  const domain::ExchangeStats ex =
-      domain::exchange(sets, space, decomp, transport, &ws);
+  domain::InProcTransport inner(2);
+  domain::TrafficRecordingTransport transport(inner);
+  const domain::ExchangeStats ex = domain::exchange(sets, space, decomp, transport);
   EXPECT_EQ(ex.total, 256u);
   EXPECT_EQ(sets[0].size() + sets[1].size(), 256u);
-  EXPECT_EQ(ws.frames, 2u);  // one batch each way, even if one is empty
-  EXPECT_GT(ws.bytes, 0u);
+  std::uint64_t frames = 0, bytes = 0;
+  for (const wire::PeerTraffic& t : transport.take()) {
+    EXPECT_EQ(t.type, static_cast<std::uint16_t>(wire::FrameType::kParticles));
+    frames += t.frames;
+    bytes += t.bytes;
+  }
+  EXPECT_EQ(frames, 2u);  // one batch each way, even if one is empty
+  EXPECT_GT(bytes, 0u);
   // Migrated particles and only migrated particles travel on the wire.
   const std::size_t header_free =
-      ws.bytes - 2 * (wire::kHeaderBytes + 13);  // 13 = src + flags + count
+      bytes - 2 * (wire::kHeaderBytes + 13);  // 13 = src + flags + count
   EXPECT_EQ(header_free, ex.migrated * 72);  // 9 arrays x 8 bytes each
 }
 
