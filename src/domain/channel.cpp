@@ -19,7 +19,6 @@ LetExchange::LetExchange(Transport& transport, const std::vector<std::uint8_t>& 
   remaining_.reserve(nranks);
   for (std::size_t r = 0; r < nranks; ++r)
     remaining_.push_back(active[r] && num_active > 0 ? num_active - 1 : 0);
-  encode_.resize(nranks);
   delta_.resize(nranks);
 }
 
@@ -27,16 +26,16 @@ std::size_t LetExchange::remaining(int dst) const {
   return remaining_[static_cast<std::size_t>(dst)];
 }
 
-std::size_t LetExchange::post(int src, int dst, const LetTree& let, double export_seconds) {
+std::size_t LetExchange::post(int src, int dst, const LetTree& let, double) {
   BNS_CHECK(src != dst);
   std::vector<std::uint8_t> frame;
   {
     trace::ScopedSpan span("wire.encode.let", src, src);
     span.set_peer(dst);
     if (state_ != nullptr && state_->enabled) {
-      wire::LetEncodeResult res = wire::encode_let_cached(
-          {src, let, export_seconds, /*wire_bytes=*/0}, state_->send_entry(src, dst),
-          wire::kLetChurnRatio, &state_->scratch[static_cast<std::size_t>(src)]);
+      wire::LetEncodeResult res =
+          wire::encode_let_cached({src, let}, state_->send_entry(src, dst), wire::kLetChurnRatio,
+                                  &state_->scratch[static_cast<std::size_t>(src)]);
       frame = std::move(res.frame);
       wire::LetDeltaStats& ds = delta_[static_cast<std::size_t>(src)];
       if (res.is_delta) {
@@ -46,17 +45,13 @@ std::size_t LetExchange::post(int src, int dst, const LetTree& let, double expor
         ds.full_frames += 1;
       }
     } else if (state_ != nullptr) {
-      frame = wire::encode_let_scratch({src, let, export_seconds, /*wire_bytes=*/0},
-                                       state_->scratch[static_cast<std::size_t>(src)]);
+      frame = wire::encode_let_scratch({src, let}, state_->scratch[static_cast<std::size_t>(src)]);
     } else {
-      frame = wire::encode_let({src, let, export_seconds, /*wire_bytes=*/0});
+      frame = wire::encode_let({src, let});
     }
     span.set_bytes(static_cast<std::int64_t>(frame.size()));
   }
   const std::size_t bytes = frame.size();
-  wire::WireStats& ws = encode_[static_cast<std::size_t>(src)];
-  ws.frames += 1;
-  ws.bytes += bytes;
   transport_.post(src, dst, std::move(frame));
   return bytes;
 }
@@ -96,10 +91,6 @@ std::optional<wire::LetMessage> LetExchange::recv(int dst) {
 
 void LetExchange::close(int dst) { transport_.close(dst); }
 
-const wire::WireStats& LetExchange::encode_stats(int r) const {
-  return encode_[static_cast<std::size_t>(r)];
-}
-
 const wire::LetDeltaStats& LetExchange::delta_stats(int r) const {
   return delta_[static_cast<std::size_t>(r)];
 }
@@ -109,7 +100,6 @@ MigrationExchange::MigrationExchange(Transport& transport, int nranks)
   BNS_CHECK(nranks >= 1);
   remaining_.assign(static_cast<std::size_t>(nranks),
                     static_cast<std::size_t>(nranks - 1));
-  encode_.resize(static_cast<std::size_t>(nranks));
 }
 
 std::size_t MigrationExchange::remaining(int dst) const {
@@ -126,9 +116,6 @@ std::size_t MigrationExchange::post(int src, int dst, const ParticleSet& parts, 
     span.set_bytes(static_cast<std::int64_t>(frame.size()));
   }
   const std::size_t bytes = frame.size();
-  wire::WireStats& ws = encode_[static_cast<std::size_t>(src)];
-  ws.frames += 1;
-  ws.bytes += bytes;
   transport_.post(src, dst, std::move(frame));
   return bytes;
 }
@@ -153,10 +140,6 @@ std::optional<wire::MigrationMsg> MigrationExchange::recv(int dst, int step) {
   BNS_CHECK(msg.step == step, "migration batch from a different step");
   --remaining;
   return msg;
-}
-
-const wire::WireStats& MigrationExchange::encode_stats(int r) const {
-  return encode_[static_cast<std::size_t>(r)];
 }
 
 }  // namespace bonsai::domain

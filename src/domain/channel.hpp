@@ -48,13 +48,10 @@ class Channel {
   std::optional<T> recv() {
     std::unique_lock lock(mutex_);
     cv_.wait(lock, [this] { return !queue_.empty() || closed_; });
-    return pop_locked();
-  }
-
-  // Nonblocking receive; nullopt when the mailbox is currently empty.
-  std::optional<T> try_recv() {
-    std::lock_guard lock(mutex_);
-    return pop_locked();
+    if (queue_.empty()) return std::nullopt;
+    T out = std::move(queue_.front());
+    queue_.pop_front();
+    return out;
   }
 
   // Completion signal: no further send() will follow. Pending messages stay
@@ -67,21 +64,9 @@ class Channel {
     cv_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
  private:
-  std::optional<T> pop_locked() {
-    if (queue_.empty()) return std::nullopt;
-    T out = std::move(queue_.front());
-    queue_.pop_front();
-    return out;
-  }
-
   std::deque<T> queue_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   bool closed_ = false;
 };
@@ -146,10 +131,10 @@ class LetExchange {
   std::size_t remaining(int dst) const;
 
   // Nonblocking post of src's LET for dst (called from src's driver thread):
-  // encodes the frame (span wire.encode.let), hands the bytes to the
-  // transport, and accounts the frame under src. Returns the encoded frame
-  // size.
-  std::size_t post(int src, int dst, const LetTree& let, double export_seconds);
+  // encodes the frame (span wire.encode.let) and hands the bytes to the
+  // transport. Returns the encoded frame size. bench/ remnant: the benchmark
+  // replay passes a fourth argument, which is ignored.
+  std::size_t post(int src, int dst, const LetTree& let, double = 0.0);
 
   // Blocking receive of dst's next LET, in arrival order; nullopt once every
   // expected LET has been delivered. Decodes + validates the frame (spans
@@ -163,10 +148,6 @@ class LetExchange {
   // forever. Works even when an empty compensation frame cannot be built.
   void close(int dst);
 
-  // Frames and bytes posted by r. Each entry is touched only by its own
-  // rank's driver thread; encode/decode seconds come from the spans.
-  const wire::WireStats& encode_stats(int r) const;
-
   // Incremental-exchange accounting: full/delta frames and bytes saved
   // posted by r, plus deltas applied (cache_hits) and cache resets
   // (invalidations) observed by r as an importer. All zero when the cache
@@ -177,7 +158,6 @@ class LetExchange {
   Transport& transport_;
   LetChannelState* state_;               // nullptr: always-full legacy path
   std::vector<std::size_t> remaining_;  // per-dst, touched only by its consumer
-  std::vector<wire::WireStats> encode_;  // per-src
   std::vector<wire::LetDeltaStats> delta_;  // exporter side per-src, importer per-dst
 };
 
@@ -198,8 +178,8 @@ class MigrationExchange {
   std::size_t remaining(int dst) const;
 
   // Nonblocking post of src's emigrants bound for dst: encodes the frame
-  // (span wire.encode.migration), hands the bytes to the transport, accounts
-  // the frame under src. Returns the encoded frame size.
+  // (span wire.encode.migration) and hands the bytes to the transport.
+  // Returns the encoded frame size.
   std::size_t post(int src, int dst, const ParticleSet& parts, int step);
 
   // Blocking receive of dst's next inbound batch, in arrival order; nullopt
@@ -207,13 +187,9 @@ class MigrationExchange {
   // (fail fast, never hang) or a frame belongs to a different step.
   std::optional<wire::MigrationMsg> recv(int dst, int step);
 
-  // Frames and bytes posted by r, mirroring LetExchange.
-  const wire::WireStats& encode_stats(int r) const;
-
  private:
   Transport& transport_;
   std::vector<std::size_t> remaining_;
-  std::vector<wire::WireStats> encode_;
 };
 
 }  // namespace bonsai::domain

@@ -163,8 +163,6 @@ StepReport ClusterSimulation::step() {
     trace::ScopedSpan span("cluster.post.step_begin", kCoordinatorRank, 0, report.step);
     span.set_peer(static_cast<std::int64_t>(r));
     std::vector<std::uint8_t> frame = wire::encode_step_begin(sb);
-    report.part_wire.frames += 1;
-    report.part_wire.bytes += frame.size();
     span.set_bytes(static_cast<std::int64_t>(frame.size()));
     post_ns[r] = now_ns();
     rec.post(kCoordinatorRank, static_cast<int>(r), std::move(frame));
@@ -189,8 +187,6 @@ StepReport ClusterSimulation::step() {
   double kinetic = 0.0, potential = 0.0;
   for (const auto& [frame, arrive_ns] : arrived) {
     wire::StepResult sr = wire::decode_step_result(frame);
-    report.part_wire.frames += 1;
-    report.part_wire.bytes += frame.size();
     BNS_CHECK(sr.rank >= 0 && sr.rank < static_cast<int>(nranks) &&
                   !seen[static_cast<std::size_t>(sr.rank)],
               "duplicate or out-of-range step result");
@@ -205,13 +201,12 @@ StepReport ClusterSimulation::step() {
     potential += sr.potential;
     fold_step_result(report, sr, fold);
   }
+  wire::merge_traffic(report.traffic, rec.take());
   decomp_ = finish_step(report, fold);
   spmd_particles_ = report.num_particles;
   spmd_kinetic_ = kinetic;
   spmd_potential_ = potential;
   spmd_stepped_ = true;
-
-  wire::merge_traffic(report.traffic, rec.take());
   report.elapsed = wall.elapsed();
   report.metrics = build_step_metrics(report);
   return report;

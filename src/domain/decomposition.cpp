@@ -159,11 +159,9 @@ DomainUpdate update_domain(std::span<const ParticleSet* const> rank_parts, int n
 }
 
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
-                       const Decomposition& decomp, Transport& transport,
-                       wire::WireStats* wire_stats) {
+                       const Decomposition& decomp, Transport& transport) {
   BNS_CHECK(static_cast<int>(rank_parts.size()) == decomp.num_ranks());
   const auto nranks = static_cast<std::size_t>(decomp.num_ranks());
-  wire::WireStats ws;
 
   // Counting pre-pass (the alltoallv handshake): compute each particle's key
   // and owner once, so destinations can reserve before any copy happens.
@@ -196,11 +194,9 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
     }
     for (std::size_t d = 0; d < nranks; ++d) {
       if (d == r) continue;
-      std::vector<std::uint8_t> frame =
-          wire::encode_particles(static_cast<int>(r), batches[d], /*with_forces=*/false);
-      ws.frames += 1;
-      ws.bytes += frame.size();
-      transport.post(static_cast<int>(r), static_cast<int>(d), std::move(frame));
+      transport.post(static_cast<int>(r), static_cast<int>(d),
+                     wire::encode_particles(static_cast<int>(r), batches[d],
+                                            /*with_forces=*/false));
     }
   }
 
@@ -238,7 +234,6 @@ ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace
   }
   for (const ParticleSet& in : incoming) stats.total += in.size();
   rank_parts.swap(incoming);
-  if (wire_stats) *wire_stats += ws;
   return stats;
 }
 

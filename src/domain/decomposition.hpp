@@ -142,12 +142,10 @@ struct ExchangeStats {
 // populations and orderings are identical to the historical in-memory move.
 // Positions, velocities, masses and ids travel bit-for-bit, forces are reset
 // (they are recomputed each step), and each particle's `key` field is left
-// holding its freshly computed SFC key. Frames and bytes are accumulated
-// into `wire_stats` when given. Like update_domain(): the test
+// holding its freshly computed SFC key. Like update_domain(): the test
 // oracle and the bench replay's path, not a driver stage.
 ExchangeStats exchange(std::vector<ParticleSet>& rank_parts, const sfc::KeySpace& space,
-                       const Decomposition& decomp, Transport& transport,
-                       wire::WireStats* wire_stats = nullptr);
+                       const Decomposition& decomp, Transport& transport);
 
 // The decentralized alltoallv cell of one resident rank (the rank program's
 // phase 3, in every mode): read each local particle's owner off its `key`

@@ -33,7 +33,6 @@ struct SimConfig {
   double eps = 1e-2;   // Plummer softening
   int nleaf = Octree::kDefaultNLeaf;
   int ncrit = 64;  // target-group size
-  bool quadrupole = true;
   double dt = 0.0;  // 0 disables integration (forces-only steps)
   sfc::CurveType curve = sfc::CurveType::kHilbert;  // bench/ remnant; src/ ignores it
   std::size_t samples_per_rank = 4096;        // boundary-key samples per rank
@@ -53,7 +52,6 @@ struct SimConfig {
     t.theta = theta;
     t.eps = eps;
     t.ncrit = ncrit;
-    t.quadrupole = quadrupole;
     t.backend = kernel;
     return t;
   }

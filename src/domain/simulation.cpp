@@ -189,10 +189,9 @@ class DemuxTransport final : public Transport {
 };
 
 // Broadcast one encoded frame to every peer: one wire.encode.domain span for
-// the encode, frames/bytes per post (each peer receives its own copy).
+// the encode, then one post per peer (each receives its own copy).
 template <typename EncodeFn>
-void broadcast(Transport& out, int self, int nranks, wire::WireStats& ws,
-               EncodeFn&& encode) {
+void broadcast(Transport& out, int self, int nranks, EncodeFn&& encode) {
   std::vector<std::uint8_t> frame;
   {
     trace::ScopedSpan span("wire.encode.domain", self, self);
@@ -201,8 +200,6 @@ void broadcast(Transport& out, int self, int nranks, wire::WireStats& ws,
   }
   for (int dst = 0; dst < nranks; ++dst) {
     if (dst == self) continue;
-    ws.frames += 1;
-    ws.bytes += frame.size();
     out.post(self, dst, frame);
   }
 }
@@ -260,10 +257,8 @@ void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
       trace::ScopedSpan span("let.export", rank.id(), rank.id());
       span.set_peer(static_cast<std::int64_t>(dst));
       const LetTree let = rank.export_let(boxes[dst]);
-      const double export_seconds = span.close();
-      sr.let_cells += let.num_cells();
-      sr.let_particles += let.num_particles();
-      net.post(static_cast<int>(r), static_cast<int>(dst), let, export_seconds);
+      span.close();
+      net.post(static_cast<int>(r), static_cast<int>(dst), let);
     }
 
     rank.parts().zero_forces();
@@ -334,7 +329,7 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
     pre.weight = std::accumulate(parts.work.begin(), parts.work.end(), 0.0) /
                  static_cast<double>(parts.size());
   }
-  broadcast(out, self, nranks, sr.dom_wire, [&] { return wire::encode_boundaries(pre); });
+  broadcast(out, self, nranks, [&] { return wire::encode_boundaries(pre); });
 
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(nranks), 0);
   std::vector<double> weights(static_cast<std::size_t>(nranks), 0.0);
@@ -367,7 +362,7 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
   mine.step = step;
   for (std::size_t i = 0; i < parts.size(); i += stride) mine.keys.push_back(parts.key[i]);
   BNS_DCHECK(mine.keys == sample_keys(parts, space, stride));
-  broadcast(out, self, nranks, sr.dom_wire, [&] { return wire::encode_key_samples(mine); });
+  broadcast(out, self, nranks, [&] { return wire::encode_key_samples(mine); });
 
   std::vector<std::vector<sfc::Key>> samples(static_cast<std::size_t>(nranks));
   samples[static_cast<std::size_t>(self)] = std::move(mine.keys);
@@ -410,7 +405,6 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
   MigrationExchange mex(mig_net, nranks);
   sr.migrated += exchange_resident(parts, self, decomp, mex, step).migrated;
   migrate_span.close();
-  sr.part_wire += mex.encode_stats(self);
   return space;
 }
 
@@ -433,7 +427,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   post.post_migration = true;
   post.count = parts.size();
   if (!parts.empty()) post.box = parts.bounds();
-  broadcast(out, self, nranks, sr.dom_wire, [&] { return wire::encode_boundaries(post); });
+  broadcast(out, self, nranks, [&] { return wire::encode_boundaries(post); });
 
   std::vector<std::uint8_t> active(static_cast<std::size_t>(nranks), 0);
   std::vector<AABB> boxes(static_cast<std::size_t>(nranks));
@@ -451,7 +445,6 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
   LetExchange let_net(let_net_view, active, &let_state);
   run_rank_step(rank, cfg, let_net, active, boxes, sr);
-  sr.let_wire += let_net.encode_stats(self);
   sr.let_delta = let_net.delta_stats(self);
   sr.local_count = parts.size();
 }
@@ -502,15 +495,26 @@ int stage_of(const trace::Span& s) {
   return -1;
 }
 
-// The WireStats of the frame class a wire.encode.* / wire.decode.* span
-// belongs to: LETs, domain frames (Boundaries/KeySamples), and particles
+// The report's wire row of the frame class a wire.encode.* / wire.decode.*
+// span belongs to: LETs, domain frames (Boundaries/KeySamples), and particles
 // (Migration plus the StepBegin/StepResult control frames).
-wire::WireStats& wire_class(const trace::Span& s, wire::StepResult& sr) {
+wire::WireStats& wire_row(StepReport& report, const trace::Span& s) {
   // Both prefixes are "wire.<verb>." of the same length.
   const std::string_view kind = std::string_view(s.name).substr(kEncodePrefix.size());
-  if (kind == "let") return sr.let_wire;
-  if (kind == "domain") return sr.dom_wire;
-  return sr.part_wire;
+  if (kind == "let") return report.let_wire;
+  if (kind == "domain") return report.dom_wire;
+  return report.part_wire;
+}
+
+// The same rows by frame type, for the traffic matrix.
+wire::WireStats& wire_row(StepReport& report, wire::FrameType type) {
+  switch (type) {
+    case wire::FrameType::kLet:
+    case wire::FrameType::kLetDelta: return report.let_wire;
+    case wire::FrameType::kBoundaries:
+    case wire::FrameType::kKeySamples: return report.dom_wire;
+    default: return report.part_wire;
+  }
 }
 
 // The rank's pipeline for the schedule model: its build rows, its LET
@@ -582,8 +586,8 @@ void fold_step_result(StepReport& report, wire::StepResult& sr, StepFold& fold) 
     if (s.rank < 0) continue;
     if (s.step < 0) s.step = report.step;
     if (!is_wire_span(s)) continue;
-    wire::WireStats& ws = wire_class(s, sr);
-    (starts_with(s.name, kEncodePrefix) ? ws.encode_seconds : ws.decode_seconds) +=
+    wire::WireStats& row = wire_row(report, s);
+    (starts_with(s.name, kEncodePrefix) ? row.encode_seconds : row.decode_seconds) +=
         seconds_of(s);
   }
   const auto r = static_cast<std::size_t>(sr.rank);
@@ -592,13 +596,8 @@ void fold_step_result(StepReport& report, wire::StepResult& sr, StepFold& fold) 
 
   report.num_particles += sr.local_count;
   report.migrated += sr.migrated;
-  report.let_cells += sr.let_cells;
-  report.let_particles += sr.let_particles;
   report.local_stats += sr.local_stats;
   report.remote_stats += sr.remote_stats;
-  report.let_wire += sr.let_wire;
-  report.part_wire += sr.part_wire;
-  report.dom_wire += sr.dom_wire;
   report.let_delta += sr.let_delta;
   report.let_sizes.insert(report.let_sizes.end(), sr.let_sizes.begin(),
                           sr.let_sizes.end());
@@ -614,6 +613,15 @@ void fold_step_result(StepReport& report, wire::StepResult& sr, StepFold& fold) 
 }
 
 Decomposition finish_step(StepReport& report, StepFold& fold) {
+  for (const wire::PeerTraffic& t : report.traffic) {
+    wire::WireStats& row = wire_row(report, static_cast<wire::FrameType>(t.type));
+    row.frames += t.frames;
+    row.bytes += t.bytes;
+  }
+  for (const wire::LetSizeSample& l : report.let_sizes) {
+    report.let_cells += l.cells;
+    report.let_particles += l.particles;
+  }
   fold_stage_times(report, fold.rows);
   const ScheduleModel model = model_schedule(fold.lanes);
   report.critical_path = model.critical_path;

@@ -55,18 +55,19 @@ struct StepReport {
   KernelBackend kernel = KernelBackend::kSimd;  // force backend of this step
   std::size_t num_particles = 0;
   std::uint64_t migrated = 0;       // particles that changed rank this step
-  std::uint64_t let_cells = 0;      // total exported LET nodes
-  std::uint64_t let_particles = 0;  // total exported leaf particles
+  std::uint64_t let_cells = 0;      // LET nodes, summed over let_sizes
+  std::uint64_t let_particles = 0;  // LET leaf particles, summed over let_sizes
   InteractionStats local_stats, remote_stats;
   TimeBreakdown max_times;  // per-stage max over ranks (parallel wall-clock)
   TimeBreakdown sum_times;  // per-stage sum over ranks (device-seconds)
   double elapsed = 0.0;     // actual wall-clock of the whole step
 
-  // Serialization accounting: LET frames (summed over ranks), particle
-  // batches (migration cells plus the cluster StepBegin/StepResult frames
-  // that historically carried them), and the SPMD domain-control frames
-  // (Boundaries/KeySamples allgathers), plus the per-imported-LET size
-  // samples behind the step report's histogram.
+  // Serialization accounting per frame class: LET and LetDelta frames,
+  // particle batches (migration cells plus the cluster StepBegin/StepResult
+  // frames that historically carried them), and the SPMD domain-control
+  // frames (Boundaries/KeySamples allgathers). Frames and bytes are sums of
+  // `traffic`, the seconds sums of the wire spans. `let_sizes` holds one
+  // record per imported LET.
   wire::WireStats let_wire, part_wire, dom_wire;
   std::vector<wire::LetSizeSample> let_sizes;
 
@@ -156,9 +157,9 @@ class FrameDemux {
 // before the first force pass), and are a pure function of the resident
 // particles: the cut replays across runs, transports and checkpoints.
 // Records the domain.update and decomposition.migrate spans in sr.spans
-// (bound for the call), plus sr.rank, sr.boundaries, sr.migrated and the
-// domain/particle frame counts. Bootstrapping from one rank holding the
-// whole initial set is this phase alone.
+// (bound for the call), plus sr.rank, sr.boundaries and sr.migrated.
+// Bootstrapping from one rank holding the whole initial set is this phase
+// alone.
 sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
                                     FrameDemux& demux, Transport& out, wire::StepResult& sr);
 
@@ -194,17 +195,19 @@ struct StepFold {
   std::vector<sfc::Key> bounds;
 };
 
-// Fold one rank's StepResult into the report: counts, wire/LET statistics,
-// traffic matrix, and its spans — which yield the rank's rows and timeline
-// in `fold` and the per-class wire seconds, and move into report.spans, each
-// span without a step stamped with the report's. Cross-checks the rank's
-// boundaries against the ranks folded before: every rank must have cut the
-// identical partition, or the LET and migration protocols exchanged against
-// different domains — fail fast, never average. Both drivers fold their
-// ranks' results with this.
+// Fold one rank's StepResult into the report: counts, interaction and LET
+// statistics, LET size records, traffic matrix, and its spans — which yield
+// the rank's rows and timeline in `fold` and the per-class wire seconds, and
+// move into report.spans, each span without a step stamped with the report's.
+// Cross-checks the rank's boundaries against the ranks folded before: every
+// rank must have cut the identical partition, or the LET and migration
+// protocols exchanged against different domains — fail fast, never average.
+// Both drivers fold their ranks' results with this.
 void fold_step_result(StepReport& report, wire::StepResult& sr, StepFold& fold);
 
-// Once every rank is folded: the report's max/sum stage rows and its schedule
+// Once every rank is folded and all of the step's traffic merged into
+// report.traffic: the report's wire frames/bytes (from the traffic matrix)
+// and LET totals (from let_sizes), its max/sum stage rows and its schedule
 // model. Returns the agreed partition.
 Decomposition finish_step(StepReport& report, StepFold& fold);
 

@@ -171,7 +171,6 @@ class SocketTransport final : public Transport {
   std::uint16_t port() const { return port_; }
   // Mesh worker: the port its own listener is bound to (0 otherwise).
   std::uint16_t mesh_port() const { return mesh_port_; }
-  SocketTopology topology() const { return topology_; }
 
   void post(int src, int dst, std::vector<std::uint8_t> frame) override;
   std::optional<std::vector<std::uint8_t>> recv(int dst) override;

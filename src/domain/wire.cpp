@@ -372,7 +372,6 @@ namespace {
 
 void put_let(Writer& w, const LetMessage& msg) {
   w.i32(msg.src);
-  w.f64(msg.export_seconds);
   w.u32(static_cast<std::uint32_t>(msg.let.nodes.size()));
   w.u32(static_cast<std::uint32_t>(msg.let.num_particles()));
   for (const TreeNode& nd : msg.let.nodes) put_node(w, nd);
@@ -403,7 +402,6 @@ LetMessage decode_let(std::span<const std::uint8_t> frame) {
   LetMessage msg;
   msg.wire_bytes = frame.size();
   msg.src = r.i32();
-  msg.export_seconds = r.f64();
   const std::size_t num_nodes = r.u32();
   const std::size_t num_parts = r.u32();
   r.require(num_nodes <= r.remaining() / kNodeBytes,
@@ -648,7 +646,7 @@ void advance_let_cache(LetCacheEntry& cache, LetTree next,
 
 // Exact wire footprint of the full Let frame for the same tree.
 std::uint64_t full_let_bytes(const LetTree& let) {
-  return kHeaderBytes + 4 + 8 + 4 + 4 + let.num_cells() * kNodeBytes +
+  return kHeaderBytes + 4 + 4 + 4 + let.num_cells() * kNodeBytes +
          let.num_particles() * kPartValues * 8;
 }
 
@@ -691,7 +689,6 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
 
     Writer w(FrameType::kLetDelta, std::move(buf));
     w.i32(msg.src);
-    w.f64(msg.export_seconds);
     w.u64(cache.version);
     w.u32(static_cast<std::uint32_t>(let.num_cells()));
     w.u32(static_cast<std::uint32_t>(let.num_particles()));
@@ -826,7 +823,6 @@ LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry&
   LetMessage msg;
   msg.wire_bytes = frame.size();
   msg.src = r.i32();
-  msg.export_seconds = r.f64();
   const std::uint64_t base = r.u64();
   if (cache.version == 0)
     throw WireError("wire decode: LET delta without a cached base tree");
@@ -1034,7 +1030,6 @@ std::vector<std::uint8_t> encode_config(const SimConfig& cfg) {
   w.f64(cfg.eps);
   w.i32(cfg.nleaf);
   w.i32(cfg.ncrit);
-  w.u8(cfg.quadrupole ? 1 : 0);
   w.f64(cfg.dt);
   w.u64(cfg.samples_per_rank);
   w.i32(cfg.snap_level);
@@ -1051,7 +1046,6 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
   cfg.eps = r.f64();
   cfg.nleaf = r.i32();
   cfg.ncrit = r.i32();
-  cfg.quadrupole = r.u8() != 0;
   cfg.dt = r.f64();
   cfg.samples_per_rank = r.u64();
   cfg.snap_level = r.i32();
@@ -1159,19 +1153,6 @@ MigrationMsg decode_migration(std::span<const std::uint8_t> frame) {
 
 namespace {
 
-// Frames and bytes only: the seconds are derived from the span log.
-void put_wire_stats(Writer& w, const WireStats& ws) {
-  w.u64(ws.frames);
-  w.u64(ws.bytes);
-}
-
-WireStats read_wire_stats(Reader& r) {
-  WireStats ws;
-  ws.frames = r.u64();
-  ws.bytes = r.u64();
-  return ws;
-}
-
 void put_string(Writer& w, const std::string& s) {
   w.u32(static_cast<std::uint32_t>(s.size()));
   for (const char c : s) w.u8(static_cast<std::uint8_t>(c));
@@ -1242,8 +1223,6 @@ InteractionStats read_interaction_stats(Reader& r) {
 std::vector<std::uint8_t> encode_step_result(const StepResult& sr) {
   Writer w(FrameType::kStepResult);
   w.i32(sr.rank);
-  w.u64(sr.let_cells);
-  w.u64(sr.let_particles);
   put_interaction_stats(w, sr.local_stats);
   put_interaction_stats(w, sr.remote_stats);
   w.u64(sr.migrated);
@@ -1256,9 +1235,6 @@ std::vector<std::uint8_t> encode_step_result(const StepResult& sr) {
     w.u64(s.particles);
     w.u64(s.bytes);
   }
-  put_wire_stats(w, sr.let_wire);
-  put_wire_stats(w, sr.part_wire);
-  put_wire_stats(w, sr.dom_wire);
   w.u64(sr.let_delta.full_frames);
   w.u64(sr.let_delta.delta_frames);
   w.u64(sr.let_delta.bytes_saved);
@@ -1285,8 +1261,6 @@ StepResult decode_step_result(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kStepResult);
   StepResult sr;
   sr.rank = r.i32();
-  sr.let_cells = r.u64();
-  sr.let_particles = r.u64();
   sr.local_stats = read_interaction_stats(r);
   sr.remote_stats = read_interaction_stats(r);
   sr.migrated = r.u64();
@@ -1300,9 +1274,6 @@ StepResult decode_step_result(std::span<const std::uint8_t> frame) {
     s.particles = r.u64();
     s.bytes = r.u64();
   }
-  sr.let_wire = read_wire_stats(r);
-  sr.part_wire = read_wire_stats(r);
-  sr.dom_wire = read_wire_stats(r);
   sr.let_delta.full_frames = r.u64();
   sr.let_delta.delta_frames = r.u64();
   sr.let_delta.bytes_saved = r.u64();

@@ -51,9 +51,13 @@ namespace bonsai::domain::wire {
 // Version 10 drops the churn ratio from Config: it is the constant
 // kLetChurnRatio. Version 11 drops the curve and balance bytes from Config
 // (keys are Hilbert, cuts weigh counted walk work) and adds the per-particle
-// work column to the Particles force block.
+// work column to the Particles force block. Version 12 makes the records the
+// only source of the step report's wire rows and LET totals: StepResult loses
+// its LET cell/particle counts and its three frames/bytes tallies (the traffic
+// matrix and the LET size records carry both), Let and LetDelta frames lose
+// the unread export seconds, and Config loses the quadrupole byte.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 11;
+inline constexpr std::uint16_t kVersion = 12;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
@@ -95,26 +99,20 @@ class WireError : public std::runtime_error {
 // buffer size) and return its type. Throws WireError on any mismatch.
 FrameType frame_type(std::span<const std::uint8_t> frame);
 
-// Serialization accounting: frames/bytes moved plus the seconds spent
-// encoding and decoding them, reported per step next to the compute stages.
-// Only frames and bytes cross the wire; the seconds are summed from the
-// ranks' wire.encode.* / wire.decode.* spans when a step is folded.
+// Serialization accounting of one frame class: frames/bytes moved plus the
+// seconds spent encoding and decoding them, reported per step next to the
+// compute stages. None of it crosses the wire: frames and bytes are sums of
+// the step's traffic matrix, the seconds of the ranks' wire.encode.* /
+// wire.decode.* spans.
 struct WireStats {
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;
   double encode_seconds = 0.0;
   double decode_seconds = 0.0;
-
-  WireStats& operator+=(const WireStats& o) {
-    frames += o.frames;
-    bytes += o.bytes;
-    encode_seconds += o.encode_seconds;
-    decode_seconds += o.decode_seconds;
-    return *this;
-  }
 };
 
-// Size record of one imported LET, feeding the step report's histogram.
+// Size record of one imported LET: the step report's LET totals and
+// histogram are sums over these.
 struct LetSizeSample {
   std::uint64_t cells = 0;
   std::uint64_t particles = 0;
@@ -137,13 +135,11 @@ struct PeerTraffic {
 // keeping the result sorted by that key.
 void merge_traffic(std::vector<PeerTraffic>& into, std::span<const PeerTraffic> add);
 
-// One LET in flight from rank `src`, carrying the sender-side extraction cost
-// so the schedule model can reconstruct when the message could have arrived,
-// and (after decode) the encoded frame size for the LET size histogram.
+// One LET in flight from rank `src`, carrying (after decode) the encoded
+// frame size for the LET size records.
 struct LetMessage {
   int src = -1;
   LetTree let;
-  double export_seconds = 0.0;
   std::uint64_t wire_bytes = 0;
 };
 
@@ -348,26 +344,24 @@ struct MigrationMsg {
 std::vector<std::uint8_t> encode_migration(int src, int step, const ParticleSet& parts);
 MigrationMsg decode_migration(std::span<const std::uint8_t> frame);
 
-// A rank's step output: its span log, interaction/LET statistics,
-// serialization accounting and the local population/energy summary — never
-// particles, which stay resident on the worker. `boundaries` carries the
+// A rank's step output: its span log, traffic matrix, imported-LET size
+// records, interaction statistics and the local population/energy summary —
+// never particles, which stay resident on the worker. `boundaries` carries the
 // Decomposition the rank computed so the driver can cross-check that all
 // ranks derived the identical partition. Every stage row, the schedule model
-// and the wire seconds are derived from `spans` when the result is folded.
+// and the wire seconds are derived from `spans`, the wire frames and bytes
+// from `traffic`, and the LET totals from `let_sizes`.
 // A socket worker also samples its clock when the StepBegin is in hand
 // (`recv_ns`) and just before encoding this frame (`send_ns`), for the
 // coordinator's clock-offset estimate.
 struct StepResult {
   int rank = -1;
-  std::uint64_t let_cells = 0;
-  std::uint64_t let_particles = 0;
   InteractionStats local_stats, remote_stats;
   std::uint64_t migrated = 0;     // emigrants this rank posted (SPMD)
   std::uint64_t local_count = 0;  // resident population after the step
   double kinetic = 0.0;           // local kinetic-energy partial sum
   double potential = 0.0;         // local potential-energy partial sum
-  std::vector<LetSizeSample> let_sizes;
-  WireStats let_wire, part_wire, dom_wire;
+  std::vector<LetSizeSample> let_sizes;  // one per imported LET
   LetDeltaStats let_delta;  // incremental-exchange counters (zero when off)
   std::vector<sfc::Key> boundaries;  // SPMD: computed decomposition bounds
   std::vector<PeerTraffic> traffic;  // frames this worker posted, per peer/type

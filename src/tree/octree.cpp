@@ -173,14 +173,4 @@ void Octree::compute_properties(const ParticleSet& parts, double theta) {
   }
 }
 
-void set_opening_angle(std::vector<TreeNode>& nodes, double theta) {
-  BNS_CHECK(theta > 0.0);
-  for (TreeNode& node : nodes) {
-    if (node.count() == 0) continue;
-    const double l = node.box.max_side();
-    const double delta = norm(node.mp.com - node.box.center());
-    node.rcrit = l / theta + delta;
-  }
-}
-
 }  // namespace bonsai

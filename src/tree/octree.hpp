@@ -97,8 +97,4 @@ class Octree {
   int max_depth_ = 0;
 };
 
-// Recompute rcrit for already-built properties under a different theta
-// (cheap; used by the theta ablation).
-void set_opening_angle(std::vector<TreeNode>& nodes, double theta);
-
 }  // namespace bonsai

@@ -43,9 +43,4 @@ inline double percentile(std::vector<double> values, double q) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-// Relative error |a-b| / max(|b|, floor).
-inline double relative_error(double a, double b, double floor = 1e-300) {
-  return std::abs(a - b) / std::max(std::abs(b), floor);
-}
-
 }  // namespace bonsai

@@ -67,21 +67,6 @@ class TimeBreakdown {
 
   const std::vector<Entry>& entries() const { return entries_; }
 
-  void clear() {
-    entries_.clear();
-    index_.clear();
-  }
-
-  // Merge another breakdown into this one (summing shared buckets).
-  void merge(const TimeBreakdown& other) {
-    for (const auto& e : other.entries()) add(e.name, e.seconds);
-  }
-
-  // Scale all buckets (e.g. to average over steps).
-  void scale(double factor) {
-    for (auto& e : entries_) e.seconds *= factor;
-  }
-
  private:
   std::vector<Entry> entries_;
   std::map<std::string, std::size_t> index_;

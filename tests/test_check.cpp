@@ -144,7 +144,7 @@ TEST(CheckSeams, CommittedLetCachePassesConsistency) {
 
   wire::LetCacheEntry entry;
   EXPECT_NO_THROW(entry.check_consistency());  // unsynced and empty
-  wire::decode_let_cached(wire::encode_let({0, let, 0.0, 0}), entry);
+  wire::decode_let_cached(wire::encode_let({0, let}), entry);
   EXPECT_NO_THROW(entry.check_consistency());
 
   wire::LetCacheEntry torn = entry;

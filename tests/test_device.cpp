@@ -135,15 +135,13 @@ TEST(Executor, LanesRunConcurrently) {
   b.get();
 }
 
-TEST(Channel, SendRecvTryRecvClose) {
+TEST(Channel, SendRecvClose) {
   domain::Channel<int> ch;
-  EXPECT_FALSE(ch.try_recv().has_value());
   ch.send(7);
   ch.send(8);
   EXPECT_EQ(ch.recv().value(), 7);  // FIFO
-  EXPECT_EQ(ch.try_recv().value(), 8);
   ch.close();
-  EXPECT_TRUE(ch.closed());
+  EXPECT_EQ(ch.recv().value(), 8);      // pending messages survive the close
   EXPECT_FALSE(ch.recv().has_value());  // closed + drained -> nullopt, no block
 }
 
@@ -165,8 +163,8 @@ TEST(LetExchange, RemainingCountsFollowActiveMask) {
   EXPECT_EQ(net.remaining(2), 2u);
   EXPECT_FALSE(net.recv(1).has_value());  // inactive rank: returns immediately
 
-  net.post(0, 2, {}, 0.0);
-  net.post(3, 2, {}, 0.0);
+  net.post(0, 2, {});
+  net.post(3, 2, {});
   EXPECT_EQ(net.recv(2).value().src, 0);
   EXPECT_EQ(net.remaining(2), 1u);  // counts down as arrivals are consumed
   EXPECT_EQ(net.recv(2).value().src, 3);
@@ -183,19 +181,23 @@ TEST(LetExchange, NoActiveRanksExpectsNothing) {
 TEST(LetExchange, CloseBeforeAllArrivalsFailsFast) {
   domain::InProcTransport transport(3);
   domain::LetExchange net(transport, {1, 1, 1});
-  net.post(1, 0, {}, 0.0);
+  net.post(1, 0, {});
   net.close(0);  // one of rank 0's two expected LETs will never come
   EXPECT_EQ(net.recv(0).value().src, 1);  // pending messages still drain
   EXPECT_THROW(net.recv(0), std::logic_error);  // then throw, never block
 }
 
 TEST(LetExchange, AccountsWireBytesAndFrames) {
-  domain::InProcTransport transport(2);
+  domain::InProcTransport inner(2);
+  domain::TrafficRecordingTransport transport(inner);
   domain::LetExchange net(transport, {1, 1});
-  const std::size_t bytes = net.post(0, 1, {}, 0.0);
+  const std::size_t bytes = net.post(0, 1, {});
   EXPECT_GT(bytes, 0u);  // even an empty LET carries a frame header
-  EXPECT_EQ(net.encode_stats(0).frames, 1u);
-  EXPECT_EQ(net.encode_stats(0).bytes, bytes);
+  const std::vector<domain::wire::PeerTraffic> traffic = transport.take();
+  ASSERT_EQ(traffic.size(), 1u);
+  EXPECT_EQ(traffic[0].type, static_cast<std::uint16_t>(domain::wire::FrameType::kLet));
+  EXPECT_EQ(traffic[0].frames, 1u);
+  EXPECT_EQ(traffic[0].bytes, bytes);
   // The decode is timed by a wire.decode.let span on the receiver's log.
   std::vector<trace::Span> log;
   std::optional<domain::wire::LetMessage> msg;

@@ -91,8 +91,8 @@ TEST(FuzzCorpus, DeltaScenarioAppliesAgainstItsCache) {
 TEST(FuzzCorpus, RejectedDeltaLeavesCacheVersionUntouched) {
   const fuzz::LetDeltaScenario& sc = scenario();
   std::vector<std::uint8_t> bad = sc.delta_frame;
-  ASSERT_GT(bad.size(), wire::kHeaderBytes + 12);
-  bad[wire::kHeaderBytes + 12] ^= 0xFF;  // corrupt the base-version field
+  ASSERT_GT(bad.size(), wire::kHeaderBytes + 4);
+  bad[wire::kHeaderBytes + 4] ^= 0xFF;  // corrupt the base-version field
   wire::LetCacheEntry cache = sc.cache;
   const std::uint64_t base = cache.version;
   EXPECT_THROW(wire::decode_let_cached(bad, cache), wire::WireError);

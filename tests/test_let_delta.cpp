@@ -103,7 +103,7 @@ TEST(LetDelta, EvolvingExchangePatchesBitForBit) {
   std::uint64_t deltas = 0;
   for (int step = 0; step < 6; ++step) {
     const LetTree fresh = source.step_export();
-    const wire::LetEncodeResult enc = wire::encode_let_cached({1, fresh, 0.0, 0}, send,
+    const wire::LetEncodeResult enc = wire::encode_let_cached({1, fresh}, send,
                                                               wire::kLetChurnRatio);
     if (step == 0) {
       EXPECT_FALSE(enc.is_delta) << "first contact must ship a full frame";
@@ -120,7 +120,7 @@ TEST(LetDelta, EvolvingExchangePatchesBitForBit) {
     // The patched tree must match the fresh export exactly — field by field
     // and, the stronger claim, byte for byte when re-encoded in full.
     expect_same_let(fresh, msg.let);
-    EXPECT_EQ(wire::encode_let({1, msg.let, 0.0, 0}), wire::encode_let({1, fresh, 0.0, 0}))
+    EXPECT_EQ(wire::encode_let({1, msg.let}), wire::encode_let({1, fresh}))
         << "patched LET re-encodes differently from the full export at step " << step;
 
     // Exporter and importer mirrors stay in lock step.
@@ -135,14 +135,14 @@ TEST(LetDelta, FullFrameResetsTheCacheAndRestartsVersions) {
   wire::LetCacheEntry send, recv;
   for (int step = 0; step < 3; ++step) {
     const wire::LetEncodeResult enc =
-        wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75);
+        wire::encode_let_cached({0, source.step_export()}, send, 0.75);
     (void)wire::decode_let_cached(enc.frame, recv);
   }
   ASSERT_EQ(recv.version, 3u);
   // An out-of-band full frame (reconnect, churn fallback) unconditionally
   // resets the pair: version restarts at 1 and the next delta builds on it.
   const LetTree fresh = source.step_export();
-  const std::vector<std::uint8_t> full = wire::encode_let({0, fresh, 0.0, 0});
+  const std::vector<std::uint8_t> full = wire::encode_let({0, fresh});
   const wire::LetMessage msg = wire::decode_let_cached(full, recv);
   expect_same_let(fresh, msg.let);
   EXPECT_EQ(recv.version, 1u);
@@ -152,9 +152,9 @@ TEST(LetDelta, TruncationThrowsAtEveryLengthAndLeavesTheCacheUntouched) {
   DriftingExporter source(512, 7);
   wire::LetCacheEntry send, recv;
   (void)wire::decode_let_cached(
-      wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75).frame, recv);
+      wire::encode_let_cached({0, source.step_export()}, send, 0.75).frame, recv);
   const wire::LetEncodeResult enc =
-      wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75);
+      wire::encode_let_cached({0, source.step_export()}, send, 0.75);
   ASSERT_TRUE(enc.is_delta);
   for (std::size_t len = 0; len < enc.frame.size(); ++len) {
     const std::vector<std::uint8_t> cut(
@@ -172,9 +172,9 @@ TEST(LetDelta, EveryByteFlipEitherPatchesValidOrThrows) {
   DriftingExporter source(512, 7);
   wire::LetCacheEntry send, recv;
   (void)wire::decode_let_cached(
-      wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75).frame, recv);
+      wire::encode_let_cached({0, source.step_export()}, send, 0.75).frame, recv);
   const wire::LetEncodeResult enc =
-      wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75);
+      wire::encode_let_cached({0, source.step_export()}, send, 0.75);
   ASSERT_TRUE(enc.is_delta);
   for (std::size_t i = 0; i < enc.frame.size(); ++i) {
     std::vector<std::uint8_t> bad = enc.frame;
@@ -201,11 +201,11 @@ TEST(LetDelta, BaseVersionMismatchNamesBothVersions) {
   wire::LetCacheEntry send, recv;
   for (int step = 0; step < 2; ++step) {
     (void)wire::decode_let_cached(
-        wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75).frame,
+        wire::encode_let_cached({0, source.step_export()}, send, 0.75).frame,
         recv);
   }
   const wire::LetEncodeResult enc =
-      wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75);
+      wire::encode_let_cached({0, source.step_export()}, send, 0.75);
   ASSERT_TRUE(enc.is_delta);  // base_version = 2
   recv.version = 5;           // importer desynced (e.g. a missed frame)
   try {
@@ -222,9 +222,9 @@ TEST(LetDelta, BaseVersionMismatchNamesBothVersions) {
 TEST(LetDelta, DeltaAgainstEmptyCacheIsRejected) {
   DriftingExporter source(256, 5);
   wire::LetCacheEntry send, recv;
-  (void)wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75);
+  (void)wire::encode_let_cached({0, source.step_export()}, send, 0.75);
   const wire::LetEncodeResult enc =
-      wire::encode_let_cached({0, source.step_export(), 0.0, 0}, send, 0.75);
+      wire::encode_let_cached({0, source.step_export()}, send, 0.75);
   ASSERT_TRUE(enc.is_delta);
   EXPECT_THROW((void)wire::decode_let_cached(enc.frame, recv), wire::WireError);
   EXPECT_EQ(recv.version, 0u);
@@ -239,7 +239,7 @@ TEST(LetDelta, TinyChurnRatioForcesFullFrames) {
   for (int step = 0; step < 3; ++step) {
     const LetTree fresh = source.step_export();
     const wire::LetEncodeResult enc =
-        wire::encode_let_cached({0, fresh, 0.0, 0}, send, /*churn_ratio=*/1e-9);
+        wire::encode_let_cached({0, fresh}, send, /*churn_ratio=*/1e-9);
     EXPECT_FALSE(enc.is_delta);
     const wire::LetMessage msg = wire::decode_let_cached(enc.frame, recv);
     expect_same_let(fresh, msg.let);
@@ -251,7 +251,7 @@ TEST(LetDelta, EmptyTreesAlwaysShipFull) {
   wire::LetCacheEntry send;
   for (int step = 0; step < 2; ++step) {
     const wire::LetEncodeResult enc =
-        wire::encode_let_cached({0, LetTree{}, 0.0, 0}, send, 0.75);
+        wire::encode_let_cached({0, LetTree{}}, send, 0.75);
     EXPECT_FALSE(enc.is_delta);
   }
 }
@@ -260,11 +260,11 @@ TEST(LetDelta, ScratchEncodeMatchesPlainEncode) {
   DriftingExporter source(256, 13);
   const LetTree let = source.step_export();
   std::vector<std::uint8_t> scratch;
-  const std::vector<std::uint8_t> a = wire::encode_let_scratch({2, let, 0.5, 0}, scratch);
+  const std::vector<std::uint8_t> a = wire::encode_let_scratch({2, let}, scratch);
   const std::size_t cap = scratch.capacity();
-  EXPECT_EQ(a, wire::encode_let({2, let, 0.5, 0}));
+  EXPECT_EQ(a, wire::encode_let({2, let}));
   // A second encode reuses the buffer's capacity instead of growing anew.
-  const std::vector<std::uint8_t> b = wire::encode_let_scratch({2, let, 0.5, 0}, scratch);
+  const std::vector<std::uint8_t> b = wire::encode_let_scratch({2, let}, scratch);
   EXPECT_EQ(a, b);
   EXPECT_EQ(scratch.capacity(), cap);
 }

@@ -168,15 +168,16 @@ TEST(Octree, QuadrupoleTraceNonNegative) {
 }
 
 TEST(Octree, RcritScalesInverselyWithTheta) {
-  auto bt = build_cloud(1000, 139, 16, 0.4);
-  std::vector<double> rc04;
-  for (const TreeNode& n : bt.tree.nodes()) rc04.push_back(n.rcrit);
-  set_opening_angle(bt.tree.mutable_nodes(), 0.8);
-  const auto nodes = bt.tree.nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].count() == 0) continue;
+  // The same cloud at two opening angles: identical trees, rcrit apart.
+  const auto bt04 = build_cloud(1000, 139, 16, 0.4);
+  const auto bt08 = build_cloud(1000, 139, 16, 0.8);
+  const auto n04 = bt04.tree.nodes();
+  const auto n08 = bt08.tree.nodes();
+  ASSERT_EQ(n04.size(), n08.size());
+  for (std::size_t i = 0; i < n04.size(); ++i) {
+    if (n04[i].count() == 0) continue;
     // l/0.8 + d < l/0.4 + d.
-    ASSERT_LT(nodes[i].rcrit, rc04[i] + 1e-12);
+    ASSERT_LT(n08[i].rcrit, n04[i].rcrit + 1e-12);
   }
 }
 

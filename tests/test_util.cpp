@@ -113,17 +113,6 @@ TEST(TimeBreakdown, AccumulatesByNamePreservingOrder) {
   EXPECT_EQ(bd.entries()[1].name, "Tree-construction");
 }
 
-TEST(TimeBreakdown, MergeAndScale) {
-  TimeBreakdown a, b;
-  a.add("x", 1.0);
-  b.add("x", 2.0);
-  b.add("y", 4.0);
-  a.merge(b);
-  a.scale(0.5);
-  EXPECT_DOUBLE_EQ(a.get("x"), 1.5);
-  EXPECT_DOUBLE_EQ(a.get("y"), 2.0);
-}
-
 TEST(Histogram1D, BinningAndPeak) {
   Histogram1D h(0.0, 10.0, 10);
   h.add(0.5);

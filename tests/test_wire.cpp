@@ -80,11 +80,10 @@ void expect_same_let(const LetTree& a, const LetTree& b) {
 }
 
 TEST(Wire, EmptyLetRoundTrip) {
-  const std::vector<std::uint8_t> frame = wire::encode_let({3, LetTree{}, 0.25, 0});
+  const std::vector<std::uint8_t> frame = wire::encode_let({3, LetTree{}});
   EXPECT_EQ(wire::frame_type(frame), wire::FrameType::kLet);
   const wire::LetMessage msg = wire::decode_let(frame);
   EXPECT_EQ(msg.src, 3);
-  EXPECT_DOUBLE_EQ(msg.export_seconds, 0.25);
   EXPECT_EQ(msg.wire_bytes, frame.size());
   EXPECT_TRUE(msg.let.empty());
   EXPECT_EQ(msg.let.num_cells(), 0u);
@@ -103,7 +102,7 @@ TEST(Wire, SingleMultipoleLeafLetRoundTrip) {
   nd.box = {{-1, -1, -1}, {1, 1, 1}};
   let.nodes.push_back(nd);
 
-  const wire::LetMessage msg = wire::decode_let(wire::encode_let({0, let, 0.0, 0}));
+  const wire::LetMessage msg = wire::decode_let(wire::encode_let({0, let}));
   EXPECT_FALSE(msg.let.empty());  // a bare multipole leaf still exerts force
   expect_same_let(let, msg.let);
 }
@@ -112,7 +111,7 @@ TEST(Wire, RealLetRoundTripsBitForBit) {
   const LetTree let = make_real_let();
   ASSERT_GT(let.num_cells(), 1u);
   ASSERT_GT(let.num_particles(), 0u);
-  const wire::LetMessage msg = wire::decode_let(wire::encode_let({1, let, 1e-4, 0}));
+  const wire::LetMessage msg = wire::decode_let(wire::encode_let({1, let}));
   expect_same_let(let, msg.let);
 }
 
@@ -160,7 +159,7 @@ TEST(Wire, ForceFreeBatchDecodesWithZeroForces) {
 }
 
 TEST(Wire, TruncatedFramesThrowAtEveryLength) {
-  const std::vector<std::uint8_t> frame = wire::encode_let({0, make_real_let(), 0.0, 0});
+  const std::vector<std::uint8_t> frame = wire::encode_let({0, make_real_let()});
   for (std::size_t len = 0; len < frame.size(); len += 13) {
     const std::vector<std::uint8_t> cut(frame.begin(),
                                         frame.begin() + static_cast<std::ptrdiff_t>(len));
@@ -169,7 +168,7 @@ TEST(Wire, TruncatedFramesThrowAtEveryLength) {
 }
 
 TEST(Wire, HeaderCorruptionIsRejected) {
-  std::vector<std::uint8_t> frame = wire::encode_let({0, LetTree{}, 0.0, 0});
+  std::vector<std::uint8_t> frame = wire::encode_let({0, LetTree{}});
 
   std::vector<std::uint8_t> bad = frame;
   bad[0] ^= 0xFF;  // magic
@@ -192,7 +191,7 @@ TEST(Wire, EveryByteFlipEitherDecodesOrThrowsWireError) {
   // out of bounds — it either throws WireError or yields a structurally
   // valid LET (flips in coordinate payloads are indistinguishable from
   // data).
-  const std::vector<std::uint8_t> frame = wire::encode_let({0, make_real_let(), 0.0, 0});
+  const std::vector<std::uint8_t> frame = wire::encode_let({0, make_real_let()});
   for (std::size_t i = 0; i < frame.size(); ++i) {
     std::vector<std::uint8_t> bad = frame;
     bad[i] ^= 0xA5;
@@ -446,8 +445,6 @@ TEST(Wire, StepResultCarriesSpmdAggregates) {
   sr.local_count = 512;
   sr.kinetic = 0.25;
   sr.potential = -0.5;
-  sr.part_wire = {6, 999, 0.5, 0.25};
-  sr.dom_wire = {12, 333, 0.125, 0.0625};
   sr.boundaries = {0, 1000, 2000, sfc::kKeyEnd};
   sr.traffic = {{1, 0, 10, 2, 64}, {1, 2, 1, 3, 128}};
   const wire::StepResult back = wire::decode_step_result(wire::encode_step_result(sr));
@@ -455,8 +452,6 @@ TEST(Wire, StepResultCarriesSpmdAggregates) {
   EXPECT_EQ(back.local_count, 512u);
   EXPECT_EQ(back.kinetic, 0.25);
   EXPECT_EQ(back.potential, -0.5);
-  EXPECT_EQ(back.part_wire.bytes, 999u);
-  EXPECT_EQ(back.dom_wire.frames, 12u);
   EXPECT_EQ(back.boundaries, sr.boundaries);
   ASSERT_EQ(back.traffic.size(), 2u);
   EXPECT_EQ(back.traffic[0].src, 1);
@@ -478,7 +473,6 @@ TEST(Wire, ControlFramesRoundTrip) {
   cfg.eps = 0.05;
   cfg.nleaf = 24;
   cfg.ncrit = 96;
-  cfg.quadrupole = false;
   cfg.dt = 0.5e-3;
   cfg.kernel = KernelBackend::kScalar;
   const domain::SimConfig back = wire::decode_config(wire::encode_config(cfg));
@@ -487,7 +481,6 @@ TEST(Wire, ControlFramesRoundTrip) {
   EXPECT_DOUBLE_EQ(back.eps, 0.05);
   EXPECT_EQ(back.nleaf, 24);
   EXPECT_EQ(back.ncrit, 96);
-  EXPECT_FALSE(back.quadrupole);
   EXPECT_DOUBLE_EQ(back.dt, 0.5e-3);
   EXPECT_EQ(back.kernel, KernelBackend::kScalar);
 
@@ -516,8 +509,6 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
 
   wire::StepResult sr;
   sr.rank = 2;
-  sr.let_cells = 100;
-  sr.let_particles = 50;
   sr.local_stats = {10, 20};
   sr.local_stats.p2p_padded = 16;
   sr.local_stats.p2c_padded = 24;
@@ -527,10 +518,8 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
   sr.local_stats.batch_hist[kBatchHistBuckets - 1] = 4;
   sr.remote_stats = {30, 40};
   sr.let_sizes.push_back({7, 8, 9});
-  sr.let_wire = {3, 4096, 0.25, 0.125};
   const wire::StepResult rback = wire::decode_step_result(wire::encode_step_result(sr));
   EXPECT_EQ(rback.rank, 2);
-  EXPECT_EQ(rback.let_cells, 100u);
   EXPECT_EQ(rback.local_stats.p2p, 10u);
   EXPECT_EQ(rback.local_stats.p2p_padded, 16u);
   EXPECT_EQ(rback.local_stats.p2c_padded, 24u);
@@ -540,12 +529,9 @@ TEST(Wire, StepBeginAndResultRoundTrip) {
   EXPECT_EQ(rback.remote_stats.p2c, 40u);
   EXPECT_EQ(rback.remote_stats.pp_batches, 0u);
   ASSERT_EQ(rback.let_sizes.size(), 1u);
+  EXPECT_EQ(rback.let_sizes[0].cells, 7u);
+  EXPECT_EQ(rback.let_sizes[0].particles, 8u);
   EXPECT_EQ(rback.let_sizes[0].bytes, 9u);
-  EXPECT_EQ(rback.let_wire.frames, 3u);
-  EXPECT_EQ(rback.let_wire.bytes, 4096u);
-  // Wire seconds stay off the wire: the fold derives them from the spans.
-  EXPECT_EQ(rback.let_wire.encode_seconds, 0.0);
-  EXPECT_EQ(rback.let_wire.decode_seconds, 0.0);
 }
 
 // A worker's StepResult with its span log: the rank.step envelope, a remote
