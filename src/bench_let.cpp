@@ -67,12 +67,12 @@ int main(int argc, char** argv) {
     const double t_build = build_timer.elapsed();
 
     WallTimer full_timer;
-    const std::vector<std::uint8_t> full = wire::encode_let({0, let});
+    const std::vector<std::uint8_t> full = wire::encode_let(0, let);
     const double t_full = full_timer.elapsed();
 
     WallTimer delta_timer;
     const wire::LetEncodeResult enc =
-        wire::encode_let_cached({0, let}, send, wire::kLetChurnRatio, &scratch);
+        wire::encode_let_cached(0, let, send, wire::kLetChurnRatio, &scratch);
     const double t_delta = delta_timer.elapsed();
 
     WallTimer patch_timer;
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
 
     // Correctness bar, asserted every step: the patched tree is
     // indistinguishable from the full export on the wire.
-    if (wire::encode_let({0, msg.let}) != full) {
+    if (wire::encode_let(0, msg.let) != full) {
       std::cerr << "bench_let: FAIL — patched LET differs from the full export "
                    "at step " << step << "\n";
       return 1;

@@ -40,24 +40,30 @@ InteractionStats Device::compute_forces(const TreeView& src, ParticleSet& target
   // pool threads record nothing.
   trace::ScopedSpan span("gravity.eval", trace_rank_);
 
-  // Each group writes a disjoint particle range (forces, and its useful flops
-  // spread evenly over its particles into `work`), so workers need no locking
-  // on the outputs; stats merge under a mutex at the end of each chunk. Each
-  // pool thread keeps one staging queue alive across groups (and calls) so
-  // the SoA buffers are allocated once per thread, not once per group.
+  // Each run of kGroupRun groups writes a disjoint particle range (forces,
+  // and each group's useful flops spread evenly over its particles into
+  // `work`), so workers need no locking on the outputs; stats merge under a
+  // mutex after each run. A claim is one run: larger chunks leave one thread
+  // a long tail at the end of the pass. Each pool thread keeps one staging
+  // queue alive across runs (and calls) so the SoA buffers are allocated
+  // once per thread, not once per run.
   std::mutex stats_mutex;
   InteractionStats total;
-  pool_->parallel_for(groups.size(), [&](std::size_t g) {
-    thread_local InteractionQueue queue;
-    const InteractionStats s =
-        traverse_one_group_batched(src, targets, groups[g], config, self, queue);
-    const TargetGroup& group = groups[g];
-    const double size = group.end - group.begin;
-    for (std::uint32_t i = group.begin; i < group.end; ++i)
-      targets.work[i] += static_cast<double>(s.useful_flops()) / size;
-    std::lock_guard lock(stats_mutex);
-    total += s;
-  });
+  pool_->parallel_for(
+      num_group_runs(groups.size()),
+      [&](std::size_t r) {
+        thread_local InteractionQueue queue;
+        const std::span<const TargetGroup> run = group_run(groups, r);
+        const RunStats s = traverse_run_batched(src, targets, run, config, self, queue);
+        for (std::size_t k = 0; k < run.size(); ++k) {
+          const double size = run[k].end - run[k].begin;
+          for (std::uint32_t i = run[k].begin; i < run[k].end; ++i)
+            targets.work[i] += static_cast<double>(s.useful_flops(k)) / size;
+        }
+        std::lock_guard lock(stats_mutex);
+        total += s.total;
+      },
+      /*chunk=*/1);
   span.set_bytes(static_cast<std::uint64_t>(total.p2p + total.p2c));
   return total;
 }

@@ -59,11 +59,12 @@ class Device {
 
   // "Compute gravity": walk `src` for all groups in parallel, accumulating
   // accelerations into `targets` and each group's useful flops, divided by
-  // its size, into its particles' `work`. Groups are dispatched across
-  // workers the way warps are scheduled onto SMs. Each worker walks its group
-  // into a thread-local InteractionQueue and `config.backend` drains the
-  // staged batches (tree/kernel_backend.hpp); emits a `gravity.eval` trace
-  // span on the calling thread.
+  // its size, into its particles' `work`. Runs of kGroupRun consecutive
+  // groups (tree/traverse.hpp) are dispatched across workers one at a time,
+  // the way warps are scheduled onto SMs. Each worker walks its run into a
+  // thread-local InteractionQueue and `config.backend` drains the staged
+  // batches (tree/kernel_backend.hpp); emits a `gravity.eval` trace span on
+  // the calling thread.
   InteractionStats compute_forces(const TreeView& src, ParticleSet& targets,
                                   std::span<const TargetGroup> groups,
                                   const TraversalConfig& config, bool self);

@@ -34,7 +34,7 @@ std::size_t LetExchange::post(int src, int dst, const LetTree& let, double) {
     span.set_peer(dst);
     if (state_ != nullptr && state_->enabled) {
       wire::LetEncodeResult res =
-          wire::encode_let_cached({src, let}, state_->send_entry(src, dst), wire::kLetChurnRatio,
+          wire::encode_let_cached(src, let, state_->send_entry(src, dst), wire::kLetChurnRatio,
                                   &state_->scratch[static_cast<std::size_t>(src)]);
       frame = std::move(res.frame);
       wire::LetDeltaStats& ds = delta_[static_cast<std::size_t>(src)];
@@ -45,9 +45,9 @@ std::size_t LetExchange::post(int src, int dst, const LetTree& let, double) {
         ds.full_frames += 1;
       }
     } else if (state_ != nullptr) {
-      frame = wire::encode_let_scratch({src, let}, state_->scratch[static_cast<std::size_t>(src)]);
+      frame = wire::encode_let_scratch(src, let, state_->scratch[static_cast<std::size_t>(src)]);
     } else {
-      frame = wire::encode_let({src, let});
+      frame = wire::encode_let(src, let);
     }
     span.set_bytes(static_cast<std::int64_t>(frame.size()));
   }

@@ -27,21 +27,22 @@ constexpr std::size_t kParticleForceBytes = 14 * 8;
 // --- Flat little-endian writer ----------------------------------------------
 class Writer {
  public:
-  explicit Writer(FrameType type) {
-    buf_.reserve(64);
-    header(type);
-  }
+  explicit Writer(FrameType type) { header(type); }
 
   // Build the frame inside `reuse` (its capacity carries over), for posting
   // paths that encode every step: finish() hands the buffer back to the
   // caller, who keeps it for the next encode.
   Writer(FrameType type, std::vector<std::uint8_t>&& reuse) : buf_(std::move(reuse)) {
-    buf_.clear();
-    if (buf_.capacity() < 64) buf_.reserve(64);
     header(type);
   }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  // Make room for `bytes` more bytes at once, for frames whose size is known
+  // up front; later fields then write without regrowing.
+  void reserve(std::size_t bytes) {
+    if (pos_ + bytes > buf_.size()) buf_.resize(pos_ + bytes);
+  }
+
+  void u8(std::uint8_t v) { *take(1) = v; }
   void u16(std::uint16_t v) { raw(v); }
   void u32(std::uint32_t v) { raw(v); }
   void u64(std::uint64_t v) { raw(v); }
@@ -50,7 +51,9 @@ class Writer {
 
   void f64_span(std::span<const double> v) { raw_span(v); }
   void u64_span(std::span<const std::uint64_t> v) { raw_span(v); }
-  void bytes(std::span<const std::uint8_t> v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
+  void bytes(std::span<const std::uint8_t> v) {
+    if (!v.empty()) std::memcpy(take(v.size()), v.data(), v.size());
+  }
 
   void vec3(const Vec3d& v) {
     f64(v.x);
@@ -64,7 +67,8 @@ class Writer {
   }
 
   std::vector<std::uint8_t> finish() {
-    const std::uint64_t payload = buf_.size() - kHeaderBytes;
+    buf_.resize(pos_);
+    const std::uint64_t payload = pos_ - kHeaderBytes;
     for (int i = 0; i < 8; ++i)
       buf_[8 + static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(payload >> (8 * i));
@@ -79,29 +83,37 @@ class Writer {
     u64(0);  // payload length, patched by finish()
   }
 
+  // The next `n` bytes at the write cursor. The buffer grows geometrically,
+  // so appending a field is a compare and a copy; finish() trims the rest.
+  std::uint8_t* take(std::size_t n) {
+    if (pos_ + n > buf_.size()) buf_.resize(std::max({pos_ + n, 2 * buf_.size(), kMinFrame}));
+    std::uint8_t* at = buf_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+
   template <typename T>
   void raw(T v) {
+    std::uint8_t* at = take(sizeof(T));
     if constexpr (kHostLittle) {
-      const std::size_t at = buf_.size();
-      buf_.resize(at + sizeof(T));
-      std::memcpy(buf_.data() + at, &v, sizeof(T));
+      std::memcpy(at, &v, sizeof(T));
     } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      for (std::size_t i = 0; i < sizeof(T); ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 
   template <typename T>
   void raw_span(std::span<const T> v) {
     if constexpr (kHostLittle) {
-      const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-      buf_.insert(buf_.end(), p, p + v.size_bytes());
+      if (!v.empty()) std::memcpy(take(v.size_bytes()), v.data(), v.size_bytes());
     } else {
       for (const T x : v) raw(std::bit_cast<std::uint64_t>(x));
     }
   }
 
-  std::vector<std::uint8_t> buf_;
+  static constexpr std::size_t kMinFrame = 64;
+  std::vector<std::uint8_t> buf_;  // bytes [0, pos_) written; the rest is room
+  std::size_t pos_ = 0;
 };
 
 // --- Bounds-checked little-endian reader -------------------------------------
@@ -370,29 +382,36 @@ FrameType frame_type(std::span<const std::uint8_t> frame) {
 
 namespace {
 
-void put_let(Writer& w, const LetMessage& msg) {
-  w.i32(msg.src);
-  w.u32(static_cast<std::uint32_t>(msg.let.nodes.size()));
-  w.u32(static_cast<std::uint32_t>(msg.let.num_particles()));
-  for (const TreeNode& nd : msg.let.nodes) put_node(w, nd);
-  w.f64_span(msg.let.x);
-  w.f64_span(msg.let.y);
-  w.f64_span(msg.let.z);
-  w.f64_span(msg.let.m);
+// Exact wire footprint of the full Let frame for the same tree.
+std::uint64_t full_let_bytes(const LetTree& let) {
+  return kHeaderBytes + 4 + 4 + 4 + let.num_cells() * kNodeBytes +
+         let.num_particles() * 4 * 8;  // x y z m
+}
+
+void put_let(Writer& w, int src, const LetTree& let) {
+  w.reserve(full_let_bytes(let) - kHeaderBytes);
+  w.i32(src);
+  w.u32(static_cast<std::uint32_t>(let.nodes.size()));
+  w.u32(static_cast<std::uint32_t>(let.num_particles()));
+  for (const TreeNode& nd : let.nodes) put_node(w, nd);
+  w.f64_span(let.x);
+  w.f64_span(let.y);
+  w.f64_span(let.z);
+  w.f64_span(let.m);
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_let(const LetMessage& msg) {
+std::vector<std::uint8_t> encode_let(int src, const LetTree& let) {
   Writer w(FrameType::kLet);
-  put_let(w, msg);
+  put_let(w, src, let);
   return w.finish();
 }
 
-std::vector<std::uint8_t> encode_let_scratch(const LetMessage& msg,
+std::vector<std::uint8_t> encode_let_scratch(int src, const LetTree& let,
                                              std::vector<std::uint8_t>& scratch) {
   Writer w(FrameType::kLet, std::move(scratch));
-  put_let(w, msg);
+  put_let(w, src, let);
   scratch = w.finish();
   return {scratch.begin(), scratch.end()};
 }
@@ -644,12 +663,6 @@ void advance_let_cache(LetCacheEntry& cache, LetTree next,
   cache.part_age = std::move(pa);
 }
 
-// Exact wire footprint of the full Let frame for the same tree.
-std::uint64_t full_let_bytes(const LetTree& let) {
-  return kHeaderBytes + 4 + 4 + 4 + let.num_cells() * kNodeBytes +
-         let.num_particles() * kPartValues * 8;
-}
-
 }  // namespace
 
 void LetCacheEntry::check_consistency() const {
@@ -674,10 +687,9 @@ void LetCacheEntry::check_consistency() const {
     BNS_CHECK(a >= 1 && a <= 3, "particle age outside the prediction window");
 }
 
-LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
+LetEncodeResult encode_let_cached(int src, const LetTree& let, LetCacheEntry& cache,
                                   double churn_ratio,
                                   std::vector<std::uint8_t>* scratch) {
-  const LetTree& let = msg.let;
   LetEncodeResult res;
   res.full_bytes = full_let_bytes(let);
   std::vector<std::uint8_t> local;
@@ -688,7 +700,7 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
     const std::vector<std::int64_t> pmatch = match_particles(cache.tree, let, nmatch);
 
     Writer w(FrameType::kLetDelta, std::move(buf));
-    w.i32(msg.src);
+    w.i32(src);
     w.u64(cache.version);
     w.u32(static_cast<std::uint32_t>(let.num_cells()));
     w.u32(static_cast<std::uint32_t>(let.num_particles()));
@@ -792,7 +804,7 @@ LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
   }
 
   Writer w(FrameType::kLet, std::move(buf));
-  put_let(w, msg);
+  put_let(w, src, let);
   buf = w.finish();
   res.frame.assign(buf.begin(), buf.end());
   res.is_delta = false;

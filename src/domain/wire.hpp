@@ -135,8 +135,8 @@ struct PeerTraffic {
 // keeping the result sorted by that key.
 void merge_traffic(std::vector<PeerTraffic>& into, std::span<const PeerTraffic> add);
 
-// One LET in flight from rank `src`, carrying (after decode) the encoded
-// frame size for the LET size records.
+// A decoded LET from rank `src`, carrying the encoded frame size for the LET
+// size records.
 struct LetMessage {
   int src = -1;
   LetTree let;
@@ -144,7 +144,9 @@ struct LetMessage {
 };
 
 // --- LET frames --------------------------------------------------------------
-std::vector<std::uint8_t> encode_let(const LetMessage& msg);
+// The encoders read the exported tree in place; a LetMessage is only what the
+// decoders return.
+std::vector<std::uint8_t> encode_let(int src, const LetTree& let);
 LetMessage decode_let(std::span<const std::uint8_t> frame);
 
 // --- Incremental LET frames (wire v7) ----------------------------------------
@@ -204,7 +206,7 @@ struct LetEncodeResult {
 // must come in below this fraction of the full encoding.
 inline constexpr double kLetChurnRatio = 0.75;
 
-// Exporter side of the incremental exchange: encode `msg.let` for a peer
+// Exporter side of the incremental exchange: encode `let` for a peer
 // whose mirrored state is `cache`. Ships a kLetDelta patch when it comes
 // out smaller than `churn_ratio` times the full encoding (topology churn
 // and migration churn inflate the patch past that bound, which is the
@@ -212,7 +214,7 @@ inline constexpr double kLetChurnRatio = 0.75;
 // first contact or for an empty tree. Updates `cache` to what the peer
 // will hold after decoding. `scratch` (optional) is an encode buffer
 // whose capacity is reused across calls.
-LetEncodeResult encode_let_cached(const LetMessage& msg, LetCacheEntry& cache,
+LetEncodeResult encode_let_cached(int src, const LetTree& let, LetCacheEntry& cache,
                                   double churn_ratio,
                                   std::vector<std::uint8_t>* scratch = nullptr);
 
@@ -226,7 +228,7 @@ LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry&
 
 // Like encode_let, but builds the frame in `scratch` (capacity retained
 // across calls) and returns an exact-size copy for posting.
-std::vector<std::uint8_t> encode_let_scratch(const LetMessage& msg,
+std::vector<std::uint8_t> encode_let_scratch(int src, const LetTree& let,
                                              std::vector<std::uint8_t>& scratch);
 
 // The source rank of a kLet/kLetDelta frame without decoding it (both

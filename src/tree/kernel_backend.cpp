@@ -34,6 +34,9 @@ struct FloatBatch {
   // the prescaled moments the rearranged p-c kernel takes.
   const std::vector<float>* src;
   const std::uint32_t* sidx;      // leaf batches: global source index per lane
+  // Leaf batches: per 16-lane chunk, 1 if it holds a source index inside
+  // [target_begin, target_end), so a target may meet itself there.
+  const std::uint8_t* self_chunk;
   std::uint32_t lanes;
   const std::vector<float>* toff;  // target x, y, z offsets
   std::uint32_t target_begin, target_end;
@@ -225,8 +228,31 @@ BONSAI_TARGET_AVX512F inline void drain_cells_block_avx512f(const FloatBatch& b,
   }
 }
 
+// One target's p-p update from one 16-lane source chunk: `m` the lanes'
+// masses and `bias` what r2 adds to |d|^2 (the softening, plus 1 on a
+// masked self lane).
+BONSAI_TARGET_AVX512F inline void pp_chunk_avx512f(__m512 sx, __m512 sy, __m512 sz, __m512 m,
+                                                   __m512 bias, __m512 tx, __m512 ty,
+                                                   __m512 tz, __m512& ax, __m512& ay,
+                                                   __m512& az, __m512& pot) {
+  const __m512 dx = _mm512_sub_ps(sx, tx);
+  const __m512 dy = _mm512_sub_ps(sy, ty);
+  const __m512 dz = _mm512_sub_ps(sz, tz);
+  const __m512 r2 =
+      _mm512_fmadd_ps(dx, dx, _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dz, dz, bias)));
+  const __m512 rinv = rsqrt_newton(r2);
+  const __m512 mr = _mm512_mul_ps(m, rinv);
+  const __m512 mr3 = _mm512_mul_ps(_mm512_mul_ps(mr, rinv), rinv);
+  ax = _mm512_fmadd_ps(mr3, dx, ax);
+  ay = _mm512_fmadd_ps(mr3, dy, ay);
+  az = _mm512_fmadd_ps(mr3, dz, az);
+  pot = _mm512_sub_ps(pot, mr);
+}
+
 // The leaf-batch block: as drain_cells_block_avx512f, with the self-mask
-// compare per target.
+// compare per target on the chunks gathering flagged (FloatBatch::
+// self_chunk). On the others every lane keeps its mass and r2 its softening
+// alone, which is what the mask gives them, bit for bit.
 template <int NT>
 BONSAI_TARGET_AVX512F inline void drain_leaves_block_avx512f(const FloatBatch& b,
                                                              std::uint32_t i0) {
@@ -244,29 +270,25 @@ BONSAI_TARGET_AVX512F inline void drain_leaves_block_avx512f(const FloatBatch& b
     ax[t] = ay[t] = az[t] = pot[t] = zero;
   }
   for (std::uint32_t j = 0; j < b.lanes; j += kKernelBatchPad) {
-    const __m512i sidx = _mm512_loadu_si512(b.sidx + j);
     const __m512 sx = _mm512_loadu_ps(b.src[0].data() + j);
     const __m512 sy = _mm512_loadu_ps(b.src[1].data() + j);
     const __m512 sz = _mm512_loadu_ps(b.src[2].data() + j);
     const __m512 sm = _mm512_loadu_ps(b.src[3].data() + j);
+    if (b.self_chunk[j / kKernelBatchPad] == 0) {
+      for (int t = 0; t < NT; ++t)
+        pp_chunk_avx512f(sx, sy, sz, sm, veps2, tx[t], ty[t], tz[t], ax[t], ay[t], az[t],
+                         pot[t]);
+      continue;
+    }
+    const __m512i sidx = _mm512_loadu_si512(b.sidx + j);
     for (int t = 0; t < NT; ++t) {
       // keep = 0 on the self lane, 1 elsewhere; as in the portable loop the
       // self lane gets zero mass and a +1 r2 bias so rinv stays finite.
       const __mmask16 is_self = _mm512_cmpeq_epi32_mask(sidx, self[t]);
       const __m512 keep = _mm512_mask_blend_ps(is_self, one, zero);
-      const __m512 dx = _mm512_sub_ps(sx, tx[t]);
-      const __m512 dy = _mm512_sub_ps(sy, ty[t]);
-      const __m512 dz = _mm512_sub_ps(sz, tz[t]);
-      const __m512 bias = _mm512_add_ps(veps2, _mm512_sub_ps(one, keep));
-      const __m512 r2 =
-          _mm512_fmadd_ps(dx, dx, _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dz, dz, bias)));
-      const __m512 rinv = rsqrt_newton(r2);
-      const __m512 mr = _mm512_mul_ps(_mm512_mul_ps(sm, keep), rinv);
-      const __m512 mr3 = _mm512_mul_ps(_mm512_mul_ps(mr, rinv), rinv);
-      ax[t] = _mm512_fmadd_ps(mr3, dx, ax[t]);
-      ay[t] = _mm512_fmadd_ps(mr3, dy, ay[t]);
-      az[t] = _mm512_fmadd_ps(mr3, dz, az[t]);
-      pot[t] = _mm512_sub_ps(pot[t], mr);
+      pp_chunk_avx512f(sx, sy, sz, _mm512_mul_ps(sm, keep),
+                       _mm512_add_ps(veps2, _mm512_sub_ps(one, keep)), tx[t], ty[t], tz[t],
+                       ax[t], ay[t], az[t], pot[t]);
     }
   }
   ParticleSet& out = *b.t;
@@ -528,16 +550,27 @@ std::uint32_t InteractionQueue::gather_cells(const Batch& b) {
 
 // Gathers a leaf batch's padded float lanes (offsets from the walk's centre
 // and mass) from the staged particle ranges, with each lane's source index
-// for the self-mask. Pad lanes carry kInvalidSource so the mask never fires
-// on them. Returns the padded lane count.
+// for the self-mask and each 16-lane chunk's self flag. Pad lanes carry
+// kInvalidSource so the mask never fires on them. Returns the padded lane
+// count.
 std::uint32_t InteractionQueue::gather_leaves(const Batch& b) {
   const auto lanes = static_cast<std::uint32_t>(pad_to(b.sources));
   for (int c = 0; c < 4; ++c) lane_[c].resize(lanes);
   lane_idx_.resize(lanes);
+  self_chunk_.assign(lanes / kKernelBatchPad, 0);
   const Vec3d& o = params_.centre;
   std::uint32_t j = 0;
   for (std::uint32_t r = b.begin; r < b.end; ++r) {
-    for (std::uint32_t s = leaves_[r].begin; s < leaves_[r].end; ++s, ++j) {
+    const LeafRange& leaf = leaves_[r];
+    // Flag the chunks holding the range's overlap with the targets.
+    const std::uint32_t lo = std::max(leaf.begin, b.target_begin);
+    const std::uint32_t hi = std::min(leaf.end, b.target_end);
+    if (params_.self && hi > lo) {
+      const std::uint32_t last = (j + (hi - 1 - leaf.begin)) / kKernelBatchPad;
+      for (std::uint32_t c = (j + (lo - leaf.begin)) / kKernelBatchPad; c <= last; ++c)
+        self_chunk_[c] = 1;
+    }
+    for (std::uint32_t s = leaf.begin; s < leaf.end; ++s, ++j) {
       lane_[0][j] = to_lane(src_.x[s], o.x, 1.0);
       lane_[1][j] = to_lane(src_.y[s], o.y, 1.0);
       lane_[2][j] = to_lane(src_.z[s], o.z, 1.0);
@@ -577,8 +610,9 @@ void InteractionQueue::drain_cell_batch(const Batch& b) {
   }
 
   const std::uint32_t lanes = gather_cells(b);
-  const FloatBatch fb{lane_,         nullptr,      lanes,   target_off_,
-                      b.target_begin, b.target_end, static_cast<float>(eps2), &t};
+  const FloatBatch fb{lane_,       nullptr,        nullptr,      lanes,
+                      target_off_, b.target_begin, b.target_end, static_cast<float>(eps2),
+                      &t};
 #if BONSAI_KERNEL_AVX512F
   if (isa_ == KernelIsa::kAvx512f) return drain_cells_avx512f(fb);
 #endif
@@ -608,8 +642,9 @@ void InteractionQueue::drain_leaf_batch(const Batch& b) {
   }
 
   const std::uint32_t lanes = gather_leaves(b);
-  const FloatBatch fb{lane_,         lane_idx_.data(), lanes,   target_off_,
-                      b.target_begin, b.target_end, static_cast<float>(eps2), &t};
+  const FloatBatch fb{lane_,       lane_idx_.data(), self_chunk_.data(),
+                      lanes,       target_off_,      b.target_begin,
+                      b.target_end, static_cast<float>(eps2), &t};
 #if BONSAI_KERNEL_AVX512F
   if (isa_ == KernelIsa::kAvx512f) return drain_leaves_avx512f(fb);
 #endif

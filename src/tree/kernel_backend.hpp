@@ -13,14 +13,23 @@
 // part_end). Each drain gathers what it needs straight from the walk's
 // TreeView, so staging costs the walk one store per cell or leaf.
 //
+// One queue walk is one target range with one float origin. The run walk
+// (tree/traverse.hpp) makes two kinds: a run's shared lists, the cells and
+// leaves every group of a run of consecutive groups meets, drained once
+// against the run's whole range with offsets from the centre of the run's
+// box; and each group's own lists, drained against its own range and box
+// centre. A shared batch thus gathers its sources once for up to
+// kGroupRun groups.
+//
 // Backends:
 //   scalar     — evaluates pp_kernel/pc_kernel per staged interaction,
 //                without padding: the correctness oracle the simd drains are
 //                tested against.
 //   simd       — mixed precision, the paper's production kernels (§VI-A):
 //                each drained batch gathers its sources as float offsets
-//                from the target group's box centre (subtracted in double,
-//                then cast), so float keeps the digits that matter for near
+//                from its walk's centre (the box centre of the group, or of
+//                the run for shared lists; subtracted in double, then
+//                cast), so float keeps the digits that matter for near
 //                pairs. Arithmetic is float, 16 lanes per batch step; each
 //                target sums a batch in float and adds the sum to its double
 //                accumulators. On hosts with AVX-512F one zmm covers a batch
@@ -34,9 +43,12 @@
 //                The variant is picked once per process (KernelIsa).
 //
 // `simd` batches are padded to the SIMD width with inert lanes (zero mass and
-// moments at a point no target of the group can reach) and self-interactions
+// moments at a point no target of the walk can reach) and self-interactions
 // are masked per lane instead of branched around, so the inner loops are
-// branch-free. InteractionStats carries both the useful and the padded
+// branch-free. The AVX-512F leaf drain runs the mask only on the 16-lane
+// chunks the gather flagged as holding a source index inside the walk's
+// target range; on the others the mask would keep every lane, so skipping
+// it changes no bit. InteractionStats carries both the useful and the padded
 // interaction counts (util/flops.hpp) so the Gflop/s accounting stays honest.
 #pragma once
 
@@ -89,16 +101,17 @@ inline const char* kernel_isa() { return kernel_isa_name(host_kernel_isa()); }
 // KernelIsa::kAvx512f and r2.size() == rinv.size().
 void rsqrt_avx512f(std::span<const float> r2, std::span<float> rinv);
 
-// Per-walk parameters shared by every batch of one group walk.
+// Per-walk parameters shared by every batch of one queue walk.
 struct WalkParams {
   double eps2 = 0.0;
   bool quadrupole = true;
   bool self = false;  // targets alias the source particle array
-  Vec3d centre{};     // origin of the `simd` drain's float offsets: the
-                      // target group's box centre
+  Vec3d centre{};     // origin of the `simd` drain's float offsets: the box
+                      // centre of the walk's targets (a group or a run)
 };
 
-// Staging queue for one worker thread. Usage per target group:
+// Staging queue for one worker thread. Usage per walk (a run's shared lists,
+// or one group's own):
 //
 //   queue.begin_walk(src, targets, params, backend, target_begin, target_end);
 //   ... push_cell / push_leaf while walking ...
@@ -185,11 +198,13 @@ class InteractionQueue {
   // `simd` drain buffers: the walk's targets as float offsets from
   // params_.centre (refreshed per flush), and the batch being drained as
   // padded float lanes gathered from src_ (x, y, z, m, then 3q0..3q5 and
-  // tr(Q)/2 for cells) plus, for leaf batches, the padded source indices.
+  // tr(Q)/2 for cells) plus, for leaf batches, the padded source indices and
+  // a flag per 16-lane chunk that holds one of the batch's targets.
   std::vector<float> target_off_[3];
   float pad_off_ = 0.0f;  // pad lanes sit at (pad_off_, pad_off_, pad_off_)
   std::vector<float> lane_[11];
   std::vector<std::uint32_t> lane_idx_;
+  std::vector<std::uint8_t> self_chunk_;
 
   std::vector<Batch> cell_batches_, leaf_batches_;
   InteractionStats stats_{};

@@ -80,7 +80,7 @@ inline LetDeltaScenario make_let_delta_scenario() {
   for (int step = 0; step < 2; ++step) {
     const domain::LetTree let = detail::make_seed_let(parts);
     wire::LetEncodeResult res =
-        wire::encode_let_cached({0, let}, exporter, kChurn, nullptr);
+        wire::encode_let_cached(0, let, exporter, kChurn, nullptr);
     if (step == 0) {
       BNS_CHECK(!res.is_delta, "first exchange must be a full frame");
       sc.full_frame = std::move(res.frame);
@@ -117,7 +117,7 @@ inline std::vector<SeedFrame> seed_frames() {
   const ParticleSet parts = detail::make_seed_particles(3, 11);
 
   add(wire::FrameType::kLet,
-      wire::encode_let({1, detail::make_seed_let(make_plummer(48, 7))}));
+      wire::encode_let(1, detail::make_seed_let(make_plummer(48, 7))));
   add(wire::FrameType::kParticles, wire::encode_particles(2, parts, /*with_forces=*/true));
   add(wire::FrameType::kHello, wire::encode_hello(3, 40123));
   {

@@ -8,7 +8,11 @@
 #include <cmath>
 #include <iterator>
 #include <span>
+#include <string>
+#include <vector>
 
+#include "device/device.hpp"
+#include "domain/let.hpp"
 #include "tree/direct.hpp"
 #include "tree/kernels.hpp"
 #include "tree/octree.hpp"
@@ -102,8 +106,9 @@ TEST(Traverse, ZeroWidthGroupIsNoOp) {
   TargetGroup g;
   g.begin = g.end = 7;  // empty target range, box invalid by construction
   InteractionQueue queue;
-  const auto stats = traverse_one_group_batched(s.tree.view(s.parts), s.parts, g,
-                                                TraversalConfig{}, true, queue);
+  const auto stats = traverse_run_batched(s.tree.view(s.parts), s.parts, {&g, 1},
+                                          TraversalConfig{}, true, queue)
+                         .total;
   EXPECT_EQ(stats.p2p + stats.p2c, 0u);
 }
 
@@ -342,6 +347,209 @@ TEST(Traverse, EmptySourcesAndTargets) {
   ParticleSet no_targets;
   auto no_groups = make_groups(no_targets, 64);
   EXPECT_TRUE(no_groups.empty());
+}
+
+// Walks runs `runs` of `groups` twice: as run walks through a queue of
+// `capacity`, and group by group as one-group walks (runs of one) through a
+// default queue, each into a zeroed copy of `targets`. Expects every group's
+// useful p-p and p-c counts and flops to agree and each RunStats total to
+// hold its groups' counts; returns the worst relative acceleration or
+// potential difference over the walked groups' particles.
+double run_vs_one_group(const TreeView& src, const ParticleSet& targets,
+                        std::span<const TargetGroup> groups, const TraversalConfig& cfg,
+                        bool self, std::span<const std::size_t> runs,
+                        std::size_t capacity = InteractionQueue::kDefaultCapacity) {
+  ParticleSet by_run = targets, by_group = targets;
+  by_run.zero_forces();
+  by_group.zero_forces();
+  InteractionQueue run_queue(capacity), group_queue;
+  double worst = 0.0;
+  for (const std::size_t r : runs) {
+    const std::span<const TargetGroup> run = group_run(groups, r);
+    const RunStats rs = traverse_run_batched(src, by_run, run, cfg, self, run_queue);
+    std::uint64_t p2p = 0, p2c = 0;
+    for (std::size_t k = 0; k < run.size(); ++k) {
+      const RunStats gs =
+          traverse_run_batched(src, by_group, run.subspan(k, 1), cfg, self, group_queue);
+      const std::string where = "run " + std::to_string(r) + " group " + std::to_string(k);
+      EXPECT_EQ(rs.p2p[k], gs.p2p[0]) << where;
+      EXPECT_EQ(rs.p2c[k], gs.p2c[0]) << where;
+      EXPECT_EQ(rs.useful_flops(k), gs.useful_flops(0)) << where;
+      EXPECT_EQ(gs.total.p2p, gs.p2p[0]) << where;
+      EXPECT_EQ(gs.total.p2c, gs.p2c[0]) << where;
+      p2p += rs.p2p[k];
+      p2c += rs.p2c[k];
+      for (std::uint32_t i = run[k].begin; i < run[k].end; ++i) {
+        worst = std::max(worst, norm(by_run.acc(i) - by_group.acc(i)) /
+                                    std::max(norm(by_group.acc(i)), 1e-300));
+        worst = std::max(worst, std::abs(by_run.pot[i] - by_group.pot[i]) /
+                                    std::max(std::abs(by_group.pot[i]), 1e-300));
+      }
+    }
+    EXPECT_EQ(rs.total.p2p, p2p) << "run " << r;
+    EXPECT_EQ(rs.total.p2c, p2c) << "run " << r;
+  }
+  return worst;
+}
+
+std::vector<std::size_t> all_runs(std::span<const TargetGroup> groups) {
+  std::vector<std::size_t> runs(num_group_runs(groups.size()));
+  for (std::size_t r = 0; r < runs.size(); ++r) runs[r] = r;
+  return runs;
+}
+
+TEST(RunWalk, ClusteredCloudMatchesOneGroupWalks) {
+  // 65736 particles: 1028 groups, the last of 8 particles, so the last run
+  // holds 4 groups. simd walks every run; the slower scalar oracle walks the
+  // first, a middle and the short last run.
+  WalkSetup s = make_setup(65536 + 200, 281, 0.4);
+  const std::size_t runs = num_group_runs(s.groups.size());
+  ASSERT_EQ(group_run(s.groups, runs - 1).size(), 4u);
+  TraversalConfig cfg;
+  cfg.theta = 0.4;
+  cfg.eps = 1e-2;
+  const TreeView src = s.tree.view(s.parts);
+  cfg.backend = KernelBackend::kSimd;
+  EXPECT_LT(run_vs_one_group(src, s.parts, s.groups, cfg, /*self=*/true, all_runs(s.groups)),
+            2e-5);  // float: measured 4.5e-6
+  cfg.backend = KernelBackend::kScalar;
+  const std::size_t some[] = {0, runs / 2, runs - 1};
+  EXPECT_LT(run_vs_one_group(src, s.parts, s.groups, cfg, /*self=*/true, some), 1e-12);
+}
+
+TEST(RunWalk, LetViewMatchesOneGroupWalks) {
+  // A remote rank's LET (multipole leaves, internal nodes, particle leaves)
+  // against a neighbouring target cloud, self = false.
+  ParticleSet sources = clustered_cloud(20000, 283);
+  for (std::size_t i = 0; i < sources.size(); ++i) sources.x[i] += 1.5;
+  sfc::KeySpace src_space(sources.bounds());
+  sort_by_keys(sources, src_space);
+  Octree tree;
+  tree.build(sources, 16);
+  tree.compute_properties(sources, 0.4);
+  ParticleSet targets = clustered_cloud(5000, 284);
+  sfc::KeySpace space(targets.bounds());
+  sort_by_keys(targets, space);
+  const domain::LetTree let = domain::build_let(tree.view(sources), targets.bounds());
+  ASSERT_GT(let.num_particles(), 0u);
+  ASSERT_TRUE(std::any_of(let.nodes.begin(), let.nodes.end(), [](const TreeNode& nd) {
+    return nd.kind == NodeKind::kMultipoleLeaf;
+  }));
+  const std::vector<TargetGroup> groups = make_groups(targets, 64);
+  for (const KernelBackend backend : kKernelBackends) {
+    SCOPED_TRACE(kernel_backend_name(backend));
+    TraversalConfig cfg;
+    cfg.eps = 1e-2;
+    cfg.backend = backend;
+    EXPECT_LT(run_vs_one_group(let.view(), targets, groups, cfg, /*self=*/false,
+                               all_runs(groups)),
+              backend == KernelBackend::kScalar ? 1e-12 : 2e-6);  // simd: measured 3.3e-7
+  }
+}
+
+TEST(RunWalk, EmptyAndZeroWidthGroupsTakeNoPart) {
+  // Zero-width groups at the front, inside and at the end of runs walk
+  // nothing and leave the other groups' interactions as they are; a run of
+  // zero-width groups alone stages and drains nothing.
+  WalkSetup s = make_setup(6000, 287, 0.4);
+  std::vector<TargetGroup> groups;
+  const auto zero_width = [](std::uint32_t at) {
+    TargetGroup g;
+    g.begin = g.end = at;
+    return g;
+  };
+  groups.push_back(zero_width(0));
+  for (std::size_t k = 0; k < s.groups.size(); ++k) {
+    groups.push_back(s.groups[k]);
+    if (k % 5 == 2) groups.push_back(zero_width(s.groups[k].end));
+  }
+  for (int k = 0; k < 9; ++k) groups.push_back(zero_width(s.groups.back().end));
+  ASSERT_GT(num_group_runs(groups.size()), num_group_runs(s.groups.size()));
+  for (const KernelBackend backend : kKernelBackends) {
+    SCOPED_TRACE(kernel_backend_name(backend));
+    TraversalConfig cfg;
+    cfg.eps = 1e-2;
+    cfg.backend = backend;
+    EXPECT_LT(run_vs_one_group(s.tree.view(s.parts), s.parts, groups, cfg, /*self=*/true,
+                               all_runs(groups)),
+              backend == KernelBackend::kScalar ? 1e-12 : 6e-6);  // simd: measured 1.4e-6
+  }
+  const std::vector<TargetGroup> empty_run(kGroupRun, zero_width(6000));
+  ParticleSet parts = s.parts;
+  parts.zero_forces();
+  InteractionQueue queue;
+  const RunStats none =
+      traverse_run_batched(s.tree.view(parts), parts, empty_run, TraversalConfig{}, true, queue);
+  EXPECT_EQ(none.total.p2p + none.total.p2c + none.total.batches(), 0u);
+  for (std::size_t k = 0; k < kGroupRun; ++k) EXPECT_EQ(none.useful_flops(k), 0u);
+  for (std::size_t i = 0; i < parts.size(); ++i) EXPECT_EQ(norm(parts.acc(i)), 0.0);
+}
+
+TEST(RunWalk, CapacityFourQueueFlushesInsideTheSharedWalk) {
+  // A capacity-4 queue flushes after every few staged cells or leaves, in the
+  // shared walk as in each group's own: counts still equal the one-group
+  // walks', and the scalar drain is order-stable under the splits.
+  WalkSetup s = make_setup(3000, 289, 0.4);
+  const TreeView src = s.tree.view(s.parts);
+  for (const KernelBackend backend : kKernelBackends) {
+    SCOPED_TRACE(kernel_backend_name(backend));
+    TraversalConfig cfg;
+    cfg.eps = 1e-2;
+    cfg.backend = backend;
+    EXPECT_LT(run_vs_one_group(src, s.parts, s.groups, cfg, /*self=*/true, all_runs(s.groups),
+                               /*capacity=*/4),
+              backend == KernelBackend::kScalar ? 1e-12 : 3e-6);  // simd: measured 5.9e-7
+    ParticleSet roomy = s.parts, tiny = s.parts;
+    roomy.zero_forces();
+    tiny.zero_forces();
+    InteractionQueue roomy_queue, tiny_queue(4);
+    const RunStats a = traverse_run_batched(src, roomy, group_run(s.groups, 0), cfg, true,
+                                            roomy_queue);
+    const RunStats b = traverse_run_batched(src, tiny, group_run(s.groups, 0), cfg, true,
+                                            tiny_queue);
+    EXPECT_EQ(a.total.p2p, b.total.p2p);
+    EXPECT_EQ(a.total.p2c, b.total.p2c);
+    EXPECT_GT(b.total.batches(), a.total.batches() + 100);
+    if (backend == KernelBackend::kScalar) {
+      for (std::uint32_t i = 0; i < group_run(s.groups, 0).back().end; ++i)
+        EXPECT_LT(norm(tiny.acc(i) - roomy.acc(i)), 1e-13 * norm(roomy.acc(i)));
+    }
+  }
+}
+
+TEST(RunWalk, ComputeForcesWorkEqualsPerGroupAttribution) {
+  // Device::compute_forces hands out one run per claim and spreads each
+  // group's useful flops over its particles: the work column must equal,
+  // bit for bit, the one-group walks' flops divided by the group sizes, and
+  // forces and work must not depend on the device's thread count.
+  WalkSetup s = make_setup(9000, 293, 0.4);  // 141 groups: a last run of 5
+  TraversalConfig cfg;
+  cfg.eps = 1e-2;
+  ParticleSet ref = s.parts;
+  ref.zero_forces();  // and work
+  InteractionQueue queue;
+  for (const TargetGroup& g : s.groups) {
+    const RunStats gs = traverse_run_batched(s.tree.view(ref), ref, {&g, 1}, cfg, true, queue);
+    const double size = g.end - g.begin;
+    for (std::uint32_t i = g.begin; i < g.end; ++i)
+      ref.work[i] += static_cast<double>(gs.useful_flops(0)) / size;
+  }
+  std::vector<ParticleSet> by_threads;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ParticleSet parts = s.parts;
+    parts.zero_forces();
+    Device device(threads);
+    device.compute_forces(s.tree.view(parts), parts, s.groups, cfg, /*self=*/true);
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      ASSERT_EQ(parts.work[i], ref.work[i]) << "threads=" << threads << " i=" << i;
+    by_threads.push_back(std::move(parts));
+  }
+  for (std::size_t i = 0; i < s.parts.size(); ++i) {
+    ASSERT_EQ(by_threads[0].ax[i], by_threads[1].ax[i]) << i;
+    ASSERT_EQ(by_threads[0].ay[i], by_threads[1].ay[i]) << i;
+    ASSERT_EQ(by_threads[0].az[i], by_threads[1].az[i]) << i;
+    ASSERT_EQ(by_threads[0].pot[i], by_threads[1].pot[i]) << i;
+  }
 }
 
 TEST(Traverse, PCKernelMatchesPointMass) {

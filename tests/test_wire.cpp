@@ -80,7 +80,7 @@ void expect_same_let(const LetTree& a, const LetTree& b) {
 }
 
 TEST(Wire, EmptyLetRoundTrip) {
-  const std::vector<std::uint8_t> frame = wire::encode_let({3, LetTree{}});
+  const std::vector<std::uint8_t> frame = wire::encode_let(3, LetTree{});
   EXPECT_EQ(wire::frame_type(frame), wire::FrameType::kLet);
   const wire::LetMessage msg = wire::decode_let(frame);
   EXPECT_EQ(msg.src, 3);
@@ -102,7 +102,7 @@ TEST(Wire, SingleMultipoleLeafLetRoundTrip) {
   nd.box = {{-1, -1, -1}, {1, 1, 1}};
   let.nodes.push_back(nd);
 
-  const wire::LetMessage msg = wire::decode_let(wire::encode_let({0, let}));
+  const wire::LetMessage msg = wire::decode_let(wire::encode_let(0, let));
   EXPECT_FALSE(msg.let.empty());  // a bare multipole leaf still exerts force
   expect_same_let(let, msg.let);
 }
@@ -111,7 +111,7 @@ TEST(Wire, RealLetRoundTripsBitForBit) {
   const LetTree let = make_real_let();
   ASSERT_GT(let.num_cells(), 1u);
   ASSERT_GT(let.num_particles(), 0u);
-  const wire::LetMessage msg = wire::decode_let(wire::encode_let({1, let}));
+  const wire::LetMessage msg = wire::decode_let(wire::encode_let(1, let));
   expect_same_let(let, msg.let);
 }
 
@@ -159,7 +159,7 @@ TEST(Wire, ForceFreeBatchDecodesWithZeroForces) {
 }
 
 TEST(Wire, TruncatedFramesThrowAtEveryLength) {
-  const std::vector<std::uint8_t> frame = wire::encode_let({0, make_real_let()});
+  const std::vector<std::uint8_t> frame = wire::encode_let(0, make_real_let());
   for (std::size_t len = 0; len < frame.size(); len += 13) {
     const std::vector<std::uint8_t> cut(frame.begin(),
                                         frame.begin() + static_cast<std::ptrdiff_t>(len));
@@ -168,7 +168,7 @@ TEST(Wire, TruncatedFramesThrowAtEveryLength) {
 }
 
 TEST(Wire, HeaderCorruptionIsRejected) {
-  std::vector<std::uint8_t> frame = wire::encode_let({0, LetTree{}});
+  std::vector<std::uint8_t> frame = wire::encode_let(0, LetTree{});
 
   std::vector<std::uint8_t> bad = frame;
   bad[0] ^= 0xFF;  // magic
@@ -191,7 +191,7 @@ TEST(Wire, EveryByteFlipEitherDecodesOrThrowsWireError) {
   // out of bounds — it either throws WireError or yields a structurally
   // valid LET (flips in coordinate payloads are indistinguishable from
   // data).
-  const std::vector<std::uint8_t> frame = wire::encode_let({0, make_real_let()});
+  const std::vector<std::uint8_t> frame = wire::encode_let(0, make_real_let());
   for (std::size_t i = 0; i < frame.size(); ++i) {
     std::vector<std::uint8_t> bad = frame;
     bad[i] ^= 0xA5;
