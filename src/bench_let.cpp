@@ -1,12 +1,11 @@
-// bench_let: times the incremental LET exchange in isolation — per step, the
-// LET build, the full encode, the delta encode (exporter diff against the
-// peer's mirrored cache) and the patch-and-validate decode — on a drifting
-// Plummer cloud, the steady-state workload the cache is built for. The
-// compression ratio printed per step is the wire-byte cost of the cached
-// exchange relative to shipping full frames.
+// bench_let: times the LET codec in isolation — per step, the LET build, the
+// full-frame encode (into a reused scratch buffer, as LetExchange::post does)
+// and the validating decode — on a drifting Plummer cloud, so the exported
+// tree changes every step. Encode and decode rates are frame bytes per
+// second.
 //
-// Every step also asserts the correctness bar: the patched LET must
-// re-encode byte-identically to the fresh full export.
+// Every step also asserts the correctness bar: the decoded LET must
+// re-encode byte-identically to the frame it came from.
 //
 // Usage: bench_let [n] [steps]   (default n=16384, steps=12)
 #include <cstdlib>
@@ -24,6 +23,11 @@ namespace {
 using namespace bonsai;
 namespace wire = domain::wire;
 
+// Frame bytes per second, in GB/s.
+double gbps(std::uint64_t bytes, double seconds) {
+  return seconds > 0.0 ? static_cast<double>(bytes) / seconds * 1e-9 : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -35,8 +39,7 @@ int main(int argc, char** argv) {
   }
 
   // A drifting cloud: bulk velocity on top of the Plummer dispersion, then a
-  // leapfrog-style position update each step. Linear coherent motion is the
-  // common case the delta codec's polynomial predictor targets.
+  // leapfrog-style position update each step.
   ParticleSet parts = make_plummer(n, 42);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     parts.vx[i] += 0.5;
@@ -46,10 +49,9 @@ int main(int argc, char** argv) {
 
   std::cout << "bench_let: n=" << n << " steps=" << steps << "\n";
 
-  wire::LetCacheEntry send, recv;
   std::vector<std::uint8_t> scratch;
-  double sum_build = 0.0, sum_full = 0.0, sum_delta = 0.0, sum_patch = 0.0;
-  std::uint64_t cached_bytes = 0, full_bytes = 0;
+  double sum_build = 0.0, sum_encode = 0.0, sum_decode = 0.0;
+  std::uint64_t sum_bytes = 0;
   for (int step = 0; step < steps; ++step) {
     for (std::size_t i = 0; i < parts.size(); ++i) {
       parts.x[i] += 1e-3 * parts.vx[i];
@@ -66,48 +68,36 @@ int main(int argc, char** argv) {
     const domain::LetTree let = domain::build_let(tree.view(parts), remote);
     const double t_build = build_timer.elapsed();
 
-    WallTimer full_timer;
-    const std::vector<std::uint8_t> full = wire::encode_let(0, let);
-    const double t_full = full_timer.elapsed();
+    WallTimer encode_timer;
+    const std::vector<std::uint8_t> frame = wire::encode_let_scratch(0, let, scratch);
+    const double t_encode = encode_timer.elapsed();
 
-    WallTimer delta_timer;
-    const wire::LetEncodeResult enc =
-        wire::encode_let_cached(0, let, send, wire::kLetChurnRatio, &scratch);
-    const double t_delta = delta_timer.elapsed();
+    WallTimer decode_timer;
+    const wire::LetMessage msg = wire::decode_let(frame);
+    const double t_decode = decode_timer.elapsed();
 
-    WallTimer patch_timer;
-    const wire::LetMessage msg = wire::decode_let_cached(enc.frame, recv);
-    const double t_patch = patch_timer.elapsed();
-
-    // Correctness bar, asserted every step: the patched tree is
-    // indistinguishable from the full export on the wire.
-    if (wire::encode_let(0, msg.let) != full) {
-      std::cerr << "bench_let: FAIL — patched LET differs from the full export "
-                   "at step " << step << "\n";
+    // Correctness bar, asserted every step: the decoded tree is
+    // indistinguishable from the export on the wire.
+    if (wire::encode_let(0, msg.let) != frame) {
+      std::cerr << "bench_let: FAIL — decoded LET re-encodes differently at step " << step
+                << "\n";
       return 1;
     }
 
     sum_build += t_build;
-    sum_full += t_full;
-    sum_delta += t_delta;
-    sum_patch += t_patch;
-    cached_bytes += enc.frame.size();
-    full_bytes += full.size();
+    sum_encode += t_encode;
+    sum_decode += t_decode;
+    sum_bytes += frame.size();
     std::cout << "step " << step << ": cells=" << let.num_cells()
-              << " parts=" << let.num_particles() << " "
-              << (enc.is_delta ? "delta" : "full") << "=" << enc.frame.size()
-              << "B vs full=" << full.size() << "B (ratio "
-              << static_cast<double>(enc.frame.size()) / static_cast<double>(full.size())
-              << ") build=" << t_build * 1e3 << "ms encode_full=" << t_full * 1e3
-              << "ms encode_delta=" << t_delta * 1e3 << "ms patch=" << t_patch * 1e3
-              << "ms\n";
+              << " parts=" << let.num_particles() << " frame=" << frame.size()
+              << "B build=" << t_build * 1e3 << "ms encode=" << t_encode * 1e3
+              << "ms (" << gbps(frame.size(), t_encode) << " GB/s) decode=" << t_decode * 1e3
+              << "ms (" << gbps(frame.size(), t_decode) << " GB/s)\n";
   }
 
-  std::cout << "totals: build=" << sum_build * 1e3 << "ms encode_full=" << sum_full * 1e3
-            << "ms encode_delta=" << sum_delta * 1e3 << "ms patch=" << sum_patch * 1e3
-            << "ms wire_ratio="
-            << static_cast<double>(cached_bytes) / static_cast<double>(full_bytes)
-            << " (cached " << cached_bytes << "B vs full " << full_bytes << "B)\n"
-            << "bench_let: PASS (patched == full re-export, every step)\n";
+  std::cout << "totals: build=" << sum_build * 1e3 << "ms encode=" << sum_encode * 1e3
+            << "ms (" << gbps(sum_bytes, sum_encode) << " GB/s) decode=" << sum_decode * 1e3
+            << "ms (" << gbps(sum_bytes, sum_decode) << " GB/s) bytes=" << sum_bytes << "\n"
+            << "bench_let: PASS (decoded == re-encoded frame, every step)\n";
   return 0;
 }

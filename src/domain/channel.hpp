@@ -71,42 +71,21 @@ class Channel {
   bool closed_ = false;
 };
 
-// Persistent state of the incremental LET exchange (--let-cache), owned by
-// the driver — the Simulation in-proc, the worker loop in cluster mode — and
-// lent to each step's ephemeral LetExchange. Caches are per directed pair:
-// `send[src * nranks + dst]` is the exporter's mirror of what dst currently
-// holds of src's LET, `recv[dst * nranks + src]` the importer's actual copy
-// (a cluster worker only ever touches its own row of each). `scratch[src]`
-// is the per-source encode buffer whose capacity persists across steps, so
-// posting no longer grows a fresh vector every time. With `enabled` false
-// the scratch reuse still applies but every post ships a full frame and no
-// cache is consulted — the differential reference path.
+// Per-source LET encode buffers, owned by the driver — the Simulation
+// in-proc, the worker loop in cluster mode — and lent to each step's
+// ephemeral LetExchange: `scratch[src]` keeps its capacity across steps, so
+// posting does not grow a fresh vector every time.
 struct LetChannelState {
-  bool enabled = false;
   int nranks = 0;
-  std::vector<wire::LetCacheEntry> send, recv;
   std::vector<std::vector<std::uint8_t>> scratch;
 
-  void init(int n, bool on) {
-    enabled = on;
+  void init(int n) {
     nranks = n;
-    const std::size_t pairs = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-    send.assign(pairs, {});
-    recv.assign(pairs, {});
     scratch.assign(static_cast<std::size_t>(n), {});
   }
-  // bench/ remnant: the benchmark replay passes SimConfig::let_churn, which
-  // src/ ignores; every exporter uses wire::kLetChurnRatio.
-  void init(int n, bool on, double /*churn*/) { init(n, on); }
-
-  wire::LetCacheEntry& send_entry(int src, int dst) {
-    return send[static_cast<std::size_t>(src) * static_cast<std::size_t>(nranks) +
-                static_cast<std::size_t>(dst)];
-  }
-  wire::LetCacheEntry& recv_entry(int dst, int src) {
-    return recv[static_cast<std::size_t>(dst) * static_cast<std::size_t>(nranks) +
-                static_cast<std::size_t>(src)];
-  }
+  // bench/ remnant: the benchmark replay passes SimConfig::let_cache and
+  // SimConfig::let_churn, which src/ ignores.
+  void init(int n, bool /*cache*/, double /*churn*/) { init(n); }
 };
 
 // The all-to-all LET exchange of one step over a Transport: serialized LET
@@ -118,9 +97,8 @@ class LetExchange {
   // `active[r]` marks ranks that both send and receive LETs this step; an
   // active destination expects one LET from every other active rank. The
   // transport must outlive the exchange and route ids [0, active.size()).
-  // `state` (optional) carries the incremental-exchange caches and encode
-  // scratch across steps; it must outlive the exchange and match its rank
-  // count.
+  // `state` (optional) carries the encode scratch across steps; it must
+  // outlive the exchange and match its rank count.
   LetExchange(Transport& transport, const std::vector<std::uint8_t>& active,
               LetChannelState* state = nullptr);
 
@@ -148,17 +126,14 @@ class LetExchange {
   // forever. Works even when an empty compensation frame cannot be built.
   void close(int dst);
 
-  // Incremental-exchange accounting: full/delta frames and bytes saved
-  // posted by r, plus deltas applied (cache_hits) and cache resets
-  // (invalidations) observed by r as an importer. All zero when the cache
-  // is off.
-  const wire::LetDeltaStats& delta_stats(int r) const;
+  // bench/ remnant: every LET ships as a full frame, so the counters are
+  // always zero.
+  wire::LetDeltaStats delta_stats(int /*r*/) const { return {}; }
 
  private:
   Transport& transport_;
-  LetChannelState* state_;               // nullptr: always-full legacy path
+  LetChannelState* state_;              // nullptr: encode into a fresh buffer
   std::vector<std::size_t> remaining_;  // per-dst, touched only by its consumer
-  std::vector<wire::LetDeltaStats> delta_;  // exporter side per-src, importer per-dst
 };
 
 // The particle alltoallv of one SPMD step over a Transport — the LET mailbox

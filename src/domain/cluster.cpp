@@ -283,11 +283,10 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
                    "worker rank id outside the configured rank count");
   cfg.threads_per_rank = threads;
   Rank rank(rank_id, threads_for(cfg, std::thread::hardware_concurrency()));
-  // Incremental-LET caches live here, beside the resident Rank: they persist
-  // across steps and die with the worker (a reconnect starts from version 0,
-  // so the first frames after it are full — the protocol is self-healing).
+  // The LET encode scratch lives here, beside the resident Rank, so its
+  // capacity persists across steps.
   LetChannelState let_state;
-  let_state.init(cfg.nranks, cfg.let_cache);
+  let_state.init(cfg.nranks);
 
   // The previous step's StepResult encode span: it cannot ride in the frame
   // it measures, so it is booked one step late — per-step rows shift

@@ -43,8 +43,7 @@ struct SimConfig {
   KernelBackend kernel = KernelBackend::kSimd;  // batched force backend
                                                 // (--kernel); shipped to
                                                 // workers in the Config frame
-  bool let_cache = false;   // incremental LET exchange (--let-cache); shipped
-                            // to workers in the Config frame
+  bool let_cache = false;   // bench/ remnant; src/ ignores it
   double let_churn = 0.75;  // bench/ remnant; src/ ignores it
 
   TraversalConfig traversal() const {

@@ -134,7 +134,7 @@ Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
   for (int r = 0; r < cfg_.nranks; ++r)
     ranks_.push_back(std::make_unique<Rank>(r, threads));
   decomp_ = Decomposition::uniform(cfg_.nranks);
-  let_state_.init(cfg_.nranks, cfg_.let_cache);
+  let_state_.init(cfg_.nranks);
   executor_ = std::make_unique<Executor>(ranks_.size());
 }
 
@@ -149,8 +149,7 @@ std::optional<std::vector<std::uint8_t>> FrameDemux::recv(Class cls) {
     }
     Class got = Class::kControl;
     switch (wire::frame_type(*frame)) {
-      case wire::FrameType::kLet:
-      case wire::FrameType::kLetDelta: got = Class::kLet; break;
+      case wire::FrameType::kLet: got = Class::kLet; break;
       case wire::FrameType::kBoundaries: got = Class::kBoundaries; break;
       case wire::FrameType::kKeySamples: got = Class::kKeySamples; break;
       case wire::FrameType::kMigration: got = Class::kMigration; break;
@@ -268,10 +267,10 @@ void run_rank_step(Rank& rank, const SimConfig& cfg, LetExchange& net,
     // race (peers advance at their own pace), and floating-point
     // accumulation is order-sensitive, so an out-of-order LET waits in
     // `pending` and every walk happens in (r+1, r+2, ...) source order: the
-    // final forces are bitwise reproducible across runs, transports, and the
-    // --let-cache setting (the differential bar CI compares against). LETs
-    // arriving in order still overlap their walk with the remaining receives;
-    // no graft barrier — the walk accepts any self-contained TreeView.
+    // final forces are bitwise reproducible across runs and transports (the
+    // differential bar CI compares against). LETs arriving in order still
+    // overlap their walk with the remaining receives; no graft barrier — the
+    // walk accepts any self-contained TreeView.
     std::vector<std::optional<wire::LetMessage>> pending(nranks);
     std::size_t next_walk = 1;
     const auto walk_ready = [&] {
@@ -445,7 +444,6 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
   LetExchange let_net(let_net_view, active, &let_state);
   run_rank_step(rank, cfg, let_net, active, boxes, sr);
-  sr.let_delta = let_net.delta_stats(self);
   sr.local_count = parts.size();
 }
 
@@ -509,8 +507,7 @@ wire::WireStats& wire_row(StepReport& report, const trace::Span& s) {
 // The same rows by frame type, for the traffic matrix.
 wire::WireStats& wire_row(StepReport& report, wire::FrameType type) {
   switch (type) {
-    case wire::FrameType::kLet:
-    case wire::FrameType::kLetDelta: return report.let_wire;
+    case wire::FrameType::kLet: return report.let_wire;
     case wire::FrameType::kBoundaries:
     case wire::FrameType::kKeySamples: return report.dom_wire;
     default: return report.part_wire;
@@ -598,7 +595,6 @@ void fold_step_result(StepReport& report, wire::StepResult& sr, StepFold& fold) 
   report.migrated += sr.migrated;
   report.local_stats += sr.local_stats;
   report.remote_stats += sr.remote_stats;
-  report.let_delta += sr.let_delta;
   report.let_sizes.insert(report.let_sizes.end(), sr.let_sizes.begin(),
                           sr.let_sizes.end());
   wire::merge_traffic(report.traffic, sr.traffic);
@@ -820,13 +816,6 @@ void print_step_report(const StepReport& report, std::ostream& os) {
        << report.dom_wire.frames << " frame(s)";
   }
   os << "\n";
-  if (report.let_delta.full_frames + report.let_delta.delta_frames > 0) {
-    os << "let cache: " << report.let_delta.delta_frames << " delta + "
-       << report.let_delta.full_frames << " full frame(s), saved "
-       << human_bytes(static_cast<double>(report.let_delta.bytes_saved)) << ", "
-       << report.let_delta.cache_hits << " hit(s), " << report.let_delta.invalidations
-       << " invalidation(s)\n";
-  }
   print_traffic_by_type(report.traffic, os);
   print_let_histogram(report.let_sizes, os);
 
@@ -897,16 +886,6 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
   fold_wire_stats(m, "let", r.let_wire);
   fold_wire_stats(m, "part", r.part_wire);
   fold_wire_stats(m, "dom", r.dom_wire);
-  if (r.let_delta.full_frames + r.let_delta.delta_frames > 0) {
-    m.counters["let.delta.frames{kind=full}"] =
-        static_cast<double>(r.let_delta.full_frames);
-    m.counters["let.delta.frames{kind=delta}"] =
-        static_cast<double>(r.let_delta.delta_frames);
-    m.counters["let.delta.bytes_saved"] = static_cast<double>(r.let_delta.bytes_saved);
-    m.counters["let.delta.cache_hits"] = static_cast<double>(r.let_delta.cache_hits);
-    m.counters["let.delta.invalidations"] =
-        static_cast<double>(r.let_delta.invalidations);
-  }
   for (const wire::PeerTraffic& t : r.traffic) {
     m.counters[traffic_label("transport.post.frames", t)] = static_cast<double>(t.frames);
     m.counters[traffic_label("transport.post.bytes", t)] = static_cast<double>(t.bytes);
@@ -937,12 +916,12 @@ metrics::Snapshot build_step_metrics(const StepReport& r) {
 
 void write_step_report_json(const RunInfo& info, std::span<const StepReport> reports,
                             std::ostream& os) {
-  os << "{\"schema\": 5,\n \"config\": {\"ranks\": " << info.ranks
+  os << "{\"schema\": 6,\n \"config\": {\"ranks\": " << info.ranks
      << ", \"num_particles\": " << info.num_particles << ", \"theta\": ";
   metrics::write_number(os, info.theta);
   os << ", \"transport\": \"" << info.transport << "\", \"kernel\": \"" << info.kernel
-     << "\", \"kernel_isa\": \"" << kernel_isa() << "\", \"let_cache\": " << (info.let_cache ? "true" : "false")
-     << ", \"wire_version\": " << wire::kVersion << "},\n \"steps\": [";
+     << "\", \"kernel_isa\": \"" << kernel_isa()
+     << "\", \"wire_version\": " << wire::kVersion << "},\n \"steps\": [";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "  {\"step\": " << reports[i].step << ", \"metrics\": ";
     metrics::to_json(os, reports[i].metrics);

@@ -62,7 +62,7 @@ struct StepReport {
   TimeBreakdown sum_times;  // per-stage sum over ranks (device-seconds)
   double elapsed = 0.0;     // actual wall-clock of the whole step
 
-  // Serialization accounting per frame class: LET and LetDelta frames,
+  // Serialization accounting per frame class: LET frames,
   // particle batches (migration cells plus the cluster StepBegin/StepResult
   // frames that historically carried them), and the SPMD domain-control
   // frames (Boundaries/KeySamples allgathers). Frames and bytes are sums of
@@ -70,11 +70,6 @@ struct StepReport {
   // record per imported LET.
   wire::WireStats let_wire, part_wire, dom_wire;
   std::vector<wire::LetSizeSample> let_sizes;
-
-  // Incremental LET exchange (--let-cache): full/delta frame counts, bytes a
-  // delta saved over the full frame it replaced, importer cache hits and
-  // resets, summed over ranks. All zero when the cache is off.
-  wire::LetDeltaStats let_delta;
 
   // Per-(src, dst, frame type) send-side traffic matrix for the step, sorted
   // by that key (kCoordinatorRank appears as -1).
@@ -268,8 +263,8 @@ class Simulation {
   Decomposition decomp_;
   int next_step_ = 0;
 
-  // Incremental LET exchange: per-pair caches and encode scratch, persisting
-  // across the per-step LetExchange instances (--let-cache).
+  // Per-source LET encode scratch, persisting across the per-step
+  // LetExchange instances.
   LetChannelState let_state_;
 };
 
@@ -301,10 +296,9 @@ struct RunInfo {
   double theta = 0.0;
   std::string transport = "inproc";  // "inproc" | "socket" | "serve"
   std::string kernel = "simd";       // "scalar" | "simd"
-  bool let_cache = false;            // incremental LET exchange on?
 };
 
-// Emit reports as a JSON object {"schema": 5, "config": {...run metadata,
+// Emit reports as a JSON object {"schema": 6, "config": {...run metadata,
 // wire version...}, "steps": [{"step": N, "metrics": {...}}, ...]} (the
 // --bench trajectory format): each step is its metrics block.
 void write_step_report_json(const RunInfo& info, std::span<const StepReport> reports,

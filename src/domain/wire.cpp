@@ -1,11 +1,9 @@
 #include "domain/wire.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <tuple>
 
 #include "util/check.hpp"
@@ -222,9 +220,7 @@ void put_node(Writer& w, const TreeNode& nd) {
 // Enforce the structural invariants both LET producers guarantee: children
 // are a forward-pointing contiguous block inside the node array (so
 // traversal cannot cycle), leaves have no children, and the particle range
-// lies inside the payload arrays. Shared by the full-frame decoder and the
-// LetDelta patcher, which re-runs it on every node of the *patched* tree
-// before that tree is ever walked. Normalizes leaf child links to -1.
+// lies inside the payload arrays. Normalizes leaf child links to -1.
 void validate_node(TreeNode& nd, std::size_t index, std::size_t num_nodes,
                    std::size_t num_particles) {
   const auto require = [](bool cond, const char* what) {
@@ -345,7 +341,6 @@ const char* frame_type_name(FrameType type) {
     case FrameType::kSnapshot: return "Snapshot";
     case FrameType::kMetricsQuery: return "MetricsQuery";
     case FrameType::kMetricsReport: return "MetricsReport";
-    case FrameType::kLetDelta: return "LetDelta";
   }
   return "Unknown";
 }
@@ -374,7 +369,11 @@ FrameType frame_type(std::span<const std::uint8_t> frame) {
   if (version != kVersion)
     throw WireError("wire decode: version mismatch (got " + std::to_string(version) +
                     ", expected " + std::to_string(kVersion) + ")");
-  const auto type = static_cast<FrameType>(r.u16());
+  const std::uint16_t raw_type = r.u16();
+  const auto type = static_cast<FrameType>(raw_type);
+  // frame_type_name has an arm for exactly the live types.
+  if (std::strcmp(frame_type_name(type), "Unknown") == 0)
+    throw WireError("wire decode: unknown frame type " + std::to_string(raw_type));
   if (r.u64() != frame.size() - kHeaderBytes)
     throw WireError("wire decode: payload length mismatch");
   return type;
@@ -439,529 +438,6 @@ LetMessage decode_let(std::span<const std::uint8_t> frame) {
   r.f64_span(msg.let.z);
   r.f64_span(msg.let.m);
   r.done();
-  return msg;
-}
-
-// --- Incremental LET codec (wire v7) -----------------------------------------
-// A LetDelta frame patches the LET a peer already holds into the fresh one.
-// Node topology ships as per-node records — matched nodes name their cached
-// counterpart (by index delta) and carry only the structural fields that
-// changed; unmatched nodes ship the full 167-byte record. The floating-point
-// payload (17 values per matched node, 4 per particle) ships as the XOR of
-// each value against a prediction extrapolated from up to three cached
-// generations; because exporter and importer extrapolate from mirrored,
-// bit-identical inputs, the residual is lossless and near-zero for smoothly
-// drifting values, so only its significant low bytes travel (a 4-bit length
-// per value, two per byte, then the byte stream).
-namespace {
-
-constexpr std::size_t kNodeValues = 17;  // box(6) mass com(3) quad(6) rcrit
-constexpr std::size_t kPartValues = 4;   // x y z m
-
-void node_values(const TreeNode& nd, double* out) {
-  out[0] = nd.box.lo.x;
-  out[1] = nd.box.lo.y;
-  out[2] = nd.box.lo.z;
-  out[3] = nd.box.hi.x;
-  out[4] = nd.box.hi.y;
-  out[5] = nd.box.hi.z;
-  out[6] = nd.mp.mass;
-  out[7] = nd.mp.com.x;
-  out[8] = nd.mp.com.y;
-  out[9] = nd.mp.com.z;
-  for (std::size_t i = 0; i < 6; ++i) out[10 + i] = nd.mp.quad.q[i];
-  out[16] = nd.rcrit;
-}
-
-void set_node_values(TreeNode& nd, const double* v) {
-  nd.box.lo = {v[0], v[1], v[2]};
-  nd.box.hi = {v[3], v[4], v[5]};
-  nd.mp.mass = v[6];
-  nd.mp.com = {v[7], v[8], v[9]};
-  for (std::size_t i = 0; i < 6; ++i) nd.mp.quad.q[i] = v[10 + i];
-  nd.rcrit = v[16];
-}
-
-// Extrapolate the next value from up to three cached generations (v1 newest).
-// Kept out-of-line so the exporter and the importer run the *same* machine
-// code: the XOR residual is lossless either way, but identical predictions
-// are what make it small. Prediction order follows how long the element has
-// been tracked, so freshly matched nodes fall back to last-value prediction.
-[[gnu::noinline]] double predict(double v1, double v2, double v3, std::uint8_t age) {
-  if (age >= 3) return 3.0 * (v1 - v2) + v3;  // quadratic extrapolation
-  if (age == 2) return 2.0 * v1 - v2;         // linear extrapolation
-  return v1;
-}
-
-void put_varint(Writer& w, std::uint64_t v) {
-  while (v >= 0x80) {
-    w.u8(static_cast<std::uint8_t>(0x80 | (v & 0x7F)));
-    v >>= 7;
-  }
-  w.u8(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t read_varint(Reader& r) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    r.require(shift < 64, "varint too long");
-    const std::uint8_t b = r.u8();
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if (!(b & 0x80)) return v;
-    shift += 7;
-  }
-}
-
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
-}
-
-// Encoder half of the XOR-residual value stream.
-struct ValueBlob {
-  std::vector<std::uint8_t> lens;   // significant-byte count per value (0..8)
-  std::vector<std::uint8_t> data;   // concatenated residual low bytes, LE
-
-  void put(double actual, double pred) {
-    std::uint64_t d =
-        std::bit_cast<std::uint64_t>(actual) ^ std::bit_cast<std::uint64_t>(pred);
-    std::uint8_t n = 0;
-    while (d != 0) {
-      data.push_back(static_cast<std::uint8_t>(d & 0xFF));
-      d >>= 8;
-      ++n;
-    }
-    lens.push_back(n);
-  }
-
-  void write(Writer& w) const {
-    for (std::size_t i = 0; i < lens.size(); i += 2) {
-      const std::uint8_t hi = (i + 1 < lens.size()) ? lens[i + 1] : 0;
-      w.u8(static_cast<std::uint8_t>(lens[i] | (hi << 4)));
-    }
-    w.bytes(data);
-  }
-};
-
-// Decoder half: the nibble lengths are read up front (validated <= 8), then
-// get() consumes residual bytes value by value.
-class ValueBlobReader {
- public:
-  ValueBlobReader(Reader& r, std::size_t count) : r_(r), lens_(count) {
-    for (std::size_t i = 0; i < count; i += 2) {
-      const std::uint8_t b = r.u8();
-      lens_[i] = b & 0x0F;
-      if (i + 1 < count)
-        lens_[i + 1] = b >> 4;
-      else
-        r.require((b >> 4) == 0, "value length padding not zero");
-    }
-    for (const std::uint8_t n : lens_)
-      r.require(n <= 8, "value length out of range");
-  }
-
-  double get(double pred) {
-    const std::uint8_t n = lens_[next_++];
-    std::uint64_t d = 0;
-    for (std::uint8_t i = 0; i < n; ++i)
-      d |= static_cast<std::uint64_t>(r_.u8()) << (8 * i);
-    return std::bit_cast<double>(d ^ std::bit_cast<std::uint64_t>(pred));
-  }
-
- private:
-  Reader& r_;
-  std::vector<std::uint8_t> lens_;
-  std::size_t next_ = 0;
-};
-
-// Match each node of `next` to its cached counterpart by the exact
-// (key range, level) triple — the identity that survives a step while every
-// float around it drifts. Each cached node matches at most once; the first
-// claimant wins, deterministically.
-std::vector<std::int32_t> match_nodes(const LetTree& cached, const LetTree& next) {
-  std::map<std::array<std::uint64_t, 3>, std::int32_t> index;
-  for (std::size_t j = 0; j < cached.nodes.size(); ++j) {
-    const TreeNode& nd = cached.nodes[j];
-    index.try_emplace({nd.key_begin, nd.key_end, nd.level},
-                      static_cast<std::int32_t>(j));
-  }
-  std::vector<std::int32_t> match(next.nodes.size(), -1);
-  for (std::size_t i = 0; i < next.nodes.size(); ++i) {
-    const TreeNode& nd = next.nodes[i];
-    const auto it = index.find({nd.key_begin, nd.key_end, nd.level});
-    if (it == index.end()) continue;
-    match[i] = it->second;
-    index.erase(it);  // claim it
-  }
-  return match;
-}
-
-// Per-particle counterpart indices, derived from matched particle leaves of
-// equal population: their ranges map element-wise.
-std::vector<std::int64_t> match_particles(const LetTree& cached, const LetTree& next,
-                                          std::span<const std::int32_t> nmatch) {
-  std::vector<std::int64_t> match(next.num_particles(), -1);
-  for (std::size_t i = 0; i < next.nodes.size(); ++i) {
-    if (nmatch[i] < 0) continue;
-    const TreeNode& nd = next.nodes[i];
-    const TreeNode& od = cached.nodes[static_cast<std::size_t>(nmatch[i])];
-    if (nd.kind != NodeKind::kParticleLeaf || od.kind != NodeKind::kParticleLeaf)
-      continue;
-    if (nd.count() != od.count() || nd.count() == 0) continue;
-    for (std::uint32_t k = 0; k < nd.count(); ++k)
-      match[nd.part_begin + k] = static_cast<std::int64_t>(od.part_begin) + k;
-  }
-  return match;
-}
-
-// Advance a pair's mirrored cache to `next` (the tree the peer now holds),
-// shifting the per-element value history along the match arrays. Empty match
-// arrays mean a full-frame reset: every element restarts at age 1. The
-// caller sets `version`. Built fully before anything is assigned, so a
-// throw (allocation) leaves the cache untouched.
-void advance_let_cache(LetCacheEntry& cache, LetTree next,
-                       std::span<const std::int32_t> nmatch,
-                       std::span<const std::int64_t> pmatch) {
-  const std::size_t n = next.num_cells();
-  const std::size_t p = next.num_particles();
-  std::vector<double> nh1(n * kNodeValues, 0.0), nh2(n * kNodeValues, 0.0);
-  std::vector<double> ph1(p * kPartValues, 0.0), ph2(p * kPartValues, 0.0);
-  std::vector<std::uint8_t> na(n, 1), pa(p, 1);
-  if (!nmatch.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (nmatch[i] < 0) continue;
-      const std::size_t j = static_cast<std::size_t>(nmatch[i]);
-      node_values(cache.tree.nodes[j], &nh1[i * kNodeValues]);
-      if (cache.node_age[j] >= 2)
-        std::copy_n(&cache.node_hist1[j * kNodeValues], kNodeValues,
-                    &nh2[i * kNodeValues]);
-      na[i] = static_cast<std::uint8_t>(std::min<int>(cache.node_age[j] + 1, 3));
-    }
-    for (std::size_t k = 0; k < p; ++k) {
-      if (pmatch[k] < 0) continue;
-      const std::size_t q = static_cast<std::size_t>(pmatch[k]);
-      ph1[k * kPartValues + 0] = cache.tree.x[q];
-      ph1[k * kPartValues + 1] = cache.tree.y[q];
-      ph1[k * kPartValues + 2] = cache.tree.z[q];
-      ph1[k * kPartValues + 3] = cache.tree.m[q];
-      if (cache.part_age[q] >= 2)
-        std::copy_n(&cache.part_hist1[q * kPartValues], kPartValues,
-                    &ph2[k * kPartValues]);
-      pa[k] = static_cast<std::uint8_t>(std::min<int>(cache.part_age[q] + 1, 3));
-    }
-  }
-  cache.tree = std::move(next);
-  cache.node_hist1 = std::move(nh1);
-  cache.node_hist2 = std::move(nh2);
-  cache.part_hist1 = std::move(ph1);
-  cache.part_hist2 = std::move(ph2);
-  cache.node_age = std::move(na);
-  cache.part_age = std::move(pa);
-}
-
-}  // namespace
-
-void LetCacheEntry::check_consistency() const {
-  if (version == 0) {
-    BNS_CHECK(tree.nodes.empty() && tree.num_particles() == 0 && node_hist1.empty() &&
-                  node_hist2.empty() && part_hist1.empty() && part_hist2.empty() &&
-                  node_age.empty() && part_age.empty(),
-              "unsynced LET cache entry must be empty");
-    return;
-  }
-  const std::size_t n = tree.num_cells();
-  const std::size_t p = tree.num_particles();
-  BNS_CHECK(node_hist1.size() == n * kNodeValues && node_hist2.size() == n * kNodeValues,
-            "node history arrays out of step with the cached tree");
-  BNS_CHECK(part_hist1.size() == p * kPartValues && part_hist2.size() == p * kPartValues,
-            "particle history arrays out of step with the cached tree");
-  BNS_CHECK(node_age.size() == n && part_age.size() == p,
-            "age arrays out of step with the cached tree");
-  for (const std::uint8_t a : node_age)
-    BNS_CHECK(a >= 1 && a <= 3, "node age outside the prediction window");
-  for (const std::uint8_t a : part_age)
-    BNS_CHECK(a >= 1 && a <= 3, "particle age outside the prediction window");
-}
-
-LetEncodeResult encode_let_cached(int src, const LetTree& let, LetCacheEntry& cache,
-                                  double churn_ratio,
-                                  std::vector<std::uint8_t>* scratch) {
-  LetEncodeResult res;
-  res.full_bytes = full_let_bytes(let);
-  std::vector<std::uint8_t> local;
-  std::vector<std::uint8_t>& buf = scratch ? *scratch : local;
-
-  if (cache.version != 0 && !let.empty()) {
-    const std::vector<std::int32_t> nmatch = match_nodes(cache.tree, let);
-    const std::vector<std::int64_t> pmatch = match_particles(cache.tree, let, nmatch);
-
-    Writer w(FrameType::kLetDelta, std::move(buf));
-    w.i32(src);
-    w.u64(cache.version);
-    w.u32(static_cast<std::uint32_t>(let.num_cells()));
-    w.u32(static_cast<std::uint32_t>(let.num_particles()));
-
-    ValueBlob node_blob;
-    for (std::size_t i = 0; i < let.nodes.size(); ++i) {
-      const TreeNode& nd = let.nodes[i];
-      if (nmatch[i] < 0) {
-        w.u8(0);
-        put_node(w, nd);
-        continue;
-      }
-      const std::size_t j = static_cast<std::size_t>(nmatch[i]);
-      const TreeNode& od = cache.tree.nodes[j];
-      w.u8(1);
-      put_varint(w, zigzag(static_cast<std::int64_t>(j) - static_cast<std::int64_t>(i)));
-      std::uint8_t sflags = 0;
-      if (nd.part_begin != od.part_begin || nd.part_end != od.part_end) sflags |= 1;
-      if (nd.first_child != od.first_child || nd.num_children != od.num_children ||
-          nd.kind != od.kind)
-        sflags |= 2;
-      w.u8(sflags);
-      if (sflags & 1) {
-        put_varint(w, zigzag(static_cast<std::int64_t>(nd.part_begin) -
-                             static_cast<std::int64_t>(od.part_begin)));
-        put_varint(w, zigzag(static_cast<std::int64_t>(nd.part_end) -
-                             static_cast<std::int64_t>(od.part_end)));
-      }
-      if (sflags & 2) {
-        w.i32(nd.first_child);
-        w.u8(nd.num_children);
-        w.u8(static_cast<std::uint8_t>(nd.kind));
-      }
-      double vals[kNodeValues], base[kNodeValues];
-      node_values(nd, vals);
-      node_values(od, base);
-      for (std::size_t k = 0; k < kNodeValues; ++k)
-        node_blob.put(vals[k],
-                      predict(base[k], cache.node_hist1[j * kNodeValues + k],
-                              cache.node_hist2[j * kNodeValues + k], cache.node_age[j]));
-    }
-
-    // Particle coverage as runs of matched/raw indices.
-    std::vector<std::array<std::int64_t, 3>> runs;  // {len, kind, old_start}
-    const std::size_t np = let.num_particles();
-    for (std::size_t k = 0; k < np;) {
-      if (pmatch[k] < 0) {
-        std::size_t e = k;
-        while (e < np && pmatch[e] < 0) ++e;
-        runs.push_back({static_cast<std::int64_t>(e - k), 0, 0});
-        k = e;
-      } else {
-        std::size_t e = k;
-        while (e + 1 < np && pmatch[e + 1] == pmatch[e] + 1) ++e;
-        ++e;
-        runs.push_back({static_cast<std::int64_t>(e - k), 1, pmatch[k]});
-        k = e;
-      }
-    }
-    w.u32(static_cast<std::uint32_t>(runs.size()));
-    std::size_t covered = 0;
-    for (const auto& run : runs) {
-      put_varint(w, static_cast<std::uint64_t>(run[0]));
-      w.u8(static_cast<std::uint8_t>(run[1]));
-      if (run[1] == 1)
-        put_varint(w, zigzag(run[2] - static_cast<std::int64_t>(covered)));
-      covered += static_cast<std::size_t>(run[0]);
-    }
-
-    ValueBlob part_blob;
-    for (std::size_t k = 0; k < np; ++k) {
-      const double actual[kPartValues] = {let.x[k], let.y[k], let.z[k], let.m[k]};
-      if (pmatch[k] < 0) {
-        for (std::size_t c = 0; c < kPartValues; ++c) part_blob.put(actual[c], 0.0);
-        continue;
-      }
-      const std::size_t q = static_cast<std::size_t>(pmatch[k]);
-      const double base[kPartValues] = {cache.tree.x[q], cache.tree.y[q],
-                                        cache.tree.z[q], cache.tree.m[q]};
-      for (std::size_t c = 0; c < kPartValues; ++c)
-        part_blob.put(actual[c],
-                      predict(base[c], cache.part_hist1[q * kPartValues + c],
-                              cache.part_hist2[q * kPartValues + c], cache.part_age[q]));
-    }
-
-    node_blob.write(w);
-    part_blob.write(w);
-    buf = w.finish();
-
-    if (static_cast<double>(buf.size()) <
-        churn_ratio * static_cast<double>(res.full_bytes)) {
-      res.frame.assign(buf.begin(), buf.end());
-      res.is_delta = true;
-      advance_let_cache(cache, let, nmatch, pmatch);
-      ++cache.version;
-      if constexpr (kDcheckEnabled) cache.check_consistency();
-      return res;
-    }
-    // Churn beyond the threshold: the patch is not worth shipping. Fall
-    // through to a full frame, which also resets the peer's cache.
-  }
-
-  Writer w(FrameType::kLet, std::move(buf));
-  put_let(w, src, let);
-  buf = w.finish();
-  res.frame.assign(buf.begin(), buf.end());
-  res.is_delta = false;
-  advance_let_cache(cache, let, {}, {});
-  cache.version = 1;
-  if constexpr (kDcheckEnabled) cache.check_consistency();
-  return res;
-}
-
-int peek_let_src(std::span<const std::uint8_t> frame) {
-  const FrameType type = frame_type(frame);
-  if (type != FrameType::kLet && type != FrameType::kLetDelta)
-    throw WireError("wire decode: not a LET-class frame");
-  Reader r(frame.subspan(kHeaderBytes));
-  return r.i32();
-}
-
-LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry& cache) {
-  if (frame_type(frame) == FrameType::kLet) {
-    LetMessage msg = decode_let(frame);
-    advance_let_cache(cache, msg.let, {}, {});
-    cache.version = 1;
-    if constexpr (kDcheckEnabled) cache.check_consistency();
-    return msg;
-  }
-
-  Reader r = open_frame(frame, FrameType::kLetDelta);
-  LetMessage msg;
-  msg.wire_bytes = frame.size();
-  msg.src = r.i32();
-  const std::uint64_t base = r.u64();
-  if (cache.version == 0)
-    throw WireError("wire decode: LET delta without a cached base tree");
-  if (base != cache.version)
-    throw WireError("wire decode: LET delta base version mismatch (got " +
-                    std::to_string(base) + ", expected " +
-                    std::to_string(cache.version) + ")");
-
-  const std::size_t num_nodes = r.u32();
-  const std::size_t num_parts = r.u32();
-  // Every node record costs at least one byte and every particle at least
-  // two nibble bytes of value stream, so corrupted counts cannot trigger a
-  // huge allocation.
-  r.require(num_nodes <= r.remaining(), "node count exceeds payload");
-  r.require(num_parts <= r.remaining() / 2, "particle count exceeds payload");
-  const std::size_t old_nodes = cache.tree.num_cells();
-  const std::size_t old_parts = cache.tree.num_particles();
-
-  std::vector<TreeNode> nodes;
-  nodes.reserve(num_nodes);
-  std::vector<std::int32_t> nmatch(num_nodes, -1);
-  std::size_t num_matched = 0;
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    const std::uint8_t flags = r.u8();
-    r.require(flags <= 1, "unknown LET delta node flags");
-    if (!(flags & 1)) {
-      nodes.push_back(read_node(r, i, num_nodes, num_parts));
-      continue;
-    }
-    const std::int64_t j = static_cast<std::int64_t>(i) + unzigzag(read_varint(r));
-    r.require(j >= 0 && j < static_cast<std::int64_t>(old_nodes),
-              "LET delta node match out of range");
-    nmatch[i] = static_cast<std::int32_t>(j);
-    ++num_matched;
-    TreeNode nd = cache.tree.nodes[static_cast<std::size_t>(j)];
-    const std::uint8_t sflags = r.u8();
-    r.require(sflags <= 3, "unknown LET delta node change flags");
-    if (sflags & 1) {
-      const std::int64_t pb =
-          static_cast<std::int64_t>(nd.part_begin) + unzigzag(read_varint(r));
-      const std::int64_t pe =
-          static_cast<std::int64_t>(nd.part_end) + unzigzag(read_varint(r));
-      r.require(pb >= 0 && pb <= static_cast<std::int64_t>(num_parts) && pe >= 0 &&
-                    pe <= static_cast<std::int64_t>(num_parts),
-                "LET delta particle range out of bounds");
-      nd.part_begin = static_cast<std::uint32_t>(pb);
-      nd.part_end = static_cast<std::uint32_t>(pe);
-    }
-    if (sflags & 2) {
-      nd.first_child = r.i32();
-      nd.num_children = r.u8();
-      const std::uint8_t kind = r.u8();
-      r.require(kind <= static_cast<std::uint8_t>(NodeKind::kMultipoleLeaf),
-                "unknown node kind");
-      nd.kind = static_cast<NodeKind>(kind);
-    }
-    nodes.push_back(nd);
-  }
-
-  const std::size_t num_runs = r.u32();
-  std::vector<std::int64_t> pmatch(num_parts, -1);
-  std::size_t covered = 0;
-  for (std::size_t run = 0; run < num_runs; ++run) {
-    const std::uint64_t len = read_varint(r);
-    r.require(len >= 1 && len <= num_parts - covered,
-              "LET delta runs exceed particle count");
-    const std::uint8_t kind = r.u8();
-    r.require(kind <= 1, "unknown LET delta run kind");
-    if (kind == 1) {
-      const std::int64_t old_start =
-          static_cast<std::int64_t>(covered) + unzigzag(read_varint(r));
-      r.require(old_start >= 0 && static_cast<std::uint64_t>(old_start) + len <=
-                                      static_cast<std::uint64_t>(old_parts),
-                "LET delta run out of range");
-      for (std::uint64_t k = 0; k < len; ++k)
-        pmatch[covered + k] = old_start + static_cast<std::int64_t>(k);
-    }
-    covered += static_cast<std::size_t>(len);
-  }
-  r.require(covered == num_parts, "LET delta runs do not cover particles");
-
-  ValueBlobReader node_vals(r, num_matched * kNodeValues);
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    if (nmatch[i] < 0) continue;
-    const std::size_t j = static_cast<std::size_t>(nmatch[i]);
-    double base_vals[kNodeValues], out[kNodeValues];
-    node_values(cache.tree.nodes[j], base_vals);
-    for (std::size_t k = 0; k < kNodeValues; ++k)
-      out[k] = node_vals.get(
-          predict(base_vals[k], cache.node_hist1[j * kNodeValues + k],
-                  cache.node_hist2[j * kNodeValues + k], cache.node_age[j]));
-    set_node_values(nodes[i], out);
-  }
-
-  ValueBlobReader part_vals(r, num_parts * kPartValues);
-  msg.let.x.resize(num_parts);
-  msg.let.y.resize(num_parts);
-  msg.let.z.resize(num_parts);
-  msg.let.m.resize(num_parts);
-  for (std::size_t k = 0; k < num_parts; ++k) {
-    double pred[kPartValues] = {0.0, 0.0, 0.0, 0.0};
-    if (pmatch[k] >= 0) {
-      const std::size_t q = static_cast<std::size_t>(pmatch[k]);
-      const double base_vals[kPartValues] = {cache.tree.x[q], cache.tree.y[q],
-                                             cache.tree.z[q], cache.tree.m[q]};
-      for (std::size_t c = 0; c < kPartValues; ++c)
-        pred[c] = predict(base_vals[c], cache.part_hist1[q * kPartValues + c],
-                          cache.part_hist2[q * kPartValues + c], cache.part_age[q]);
-    }
-    msg.let.x[k] = part_vals.get(pred[0]);
-    msg.let.y[k] = part_vals.get(pred[1]);
-    msg.let.z[k] = part_vals.get(pred[2]);
-    msg.let.m[k] = part_vals.get(pred[3]);
-  }
-  r.done();
-
-  // The patched tree gets the same traversal-safety validation a full frame
-  // gets, before it can be walked or cached.
-  for (std::size_t i = 0; i < num_nodes; ++i)
-    validate_node(nodes[i], i, num_nodes, num_parts);
-  msg.let.nodes = std::move(nodes);
-
-  // Patch validated: commit the pair's new state. Nothing above mutated the
-  // cache, so a thrown WireError leaves it exactly as it was.
-  advance_let_cache(cache, msg.let, nmatch, pmatch);
-  ++cache.version;
-  if constexpr (kDcheckEnabled) cache.check_consistency();
   return msg;
 }
 
@@ -1046,7 +522,6 @@ std::vector<std::uint8_t> encode_config(const SimConfig& cfg) {
   w.u64(cfg.samples_per_rank);
   w.i32(cfg.snap_level);
   w.u8(static_cast<std::uint8_t>(cfg.kernel));
-  w.u8(cfg.let_cache ? 1 : 0);
   return w.finish();
 }
 
@@ -1065,9 +540,6 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
   r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
             "config kernel backend out of range");
   cfg.kernel = static_cast<KernelBackend>(kernel);
-  const std::uint8_t let_cache = r.u8();
-  r.require(let_cache <= 1, "unknown config let-cache flag");
-  cfg.let_cache = let_cache != 0;
   r.done();
   r.require(cfg.nranks >= 1 && cfg.nranks <= 255, "config rank count out of range");
   return cfg;
@@ -1247,11 +719,6 @@ std::vector<std::uint8_t> encode_step_result(const StepResult& sr) {
     w.u64(s.particles);
     w.u64(s.bytes);
   }
-  w.u64(sr.let_delta.full_frames);
-  w.u64(sr.let_delta.delta_frames);
-  w.u64(sr.let_delta.bytes_saved);
-  w.u64(sr.let_delta.cache_hits);
-  w.u64(sr.let_delta.invalidations);
   w.u32(static_cast<std::uint32_t>(sr.boundaries.size()));
   w.u64_span(sr.boundaries);
   w.u32(static_cast<std::uint32_t>(sr.traffic.size()));
@@ -1286,11 +753,6 @@ StepResult decode_step_result(std::span<const std::uint8_t> frame) {
     s.particles = r.u64();
     s.bytes = r.u64();
   }
-  sr.let_delta.full_frames = r.u64();
-  sr.let_delta.delta_frames = r.u64();
-  sr.let_delta.bytes_saved = r.u64();
-  sr.let_delta.cache_hits = r.u64();
-  sr.let_delta.invalidations = r.u64();
   const std::size_t nbounds = r.array_count(r.u32(), 8, "boundary count exceeds payload");
   sr.boundaries.resize(nbounds);
   r.u64_span(sr.boundaries);

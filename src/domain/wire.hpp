@@ -48,16 +48,19 @@ namespace bonsai::domain::wire {
 // the only timing source: StepResult carries the rank's span log and the two
 // worker clock samples instead of named stage times and wire seconds, the
 // Trace frame (type 13, never reused) and the trace byte of Config are gone.
-// Version 10 drops the churn ratio from Config: it is the constant
-// kLetChurnRatio. Version 11 drops the curve and balance bytes from Config
-// (keys are Hilbert, cuts weigh counted walk work) and adds the per-particle
-// work column to the Particles force block. Version 12 makes the records the
+// Version 10 drops the churn ratio from Config: it became a constant.
+// Version 11 drops the curve and balance bytes from Config (keys are Hilbert,
+// cuts weigh counted walk work) and adds the per-particle work column to the
+// Particles force block. Version 12 makes the records the
 // only source of the step report's wire rows and LET totals: StepResult loses
 // its LET cell/particle counts and its three frames/bytes tallies (the traffic
 // matrix and the LET size records carry both), Let and LetDelta frames lose
-// the unread export seconds, and Config loses the quadrupole byte.
+// the unread export seconds, and Config loses the quadrupole byte. Version 13
+// ships every LET as a full Let frame: the LetDelta frame (type 21, never
+// reused), the let-cache byte of Config and the delta counters of StepResult
+// are gone.
 inline constexpr std::uint32_t kMagic = 0x57534E42u;
-inline constexpr std::uint16_t kVersion = 12;
+inline constexpr std::uint16_t kVersion = 13;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 enum class FrameType : std::uint16_t {
@@ -82,7 +85,7 @@ enum class FrameType : std::uint16_t {
   kSnapshot = 18,       // checkpoint/snapshot: per-rank populations + step
   kMetricsQuery = 19,   // client -> job server: scrape the metrics registry
   kMetricsReport = 20,  // job server -> client: the registry snapshot
-  kLetDelta = 21,       // incremental LET: patch against the peer's cached LET
+                        // 21: the retired LetDelta frame (wire v7-v12)
 };
 
 // Human-readable frame type name for reports ("Let", "Migration", ...).
@@ -95,8 +98,10 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Validate the header of `frame` (magic, version, payload length against the
-// buffer size) and return its type. Throws WireError on any mismatch.
+// Validate the header of `frame` (magic, version, frame type, payload length
+// against the buffer size) and return its type. Throws WireError on any
+// mismatch, and on a type that names no live FrameType (0, a retired number,
+// or one past the last).
 FrameType frame_type(std::span<const std::uint8_t> frame);
 
 // Serialization accounting of one frame class: frames/bytes moved plus the
@@ -149,92 +154,18 @@ struct LetMessage {
 std::vector<std::uint8_t> encode_let(int src, const LetTree& let);
 LetMessage decode_let(std::span<const std::uint8_t> frame);
 
-// --- Incremental LET frames (wire v7) ----------------------------------------
-// One (src, dst) pair's incremental-exchange state: the LET the peer
-// currently holds plus up to two older generations of its values, aligned
-// with `tree` — 17 doubles per node (box, mass, com, quad, rcrit) and 4 per
-// particle (x, y, z, m). The exporter and the importer evolve a mirrored
-// copy of this entry from the same shipped match indices, so predictions
-// are computed from bit-identical inputs on both sides. `*_age[i]` counts
-// the generations valid for element i (1 = only `tree`, 3 = all).
-struct LetCacheEntry {
-  std::uint64_t version = 0;  // 0: nothing synced (first contact or reset)
-  LetTree tree;
-  std::vector<double> node_hist1, node_hist2;  // [num_cells * 17]
-  std::vector<double> part_hist1, part_hist2;  // [num_particles * 4]
-  std::vector<std::uint8_t> node_age, part_age;
-
-  void reset() { *this = LetCacheEntry{}; }
-
-  // Mirror consistency: history/age arrays sized to the cached tree, ages in
-  // [1, 3], and an unsynced entry (version 0) fully empty. Exporter and
-  // importer run the same check after every commit (Debug/sanitizer builds),
-  // so a divergence is caught at the seam instead of as silent drift in a
-  // later delta. Throws CheckError on violation.
-  void check_consistency() const;
-};
-
-// Per-rank accounting of the incremental exchange, carried through
-// StepResult and the step report. Exporter side: frames by kind and the
-// bytes a delta saved over the full encoding it replaced. Importer side:
-// deltas applied (cache_hits) and full frames that overwrote a valid cache
-// entry (invalidations — fallbacks after first contact).
-struct LetDeltaStats {
-  std::uint64_t full_frames = 0;
-  std::uint64_t delta_frames = 0;
-  std::uint64_t bytes_saved = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t invalidations = 0;
-
-  LetDeltaStats& operator+=(const LetDeltaStats& o) {
-    full_frames += o.full_frames;
-    delta_frames += o.delta_frames;
-    bytes_saved += o.bytes_saved;
-    cache_hits += o.cache_hits;
-    invalidations += o.invalidations;
-    return *this;
-  }
-};
-
-struct LetEncodeResult {
-  std::vector<std::uint8_t> frame;
-  bool is_delta = false;
-  std::uint64_t full_bytes = 0;  // what a full Let frame would have cost
-};
-
-// The churn threshold every exporter passes to encode_let_cached: a delta
-// must come in below this fraction of the full encoding.
-inline constexpr double kLetChurnRatio = 0.75;
-
-// Exporter side of the incremental exchange: encode `let` for a peer
-// whose mirrored state is `cache`. Ships a kLetDelta patch when it comes
-// out smaller than `churn_ratio` times the full encoding (topology churn
-// and migration churn inflate the patch past that bound, which is the
-// fallback trigger); ships a full kLet frame otherwise, and always on
-// first contact or for an empty tree. Updates `cache` to what the peer
-// will hold after decoding. `scratch` (optional) is an encode buffer
-// whose capacity is reused across calls.
-LetEncodeResult encode_let_cached(int src, const LetTree& let, LetCacheEntry& cache,
-                                  double churn_ratio,
-                                  std::vector<std::uint8_t>* scratch = nullptr);
-
-// Importer side: decode a kLet or kLetDelta frame against `cache`. A full
-// frame unconditionally resets the pair's state (version restarts at 1); a
-// delta requires its base version to equal `cache.version` exactly and is
-// patched and re-validated against the full traversal-safety invariants
-// before the tree is returned. On any WireError the cache is left exactly
-// as it was (patches commit only after validation).
-LetMessage decode_let_cached(std::span<const std::uint8_t> frame, LetCacheEntry& cache);
-
 // Like encode_let, but builds the frame in `scratch` (capacity retained
 // across calls) and returns an exact-size copy for posting.
 std::vector<std::uint8_t> encode_let_scratch(int src, const LetTree& let,
                                              std::vector<std::uint8_t>& scratch);
 
-// The source rank of a kLet/kLetDelta frame without decoding it (both
-// layouts lead with the source id) — the importer routes the frame to the
-// right per-pair cache before the full decode.
-int peek_let_src(std::span<const std::uint8_t> frame);
+// bench/ remnant: the benchmark reads these two counters through
+// LetExchange::delta_stats, which src/ always answers with zeros. Every LET
+// crosses the wire as a full Let frame.
+struct LetDeltaStats {
+  std::uint64_t delta_frames = 0;
+  std::uint64_t bytes_saved = 0;
+};
 
 // --- Particle-migration batches ----------------------------------------------
 // A batch owns full particle state; forces/potential/work ride along only
@@ -364,7 +295,6 @@ struct StepResult {
   double kinetic = 0.0;           // local kinetic-energy partial sum
   double potential = 0.0;         // local potential-energy partial sum
   std::vector<LetSizeSample> let_sizes;  // one per imported LET
-  LetDeltaStats let_delta;  // incremental-exchange counters (zero when off)
   std::vector<sfc::Key> boundaries;  // SPMD: computed decomposition bounds
   std::vector<PeerTraffic> traffic;  // frames this worker posted, per peer/type
   std::int64_t recv_ns = 0;          // worker clock: StepBegin decoded

@@ -48,9 +48,6 @@ void register_flags(bonsai::CommandLine& cli) {
   cli.add_option("kernel", "B",
                  "scalar | simd: force backend draining the batched "
                  "interaction lists (default simd)");
-  cli.add_option("let-cache", "M",
-                 "off | on: incremental LET exchange — per-pair caches and "
-                 "delta frames instead of full LETs every step (default off)");
   cli.add_option("drift", "V",
                  "add a uniform bulk velocity of magnitude V to the initial "
                  "conditions (a drifting cloud; default 0)");
@@ -496,11 +493,6 @@ int main(int argc, char** argv) {
     cfg.dt = get_dt(cli);
     cfg.threads_per_rank = static_cast<std::size_t>(get_count(cli, "threads", 0));
     cfg.kernel = parse_kernel(cli);
-    const std::string let_cache_str = cli.get("let-cache", "off");
-    if (let_cache_str != "off" && let_cache_str != "on")
-      throw bonsai::CliError("--let-cache: expected off or on, got '" + let_cache_str +
-                             "'");
-    cfg.let_cache = let_cache_str == "on";
     const std::string bench_path = cli.get("bench", "");
     const std::string trace_path = cli.get("trace", "");
     const auto steps = static_cast<int>(get_count(cli, "steps", 4));
@@ -528,9 +520,8 @@ int main(int argc, char** argv) {
                              "'");
     if (drift != 0.0) {
       // A bulk velocity keeps the cloud coherent while its bounding boxes and
-      // tree geometry translate every step — the steady churn the incremental
-      // LET cache is built for (and its linear motion is exactly what the
-      // delta codec's polynomial predictor extrapolates).
+      // tree geometry translate every step, so the domain cut and the LETs
+      // change every step.
       for (std::size_t i = 0; i < initial.size(); ++i) {
         initial.vx[i] += drift;
         initial.vy[i] += 0.5 * drift;
@@ -544,14 +535,12 @@ int main(int argc, char** argv) {
     info.theta = cfg.theta;
     info.transport = transport;
     info.kernel = bonsai::kernel_backend_name(cfg.kernel);
-    info.let_cache = cfg.let_cache;
 
     std::cout << "bonsai_sim: n=" << n << " ranks=" << cfg.nranks << " theta=" << cfg.theta
               << " eps=" << cfg.eps << " dt=" << cfg.dt << " steps=" << steps
               << " transport=" << transport
               << " kernel=" << bonsai::kernel_backend_name(cfg.kernel)
-              << " kernel_isa=" << bonsai::kernel_isa()
-              << (cfg.let_cache ? " let-cache=on" : "") << "\n";
+              << " kernel_isa=" << bonsai::kernel_isa() << "\n";
 
     if (socket_mode) {
       const std::int64_t port = cli.get_int("port", 0);

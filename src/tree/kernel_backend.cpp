@@ -566,8 +566,9 @@ std::uint32_t InteractionQueue::gather_leaves(const Batch& b) {
     const std::uint32_t lo = std::max(leaf.begin, b.target_begin);
     const std::uint32_t hi = std::min(leaf.end, b.target_end);
     if (params_.self && hi > lo) {
-      const std::uint32_t last = (j + (hi - 1 - leaf.begin)) / kKernelBatchPad;
-      for (std::uint32_t c = (j + (lo - leaf.begin)) / kKernelBatchPad; c <= last; ++c)
+      const auto last = static_cast<std::uint32_t>((j + (hi - 1 - leaf.begin)) / kKernelBatchPad);
+      for (auto c = static_cast<std::uint32_t>((j + (lo - leaf.begin)) / kKernelBatchPad);
+           c <= last; ++c)
         self_chunk_[c] = 1;
     }
     for (std::uint32_t s = leaf.begin; s < leaf.end; ++s, ++j) {

@@ -14,19 +14,11 @@ namespace {
 
 namespace wire = bonsai::domain::wire;
 
-// Importer cache for the kLetDelta patch path, rebuilt per input from the
-// deterministic scenario so every run starts from the same mirrored state.
-const bonsai::fuzz::LetDeltaScenario& scenario() {
-  static const bonsai::fuzz::LetDeltaScenario sc = bonsai::fuzz::make_let_delta_scenario();
-  return sc;
-}
-
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   try {
-    wire::LetCacheEntry cache = scenario().cache;
-    bonsai::fuzz::decode_any({data, size}, &cache);
+    bonsai::fuzz::decode_any({data, size});
   } catch (const wire::WireError&) {
     // Rejected malformed input: the expected outcome.
   }

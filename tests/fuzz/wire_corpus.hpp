@@ -1,19 +1,16 @@
 // Shared seed-frame and dispatch machinery for the wire fuzzing layer.
 //
 // One place defines (a) a minimized, deterministic encoded frame per
-// FrameType, (b) decode_any() — the type-dispatched decoder the harnesses
-// and the generic truncation/byte-flip test drive, and (c) the LetDelta
-// scenario: an importer cache plus a delta frame that is valid against it,
-// so the patch path (not just the "no cached base" rejection) is fuzzed.
+// FrameType and (b) decode_any() — the type-dispatched decoder the harness
+// and the generic truncation/byte-flip test drive.
 //
-// Users: tests/fuzz/fuzz_wire.cpp, tests/fuzz/fuzz_let_delta.cpp,
-// tools/corpus_dump.cpp and tests/test_fuzz_corpus.cpp. tools/wire_lint.py
+// Users: tests/fuzz/fuzz_wire.cpp, tools/corpus_dump.cpp,
+// tests/test_fuzz_corpus.cpp and tests/test_wire.cpp. tools/wire_lint.py
 // statically cross-checks that every FrameType appears in both the
 // seed-frame builder and the decode_any() switch below.
 #pragma once
 
 #include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -23,7 +20,6 @@
 #include "domain/let.hpp"
 #include "domain/wire.hpp"
 #include "tree/octree.hpp"
-#include "util/check.hpp"
 #include "util/ic.hpp"
 
 namespace bonsai::fuzz {
@@ -32,16 +28,8 @@ namespace wire = domain::wire;
 
 struct SeedFrame {
   wire::FrameType type;
-  std::string name;  // corpus file stem, e.g. "let_delta"
+  std::string name;  // corpus file stem, e.g. "key_samples"
   std::vector<std::uint8_t> frame;
-};
-
-// An importer-side cache plus a delta frame valid against exactly that cache
-// state (applying the delta advances the cache past it, so keep a copy).
-struct LetDeltaScenario {
-  wire::LetCacheEntry cache;
-  std::vector<std::uint8_t> full_frame;   // the frame that seeded the cache
-  std::vector<std::uint8_t> delta_frame;  // valid against `cache`
 };
 
 namespace detail {
@@ -69,35 +57,6 @@ inline ParticleSet make_seed_particles(std::size_t n, std::uint64_t seed) {
 
 }  // namespace detail
 
-// Deterministic drifting-cloud exchange: frame 0 is the full Let that seeds
-// the pair's mirrored caches, frame 1 the first delta. The returned cache is
-// the importer state the delta applies to.
-inline LetDeltaScenario make_let_delta_scenario() {
-  LetDeltaScenario sc;
-  ParticleSet parts = make_plummer(192, 7);
-  wire::LetCacheEntry exporter;
-  constexpr double kChurn = 0.98;  // tolerate high churn: the scenario must delta
-  for (int step = 0; step < 2; ++step) {
-    const domain::LetTree let = detail::make_seed_let(parts);
-    wire::LetEncodeResult res =
-        wire::encode_let_cached(0, let, exporter, kChurn, nullptr);
-    if (step == 0) {
-      BNS_CHECK(!res.is_delta, "first exchange must be a full frame");
-      sc.full_frame = std::move(res.frame);
-      wire::decode_let_cached(sc.full_frame, sc.cache);
-    } else {
-      BNS_CHECK(res.is_delta, "drifted exchange must produce a delta");
-      sc.delta_frame = std::move(res.frame);
-    }
-    // Gentle deterministic drift so most nodes survive matching.
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      parts.x[i] += 1e-4 * std::sin(static_cast<double>(i));
-      parts.y[i] += 1e-4 * std::cos(static_cast<double>(i) * 0.7);
-    }
-  }
-  return sc;
-}
-
 // One minimized, deterministic frame per FrameType — the checked-in fuzz
 // corpus and the base set for the truncation/byte-flip sweeps. Keep this
 // exhaustive: wire_lint.py fails the build when a FrameType is missing.
@@ -123,7 +82,6 @@ inline std::vector<SeedFrame> seed_frames() {
   {
     domain::SimConfig cfg;
     cfg.nranks = 2;
-    cfg.let_cache = true;
     add(wire::FrameType::kConfig, wire::encode_config(cfg));
   }
   {
@@ -202,24 +160,14 @@ inline std::vector<SeedFrame> seed_frames() {
     snap.histograms["step.seconds"] = {{0.1}, {1, 2}, 3, 0.9};
     add(wire::FrameType::kMetricsReport, wire::encode_metrics_report(snap));
   }
-  add(wire::FrameType::kLetDelta, make_let_delta_scenario().delta_frame);
   return out;
 }
 
-// Decode `frame` with the decoder matching its header type. `cache` backs
-// the kLetDelta patch path (and the kLet cache-reset path when non-null);
-// with no cache a LetDelta exercises the hard "no cached base" rejection.
-// Throws WireError on any malformed input — anything else is a fuzz finding.
-inline void decode_any(std::span<const std::uint8_t> frame,
-                       wire::LetCacheEntry* cache = nullptr) {
+// Decode `frame` with the decoder matching its header type. Throws
+// WireError on any malformed input — anything else is a fuzz finding.
+inline void decode_any(std::span<const std::uint8_t> frame) {
   switch (wire::frame_type(frame)) {
-    case wire::FrameType::kLet:
-      if (cache != nullptr) {
-        wire::decode_let_cached(frame, *cache);
-      } else {
-        wire::decode_let(frame);
-      }
-      break;
+    case wire::FrameType::kLet: wire::decode_let(frame); break;
     case wire::FrameType::kParticles: wire::decode_particles(frame); break;
     case wire::FrameType::kHello: wire::decode_hello(frame); break;
     case wire::FrameType::kConfig: wire::decode_config(frame); break;
@@ -238,11 +186,6 @@ inline void decode_any(std::span<const std::uint8_t> frame,
     case wire::FrameType::kSnapshot: wire::decode_snapshot(frame); break;
     case wire::FrameType::kMetricsQuery: break;  // header-only
     case wire::FrameType::kMetricsReport: wire::decode_metrics_report(frame); break;
-    case wire::FrameType::kLetDelta: {
-      wire::LetCacheEntry fresh;
-      wire::decode_let_cached(frame, cache != nullptr ? *cache : fresh);
-      break;
-    }
     default:
       throw wire::WireError("wire decode: unknown frame type");
   }

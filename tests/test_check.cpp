@@ -1,6 +1,6 @@
 // The invariant framework itself, plus one violation probe per adopted
-// seam: octree structure, decomposition boundaries, LET cache mirrors and
-// job-server pool slots. The framework tests pin the contract (typed
+// seam: octree structure, decomposition boundaries and job-server pool
+// slots. The framework tests pin the contract (typed
 // CheckError, file:line + expression + streamed message, BNS_DCHECK
 // argument non-evaluation in plain Release builds).
 #include <gtest/gtest.h>
@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "domain/decomposition.hpp"
-#include "domain/let.hpp"
-#include "domain/wire.hpp"
 #include "serve/server.hpp"
 #include "sfc/keys.hpp"
 #include "tree/octree.hpp"
@@ -19,8 +17,6 @@
 
 namespace bonsai {
 namespace {
-
-namespace wire = domain::wire;
 
 TEST(Check, PassingCheckIsSilent) {
   EXPECT_NO_THROW(BNS_CHECK(1 + 1 == 2));
@@ -128,38 +124,6 @@ TEST(CheckSeams, NonMonotoneBoundariesAreCaught) {
       domain::Decomposition::from_boundaries({0, sfc::kKeyEnd / 2, 1, sfc::kKeyEnd}),
       CheckError);
   EXPECT_THROW(domain::Decomposition::from_boundaries({1, sfc::kKeyEnd}), CheckError);
-}
-
-// --- Adopted seam: LetCacheEntry mirror consistency --------------------------
-
-TEST(CheckSeams, CommittedLetCachePassesConsistency) {
-  ParticleSet parts = make_plummer(128, 7);
-  const sfc::KeySpace space(parts.bounds());
-  sort_by_keys(parts, space);
-  Octree tree;
-  tree.build(parts);
-  tree.compute_properties(parts, 0.5);
-  const domain::LetTree let =
-      domain::build_let(tree.view(parts), AABB{{4, 4, 4}, {6, 6, 6}});
-
-  wire::LetCacheEntry entry;
-  EXPECT_NO_THROW(entry.check_consistency());  // unsynced and empty
-  wire::decode_let_cached(wire::encode_let(0, let), entry);
-  EXPECT_NO_THROW(entry.check_consistency());
-
-  wire::LetCacheEntry torn = entry;
-  torn.node_hist1.pop_back();  // mirror out of step with the tree
-  EXPECT_THROW(torn.check_consistency(), CheckError);
-
-  wire::LetCacheEntry aged = entry;
-  ASSERT_FALSE(aged.node_age.empty());
-  aged.node_age[0] = 9;  // outside the quadratic prediction window
-  EXPECT_THROW(aged.check_consistency(), CheckError);
-
-  wire::LetCacheEntry ghost;
-  ghost.version = 2;  // claims sync but holds nothing
-  if (!entry.tree.nodes.empty()) ghost.tree = entry.tree;
-  EXPECT_THROW(ghost.check_consistency(), CheckError);
 }
 
 // --- Adopted seam: job-server pool-slot accounting ---------------------------

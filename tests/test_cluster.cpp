@@ -275,8 +275,8 @@ TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator)
   EXPECT_EQ(traffic_frames(rep, wire::FrameType::kKeySamples), nranks * (nranks - 1));
 }
 
-// A report's wire rows are the sums of its traffic matrix: LET and LetDelta
-// frames are let_wire; Migration frames, plus over sockets the StepBegin and
+// A report's wire rows are the sums of its traffic matrix: LET frames are
+// let_wire; Migration frames, plus over sockets the StepBegin and
 // StepResult control frames, part_wire; Boundaries and KeySamples frames
 // dom_wire. Its LET totals are the sums of the importers' size records.
 void expect_report_matches_records(const domain::StepReport& rep, bool socket) {
@@ -285,8 +285,7 @@ void expect_report_matches_records(const domain::StepReport& rep, bool socket) {
     EXPECT_NE(t.src, t.dst);
     wire::WireStats* row = nullptr;
     switch (static_cast<wire::FrameType>(t.type)) {
-      case wire::FrameType::kLet:
-      case wire::FrameType::kLetDelta: row = &let; break;
+      case wire::FrameType::kLet: row = &let; break;
       case wire::FrameType::kMigration: row = &part; break;
       case wire::FrameType::kStepBegin:
       case wire::FrameType::kStepResult: row = socket ? &part : nullptr; break;
@@ -330,7 +329,6 @@ TEST(Simulation, TrafficMatrixMatchesWireSummaries) {
   const ParticleSet global = make_plummer(900, 37);
   SimConfig cfg = forces_only_config(3);
   cfg.dt = 1e-3;
-  cfg.let_cache = true;  // delta frames from the second step on
 
   domain::Simulation inproc(cfg);
   inproc.init(global);
@@ -362,9 +360,6 @@ TEST(Simulation, TrafficMatrixMatchesWireSummaries) {
     {
       SCOPED_TRACE("socket step " + std::to_string(s));
       expect_report_matches_records(sock_rep, /*socket=*/true);
-    }
-    if (s == 1) {
-      EXPECT_GT(in_rep.let_delta.delta_frames, 0u);
     }
   }
 }

@@ -664,14 +664,15 @@ TEST(Simulation, BenchJsonIsWellFormed) {
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json[json.size() - 2], '}');  // trailing newline after the object
-  EXPECT_NE(json.find("\"schema\": 5"), std::string::npos);
-  // Schema 5: the document is schema/config/steps, a step is its number and
+  EXPECT_NE(json.find("\"schema\": 6"), std::string::npos);
+  // Schema 6: the document is schema/config/steps, a step is its number and
   // its metrics block, and the config names no topology or cluster (the
-  // transport determines both) and no balance (there is one mode).
+  // transport determines both), no balance (there is one mode) and no LET
+  // cache (every LET ships as a full frame).
   const std::vector<std::vector<std::string>> top = {{"schema", "config", "steps"}};
   EXPECT_EQ(keys_at_depth(json, 1), top);
   const std::vector<std::vector<std::string>> config = {
-      {"ranks", "num_particles", "theta", "transport", "kernel", "kernel_isa", "let_cache",
+      {"ranks", "num_particles", "theta", "transport", "kernel", "kernel_isa",
        "wire_version"}};
   EXPECT_EQ(keys_at_depth(json, 2), config);
   const std::vector<std::string> step = {"step", "metrics"};
@@ -702,7 +703,6 @@ TEST(Simulation, StepMetricsHoldEveryReportValue) {
   cfg.nranks = 2;
   cfg.theta = 0.4;
   cfg.dt = 1e-3;
-  cfg.let_cache = true;
   Simulation sim(cfg);
   sim.init(make_plummer(2000, 23));
   for (int s = 0; s < 2; ++s) {
@@ -770,14 +770,6 @@ TEST(Simulation, StepMetricsHoldEveryReportValue) {
     EXPECT_EQ(gauge("schedule.gravity_critical_s"), rep.gravity_critical);
     EXPECT_EQ(gauge("schedule.gravity_sequential_s"), rep.gravity_sequential);
     EXPECT_EQ(gauge("schedule.overlap_efficiency"), rep.overlap_efficiency());
-
-    // The LET cache accounting.
-    ASSERT_GT(rep.let_delta.full_frames + rep.let_delta.delta_frames, 0u);
-    EXPECT_EQ(counter("let.delta.frames{kind=full}"), num(rep.let_delta.full_frames));
-    EXPECT_EQ(counter("let.delta.frames{kind=delta}"), num(rep.let_delta.delta_frames));
-    EXPECT_EQ(counter("let.delta.bytes_saved"), num(rep.let_delta.bytes_saved));
-    EXPECT_EQ(counter("let.delta.cache_hits"), num(rep.let_delta.cache_hits));
-    EXPECT_EQ(counter("let.delta.invalidations"), num(rep.let_delta.invalidations));
 
     // Every traffic cell, and no other.
     ASSERT_FALSE(rep.traffic.empty());

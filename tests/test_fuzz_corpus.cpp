@@ -22,11 +22,6 @@ const std::vector<fuzz::SeedFrame>& seeds() {
   return frames;
 }
 
-const fuzz::LetDeltaScenario& scenario() {
-  static const fuzz::LetDeltaScenario sc = fuzz::make_let_delta_scenario();
-  return sc;
-}
-
 TEST(FuzzCorpus, SeedFramesCoverEveryFrameType) {
   std::set<std::uint16_t> seen;
   for (const fuzz::SeedFrame& seed : seeds()) {
@@ -37,7 +32,8 @@ TEST(FuzzCorpus, SeedFramesCoverEveryFrameType) {
   // Type 13, the retired Trace frame, stays unused.
   constexpr std::uint16_t kRetiredTrace = 13;
   EXPECT_FALSE(seen.count(kRetiredTrace));
-  for (std::uint16_t t = 1; t <= static_cast<std::uint16_t>(wire::FrameType::kLetDelta); ++t)
+  for (std::uint16_t t = 1; t <= static_cast<std::uint16_t>(wire::FrameType::kMetricsReport);
+       ++t)
     if (t != kRetiredTrace) {
       EXPECT_TRUE(seen.count(t)) << "no seed frame for FrameType value " << t;
     }
@@ -45,8 +41,7 @@ TEST(FuzzCorpus, SeedFramesCoverEveryFrameType) {
 
 TEST(FuzzCorpus, EverySeedFrameDecodes) {
   for (const fuzz::SeedFrame& seed : seeds()) {
-    wire::LetCacheEntry cache = scenario().cache;
-    EXPECT_NO_THROW(fuzz::decode_any(seed.frame, &cache))
+    EXPECT_NO_THROW(fuzz::decode_any(seed.frame))
         << wire::frame_type_name(seed.type);
   }
 }
@@ -55,8 +50,7 @@ TEST(FuzzCorpus, EveryTruncationIsRejected) {
   for (const fuzz::SeedFrame& seed : seeds()) {
     for (std::size_t len = 0; len < seed.frame.size(); ++len) {
       const std::span<const std::uint8_t> cut(seed.frame.data(), len);
-      wire::LetCacheEntry cache = scenario().cache;
-      EXPECT_THROW(fuzz::decode_any(cut, &cache), wire::WireError)
+      EXPECT_THROW(fuzz::decode_any(cut), wire::WireError)
           << wire::frame_type_name(seed.type) << " accepted a frame cut to " << len
           << " bytes";
     }
@@ -68,9 +62,8 @@ TEST(FuzzCorpus, ByteFlipsNeverEscapeAsAnythingButWireError) {
     std::vector<std::uint8_t> bad = seed.frame;
     for (std::size_t i = 0; i < bad.size(); ++i) {
       bad[i] ^= 0xA5;
-      wire::LetCacheEntry cache = scenario().cache;
       try {
-        fuzz::decode_any(bad, &cache);  // a still-valid mutant is fine
+        fuzz::decode_any(bad);  // a still-valid mutant is fine
       } catch (const wire::WireError&) {
         // the expected rejection
       }
@@ -78,25 +71,6 @@ TEST(FuzzCorpus, ByteFlipsNeverEscapeAsAnythingButWireError) {
       bad[i] ^= 0xA5;
     }
   }
-}
-
-TEST(FuzzCorpus, DeltaScenarioAppliesAgainstItsCache) {
-  wire::LetCacheEntry cache = scenario().cache;
-  const std::uint64_t base = cache.version;
-  const wire::LetMessage msg = wire::decode_let_cached(scenario().delta_frame, cache);
-  EXPECT_EQ(cache.version, base + 1);
-  EXPECT_GT(msg.let.num_cells(), 0u);
-}
-
-TEST(FuzzCorpus, RejectedDeltaLeavesCacheVersionUntouched) {
-  const fuzz::LetDeltaScenario& sc = scenario();
-  std::vector<std::uint8_t> bad = sc.delta_frame;
-  ASSERT_GT(bad.size(), wire::kHeaderBytes + 4);
-  bad[wire::kHeaderBytes + 4] ^= 0xFF;  // corrupt the base-version field
-  wire::LetCacheEntry cache = sc.cache;
-  const std::uint64_t base = cache.version;
-  EXPECT_THROW(wire::decode_let_cached(bad, cache), wire::WireError);
-  EXPECT_EQ(cache.version, base);
 }
 
 }  // namespace

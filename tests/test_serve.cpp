@@ -461,7 +461,7 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
   EXPECT_FALSE(has_step_metrics(metrics, jb.job_id));
 
   // Bench isolation: each job's JSON names its own config, 4 steps each,
-  // every step its metrics block (schema 5).
+  // every step its metrics block (schema 6).
   const std::vector<std::pair<int, int>> expect = {{ja.job_id, 1024}, {jb.job_id, 2048}};
   for (const auto& [id, n] : expect) {
     std::ifstream in(cfg.bench_dir + "/job-" + std::to_string(id) + ".json");
@@ -470,8 +470,9 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
     ss << in.rdbuf();
     const std::string body = ss.str();
     const std::string config = body.substr(0, body.find("\"steps\""));
-    EXPECT_NE(config.find("\"schema\": 5"), std::string::npos) << config;
+    EXPECT_NE(config.find("\"schema\": 6"), std::string::npos) << config;
     EXPECT_EQ(config.find("\"balance\""), std::string::npos) << config;
+    EXPECT_EQ(config.find("\"let_cache\""), std::string::npos) << config;
     EXPECT_NE(config.find("\"num_particles\": " + std::to_string(n)), std::string::npos);
     EXPECT_NE(config.find("\"transport\": \"serve\""), std::string::npos);
     EXPECT_EQ(config.find("\"cluster\""), std::string::npos) << config;

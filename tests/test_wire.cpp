@@ -15,6 +15,7 @@
 #include "domain/let.hpp"
 #include "domain/transport.hpp"
 #include "domain/wire.hpp"
+#include "fuzz/wire_corpus.hpp"
 #include "util/ic.hpp"
 
 namespace bonsai {
@@ -226,6 +227,43 @@ TEST(Wire, VersionMismatchNamesBothVersions) {
     EXPECT_NE(what.find("expected " + std::to_string(wire::kVersion)), std::string::npos)
         << what;
   }
+}
+
+// The header names only live frame types: 0, the retired Trace (13) and
+// LetDelta (21) numbers, and anything past the last type are rejected before
+// any consumer sees the frame, with the value in the message.
+TEST(Wire, UnknownFrameTypesAreRejectedAtTheHeader) {
+  const std::vector<std::uint8_t> frame = wire::encode_let(0, make_real_let());
+  ASSERT_EQ(wire::frame_type(frame), wire::FrameType::kLet);
+  const auto last = static_cast<std::uint16_t>(wire::FrameType::kMetricsReport);
+  for (const std::uint16_t type :
+       {std::uint16_t{0}, std::uint16_t{13}, std::uint16_t{21},
+        static_cast<std::uint16_t>(last + 1), std::uint16_t{0xFFFF}}) {
+    std::vector<std::uint8_t> bad = frame;
+    bad[6] = static_cast<std::uint8_t>(type & 0xFF);  // frame type, little-endian
+    bad[7] = static_cast<std::uint8_t>(type >> 8);
+    try {
+      wire::frame_type(bad);
+      ADD_FAILURE() << "frame type " << type << " accepted";
+    } catch (const wire::WireError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown frame type " + std::to_string(type)), std::string::npos)
+          << what;
+    }
+    EXPECT_THROW(fuzz::decode_any(bad), wire::WireError) << "type " << type;
+  }
+}
+
+TEST(Wire, ScratchEncodeMatchesPlainEncode) {
+  const LetTree let = make_real_let();
+  std::vector<std::uint8_t> scratch;
+  const std::vector<std::uint8_t> a = wire::encode_let_scratch(2, let, scratch);
+  const std::size_t cap = scratch.capacity();
+  EXPECT_EQ(a, wire::encode_let(2, let));
+  // A second encode reuses the buffer's capacity instead of growing anew.
+  const std::vector<std::uint8_t> b = wire::encode_let_scratch(2, let, scratch);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(scratch.capacity(), cap);
 }
 
 TEST(Wire, MeshHandshakeFramesRoundTrip) {

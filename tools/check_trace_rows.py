@@ -2,9 +2,9 @@
 """Cross-check a bonsai_sim --bench report against its --trace file.
 
 Every timing in a step report comes from the ranks' spans, so the two files
-must agree. The report must be schema 5: exactly the keys schema, config and
-steps, no topology, cluster or balance in the config, and each step exactly
-its step number and its metrics block. For each step this checks:
+must agree. The report must be schema 6: exactly the keys schema, config and
+steps, no topology, cluster, balance or LET cache in the config, and each
+step exactly its step number and its metrics block. For each step this checks:
 
   - the schedule model is present: schedule.critical_path_s > 0 and
     schedule.overlap_efficiency >= 1 (up to rounding);
@@ -32,9 +32,9 @@ def main(bench_path, trace_path):
     bench = json.load(open(bench_path))
     trace = json.load(open(trace_path))
     assert set(bench) == {"schema", "config", "steps"}, f"bench keys {sorted(bench)}"
-    assert bench["schema"] == 5, f"bench schema {bench['schema']}, expected 5"
-    for gone in ("async", "topology", "cluster", "balance"):
-        assert gone not in bench["config"], f"schema 5 config has no {gone} key"
+    assert bench["schema"] == 6, f"bench schema {bench['schema']}, expected 6"
+    for gone in ("async", "topology", "cluster", "balance", "let_cache"):
+        assert gone not in bench["config"], f"schema 6 config has no {gone} key"
     spans = [e for e in trace["traceEvents"] if e.get("ph") == "X" and e["pid"] >= 1]
     assert spans, "trace must carry rank spans"
     assert bench["steps"], "bench must carry steps"

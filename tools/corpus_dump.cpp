@@ -1,7 +1,6 @@
 // Writes (or verifies) the checked-in fuzz seed corpus: one minimized,
-// deterministic encoded frame per FrameType under corpora/wire/, plus the
-// LetDelta scenario pieces under corpora/let_delta/. Run after any wire
-// format change and commit the result:
+// deterministic encoded frame per FrameType under corpora/wire/. Run after
+// any wire format change and commit the result:
 //
 //   corpus_dump <repo>/tests/fuzz/corpora            # regenerate
 //   corpus_dump --verify <repo>/tests/fuzz/corpora   # ctest: corpus fresh?
@@ -32,9 +31,6 @@ std::vector<CorpusFile> derive_corpus() {
   std::vector<CorpusFile> files;
   for (auto& seed : bonsai::fuzz::seed_frames())
     files.push_back({fs::path("wire") / (seed.name + ".bin"), std::move(seed.frame)});
-  bonsai::fuzz::LetDeltaScenario sc = bonsai::fuzz::make_let_delta_scenario();
-  files.push_back({fs::path("let_delta") / "full_base.bin", std::move(sc.full_frame)});
-  files.push_back({fs::path("let_delta") / "delta.bin", std::move(sc.delta_frame)});
   return files;
 }
 

@@ -2,7 +2,7 @@
 """Wire-protocol coverage lint.
 
 Statically cross-checks that every FrameType enum value is fully wired, so a
-future wire v8 frame cannot land half-covered. For each enum value the lint
+future frame type cannot land half-covered. For each enum value the lint
 requires four sites:
 
   1. encode   — a `Writer(FrameType::kX ...)` construction in wire.cpp;
@@ -198,7 +198,7 @@ def self_test(root):
             corpora=pristine["corpora"] - {"migration.bin"}),
         "enum value added without sites": mutated(
             wire_hpp=pristine["wire_hpp"].replace(
-                "kLetDelta = 21,", "kLetDelta = 21,\n  kFrobnicate = 22,")),
+                "kMetricsReport = 20,", "kMetricsReport = 20,\n  kFrobnicate = 22,")),
         "unchecked allocation added": mutated(
             wire_cpp=pristine["wire_cpp"] +
             "\nstd::vector<int> read_evil(Reader& r) {\n"
