@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "domain/channel.hpp"
 #include "domain/decomposition.hpp"
 #include "domain/let.hpp"
+#include "domain/simulation.hpp"
 #include "domain/transport.hpp"
 #include "domain/wire.hpp"
 #include "fuzz/wire_corpus.hpp"
@@ -254,8 +256,192 @@ TEST(Wire, UnknownFrameTypesAreRejectedAtTheHeader) {
   }
 }
 
-TEST(Wire, ScratchEncodeMatchesPlainEncode) {
-  const LetTree let = make_real_let();
+// ---- The LET exchange without a delta codec (wire v13) ---------------------
+// Wire v7 to v12 could ship a LET as a LetDelta frame (type 21) patched
+// against a per-pair cache; v13 retired that codec. The LetDelta tests keep
+// its correctness bar on the path that replaced it: every LET crosses as a
+// full Let frame that decodes bit for bit, a delta frame is rejected, a
+// rejected frame leaves the exchange's expected-arrival count untouched,
+// and the cache knobs that SimConfig and LetChannelState still accept
+// change nothing.
+
+// A drifting cloud whose per-step LET exports evolve the way a real run's
+// do: coherent bulk motion plus slow internal evolution, so node geometry
+// and multipoles change every step while the topology stays mostly stable.
+class DriftingExporter {
+ public:
+  explicit DriftingExporter(std::size_t n, std::uint64_t seed)
+      : parts_(make_plummer(n, seed)) {
+    for (std::size_t i = 0; i < parts_.size(); ++i) {
+      parts_.vx[i] += 0.5;
+      parts_.vy[i] += 0.25;
+    }
+  }
+
+  // Advance the cloud and export the LET a remote rank would receive.
+  LetTree step_export() {
+    for (std::size_t i = 0; i < parts_.size(); ++i) {
+      parts_.x[i] += 1e-2 * parts_.vx[i];
+      parts_.y[i] += 1e-2 * parts_.vy[i];
+      parts_.z[i] += 1e-2 * parts_.vz[i];
+    }
+    const sfc::KeySpace space(parts_.bounds());
+    sort_by_keys(parts_, space);
+    Octree tree;
+    tree.build(parts_);
+    tree.compute_properties(parts_, 0.5);
+    const AABB remote{{4.0, 4.0, 4.0}, {6.0, 6.0, 6.0}};
+    return domain::build_let(tree.view(parts_), remote);
+  }
+
+ private:
+  ParticleSet parts_;
+};
+
+// Traversal-safety invariants every accepted decode must uphold.
+void expect_walkable(const LetTree& let) {
+  for (std::size_t j = 0; j < let.nodes.size(); ++j) {
+    const TreeNode& nd = let.nodes[j];
+    ASSERT_LE(nd.part_end, let.num_particles());
+    if (nd.kind == NodeKind::kInternal) {
+      ASSERT_GT(nd.first_child, static_cast<std::int32_t>(j));
+      ASSERT_LE(static_cast<std::size_t>(nd.first_child) + nd.num_children,
+                let.nodes.size());
+    }
+  }
+}
+
+// A rank pair's exchange with the bench/ remnant cache knobs switched on:
+// rank 0 posts to rank 1, which expects one LET per step.
+struct LetPair {
+  explicit LetPair(double churn) : transport(2) { state.init(2, true, churn); }
+
+  // Posts `let` from rank 0 and returns the frame that reached rank 1's
+  // mailbox, without decoding it.
+  std::vector<std::uint8_t> post_raw(const LetTree& let) {
+    domain::LetExchange net(transport, {1, 1}, &state);
+    const std::size_t bytes = net.post(0, 1, let);
+    std::vector<std::uint8_t> frame = transport.recv(1).value();
+    EXPECT_EQ(frame.size(), bytes);
+    return frame;
+  }
+
+  domain::InProcTransport transport;
+  domain::LetChannelState state;
+};
+
+// LetDelta frames arrived in wire v7; the version only grows.
+TEST(LetDelta, WireVersionIsAtLeastSeven) { EXPECT_GE(wire::kVersion, 7); }
+
+TEST(LetDelta, EvolvingExchangePatchesBitForBit) {
+  DriftingExporter source(512, 7);
+  LetPair pair(0.75);
+  domain::InProcTransport& transport = pair.transport;
+  for (int step = 0; step < 6; ++step) {
+    const LetTree fresh = source.step_export();
+    domain::LetExchange net(transport, {1, 1}, &pair.state);
+    net.post(0, 1, fresh);
+    const std::optional<wire::LetMessage> msg = net.recv(1);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->src, 0);
+    EXPECT_FALSE(net.recv(1).has_value());
+    // Every step ships the whole LET: the received tree must match the
+    // fresh export field by field and, re-encoded, byte for byte.
+    expect_same_let(fresh, msg->let);
+    EXPECT_EQ(wire::encode_let(0, msg->let), wire::encode_let(0, fresh))
+        << "received LET re-encodes differently from the export at step " << step;
+    EXPECT_EQ(net.delta_stats(0).delta_frames, 0u);
+    EXPECT_EQ(net.delta_stats(0).bytes_saved, 0u);
+  }
+}
+
+TEST(LetDelta, TruncationThrowsAtEveryLengthAndLeavesTheCacheUntouched) {
+  DriftingExporter source(512, 7);
+  LetPair pair(0.75);
+  (void)source.step_export();
+  const std::vector<std::uint8_t> frame = pair.post_raw(source.step_export());
+  domain::LetExchange net(pair.transport, {1, 1}, &pair.state);
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    pair.transport.post(0, 1, std::vector<std::uint8_t>(
+                                  frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len)));
+    EXPECT_THROW((void)net.recv(1), wire::WireError) << "length " << len;
+    EXPECT_EQ(net.remaining(1), 1u) << "a rejected frame must not count as an arrival";
+  }
+  // The pristine frame still arrives: the exchange survived every rejection.
+  pair.transport.post(0, 1, frame);
+  EXPECT_EQ(net.recv(1).value().src, 0);
+  EXPECT_EQ(net.remaining(1), 0u);
+}
+
+TEST(LetDelta, EveryByteFlipEitherPatchesValidOrThrows) {
+  DriftingExporter source(512, 7);
+  LetPair pair(0.75);
+  (void)source.step_export();
+  const std::vector<std::uint8_t> frame = pair.post_raw(source.step_export());
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    std::vector<std::uint8_t> bad = frame;
+    bad[i] ^= 0xA5;
+    // Each flip goes to a fresh exchange so one accepted mutation cannot
+    // change the expected-arrival count the next probe starts from.
+    domain::LetExchange net(pair.transport, {1, 1}, &pair.state);
+    pair.transport.post(0, 1, std::move(bad));
+    try {
+      const std::optional<wire::LetMessage> msg = net.recv(1);
+      ASSERT_TRUE(msg.has_value());
+      // Accepted: the tree must still be safe to walk (flips in value
+      // payloads are indistinguishable from data).
+      expect_walkable(msg->let);
+    } catch (const wire::WireError&) {
+      EXPECT_EQ(net.remaining(1), 1u) << "byte " << i;
+    }
+  }
+}
+
+TEST(LetDelta, DeltaAgainstEmptyCacheIsRejected) {
+  // A LetDelta frame (type 21) has no cache to patch against anywhere: the
+  // header check rejects it before any decoder, and an exchange that
+  // receives one throws without counting it as an arrival.
+  DriftingExporter source(256, 5);
+  LetPair pair(0.75);
+  std::vector<std::uint8_t> delta = pair.post_raw(source.step_export());
+  delta[6] = 21;  // frame type, little-endian
+  delta[7] = 0;
+  EXPECT_THROW(wire::frame_type(delta), wire::WireError);
+  EXPECT_THROW((void)wire::decode_let(delta), wire::WireError);
+  domain::LetExchange net(pair.transport, {1, 1}, &pair.state);
+  pair.transport.post(0, 1, delta);
+  EXPECT_THROW((void)net.recv(1), wire::WireError);
+  EXPECT_EQ(net.remaining(1), 1u);
+}
+
+TEST(LetDelta, TinyChurnRatioForcesFullFrames) {
+  // A churn ratio near 0 once made every delta "too big". The knob is
+  // ignored now: whatever it is, each post is a full Let frame identical
+  // to a plain encode, and the stream stays decodable.
+  DriftingExporter source(256, 9);
+  LetPair pair(1e-9);
+  for (int step = 0; step < 3; ++step) {
+    const LetTree fresh = source.step_export();
+    const std::vector<std::uint8_t> frame = pair.post_raw(fresh);
+    EXPECT_EQ(wire::frame_type(frame), wire::FrameType::kLet);
+    EXPECT_EQ(frame, wire::encode_let(0, fresh));
+    expect_same_let(fresh, wire::decode_let(frame).let);
+  }
+}
+
+TEST(LetDelta, EmptyTreesAlwaysShipFull) {
+  LetPair pair(0.75);
+  for (int step = 0; step < 2; ++step) {
+    const std::vector<std::uint8_t> frame = pair.post_raw(LetTree{});
+    EXPECT_EQ(wire::frame_type(frame), wire::FrameType::kLet);
+    EXPECT_EQ(frame, wire::encode_let(0, LetTree{}));
+    EXPECT_EQ(wire::decode_let(frame).let.nodes.size(), 0u);
+  }
+}
+
+TEST(LetDelta, ScratchEncodeMatchesPlainEncode) {
+  DriftingExporter source(256, 13);
+  const LetTree let = source.step_export();
   std::vector<std::uint8_t> scratch;
   const std::vector<std::uint8_t> a = wire::encode_let_scratch(2, let, scratch);
   const std::size_t cap = scratch.capacity();
@@ -264,6 +450,36 @@ TEST(Wire, ScratchEncodeMatchesPlainEncode) {
   const std::vector<std::uint8_t> b = wire::encode_let_scratch(2, let, scratch);
   EXPECT_EQ(a, b);
   EXPECT_EQ(scratch.capacity(), cap);
+}
+
+// SimConfig::let_cache is a bench/ remnant that src/ ignores: a multi-rank
+// run with it set must reproduce the run without it bit for bit.
+TEST(LetDelta, CachedSimulationMatchesUncachedBitForBit) {
+  ParticleSet initial = make_plummer(1200, 21);
+  for (std::size_t i = 0; i < initial.size(); ++i) initial.vx[i] += 0.5;
+
+  domain::SimConfig cfg;
+  cfg.nranks = 3;
+  cfg.dt = 1e-3;
+  cfg.threads_per_rank = 1;
+  const auto run = [&](bool cache_on) {
+    domain::SimConfig c = cfg;
+    c.let_cache = cache_on;
+    domain::Simulation sim(c);
+    sim.init(initial);
+    for (int s = 0; s < 5; ++s) (void)sim.step();
+    return sim.gather();
+  };
+  const ParticleSet on = run(true);
+  const ParticleSet off = run(false);
+  ASSERT_EQ(on.size(), off.size());
+  EXPECT_EQ(on.x, off.x);
+  EXPECT_EQ(on.y, off.y);
+  EXPECT_EQ(on.z, off.z);
+  EXPECT_EQ(on.ax, off.ax);
+  EXPECT_EQ(on.ay, off.ay);
+  EXPECT_EQ(on.az, off.az);
+  EXPECT_EQ(on.pot, off.pot);
 }
 
 TEST(Wire, MeshHandshakeFramesRoundTrip) {
