@@ -1,6 +1,6 @@
 // bench_let: times the LET codec in isolation — per step, the LET build, the
-// full-frame encode (into a reused scratch buffer, as LetExchange::post does)
-// and the validating decode — on a drifting Plummer cloud, so the exported
+// full-frame encode (encode_let, as LetExchange::post calls it) and the
+// validating decode — on a drifting Plummer cloud, so the exported
 // tree changes every step. Encode and decode rates are frame bytes per
 // second.
 //
@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
 
   std::cout << "bench_let: n=" << n << " steps=" << steps << "\n";
 
-  std::vector<std::uint8_t> scratch;
   double sum_build = 0.0, sum_encode = 0.0, sum_decode = 0.0;
   std::uint64_t sum_bytes = 0;
   for (int step = 0; step < steps; ++step) {
@@ -69,7 +68,7 @@ int main(int argc, char** argv) {
     const double t_build = build_timer.elapsed();
 
     WallTimer encode_timer;
-    const std::vector<std::uint8_t> frame = wire::encode_let_scratch(0, let, scratch);
+    const std::vector<std::uint8_t> frame = wire::encode_let(0, let);
     const double t_encode = encode_timer.elapsed();
 
     WallTimer decode_timer;

@@ -9,10 +9,9 @@
 namespace bonsai::domain {
 
 LetExchange::LetExchange(Transport& transport, const std::vector<std::uint8_t>& active,
-                         LetChannelState* state)
-    : transport_(transport), state_(state) {
+                         LetChannelState*)
+    : transport_(transport) {
   const std::size_t nranks = active.size();
-  BNS_CHECK(state == nullptr || state->nranks == static_cast<int>(nranks));
   const auto num_active = static_cast<std::size_t>(
       std::count_if(active.begin(), active.end(), [](std::uint8_t a) { return a != 0; }));
   remaining_.reserve(nranks);
@@ -30,10 +29,7 @@ std::size_t LetExchange::post(int src, int dst, const LetTree& let, double) {
   {
     trace::ScopedSpan span("wire.encode.let", src, src);
     span.set_peer(dst);
-    frame = state_ != nullptr
-                ? wire::encode_let_scratch(src, let,
-                                           state_->scratch[static_cast<std::size_t>(src)])
-                : wire::encode_let(src, let);
+    frame = wire::encode_let(src, let);
     span.set_bytes(static_cast<std::int64_t>(frame.size()));
   }
   const std::size_t bytes = frame.size();

@@ -71,21 +71,11 @@ class Channel {
   bool closed_ = false;
 };
 
-// Per-source LET encode buffers, owned by the driver — the Simulation
-// in-proc, the worker loop in cluster mode — and lent to each step's
-// ephemeral LetExchange: `scratch[src]` keeps its capacity across steps, so
-// posting does not grow a fresh vector every time.
+// bench/ remnant: the benchmark replay keeps one of these beside its
+// LetExchange and initializes it with SimConfig::let_cache and
+// SimConfig::let_churn. It holds no state; src/ ignores it.
 struct LetChannelState {
-  int nranks = 0;
-  std::vector<std::vector<std::uint8_t>> scratch;
-
-  void init(int n) {
-    nranks = n;
-    scratch.assign(static_cast<std::size_t>(n), {});
-  }
-  // bench/ remnant: the benchmark replay passes SimConfig::let_cache and
-  // SimConfig::let_churn, which src/ ignores.
-  void init(int n, bool /*cache*/, double /*churn*/) { init(n); }
+  void init(int /*n*/, bool /*cache*/, double /*churn*/) {}
 };
 
 // The all-to-all LET exchange of one step over a Transport: serialized LET
@@ -97,10 +87,10 @@ class LetExchange {
   // `active[r]` marks ranks that both send and receive LETs this step; an
   // active destination expects one LET from every other active rank. The
   // transport must outlive the exchange and route ids [0, active.size()).
-  // `state` (optional) carries the encode scratch across steps; it must
-  // outlive the exchange and match its rank count.
+  // bench/ remnant: the benchmark replay passes a LetChannelState, which is
+  // ignored.
   LetExchange(Transport& transport, const std::vector<std::uint8_t>& active,
-              LetChannelState* state = nullptr);
+              LetChannelState* = nullptr);
 
   int num_ranks() const { return static_cast<int>(remaining_.size()); }
 
@@ -132,7 +122,6 @@ class LetExchange {
 
  private:
   Transport& transport_;
-  LetChannelState* state_;              // nullptr: encode into a fresh buffer
   std::vector<std::size_t> remaining_;  // per-dst, touched only by its consumer
 };
 

@@ -283,10 +283,6 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
                    "worker rank id outside the configured rank count");
   cfg.threads_per_rank = threads;
   Rank rank(rank_id, threads_for(cfg, std::thread::hardware_concurrency()));
-  // The LET encode scratch lives here, beside the resident Rank, so its
-  // capacity persists across steps.
-  LetChannelState let_state;
-  let_state.init(cfg.nranks);
 
   // The previous step's StepResult encode span: it cannot ride in the frame
   // it measures, so it is booked one step late — per-step rows shift
@@ -337,7 +333,7 @@ int run_worker(const std::string& host, std::uint16_t port, int rank_id,
     // particles never leave this worker.
     sr.spans.insert(sr.spans.end(), result_encode.begin(), result_encode.end());
     result_encode.clear();
-    run_spmd_step(rank, cfg, sb.step, demux, out, let_state, sr);
+    run_spmd_step(rank, cfg, sb.step, demux, out, sr);
     fill_energy(rank.parts(), sr);
     sr.traffic = out.take();
     sr.send_ns = now_ns();

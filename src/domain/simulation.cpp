@@ -134,7 +134,6 @@ Simulation::Simulation(const SimConfig& cfg) : cfg_(cfg) {
   for (int r = 0; r < cfg_.nranks; ++r)
     ranks_.push_back(std::make_unique<Rank>(r, threads));
   decomp_ = Decomposition::uniform(cfg_.nranks);
-  let_state_.init(cfg_.nranks);
   executor_ = std::make_unique<Executor>(ranks_.size());
 }
 
@@ -408,7 +407,7 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
 }
 
 void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
-                   Transport& out, LetChannelState& let_state, wire::StepResult& sr) {
+                   Transport& out, wire::StepResult& sr) {
   trace::BindLog log(sr.spans);
   const int nranks = cfg.nranks;
   const int self = rank.id();
@@ -442,7 +441,7 @@ void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux
   // --- Build + LET exchange + gravity + integration.
   rank.build(space, cfg);
   DemuxTransport let_net_view(demux, out, FrameDemux::Class::kLet);
-  LetExchange let_net(let_net_view, active, &let_state);
+  LetExchange let_net(let_net_view, active);
   run_rank_step(rank, cfg, let_net, active, boxes, sr);
   sr.local_count = parts.size();
 }
@@ -686,7 +685,7 @@ StepReport Simulation::step() {
   on_lanes([&](std::size_t r) {
     TrafficRecordingTransport out(*inproc_);
     FrameDemux demux(out, static_cast<int>(r));
-    run_spmd_step(*ranks_[r], cfg_, report.step, demux, out, let_state_, results[r]);
+    run_spmd_step(*ranks_[r], cfg_, report.step, demux, out, results[r]);
     results[r].traffic = out.take();
   });
 

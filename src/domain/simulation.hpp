@@ -167,7 +167,7 @@ sfc::KeySpace run_spmd_redistribute(Rank& rank, const SimConfig& cfg, int step,
 // statistics, boundaries and local population; leaves the stepped particles
 // (with their walk work) resident in `rank`.
 void run_spmd_step(Rank& rank, const SimConfig& cfg, int step, FrameDemux& demux,
-                   Transport& out, LetChannelState& let_state, wire::StepResult& sr);
+                   Transport& out, wire::StepResult& sr);
 
 // One rank's Table II rows from its span log. A row is the summed duration
 // of its spans minus the wire.encode.* / wire.decode.* spans nested inside
@@ -262,10 +262,6 @@ class Simulation {
   std::unique_ptr<InProcTransport> inproc_;
   Decomposition decomp_;
   int next_step_ = 0;
-
-  // Per-source LET encode scratch, persisting across the per-step
-  // LetExchange instances.
-  LetChannelState let_state_;
 };
 
 // Concatenate per-rank populations into one set sorted by particle id,

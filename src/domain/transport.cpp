@@ -1,169 +1,47 @@
 #include "domain/transport.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "util/check.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace bonsai::domain {
 
 namespace {
 
-// Routing header preceding every frame on a socket: src, dst, frame length.
-constexpr std::size_t kRouteBytes = 16;
+using Clock = Listener::Clock;
 
-// Upper bound on a single routed frame; larger lengths are treated as stream
-// corruption (a 63-bit length from garbage bytes must not drive a resize).
-constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 31;
-
-void put_le32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+// Deadline `timeout_ms` from now; none when it is not positive.
+Clock::time_point deadline_after(int timeout_ms) {
+  return timeout_ms > 0 ? Clock::now() + std::chrono::milliseconds(timeout_ms)
+                        : Clock::time_point::max();
 }
 
-void put_le64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t get_le32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_le64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-// What ended a blocking read: a clean stream end (the peer shut down in an
-// orderly way, exactly at a message boundary for the caller that reads
-// headers), a mid-read truncation, or a socket error. Callers turn these
-// into distinct messages — "peer N closed connection" is a teardown, an
-// errno string is a fault — instead of one lumped "connection lost".
-enum class ReadStatus { kOk, kClosedClean, kClosedMidRead, kError };
-
-ReadStatus read_exact(int fd, std::uint8_t* buf, std::size_t n, int* err) {
-  const std::size_t want = n;
-  while (n > 0) {
-    const ssize_t got = ::recv(fd, buf, n, 0);
-    if (got == 0) return n == want ? ReadStatus::kClosedClean : ReadStatus::kClosedMidRead;
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      if (err) *err = errno;
-      return ReadStatus::kError;
-    }
-    buf += got;
-    n -= static_cast<std::size_t>(got);
-  }
-  return ReadStatus::kOk;
-}
-
-// Legacy shape for the handshake paths that only need pass/fail.
-bool read_exact(int fd, std::uint8_t* buf, std::size_t n) {
-  return read_exact(fd, buf, n, nullptr) == ReadStatus::kOk;
-}
-
-void write_exact(int fd, const std::uint8_t* buf, std::size_t n) {
-  while (n > 0) {
-    const ssize_t put = ::send(fd, buf, n, MSG_NOSIGNAL);
-    if (put <= 0) {
-      if (put < 0 && errno == EINTR) continue;
-      if (put < 0 && errno == EPIPE)
-        throw std::runtime_error("peer closed connection");
-      throw std::runtime_error(put < 0 ? std::strerror(errno) : "send returned 0");
-    }
-    buf += put;
-    n -= static_cast<std::size_t>(put);
+// Dial a rank endpoint; a failure names who could not be reached.
+FrameSocket dial_named(const std::string& who, const std::string& host, std::uint16_t port,
+                       int attempts) {
+  try {
+    return dial(host, port, attempts);
+  } catch (const NetError& e) {
+    throw std::runtime_error("SocketTransport: cannot reach " + who + " (" + e.what() + ")");
   }
 }
 
-void set_nodelay(int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void set_recv_timeout(int fd, int seconds) {
-  timeval tv{seconds, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-sockaddr_in loopback_addr(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-    throw std::runtime_error("SocketTransport: bad address: " + host);
-  return addr;
-}
-
-// Bind + listen a CLOEXEC TCP socket on 127.0.0.1:`port` (0: ephemeral);
-// returns the fd and writes the bound port back.
-int bind_listener(std::uint16_t& port, int backlog) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("SocketTransport: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr("127.0.0.1", port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw std::runtime_error("SocketTransport: bind to port " + std::to_string(port) +
-                             " failed");
+// Read one handshake frame synchronously, before a reader thread exists. A
+// connected-but-silent peer trips the receive timeout instead of blocking
+// the handshake forever; any failure throws `what` with its cause.
+std::vector<std::uint8_t> read_handshake(FrameSocket& sock, int timeout_s, const char* what) {
+  sock.set_recv_timeout(timeout_s);
+  try {
+    std::vector<std::uint8_t> frame = sock.recv();
+    sock.set_recv_timeout(0);  // back to blocking reads for the reader thread
+    return frame;
+  } catch (const NetError& e) {
+    throw std::runtime_error(std::string("SocketTransport: ") + what + " (" + e.what() + ")");
   }
-  if (::listen(fd, backlog) != 0) {
-    ::close(fd);
-    throw std::runtime_error("SocketTransport: listen failed");
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port = ntohs(addr.sin_port);
-  return fd;
-}
-
-// Dial 127.0.0.1-style `host`:`port`, retrying for `attempts` * 100 ms so a
-// peer that is a moment away from listening is reached, not declared dead.
-int dial(const std::string& host, std::uint16_t port, int attempts) {
-  const sockaddr_in addr = loopback_addr(host, port);
-  int fd = -1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) throw std::runtime_error("SocketTransport: socket() failed");
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0)
-      return fd;
-    ::close(fd);
-    fd = -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  return -1;
-}
-
-// Read one routed frame (header + payload) synchronously, for the handshake
-// paths that run before a reader thread exists. Throws `what` on any
-// failure, including an SO_RCVTIMEO expiry.
-std::vector<std::uint8_t> read_frame_sync(int fd, const char* what) {
-  std::uint8_t route[kRouteBytes];
-  if (!read_exact(fd, route, kRouteBytes))
-    throw std::runtime_error(std::string("SocketTransport: ") + what);
-  const std::uint64_t flen = get_le64(route + 8);
-  if (flen > kMaxFrameBytes)
-    throw std::runtime_error(std::string("SocketTransport: oversized frame while ") + what);
-  std::vector<std::uint8_t> frame(static_cast<std::size_t>(flen));
-  if (!read_exact(fd, frame.data(), frame.size()))
-    throw std::runtime_error(std::string("SocketTransport: ") + what);
-  return frame;
 }
 
 // Frame type at header bytes [6, 8) for accounting; 0 for raw payloads.
@@ -234,8 +112,10 @@ std::vector<wire::PeerTraffic> TrafficRecordingTransport::take() {
 // --- SocketTransport ---------------------------------------------------------
 
 struct SocketTransport::Peer {
-  int fd = -1;
-  int rank = kCoordinatorRank;    // remote endpoint on the other end of fd
+  Peer(FrameSocket s, int r) : sock(std::move(s)), rank(r) {}
+
+  FrameSocket sock;
+  int rank;                       // remote endpoint on the other end of sock
   std::uint16_t listen_port = 0;  // coordinator: the worker's announced mesh port
   std::atomic<bool> dead{false};
   std::string error;  // first failure on this link; guarded by state_mutex_
@@ -248,11 +128,8 @@ std::string SocketTransport::peer_name(int rank) const {
   return (coordinator_ ? "worker " : "peer rank ") + std::to_string(rank);
 }
 
-SocketTransport::Peer& SocketTransport::add_peer(int fd, int rank) {
-  auto peer = std::make_unique<Peer>();
-  peer->fd = fd;
-  peer->rank = rank;
-  peers_.push_back(std::move(peer));
+SocketTransport::Peer& SocketTransport::add_peer(FrameSocket sock, int rank) {
+  peers_.push_back(std::make_unique<Peer>(std::move(sock), rank));
   return *peers_.back();
 }
 
@@ -263,12 +140,8 @@ std::unique_ptr<SocketTransport> SocketTransport::listen(std::uint16_t port, int
   t->coordinator_ = true;
   t->topology_ = topology;
   t->nworkers_ = nworkers;
-
-  // CLOEXEC: spawned worker processes must not inherit the listening socket
-  // (an orphaned worker would otherwise hold the port after the coordinator
-  // dies).
-  t->port_ = port;
-  t->listen_fd_ = bind_listener(t->port_, nworkers);
+  t->listener_ = std::make_unique<Listener>(port, nworkers);
+  t->port_ = t->listener_->port();
   t->peers_.resize(static_cast<std::size_t>(nworkers));
   return t;
 }
@@ -276,33 +149,19 @@ std::unique_ptr<SocketTransport> SocketTransport::listen(std::uint16_t port, int
 void SocketTransport::accept_workers(int timeout_ms,
                                      const std::function<bool()>& keep_waiting) {
   BNS_CHECK(coordinator_);
-  WallTimer deadline;
+  const Clock::time_point deadline = deadline_after(timeout_ms);
   for (int i = 0; i < nworkers_; ++i) {
-    // Poll in short slices so a deadline or a died-before-connecting worker
-    // aborts the wait instead of hanging in accept() forever.
-    for (;;) {
-      if (timeout_ms > 0 && deadline.elapsed() * 1e3 > timeout_ms)
+    std::optional<FrameSocket> sock = listener_->accept(deadline, keep_waiting);
+    if (!sock) {
+      if (Clock::now() >= deadline)
         throw std::runtime_error("SocketTransport: timed out waiting for workers (" +
                                  std::to_string(i) + "/" + std::to_string(nworkers_) +
                                  " connected)");
-      if (keep_waiting && !keep_waiting())
-        throw std::runtime_error("SocketTransport: a worker exited before connecting");
-      pollfd pfd{listen_fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 200);
-      if (ready < 0 && errno != EINTR)
-        throw std::runtime_error("SocketTransport: poll on listen socket failed");
-      if (ready > 0) break;
+      throw std::runtime_error("SocketTransport: a worker exited before connecting");
     }
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) throw std::runtime_error("SocketTransport: accept failed");
-    set_nodelay(fd);
-
-    // The first routed frame on every worker connection is its Hello; a
-    // connected-but-silent peer trips the receive timeout instead of
-    // blocking the handshake forever.
-    set_recv_timeout(fd, 30);
-    const wire::Hello hello = wire::decode_hello(read_frame_sync(fd, "worker hello failed"));
-    set_recv_timeout(fd, 0);  // back to blocking reads for the reader thread
+    // The first frame on every worker connection is its Hello.
+    const wire::Hello hello =
+        wire::decode_hello(read_handshake(*sock, 30, "worker hello failed"));
     if (hello.rank < 0 || hello.rank >= nworkers_)
       throw std::runtime_error("SocketTransport: hello announced rank " +
                                std::to_string(hello.rank) + " outside [0, " +
@@ -314,9 +173,7 @@ void SocketTransport::accept_workers(int timeout_ms,
     auto& slot = peers_[static_cast<std::size_t>(hello.rank)];
     if (slot) throw std::runtime_error("SocketTransport: duplicate worker rank " +
                                        std::to_string(hello.rank));
-    slot = std::make_unique<Peer>();
-    slot->fd = fd;
-    slot->rank = hello.rank;
+    slot = std::make_unique<Peer>(std::move(*sock), hello.rank);
     slot->listen_port = hello.listen_port;
   }
 
@@ -328,31 +185,29 @@ void SocketTransport::accept_workers(int timeout_ms,
       dir[static_cast<std::size_t>(r)] = {"127.0.0.1",
                                           peers_[static_cast<std::size_t>(r)]->listen_port};
     const std::vector<std::uint8_t> frame = wire::encode_peer_directory(dir);
-    for (int r = 0; r < nworkers_; ++r)
-      write_frame(*peers_[static_cast<std::size_t>(r)], kCoordinatorRank, r, frame);
+    for (auto& peer : peers_) write_frame(*peer, frame);
   }
   for (auto& peer : peers_) start_reader(*peer);
+}
+
+SocketTransport::Peer& SocketTransport::join_coordinator(const std::string& host,
+                                                         std::uint16_t port,
+                                                         std::span<const std::uint8_t> hello) {
+  port_ = port;
+  // 50 tries 100 ms apart, so externally launched workers may start a
+  // moment before the coordinator is listening.
+  Peer& coord = add_peer(dial_named("coordinator", host, port, /*attempts=*/50),
+                         kCoordinatorRank);
+  write_frame(coord, hello);
+  return coord;
 }
 
 std::unique_ptr<SocketTransport> SocketTransport::connect(const std::string& host,
                                                           std::uint16_t port, int rank) {
   BNS_CHECK(rank >= 0);
   auto t = std::unique_ptr<SocketTransport>(new SocketTransport());
-  t->coordinator_ = false;
-  t->topology_ = SocketTopology::kStar;
   t->local_rank_ = rank;
-  t->port_ = port;
-
-  // Brief retry window so externally-launched workers may start a moment
-  // before the coordinator is listening.
-  const int fd = dial(host, port, /*attempts=*/50);
-  if (fd < 0)
-    throw std::runtime_error("SocketTransport: cannot reach coordinator at " + host + ":" +
-                             std::to_string(port));
-  set_nodelay(fd);
-  Peer& coord = t->add_peer(fd, kCoordinatorRank);
-  t->write_frame(coord, rank, kCoordinatorRank, wire::encode_hello(rank));
-  t->start_reader(coord);
+  t->start_reader(t->join_coordinator(host, port, wire::encode_hello(rank)));
   return t;
 }
 
@@ -361,32 +216,21 @@ std::unique_ptr<SocketTransport> SocketTransport::connect_mesh(const std::string
                                                                std::uint16_t listen_port) {
   BNS_CHECK(rank >= 0);
   auto t = std::unique_ptr<SocketTransport>(new SocketTransport());
-  t->coordinator_ = false;
   t->topology_ = SocketTopology::kMesh;
   t->local_rank_ = rank;
-  t->port_ = port;
 
   // Bind the own listener *before* announcing it: once the coordinator's
   // directory is out, any peer may dial at any moment.
-  t->mesh_port_ = listen_port;
-  t->listen_fd_ = bind_listener(t->mesh_port_, /*backlog=*/255);
-
-  const int fd = dial(host, port, /*attempts=*/50);
-  if (fd < 0)
-    throw std::runtime_error("SocketTransport: cannot reach coordinator at " + host + ":" +
-                             std::to_string(port));
-  set_nodelay(fd);
-  Peer& coord = t->add_peer(fd, kCoordinatorRank);
-  t->write_frame(coord, rank, kCoordinatorRank, wire::encode_hello(rank, t->mesh_port_));
+  t->listener_ = std::make_unique<Listener>(listen_port, /*backlog=*/255);
+  t->mesh_port_ = t->listener_->port();
+  Peer& coord = t->join_coordinator(host, port, wire::encode_hello(rank, t->mesh_port_));
 
   // The directory is the first frame back on this link; read it here,
   // synchronously, before the reader thread takes the stream over. The
   // coordinator only sends it once *all* workers said hello, so the wait
   // covers the slowest externally-launched sibling, not just this link.
-  set_recv_timeout(fd, 120);
-  t->directory_ =
-      wire::decode_peer_directory(read_frame_sync(fd, "coordinator sent no peer directory"));
-  set_recv_timeout(fd, 0);
+  t->directory_ = wire::decode_peer_directory(
+      read_handshake(coord.sock, 120, "coordinator sent no peer directory"));
   t->nworkers_ = static_cast<int>(t->directory_.size());
   if (rank >= t->nworkers_)
     throw std::runtime_error("SocketTransport: rank " + std::to_string(rank) +
@@ -407,75 +251,46 @@ void SocketTransport::mesh_with_peers(int timeout_ms) {
   const std::size_t first_link = peers_.size();
   for (int r = local_rank_ + 1; r < nworkers_; ++r) {
     const wire::PeerEndpoint& ep = directory_[static_cast<std::size_t>(r)];
-    const int fd = dial(ep.host, ep.port, /*attempts=*/10);
-    if (fd < 0)
-      throw std::runtime_error("SocketTransport: cannot reach mesh " + peer_name(r) +
-                               " at " + ep.host + ":" + std::to_string(ep.port));
-    set_nodelay(fd);
-    Peer& peer = add_peer(fd, r);
-    write_frame(peer, local_rank_, r, wire::encode_peer_hello(local_rank_));
+    Peer& peer = add_peer(dial_named("mesh " + peer_name(r), ep.host, ep.port, /*attempts=*/10),
+                          r);
+    write_frame(peer, wire::encode_peer_hello(local_rank_));
     mesh_link_[static_cast<std::size_t>(r)] = &peer;
   }
 
   // Accept one connection from every lower-ranked peer, identified by its
   // PeerHello. A peer that never dials must produce a timed, named failure.
-  WallTimer deadline;
-  for (int accepted = 0; accepted < local_rank_;) {
-    for (;;) {
-      if (timeout_ms > 0 && deadline.elapsed() * 1e3 > timeout_ms) {
-        std::string missing;
-        for (int r = 0; r < local_rank_; ++r)
-          if (!mesh_link_[static_cast<std::size_t>(r)])
-            missing += (missing.empty() ? "" : ", ") + std::to_string(r);
-        throw std::runtime_error("SocketTransport: rank " + std::to_string(local_rank_) +
-                                 " timed out waiting for mesh connection(s) from rank(s) " +
-                                 missing);
-      }
-      pollfd pfd{listen_fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 200);
-      if (ready < 0 && errno != EINTR)
-        throw std::runtime_error("SocketTransport: poll on mesh listener failed");
-      if (ready > 0) break;
+  const Clock::time_point deadline = deadline_after(timeout_ms);
+  for (int accepted = 0; accepted < local_rank_; ++accepted) {
+    std::optional<FrameSocket> sock = listener_->accept(deadline);
+    if (!sock) {
+      std::string missing;
+      for (int r = 0; r < local_rank_; ++r)
+        if (!mesh_link_[static_cast<std::size_t>(r)])
+          missing += (missing.empty() ? "" : ", ") + std::to_string(r);
+      throw std::runtime_error("SocketTransport: rank " + std::to_string(local_rank_) +
+                               " timed out waiting for mesh connection(s) from rank(s) " +
+                               missing);
     }
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) throw std::runtime_error("SocketTransport: mesh accept failed");
-    set_nodelay(fd);
-    set_recv_timeout(fd, 30);
-    int rank = -1;
-    try {
-      rank = wire::decode_peer_hello(read_frame_sync(fd, "mesh peer hello failed"));
-    } catch (...) {
-      ::close(fd);
-      throw;
-    }
-    set_recv_timeout(fd, 0);
-    if (rank < 0 || rank >= local_rank_ ||
-        mesh_link_[static_cast<std::size_t>(rank)] != nullptr) {
-      ::close(fd);
+    const int rank =
+        wire::decode_peer_hello(read_handshake(*sock, 30, "mesh peer hello failed"));
+    if (rank < 0 || rank >= local_rank_ || mesh_link_[static_cast<std::size_t>(rank)] != nullptr)
       throw std::runtime_error("SocketTransport: unexpected or duplicate mesh hello from "
                                "rank " + std::to_string(rank));
-    }
-    mesh_link_[static_cast<std::size_t>(rank)] = &add_peer(fd, rank);
-    ++accepted;
+    mesh_link_[static_cast<std::size_t>(rank)] = &add_peer(std::move(*sock), rank);
   }
 
   // All pair links up: no further mesh connections are expected, so release
   // the listener and let the reader threads take the streams over.
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  listener_.reset();
   for (std::size_t i = first_link; i < peers_.size(); ++i) start_reader(*peers_[i]);
   meshed_ = true;
 }
 
 SocketTransport::~SocketTransport() {
-  for (auto& peer : peers_) {
-    if (peer && peer->fd >= 0) ::shutdown(peer->fd, SHUT_RDWR);
-  }
-  for (auto& peer : peers_) {
+  for (auto& peer : peers_)
+    if (peer) peer->sock.shutdown_rw();
+  for (auto& peer : peers_)
     if (peer && peer->reader.joinable()) peer->reader.join();
-    if (peer && peer->fd >= 0) ::close(peer->fd);
-  }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
 void SocketTransport::fail_peer(Peer& peer, const std::string& reason) {
@@ -486,7 +301,7 @@ void SocketTransport::fail_peer(Peer& peer, const std::string& reason) {
   peer.dead.store(true, std::memory_order_release);
   // Wake the peer's reader (and any blocked writer); the fd itself stays
   // open until the destructor so the reader never races an fd reuse.
-  ::shutdown(peer.fd, SHUT_RDWR);
+  peer.sock.shutdown_rw();
 }
 
 std::string SocketTransport::peer_error(const Peer& peer) const {
@@ -507,23 +322,17 @@ std::string SocketTransport::close_reason() const {
   return close_reason_;
 }
 
-void SocketTransport::write_frame(Peer& peer, int src, int dst,
-                                  std::span<const std::uint8_t> frame) {
-  std::uint8_t route[kRouteBytes];
-  put_le32(route, static_cast<std::uint32_t>(src));
-  put_le32(route + 4, static_cast<std::uint32_t>(dst));
-  put_le64(route + 8, frame.size());
+void SocketTransport::write_frame(Peer& peer, std::span<const std::uint8_t> frame) {
   std::lock_guard lock(peer.write_mutex);
   if (peer.dead.load(std::memory_order_acquire))
     throw std::runtime_error("SocketTransport: " + peer_name(peer.rank) + " is down (" +
                              peer_error(peer) + ")");
   try {
-    write_exact(peer.fd, route, kRouteBytes);
-    write_exact(peer.fd, frame.data(), frame.size());
-  } catch (const std::exception& e) {
-    // Part of the routing header or payload may already be on the wire; the
-    // stream can never carry another frame. Poison the peer so every later
-    // post fails fast by name instead of feeding the receiver garbage.
+    peer.sock.send(frame);
+  } catch (const NetError& e) {
+    // Part of the frame may already be on the wire; the stream can never
+    // carry another frame. Poison the peer so every later post fails fast by
+    // name instead of feeding the receiver garbage.
     const std::string reason =
         "connection to " + peer_name(peer.rank) + " lost on write: " + e.what();
     fail_peer(peer, reason);
@@ -535,46 +344,11 @@ void SocketTransport::start_reader(Peer& peer) {
   peer.reader = std::thread([this, &peer] {
     std::string reason;
     try {
-      for (;;) {
-        std::uint8_t route[kRouteBytes];
-        int err = 0;
-        ReadStatus st = read_exact(peer.fd, route, kRouteBytes, &err);
-        if (st != ReadStatus::kOk) {
-          reason = st == ReadStatus::kClosedClean
-                       ? peer_name(peer.rank) + " closed connection"
-                       : st == ReadStatus::kClosedMidRead
-                             ? peer_name(peer.rank) + " closed connection mid-frame"
-                             : "read from " + peer_name(peer.rank) +
-                                   " failed: " + std::strerror(err);
-          break;
-        }
-        const int dst = static_cast<std::int32_t>(get_le32(route + 4));
-        const std::uint64_t flen = get_le64(route + 8);
-        if (flen > kMaxFrameBytes) {
-          reason = "oversized frame from " + peer_name(peer.rank) +
-                   " (stream corruption)";
-          break;
-        }
-        std::vector<std::uint8_t> frame(static_cast<std::size_t>(flen));
-        st = read_exact(peer.fd, frame.data(), frame.size(), &err);
-        if (st != ReadStatus::kOk) {
-          reason = st == ReadStatus::kError
-                       ? "read from " + peer_name(peer.rank) +
-                             " failed: " + std::strerror(err)
-                       : peer_name(peer.rank) + " closed connection mid-frame";
-          break;
-        }
-
-        const int local = coordinator_ ? kCoordinatorRank : local_rank_;
-        if (dst != local) {
-          reason = "misrouted frame from " + peer_name(peer.rank) + " for dst " +
-                   std::to_string(dst) + " (stream corruption)";
-          break;
-        }
-        inbox_.send(std::move(frame));
-      }
+      while (std::optional<std::vector<std::uint8_t>> frame = peer.sock.recv_or_eof())
+        inbox_.send(std::move(*frame));
+      reason = peer_name(peer.rank) + " closed connection";
     } catch (const std::exception& e) {
-      reason = e.what();
+      reason = "link to " + peer_name(peer.rank) + " failed: " + e.what();
     } catch (...) {
       reason = "unknown reader failure on " + peer_name(peer.rank);
     }
@@ -582,7 +356,7 @@ void SocketTransport::start_reader(Peer& peer) {
     // Losing the coordinator link is fatal to the endpoint: close the mailbox
     // so blocked receivers fail fast. A worker's *mesh* link dying only
     // poisons that pair — the next post to it throws by name, and a mid-step
-    // loss still unblinds everyone through the coordinator's cascade (the dead
+    // loss still unblinds everyone via the coordinator cascade (the dead
     // peer's coordinator link drops, the coordinator fails, and its teardown
     // closes every worker's coordinator link). Keeping the mailbox open here
     // avoids the shutdown race where a peer that finished first would
@@ -592,6 +366,7 @@ void SocketTransport::start_reader(Peer& peer) {
 }
 
 void SocketTransport::post(int src, int dst, std::vector<std::uint8_t> frame) {
+  (void)src;
   const int local = coordinator_ ? kCoordinatorRank : local_rank_;
   if (dst == local) {
     inbox_.send(std::move(frame));
@@ -612,7 +387,14 @@ void SocketTransport::post(int src, int dst, std::vector<std::uint8_t> frame) {
       throw std::runtime_error("SocketTransport: no mesh link to " + peer_name(dst) +
                                " (star endpoint, or mesh_with_peers not completed)");
   }
-  write_frame(*peer, src, dst, frame);
+  // The receiver delimits frames by their header alone, so a frame whose
+  // length field disagrees with its size would desync the link: refuse it
+  // here, before any byte is written.
+  BNS_CHECK(frame.size() >= wire::kHeaderBytes &&
+                announced_payload(frame) == frame.size() - wire::kHeaderBytes,
+            "malformed frame for ", peer_name(dst), ": ", frame.size(),
+            " bytes do not match the header's payload length");
+  write_frame(*peer, frame);
 }
 
 bool SocketTransport::post_best_effort(int src, int dst,

@@ -21,8 +21,10 @@
 //   on the pair's socket — the paper's point-to-point MPI_Isend structure
 //   (§III-B). The coordinator never forwards a frame between workers.
 //
-//   Frames on every socket are preceded by a 16-byte routing header
-//   (src, dst, length); payload bytes are identical to the in-process case.
+//   Every link is point to point, so it carries exactly the bytes wire.cpp
+//   encodes, the same bytes the in-process backend moves, through the
+//   framed-TCP layer of domain/net.hpp: the wire header delimits each frame
+//   and the link a frame arrives on says where it came from.
 #pragma once
 
 #include <atomic>
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "domain/channel.hpp"
+#include "domain/net.hpp"
 #include "domain/wire.hpp"
 
 namespace bonsai::domain {
@@ -123,12 +126,14 @@ enum class SocketTopology {
 // kCoordinatorRank), connect() on a star worker, or connect_mesh() +
 // mesh_with_peers() on a mesh worker (local endpoint = its rank id). A
 // reader thread per socket delivers incoming frames to the local mailbox; a
-// frame addressed to any other endpoint is stream corruption. Posting to a
-// worker without a pair link to it (a star endpoint, or before
-// mesh_with_peers) throws an error naming that peer. Any mid-frame write
-// failure poisons that peer (the routing header may be partially on the
-// wire, so the stream can never be trusted again): its fd is shut down and
-// every later post to it throws a named error instead of desyncing the
+// bad frame magic or a length over kMaxFrameBytes is stream corruption and
+// fails that link. post() refuses (CheckError naming the peer) a frame whose
+// header length disagrees with its size, before writing a byte, so the link
+// stays usable. Posting to a worker without a pair link to it (a star
+// endpoint, or before mesh_with_peers) throws an error naming that peer. Any
+// mid-frame write failure poisons that peer (part of the frame may be on the
+// wire, so the stream can never be trusted again): its socket is shut down
+// and every later post to it throws a named error instead of desyncing the
 // stream. Losing the coordinator link closes the local mailbox, so blocked
 // recv() calls fail fast instead of hanging; close_reason() then says why
 // ("coordinator closed connection" vs the socket errno).
@@ -186,9 +191,12 @@ class SocketTransport final : public Transport {
   struct Peer;  // one connected socket + its writer mutex and reader thread
 
   SocketTransport() = default;
-  Peer& add_peer(int fd, int rank);
+  Peer& add_peer(FrameSocket sock, int rank);
+  // Worker: dial the coordinator, add its link and send `hello` on it.
+  Peer& join_coordinator(const std::string& host, std::uint16_t port,
+                         std::span<const std::uint8_t> hello);
   void start_reader(Peer& peer);
-  void write_frame(Peer& peer, int src, int dst, std::span<const std::uint8_t> frame);
+  void write_frame(Peer& peer, std::span<const std::uint8_t> frame);
   // Poison a peer whose stream can no longer be trusted: record the first
   // reason, mark it dead and shut the socket down (waking its reader). The
   // fd stays open until the destructor so the reader thread never races a
@@ -205,7 +213,9 @@ class SocketTransport final : public Transport {
   int nworkers_ = 0;
   std::uint16_t port_ = 0;       // coordinator listen port
   std::uint16_t mesh_port_ = 0;  // mesh worker: own listen port
-  int listen_fd_ = -1;
+  // Coordinator: for the worker hellos. Mesh worker: for the lower-ranked
+  // peers' dials, released once the mesh is up.
+  std::unique_ptr<Listener> listener_;
   bool meshed_ = false;
   // Coordinator: index = worker rank. Worker: [0] is the coordinator link,
   // mesh pair links append behind it (mesh_link_ maps rank -> entry).

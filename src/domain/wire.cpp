@@ -27,13 +27,6 @@ class Writer {
  public:
   explicit Writer(FrameType type) { header(type); }
 
-  // Build the frame inside `reuse` (its capacity carries over), for posting
-  // paths that encode every step: finish() hands the buffer back to the
-  // caller, who keeps it for the next encode.
-  Writer(FrameType type, std::vector<std::uint8_t>&& reuse) : buf_(std::move(reuse)) {
-    header(type);
-  }
-
   // Make room for `bytes` more bytes at once, for frames whose size is known
   // up front; later fields then write without regrowing.
   void reserve(std::size_t bytes) {
@@ -405,14 +398,6 @@ std::vector<std::uint8_t> encode_let(int src, const LetTree& let) {
   Writer w(FrameType::kLet);
   put_let(w, src, let);
   return w.finish();
-}
-
-std::vector<std::uint8_t> encode_let_scratch(int src, const LetTree& let,
-                                             std::vector<std::uint8_t>& scratch) {
-  Writer w(FrameType::kLet, std::move(scratch));
-  put_let(w, src, let);
-  scratch = w.finish();
-  return {scratch.begin(), scratch.end()};
 }
 
 LetMessage decode_let(std::span<const std::uint8_t> frame) {

@@ -154,11 +154,6 @@ struct LetMessage {
 std::vector<std::uint8_t> encode_let(int src, const LetTree& let);
 LetMessage decode_let(std::span<const std::uint8_t> frame);
 
-// Like encode_let, but builds the frame in `scratch` (capacity retained
-// across calls) and returns an exact-size copy for posting.
-std::vector<std::uint8_t> encode_let_scratch(int src, const LetTree& let,
-                                             std::vector<std::uint8_t>& scratch);
-
 // bench/ remnant: the benchmark reads these two counters through
 // LetExchange::delta_stats, which src/ always answers with zeros. Every LET
 // crosses the wire as a full Let frame.

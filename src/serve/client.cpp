@@ -1,17 +1,18 @@
 #include "serve/client.hpp"
 
-#include "serve/net.hpp"
+#include "domain/net.hpp"
 
 namespace bonsai::serve {
 
 namespace wire = domain::wire;
+using domain::FrameSocket;
 
 namespace {
 
 // One round trip: dial, send the request, read the single reply frame.
 std::vector<std::uint8_t> round_trip(const std::string& host, std::uint16_t port,
                                      const std::vector<std::uint8_t>& request) {
-  FrameSocket sock = dial(host, port);
+  FrameSocket sock = domain::dial(host, port);
   sock.send(request);
   return sock.recv();
 }
@@ -57,7 +58,7 @@ metrics::Snapshot fetch_metrics(const std::string& host, std::uint16_t port) {
 }
 
 void request_shutdown(const std::string& host, std::uint16_t port) {
-  FrameSocket sock = dial(host, port);
+  FrameSocket sock = domain::dial(host, port);
   sock.send(wire::encode_shutdown());
 }
 

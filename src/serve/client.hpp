@@ -2,7 +2,7 @@
 // request frame, reads one reply and returns it decoded. Stateless on
 // purpose — the CLI (`bonsai_sim --server HOST:PORT --submit ...`) maps one
 // invocation to one call, and CI scripts drive the server the same way.
-// Connection failures throw NetError; malformed replies throw wire::WireError.
+// Connection failures throw domain::NetError; malformed replies throw wire::WireError.
 #pragma once
 
 #include <cstdint>

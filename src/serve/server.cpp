@@ -18,6 +18,8 @@
 namespace bonsai::serve {
 
 namespace wire = domain::wire;
+using domain::FrameSocket;
+using domain::NetError;
 
 namespace {
 
@@ -156,11 +158,16 @@ void JobServer::reap_exited(std::list<Worker>& workers) {
 }
 
 void JobServer::accept_loop() {
-  while (std::optional<FrameSocket> sock = listener_.accept()) {
-    std::lock_guard<std::mutex> g(conn_mu_);
-    reap_exited(handlers_);
-    Worker& w = handlers_.emplace_back();
-    w.thread = std::thread(&JobServer::handle_client, this, std::move(*sock), std::ref(w));
+  try {
+    while (std::optional<FrameSocket> sock = listener_.accept()) {
+      std::lock_guard<std::mutex> g(conn_mu_);
+      reap_exited(handlers_);
+      Worker& w = handlers_.emplace_back();
+      w.thread = std::thread(&JobServer::handle_client, this, std::move(*sock), std::ref(w));
+    }
+  } catch (const NetError&) {
+    // Accepting failed (out of descriptors, say): stop taking connections,
+    // as close() would; the clients already connected are still served.
   }
 }
 

@@ -1,6 +1,6 @@
 // Resident job server: the coordinator promoted to a multi-tenant service
 // (`bonsai_sim --serve`). Clients speak the wire v6 job protocol over plain
-// framed TCP (serve/net.hpp): submit a job spec, poll or block on status,
+// framed TCP (domain/net.hpp): submit a job spec, poll or block on status,
 // cancel, fetch snapshots, scrape metrics.
 //
 // Structure:
@@ -43,8 +43,8 @@
 #include <vector>
 
 #include "domain/metrics.hpp"
+#include "domain/net.hpp"
 #include "domain/wire.hpp"
-#include "serve/net.hpp"
 
 namespace bonsai::serve {
 
@@ -117,7 +117,7 @@ class JobServer {
   static void reap_exited(std::list<Worker>& workers);
 
   void accept_loop();
-  void handle_client(FrameSocket sock, Worker& self);
+  void handle_client(domain::FrameSocket sock, Worker& self);
   domain::wire::JobStatusMsg handle_submit(domain::wire::JobSpec spec);
   domain::wire::JobStatusMsg handle_cancel(std::int32_t job_id);
   domain::wire::JobResultMsg wait_result(std::int32_t job_id);
@@ -138,7 +138,7 @@ class JobServer {
 
   ServerConfig cfg_;
   int pool_slots_ = 0;
-  Listener listener_;
+  domain::Listener listener_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -157,7 +157,7 @@ class JobServer {
   std::list<Worker> runners_;
 
   std::mutex conn_mu_;
-  std::vector<FrameSocket*> conns_;  // live client sockets, for shutdown()
+  std::vector<domain::FrameSocket*> conns_;  // live client sockets, for shutdown()
   std::list<Worker> handlers_;       // guarded by conn_mu_; reaped on accept
   std::thread accept_thread_;
 };

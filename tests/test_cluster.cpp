@@ -242,9 +242,9 @@ TEST(ClusterSpmd, MultiStepDriftPreservesPopulationAndForces) {
 
 TEST(ClusterSpmdMesh, ReproducesInProcForcesWithNothingRoutedThroughCoordinator) {
   // The same drifting physics as the in-process run over three steps, bit
-  // for bit; the coordinator never forwards a frame (one addressed to
-  // another rank fails its link as misrouted), so all peer traffic
-  // travelled the pair sockets.
+  // for bit; the coordinator never forwards a frame (a link carries bare wire
+  // frames with no destination field, and a worker posts peer frames only on
+  // its pair links), so all peer traffic travelled the pair sockets.
   const ParticleSet global = make_plummer(900, 77);
   SimConfig cfg = forces_only_config(3);
   cfg.dt = 1e-3;

@@ -19,7 +19,6 @@
 
 #include "domain/simulation.hpp"
 #include "serve/client.hpp"
-#include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "util/ic.hpp"
@@ -106,22 +105,6 @@ long proc_status_field(const std::string& key) {
 
 // VmSize of this process in KiB.
 long vm_size_kib() { return proc_status_field("VmSize:"); }
-
-// Regression for a TSan finding: server shutdown calls Listener::close()
-// from outside the accept loop's thread, so the descriptor handover must be
-// synchronized — close() must unblock a concurrent blocking accept() (which
-// then reports end-of-serving), never race on the fd.
-TEST(Listener, CloseFromAnotherThreadUnblocksAccept) {
-  serve::Listener listener(0);
-  ASSERT_GT(listener.port(), 0);
-  std::optional<serve::FrameSocket> accepted;
-  std::thread acceptor([&] { accepted = listener.accept(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // park in accept
-  listener.close();
-  acceptor.join();
-  EXPECT_FALSE(accepted.has_value());
-  EXPECT_NO_THROW(listener.close());  // idempotent after handover
-}
 
 TEST(Snapshot, FileRoundTripsCheckpointBitForBit) {
   domain::SimConfig cfg;

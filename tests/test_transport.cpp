@@ -95,11 +95,23 @@ class TransportConformance : public ::testing::TestWithParam<Backend> {
 };
 
 // Payload helper: a valid wire frame carrying a recognizable value, so the
-// socket path (which routes on its own header, not the payload) and the
+// socket path (which delimits frames by their wire header) and the
 // in-process path move identical bytes.
 std::vector<std::uint8_t> tagged(int value) { return wire::encode_hello(value); }
 
 int tag_of(const std::vector<std::uint8_t>& frame) { return wire::decode_hello(frame).rank; }
+
+// A well-formed frame of at least `payload` payload bytes: a KeySamples
+// frame whose keys follow a position-dependent pattern, so a lost, repeated
+// or reordered byte shows.
+std::vector<std::uint8_t> patterned_frame(std::size_t payload) {
+  wire::KeySamples ks;
+  ks.src = 7;
+  ks.keys.resize(payload / sizeof(sfc::Key));
+  for (std::size_t i = 0; i < ks.keys.size(); ++i)
+    ks.keys[i] = (i * 0x9E3779B97F4A7C15ull) ^ (i >> 3);
+  return wire::encode_key_samples(ks);
+}
 
 TEST_P(TransportConformance, FifoPerSourceDestinationPair) {
   for (int i = 0; i < 64; ++i) h_->at(0).post(0, 1, tagged(i));
@@ -159,13 +171,8 @@ TEST_P(TransportConformance, ConcurrentPostersAllDeliver) {
 
 TEST_P(TransportConformance, LargeFramesArriveIntact) {
   // A multi-megabyte frame (a dense LET or migration burst) must cross the
-  // backend byte-for-byte; write a full header so traffic recorders can
-  // parse it, then fill the payload with a position-dependent pattern.
-  constexpr std::size_t kPayload = 4u << 20;
-  std::vector<std::uint8_t> frame = wire::encode_hello(7);
-  frame.resize(wire::kHeaderBytes + kPayload);
-  for (std::size_t i = wire::kHeaderBytes; i < frame.size(); ++i)
-    frame[i] = static_cast<std::uint8_t>((i * 131) >> 3);
+  // backend byte-for-byte.
+  std::vector<std::uint8_t> frame = patterned_frame(4u << 20);
   const std::vector<std::uint8_t> sent = frame;
   h_->at(0).post(0, 1, std::move(frame));
   auto got = h_->at(1).recv(1);
@@ -274,14 +281,14 @@ TEST(SocketTransport, OrderlyPeerCloseIsNamedInCloseReason) {
 }
 
 TEST(SocketTransport, MidStreamWriteFailurePoisonsThePeerByName) {
-  // Once a write fails, part of a routing header may be on the wire: the
+  // Once a write fails, part of a frame may be on the wire: the
   // peer must be marked dead so later posts fail fast with its name instead
   // of desyncing the stream into garbage decodes.
   SocketHarness h;
   h.kill_worker(1);
   // The kernel buffers a few frames after the peer vanishes; keep posting
   // until the failure surfaces (bounded: buffers are finite).
-  std::vector<std::uint8_t> big(1u << 16, 0xab);
+  const std::vector<std::uint8_t> big = patterned_frame(1u << 16);
   bool threw = false;
   std::string what;
   for (int i = 0; i < 100000 && !threw; ++i) {
@@ -316,8 +323,7 @@ TEST(SocketTransport, PeerLinkFailureDoesNotPoisonTheCoordinatorLink) {
   h.kill_worker(1);
   // The kernel buffers a few frames after the peer vanishes; keep posting
   // until the failure surfaces (bounded: buffers are finite).
-  std::vector<std::uint8_t> big = tagged(0);
-  big.resize(1u << 16, 0xcd);
+  const std::vector<std::uint8_t> big = patterned_frame(1u << 16);
   std::string what;
   for (int i = 0; i < 100000 && what.empty(); ++i) {
     try {

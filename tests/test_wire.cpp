@@ -439,19 +439,6 @@ TEST(LetDelta, EmptyTreesAlwaysShipFull) {
   }
 }
 
-TEST(LetDelta, ScratchEncodeMatchesPlainEncode) {
-  DriftingExporter source(256, 13);
-  const LetTree let = source.step_export();
-  std::vector<std::uint8_t> scratch;
-  const std::vector<std::uint8_t> a = wire::encode_let_scratch(2, let, scratch);
-  const std::size_t cap = scratch.capacity();
-  EXPECT_EQ(a, wire::encode_let(2, let));
-  // A second encode reuses the buffer's capacity instead of growing anew.
-  const std::vector<std::uint8_t> b = wire::encode_let_scratch(2, let, scratch);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(scratch.capacity(), cap);
-}
-
 // SimConfig::let_cache is a bench/ remnant that src/ ignores: a multi-rank
 // run with it set must reproduce the run without it bit for bit.
 TEST(LetDelta, CachedSimulationMatchesUncachedBitForBit) {
