@@ -24,9 +24,6 @@
 
 namespace bonsai {
 
-// Threads per warp on the hardware the paper targets (footnote 4).
-inline constexpr int kWarpSize = 32;
-
 class Device {
  public:
   // `num_threads` counts the thread that calls the stages: it runs parallel

@@ -18,7 +18,6 @@ void Rank::build(const sfc::KeySpace& space, const SimConfig& cfg) {
     device_.compute_properties(parts_, tree_, cfg.theta);
     groups_ = make_groups(parts_, cfg.ncrit);
   }
-  box_ = parts_.empty() ? AABB{} : tree_.root().box;
 }
 
 InteractionStats Rank::gravity_local(const SimConfig& cfg) {

@@ -69,10 +69,6 @@ class Rank {
   const Octree& tree() const { return tree_; }
   std::span<const TargetGroup> groups() const { return groups_; }
 
-  // Tight AABB of the rank's particles (valid only when non-empty); this is
-  // the box remote ranks build LETs against.
-  const AABB& domain_box() const { return box_; }
-
   // Sort by SFC key, build the octree, compute multipoles/MAC radii and
   // target groups (spans rank.sort, rank.build, rank.properties).
   void build(const sfc::KeySpace& space, const SimConfig& cfg);
@@ -101,7 +97,6 @@ class Rank {
   ParticleSet parts_;
   Octree tree_;
   std::vector<TargetGroup> groups_;
-  AABB box_;
 };
 
 }  // namespace bonsai::domain

@@ -222,8 +222,8 @@ std::unique_ptr<SocketTransport> SocketTransport::connect_mesh(const std::string
   // Bind the own listener *before* announcing it: once the coordinator's
   // directory is out, any peer may dial at any moment.
   t->listener_ = std::make_unique<Listener>(listen_port, /*backlog=*/255);
-  t->mesh_port_ = t->listener_->port();
-  Peer& coord = t->join_coordinator(host, port, wire::encode_hello(rank, t->mesh_port_));
+  const std::uint16_t mesh_port = t->listener_->port();
+  Peer& coord = t->join_coordinator(host, port, wire::encode_hello(rank, mesh_port));
 
   // The directory is the first frame back on this link; read it here,
   // synchronously, before the reader thread takes the stream over. The

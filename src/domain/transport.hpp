@@ -174,8 +174,6 @@ class SocketTransport final : public Transport {
   ~SocketTransport() override;
 
   std::uint16_t port() const { return port_; }
-  // Mesh worker: the port its own listener is bound to (0 otherwise).
-  std::uint16_t mesh_port() const { return mesh_port_; }
 
   void post(int src, int dst, std::vector<std::uint8_t> frame) override;
   std::optional<std::vector<std::uint8_t>> recv(int dst) override;
@@ -211,8 +209,7 @@ class SocketTransport final : public Transport {
   SocketTopology topology_ = SocketTopology::kStar;
   int local_rank_ = kCoordinatorRank;  // worker: its rank id
   int nworkers_ = 0;
-  std::uint16_t port_ = 0;       // coordinator listen port
-  std::uint16_t mesh_port_ = 0;  // mesh worker: own listen port
+  std::uint16_t port_ = 0;  // coordinator listen port
   // Coordinator: for the worker hellos. Mesh worker: for the lower-ranked
   // peers' dials, released once the mesh is up.
   std::unique_ptr<Listener> listener_;

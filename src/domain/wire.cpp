@@ -22,10 +22,36 @@ constexpr std::size_t kNodeBytes = 167;
 constexpr std::size_t kParticleBytes = 9 * 8;
 constexpr std::size_t kParticleForceBytes = 14 * 8;
 
+// --- One field vocabulary, two directions -------------------------------------
+// Writer and Reader answer the same calls, so each frame's layout is one
+// function template (the `*_fields` lists below): handed a Writer and a const
+// value it encodes, handed a Reader and a value to fill it decodes. The Reader
+// bounds-checks every read, range-checks flags and enums, and checks each
+// count against the remaining payload before allocating from it. `kDecoding`
+// guards the few checks that have no counterpart on the writer side.
+
+// The 16-byte frame header.
+template <typename IO>
+void header_fields(IO& io, std::uint32_t& magic, std::uint16_t& version, std::uint16_t& type,
+                   std::uint64_t& payload) {
+  io.u32(magic);
+  io.u16(version);
+  io.u16(type);
+  io.u64(payload);
+}
+
 // --- Flat little-endian writer ----------------------------------------------
 class Writer {
  public:
-  explicit Writer(FrameType type) { header(type); }
+  static constexpr bool kDecoding = false;
+
+  explicit Writer(FrameType type) {
+    std::uint32_t magic = kMagic;
+    std::uint16_t version = kVersion;
+    auto raw_type = static_cast<std::uint16_t>(type);
+    std::uint64_t payload = 0;  // patched by finish()
+    header_fields(*this, magic, version, raw_type, payload);
+  }
 
   // Make room for `bytes` more bytes at once, for frames whose size is known
   // up front; later fields then write without regrowing.
@@ -38,13 +64,8 @@ class Writer {
   void u32(std::uint32_t v) { raw(v); }
   void u64(std::uint64_t v) { raw(v); }
   void i32(std::int32_t v) { raw(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { raw(static_cast<std::uint64_t>(v)); }
   void f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
-
-  void f64_span(std::span<const double> v) { raw_span(v); }
-  void u64_span(std::span<const std::uint64_t> v) { raw_span(v); }
-  void bytes(std::span<const std::uint8_t> v) {
-    if (!v.empty()) std::memcpy(take(v.size()), v.data(), v.size());
-  }
 
   void vec3(const Vec3d& v) {
     f64(v.x);
@@ -57,6 +78,44 @@ class Writer {
     vec3(b.hi);
   }
 
+  void flag(bool v, const char*) { u8(v ? 1 : 0); }
+
+  template <typename E>
+  void enum8(E v, E, E, const char*) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+
+  // Count prefixes; the list's elements follow.
+  template <typename V>
+  void count32(const V& v, std::size_t, const char*) {
+    raw(static_cast<std::uint32_t>(v.size()));
+  }
+  template <typename V>
+  void count64(const V& v, std::size_t, const char*) {
+    raw(static_cast<std::uint64_t>(v.size()));
+  }
+
+  // The frame fixes `v` to `n` elements.
+  template <typename V>
+  void resize(const V& v, std::size_t n) {
+    BNS_CHECK(v.size() == n);
+  }
+
+  void str(const std::string& s, const char* what) {
+    count32(s, 1, what);
+    if (!s.empty()) std::memcpy(take(s.size()), s.data(), s.size());
+  }
+
+  void f64s(std::span<const double> v) { raw_span(v); }
+  void u64s(std::span<const std::uint64_t> v) { raw_span(v); }
+
+  // A u32-counted map; `each(key, value)` lists one entry's fields.
+  template <typename Map, typename Each>
+  void entries(const Map& m, std::size_t, const char*, Each each) {
+    raw(static_cast<std::uint32_t>(m.size()));
+    for (const auto& [key, value] : m) each(key, value);
+  }
+
   std::vector<std::uint8_t> finish() {
     buf_.resize(pos_);
     const std::uint64_t payload = pos_ - kHeaderBytes;
@@ -67,13 +126,6 @@ class Writer {
   }
 
  private:
-  void header(FrameType type) {
-    u32(kMagic);
-    u16(kVersion);
-    u16(static_cast<std::uint16_t>(type));
-    u64(0);  // payload length, patched by finish()
-  }
-
   // The next `n` bytes at the write cursor. The buffer grows geometrically,
   // so appending a field is a compare and a copy; finish() trims the rest.
   std::uint8_t* take(std::size_t n) {
@@ -110,6 +162,8 @@ class Writer {
 // --- Bounds-checked little-endian reader -------------------------------------
 class Reader {
  public:
+  static constexpr bool kDecoding = true;
+
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
@@ -117,16 +171,6 @@ class Reader {
   void require(bool cond, const char* what) {
     if (!cond) throw WireError(std::string("wire decode: ") + what);
   }
-
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() { return raw<std::uint16_t>(); }
-  std::uint32_t u32() { return raw<std::uint32_t>(); }
-  std::uint64_t u64() { return raw<std::uint64_t>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(raw<std::uint32_t>()); }
-  double f64() { return std::bit_cast<double>(raw<std::uint64_t>()); }
-
-  void f64_span(std::span<double> out) { raw_span(out); }
-  void u64_span(std::span<std::uint64_t> out) { raw_span(out); }
 
   // Sized-array handshake: validate that `count` elements of `elem_bytes`
   // each actually fit in the remaining payload *before* any allocation, so a
@@ -136,13 +180,74 @@ class Reader {
     return static_cast<std::size_t>(count);
   }
 
-  Vec3d vec3() { return {f64(), f64(), f64()}; }
+  void u8(std::uint8_t& v) { v = take(1)[0]; }
+  void u16(std::uint16_t& v) { raw(v); }
+  void u32(std::uint32_t& v) { raw(v); }
+  void u64(std::uint64_t& v) { raw(v); }
+  void i32(std::int32_t& v) { v = static_cast<std::int32_t>(raw<std::uint32_t>()); }
+  void i64(std::int64_t& v) { v = static_cast<std::int64_t>(raw<std::uint64_t>()); }
+  void f64(double& v) { v = std::bit_cast<double>(raw<std::uint64_t>()); }
 
-  AABB aabb() {
-    AABB b;
-    b.lo = vec3();
-    b.hi = vec3();
-    return b;
+  void vec3(Vec3d& v) {
+    f64(v.x);
+    f64(v.y);
+    f64(v.z);
+  }
+
+  void aabb(AABB& b) {
+    vec3(b.lo);
+    vec3(b.hi);
+  }
+
+  void flag(bool& v, const char* what) {
+    std::uint8_t b = 0;
+    u8(b);
+    require(b <= 1, what);
+    v = b != 0;
+  }
+
+  template <typename E>
+  void enum8(E& v, E first, E last, const char* what) {
+    std::uint8_t b = 0;
+    u8(b);
+    require(b >= static_cast<std::uint8_t>(first) && b <= static_cast<std::uint8_t>(last), what);
+    v = static_cast<E>(b);
+  }
+
+  // `v` gets as many elements as the count prefix says, once they can fit in
+  // the remaining payload at `elem_bytes` each.
+  template <typename V>
+  void count32(V& v, std::size_t elem_bytes, const char* what) {
+    v.resize(array_count(raw<std::uint32_t>(), elem_bytes, what));
+  }
+  template <typename V>
+  void count64(V& v, std::size_t elem_bytes, const char* what) {
+    v.resize(array_count(raw<std::uint64_t>(), elem_bytes, what));
+  }
+
+  // Only after a check that bounds `n` by the payload.
+  template <typename V>
+  void resize(V& v, std::size_t n) {
+    v.resize(n);
+  }
+
+  void str(std::string& s, const char* what) {
+    count32(s, 1, what);
+    if (!s.empty()) std::memcpy(s.data(), take(s.size()).data(), s.size());
+  }
+
+  void f64s(std::span<double> out) { raw_span(out); }
+  void u64s(std::span<std::uint64_t> out) { raw_span(out); }
+
+  template <typename Map, typename Each>
+  void entries(Map& m, std::size_t elem_bytes, const char* what, Each each) {
+    const std::size_t n = array_count(raw<std::uint32_t>(), elem_bytes, what);
+    for (std::size_t i = 0; i < n; ++i) {
+      typename Map::key_type key;
+      typename Map::mapped_type value;
+      each(key, value);
+      m.insert_or_assign(std::move(key), std::move(value));
+    }
   }
 
   void done() { require(pos_ == bytes_.size(), "trailing bytes after payload"); }
@@ -156,15 +261,21 @@ class Reader {
   }
 
   template <typename T>
-  T raw() {
+  void raw(T& v) {
     const auto s = take(sizeof(T));
-    T v = 0;
     if constexpr (kHostLittle) {
       std::memcpy(&v, s.data(), sizeof(T));
     } else {
+      v = 0;
       for (std::size_t i = 0; i < sizeof(T); ++i)
         v = static_cast<T>(v | (static_cast<T>(s[i]) << (8 * i)));
     }
+  }
+
+  template <typename T>
+  T raw() {
+    T v;
+    raw(v);
     return v;
   }
 
@@ -194,20 +305,23 @@ Reader open_frame(std::span<const std::uint8_t> frame, FrameType expected) {
   return Reader(frame.subspan(kHeaderBytes));
 }
 
-void put_node(Writer& w, const TreeNode& nd) {
-  w.u64(nd.key_begin);
-  w.u64(nd.key_end);
-  w.u32(nd.part_begin);
-  w.u32(nd.part_end);
-  w.i32(nd.first_child);
-  w.u8(nd.num_children);
-  w.u8(nd.level);
-  w.u8(static_cast<std::uint8_t>(nd.kind));
-  w.aabb(nd.box);
-  w.f64(nd.mp.mass);
-  w.vec3(nd.mp.com);
-  for (double q : nd.mp.quad.q) w.f64(q);
-  w.f64(nd.rcrit);
+// --- Field lists shared by several frames ------------------------------------
+
+template <typename IO, typename Node>
+void node_fields(IO& io, Node& nd) {
+  io.u64(nd.key_begin);
+  io.u64(nd.key_end);
+  io.u32(nd.part_begin);
+  io.u32(nd.part_end);
+  io.i32(nd.first_child);
+  io.u8(nd.num_children);
+  io.u8(nd.level);
+  io.enum8(nd.kind, NodeKind::kInternal, NodeKind::kMultipoleLeaf, "unknown node kind");
+  io.aabb(nd.box);
+  io.f64(nd.mp.mass);
+  io.vec3(nd.mp.com);
+  for (auto& q : nd.mp.quad.q) io.f64(q);
+  io.f64(nd.rcrit);
 }
 
 // Enforce the structural invariants both LET producers guarantee: children
@@ -234,81 +348,276 @@ void validate_node(TreeNode& nd, std::size_t index, std::size_t num_nodes,
   }
 }
 
-// Read one node and enforce the invariants above.
-TreeNode read_node(Reader& r, std::size_t index, std::size_t num_nodes,
-                   std::size_t num_particles) {
-  TreeNode nd;
-  nd.key_begin = r.u64();
-  nd.key_end = r.u64();
-  nd.part_begin = r.u32();
-  nd.part_end = r.u32();
-  nd.first_child = r.i32();
-  nd.num_children = r.u8();
-  nd.level = r.u8();
-  const std::uint8_t kind = r.u8();
-  nd.box = r.aabb();
-  nd.mp.mass = r.f64();
-  nd.mp.com = r.vec3();
-  for (double& q : nd.mp.quad.q) q = r.f64();
-  nd.rcrit = r.f64();
-
-  r.require(kind <= static_cast<std::uint8_t>(NodeKind::kMultipoleLeaf),
-            "unknown node kind");
-  nd.kind = static_cast<NodeKind>(kind);
-  validate_node(nd, index, num_nodes, num_particles);
-  return nd;
-}
-
-void put_particle_payload(Writer& w, int src, const ParticleSet& p, bool with_forces) {
-  w.i32(src);
-  w.u8(with_forces ? 1 : 0);
-  w.u64(p.size());
-  w.f64_span(p.x);
-  w.f64_span(p.y);
-  w.f64_span(p.z);
-  w.f64_span(p.vx);
-  w.f64_span(p.vy);
-  w.f64_span(p.vz);
-  w.f64_span(p.mass);
-  w.u64_span(p.id);
-  w.u64_span(p.key);
+// A particle batch: source rank, force flag, count, then one column per
+// field; forces/potential/work only when the flag is set.
+template <typename IO, typename Src, typename Flag, typename Parts>
+void particle_fields(IO& io, Src& src, Flag& with_forces, Parts& p) {
+  io.i32(src);
+  io.flag(with_forces, "unknown particle batch flags");
+  io.count64(p, with_forces ? kParticleForceBytes : kParticleBytes,
+             "particle count exceeds payload");
+  io.f64s(p.x);
+  io.f64s(p.y);
+  io.f64s(p.z);
+  io.f64s(p.vx);
+  io.f64s(p.vy);
+  io.f64s(p.vz);
+  io.f64s(p.mass);
+  io.u64s(p.id);
+  io.u64s(p.key);
   if (with_forces) {
-    w.f64_span(p.ax);
-    w.f64_span(p.ay);
-    w.f64_span(p.az);
-    w.f64_span(p.pot);
-    w.f64_span(p.work);
+    io.f64s(p.ax);
+    io.f64s(p.ay);
+    io.f64s(p.az);
+    io.f64s(p.pot);
+    io.f64s(p.work);
   }
 }
 
-ParticleBatch read_particle_payload(Reader& r) {
-  ParticleBatch batch;
-  batch.src = r.i32();
-  const std::uint8_t flags = r.u8();
-  r.require(flags <= 1, "unknown particle batch flags");
-  batch.with_forces = flags != 0;
-  const std::size_t n =
-      r.array_count(r.u64(), batch.with_forces ? kParticleForceBytes : kParticleBytes,
-                    "particle count exceeds payload");
-  ParticleSet& p = batch.parts;
-  p.resize(n);
-  r.f64_span(p.x);
-  r.f64_span(p.y);
-  r.f64_span(p.z);
-  r.f64_span(p.vx);
-  r.f64_span(p.vy);
-  r.f64_span(p.vz);
-  r.f64_span(p.mass);
-  r.u64_span(p.id);
-  r.u64_span(p.key);
-  if (batch.with_forces) {
-    r.f64_span(p.ax);
-    r.f64_span(p.ay);
-    r.f64_span(p.az);
-    r.f64_span(p.pot);
-    r.f64_span(p.work);
+// A particle batch whose force flag the frame fixes to `forces`.
+template <typename IO, typename Src, typename Parts>
+void fixed_particle_fields(IO& io, Src& src, bool forces, Parts& p, const char* what) {
+  bool with_forces = forces;
+  particle_fields(io, src, with_forces, p);
+  if constexpr (IO::kDecoding) io.require(with_forces == forces, what);
+}
+
+template <typename IO, typename Stats>
+void interaction_stats_fields(IO& io, Stats& s) {
+  io.u64(s.p2p);
+  io.u64(s.p2c);
+  io.u64(s.p2p_padded);
+  io.u64(s.p2c_padded);
+  io.u64(s.pp_batches);
+  io.u64(s.pc_batches);
+  for (auto& b : s.batch_hist) io.u64(b);
+}
+
+// Minimum wire footprint of one span: name length prefix + the fixed fields.
+constexpr std::size_t kSpanMinBytes = 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8;
+
+template <typename IO, typename S>
+void span_fields(IO& io, S& s) {
+  io.str(s.name, "span name exceeds payload");
+  io.i64(s.begin_ns);
+  io.i64(s.end_ns);
+  io.i32(s.rank);
+  io.i32(s.lane);
+  io.i64(s.step);
+  io.i64(s.peer);
+  io.i64(s.bytes);
+  if constexpr (IO::kDecoding) io.require(s.end_ns >= s.begin_ns, "span ends before it begins");
+}
+
+template <typename IO, typename Metrics>
+void metrics_fields(IO& io, Metrics& m) {
+  const auto named_value = [&io](auto& name, auto& v) {
+    io.str(name, "metric name exceeds payload");
+    io.f64(v);
+  };
+  io.entries(m.counters, 4 + 8, "metric counter count exceeds payload", named_value);
+  io.entries(m.gauges, 4 + 8, "metric gauge count exceeds payload", named_value);
+  io.entries(m.histograms, 4 + 4 + 8 + 8 + 8, "metric histogram count exceeds payload",
+             [&io](auto& name, auto& h) {
+               io.str(name, "metric name exceeds payload");
+               io.count32(h.bounds, 8 + 8, "histogram bound count exceeds payload");
+               io.f64s(h.bounds);
+               io.resize(h.counts, h.bounds.size() + 1);
+               io.u64s(h.counts);
+               io.u64(h.count);
+               io.f64(h.sum);
+             });
+}
+
+// --- Frame field lists ---------------------------------------------------------
+
+template <typename IO, typename Src, typename Let>
+void let_fields(IO& io, Src& src, Let& let) {
+  io.i32(src);
+  auto num_nodes = static_cast<std::uint32_t>(let.nodes.size());
+  auto num_parts = static_cast<std::uint32_t>(let.num_particles());
+  io.u32(num_nodes);
+  io.u32(num_parts);
+  if constexpr (IO::kDecoding) {
+    io.require(num_nodes <= io.remaining() / kNodeBytes, "node count exceeds payload");
+    io.require(num_parts <= (io.remaining() - num_nodes * kNodeBytes) / (4 * 8),
+               "particle count exceeds payload");
   }
-  return batch;
+  io.resize(let.nodes, num_nodes);
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    node_fields(io, let.nodes[i]);
+    if constexpr (IO::kDecoding) validate_node(let.nodes[i], i, num_nodes, num_parts);
+  }
+  for (auto* col : {&let.x, &let.y, &let.z, &let.m}) {
+    io.resize(*col, num_parts);
+    io.f64s(*col);
+  }
+}
+
+template <typename IO, typename Rank, typename Port>
+void hello_fields(IO& io, Rank& rank, Port& listen_port) {
+  io.i32(rank);
+  io.u16(listen_port);
+}
+
+template <typename IO, typename Peers>
+void peer_directory_fields(IO& io, Peers& peers) {
+  auto n = static_cast<std::uint32_t>(peers.size());
+  io.u32(n);
+  if constexpr (IO::kDecoding) {
+    io.array_count(n, 2 + 4, "directory entry count exceeds payload");
+    io.require(n >= 1 && n <= 255, "directory rank count out of range");
+  }
+  io.resize(peers, n);
+  for (auto& p : peers) {
+    io.u16(p.port);
+    io.str(p.host, "directory host exceeds payload");
+  }
+}
+
+// PeerHello (a rank) and JobCancel (a job id): one i32.
+template <typename IO, typename Id>
+void id_fields(IO& io, Id& id) {
+  io.i32(id);
+}
+
+template <typename IO, typename Config>
+void config_fields(IO& io, Config& cfg) {
+  io.i32(cfg.nranks);
+  io.f64(cfg.theta);
+  io.f64(cfg.eps);
+  io.i32(cfg.nleaf);
+  io.i32(cfg.ncrit);
+  io.f64(cfg.dt);
+  io.u64(cfg.samples_per_rank);
+  io.i32(cfg.snap_level);
+  io.enum8(cfg.kernel, KernelBackend::kScalar, KernelBackend::kSimd,
+           "config kernel backend out of range");
+}
+
+template <typename IO, typename Begin>
+void step_begin_fields(IO& io, Begin& sb) {
+  io.i32(sb.step);
+  io.enum8(sb.mode, StepMode::kSpmdBootstrap, StepMode::kCollect, "unknown step mode");
+  int src = -1;
+  fixed_particle_fields(io, src, false, sb.parts, "step-begin batch must not carry forces");
+}
+
+template <typename IO, typename Bounds>
+void boundaries_fields(IO& io, Bounds& b) {
+  io.i32(b.src);
+  io.i32(b.step);
+  io.flag(b.post_migration, "unknown boundaries phase");
+  io.u64(b.count);
+  io.aabb(b.box);
+  io.f64(b.weight);
+}
+
+template <typename IO, typename Samples>
+void key_samples_fields(IO& io, Samples& ks) {
+  io.i32(ks.src);
+  io.i32(ks.step);
+  io.count64(ks.keys, 8, "sample count exceeds payload");
+  io.u64s(ks.keys);
+}
+
+template <typename IO, typename Src, typename Step, typename Parts>
+void migration_fields(IO& io, Src& src, Step& step, Parts& parts) {
+  io.i32(step);
+  fixed_particle_fields(io, src, false, parts, "migration batches must travel force-free");
+}
+
+template <typename IO, typename Result>
+void step_result_fields(IO& io, Result& sr) {
+  io.i32(sr.rank);
+  interaction_stats_fields(io, sr.local_stats);
+  interaction_stats_fields(io, sr.remote_stats);
+  io.u64(sr.migrated);
+  io.u64(sr.local_count);
+  io.f64(sr.kinetic);
+  io.f64(sr.potential);
+  io.count32(sr.let_sizes, 3 * 8, "LET size count exceeds payload");
+  for (auto& s : sr.let_sizes) {
+    io.u64(s.cells);
+    io.u64(s.particles);
+    io.u64(s.bytes);
+  }
+  io.count32(sr.boundaries, 8, "boundary count exceeds payload");
+  io.u64s(sr.boundaries);
+  io.count32(sr.traffic, 4 + 4 + 2 + 8 + 8, "traffic count exceeds payload");
+  for (auto& t : sr.traffic) {
+    io.i32(t.src);
+    io.i32(t.dst);
+    io.u16(t.type);
+    io.u64(t.frames);
+    io.u64(t.bytes);
+  }
+  io.i64(sr.recv_ns);
+  io.i64(sr.send_ns);
+  io.count32(sr.spans, kSpanMinBytes, "span count exceeds payload");
+  for (auto& s : sr.spans) span_fields(io, s);
+}
+
+template <typename IO, typename Spec>
+void job_submit_fields(IO& io, Spec& spec) {
+  io.str(spec.name, "job name exceeds payload");
+  io.u64(spec.n);
+  io.u64(spec.seed);
+  io.i32(spec.steps);
+  io.i32(spec.ranks);
+  io.i32(spec.priority);
+  io.f64(spec.theta);
+  io.f64(spec.eps);
+  io.f64(spec.dt);
+  io.enum8(spec.kernel, KernelBackend::kScalar, KernelBackend::kSimd,
+           "job kernel backend out of range");
+  int src = -1;
+  fixed_particle_fields(io, src, false, spec.parts,
+                        "job initial condition must travel force-free");
+}
+
+template <typename IO, typename Status>
+void job_status_fields(IO& io, Status& status) {
+  io.i32(status.job_id);
+  io.enum8(status.state, JobState::kQueued, JobState::kRejected, "unknown job state");
+  io.flag(status.wait, "unknown job status flags");
+  io.i32(status.steps_done);
+  io.i32(status.steps_total);
+  io.i32(status.ranks);
+  io.i32(status.priority);
+  io.u64(status.n);
+  io.str(status.reason, "job status reason exceeds payload");
+}
+
+template <typename IO, typename Result>
+void job_result_fields(IO& io, Result& result) {
+  io.i32(result.job_id);
+  io.enum8(result.state, JobState::kQueued, JobState::kRejected, "unknown job state");
+  io.i32(result.steps_done);
+  io.f64(result.kinetic);
+  io.f64(result.potential);
+  io.str(result.reason, "job result reason exceeds payload");
+  int src = -1;
+  fixed_particle_fields(io, src, true, result.parts, "job result batch must carry forces");
+}
+
+template <typename IO, typename Snap>
+void snapshot_fields(IO& io, Snap& snap) {
+  io.i32(snap.job_id);
+  io.i32(snap.next_step);
+  auto nsets = static_cast<std::uint32_t>(snap.sets.size());
+  io.u32(nsets);
+  if constexpr (IO::kDecoding) {
+    // Minimum per-set footprint: the particle payload prologue (src + flags +
+    // count) of an empty set.
+    io.array_count(nsets, 4 + 1 + 8, "snapshot set count exceeds payload");
+    io.require(nsets <= 255, "snapshot rank count out of range");
+  }
+  io.resize(snap.sets, nsets);
+  for (std::size_t r = 0; r < nsets; ++r) {
+    int src = static_cast<int>(r);
+    fixed_particle_fields(io, src, true, snap.sets[r], "snapshot sets must carry forces");
+  }
 }
 
 }  // namespace
@@ -357,46 +666,27 @@ void merge_traffic(std::vector<PeerTraffic>& into, std::span<const PeerTraffic> 
 FrameType frame_type(std::span<const std::uint8_t> frame) {
   if (frame.size() < kHeaderBytes) throw WireError("wire decode: frame shorter than header");
   Reader r(frame);
-  if (r.u32() != kMagic) throw WireError("wire decode: bad magic");
-  const std::uint16_t version = r.u16();
+  std::uint32_t magic = 0;
+  std::uint16_t version = 0, raw_type = 0;
+  std::uint64_t payload = 0;
+  header_fields(r, magic, version, raw_type, payload);
+  if (magic != kMagic) throw WireError("wire decode: bad magic");
   if (version != kVersion)
     throw WireError("wire decode: version mismatch (got " + std::to_string(version) +
                     ", expected " + std::to_string(kVersion) + ")");
-  const std::uint16_t raw_type = r.u16();
   const auto type = static_cast<FrameType>(raw_type);
   // frame_type_name has an arm for exactly the live types.
   if (std::strcmp(frame_type_name(type), "Unknown") == 0)
     throw WireError("wire decode: unknown frame type " + std::to_string(raw_type));
-  if (r.u64() != frame.size() - kHeaderBytes)
+  if (payload != frame.size() - kHeaderBytes)
     throw WireError("wire decode: payload length mismatch");
   return type;
 }
 
-namespace {
-
-// Exact wire footprint of the full Let frame for the same tree.
-std::uint64_t full_let_bytes(const LetTree& let) {
-  return kHeaderBytes + 4 + 4 + 4 + let.num_cells() * kNodeBytes +
-         let.num_particles() * 4 * 8;  // x y z m
-}
-
-void put_let(Writer& w, int src, const LetTree& let) {
-  w.reserve(full_let_bytes(let) - kHeaderBytes);
-  w.i32(src);
-  w.u32(static_cast<std::uint32_t>(let.nodes.size()));
-  w.u32(static_cast<std::uint32_t>(let.num_particles()));
-  for (const TreeNode& nd : let.nodes) put_node(w, nd);
-  w.f64_span(let.x);
-  w.f64_span(let.y);
-  w.f64_span(let.z);
-  w.f64_span(let.m);
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_let(int src, const LetTree& let) {
   Writer w(FrameType::kLet);
-  put_let(w, src, let);
+  w.reserve(4 + 4 + 4 + let.num_cells() * kNodeBytes + let.num_particles() * 4 * 8);
+  let_fields(w, src, let);
   return w.finish();
 }
 
@@ -404,24 +694,7 @@ LetMessage decode_let(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kLet);
   LetMessage msg;
   msg.wire_bytes = frame.size();
-  msg.src = r.i32();
-  const std::size_t num_nodes = r.u32();
-  const std::size_t num_parts = r.u32();
-  r.require(num_nodes <= r.remaining() / kNodeBytes,
-            "node count exceeds payload");
-  r.require(num_parts <= (r.remaining() - num_nodes * kNodeBytes) / (4 * 8),
-            "particle count exceeds payload");
-  msg.let.nodes.reserve(num_nodes);
-  for (std::size_t i = 0; i < num_nodes; ++i)
-    msg.let.nodes.push_back(read_node(r, i, num_nodes, num_parts));
-  msg.let.x.resize(num_parts);
-  msg.let.y.resize(num_parts);
-  msg.let.z.resize(num_parts);
-  msg.let.m.resize(num_parts);
-  r.f64_span(msg.let.x);
-  r.f64_span(msg.let.y);
-  r.f64_span(msg.let.z);
-  r.f64_span(msg.let.m);
+  let_fields(r, msg.src, msg.let);
   r.done();
   return msg;
 }
@@ -429,102 +702,70 @@ LetMessage decode_let(std::span<const std::uint8_t> frame) {
 std::vector<std::uint8_t> encode_particles(int src, const ParticleSet& parts,
                                            bool with_forces) {
   Writer w(FrameType::kParticles);
-  put_particle_payload(w, src, parts, with_forces);
+  particle_fields(w, src, with_forces, parts);
   return w.finish();
 }
 
 ParticleBatch decode_particles(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kParticles);
-  ParticleBatch batch = read_particle_payload(r);
+  ParticleBatch batch;
+  particle_fields(r, batch.src, batch.with_forces, batch.parts);
   r.done();
   return batch;
 }
 
 std::vector<std::uint8_t> encode_hello(int rank, std::uint16_t listen_port) {
   Writer w(FrameType::kHello);
-  w.i32(rank);
-  w.u16(listen_port);
+  hello_fields(w, rank, listen_port);
   return w.finish();
 }
 
 Hello decode_hello(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kHello);
   Hello h;
-  h.rank = r.i32();
-  h.listen_port = r.u16();
+  hello_fields(r, h.rank, h.listen_port);
   r.done();
   return h;
 }
 
 std::vector<std::uint8_t> encode_peer_directory(std::span<const PeerEndpoint> peers) {
   Writer w(FrameType::kPeerDirectory);
-  w.u32(static_cast<std::uint32_t>(peers.size()));
-  for (const PeerEndpoint& p : peers) {
-    w.u16(p.port);
-    w.u32(static_cast<std::uint32_t>(p.host.size()));
-    for (const char c : p.host) w.u8(static_cast<std::uint8_t>(c));
-  }
+  peer_directory_fields(w, peers);
   return w.finish();
 }
 
 std::vector<PeerEndpoint> decode_peer_directory(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kPeerDirectory);
-  const std::size_t n =
-      r.array_count(r.u32(), 2 + 4, "directory entry count exceeds payload");
-  r.require(n >= 1 && n <= 255, "directory rank count out of range");
-  std::vector<PeerEndpoint> peers(n);
-  for (PeerEndpoint& p : peers) {
-    p.port = r.u16();
-    const std::size_t len = r.array_count(r.u32(), 1, "directory host exceeds payload");
-    p.host.resize(len);
-    for (char& c : p.host) c = static_cast<char>(r.u8());
-  }
+  std::vector<PeerEndpoint> peers;
+  peer_directory_fields(r, peers);
   r.done();
   return peers;
 }
 
 std::vector<std::uint8_t> encode_peer_hello(int rank) {
   Writer w(FrameType::kPeerHello);
-  w.i32(rank);
+  id_fields(w, rank);
   return w.finish();
 }
 
 int decode_peer_hello(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kPeerHello);
-  const int rank = r.i32();
+  int rank = -1;
+  id_fields(r, rank);
   r.done();
   return rank;
 }
 
 std::vector<std::uint8_t> encode_config(const SimConfig& cfg) {
   Writer w(FrameType::kConfig);
-  w.i32(cfg.nranks);
-  w.f64(cfg.theta);
-  w.f64(cfg.eps);
-  w.i32(cfg.nleaf);
-  w.i32(cfg.ncrit);
-  w.f64(cfg.dt);
-  w.u64(cfg.samples_per_rank);
-  w.i32(cfg.snap_level);
-  w.u8(static_cast<std::uint8_t>(cfg.kernel));
+  config_fields(w, cfg);
   return w.finish();
 }
 
 SimConfig decode_config(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kConfig);
   SimConfig cfg;
-  cfg.nranks = r.i32();
-  cfg.theta = r.f64();
-  cfg.eps = r.f64();
-  cfg.nleaf = r.i32();
-  cfg.ncrit = r.i32();
-  cfg.dt = r.f64();
-  cfg.samples_per_rank = r.u64();
-  cfg.snap_level = r.i32();
-  const std::uint8_t kernel = r.u8();
-  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
-            "config kernel backend out of range");
-  cfg.kernel = static_cast<KernelBackend>(kernel);
+  config_fields(r, cfg);
   r.done();
   r.require(cfg.nranks >= 1 && cfg.nranks <= 255, "config rank count out of range");
   return cfg;
@@ -532,293 +773,73 @@ SimConfig decode_config(std::span<const std::uint8_t> frame) {
 
 std::vector<std::uint8_t> encode_step_begin(const StepBegin& sb) {
   Writer w(FrameType::kStepBegin);
-  w.i32(sb.step);
-  w.u8(static_cast<std::uint8_t>(sb.mode));
-  put_particle_payload(w, -1, sb.parts, /*with_forces=*/false);
+  step_begin_fields(w, sb);
   return w.finish();
 }
 
 StepBegin decode_step_begin(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kStepBegin);
   StepBegin sb;
-  sb.step = r.i32();
-  const std::uint8_t mode = r.u8();
-  r.require(mode >= static_cast<std::uint8_t>(StepMode::kSpmdBootstrap) &&
-                mode <= static_cast<std::uint8_t>(StepMode::kCollect),
-            "unknown step mode");
-  sb.mode = static_cast<StepMode>(mode);
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(!batch.with_forces, "step-begin batch must not carry forces");
-  sb.parts = std::move(batch.parts);
+  step_begin_fields(r, sb);
   r.done();
   return sb;
 }
 
 std::vector<std::uint8_t> encode_boundaries(const Boundaries& b) {
   Writer w(FrameType::kBoundaries);
-  w.i32(b.src);
-  w.i32(b.step);
-  w.u8(b.post_migration ? 1 : 0);
-  w.u64(b.count);
-  w.aabb(b.box);
-  w.f64(b.weight);
+  boundaries_fields(w, b);
   return w.finish();
 }
 
 Boundaries decode_boundaries(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kBoundaries);
   Boundaries b;
-  b.src = r.i32();
-  b.step = r.i32();
-  const std::uint8_t phase = r.u8();
-  r.require(phase <= 1, "unknown boundaries phase");
-  b.post_migration = phase != 0;
-  b.count = r.u64();
-  b.box = r.aabb();
-  b.weight = r.f64();
+  boundaries_fields(r, b);
   r.done();
   return b;
 }
 
 std::vector<std::uint8_t> encode_key_samples(const KeySamples& ks) {
   Writer w(FrameType::kKeySamples);
-  w.i32(ks.src);
-  w.i32(ks.step);
-  w.u64(ks.keys.size());
-  w.u64_span(ks.keys);
+  key_samples_fields(w, ks);
   return w.finish();
 }
 
 KeySamples decode_key_samples(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kKeySamples);
   KeySamples ks;
-  ks.src = r.i32();
-  ks.step = r.i32();
-  const std::size_t n = r.array_count(r.u64(), 8, "sample count exceeds payload");
-  ks.keys.resize(n);
-  r.u64_span(ks.keys);
+  key_samples_fields(r, ks);
   r.done();
   return ks;
 }
 
 std::vector<std::uint8_t> encode_migration(int src, int step, const ParticleSet& parts) {
   Writer w(FrameType::kMigration);
-  w.i32(step);
-  put_particle_payload(w, src, parts, /*with_forces=*/false);
+  migration_fields(w, src, step, parts);
   return w.finish();
 }
 
 MigrationMsg decode_migration(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kMigration);
   MigrationMsg msg;
-  msg.step = r.i32();
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(!batch.with_forces, "migration batches must travel force-free");
-  msg.src = batch.src;
-  msg.parts = std::move(batch.parts);
+  migration_fields(r, msg.src, msg.step, msg.parts);
   r.done();
   return msg;
 }
 
-namespace {
-
-void put_string(Writer& w, const std::string& s) {
-  w.u32(static_cast<std::uint32_t>(s.size()));
-  for (const char c : s) w.u8(static_cast<std::uint8_t>(c));
-}
-
-std::string read_string(Reader& r, const char* what) {
-  const std::size_t len = r.array_count(r.u32(), 1, what);
-  std::string s(len, '\0');
-  for (char& c : s) c = static_cast<char>(r.u8());
-  return s;
-}
-
-void put_i64(Writer& w, std::int64_t v) { w.u64(static_cast<std::uint64_t>(v)); }
-std::int64_t read_i64(Reader& r) { return static_cast<std::int64_t>(r.u64()); }
-
-// Minimum wire footprint of one span: name length prefix + the fixed fields.
-constexpr std::size_t kSpanMinBytes = 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8;
-
-void put_span(Writer& w, const trace::Span& s) {
-  put_string(w, s.name);
-  put_i64(w, s.begin_ns);
-  put_i64(w, s.end_ns);
-  w.i32(s.rank);
-  w.i32(s.lane);
-  put_i64(w, s.step);
-  put_i64(w, s.peer);
-  put_i64(w, s.bytes);
-}
-
-trace::Span read_span(Reader& r) {
-  trace::Span s;
-  s.name = read_string(r, "span name exceeds payload");
-  s.begin_ns = read_i64(r);
-  s.end_ns = read_i64(r);
-  s.rank = r.i32();
-  s.lane = r.i32();
-  s.step = read_i64(r);
-  s.peer = read_i64(r);
-  s.bytes = read_i64(r);
-  r.require(s.end_ns >= s.begin_ns, "span ends before it begins");
-  return s;
-}
-
-void put_interaction_stats(Writer& w, const InteractionStats& s) {
-  w.u64(s.p2p);
-  w.u64(s.p2c);
-  w.u64(s.p2p_padded);
-  w.u64(s.p2c_padded);
-  w.u64(s.pp_batches);
-  w.u64(s.pc_batches);
-  for (std::size_t b = 0; b < kBatchHistBuckets; ++b) w.u64(s.batch_hist[b]);
-}
-
-InteractionStats read_interaction_stats(Reader& r) {
-  InteractionStats s;
-  s.p2p = r.u64();
-  s.p2c = r.u64();
-  s.p2p_padded = r.u64();
-  s.p2c_padded = r.u64();
-  s.pp_batches = r.u64();
-  s.pc_batches = r.u64();
-  for (std::size_t b = 0; b < kBatchHistBuckets; ++b) s.batch_hist[b] = r.u64();
-  return s;
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_step_result(const StepResult& sr) {
   Writer w(FrameType::kStepResult);
-  w.i32(sr.rank);
-  put_interaction_stats(w, sr.local_stats);
-  put_interaction_stats(w, sr.remote_stats);
-  w.u64(sr.migrated);
-  w.u64(sr.local_count);
-  w.f64(sr.kinetic);
-  w.f64(sr.potential);
-  w.u32(static_cast<std::uint32_t>(sr.let_sizes.size()));
-  for (const LetSizeSample& s : sr.let_sizes) {
-    w.u64(s.cells);
-    w.u64(s.particles);
-    w.u64(s.bytes);
-  }
-  w.u32(static_cast<std::uint32_t>(sr.boundaries.size()));
-  w.u64_span(sr.boundaries);
-  w.u32(static_cast<std::uint32_t>(sr.traffic.size()));
-  for (const PeerTraffic& t : sr.traffic) {
-    w.i32(t.src);
-    w.i32(t.dst);
-    w.u16(t.type);
-    w.u64(t.frames);
-    w.u64(t.bytes);
-  }
-  put_i64(w, sr.recv_ns);
-  put_i64(w, sr.send_ns);
-  w.u32(static_cast<std::uint32_t>(sr.spans.size()));
-  for (const trace::Span& span : sr.spans) put_span(w, span);
+  step_result_fields(w, sr);
   return w.finish();
 }
 
 StepResult decode_step_result(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kStepResult);
   StepResult sr;
-  sr.rank = r.i32();
-  sr.local_stats = read_interaction_stats(r);
-  sr.remote_stats = read_interaction_stats(r);
-  sr.migrated = r.u64();
-  sr.local_count = r.u64();
-  sr.kinetic = r.f64();
-  sr.potential = r.f64();
-  const std::size_t nsizes = r.array_count(r.u32(), 3 * 8, "LET size count exceeds payload");
-  sr.let_sizes.resize(nsizes);
-  for (LetSizeSample& s : sr.let_sizes) {
-    s.cells = r.u64();
-    s.particles = r.u64();
-    s.bytes = r.u64();
-  }
-  const std::size_t nbounds = r.array_count(r.u32(), 8, "boundary count exceeds payload");
-  sr.boundaries.resize(nbounds);
-  r.u64_span(sr.boundaries);
-  const std::size_t ntraffic =
-      r.array_count(r.u32(), 4 + 4 + 2 + 8 + 8, "traffic count exceeds payload");
-  sr.traffic.resize(ntraffic);
-  for (PeerTraffic& t : sr.traffic) {
-    t.src = r.i32();
-    t.dst = r.i32();
-    t.type = r.u16();
-    t.frames = r.u64();
-    t.bytes = r.u64();
-  }
-  sr.recv_ns = read_i64(r);
-  sr.send_ns = read_i64(r);
-  const std::size_t nspans =
-      r.array_count(r.u32(), kSpanMinBytes, "span count exceeds payload");
-  sr.spans.reserve(nspans);
-  for (std::size_t i = 0; i < nspans; ++i) sr.spans.push_back(read_span(r));
+  step_result_fields(r, sr);
   r.done();
   return sr;
 }
-
-namespace {
-
-void put_metrics(Writer& w, const metrics::Snapshot& m) {
-  w.u32(static_cast<std::uint32_t>(m.counters.size()));
-  for (const auto& [name, v] : m.counters) {
-    put_string(w, name);
-    w.f64(v);
-  }
-  w.u32(static_cast<std::uint32_t>(m.gauges.size()));
-  for (const auto& [name, v] : m.gauges) {
-    put_string(w, name);
-    w.f64(v);
-  }
-  w.u32(static_cast<std::uint32_t>(m.histograms.size()));
-  for (const auto& [name, h] : m.histograms) {
-    BNS_CHECK(h.counts.size() == h.bounds.size() + 1);
-    put_string(w, name);
-    w.u32(static_cast<std::uint32_t>(h.bounds.size()));
-    w.f64_span(h.bounds);
-    w.u64_span(h.counts);
-    w.u64(h.count);
-    w.f64(h.sum);
-  }
-}
-
-metrics::Snapshot read_metrics(Reader& r) {
-  metrics::Snapshot m;
-  const std::size_t ncounters =
-      r.array_count(r.u32(), 4 + 8, "metric counter count exceeds payload");
-  for (std::size_t i = 0; i < ncounters; ++i) {
-    std::string name = read_string(r, "metric name exceeds payload");
-    m.counters[std::move(name)] = r.f64();
-  }
-  const std::size_t ngauges =
-      r.array_count(r.u32(), 4 + 8, "metric gauge count exceeds payload");
-  for (std::size_t i = 0; i < ngauges; ++i) {
-    std::string name = read_string(r, "metric name exceeds payload");
-    m.gauges[std::move(name)] = r.f64();
-  }
-  const std::size_t nhists =
-      r.array_count(r.u32(), 4 + 4 + 8 + 8 + 8, "metric histogram count exceeds payload");
-  for (std::size_t i = 0; i < nhists; ++i) {
-    std::string name = read_string(r, "metric name exceeds payload");
-    metrics::HistogramData h;
-    const std::size_t nbounds =
-        r.array_count(r.u32(), 8 + 8, "histogram bound count exceeds payload");
-    h.bounds.resize(nbounds);
-    r.f64_span(h.bounds);
-    h.counts.resize(nbounds + 1);
-    r.u64_span(h.counts);
-    h.count = r.u64();
-    h.sum = r.f64();
-    m.histograms.emplace(std::move(name), std::move(h));
-  }
-  return m;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_shutdown() { return Writer(FrameType::kShutdown).finish(); }
 
@@ -835,52 +856,16 @@ const char* job_state_name(JobState state) {
   return "unknown";
 }
 
-namespace {
-
-JobState read_job_state(Reader& r) {
-  const std::uint8_t state = r.u8();
-  r.require(state <= static_cast<std::uint8_t>(JobState::kRejected),
-            "unknown job state");
-  return static_cast<JobState>(state);
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_job_submit(const JobSpec& spec) {
   Writer w(FrameType::kJobSubmit);
-  put_string(w, spec.name);
-  w.u64(spec.n);
-  w.u64(spec.seed);
-  w.i32(spec.steps);
-  w.i32(spec.ranks);
-  w.i32(spec.priority);
-  w.f64(spec.theta);
-  w.f64(spec.eps);
-  w.f64(spec.dt);
-  w.u8(static_cast<std::uint8_t>(spec.kernel));
-  put_particle_payload(w, -1, spec.parts, /*with_forces=*/false);
+  job_submit_fields(w, spec);
   return w.finish();
 }
 
 JobSpec decode_job_submit(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kJobSubmit);
   JobSpec spec;
-  spec.name = read_string(r, "job name exceeds payload");
-  spec.n = r.u64();
-  spec.seed = r.u64();
-  spec.steps = r.i32();
-  spec.ranks = r.i32();
-  spec.priority = r.i32();
-  spec.theta = r.f64();
-  spec.eps = r.f64();
-  spec.dt = r.f64();
-  const std::uint8_t kernel = r.u8();
-  r.require(kernel <= static_cast<std::uint8_t>(KernelBackend::kSimd),
-            "job kernel backend out of range");
-  spec.kernel = static_cast<KernelBackend>(kernel);
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(!batch.with_forces, "job initial condition must travel force-free");
-  spec.parts = std::move(batch.parts);
+  job_submit_fields(r, spec);
   r.done();
   r.require(spec.steps >= 0, "job step count negative");
   r.require(spec.ranks >= 0 && spec.ranks <= 255, "job rank request out of range");
@@ -892,103 +877,56 @@ JobSpec decode_job_submit(std::span<const std::uint8_t> frame) {
 
 std::vector<std::uint8_t> encode_job_status(const JobStatusMsg& status) {
   Writer w(FrameType::kJobStatus);
-  w.i32(status.job_id);
-  w.u8(static_cast<std::uint8_t>(status.state));
-  w.u8(status.wait ? 1 : 0);
-  w.i32(status.steps_done);
-  w.i32(status.steps_total);
-  w.i32(status.ranks);
-  w.i32(status.priority);
-  w.u64(status.n);
-  put_string(w, status.reason);
+  job_status_fields(w, status);
   return w.finish();
 }
 
 JobStatusMsg decode_job_status(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kJobStatus);
   JobStatusMsg status;
-  status.job_id = r.i32();
-  status.state = read_job_state(r);
-  const std::uint8_t wait = r.u8();
-  r.require(wait <= 1, "unknown job status flags");
-  status.wait = wait != 0;
-  status.steps_done = r.i32();
-  status.steps_total = r.i32();
-  status.ranks = r.i32();
-  status.priority = r.i32();
-  status.n = r.u64();
-  status.reason = read_string(r, "job status reason exceeds payload");
+  job_status_fields(r, status);
   r.done();
   return status;
 }
 
 std::vector<std::uint8_t> encode_job_result(const JobResultMsg& result) {
   Writer w(FrameType::kJobResult);
-  w.i32(result.job_id);
-  w.u8(static_cast<std::uint8_t>(result.state));
-  w.i32(result.steps_done);
-  w.f64(result.kinetic);
-  w.f64(result.potential);
-  put_string(w, result.reason);
-  put_particle_payload(w, -1, result.parts, /*with_forces=*/true);
+  job_result_fields(w, result);
   return w.finish();
 }
 
 JobResultMsg decode_job_result(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kJobResult);
   JobResultMsg result;
-  result.job_id = r.i32();
-  result.state = read_job_state(r);
-  result.steps_done = r.i32();
-  result.kinetic = r.f64();
-  result.potential = r.f64();
-  result.reason = read_string(r, "job result reason exceeds payload");
-  ParticleBatch batch = read_particle_payload(r);
-  r.require(batch.with_forces, "job result batch must carry forces");
-  result.parts = std::move(batch.parts);
+  job_result_fields(r, result);
   r.done();
   return result;
 }
 
 std::vector<std::uint8_t> encode_job_cancel(std::int32_t job_id) {
   Writer w(FrameType::kJobCancel);
-  w.i32(job_id);
+  id_fields(w, job_id);
   return w.finish();
 }
 
 std::int32_t decode_job_cancel(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kJobCancel);
-  const std::int32_t job_id = r.i32();
+  std::int32_t job_id = -1;
+  id_fields(r, job_id);
   r.done();
   return job_id;
 }
 
 std::vector<std::uint8_t> encode_snapshot(const SnapshotMsg& snap) {
   Writer w(FrameType::kSnapshot);
-  w.i32(snap.job_id);
-  w.i32(snap.next_step);
-  w.u32(static_cast<std::uint32_t>(snap.sets.size()));
-  for (std::size_t r = 0; r < snap.sets.size(); ++r)
-    put_particle_payload(w, static_cast<int>(r), snap.sets[r], /*with_forces=*/true);
+  snapshot_fields(w, snap);
   return w.finish();
 }
 
 SnapshotMsg decode_snapshot(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kSnapshot);
   SnapshotMsg snap;
-  snap.job_id = r.i32();
-  snap.next_step = r.i32();
-  // Minimum per-set footprint: the particle payload prologue (src + flags +
-  // count) of an empty set.
-  const std::size_t nsets =
-      r.array_count(r.u32(), 4 + 1 + 8, "snapshot set count exceeds payload");
-  r.require(nsets <= 255, "snapshot rank count out of range");
-  snap.sets.reserve(nsets);
-  for (std::size_t i = 0; i < nsets; ++i) {
-    ParticleBatch batch = read_particle_payload(r);
-    r.require(batch.with_forces, "snapshot sets must carry forces");
-    snap.sets.push_back(std::move(batch.parts));
-  }
+  snapshot_fields(r, snap);
   r.done();
   return snap;
 }
@@ -999,13 +937,14 @@ std::vector<std::uint8_t> encode_metrics_query() {
 
 std::vector<std::uint8_t> encode_metrics_report(const metrics::Snapshot& snapshot) {
   Writer w(FrameType::kMetricsReport);
-  put_metrics(w, snapshot);
+  metrics_fields(w, snapshot);
   return w.finish();
 }
 
 metrics::Snapshot decode_metrics_report(std::span<const std::uint8_t> frame) {
   Reader r = open_frame(frame, FrameType::kMetricsReport);
-  metrics::Snapshot m = read_metrics(r);
+  metrics::Snapshot m;
+  metrics_fields(r, m);
   r.done();
   return m;
 }

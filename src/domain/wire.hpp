@@ -13,6 +13,11 @@
 // strictly forward, particle ranges inside the payload arrays) are enforced.
 // A malformed frame throws WireError; it never reads out of bounds and never
 // produces a tree the traversal could walk off of.
+//
+// Each frame's layout is written once: wire.cpp holds one field list per
+// frame, walked by the encoder and the decoder alike. A layout change is one
+// edit to that list, a kVersion bump and a regeneration of the seed corpora
+// under tests/fuzz/corpora/ (corpus_dump).
 #pragma once
 
 #include <cstdint>

@@ -522,7 +522,7 @@ void InteractionQueue::stage_targets() {
 
 // Gathers a cell batch's padded float lanes from the staged node indices:
 // offsets of the COM from the walk's centre, the mass, g = 3q (Quadrupole::q
-// order, zero without quadrupoles) and h = tr(Q)/2, the prescaled moments
+// order) and h = tr(Q)/2, the prescaled moments
 // the rearranged p-c kernel takes. Returns the padded lane count.
 std::uint32_t InteractionQueue::gather_cells(const Batch& b) {
   const std::uint32_t n = b.end - b.begin;
@@ -536,7 +536,7 @@ std::uint32_t InteractionQueue::gather_cells(const Batch& b) {
     lane_[2][j] = to_lane(mp.com.z, o.z, 1.0);
     lane_[3][j] = to_lane(mp.mass, 0.0, 1.0);
     for (int k = 0; k < 6; ++k)
-      lane_[4 + k][j] = to_lane(params_.quadrupole ? mp.quad.q[k] : 0.0, 0.0, 3.0);
+      lane_[4 + k][j] = to_lane(mp.quad.q[k], 0.0, 3.0);
   }
   for (int c = 0; c < 10; ++c)
     std::fill(lane_[c].begin() + n, lane_[c].end(), c < 3 ? pad_off_ : 0.0f);
@@ -596,11 +596,7 @@ void InteractionQueue::drain_cell_batch(const Batch& b) {
       const Multipole& mp = src_.nodes[cells_[j]].mp;
       for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
         ForceAccum f{};
-        if (params_.quadrupole) {
-          pc_kernel(t.pos(i), mp, eps2, f);
-        } else {
-          pc_kernel_monopole(t.pos(i), mp, eps2, f);
-        }
+        pc_kernel(t.pos(i), mp, eps2, f);
         t.ax[i] += f.ax;
         t.ay[i] += f.ay;
         t.az[i] += f.az;

@@ -104,7 +104,6 @@ void rsqrt_avx512f(std::span<const float> r2, std::span<float> rinv);
 // Per-walk parameters shared by every batch of one queue walk.
 struct WalkParams {
   double eps2 = 0.0;
-  bool quadrupole = true;
   bool self = false;  // targets alias the source particle array
   Vec3d centre{};     // origin of the `simd` drain's float offsets: the box
                       // centre of the walk's targets (a group or a run)

@@ -73,12 +73,4 @@ inline void pc_kernel(const Vec3d& target, const Multipole& cell, double eps2,
   f.az += scalar * dr.z - 3.0 * rinv5 * Qr.z;
 }
 
-// Monopole-only p-c form (used to demonstrate the accuracy gain of the
-// quadrupole term in tests and the theta ablation).
-inline void pc_kernel_monopole(const Vec3d& target, const Multipole& cell, double eps2,
-                               ForceAccum& f) {
-  pp_kernel(target.x, target.y, target.z, cell.com.x, cell.com.y, cell.com.z, cell.mass,
-            eps2, f);
-}
-
 }  // namespace bonsai

@@ -39,7 +39,6 @@ inline bool mac_accept(const AABB& target_region, const TreeNode& node) {
 WalkParams walk_params(const TraversalConfig& config, bool self, const AABB& box) {
   WalkParams params;
   params.eps2 = config.eps * config.eps;
-  params.quadrupole = config.quadrupole;
   params.self = self;
   params.centre = box.center();
   return params;

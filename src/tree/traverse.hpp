@@ -42,7 +42,6 @@ struct TraversalConfig {
   double theta = 0.4;       // opening angle (paper production value, §IV)
   double eps = 0.0;         // Plummer softening length
   int ncrit = 64;           // max particles per target group
-  bool quadrupole = true;   // include quadrupole corrections in p-c kernels
   KernelBackend backend = KernelBackend::kSimd;  // force backend draining the lists
 };
 

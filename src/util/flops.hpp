@@ -29,10 +29,6 @@ inline constexpr std::uint64_t kFlopsPerPC = 65;
 // Flop count attributed to one reciprocal-square-root instruction.
 inline constexpr std::uint64_t kFlopsPerRsqrt = 4;
 
-// Historical 38-flop p-p convention used by refs [28]-[32]; kept for
-// comparisons in the benchmark output.
-inline constexpr std::uint64_t kFlopsPerPPLegacy38 = 38;
-
 // Buckets of the interactions-per-drained-batch histogram: bucket b counts
 // batches whose useful interaction count lies in [2^b, 2^(b+1)).
 inline constexpr std::size_t kBatchHistBuckets = 24;

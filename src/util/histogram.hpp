@@ -1,5 +1,4 @@
-// 1-D and 2-D fixed-bin histograms used by the analysis module (surface
-// density maps, velocity-space "moving group" distributions of Fig. 3).
+// Fixed-bin 1-D histogram (the step report's log2 LET-size histogram).
 #pragma once
 
 #include <algorithm>
@@ -45,51 +44,6 @@ class Histogram1D {
 
  private:
   double lo_, hi_;
-  std::vector<double> counts_;
-};
-
-// Fixed-width 2-D histogram over [xlo,xhi) x [ylo,yhi).
-class Histogram2D {
- public:
-  Histogram2D(double xlo, double xhi, std::size_t xbins,
-              double ylo, double yhi, std::size_t ybins)
-      : xlo_(xlo), xhi_(xhi), ylo_(ylo), yhi_(yhi),
-        xbins_(xbins), ybins_(ybins), counts_(xbins * ybins, 0.0) {
-    BNS_CHECK(xhi > xlo && yhi > ylo);
-    BNS_CHECK(xbins > 0 && ybins > 0);
-  }
-
-  void add(double x, double y, double weight = 1.0) {
-    if (x < xlo_ || x >= xhi_ || y < ylo_ || y >= yhi_) return;
-    const auto bx = std::min(static_cast<std::size_t>((x - xlo_) / (xhi_ - xlo_) *
-                                                      static_cast<double>(xbins_)),
-                             xbins_ - 1);
-    const auto by = std::min(static_cast<std::size_t>((y - ylo_) / (yhi_ - ylo_) *
-                                                      static_cast<double>(ybins_)),
-                             ybins_ - 1);
-    counts_[by * xbins_ + bx] += weight;
-  }
-
-  std::size_t xbins() const { return xbins_; }
-  std::size_t ybins() const { return ybins_; }
-  double count(std::size_t bx, std::size_t by) const { return counts_[by * xbins_ + bx]; }
-  double total() const {
-    double t = 0.0;
-    for (double c : counts_) t += c;
-    return t;
-  }
-  double max_count() const { return *std::max_element(counts_.begin(), counts_.end()); }
-
-  double x_center(std::size_t bx) const {
-    return xlo_ + (static_cast<double>(bx) + 0.5) * (xhi_ - xlo_) / static_cast<double>(xbins_);
-  }
-  double y_center(std::size_t by) const {
-    return ylo_ + (static_cast<double>(by) + 0.5) * (yhi_ - ylo_) / static_cast<double>(ybins_);
-  }
-
- private:
-  double xlo_, xhi_, ylo_, yhi_;
-  std::size_t xbins_, ybins_;
   std::vector<double> counts_;
 };
 

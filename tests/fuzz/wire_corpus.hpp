@@ -1,8 +1,9 @@
 // Shared seed-frame and dispatch machinery for the wire fuzzing layer.
 //
 // One place defines (a) a minimized, deterministic encoded frame per
-// FrameType and (b) decode_any() — the type-dispatched decoder the harness
-// and the generic truncation/byte-flip test drive.
+// FrameType, (b) decode_any() — the type-dispatched decoder the harness
+// and the generic truncation/byte-flip test drive — and (c) reencode_any(),
+// which decodes and encodes again so tests can compare the bytes.
 //
 // Users: tests/fuzz/fuzz_wire.cpp, tools/corpus_dump.cpp,
 // tests/test_fuzz_corpus.cpp and tests/test_wire.cpp. tools/wire_lint.py
@@ -186,6 +187,58 @@ inline void decode_any(std::span<const std::uint8_t> frame) {
     case wire::FrameType::kSnapshot: wire::decode_snapshot(frame); break;
     case wire::FrameType::kMetricsQuery: break;  // header-only
     case wire::FrameType::kMetricsReport: wire::decode_metrics_report(frame); break;
+    default:
+      throw wire::WireError("wire decode: unknown frame type");
+  }
+}
+
+// Decode `frame` like decode_any(), then encode the decoded value again with
+// the frame type's encoder. A frame whose encoder and decoder walk the same
+// field list comes back byte for byte.
+inline std::vector<std::uint8_t> reencode_any(std::span<const std::uint8_t> frame) {
+  switch (wire::frame_type(frame)) {
+    case wire::FrameType::kLet: {
+      const wire::LetMessage msg = wire::decode_let(frame);
+      return wire::encode_let(msg.src, msg.let);
+    }
+    case wire::FrameType::kParticles: {
+      const wire::ParticleBatch batch = wire::decode_particles(frame);
+      return wire::encode_particles(batch.src, batch.parts, batch.with_forces);
+    }
+    case wire::FrameType::kHello: {
+      const wire::Hello h = wire::decode_hello(frame);
+      return wire::encode_hello(h.rank, h.listen_port);
+    }
+    case wire::FrameType::kConfig: return wire::encode_config(wire::decode_config(frame));
+    case wire::FrameType::kStepBegin:
+      return wire::encode_step_begin(wire::decode_step_begin(frame));
+    case wire::FrameType::kStepResult:
+      return wire::encode_step_result(wire::decode_step_result(frame));
+    case wire::FrameType::kShutdown: return wire::encode_shutdown();
+    case wire::FrameType::kBoundaries:
+      return wire::encode_boundaries(wire::decode_boundaries(frame));
+    case wire::FrameType::kKeySamples:
+      return wire::encode_key_samples(wire::decode_key_samples(frame));
+    case wire::FrameType::kMigration: {
+      const wire::MigrationMsg msg = wire::decode_migration(frame);
+      return wire::encode_migration(msg.src, msg.step, msg.parts);
+    }
+    case wire::FrameType::kPeerDirectory:
+      return wire::encode_peer_directory(wire::decode_peer_directory(frame));
+    case wire::FrameType::kPeerHello:
+      return wire::encode_peer_hello(wire::decode_peer_hello(frame));
+    case wire::FrameType::kJobSubmit:
+      return wire::encode_job_submit(wire::decode_job_submit(frame));
+    case wire::FrameType::kJobStatus:
+      return wire::encode_job_status(wire::decode_job_status(frame));
+    case wire::FrameType::kJobResult:
+      return wire::encode_job_result(wire::decode_job_result(frame));
+    case wire::FrameType::kJobCancel:
+      return wire::encode_job_cancel(wire::decode_job_cancel(frame));
+    case wire::FrameType::kSnapshot: return wire::encode_snapshot(wire::decode_snapshot(frame));
+    case wire::FrameType::kMetricsQuery: return wire::encode_metrics_query();
+    case wire::FrameType::kMetricsReport:
+      return wire::encode_metrics_report(wire::decode_metrics_report(frame));
     default:
       throw wire::WireError("wire decode: unknown frame type");
   }

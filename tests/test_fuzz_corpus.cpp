@@ -46,6 +46,14 @@ TEST(FuzzCorpus, EverySeedFrameDecodes) {
   }
 }
 
+// Encoder and decoder share each frame's field list: a field dropped or
+// reordered on one side only changes the bytes that come back.
+TEST(FuzzCorpus, EverySeedFrameReencodesByteForByte) {
+  for (const fuzz::SeedFrame& seed : seeds()) {
+    EXPECT_EQ(fuzz::reencode_any(seed.frame), seed.frame) << wire::frame_type_name(seed.type);
+  }
+}
+
 TEST(FuzzCorpus, EveryTruncationIsRejected) {
   for (const fuzz::SeedFrame& seed : seeds()) {
     for (std::size_t len = 0; len < seed.frame.size(); ++len) {
@@ -62,12 +70,19 @@ TEST(FuzzCorpus, ByteFlipsNeverEscapeAsAnythingButWireError) {
     std::vector<std::uint8_t> bad = seed.frame;
     for (std::size_t i = 0; i < bad.size(); ++i) {
       bad[i] ^= 0xA5;
+      std::vector<std::uint8_t> again;
       try {
-        fuzz::decode_any(bad);  // a still-valid mutant is fine
+        again = fuzz::reencode_any(bad);  // a still-valid mutant is fine
       } catch (const wire::WireError&) {
         // the expected rejection
       }
-      // Anything else thrown propagates and fails the test.
+      // Anything else thrown propagates and fails the test. A mutant that
+      // decodes re-encodes to a canonical frame (leaf child links become -1),
+      // which must itself survive a second round trip unchanged.
+      if (!again.empty()) {
+        EXPECT_EQ(fuzz::reencode_any(again), again)
+            << wire::frame_type_name(seed.type) << " mutant at byte " << i;
+      }
       bad[i] ^= 0xA5;
     }
   }

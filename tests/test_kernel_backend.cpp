@@ -64,6 +64,11 @@ WalkSetup make_setup(std::size_t n, std::uint64_t seed, double theta, int ncrit 
   return s;
 }
 
+// Zero every cell's quadrupole moment, so walks of `tree` use monopoles only.
+void zero_quadrupoles(Octree& tree) {
+  for (TreeNode& nd : tree.mutable_nodes()) nd.mp.quad = {};
+}
+
 // Worst per-particle relative acceleration difference between two runs over
 // the same (sorted) particle set.
 double max_rel_acc_diff(const ParticleSet& a, const ParticleSet& b) {
@@ -157,12 +162,11 @@ TEST(KernelBackend, DisjointSourceTargetWalkAgrees) {
 }
 
 TEST(KernelBackend, MonopoleOnlyWalkAgrees) {
-  // quadrupole = false: scalar calls pc_kernel_monopole; the SIMD paths run
-  // the quadrupole arithmetic with zeroed moments, which is identical math.
+  // Every quadrupole moment zeroed: both backends run on monopoles alone.
   WalkSetup s = make_setup(1500, 83, 0.5);
+  zero_quadrupoles(s.tree);
   TraversalConfig cfg;
   cfg.eps = 1e-2;
-  cfg.quadrupole = false;
 
   ParticleSet scalar, simd;
   batched_forces(s, scalar, KernelBackend::kScalar, cfg);
@@ -469,9 +473,9 @@ TEST_P(SimdDrainIsa, LongLeafBatchAgrees) {
 
 TEST_P(SimdDrainIsa, MonopoleOnlyWalkAgrees) {
   WalkSetup s = make_setup(1500, 83, 0.5);
+  zero_quadrupoles(s.tree);
   TraversalConfig cfg;
   cfg.eps = 1e-2;
-  cfg.quadrupole = false;
   EXPECT_LT(diff_vs_scalar(s.tree.view(s.parts), s.parts, s.groups, cfg, /*self=*/true),
             1e-5);  // measured 2.2e-6
 }

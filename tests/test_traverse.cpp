@@ -206,10 +206,12 @@ TEST(Traverse, QuadrupoleBeatsMonopole) {
   with_quad.zero_forces();
   walk(s.tree.view(with_quad), with_quad, s.groups, cfg, true);
 
-  cfg.quadrupole = false;
+  // The same tree with every quadrupole moment zeroed walks on monopoles.
+  Octree mono_tree = s.tree;
+  for (TreeNode& nd : mono_tree.mutable_nodes()) nd.mp.quad = {};
   ParticleSet mono = s.parts;
   mono.zero_forces();
-  walk(s.tree.view(mono), mono, s.groups, cfg, true);
+  walk(mono_tree.view(mono), mono, s.groups, cfg, true);
 
   ParticleSet ref = s.parts;
   direct_forces(ref, cfg.eps);

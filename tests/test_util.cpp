@@ -127,17 +127,6 @@ TEST(Histogram1D, BinningAndPeak) {
   EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
 }
 
-TEST(Histogram2D, BinningAndWeights) {
-  Histogram2D h(0.0, 4.0, 4, 0.0, 2.0, 2);
-  h.add(0.1, 0.1, 2.0);
-  h.add(3.9, 1.9);
-  h.add(4.0, 1.0);  // dropped
-  EXPECT_DOUBLE_EQ(h.total(), 3.0);
-  EXPECT_DOUBLE_EQ(h.count(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(3, 1), 1.0);
-  EXPECT_DOUBLE_EQ(h.max_count(), 2.0);
-}
-
 TEST(RunningStats, KnownSequence) {
   RunningStats s;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);

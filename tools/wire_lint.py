@@ -15,9 +15,12 @@ requires four sites:
                 and a seed-frame entry in tests/fuzz/wire_corpus.hpp, plus a
                 checked-in corpus input tests/fuzz/corpora/wire/<name>.bin.
 
-Additionally, every read_*/decode_* helper in wire.cpp that allocates from a
-wire-supplied count (resize/reserve) must bounds-check first (array_count()
-or require()).
+Additionally, every decode_* function and every shared field list (the
+`*_fields` templates that both encode and decode a layout) in wire.cpp that
+allocates from a wire-supplied count (resize/reserve) must bounds-check first:
+array_count(), require(), or the checked count32()/count64() prefixes. The
+same holds for every Reader method that allocates, except Reader::resize, the
+unchecked primitive whose callers the field-list rule covers.
 
 Run as a ctest (`wire_lint`) and in CI. `--self-test` proves the lint can
 fail: it re-runs the checks on doctored copies of the sources with one site
@@ -40,11 +43,19 @@ OPEN_FRAME_RE = re.compile(r"open_frame\(\s*frame\s*,\s*FrameType::(k\w+)")
 NAME_CASE_RE = re.compile(r"case FrameType::(k\w+):\s*return")
 DISPATCH_CASE_RE = re.compile(r"case\s+(?:\w+::)*FrameType::(k\w+)\s*:")
 SEED_ADD_RE = re.compile(r"add\(\s*(?:\w+::)*FrameType::(k\w+)")
-# A function definition at column 0: return type spilling over is fine, the
-# name must be on the defining line ("encode_let(", "read_metrics(", ...).
-FUNC_DEF_RE = re.compile(r"^[\w:<>,&*\s]+?\b((?:encode|decode|read|put)_\w+)\s*\(", re.M)
+# A function definition at column 0: a template header or a return type
+# spilling over is fine, the name must be on the defining line ("encode_let(",
+# "let_fields(", ...).
+FUNC_DEF_RE = re.compile(
+    r"^(?=\S)[\w:<>,&*\s]+?\b((?:encode|decode|read|put)_\w+|\w+_fields)\s*\(", re.M)
 ALLOC_RE = re.compile(r"\.(?:resize|reserve)\(")
-BOUND_RE = re.compile(r"array_count\(|\.require\(|require\(")
+CHECK_RE = re.compile(r"array_count\(|require\(")
+BOUND_RE = re.compile(CHECK_RE.pattern + r"|\bcount(?:32|64)\(")
+# The Reader class body, and its members: each starts on a line indented by
+# exactly two spaces (a template header stays with the member before it).
+READER_RE = re.compile(r"^class Reader\b.*?^};", re.M | re.S)
+MEMBER_START_RE = re.compile(r"^  (?![ /}]|template\b)", re.M)
+MEMBER_NAME_RE = re.compile(r"\b(\w+)\s*\(")
 
 
 def camel_to_snake(name):
@@ -83,6 +94,21 @@ def split_functions(cpp):
         end = defs[i + 1].start() if i + 1 < len(defs) else len(cpp)
         out.setdefault(m.group(1), "")
         out[m.group(1)] += cpp[m.start():end]
+    return out
+
+
+def split_reader_members(cpp):
+    """Map Reader member name -> its text (to the next member)."""
+    cls = READER_RE.search(cpp)
+    if not cls:
+        return {}
+    body = cls.group(0)
+    starts = [m.start() for m in MEMBER_START_RE.finditer(body)] + [len(body)]
+    out = {}
+    for begin, end in zip(starts, starts[1:]):
+        name = MEMBER_NAME_RE.search(body, begin, end)
+        if name:
+            out[name.group(1)] = out.get(name.group(1), "") + body[begin:end]
     return out
 
 
@@ -150,14 +176,22 @@ def run_lint(sources):
             errors.append(f"{t}: no checked-in corpus input "
                           f"tests/fuzz/corpora/wire/{corpus_file}")
 
-    # Bounds-check rule: helpers that allocate from wire-supplied counts must
-    # validate against the remaining payload first.
+    # Bounds-check rule: decoders, shared field lists and Reader methods that
+    # allocate from wire-supplied counts must validate against the remaining
+    # payload first.
     for fname, body in functions.items():
-        if not fname.startswith(("read_", "decode_")):
+        if not (fname.startswith(("read_", "decode_")) or fname.endswith("_fields")):
             continue
         if ALLOC_RE.search(body) and not BOUND_RE.search(body):
             errors.append(f"{fname}: allocates (resize/reserve) without a bounds "
-                          f"check (array_count()/require())")
+                          f"check (array_count()/require()/count32()/count64())")
+    reader = split_reader_members(sources["wire_cpp"])
+    if not reader:
+        errors.append("wire.cpp: class Reader not found")
+    for name, body in reader.items():
+        if name != "resize" and ALLOC_RE.search(body) and not CHECK_RE.search(body):
+            errors.append(f"Reader::{name}: allocates (resize/reserve) without a "
+                          f"bounds check (array_count()/require())")
     return errors
 
 
@@ -203,6 +237,15 @@ def self_test(root):
             wire_cpp=pristine["wire_cpp"] +
             "\nstd::vector<int> read_evil(Reader& r) {\n"
             "  std::vector<int> v;\n  v.resize(r.u32());\n  return v;\n}\n"),
+        "unchecked allocation in a shared field list": mutated(
+            wire_cpp=pristine["wire_cpp"] +
+            "\ntemplate <typename IO, typename V>\nvoid evil_fields(IO& io, V& v) {\n"
+            "  auto n = static_cast<std::uint32_t>(v.size());\n  io.u32(n);\n"
+            "  io.resize(v, n);\n}\n"),
+        "unchecked allocation in a Reader method": mutated(
+            wire_cpp=pristine["wire_cpp"].replace(
+                "v.resize(array_count(raw<std::uint32_t>(), elem_bytes, what));",
+                "v.resize(raw<std::uint32_t>());")),
     }
 
     failed = 0
